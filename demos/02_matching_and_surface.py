@@ -27,7 +27,7 @@ def main():
 
     print(f"{'src':>4} {'tgt':>4} {'IoU':>8} {'d_avg':>8} {'d_max':>8}")
     for pair in ms.pairs:
-        res = pair_metrics(pair, source, target, mode="crop")
+        res = pair_metrics(pair, source, target)
         print(
             f"{pair.source_instance_id:>4} {pair.target_instance_id:>4} "
             f"{pair.iou:8.4f} {res.d_avg:8.4f} {res.d_max:8.4f}"

@@ -38,8 +38,7 @@ def main():
           f"{delta.categories_where_target_greater} categories grew")
 
     ms = match_datasets(source, target)
-    results, degenerate = compute_surface_results(ms, source, target, mode="crop",
-                                                  footprint="cross", jobs=1)
+    results, degenerate = compute_surface_results(ms, source, target, footprint="cross", jobs=1)
     print(f"\n{len(ms.pairs)} matched pairs, {len(results)} measured")
 
     # The histogram covers only disagreements beyond one pixel; the noise

@@ -108,7 +108,6 @@ def cmd_diff(args) -> int:
         iou_threshold=_resolve_threshold(args),
         iou_mode=args.iou_mode,
         same_category=args.same_category,
-        surface_mode=args.surface_mode,
         footprint=args.footprint,
         bins=args.bins,
         jobs=_resolve_jobs(args),
@@ -187,8 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("target")
     _add_match_flags(p)
-    p.add_argument("--surface-mode", choices=("full", "crop"), default="crop",
-                   help="distance-transform extent (identical results; crop is faster)")
     p.add_argument("--footprint", choices=("cross", "square"), default="cross",
                    help="erosion neighborhood used to trace contours")
     p.add_argument("--bins", type=int, default=50, help="histogram bin count")

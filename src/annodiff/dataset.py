@@ -341,7 +341,6 @@ class IssueCode(Enum):
     BAD_COORDINATE = "bad_coordinate"
     ENCODING_MISMATCH = "encoding_mismatch"
     RLE_GRID_MISMATCH = "rle_grid_mismatch"
-    DUPLICATE_ID = "duplicate_id"
 
 
 @dataclass(frozen=True)
@@ -414,13 +413,6 @@ def validate(ds: AnnotationDataset, *, area_tolerance: float | None = 0.1) -> li
     count (relative to the latter); pass ``None`` to skip rasterization.
     """
     issues: list[Issue] = []
-    for what, records in (("image", ds.images), ("category", ds.categories), ("annotation", ds.instances)):
-        seen = set()
-        for rec in records:
-            if rec.id in seen:
-                issues.append(Issue(IssueCode.DUPLICATE_ID, f"duplicate {what} id {rec.id}"))
-            seen.add(rec.id)
-
     for inst in ds.instances:
         image = ds.image(inst.image_id)
         issues.extend(_shape_issues(inst, image))

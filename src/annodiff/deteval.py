@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,8 +72,8 @@ class EvalParams:
     area_ranges: tuple[tuple[str, float, float], ...] = AREA_RANGES
     max_detections: int = 100
     # ground-truth stratification area: "stored" uses the annotation's area
-    # field, "bbox" uses box width*height; "auto" prefers stored.
-    area_source: str = "auto"
+    # field, "bbox" uses box width*height.
+    area_source: str = "stored"
 
     def __post_init__(self) -> None:
         if self.task not in ("bbox", "segm"):
@@ -92,10 +92,8 @@ class EvalParams:
             raise ValueError("max_detections must be >= 1")
         if not self.area_ranges or self.area_ranges[0][0] != "all":
             raise ValueError("area_ranges must start with the 'all' range")
-        if self.area_source not in ("auto", "stored", "bbox"):
-            raise ValueError(
-                f"area_source must be 'auto', 'stored' or 'bbox', got {self.area_source!r}"
-            )
+        if self.area_source not in ("stored", "bbox"):
+            raise ValueError(f"area_source must be 'stored' or 'bbox', got {self.area_source!r}")
 
 
 @dataclass(frozen=True)
@@ -438,14 +436,7 @@ def cross_table(
     """
     out: dict[str, dict[str, EvalResult]] = {}
     for task in tasks:
-        p = EvalParams(task=task) if params is None else EvalParams(
-            task=task,
-            iou_thresholds=params.iou_thresholds,
-            recall_points=params.recall_points,
-            area_ranges=params.area_ranges,
-            max_detections=params.max_detections,
-            area_source=params.area_source,
-        )
+        p = replace(params or EvalParams(), task=task)
         out[task] = {
             "a_vs_b": evaluate(annotations_as_detections(a), b, p),
             "b_vs_a": evaluate(annotations_as_detections(b), a, p),

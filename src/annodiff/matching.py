@@ -19,7 +19,6 @@ from .errors import GeometryError
 from .raster import box_iou_matrix, mask_iou, rasterize
 
 _IOU_MODES = ("box", "mask")
-_TIE_BREAKS = ("ids",)
 
 
 @dataclass(frozen=True)
@@ -29,21 +28,18 @@ class MatchConfig:
     ``iou_threshold`` is strict (a pair needs IoU > threshold). ``iou_mode``
     selects the overlap signal: stored bounding boxes (robust to contour
     noise) or rasterized masks. ``same_category_required`` restricts pairs to
-    one category; ``tie_break`` names the deterministic ordering rule.
+    one category.
     """
 
     iou_threshold: float = 0.90
     iou_mode: str = "box"
     same_category_required: bool = True
-    tie_break: str = "ids"
 
     def __post_init__(self):
         if not 0.0 < self.iou_threshold <= 1.0:
             raise ValueError(f"iou_threshold {self.iou_threshold} outside (0, 1]")
         if self.iou_mode not in _IOU_MODES:
             raise ValueError(f"iou_mode must be one of {_IOU_MODES}")
-        if self.tie_break not in _TIE_BREAKS:
-            raise ValueError(f"tie_break must be one of {_TIE_BREAKS}")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,13 @@ ray towards +x with half-open vertical edge spans ``[ymin, ymax)`` and a
 strict ``x_center < x_crossing`` comparison. Centers exactly on a top or
 left edge are inside, on a bottom or right edge outside, so abutting
 polygons tile the grid without overlap.
+
+The span test is exact, but the crossing is not: it is computed in float64
+as ``x1 + (y_center - y1) * slope``, with ``slope = (x2 - x1) / (y2 - y1)``
+taken first. On horizontal and vertical edges that is exact. On a slanted
+edge the crossing may be rounded, so a center that lies within rounding of
+it (a center on a polygon vertex, or on the edge itself) is decided by the
+rounded crossing, and can land on the other side from the exact rule.
 """
 
 from __future__ import annotations
@@ -73,7 +80,9 @@ def rasterize(poly, width: int, height: int) -> np.ndarray:
     """Rasterize polygon rings to a boolean mask under the module fill convention.
 
     Multiple rings are combined by crossing parity over all edges (even-odd),
-    so disjoint rings union and nested rings punch holes.
+    so disjoint rings union and nested rings punch holes. Crossings are
+    rounded in float64 (see the module docstring), so a center within
+    rounding of a slanted edge's crossing is decided by the rounded value.
 
     Args:
         poly: ``Polygons`` or a sequence of rings (flat lists or (k, 2) arrays).

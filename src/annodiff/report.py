@@ -7,9 +7,10 @@ live in a single ``timings`` field that ``canonical_report_bytes`` strips, so
 byte-level determinism can be checked (and parallelism shown harmless) by
 comparing canonical bytes.
 
-Surface metrics are computed per matched pair; pairs whose rings cannot be
-measured (fewer than three vertices, or rasterizing to nothing) are tallied
-as degenerate rather than dropped silently. The report carries an explicit
+Surface metrics are computed per matched pair; pairs that cannot be
+measured (an instance that is not a single polygon ring, a ring of fewer than
+three vertices, or one rasterizing to nothing) are tallied as degenerate
+rather than dropped silently. The report carries an explicit
 consistency block proving that matched pairs = histogrammed values +
 below-one-pixel exclusions + degenerate exclusions.
 """
@@ -28,7 +29,7 @@ from .deteval import EvalParams, cross_table
 from .errors import DegenerateShape, StatsError
 from .matching import MatchConfig, MatchSet, match_datasets
 from .stats import DatasetDelta, DatasetSummary, SizeBucket, compare, distance_histogram, summarize
-from .surface import SurfaceDistanceResult, ring_pair_metrics
+from .surface import SurfaceDistanceResult, pair_rings, ring_pair_metrics
 
 SCHEMA_NAME = "annodiff-audit-report"
 SCHEMA_VERSION = 1
@@ -39,7 +40,6 @@ class AuditConfig:
     iou_threshold: float = 0.90
     iou_mode: str = "box"
     same_category: bool = True
-    surface_mode: str = "crop"
     footprint: str = "cross"
     bins: int = 50
     jobs: int = 1
@@ -49,8 +49,6 @@ class AuditConfig:
     target_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.surface_mode not in ("full", "crop"):
-            raise ValueError(f"surface_mode must be 'full' or 'crop', got {self.surface_mode!r}")
         if self.footprint not in ("cross", "square"):
             raise ValueError(f"footprint must be 'cross' or 'square', got {self.footprint!r}")
         if self.bins < 1:
@@ -74,14 +72,11 @@ class AuditConfig:
 
 
 def _surface_task(args):
-    idx, ring_a, ring_b, width, height, mode, footprint = args
+    idx, ring_a, ring_b, width, height, footprint = args
     try:
-        d_avg, d_max, n_src, n_tgt = ring_pair_metrics(
-            ring_a, ring_b, width, height, mode=mode, footprint=footprint
-        )
+        return idx, ring_pair_metrics(ring_a, ring_b, width, height, footprint=footprint)
     except DegenerateShape:
-        return idx, None, None, 0, 0
-    return idx, d_avg, d_max, n_src, n_tgt
+        return idx, None
 
 
 def compute_surface_results(
@@ -89,49 +84,36 @@ def compute_surface_results(
     source: AnnotationDataset,
     target: AnnotationDataset,
     *,
-    mode: str = "crop",
     footprint: str = "cross",
     jobs: int = 1,
 ) -> tuple[list[SurfaceDistanceResult], list]:
     """Surface metrics for every matched pair, in canonical pair order.
 
-    Returns ``(results, degenerate_pairs)``. The worker pool size never
-    changes the output: tasks are dispatched and collected in pair order.
+    Returns ``(results, degenerate_pairs)``. A pair is degenerate when either
+    instance is not a single polygon ring, or when its rings cannot be
+    measured. The worker pool size never changes the output: tasks are
+    dispatched and collected in pair order.
     """
     payloads = []
     for idx, pair in enumerate(match_set.pairs):
-        src = source.instance(pair.source_instance_id)
-        tgt = target.instance(pair.target_instance_id)
-        image = (
-            source.image(pair.image_id)
-            if pair.image_id in source.index
-            else target.image(pair.image_id)
-        )
-        payloads.append(
-            (
-                idx,
-                src.segmentation.rings[0],
-                tgt.segmentation.rings[0],
-                image.width,
-                image.height,
-                mode,
-                footprint,
-            )
-        )
+        try:
+            payloads.append((idx, *pair_rings(pair, source, target), footprint))
+        except DegenerateShape:
+            continue
     if jobs > 1 and len(payloads) > 1:
         chunk = max(1, len(payloads) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_surface_task, payloads, chunksize=chunk))
     else:
         rows = [_surface_task(p) for p in payloads]
+    measured = {idx: metrics for idx, metrics in rows if metrics is not None}
     results: list[SurfaceDistanceResult] = []
     degenerate = []
-    for idx, d_avg, d_max, n_src, n_tgt in rows:
-        pair = match_set.pairs[idx]
-        if d_avg is None:
-            degenerate.append(pair)
+    for idx, pair in enumerate(match_set.pairs):
+        if idx in measured:
+            results.append(SurfaceDistanceResult(pair, *measured[idx]))
         else:
-            results.append(SurfaceDistanceResult(pair, d_avg, d_max, n_src, n_tgt))
+            degenerate.append(pair)
     return results, degenerate
 
 
@@ -222,7 +204,6 @@ def run_audit(
         match_set,
         source,
         target,
-        mode=config.surface_mode,
         footprint=config.footprint,
         jobs=config.jobs,
     )
@@ -271,7 +252,6 @@ def run_audit(
             "iou_threshold": config.iou_threshold,
             "iou_mode": config.iou_mode,
             "same_category": config.same_category,
-            "surface_mode": config.surface_mode,
             "footprint": config.footprint,
             "bins": config.bins,
             # jobs is deliberately not echoed: parallelism never changes

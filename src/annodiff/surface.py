@@ -84,15 +84,16 @@ def ring_pair_metrics(
     width: int,
     height: int,
     *,
-    mode: str = "full",
+    mode: str = "crop",
     footprint: str = "cross",
 ) -> tuple[float, float, int, int]:
     """Full pipeline for one ring pair: rasterize, contour, EDT, both metrics.
 
-    ``mode="full"`` runs on the whole image grid; ``mode="crop"`` runs on the
-    union bounding box padded by one pixel, which yields identical values
+    ``mode="crop"`` runs on the union bounding box padded by one pixel;
+    ``mode="full"`` runs on the whole image grid. Both yield identical values
     (distances only ever reach the nearest contour pixel, which the crop
-    contains) at a fraction of the cost.
+    contains). The audit always measures on the crop; ``mode="full"`` is
+    kept as the reference that the tests check the crop against.
 
     Raises:
         DegenerateShape: a ring has fewer than 3 vertices or rasterizes to
@@ -122,24 +123,32 @@ def ring_pair_metrics(
     return surface_distances(contour(mx, footprint), contour(my, footprint))
 
 
+def pair_rings(
+    pair: MatchPair,
+    source: AnnotationDataset,
+    target: AnnotationDataset,
+) -> tuple[tuple[float, ...], tuple[float, ...], int, int]:
+    """``(source ring, target ring, width, height)`` of one matched pair.
+
+    Raises:
+        DegenerateShape: either instance is not a single polygon ring.
+    """
+    image = source.image(pair.image_id) if pair.image_id in source.index else target.image(pair.image_id)
+    return (
+        _single_ring(source.instance(pair.source_instance_id).segmentation),
+        _single_ring(target.instance(pair.target_instance_id).segmentation),
+        image.width,
+        image.height,
+    )
+
+
 def pair_metrics(
     pair: MatchPair,
     source: AnnotationDataset,
     target: AnnotationDataset,
     *,
-    mode: str = "full",
     footprint: str = "cross",
 ) -> SurfaceDistanceResult:
     """Surface metrics for one matched pair, resolved from its datasets."""
-    src = source.instance(pair.source_instance_id)
-    tgt = target.instance(pair.target_instance_id)
-    image = source.image(pair.image_id) if pair.image_id in source.index else target.image(pair.image_id)
-    d_avg, d_max, nx, ny = ring_pair_metrics(
-        _single_ring(src.segmentation),
-        _single_ring(tgt.segmentation),
-        image.width,
-        image.height,
-        mode=mode,
-        footprint=footprint,
-    )
+    d_avg, d_max, nx, ny = ring_pair_metrics(*pair_rings(pair, source, target), footprint=footprint)
     return SurfaceDistanceResult(pair, d_avg, d_max, nx, ny)

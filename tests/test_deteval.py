@@ -74,7 +74,7 @@ class TestConstants:
 class TestParams:
     def test_defaults(self):
         p = EvalParams()
-        assert p.task == "bbox" and p.max_detections == 100 and p.area_source == "auto"
+        assert p.task == "bbox" and p.max_detections == 100 and p.area_source == "stored"
 
     @pytest.mark.parametrize(
         "kw",
@@ -86,6 +86,7 @@ class TestParams:
             {"max_detections": 0},
             {"area_ranges": (("small", 0, 10),)},
             {"area_source": "guess"},
+            {"area_source": "auto"},
         ],
     )
     def test_validation(self, kw):

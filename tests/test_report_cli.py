@@ -5,16 +5,20 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
+import annodiff.report
 from annodiff.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, main
 from annodiff.dataset import parse_dataset
-from annodiff.matching import pairs_to_ndjson
+from annodiff.errors import DegenerateShape
+from annodiff.matching import MatchPair, MatchSet, match_datasets, pairs_to_ndjson
 from annodiff.report import (
     AuditConfig,
     canonical_report_bytes,
+    compute_surface_results,
     report_bytes,
     run_audit,
     write_report_csv,
 )
+from annodiff.surface import pair_metrics
 
 from conftest import FIXTURES, make_ann, make_coco, make_images
 
@@ -28,7 +32,7 @@ _validator = Draft202012Validator(_schema)
 
 # Behaviour guard for the bundled 50-image pair: any change to matching,
 # surface metrics, statistics or evaluation shows up in these digests.
-SYNTHETIC_CANONICAL_SHA256 = "0430fbb0437b5f34d2976057bc776fdf2159e46c568102335ac9aefab2fa6e9a"
+SYNTHETIC_CANONICAL_SHA256 = "e0c534f1d25916527f0897b2c19b4272e5bd36d001b129d171f1c687907bdd1c"
 SYNTHETIC_PAIRS_SHA256 = "b268d98a76041eef4c6a5d71202df4d202b4ad081a8590bc2e341635ca785184"
 
 
@@ -91,9 +95,14 @@ class TestRunAudit:
         one = run_audit(tiny_a, tiny_b).report
         two = run_audit(tiny_a, tiny_b).report
         assert canonical_report_bytes(one) == canonical_report_bytes(two)
-        assert one["timings"]["total_s"] != two["timings"]["total_s"] or True
         assert b"timings" in report_bytes(one)
         assert b"timings" not in canonical_report_bytes(one)
+        timings = one.pop("timings")
+        two.pop("timings")
+        assert one == two
+        assert set(timings) == {"parse_s", "match_s", "surface_s", "stats_s", "eval_s", "total_s"}
+        for stage in ("match_s", "surface_s", "stats_s", "eval_s"):
+            assert timings["total_s"] >= timings[stage]
 
     def test_synthetic_report_bytes_pinned(self, synthetic_a, synthetic_b):
         out = run_audit(synthetic_a, synthetic_b, AuditConfig(eval_tasks=("bbox", "segm")))
@@ -122,6 +131,41 @@ class TestRunAudit:
         assert len(cat_rows) == 1 + 2  # categories 1 and 2
         bucket_rows = (tmp_path / "size_buckets.csv").read_text().strip().splitlines()
         assert len(bucket_rows) == 1 + 4
+
+
+# Pairs the matcher never emits, built by hand: source instance 4 of the tiny
+# pair has two rings and source instance 5 is a crowd RLE. Either makes its
+# pair degenerate, in the pipeline and in the one-pair API alike.
+@pytest.mark.parametrize("source_id", [4, 5], ids=["two_ring", "crowd_rle"])
+class TestPairResolver:
+    @staticmethod
+    def match_set(source_id, tiny_a, tiny_b):
+        good = match_datasets(tiny_a, tiny_b).pairs[0]
+        inst = tiny_a.instance(source_id)
+        odd = MatchPair(source_id, good.target_instance_id, inst.image_id, inst.category_id, 1.0)
+        return MatchSet(pairs=[good, odd]), good, odd
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_surface_results_count_it_degenerate(self, source_id, jobs, tiny_a, tiny_b):
+        ms, good, odd = self.match_set(source_id, tiny_a, tiny_b)
+        results, degenerate = compute_surface_results(ms, tiny_a, tiny_b, jobs=jobs)
+        assert [r.pair for r in results] == [good]
+        assert degenerate == [odd]
+
+    def test_pair_metrics_raises(self, source_id, tiny_a, tiny_b):
+        _, _, odd = self.match_set(source_id, tiny_a, tiny_b)
+        with pytest.raises(DegenerateShape):
+            pair_metrics(odd, tiny_a, tiny_b)
+
+    def test_audit_stays_consistent(self, source_id, tiny_a, tiny_b, monkeypatch):
+        ms, _, _ = self.match_set(source_id, tiny_a, tiny_b)
+        monkeypatch.setattr(annodiff.report, "match_datasets", lambda *args: ms)
+        r = run_audit(tiny_a, tiny_b).report
+        assert r["matching"]["pair_count"] == 2
+        assert r["surface"]["measured_pairs"] == 1
+        assert r["surface"]["degenerate_excluded"] == 1
+        assert r["consistency"]["ok"] is True
+        validate_report(r)
 
 
 class TestCliStats:

@@ -10,6 +10,7 @@ from annodiff.surface import (
     average_surface_distance,
     max_surface_distance,
     pair_metrics,
+    pair_rings,
     ring_pair_metrics,
     surface_distances,
 )
@@ -147,7 +148,7 @@ class TestPairMetrics:
     def test_resolves_instances_and_image(self, tiny_a, tiny_b):
         ms = match_datasets(tiny_a, tiny_b)
         pair = next(p for p in ms.pairs if p.source_instance_id == 1)
-        res = pair_metrics(pair, tiny_a, tiny_b, mode="crop")
+        res = pair_metrics(pair, tiny_a, tiny_b)
         assert res.pair is pair
         # target box is one pixel taller: every bottom-contour pixel moved by
         # one, all others match, so 0 < d_avg < 1 and d_max == 1
@@ -158,9 +159,9 @@ class TestPairMetrics:
     def test_crop_matches_full_on_fixture(self, tiny_a, tiny_b):
         ms = match_datasets(tiny_a, tiny_b)
         for pair in ms.pairs:
-            full = pair_metrics(pair, tiny_a, tiny_b, mode="full")
-            crop = pair_metrics(pair, tiny_a, tiny_b, mode="crop")
-            assert (full.d_avg, full.d_max) == (crop.d_avg, crop.d_max)
+            res = pair_metrics(pair, tiny_a, tiny_b)
+            full = ring_pair_metrics(*pair_rings(pair, tiny_a, tiny_b), mode="full")
+            assert (res.d_avg, res.d_max, res.contour_len_source, res.contour_len_target) == full
 
     def test_crowd_pair_is_degenerate(self, tiny_a, tiny_b):
         ms = match_datasets(tiny_a, tiny_b, MatchConfig(same_category_required=False))
