@@ -18,7 +18,7 @@ from typing import Any, BinaryIO
 import numpy as np
 
 from .errors import GeometryError, IntegrityError, ParseError, SchemaError
-from .raster import mask_of
+from .raster import window_of
 from .shapes import Polygons, RleMask, ShapeSpec
 
 _IMAGE_FIELDS = {"id", "width", "height", "file_name"}
@@ -347,7 +347,7 @@ class IssueCode(Enum):
 class Issue:
     code: IssueCode
     message: str
-    instance_id: int | None = None
+    instance_id: int
 
 
 def _shape_issues(inst: InstanceRecord, image: ImageRecord) -> list[Issue]:
@@ -401,7 +401,7 @@ def _rasterized_area(inst: InstanceRecord, image: ImageRecord) -> int | None:
     ):
         return None
     try:
-        return int(np.count_nonzero(mask_of(seg, image.width, image.height)))
+        return int(np.count_nonzero(window_of(seg, image.width, image.height)[2]))
     except GeometryError:
         return None
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .dataset import AnnotationDataset, _parse_segmentation
 from .errors import EvalError, ParseError, SchemaError
-from .raster import bbox_of_mask, bbox_of_polygon, decode_rle, mask_of
+from .raster import bbox_of_mask, bbox_of_polygon, decode_rle, window_intersection, window_of
 from .shapes import Polygons, RleMask, ShapeSpec
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(np.linspace(0.5, 0.95, 10).tolist())
@@ -231,13 +231,15 @@ def _box_iou_with_crowd(dts, gts, crowd_flags) -> np.ndarray:
     return out
 
 
-def _mask_iou_with_crowd(dt_masks, gt_masks, crowd_flags) -> np.ndarray:
-    out = np.zeros((len(dt_masks), len(gt_masks)), dtype=np.float64)
-    d_areas = [int(np.count_nonzero(m)) for m in dt_masks]
-    g_areas = [int(np.count_nonzero(m)) for m in gt_masks]
-    for j, gm in enumerate(gt_masks):
-        for i, dm in enumerate(dt_masks):
-            inter = int(np.count_nonzero(dm & gm))
+def _mask_iou_with_crowd(dt_windows, gt_windows, crowd_flags) -> np.ndarray:
+    """Pairwise IoU of mask windows ``(row0, col0, mask)``; over the detection's
+    area for a crowd. Areas come from the windows, and disjoint windows score 0."""
+    out = np.zeros((len(dt_windows), len(gt_windows)), dtype=np.float64)
+    d_areas = [int(np.count_nonzero(m)) for _, _, m in dt_windows]
+    g_areas = [int(np.count_nonzero(m)) for _, _, m in gt_windows]
+    for j, gw in enumerate(gt_windows):
+        for i, dw in enumerate(dt_windows):
+            inter = window_intersection(dw, gw)
             denom = d_areas[i] if crowd_flags[j] else d_areas[i] + g_areas[j] - inter
             if denom > 0:
                 out[i, j] = inter / denom
@@ -349,10 +351,10 @@ def evaluate(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams | Non
                 dt_areas = [d.bbox[2] * d.bbox[3] for d in dts]
             else:
                 rec = gt.image(img)
-                gt_masks = [mask_of(g.segmentation, rec.width, rec.height) for g in gts]
-                dt_masks = [mask_of(d.segmentation, rec.width, rec.height) for d in dts]
-                ious = _mask_iou_with_crowd(dt_masks, gt_masks, crowd)
-                dt_areas = [float(np.count_nonzero(m)) for m in dt_masks]
+                gt_windows = [window_of(g.segmentation, rec.width, rec.height) for g in gts]
+                dt_windows = [window_of(d.segmentation, rec.width, rec.height) for d in dts]
+                ious = _mask_iou_with_crowd(dt_windows, gt_windows, crowd)
+                dt_areas = [float(np.count_nonzero(m)) for _, _, m in dt_windows]
             g_areas = [gt_area(g) for g in gts]
             scores = np.array([d.score for d in dts], dtype=np.float64)
             for a, (_, lo, hi) in enumerate(params.area_ranges):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import AnnotationDataset, InstanceRecord, single_polygon_view
 from .errors import GeometryError
-from .raster import box_iou_matrix, mask_iou, rasterize
+from .raster import box_iou_matrix, rasterize_window, window_intersection
 
 _IOU_MODES = ("box", "mask")
 
@@ -68,12 +68,12 @@ class MatchSet:
     config: MatchConfig = field(default_factory=MatchConfig)
 
 
-def _instance_mask(inst: InstanceRecord, width: int, height: int) -> np.ndarray:
+def _instance_window(inst: InstanceRecord, width: int, height: int) -> tuple[int, int, np.ndarray]:
     # Degenerate rings rasterize to nothing rather than failing the search.
     try:
-        return rasterize(inst.segmentation, width, height)
+        return rasterize_window(inst.segmentation, width, height)
     except GeometryError:
-        return np.zeros((height, width), dtype=bool)
+        return 0, 0, np.zeros((0, 0), dtype=bool)
 
 
 def _iou_matrix(
@@ -89,16 +89,17 @@ def _iou_matrix(
     if image_size is None:
         raise ValueError("mask IoU matching needs image_size=(width, height)")
     w, h = image_size
-    boxes = box_iou_matrix(
-        np.array([s.bbox for s in source]), np.array([t.bbox for t in target])
-    )
-    src_masks = [_instance_mask(s, w, h) for s in source]
-    tgt_masks = [_instance_mask(t, w, h) for t in target]
+    src = [_instance_window(s, w, h) for s in source]
+    tgt = [_instance_window(t, w, h) for t in target]
+    src_areas = [int(np.count_nonzero(m)) for _, _, m in src]
+    tgt_areas = [int(np.count_nonzero(m)) for _, _, m in tgt]
     out = np.zeros((len(source), len(target)))
     for i in range(len(source)):
         for j in range(len(target)):
-            if boxes[i, j] > 0.0:  # disjoint boxes imply disjoint masks
-                out[i, j] = mask_iou(src_masks[i], tgt_masks[j])
+            inter = window_intersection(src[i], tgt[j])
+            union = src_areas[i] + tgt_areas[j] - inter
+            if union > 0:
+                out[i, j] = inter / union
     return out
 
 

@@ -19,11 +19,19 @@ taken first. On horizontal and vertical edges that is exact. On a slanted
 edge the crossing may be rounded, so a center that lies within rounding of
 it (a center on a polygon vertex, or on the edge itself) is decided by the
 rounded crossing, and can land on the other side from the exact rule.
+
+Windows
+-------
+A shape is filled by one vectorized scanline pass onto the tight window of
+its foreground, ``(row0, col0, mask)`` (:func:`rasterize_window`,
+:func:`window_of`). Crossings are computed in absolute grid coordinates, so
+no pixel depends on the window. Whole-grid masks paste the window into a
+zero grid; pixel counts and overlaps (:func:`window_intersection`) need
+only windows.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -76,13 +84,25 @@ def _gather_edges(poly) -> np.ndarray:
     return np.concatenate(edges)
 
 
-def rasterize(poly, width: int, height: int) -> np.ndarray:
-    """Rasterize polygon rings to a boolean mask under the module fill convention.
+def _empty_window() -> tuple[int, int, np.ndarray]:
+    return 0, 0, np.zeros((0, 0), dtype=bool)
 
-    Multiple rings are combined by crossing parity over all edges (even-odd),
-    so disjoint rings union and nested rings punch holes. Crossings are
-    rounded in float64 (see the module docstring), so a center within
-    rounding of a slanted edge's crossing is decided by the rounded value.
+
+def rasterize_window(poly, width: int, height: int) -> tuple[int, int, np.ndarray]:
+    """Rasterize polygon rings onto the tight window of their foreground.
+
+    Returns ``(row0, col0, mask)``: pixel ``(r, c)`` of ``mask`` is pixel
+    ``(row0 + r, col0 + c)`` of the ``width`` x ``height`` grid, filled under
+    the module convention, and the first and last rows and columns of
+    ``mask`` each hold foreground. A shape with no foreground on the grid
+    gives ``(0, 0)`` and a ``(0, 0)`` mask.
+
+    Every (edge, row) pair that passes the span test yields one crossing;
+    sorted by (row, x), consecutive crossings pair up into the inside runs
+    of each row, which one running parity paints. Multiple rings combine by
+    crossing parity over all edges (even-odd), so disjoint rings union and
+    nested rings punch holes. Crossings are rounded in float64 (see the
+    module docstring).
 
     Args:
         poly: ``Polygons`` or a sequence of rings (flat lists or (k, 2) arrays).
@@ -94,33 +114,56 @@ def rasterize(poly, width: int, height: int) -> np.ndarray:
     if width < 1 or height < 1:
         raise GeometryError(f"invalid grid {width}x{height}")
     edges = _gather_edges(poly)
-    mask = np.zeros((height, width), dtype=bool)
-
-    x1, y1, x2, y2 = edges.T
-    keep = y1 != y2  # horizontal edges never cross a scanline
-    x1, y1, x2, y2 = x1[keep], y1[keep], x2[keep], y2[keep]
-    if x1.size == 0:
-        return mask
+    # horizontal edges never cross a scanline
+    x1, y1, x2, y2 = edges[edges[:, 1] != edges[:, 3]].T
     ylo = np.minimum(y1, y2)
     yhi = np.maximum(y1, y2)
     slope = (x2 - x1) / (y2 - y1)
 
-    # rows whose center y = r + 0.5 can fall inside some edge span
-    r_lo = max(0, math.ceil(ylo.min() - 0.5))
-    r_hi = min(height - 1, math.ceil(yhi.max() - 0.5) - 1)
-    for r in range(r_lo, r_hi + 1):
-        py = r + 0.5
-        sel = (ylo <= py) & (py < yhi)
-        if not sel.any():
-            continue
-        xs = x1[sel] + (py - y1[sel]) * slope[sel]
-        xs.sort()
-        # crossing parity makes [xs[2i], xs[2i+1]) the disjoint inside runs
-        for a, b in zip(xs[0::2], xs[1::2]):
-            c0 = max(0, math.ceil(a - 0.5))
-            c1 = min(width - 1, math.ceil(b - 0.5) - 1)
-            if c0 <= c1:
-                mask[r, c0 : c1 + 1] = True
+    # Every row r with ylo <= r + 0.5 < yhi lies in [floor(ylo), ceil(yhi)).
+    # Expand those candidates per edge, clipped to the grid, then keep exactly
+    # the pairs that pass the span test.
+    first, stop = np.clip([np.floor(ylo), np.ceil(yhi)], 0, height).astype(np.int64)
+    span = np.maximum(stop - first, 0)
+    e = np.repeat(np.arange(span.size), span)
+    rows = first[e] + np.arange(e.size) - np.repeat(np.cumsum(span) - span, span)
+    py = rows + 0.5
+    hit = (ylo[e] <= py) & (py < yhi[e])
+    e, rows, py = e[hit], rows[hit], py[hit]
+    xs = x1[e] + (py - y1[e]) * slope[e]
+    order = np.lexsort((xs, rows))
+    rows, xs = rows[order], xs[order]
+
+    # Each row has an even number of crossings, so after the sort crossing
+    # parity makes [xs[2i], xs[2i+1]) the disjoint inside runs. Pixel centers
+    # in [a, b) are the columns [ceil(a - 0.5), ceil(b - 0.5)).
+    c0 = np.maximum(np.ceil(xs[0::2] - 0.5), 0)
+    c1 = np.minimum(np.ceil(xs[1::2] - 0.5), width)
+    run = c0 < c1
+    if not run.any():
+        return _empty_window()
+    rows, c0, c1 = rows[0::2][run], c0[run].astype(np.int64), c1[run].astype(np.int64)
+    row0, col0 = int(rows[0]), int(c0.min())
+    h, w = int(rows[-1]) - row0 + 1, int(c1.max()) - col0
+    # Toggle at each run's first column and just past its last; the runs are
+    # disjoint, so the running parity is set exactly inside them. Every row
+    # holds an even number of toggles, so one flat pass serves all rows.
+    stride = w + 1
+    base = (rows - row0) * stride - col0
+    toggles = np.zeros(h * stride, dtype=bool)
+    toggles[base + c0] = True
+    toggles[base + c1] ^= True  # a run may end where the next one starts
+    mask = np.logical_xor.accumulate(toggles).reshape(h, stride)[:, :w]
+    return row0, col0, mask
+
+
+def rasterize(poly, width: int, height: int) -> np.ndarray:
+    """Rasterize polygon rings to a whole-grid boolean mask: the window of
+    :func:`rasterize_window`, whose arguments and errors it shares, pasted
+    into a zero grid."""
+    row0, col0, window = rasterize_window(poly, width, height)
+    mask = np.zeros((height, width), dtype=bool)
+    mask[row0 : row0 + window.shape[0], col0 : col0 + window.shape[1]] = window
     return mask
 
 
@@ -168,6 +211,35 @@ def mask_of(shape, width: int, height: int) -> np.ndarray:
             )
         return m
     return rasterize(shape, width, height)
+
+
+def window_of(shape, width: int, height: int) -> tuple[int, int, np.ndarray]:
+    """Either shape encoding as a tight window ``(row0, col0, mask)`` of a
+    ``width`` x ``height`` grid; see :func:`rasterize_window`. An RLE is
+    decoded once and cropped."""
+    if not isinstance(shape, RleMask):
+        return rasterize_window(shape, width, height)
+    mask = mask_of(shape, width, height)
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return _empty_window()
+    cols = np.flatnonzero(mask.any(axis=0))
+    r0, c0 = int(rows[0]), int(cols[0])
+    # a copy, so the whole decoded grid is not kept alive by the window
+    return r0, c0, mask[r0 : rows[-1] + 1, c0 : cols[-1] + 1].copy()
+
+
+def window_intersection(a, b) -> int:
+    """Foreground pixels shared by two windows ``(row0, col0, mask)`` of one
+    grid, counted on the overlap of the windows only."""
+    (ar, ac, am), (br, bc, bm) = a, b
+    r0, r1 = max(ar, br), min(ar + am.shape[0], br + bm.shape[0])
+    c0, c1 = max(ac, bc), min(ac + am.shape[1], bc + bm.shape[1])
+    if r0 >= r1 or c0 >= c1:
+        return 0
+    return int(
+        np.count_nonzero(am[r0 - ar : r1 - ar, c0 - ac : c1 - ac] & bm[r0 - br : r1 - br, c0 - bc : c1 - bc])
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import AnnotationDataset
 from .errors import StatsError
-from .raster import mask_of
+from .raster import window_of
 from .shapes import Polygons
 from .surface import SurfaceDistanceResult
 
@@ -96,7 +96,7 @@ def summarize(
         else:
             image = ds.image(inst.image_id)
             bucket = size_bucket(
-                float(np.count_nonzero(mask_of(inst.segmentation, image.width, image.height)))
+                float(np.count_nonzero(window_of(inst.segmentation, image.width, image.height)[2]))
             )
         buckets[bucket] += 1
     return DatasetSummary(

@@ -18,7 +18,7 @@ import numpy as np
 from .dataset import AnnotationDataset
 from .errors import DegenerateShape, GeometryError
 from .matching import MatchPair
-from .raster import contour, edt_squared, rasterize
+from .raster import contour, edt_squared, rasterize_window
 from .shapes import Polygons
 
 
@@ -89,11 +89,13 @@ def ring_pair_metrics(
 ) -> tuple[float, float, int, int]:
     """Full pipeline for one ring pair: rasterize, contour, EDT, both metrics.
 
-    ``mode="crop"`` runs on the union bounding box padded by one pixel;
-    ``mode="full"`` runs on the whole image grid. Both yield identical values
-    (distances only ever reach the nearest contour pixel, which the crop
-    contains). The audit always measures on the crop; ``mode="full"`` is
-    kept as the reference that the tests check the crop against.
+    Each ring is rasterized onto its own window, and both windows are pasted
+    into one grid: with ``mode="crop"`` their union window padded by one
+    pixel and clipped to the image, with ``mode="full"`` the whole image.
+    Both yield identical values (distances only ever reach the nearest
+    contour pixel, which the crop contains). The audit always measures on
+    the crop; ``mode="full"`` is kept as the reference that the tests check
+    the crop against.
 
     Raises:
         DegenerateShape: a ring has fewer than 3 vertices or rasterizes to
@@ -101,25 +103,25 @@ def ring_pair_metrics(
     """
     if mode not in ("full", "crop"):
         raise ValueError(f"mode must be 'full' or 'crop', got {mode!r}")
-    masks = []
+    windows = []
     for ring in (src_ring, tgt_ring):
         if len(ring) < 6:
             raise DegenerateShape(f"ring with {len(ring) // 2} vertices")
-        mask = rasterize([ring], width, height)
-        if not mask.any():
+        window = rasterize_window([ring], width, height)
+        if window[2].size == 0:
             raise DegenerateShape("shape rasterizes to an empty mask")
-        masks.append(mask)
-    mx, my = masks
+        windows.append(window)
 
+    r0, r1, c0, c1 = 0, height, 0, width
     if mode == "crop":
-        both = mx | my
-        rows = np.flatnonzero(both.any(axis=1))
-        cols = np.flatnonzero(both.any(axis=0))
-        r0, r1 = max(int(rows[0]) - 1, 0), min(int(rows[-1]) + 2, height)
-        c0, c1 = max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, width)
-        mx = mx[r0:r1, c0:c1]
-        my = my[r0:r1, c0:c1]
-
+        (ar, ac, am), (br, bc, bm) = windows
+        r0 = max(min(ar, br) - 1, 0)
+        r1 = min(max(ar + am.shape[0], br + bm.shape[0]) + 1, height)
+        c0 = max(min(ac, bc) - 1, 0)
+        c1 = min(max(ac + am.shape[1], bc + bm.shape[1]) + 1, width)
+    mx, my = np.zeros((2, r1 - r0, c1 - c0), dtype=bool)
+    for grid, (r, c, m) in zip((mx, my), windows):
+        grid[r - r0 : r - r0 + m.shape[0], c - c0 : c - c0 + m.shape[1]] = m
     return surface_distances(contour(mx, footprint), contour(my, footprint))
 
 

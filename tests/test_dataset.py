@@ -3,6 +3,7 @@ import json
 import pytest
 
 from annodiff.dataset import (
+    Issue,
     IssueCode,
     load_dataset,
     parse_dataset,
@@ -153,6 +154,10 @@ class TestValidate:
         bad = make_ann(1, 1, rect_ring(0, 0, 10, 10), area=150)
         issues = validate(ds_of([bad]), area_tolerance=None)
         assert not any(i.code is IssueCode.AREA_MISMATCH for i in issues)
+
+    def test_every_issue_names_its_instance(self):
+        with pytest.raises(TypeError):
+            Issue(IssueCode.NEGATIVE_AREA, "an issue without an instance")
 
     def test_negative_area_flagged(self):
         ann = make_ann(1, 1, rect_ring(0, 0, 4, 4), area=16)

@@ -12,13 +12,16 @@ from annodiff.deteval import (
     DetectionSet,
     EvalParams,
     annotations_as_detections,
+    _mask_iou_with_crowd,
     cross_table,
     detections_from_results,
     evaluate,
 )
 from annodiff.errors import EvalError, ParseError, SchemaError
+from annodiff.raster import encode_rle, mask_of, window_of
+from annodiff.shapes import Polygons
 
-from conftest import make_ann, make_coco, make_images, rect_ring
+from conftest import make_ann, make_coco, make_images, random_simple_rings, rect_ring
 from oracles import ap_oracle, match_labels_oracle
 
 
@@ -175,6 +178,80 @@ class TestKnownValues:
         r = evaluate(dets, gt, EvalParams(max_detections=1))
         assert r.map == 0.0
         assert evaluate(dets, gt).map == 0.5
+
+
+def full_grid_iou_with_crowd(dt_masks, gt_masks, crowd_flags):
+    """The crowd IoU formula on whole-image masks."""
+    out = np.zeros((len(dt_masks), len(gt_masks)))
+    for i, dm in enumerate(dt_masks):
+        for j, gm in enumerate(gt_masks):
+            inter = int(np.count_nonzero(dm & gm))
+            d_area = int(np.count_nonzero(dm))
+            denom = d_area if crowd_flags[j] else d_area + int(np.count_nonzero(gm)) - inter
+            out[i, j] = inter / denom if denom > 0 else 0.0
+    return out
+
+
+class TestMaskWindows:
+    W, H = 64, 48
+
+    def shapes(self, rng, n):
+        out = []
+        for _ in range(n):
+            if rng.uniform() < 0.3:  # an RLE crowd band
+                m = np.zeros((self.H, self.W), dtype=bool)
+                r0, c0 = int(rng.integers(0, self.H - 4)), int(rng.integers(0, self.W - 4))
+                m[r0 : r0 + int(rng.integers(1, 20)), c0 : c0 + int(rng.integers(1, 40))] = True
+                out.append(encode_rle(m))
+            else:
+                rings = random_simple_rings(rng, n_rings=int(rng.integers(1, 3)), width=self.W, height=self.H)
+                out.append(Polygons(tuple(tuple(r) for r in rings)))
+        return out
+
+    def compare(self, dts, gts, crowd):
+        windows = lambda shapes: [window_of(s, self.W, self.H) for s in shapes]  # noqa: E731
+        grids = lambda shapes: [mask_of(s, self.W, self.H) for s in shapes]  # noqa: E731
+        got = _mask_iou_with_crowd(windows(dts), windows(gts), crowd)
+        want = full_grid_iou_with_crowd(grids(dts), grids(gts), crowd)
+        assert np.array_equal(got, want)
+        return got
+
+    def test_overlap_window_iou_equals_full_grid_iou(self):
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            dts = self.shapes(rng, int(rng.integers(0, 5)))
+            gts = self.shapes(rng, int(rng.integers(0, 5)))
+            self.compare(dts, gts, [bool(rng.uniform() < 0.3) for _ in gts])
+
+    def test_disjoint_and_touching_windows(self):
+        left = Polygons((tuple(rect_ring(2, 2, 10, 10)),))
+        touching = Polygons((tuple(rect_ring(12, 2, 10, 10)),))  # shares the x = 12 edge
+        corner = Polygons((tuple(rect_ring(12, 12, 5, 5)),))  # shares one corner point
+        far = Polygons((tuple(rect_ring(40, 30, 8, 8)),))
+        band = np.zeros((self.H, self.W), dtype=bool)
+        band[2:12, 12:30] = True  # touches `left` along a column boundary
+        dts, gts = [left, far], [touching, corner, far, encode_rle(band)]
+        for crowd in ([False] * 4, [True] * 4):
+            got = self.compare(dts, gts, crowd)
+            assert (got[0] == 0.0).all()
+            assert got[1, 2] == 1.0
+
+    def test_segm_eval_scores_crowd_overlap_on_windows(self):
+        band = np.zeros((100, 100), dtype=bool)
+        band[40:60, :] = True
+        rle = {"counts": list(encode_rle(band).counts), "size": [100, 100]}
+        gt = gt_of([
+            make_ann(1, 1, rect_ring(0, 0, 20, 20)),
+            make_ann(2, 1, rle, iscrowd=1, bbox=[0, 40, 100, 20], area=2000.0),
+        ])
+        seg = lambda ring: Polygons((tuple(float(v) for v in ring),))  # noqa: E731
+        dets = DetectionSet((
+            Detection(1, 1, 1, 0.9, (0.0, 0.0, 20.0, 20.0), seg(rect_ring(0, 0, 20, 20))),
+            Detection(2, 1, 1, 0.95, (10.0, 45.0, 10.0, 10.0), seg(rect_ring(10, 45, 10, 10))),
+        ))
+        # the stray detection, ranked first, lies inside the crowd: it is
+        # ignored, where a false positive would halve the AP
+        assert evaluate(dets, gt, EvalParams(task="segm")).map == 1.0
 
 
 class TestCrowds:

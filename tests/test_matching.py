@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from annodiff.dataset import parse_dataset
 from annodiff.matching import MatchConfig, match_datasets, match_image, pairs_to_ndjson
-from annodiff.raster import box_iou
+from annodiff.raster import box_iou, mask_iou, rasterize
 
 from conftest import make_ann, make_coco, make_images, rect_ring
 from oracles import best_assignment
@@ -160,6 +160,25 @@ class TestEligibilityAndModes:
         tri_mask = next(p for p in mask.pairs if p.source_instance_id == 2)
         assert tri_mask.iou == pytest.approx(190 / 210, abs=1e-12)
         assert tri_mask.iou != tri_box.iou
+
+    def test_mask_mode_iou_equals_full_grid_mask_iou(self, synthetic_a, synthetic_b):
+        ms = match_datasets(synthetic_a, synthetic_b, MatchConfig(iou_mode="mask", iou_threshold=0.5))
+        assert len(ms.pairs) > 100
+        for p in ms.pairs:
+            image = synthetic_a.image(p.image_id)
+            a, b = (
+                rasterize(ds.instance(i).segmentation, image.width, image.height)
+                for ds, i in ((synthetic_a, p.source_instance_id), (synthetic_b, p.target_instance_id))
+            )
+            assert p.iou == mask_iou(a, b)
+
+    def test_mask_mode_ignores_stale_stored_boxes(self):
+        # the stored boxes are disjoint, the masks are the same square
+        src = [make_ann(1, 1, rect_ring(10, 10, 20, 20), bbox=[60, 60, 5, 5])]
+        tgt = [make_ann(2, 1, rect_ring(10, 10, 20, 20))]
+        a, b = scene(src, tgt)
+        ms = match_datasets(a, b, MatchConfig(iou_mode="mask"))
+        assert [(p.source_instance_id, p.target_instance_id, p.iou) for p in ms.pairs] == [(1, 2, 1.0)]
 
     def test_mask_mode_requires_image_size_in_match_image(self, tiny_a, tiny_b):
         with pytest.raises(ValueError, match="image_size"):

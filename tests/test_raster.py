@@ -18,6 +18,9 @@ from annodiff.raster import (
     mask_iou,
     mask_of,
     rasterize,
+    rasterize_window,
+    window_intersection,
+    window_of,
 )
 from annodiff.shapes import Polygons, RleMask
 
@@ -63,6 +66,140 @@ class TestRasterize:
             got = rasterize(poly(*rings), 64, 64)
             want = rasterize_oracle(rings, 64, 64)
             assert np.array_equal(got, want)
+
+
+def paste(window, width, height):
+    row0, col0, mask = window
+    grid = np.zeros((height, width), dtype=bool)
+    grid[row0 : row0 + mask.shape[0], col0 : col0 + mask.shape[1]] = mask
+    return grid
+
+
+def assert_tight(window):
+    _, _, mask = window
+    assert mask[0].any() and mask[-1].any() and mask[:, 0].any() and mask[:, -1].any()
+
+
+def wild_rings(rng, n, width, height, sort_angles=True):
+    """Star rings that may stick out of the grid on any side; unsorted angles
+    make them self-intersect."""
+    rings = []
+    for _ in range(n):
+        k = int(rng.integers(3, 14))
+        cx = float(rng.uniform(-0.3 * width, 1.3 * width))
+        cy = float(rng.uniform(-0.3 * height, 1.3 * height))
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=k)
+        if sort_angles:
+            angles.sort()
+        radii = rng.uniform(0.2, 1.0, size=k) * float(rng.uniform(3.0, 1.2 * max(width, height)))
+        rings.append(
+            [round(v, 2) for a, r in zip(angles, radii) for v in (cx + r * np.cos(a), cy + r * np.sin(a))]
+        )
+    return rings
+
+
+class TestRasterizeWindow:
+    def check(self, rings, width, height):
+        window = rasterize_window(poly(*rings), width, height)
+        want = rasterize_oracle(rings, width, height)
+        assert np.array_equal(paste(window, width, height), want)
+        assert np.array_equal(rasterize(poly(*rings), width, height), paste(window, width, height))
+        if want.any():
+            assert_tight(window)
+        else:
+            assert window[:2] == (0, 0) and window[2].shape == (0, 0)
+        return window
+
+    def test_rings_across_every_border(self):
+        rng = np.random.default_rng(41)
+        sides = set()
+        for _ in range(40):
+            w, h = int(rng.integers(8, 48)), int(rng.integers(8, 48))
+            rings = wild_rings(rng, int(rng.integers(1, 3)), w, h)
+            self.check(rings, w, h)
+            x, y = np.concatenate([np.reshape(r, (-1, 2)) for r in rings]).T
+            outside = {"left": x < 0, "top": y < 0, "right": x > w, "bottom": y > h}
+            sides.update(side for side, out in outside.items() if out.any())
+        assert sides == {"left", "top", "right", "bottom"}
+
+    def test_ring_covering_the_whole_grid(self):
+        window = self.check([[-5, -5, 40, -5, 40, 30, -5, 30]], 20, 12)
+        assert window[:2] == (0, 0) and window[2].shape == (12, 20) and window[2].all()
+
+    def test_self_intersecting_rings(self):
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            w, h = int(rng.integers(8, 48)), int(rng.integers(8, 48))
+            self.check(wild_rings(rng, int(rng.integers(1, 3)), w, h, sort_angles=False), w, h)
+        bowtie = self.check([[2, 2, 18, 14, 18, 2, 2, 14]], 20, 16)[2]
+        assert not bowtie[:, bowtie.shape[1] // 2].all()  # the crossing pinches the waist
+
+    def test_rings_with_holes(self):
+        rng = np.random.default_rng(47)
+        for _ in range(25):
+            outer = random_simple_rings(rng, width=64, height=64)[0]
+            xs, ys = np.array(outer[0::2]), np.array(outer[1::2])
+            cx, cy = xs.mean(), ys.mean()
+            inner = [
+                round(float(v), 2) for x, y in zip(xs, ys) for v in (cx + 0.4 * (x - cx), cy + 0.4 * (y - cy))
+            ]
+            self.check([outer, inner], 64, 64)
+        holed = self.check([rect_ring(0, 0, 10, 10), rect_ring(3, 3, 4, 4)], 16, 16)[2]
+        assert holed.shape == (10, 10) and holed.sum() == 84 and not holed[4, 4]
+
+    def test_vertex_on_a_pixel_center(self):
+        # every crossing here is exact: slopes are +-1, +-1/2 and vertical
+        diamond = self.check([[5.5, 1.5, 9.5, 5.5, 5.5, 9.5, 1.5, 5.5]], 12, 12)
+        # the top vertex's two crossings meet at x = 5.5: an empty run
+        assert diamond[:2] == (2, 1)
+        self.check([[2.5, 3.5, 6.5, 11.5, 0.5, 7.5]], 10, 14)
+        self.check([[3.5, 0.5, 3.5, 6.5, 7.5, 6.5]], 10, 10)
+
+    def test_sliver_and_off_grid_rings_give_an_empty_window(self):
+        for rings in (
+            [[0, 0, 5, 0, 5, 0, 0, 0]],
+            [[0.1, 2.0, 6.0, 2.0, 3.0, 2.4]],  # no pixel center inside
+            [rect_ring(-20, 3, 10, 4)],
+            [rect_ring(3, 9, 4, 4)],  # starts on the bottom edge of a 9-row grid
+            [rect_ring(12, -30, 5, 29.5)],
+        ):
+            window = self.check(rings, 12, 9)
+            assert window[:2] == (0, 0) and window[2].shape == (0, 0)
+
+    def test_invalid_input_raises_like_rasterize(self):
+        with pytest.raises(GeometryError):
+            rasterize_window(poly(rect_ring(0, 0, 2, 2)), 0, 4)
+        with pytest.raises(GeometryError):
+            rasterize_window(poly([0, 0, 4, 4]), 8, 8)
+
+    def test_window_of_crops_rle_to_its_foreground(self):
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            h, w = int(rng.integers(1, 20)), int(rng.integers(1, 20))
+            m = random_mask(rng, h, w, p=float(rng.uniform(0.0, 0.3)))
+            window = window_of(encode_rle(m), w, h)
+            assert np.array_equal(paste(window, w, h), m)
+            if m.any():
+                assert_tight(window)
+        empty = window_of(encode_rle(np.zeros((3, 4), bool)), 4, 3)
+        assert empty[:2] == (0, 0) and empty[2].shape == (0, 0)
+        with pytest.raises(GeometryError):
+            window_of(RleMask((0, 4), 2, 2), 3, 3)
+
+    def test_window_of_polygons_is_rasterize_window(self):
+        shape = poly(rect_ring(2.5, 1.5, 6, 3))
+        a, b = window_of(shape, 16, 8), rasterize_window(shape, 16, 8)
+        assert a[:2] == b[:2] == (1, 2) and np.array_equal(a[2], b[2])
+
+    def test_window_intersection_counts_the_shared_pixels(self):
+        rng = np.random.default_rng(59)
+        for _ in range(60):
+            w, h = int(rng.integers(4, 40)), int(rng.integers(4, 40))
+            a, b = (window_of(encode_rle(random_mask(rng, h, w, p=0.05)), w, h) for _ in range(2))
+            want = int(np.count_nonzero(paste(a, w, h) & paste(b, w, h)))
+            assert window_intersection(a, b) == window_intersection(b, a) == want
+        nothing = (0, 0, np.zeros((0, 0), bool))
+        assert window_intersection(nothing, (0, 0, np.ones((3, 3), bool))) == 0
 
 
 class TestRle:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from annodiff.errors import StatsError
 from annodiff.matching import MatchPair
+from annodiff.raster import mask_of
 from annodiff.stats import (
     SizeBucket,
     compare,
@@ -84,6 +85,14 @@ class TestSummarize:
         # triangle: stored area 200 (area formula) vs 190 rasterized pixels --
         # both small, so bucket counts agree here; totals must be conserved
         assert sum(recomputed.size_buckets.values()) == sum(stored.size_buckets.values())
+
+    def test_recomputed_areas_are_whole_grid_pixel_counts(self, synthetic_a):
+        want = {b: 0 for b in SizeBucket}
+        for inst in synthetic_a.instances:
+            if not inst.iscrowd:
+                image = synthetic_a.image(inst.image_id)
+                want[size_bucket(float(mask_of(inst.segmentation, image.width, image.height).sum()))] += 1
+        assert summarize(synthetic_a, area_mode="recomputed").size_buckets == want
 
     def test_dims_mode_uses_bbox_extents(self, tiny_a):
         s = summarize(tiny_a, dims_mode=True)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from annodiff.raster import bbox_of_polygon, encode_rle, rasterize
+from annodiff.raster import bbox_of_polygon, encode_rle, rasterize_window
 from annodiff.shapes import Polygons
 
 CATEGORIES = [
@@ -50,7 +50,7 @@ def star_ring(rng, width, height) -> list[float]:
 
 
 def pixel_area(ring, width, height) -> int:
-    return int(np.count_nonzero(rasterize(Polygons((tuple(ring),)), width, height)))
+    return int(np.count_nonzero(rasterize_window(Polygons((tuple(ring),)), width, height)[2]))
 
 
 def polygon_annotation(ann_id, image, ring, category_id) -> dict:
