@@ -279,16 +279,14 @@ def contour(mask: np.ndarray, footprint: str = "cross") -> np.ndarray:
 def _row_distances(source: np.ndarray) -> np.ndarray:
     """Per pixel, column distance to the nearest source pixel in its own row.
 
-    Works on any ``(..., h, w)`` stack. Returns int64 with the ``_BIG``
-    sentinel where the row has no source.
+    Returns int64 with the ``_BIG`` sentinel where the row has no source.
     """
-    w = source.shape[-1]
-    cols = np.arange(w, dtype=np.int64)
+    cols = np.arange(source.shape[1], dtype=np.int64)
     left = np.where(source, cols, -_BIG)
-    np.maximum.accumulate(left, axis=-1, out=left)
+    np.maximum.accumulate(left, axis=1, out=left)
     d = cols - left
     right = np.where(source, cols, 3 * _BIG)
-    right = np.minimum.accumulate(right[..., ::-1], axis=-1)[..., ::-1]
+    right = np.minimum.accumulate(right[:, ::-1], axis=1)[:, ::-1]
     np.minimum(d, right - cols, out=d)
     np.minimum(d, _BIG, out=d)
     return d
@@ -360,23 +358,21 @@ def _lower_envelope(f: np.ndarray) -> np.ndarray:
 def edt_squared(source: np.ndarray) -> np.ndarray:
     """Exact squared Euclidean distance to the nearest source pixel center.
 
-    ``source`` is one ``(h, w)`` mask or a ``(..., h, w)`` stack of masks,
-    each transformed on its own; a stack shares one envelope pass, which
-    saves per-row overhead on small grids. Two separable passes: per-row
+    ``source`` is one ``(h, w)`` mask. Two separable passes: per-row
     nearest-source column distances, then a per-column lower envelope over
     parabolas. Exact in int64; linear in the pixel count per dimension.
 
     Raises:
-        GeometryError: a source set is empty (distance undefined).
+        GeometryError: the mask is not 2-D, or the source set is empty
+            (distance undefined).
     """
     source = np.asarray(source, dtype=bool)
-    if not source.any(axis=(-2, -1)).all():
+    if source.ndim != 2:
+        raise GeometryError(f"distance transform of a {source.ndim}-D array")
+    if not source.any():
         raise GeometryError("distance transform of an empty source set")
     g = _row_distances(source)
-    h = source.shape[-2]
-    # columns are independent in the envelope pass: lay the stack side by side
-    cols = np.moveaxis(g * g, -2, 0).reshape(h, -1)
-    return np.moveaxis(_lower_envelope(cols).reshape(h, *g.shape[:-2], -1), 0, -2)
+    return _lower_envelope(g * g)
 
 
 def edt(source: np.ndarray) -> np.ndarray:

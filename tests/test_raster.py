@@ -266,6 +266,11 @@ class TestEdt:
         with pytest.raises(GeometryError):
             edt_squared(np.zeros((4, 4), dtype=bool))
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 4, 4)])
+    def test_non_2d_source_raises(self, shape):
+        with pytest.raises(GeometryError, match="-D"):
+            edt_squared(np.ones(shape, dtype=bool))
+
     def test_exact_on_random_masks(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
@@ -310,24 +315,6 @@ class TestEdt:
         for p in (0.0, 0.05, 0.5):
             m = random_mask(rng, *shape, p=p)
             assert np.array_equal(edt_squared(m), edt_squared_oracle(m))
-
-    def test_stack_transforms_each_mask_on_its_own(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            h, w = int(rng.integers(1, 40)), int(rng.integers(1, 40))
-            stack = np.stack(
-                [random_mask(rng, h, w, p=float(rng.uniform(0.0, 0.2))) for _ in range(3)]
-            )
-            got = edt_squared(stack)
-            assert got.shape == stack.shape
-            for mask, dist in zip(stack, got):
-                assert np.array_equal(dist, edt_squared_oracle(mask))
-
-    def test_stack_with_an_empty_mask_raises(self):
-        stack = np.zeros((2, 4, 4), dtype=bool)
-        stack[0, 1, 1] = True
-        with pytest.raises(GeometryError):
-            edt_squared(stack)
 
     @given(st.integers(0, 2**32 - 1))
     def test_sqrt_consistency(self, seed):

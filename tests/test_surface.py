@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annodiff import surface
 from annodiff.errors import DegenerateShape, GeometryError
 from annodiff.matching import MatchConfig, match_datasets
-from annodiff.raster import contour, rasterize
+from annodiff.raster import contour, edt_squared, rasterize
 from annodiff.surface import (
     average_surface_distance,
     max_surface_distance,
@@ -106,6 +109,71 @@ class TestOracle:
         moved_base = np.roll(np.roll(base, dr, axis=0), dc, axis=1)
         moved_other = np.roll(np.roll(other, dr, axis=0), dc, axis=1)
         assert surface_distances(base, other) == surface_distances(moved_base, moved_other)
+
+
+def edt_reference(cx, cy):
+    """Both metrics from whole-grid distance maps read at the contour pixels:
+    an algorithm independent of the point-set kernel, with the same read-out."""
+    to_y, to_x = edt_squared(cy)[cx], edt_squared(cx)[cy]
+    from_x, from_y = np.sqrt(to_y.astype(np.float64)), np.sqrt(to_x.astype(np.float64))
+    d_avg = float((from_x.sum() + from_y.sum()) / (to_y.size + to_x.size))
+    d_max = float(np.sqrt(max(int(to_y.max()), int(to_x.max()))))
+    return d_avg, d_max, to_y.size, to_x.size
+
+
+def random_contour_pair(rng, w, h):
+    while True:
+        ca, cb = (contour(rasterize(random_simple_rings(rng, width=w, height=h), w, h)) for _ in range(2))
+        if ca.any() and cb.any():
+            return ca, cb
+
+
+class TestPointSetKernel:
+    def test_matches_edt_reference_on_random_rings(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            w, h = int(rng.integers(16, 80)), int(rng.integers(16, 80))
+            ca, cb = random_contour_pair(rng, w, h)
+            assert surface_distances(ca, cb) == edt_reference(ca, cb)
+
+    def test_matches_edt_reference_on_single_pixels_and_identical_contours(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            h, w = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            a = pixel(rng.integers(h), rng.integers(w), (h, w))
+            b = pixel(rng.integers(h), rng.integers(w), (h, w))
+            assert surface_distances(a, b) == edt_reference(a, b)
+        ca, _ = random_contour_pair(rng, 40, 40)
+        assert surface_distances(ca, ca) == edt_reference(ca, ca) == (0.0, 0.0, ca.sum(), ca.sum())
+        assert surface_distances(ca, pixel(3, 5, ca.shape)) == edt_reference(ca, pixel(3, 5, ca.shape))
+
+    @pytest.mark.parametrize("cap", [7, 97, 1001])
+    def test_ragged_chunks_match_edt_reference(self, monkeypatch, cap):
+        # caps below the contour lengths split both point sets into chunks
+        # whose last one is short
+        monkeypatch.setattr(surface, "_BLOCK", cap)
+        rng = np.random.default_rng(cap)
+        for _ in range(8):
+            ca, cb = random_contour_pair(rng, 90, 70)
+            assert surface_distances(ca, cb) == edt_reference(ca, cb)
+
+    def test_peak_memory_is_bounded_for_long_contours(self):
+        # two parallel 10 010 px lines: an unchunked 10 010 x 10 010 int64
+        # block would take 800 MB
+        cx = np.zeros((12, 10_010), dtype=bool)
+        cy = np.zeros_like(cx)
+        cx[1] = True
+        cy[10, 5:] = True
+        cy[3, :5] = True
+        tracemalloc.start()
+        try:
+            d_avg, d_max, nx, ny = surface_distances(cx, cy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (nx, ny) == (10_010, 10_010)
+        assert d_max == 9.0 and 2.0 < d_avg < 9.0
+        assert peak < 4 * 2**20
 
 
 class TestRingPipeline:
