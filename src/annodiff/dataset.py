@@ -111,10 +111,30 @@ def _unique_by_id(records, what: str) -> dict:
 def _finite(value, what: str, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{what} field '{name}' must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError(f"{what} field '{name}' must be finite") from None
     if not math.isfinite(value):
         raise SchemaError(f"{what} field '{name}' must be finite")
     return value
+
+
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def _finite_tuple(values: list, what: str, name: str) -> tuple[float, ...]:
+    """Every value through :func:`_finite`. Plain ints and floats are taken in
+    one pass; anything else, or any fault, goes value by value, which names it."""
+    if _PLAIN_NUMBERS.issuperset(map(type, values)):
+        try:
+            out = tuple(map(float, values))
+        except OverflowError:
+            pass
+        else:
+            if all(map(math.isfinite, out)):
+                return out
+    return tuple(_finite(v, what, name) for v in values)
 
 
 def _integer(value, what: str, name: str) -> int:
@@ -185,7 +205,7 @@ def _parse_segmentation(seg, what: str) -> ShapeSpec:
                 raise SchemaError(f"{what} polygon ring must be a coordinate list")
             if len(ring) % 2 != 0:
                 raise SchemaError(f"{what} polygon ring has odd coordinate count {len(ring)}")
-            rings.append(tuple(_finite(v, what, "segmentation") for v in ring))
+            rings.append(_finite_tuple(ring, what, "segmentation"))
         return Polygons(tuple(rings))
     raise SchemaError(f"{what} field 'segmentation' must be polygons or RLE")
 
@@ -200,7 +220,7 @@ def _parse_annotation(obj, pos: int) -> InstanceRecord:
     bbox = _required(obj, "bbox", what)
     if not isinstance(bbox, list) or len(bbox) != 4:
         raise SchemaError(f"{what} field 'bbox' must be [x, y, w, h]")
-    bbox = tuple(_finite(v, what, "bbox") for v in bbox)
+    bbox = _finite_tuple(bbox, what, "bbox")
     area = _finite(_required(obj, "area", what), what, "area")
     iscrowd = _required(obj, "iscrowd", what)
     if iscrowd not in (0, 1, True, False):

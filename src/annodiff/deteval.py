@@ -19,6 +19,26 @@ exactly 1.0 (the reference lands a few ulps below).
 
 Strata with no ground truth are undefined rather than zero; they are dropped
 from every average and surface as ``None``.
+
+The engine matches in batches. A cell is one (category, image). Each cell's
+detections are ordered by (descending score, id) and cut to
+``max_detections``. Cells with detections are grouped into blocks of similar
+size, padded into (C, D, G) IoU arrays with -1 in the padding. A block holds
+at most ``_BLOCK`` elements, counted as C x max(A*T, D) x max(G, D); a cell
+over the cap is a block of its own. One greedy pass per block walks detection
+rank and, for every cell, area range and threshold at once, gives each
+detection the free ground truth of highest IoU with IoU >= min(t, 1 - 1e-10).
+It keeps the per-cell scan's rules exactly, so results are bit-equal to it:
+
+- a real ground truth always beats an ignore region;
+- among equal IoUs, the last ground truth in input order wins;
+- a crowd is never taken.
+
+Each category's detections are then ranked by a stable sort on descending
+score, over the detections in image order, and precision is accumulated one
+area range at a time. For masks, the windows are built cell by cell within a
+block and dropped after it; a detection's area, which places it in or out of
+an area range, is counted on its window.
 """
 
 from __future__ import annotations
@@ -29,7 +49,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import AnnotationDataset, _parse_segmentation
+from .dataset import AnnotationDataset, _finite, _finite_tuple, _parse_segmentation
 from .errors import EvalError, ParseError, SchemaError
 from .raster import bbox_of_mask, bbox_of_polygon, decode_rle, window_intersection, window_of
 from .shapes import Polygons, RleMask, ShapeSpec
@@ -178,10 +198,7 @@ def detections_from_results(raw) -> DetectionSet:
             raise SchemaError(f"{what} field 'image_id' must be an integer")
         if not isinstance(category_id, int) or isinstance(category_id, bool):
             raise SchemaError(f"{what} field 'category_id' must be an integer")
-        score = entry["score"]
-        if not isinstance(score, (int, float)) or isinstance(score, bool) or not math.isfinite(score):
-            raise SchemaError(f"{what} field 'score' must be a finite number")
-        score = float(score)
+        score = _finite(entry["score"], what, "score")
         if not 0.0 <= score <= 1.0:
             raise SchemaError(f"{what} score {score} outside [0, 1]")
         seg = entry.get("segmentation")
@@ -195,9 +212,7 @@ def detections_from_results(raw) -> DetectionSet:
         else:
             if not isinstance(bbox, list) or len(bbox) != 4:
                 raise SchemaError(f"{what} field 'bbox' must be [x, y, w, h]")
-            bbox = tuple(float(v) for v in bbox)
-            if any(not math.isfinite(v) for v in bbox):
-                raise SchemaError(f"{what} has non-finite bbox values")
+            bbox = _finite_tuple(bbox, what, "bbox")
         dets.append(
             Detection(
                 id=pos + 1,
@@ -215,17 +230,23 @@ def detections_from_results(raw) -> DetectionSet:
 # evaluation engine
 
 
-def _box_iou_with_crowd(dts, gts, crowd_flags) -> np.ndarray:
-    d = np.array([dt.bbox for dt in dts], dtype=np.float64).reshape(-1, 4)
-    g = np.array([gt.bbox for gt in gts], dtype=np.float64).reshape(-1, 4)
-    ix0 = np.maximum(d[:, 0][:, None], g[:, 0][None, :])
-    iy0 = np.maximum(d[:, 1][:, None], g[:, 1][None, :])
-    ix1 = np.minimum((d[:, 0] + d[:, 2])[:, None], (g[:, 0] + g[:, 2])[None, :])
-    iy1 = np.minimum((d[:, 1] + d[:, 3])[:, None], (g[:, 1] + g[:, 3])[None, :])
+# elements per block of cells, counted as C x max(A*T, D) x max(G, D)
+_BLOCK = 2**15
+
+
+def _box_iou_with_crowd(d, g, crowd) -> np.ndarray:
+    """Pairwise box IoU per cell of a block: ``d`` (C, D, 4) against ``g``
+    (C, G, 4), over the detection's area where ``crowd`` (C, G) is set."""
+    d = d[:, :, None, :]
+    g = g[:, None, :, :]
+    ix0 = np.maximum(d[..., 0], g[..., 0])
+    iy0 = np.maximum(d[..., 1], g[..., 1])
+    ix1 = np.minimum(d[..., 0] + d[..., 2], g[..., 0] + g[..., 2])
+    iy1 = np.minimum(d[..., 1] + d[..., 3], g[..., 1] + g[..., 3])
     inter = np.clip(ix1 - ix0, 0.0, None) * np.clip(iy1 - iy0, 0.0, None)
-    d_area = (d[:, 2] * d[:, 3])[:, None]
-    g_area = (g[:, 2] * g[:, 3])[None, :]
-    denom = np.where(np.asarray(crowd_flags, bool)[None, :], d_area, d_area + g_area - inter)
+    d_area = d[..., 2] * d[..., 3]
+    g_area = g[..., 2] * g[..., 3]
+    denom = np.where(crowd[:, None, :], d_area, d_area + g_area - inter)
     out = np.zeros_like(inter)
     np.divide(inter, denom, out=out, where=denom > 0)
     return out
@@ -246,52 +267,101 @@ def _mask_iou_with_crowd(dt_windows, gt_windows, crowd_flags) -> np.ndarray:
     return out
 
 
-@dataclass
-class _ImageEval:
-    """Match outcome for one (category, area range, image) cell."""
+def _mask_block(gt: AnnotationDataset, cells, crowd, D: int, G: int):
+    """Mask IoUs (C, D, G) of a block of ``((category, image), gts, dts)``
+    cells, and the pixel area of each of its detections, from windows that
+    live only as long as their cell."""
+    ious = np.zeros((len(cells), D, G))
+    dt_areas = []
+    for i, ((_, img), gts, dts) in enumerate(cells):
+        rec = gt.image(img)
+        gt_windows = [window_of(g.segmentation, rec.width, rec.height) for g in gts]
+        dt_windows = [window_of(d.segmentation, rec.width, rec.height) for d in dts]
+        ious[i, : len(dts), : len(gts)] = _mask_iou_with_crowd(dt_windows, gt_windows, crowd[i])
+        dt_areas.extend(float(np.count_nonzero(m)) for _, _, m in dt_windows)
+    return ious, np.array(dt_areas, dtype=np.float64)
 
-    dt_scores: np.ndarray  # (D,) already in evaluation order
-    dt_matched: np.ndarray  # (T, D) bool
-    dt_ignore: np.ndarray  # (T, D) bool
-    gt_ignore: np.ndarray  # (G,) bool
+
+def _match_image(thresholds, ious, gt_ignore, crowd) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy matching of a block of cells, at every area range and threshold at once.
+
+    ``ious`` is (C, D, G) with each cell's detections in rank order and -1 in
+    the padding; ``gt_ignore`` is (C, A, G) and ``crowd`` (C, G). Returns
+    ``matched`` and ``matched_ignore`` (the detection took an ignore region),
+    both (C, A, T, D).
+    """
+    C, D, G = ious.shape
+    A, T = gt_ignore.shape[1], len(thresholds)
+    # Dense ranks keep the order and the ties of the IoUs exactly. Lifting each
+    # real ground truth by the number of ranks puts it above every ignore
+    # region, so one argmax applies both rules. Columns run in reverse, so the
+    # argmax, which returns the first of equal keys, picks the last ground
+    # truth in input order.
+    values, rank = np.unique(ious[:, :, ::-1], return_inverse=True)
+    rank = rank.reshape(C, D, 1, 1, G)
+    ignore = gt_ignore[:, :, ::-1]
+    lift = np.where(ignore, 0, values.size)[:, :, None, :]  # (C, A, 1, G)
+    floor = np.searchsorted(values, np.minimum(thresholds, 1.0 - 1e-10))[:, None]  # (T, 1)
+    free = np.ones((C, A, T, G), dtype=bool)
+    rows = np.arange(C * A * T)  # one per (cell, area range, threshold)
+    row_crowd = np.repeat(crowd[:, ::-1], A * T, axis=0)
+    taken = np.empty((D, rows.size), dtype=np.intp)  # column taken, -1 for none
+    for d in range(D):
+        r = rank[:, d]
+        key = np.where((r >= floor) & free, r + lift, -1).reshape(-1, G)
+        m = key.argmax(axis=1)
+        hit = key[rows, m] >= 0
+        taken[d] = np.where(hit, m, -1)
+        grab = rows[hit & ~row_crowd[rows, m]]  # a crowd is never taken
+        free.reshape(-1, G)[grab, m[grab]] = False
+    taken = taken.T.reshape(C, A, T * D)
+    on_ignore = np.take_along_axis(ignore, np.maximum(taken, 0), axis=2)
+    matched = taken >= 0
+    return matched.reshape(C, A, T, D), (matched & on_ignore).reshape(C, A, T, D)
 
 
-def _match_image(thresholds, ious, gt_ignore, crowd_flags, dt_area_out) -> _ImageEval:
-    T = len(thresholds)
-    D, G = ious.shape if ious.size else (len(dt_area_out), len(gt_ignore))
-    dt_matched = np.zeros((T, D), dtype=bool)
-    dt_ignore = np.zeros((T, D), dtype=bool)
-    gt_matched = np.zeros((T, G), dtype=bool)
-    for ti, t in enumerate(thresholds):
-        floor = min(t, 1.0 - 1e-10)
-        for di in range(D):
-            best = floor
-            m = -1
-            for gi in range(G):
-                if gt_matched[ti, gi] and not crowd_flags[gi]:
-                    continue
-                # gts are ordered ignore-last: once a real gt is matched,
-                # ignore regions cannot improve on it
-                if m > -1 and not gt_ignore[m] and gt_ignore[gi]:
-                    break
-                if ious[di, gi] < best:
-                    continue
-                best = ious[di, gi]
-                m = gi
-            if m == -1:
-                continue
-            dt_matched[ti, di] = True
-            dt_ignore[ti, di] = gt_ignore[m]
-            gt_matched[ti, m] = True
-    # unmatched detections outside the area range neither score nor penalize
-    if D:
-        dt_ignore |= ~dt_matched & np.asarray(dt_area_out, bool)[None, :]
-    return _ImageEval(
-        dt_scores=np.empty(0),  # filled by caller
-        dt_matched=dt_matched,
-        dt_ignore=dt_ignore,
-        gt_ignore=np.asarray(gt_ignore, bool),
-    )
+def _blocks(n_dt: np.ndarray, n_gt: np.ndarray, width: int):
+    """Indices of the cells with detections, in blocks of similar size.
+
+    Cells are sorted by detection count, then ground-truth count, and a block
+    is cut before it would pass ``_BLOCK`` elements, counted as
+    C x max(width, D) x max(G, D). A cell over the cap is a block of its own.
+    """
+    live = np.flatnonzero(n_dt)
+    live = live[np.lexsort((n_gt[live], n_dt[live]))].tolist()
+    n_dt, n_gt = n_dt.tolist(), n_gt.tolist()
+    block: list[int] = []
+    g_max = 0
+    for c in live:
+        d, g = n_dt[c], max(g_max, n_gt[c])  # d never falls: cells come sorted
+        if block and (len(block) + 1) * max(width, d) * max(g, d) > _BLOCK:
+            yield np.array(block)
+            block, g = [], n_gt[c]
+        block.append(c)
+        g_max = g
+    if block:
+        yield np.array(block)
+
+
+def _pad(values: np.ndarray, ok: np.ndarray, fill) -> np.ndarray:
+    """Scatter flat per-cell rows into a (C, N, ...) array at ``ok``; ``fill`` elsewhere."""
+    out = np.full(ok.shape + values.shape[1:], fill, dtype=values.dtype)
+    out[ok] = values
+    return out
+
+
+def _sampled_precision(tp: np.ndarray, fp: np.ndarray, n_positive: int, rec_thrs) -> np.ndarray:
+    """(T, R) precision at the recall points, from (T, n) ranked tp/fp flags."""
+    tps = np.cumsum(tp, axis=1, dtype=np.float64)
+    fps = np.cumsum(fp, axis=1, dtype=np.float64)
+    rc = tps / n_positive
+    fps += tps
+    # one zero column past the end: recall points out of reach read it
+    pr = np.zeros((tps.shape[0], tps.shape[1] + 1), dtype=np.float64)
+    np.divide(tps, fps, out=pr[:, :-1], where=fps > 0)
+    pr = np.maximum.accumulate(pr[:, ::-1], axis=1)[:, ::-1]
+    hits = np.array([np.searchsorted(row, rec_thrs, side="left") for row in rc])
+    return np.take_along_axis(pr, hits, axis=1)
 
 
 def evaluate(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams | None = None) -> EvalResult:
@@ -303,8 +373,7 @@ def evaluate(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams | Non
     """
     params = params or EvalParams()
     cat_ids = sorted(c.id for c in gt.categories)
-    img_ids = sorted(i.id for i in gt.images)
-    cat_set, img_set = set(cat_ids), set(img_ids)
+    cat_set, img_set = set(cat_ids), {i.id for i in gt.images}
     for d in dets.detections:
         if d.category_id not in cat_set:
             raise EvalError(f"detection {d.id} has unknown category {d.category_id}")
@@ -313,92 +382,88 @@ def evaluate(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams | Non
         if params.task == "segm" and d.segmentation is None:
             raise EvalError(f"detection {d.id} has no segmentation (segm task)")
 
+    # cells, keyed (category, image) and in that order; flat arrays hold
+    # their ground truths and detections cell after cell
     gts_by: dict[tuple[int, int], list] = {}
     for inst in gt.instances:
-        gts_by.setdefault((inst.image_id, inst.category_id), []).append(inst)
+        gts_by.setdefault((inst.category_id, inst.image_id), []).append(inst)
     dts_by: dict[tuple[int, int], list[Detection]] = {}
     for d in dets.detections:
-        dts_by.setdefault((d.image_id, d.category_id), []).append(d)
-    for key, group in dts_by.items():
+        dts_by.setdefault((d.category_id, d.image_id), []).append(d)
+    for group in dts_by.values():
         group.sort(key=lambda d: (-d.score, d.id))
         del group[params.max_detections :]
-
-    def gt_area(inst) -> float:
-        if params.area_source == "bbox":
-            return float(inst.bbox[2] * inst.bbox[3])
-        return float(inst.area)
+    keys = sorted(gts_by.keys() | dts_by.keys())
+    cell_gts = [gts_by.get(key, []) for key in keys]
+    cell_dts = [dts_by.get(key, []) for key in keys]
+    gts = [g for group in cell_gts for g in group]
+    dts = [d for group in cell_dts for d in group]
+    n_gt = np.array([len(group) for group in cell_gts], dtype=np.intp)
+    n_dt = np.array([len(group) for group in cell_dts], dtype=np.intp)
+    gt_start, dt_start = np.cumsum(n_gt) - n_gt, np.cumsum(n_dt) - n_dt
 
     T = len(params.iou_thresholds)
     R = len(params.recall_points)
     K = len(cat_ids)
     A = len(params.area_ranges)
+    ranges = np.array([(lo, hi) for _, lo, hi in params.area_ranges], dtype=np.float64)
+
+    def out_of_range(area: np.ndarray) -> np.ndarray:  # (A, n)
+        return (area < ranges[:, :1]) | (area > ranges[:, 1:])
+
+    cat_index = {cat: k for k, cat in enumerate(cat_ids)}
+    gt_cat = np.array([cat_index[g.category_id] for g in gts], dtype=np.intp)
+    crowd = np.array([g.iscrowd for g in gts], dtype=bool)
+    gt_box = np.array([g.bbox for g in gts], dtype=np.float64).reshape(-1, 4)
+    if params.area_source == "bbox":
+        gt_area = gt_box[:, 2] * gt_box[:, 3]
+    else:
+        gt_area = np.array([g.area for g in gts], dtype=np.float64)
+    gt_ignore = crowd | out_of_range(gt_area)  # (A, n_gt)
+    n_positive = np.array([np.bincount(gt_cat[~ig], minlength=K) for ig in gt_ignore])  # (A, K)
+
+    dt_cat = np.array([cat_index[d.category_id] for d in dts], dtype=np.intp)
+    dt_score = np.array([d.score for d in dts], dtype=np.float64)
+    dt_box = np.array([d.bbox for d in dts], dtype=np.float64).reshape(-1, 4)
+    # segm: filled block by block from the detection windows
+    dt_area = dt_box[:, 2] * dt_box[:, 3] if params.task == "bbox" else np.empty(len(dts))
+    matched = np.zeros((A, T, len(dts)), dtype=bool)
+    on_ignore = np.zeros((A, T, len(dts)), dtype=bool)
+    for block in _blocks(n_dt, n_gt, A * T):
+        # a block of cells without ground truth still gets one padding column
+        D, G = int(n_dt[block].max()), max(1, int(n_gt[block].max()))
+        dt_ok = np.arange(D) < n_dt[block, None]
+        gt_ok = np.arange(G) < n_gt[block, None]
+        dt_at = (dt_start[block, None] + np.arange(D))[dt_ok]
+        gt_at = (gt_start[block, None] + np.arange(G))[gt_ok]
+        block_crowd = _pad(crowd[gt_at], gt_ok, False)
+        if params.task == "bbox":
+            ious = _box_iou_with_crowd(
+                _pad(dt_box[dt_at], dt_ok, 0.0), _pad(gt_box[gt_at], gt_ok, 0.0), block_crowd
+            )
+        else:
+            cells = [(keys[c], cell_gts[c], cell_dts[c]) for c in block]
+            ious, dt_area[dt_at] = _mask_block(gt, cells, block_crowd, D, G)
+        ious[~(dt_ok[:, :, None] & gt_ok[:, None, :])] = -1.0
+        block_ignore = _pad(gt_ignore.T[gt_at], gt_ok, True).transpose(0, 2, 1)
+        hit, hit_ignore = _match_image(params.iou_thresholds, ious, block_ignore, block_crowd)
+        matched[:, :, dt_at] = hit.transpose(1, 2, 0, 3)[:, :, dt_ok]
+        on_ignore[:, :, dt_at] = hit_ignore.transpose(1, 2, 0, 3)[:, :, dt_ok]
+    # unmatched detections outside the area range neither score nor penalize
+    ignored = np.where(matched, on_ignore, out_of_range(dt_area)[:, None, :])
+
     # -1 marks undefined (category, area) strata, excluded from every mean
     precision = -np.ones((T, R, K, A), dtype=np.float64)
     rec_thrs = np.asarray(params.recall_points, dtype=np.float64)
-
-    for k, cat in enumerate(cat_ids):
-        cells: list[list[_ImageEval | None]] = [[] for _ in range(A)]
-        for img in img_ids:
-            gts = gts_by.get((img, cat), [])
-            dts = dts_by.get((img, cat), [])
-            if not gts and not dts:
-                for a in range(A):
-                    cells[a].append(None)
-                continue
-            crowd = [bool(g.iscrowd) for g in gts]
-            if params.task == "bbox":
-                ious = _box_iou_with_crowd(dts, gts, crowd) if dts and gts else np.zeros((len(dts), len(gts)))
-                dt_areas = [d.bbox[2] * d.bbox[3] for d in dts]
-            else:
-                rec = gt.image(img)
-                gt_windows = [window_of(g.segmentation, rec.width, rec.height) for g in gts]
-                dt_windows = [window_of(d.segmentation, rec.width, rec.height) for d in dts]
-                ious = _mask_iou_with_crowd(dt_windows, gt_windows, crowd)
-                dt_areas = [float(np.count_nonzero(m)) for _, _, m in dt_windows]
-            g_areas = [gt_area(g) for g in gts]
-            scores = np.array([d.score for d in dts], dtype=np.float64)
-            for a, (_, lo, hi) in enumerate(params.area_ranges):
-                gt_ig = np.array(
-                    [c or ga < lo or ga > hi for c, ga in zip(crowd, g_areas)], dtype=bool
-                )
-                order = np.argsort(gt_ig, kind="stable")
-                cell = _match_image(
-                    params.iou_thresholds,
-                    ious[:, order] if ious.size else ious,
-                    gt_ig[order],
-                    [crowd[j] for j in order],
-                    [da < lo or da > hi for da in dt_areas],
-                )
-                cell.dt_scores = scores
-                cells[a].append(cell)
-
-        for a in range(A):
-            live = [c for c in cells[a] if c is not None]
-            if not live:
-                continue
-            gt_ig = np.concatenate([c.gt_ignore for c in live])
-            n_positive = int(np.count_nonzero(~gt_ig))
-            if n_positive == 0:
-                continue
-            scores = np.concatenate([c.dt_scores for c in live])
-            order = np.argsort(-scores, kind="stable")
-            matched = np.concatenate([c.dt_matched for c in live], axis=1)[:, order]
-            ignored = np.concatenate([c.dt_ignore for c in live], axis=1)[:, order]
-            tps = np.cumsum(matched & ~ignored, axis=1, dtype=np.float64)
-            fps = np.cumsum(~matched & ~ignored, axis=1, dtype=np.float64)
-            for ti in range(T):
-                tp, fp = tps[ti], fps[ti]
-                rc = tp / n_positive
-                pr = np.zeros_like(tp)
-                np.divide(tp, tp + fp, out=pr, where=(tp + fp) > 0)
-                for i in range(pr.size - 1, 0, -1):
-                    if pr[i] > pr[i - 1]:
-                        pr[i - 1] = pr[i]
-                q = np.zeros(R, dtype=np.float64)
-                hits = np.searchsorted(rc, rec_thrs, side="left")
-                valid = hits < pr.size
-                q[valid] = pr[hits[valid]]
-                precision[ti, :, k, a] = q
+    # per category, a stable sort by score over the detections in image order
+    order = np.lexsort((-dt_score, dt_cat))
+    bounds = np.searchsorted(dt_cat[order], np.arange(K + 1))
+    for a in range(A):
+        tp = (matched[a] & ~ignored[a])[:, order]
+        fp = (~matched[a] & ~ignored[a])[:, order]
+        for k in np.flatnonzero(n_positive[a]):
+            span = slice(bounds[k], bounds[k + 1])
+            precision[:, :, k, a] = _sampled_precision(tp[:, span], fp[:, span], n_positive[a, k], rec_thrs)
 
     def stratum(t_slice, a_name) -> float | None:
         for a, (name, _, _) in enumerate(params.area_ranges):

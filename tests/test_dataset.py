@@ -95,6 +95,45 @@ class TestParse:
         assert not ds.images and not ds.instances and not ds.categories
 
 
+    @pytest.mark.parametrize("field", ["segmentation", "bbox", "area"])
+    def test_integer_beyond_float_range_is_schema_error(self, field, tmp_path):
+        ann = make_ann(1, 1, rect_ring(0, 0, 5, 5))
+        huge = 10**400  # a valid JSON integer that no float can hold
+        if field == "segmentation":
+            ann["segmentation"][0][3] = huge
+        elif field == "bbox":
+            ann["bbox"][2] = huge
+        else:
+            ann["area"] = huge
+        path = tmp_path / "a.json"
+        path.write_text(make_coco(make_images(1), [ann]))
+        with pytest.raises(SchemaError, match=f"annotation 1 field '{field}' must be finite"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "value,msg",
+        [
+            (True, "must be a number"),
+            ("3", "must be a number"),
+            (None, "must be a number"),
+            (float("nan"), "must be finite"),
+            (float("-inf"), "must be finite"),
+        ],
+    )
+    def test_coordinate_faults_named_in_any_position(self, value, msg):
+        for pos in (0, 5):
+            ring = [0, 0.5, 5, 0, 5, 5, 0, 5]
+            ring[pos] = value
+            with pytest.raises(SchemaError, match=f"field 'segmentation' {msg}"):
+                ds_of([make_ann(1, 1, ring, bbox=[0, 0, 5, 5])])
+
+    def test_ints_and_floats_parse_to_floats(self):
+        ring = [0, 0.5, 5, 0, 5.25, 5, 0, 5]
+        inst = ds_of([make_ann(1, 1, ring, bbox=[0, 0, 5, 5])]).instances[0]
+        assert inst.segmentation.rings == (tuple(float(v) for v in ring),)
+        assert all(type(v) is float for v in inst.segmentation.rings[0] + inst.bbox)
+
+
 class TestAccessors:
     def test_index_maps_images_to_instances(self, tiny_a):
         assert tiny_a.index[1] == (1, 2)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -411,6 +412,147 @@ class TestOracleEquivalence:
             aps.append(ap_oracle(labeled, 2, RECALL_POINTS))
         assert got.map == pytest.approx(float(np.mean(aps)), abs=1e-12)
 
+    # The batched pass against the transcription, on scenes built to exercise
+    # every matching rule, with blocks cut at several sizes.
+    SIZE = 300
+    # areas 36 and 400 (small), 1024 (small and medium), 2025 (medium), 12100 (large)
+    SIDES = (6, 20, 32, 45, 110)
+
+    def scene(self, rng, n_images, n_cats):
+        """Clusters of same-size ground truths, each paired with a shifted twin
+        so that a detection centred between them has equal IoU with both,
+        crowds over some clusters, and detections on, between and near the
+        ground truths plus strays. Detection ids follow image order, so the
+        oracle's (score, id) ranking is the evaluator's."""
+        anns, placed = [], []
+        for img in range(1, n_images + 1):
+            for cat in range(1, n_cats + 1):
+                for _ in range(int(rng.integers(1, 3))):
+                    s = int(rng.choice(self.SIDES))
+                    x, y = (int(v) for v in rng.integers(2, self.SIZE - 2 * s - 2, size=2))
+                    step = int(rng.integers(1, s + 1))
+                    twin = rng.random() < 0.7
+                    for gx in (x, x + step) if twin else (x,):
+                        anns.append(make_ann(len(anns) + 1, img, rect_ring(gx, y, s, s), category_id=cat))
+                    if rng.random() < 0.35:
+                        crowd = [x - 2, y - 2, s + step + 4, s + 4]
+                        anns.append(crowd_ann(len(anns) + 1, img, crowd, self.SIZE, category_id=cat))
+                    jx, jy = (int(v) for v in rng.integers(-3, 4, size=2))
+                    spots = [
+                        [x + step / 2, y, s, s],  # equal IoU with both twins
+                        [x, y, s, s],
+                        [x + step, y, s, s],
+                        [x + jx, y + jy, s, s],
+                        [x + 1, y + 1, max(2, s // 3), max(2, s // 3)],  # inside a crowd
+                        [float(v) for v in rng.integers(0, self.SIZE - 20, size=2)] + [12, 12],
+                    ]
+                    for _ in range(int(rng.integers(1, 7))):
+                        placed.append((img, cat, spots[int(rng.integers(len(spots)))]))
+        scores = rng.choice(np.arange(1, 9) / 8.0, size=len(placed))  # ties across images
+        dets = tuple(
+            det(i + 1, img, float(scores[i]), box, category_id=cat)
+            for i, (img, cat, box) in enumerate(placed)
+        )
+        return anns, dets
+
+    def oracle(self, anns, dets, n_images, n_cats, max_det):
+        """{(category, area range name): AP or None} by the transcription."""
+        out = {}
+        for name, lo, hi in AREA_RANGES:
+            for cat in range(1, n_cats + 1):
+                positives = [a for a in anns if a["category_id"] == cat and not a["iscrowd"]
+                             and lo <= a["area"] <= hi]
+                labeled = [[] for _ in IOU_THRESHOLDS]
+                for img in range(1, n_images + 1):
+                    gts = [a for a in anns if a["image_id"] == img and a["category_id"] == cat]
+                    cell = sorted((d for d in dets if d.image_id == img and d.category_id == cat),
+                                  key=lambda d: (-d.score, d.id))[:max_det]
+                    det_rows = [(d.id, d.score, float(not lo <= d.bbox[2] * d.bbox[3] <= hi))
+                                for d in cell]
+                    gt_rows = [(bool(g["iscrowd"]), bool(g["iscrowd"]) or not lo <= g["area"] <= hi, 0.0)
+                               for g in gts]
+                    boxes = {d.id: d.bbox for d in cell}
+
+                    def iou_fn(det_id, g, _gts=gts, _boxes=boxes):
+                        return box_iou_crowd(_boxes[det_id], tuple(_gts[g]["bbox"]), bool(_gts[g]["iscrowd"]))
+
+                    for ti, t in enumerate(IOU_THRESHOLDS):
+                        labeled[ti].extend(match_labels_oracle(det_rows, gt_rows, iou_fn, t))
+                out[cat, name] = (
+                    float(np.mean([ap_oracle(rows, len(positives), RECALL_POINTS) for rows in labeled]))
+                    if positives else None
+                )
+        return out
+
+    def test_random_scenes_match_oracle_at_every_block_size(self, monkeypatch):
+        import annodiff.deteval as deteval
+
+        rng = np.random.default_rng(2718)
+        for trial in range(24):
+            n_images, n_cats = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            anns, dets = self.scene(rng, n_images, n_cats)
+            cats = [{"id": c, "name": f"c{c}", "supercategory": "x"} for c in range(1, n_cats + 1)]
+            gt = gt_of(anns, n_images=n_images, size=self.SIZE, categories=cats)
+            max_det = 3 if trial % 2 else 100
+            results = []
+            for block in (1, 41, 997):
+                monkeypatch.setattr(deteval, "_BLOCK", block)
+                results.append(evaluate(DetectionSet(dets), gt, EvalParams(max_detections=max_det)))
+            assert results[0] == results[1] == results[2], f"trial {trial}"
+            got = results[0]
+            want = self.oracle(anns, dets, n_images, n_cats, max_det)
+            for cat in range(1, n_cats + 1):
+                assert got.per_category[cat] == pytest.approx(want[cat, "all"], abs=1e-12), f"trial {trial}"
+            for name, value in (("small", got.map_small), ("medium", got.map_medium), ("large", got.map_large)):
+                defined = [want[cat, name] for cat in range(1, n_cats + 1) if want[cat, name] is not None]
+                assert value == (pytest.approx(float(np.mean(defined)), abs=1e-12) if defined else None), (
+                    f"trial {trial} {name}"
+                )
+
+    def test_cell_over_the_cap_is_its_own_block(self, monkeypatch):
+        import annodiff.deteval as deteval
+
+        calls = []
+        real = deteval._match_image
+        monkeypatch.setattr(deteval, "_match_image", lambda *a: calls.append(a[1].shape) or real(*a))
+        monkeypatch.setattr(deteval, "_BLOCK", 1)
+        gt = gt_of([make_ann(i + 1, 1 + i % 3, rect_ring(10 * i, 0, 8, 8)) for i in range(6)], n_images=3)
+        dets = DetectionSet(tuple(det(i + 1, 1 + i % 3, 0.9, [10 * i, 0, 8, 8]) for i in range(6)))
+        assert evaluate(dets, gt).map == 1.0
+        assert calls == [(1, 2, 2)] * 3  # one (C, D, G) block per cell
+
+
+class TestMemoryBound:
+    def test_dense_scene_peak_stays_under_32_mb(self):
+        # one image with 1,000 ground truths and 100 detections, and 300
+        # images with one ground truth and 100 detections each
+        rng = np.random.default_rng(5)
+        anns = [
+            make_ann(i + 1, 1, rect_ring(*(int(v) for v in rng.integers(0, 900, size=2)),
+                                         *(int(v) for v in rng.integers(4, 90, size=2))))
+            for i in range(1000)
+        ]
+        anns += [make_ann(1000 + img, img, rect_ring(100, 100, 40, 40)) for img in range(2, 302)]
+        gt = parse_dataset(make_coco(make_images(301, 1000, 1000), anns))
+        dets = []
+        for img in range(1, 302):
+            for _ in range(100):
+                if img == 1:
+                    x, y = (float(v) for v in rng.integers(0, 900, size=2))
+                else:
+                    x, y = (100.0 + float(v) for v in rng.integers(-30, 30, size=2))
+                w, h = (float(v) for v in rng.integers(4, 90, size=2))
+                dets.append(det(len(dets) + 1, img, float(rng.random()), [x, y, w, h]))
+        dets = DetectionSet(tuple(dets))
+        tracemalloc.start()
+        try:
+            result = evaluate(dets, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.map is not None
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
 
 class TestCrossTable:
     def test_symmetric_for_shifted_twins(self, tiny_a, tiny_b):
@@ -474,6 +616,32 @@ class TestResultsFormat:
     def test_schema_errors(self, entry, msg):
         with pytest.raises(SchemaError, match=msg):
             detections_from_results(json.dumps([entry]))
+
+    @pytest.mark.parametrize("field", ["score", "bbox", "segmentation"])
+    def test_integer_beyond_float_range_is_schema_error(self, field):
+        entry = {"image_id": 1, "category_id": 1, "score": 0.5, "bbox": [0, 0, 5, 5],
+                 "segmentation": [[0, 0, 5, 0, 5, 5, 0, 5]]}
+        huge = 10**400  # a valid JSON integer that no float can hold
+        if field == "score":
+            entry["score"] = huge
+        elif field == "bbox":
+            entry["bbox"][3] = huge
+        else:
+            entry["segmentation"][0][6] = huge
+        with pytest.raises(SchemaError, match=f"detection #0 field '{field}' must be finite"):
+            detections_from_results(json.dumps([entry]))
+
+    def test_bbox_values_must_be_numbers(self):
+        for bad in (True, "1", None):
+            entry = {"image_id": 1, "category_id": 1, "score": 0.5, "bbox": [0, 0, bad, 5]}
+            with pytest.raises(SchemaError, match="field 'bbox' must be a number"):
+                detections_from_results([entry])
+
+    def test_numeric_subclasses_are_accepted(self):
+        entry = {"image_id": 1, "category_id": 1, "score": np.float64(0.5),
+                 "bbox": [np.float64(1.5), 0, 5, 5]}
+        d = detections_from_results([entry]).detections[0]
+        assert d.bbox == (1.5, 0.0, 5.0, 5.0) and d.score == 0.5
 
     def test_top_level_must_be_array(self):
         with pytest.raises(SchemaError, match="array"):

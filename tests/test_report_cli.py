@@ -292,6 +292,15 @@ class TestCliEvalMatch:
         assert doc["bbox"]["a_vs_b"]["mAP"] == 1.0
         assert doc["bbox"]["b_vs_a"]["mAP"] == 1.0
 
+    def test_eval_integer_beyond_float_range_is_input_error(self, tmp_path, capsys):
+        doc = json.loads(Path(TINY_A).read_text())
+        doc["annotations"][0]["segmentation"][0][0] = 10**400
+        bad = tmp_path / "a.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["eval", str(bad), TINY_B]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "Traceback" not in err
+
     def test_match_ndjson_stdout(self, capsys):
         assert main(["match", TINY_A, TINY_B]) == EXIT_OK
         rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
