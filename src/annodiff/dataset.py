@@ -121,6 +121,7 @@ def _finite(value, what: str, name: str) -> float:
 
 
 _PLAIN_NUMBERS = frozenset((int, float))
+_PLAIN_INTS = frozenset((int,))
 
 
 def _finite_tuple(values: list, what: str, name: str) -> tuple[float, ...]:
@@ -188,8 +189,12 @@ def _parse_segmentation(seg, what: str) -> ShapeSpec:
             raise SchemaError(
                 f"{what} has non-list RLE counts (compressed RLE is not supported)"
             )
-        counts = tuple(_integer(c, what, "counts") for c in counts)
-        if any(c < 0 for c in counts):
+        # plain ints are taken in one pass; anything else goes value by
+        # value, which names the fault (a bool is not an integer here)
+        if not _PLAIN_INTS.issuperset(map(type, counts)):
+            counts = [_integer(c, what, "counts") for c in counts]
+        counts = tuple(counts)
+        if counts and min(counts) < 0:
             raise SchemaError(f"{what} has negative RLE counts")
         if not isinstance(size, list) or len(size) != 2:
             raise SchemaError(f"{what} field 'size' must be [height, width]")

@@ -24,7 +24,7 @@ The engine matches in batches. A cell is one (category, image). Each cell's
 detections are ordered by (descending score, id) and cut to
 ``max_detections``. Cells with detections are grouped into blocks of similar
 size, padded into (C, D, G) IoU arrays with -1 in the padding. A block holds
-at most ``_BLOCK`` elements, counted as C x max(A*T, D) x max(G, D); a cell
+at most ``_BLOCK`` elements, counted as C x max(D*G, A*T*max(G, D)); a cell
 over the cap is a block of its own. One greedy pass per block walks detection
 rank and, for every cell, area range and threshold at once, gives each
 detection the free ground truth of highest IoU with IoU >= min(t, 1 - 1e-10).
@@ -36,9 +36,19 @@ It keeps the per-cell scan's rules exactly, so results are bit-equal to it:
 
 Each category's detections are then ranked by a stable sort on descending
 score, over the detections in image order, and precision is accumulated one
-area range at a time. For masks, the windows are built cell by cell within a
-block and dropped after it; a detection's area, which places it in or out of
-an area range, is counted on its window.
+area range at a time.
+
+For masks, every shape in a cell with detections is scan-converted once into
+row runs, and one overlap count (:func:`annodiff.raster.count_overlaps`)
+gives each shape's pixel area and the intersection of every detection with
+every ground truth of its cell. A block's IoUs come from those integers, and
+a detection's area, which places it in or out of an area range, is its pixel
+count. ``cross_table`` counts a's shapes against b's once and derives both
+directions from the one table: IoU is symmetric except at crowds, whose
+denominator is the detection's own area, and ``max_detections`` is applied
+per direction. A shape is counted on the grid of its direction's ground
+truth, so an image whose size differs between the two datasets keeps one
+grid per direction.
 """
 
 from __future__ import annotations
@@ -46,12 +56,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import AnnotationDataset, _finite, _finite_tuple, _parse_segmentation
 from .errors import EvalError, ParseError, SchemaError
-from .raster import bbox_of_mask, bbox_of_polygon, decode_rle, window_intersection, window_of
+from .raster import Overlaps, bbox_of_mask, bbox_of_polygon, count_overlaps, decode_rle
 from .shapes import Polygons, RleMask, ShapeSpec
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(np.linspace(0.5, 0.95, 10).tolist())
@@ -230,7 +241,7 @@ def detections_from_results(raw) -> DetectionSet:
 # evaluation engine
 
 
-# elements per block of cells, counted as C x max(A*T, D) x max(G, D)
+# elements per block of cells, counted as C x max(D*G, A*T*max(G, D))
 _BLOCK = 2**15
 
 
@@ -252,34 +263,15 @@ def _box_iou_with_crowd(d, g, crowd) -> np.ndarray:
     return out
 
 
-def _mask_iou_with_crowd(dt_windows, gt_windows, crowd_flags) -> np.ndarray:
-    """Pairwise IoU of mask windows ``(row0, col0, mask)``; over the detection's
-    area for a crowd. Areas come from the windows, and disjoint windows score 0."""
-    out = np.zeros((len(dt_windows), len(gt_windows)), dtype=np.float64)
-    d_areas = [int(np.count_nonzero(m)) for _, _, m in dt_windows]
-    g_areas = [int(np.count_nonzero(m)) for _, _, m in gt_windows]
-    for j, gw in enumerate(gt_windows):
-        for i, dw in enumerate(dt_windows):
-            inter = window_intersection(dw, gw)
-            denom = d_areas[i] if crowd_flags[j] else d_areas[i] + g_areas[j] - inter
-            if denom > 0:
-                out[i, j] = inter / denom
+def _mask_iou_with_crowd(inter, d_area, g_area, crowd) -> np.ndarray:
+    """Pairwise mask IoU per cell of a block, from pixel counts: ``inter``
+    (C, D, G), ``d_area`` (C, D) and ``g_area`` (C, G); over the detection's
+    area where ``crowd`` (C, G) is set."""
+    d = d_area[:, :, None]
+    denom = np.where(crowd[:, None, :], d, d + g_area[:, None, :] - inter)
+    out = np.zeros(inter.shape)
+    np.divide(inter, denom, out=out, where=denom > 0)
     return out
-
-
-def _mask_block(gt: AnnotationDataset, cells, crowd, D: int, G: int):
-    """Mask IoUs (C, D, G) of a block of ``((category, image), gts, dts)``
-    cells, and the pixel area of each of its detections, from windows that
-    live only as long as their cell."""
-    ious = np.zeros((len(cells), D, G))
-    dt_areas = []
-    for i, ((_, img), gts, dts) in enumerate(cells):
-        rec = gt.image(img)
-        gt_windows = [window_of(g.segmentation, rec.width, rec.height) for g in gts]
-        dt_windows = [window_of(d.segmentation, rec.width, rec.height) for d in dts]
-        ious[i, : len(dts), : len(gts)] = _mask_iou_with_crowd(dt_windows, gt_windows, crowd[i])
-        dt_areas.extend(float(np.count_nonzero(m)) for _, _, m in dt_windows)
-    return ious, np.array(dt_areas, dtype=np.float64)
 
 
 def _match_image(thresholds, ious, gt_ignore, crowd) -> tuple[np.ndarray, np.ndarray]:
@@ -325,7 +317,9 @@ def _blocks(n_dt: np.ndarray, n_gt: np.ndarray, width: int):
 
     Cells are sorted by detection count, then ground-truth count, and a block
     is cut before it would pass ``_BLOCK`` elements, counted as
-    C x max(width, D) x max(G, D). A cell over the cap is a block of its own.
+    C x max(D*G, width*max(G, D)): the (C, D, G) IoUs, and the (C, A, T, G)
+    free columns and (D, C*A*T) matches of the greedy pass. A cell over the
+    cap is a block of its own.
     """
     live = np.flatnonzero(n_dt)
     live = live[np.lexsort((n_gt[live], n_dt[live]))].tolist()
@@ -334,7 +328,7 @@ def _blocks(n_dt: np.ndarray, n_gt: np.ndarray, width: int):
     g_max = 0
     for c in live:
         d, g = n_dt[c], max(g_max, n_gt[c])  # d never falls: cells come sorted
-        if block and (len(block) + 1) * max(width, d) * max(g, d) > _BLOCK:
+        if block and (len(block) + 1) * max(d * g, width * max(g, d)) > _BLOCK:
             yield np.array(block)
             block, g = [], n_gt[c]
         block.append(c)
@@ -364,16 +358,33 @@ def _sampled_precision(tp: np.ndarray, fp: np.ndarray, n_positive: int, rec_thrs
     return np.take_along_axis(pr, hits, axis=1)
 
 
-def evaluate(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams | None = None) -> EvalResult:
-    """Score a detection set against ground truth; see the module docstring.
+class _Cells(NamedTuple):
+    """One scoring direction's (category, image) cells, in key order, with
+    their ground truths and their ranked detections cut to
+    ``max_detections``; ``gts`` and ``dts`` lay them out flat, cell after cell."""
+
+    gt: AnnotationDataset
+    keys: list[tuple[int, int]]
+    cell_gts: list[list]
+    cell_dts: list[list[Detection]]
+
+    @property
+    def gts(self) -> list:
+        return [g for group in self.cell_gts for g in group]
+
+    @property
+    def dts(self) -> list[Detection]:
+        return [d for group in self.cell_dts for d in group]
+
+
+def _cells(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams) -> _Cells:
+    """Check the detections against the ground truth and group both into cells.
 
     Raises:
         EvalError: a detection references a category or image the ground
-            truth does not define.
+            truth does not define, or lacks a segmentation on the segm task.
     """
-    params = params or EvalParams()
-    cat_ids = sorted(c.id for c in gt.categories)
-    cat_set, img_set = set(cat_ids), {i.id for i in gt.images}
+    cat_set, img_set = {c.id for c in gt.categories}, {i.id for i in gt.images}
     for d in dets.detections:
         if d.category_id not in cat_set:
             raise EvalError(f"detection {d.id} has unknown category {d.category_id}")
@@ -381,9 +392,6 @@ def evaluate(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams | Non
             raise EvalError(f"detection {d.id} has unknown image {d.image_id}")
         if params.task == "segm" and d.segmentation is None:
             raise EvalError(f"detection {d.id} has no segmentation (segm task)")
-
-    # cells, keyed (category, image) and in that order; flat arrays hold
-    # their ground truths and detections cell after cell
     gts_by: dict[tuple[int, int], list] = {}
     for inst in gt.instances:
         gts_by.setdefault((inst.category_id, inst.image_id), []).append(inst)
@@ -394,12 +402,100 @@ def evaluate(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams | Non
         group.sort(key=lambda d: (-d.score, d.id))
         del group[params.max_detections :]
     keys = sorted(gts_by.keys() | dts_by.keys())
-    cell_gts = [gts_by.get(key, []) for key in keys]
-    cell_dts = [dts_by.get(key, []) for key in keys]
-    gts = [g for group in cell_gts for g in group]
-    dts = [d for group in cell_dts for d in group]
-    n_gt = np.array([len(group) for group in cell_gts], dtype=np.intp)
-    n_dt = np.array([len(group) for group in cell_dts], dtype=np.intp)
+    return _Cells(gt, keys, [gts_by.get(k, []) for k in keys], [dts_by.get(k, []) for k in keys])
+
+
+class _PixelCounts(NamedTuple):
+    """Segm pixel counts of one direction, over its flat detections and
+    ground truths: their areas, and the intersection ``inter[i]`` of
+    detection ``d[i]`` with ground truth ``g[i]`` where they share foreground."""
+
+    d_area: np.ndarray
+    g_area: np.ndarray
+    d: np.ndarray
+    g: np.ndarray
+    inter: np.ndarray
+
+
+def _shapes(keys: dict, dets_of: _Cells | None = None, gts_of: _Cells | None = None):
+    """The shapes one dataset brings to an overlap count: its detections in
+    ``dets_of`` and its ground truths in the cells of ``gts_of`` that have
+    detections, each once per grid.
+
+    Returns the ``(shape, key)`` items, and each item's position among
+    ``dets_of.dts`` and among ``gts_of.gts`` (-1 for none). ``keys`` maps
+    (category, image, width, height) to a key, shared by both sides of the
+    count; a shape lies on the grid of its direction's ground truth.
+    """
+    items: list = []
+    d_pos: list[int] = []
+    g_pos: list[int] = []
+    seen: dict = {}
+    for c, pos in ((dets_of, d_pos), (gts_of, g_pos)):
+        if c is None:
+            continue
+        p = 0
+        for (cat, img), gts, dts in zip(c.keys, c.cell_gts, c.cell_dts):
+            group = dts if pos is d_pos else gts
+            if dts:
+                rec = c.gt.image(img)
+                key = keys.setdefault((cat, img, rec.width, rec.height), len(keys))
+                for q, inst in enumerate(group, p):
+                    at = seen.setdefault((inst.id, key), len(items))
+                    if at == len(items):
+                        items.append((inst.segmentation, key))
+                        d_pos.append(-1)
+                        g_pos.append(-1)
+                    pos[at] = q
+            p += len(group)
+    return items, np.array(d_pos, dtype=np.intp), np.array(g_pos, dtype=np.intp)
+
+
+def _sizes(keys: dict) -> list[tuple[int, int]]:
+    return [(w, h) for _, _, w, h in keys]
+
+
+def _pixel_counts(ov: Overlaps, d_pos: np.ndarray, g_pos: np.ndarray, c: _Cells) -> _PixelCounts:
+    """One direction's counts from an overlap count whose side a holds its
+    detections at ``d_pos`` and side b its ground truths at ``g_pos``."""
+    d_area = np.zeros(sum(map(len, c.cell_dts)), dtype=np.int64)
+    g_area = np.zeros(sum(map(len, c.cell_gts)), dtype=np.int64)
+    ok = d_pos >= 0
+    d_area[d_pos[ok]] = ov.area_a[ok]
+    ok = g_pos >= 0
+    g_area[g_pos[ok]] = ov.area_b[ok]
+    d, g = d_pos[ov.a], g_pos[ov.b]
+    keep = (d >= 0) & (g >= 0)
+    return _PixelCounts(d_area, g_area, d[keep], g[keep], ov.inter[keep])
+
+
+def evaluate(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams | None = None) -> EvalResult:
+    """Score a detection set against ground truth; see the module docstring.
+
+    Raises:
+        EvalError: a detection references a category or image the ground
+            truth does not define.
+        GeometryError: on the segm task, a shape in a cell with detections
+            has a degenerate ring or none, or an RLE does not fit its image.
+    """
+    params = params or EvalParams()
+    c = _cells(dets, gt, params)
+    if params.task == "bbox":
+        return _score(c, params)
+    keys: dict = {}
+    side_a, d_pos, _ = _shapes(keys, dets_of=c)
+    side_b, _, g_pos = _shapes(keys, gts_of=c)
+    ov = count_overlaps(side_a, side_b, _sizes(keys))
+    return _score(c, params, _pixel_counts(ov, d_pos, g_pos, c))
+
+
+def _score(c: _Cells, params: EvalParams, pixels: _PixelCounts | None = None) -> EvalResult:
+    """The evaluation of one direction's cells: box IoUs, or mask IoUs from
+    ``pixels`` on the segm task."""
+    cat_ids = sorted(cat.id for cat in c.gt.categories)
+    gts, dts = c.gts, c.dts
+    n_gt = np.array([len(group) for group in c.cell_gts], dtype=np.intp)
+    n_dt = np.array([len(group) for group in c.cell_dts], dtype=np.intp)
     gt_start, dt_start = np.cumsum(n_gt) - n_gt, np.cumsum(n_dt) - n_dt
 
     T = len(params.iou_thresholds)
@@ -425,11 +521,22 @@ def evaluate(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams | Non
     dt_cat = np.array([cat_index[d.category_id] for d in dts], dtype=np.intp)
     dt_score = np.array([d.score for d in dts], dtype=np.float64)
     dt_box = np.array([d.bbox for d in dts], dtype=np.float64).reshape(-1, 4)
-    # segm: filled block by block from the detection windows
-    dt_area = dt_box[:, 2] * dt_box[:, 3] if params.task == "bbox" else np.empty(len(dts))
+    blocks = list(_blocks(n_dt, n_gt, A * T))
+    if pixels is None:
+        dt_area = dt_box[:, 2] * dt_box[:, 3]
+    else:
+        dt_area = pixels.d_area.astype(np.float64)
+        # each intersection's cell and that cell's slot in its block; the
+        # intersections grouped by block
+        pair_cell = np.repeat(np.arange(n_dt.size), n_dt)[pixels.d]
+        block_of, slot_of = np.empty(n_dt.size, dtype=np.intp), np.empty(n_dt.size, dtype=np.intp)
+        for i, block in enumerate(blocks):
+            block_of[block], slot_of[block] = i, np.arange(block.size)
+        by_block = np.argsort(block_of[pair_cell], kind="stable")
+        block_bounds = np.searchsorted(block_of[pair_cell][by_block], np.arange(len(blocks) + 1))
     matched = np.zeros((A, T, len(dts)), dtype=bool)
     on_ignore = np.zeros((A, T, len(dts)), dtype=bool)
-    for block in _blocks(n_dt, n_gt, A * T):
+    for i, block in enumerate(blocks):
         # a block of cells without ground truth still gets one padding column
         D, G = int(n_dt[block].max()), max(1, int(n_gt[block].max()))
         dt_ok = np.arange(D) < n_dt[block, None]
@@ -437,13 +544,18 @@ def evaluate(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams | Non
         dt_at = (dt_start[block, None] + np.arange(D))[dt_ok]
         gt_at = (gt_start[block, None] + np.arange(G))[gt_ok]
         block_crowd = _pad(crowd[gt_at], gt_ok, False)
-        if params.task == "bbox":
+        if pixels is None:
             ious = _box_iou_with_crowd(
                 _pad(dt_box[dt_at], dt_ok, 0.0), _pad(gt_box[gt_at], gt_ok, 0.0), block_crowd
             )
         else:
-            cells = [(keys[c], cell_gts[c], cell_dts[c]) for c in block]
-            ious, dt_area[dt_at] = _mask_block(gt, cells, block_crowd, D, G)
+            at = by_block[block_bounds[i] : block_bounds[i + 1]]
+            cell = pair_cell[at]
+            inter = np.zeros((block.size, D, G), dtype=np.int64)
+            inter[slot_of[cell], pixels.d[at] - dt_start[cell], pixels.g[at] - gt_start[cell]] = pixels.inter[at]
+            ious = _mask_iou_with_crowd(
+                inter, _pad(pixels.d_area[dt_at], dt_ok, 0), _pad(pixels.g_area[gt_at], gt_ok, 0), block_crowd
+            )
         ious[~(dt_ok[:, :, None] & gt_ok[:, None, :])] = -1.0
         block_ignore = _pad(gt_ignore.T[gt_at], gt_ok, True).transpose(0, 2, 1)
         hit, hit_ignore = _match_image(params.iou_thresholds, ious, block_ignore, block_crowd)
@@ -499,13 +611,26 @@ def cross_table(
     """Score each dataset against the other, per task.
 
     Returns ``{task: {"a_vs_b": ..., "b_vs_a": ...}}`` where ``a_vs_b`` treats
-    a's annotations as the predictions and b as ground truth.
+    a's annotations as the predictions and b as ground truth. On the segm
+    task one overlap count of a's shapes against b's serves both directions.
     """
     out: dict[str, dict[str, EvalResult]] = {}
     for task in tasks:
         p = replace(params or EvalParams(), task=task)
+        if task == "bbox":
+            out[task] = {
+                "a_vs_b": evaluate(annotations_as_detections(a), b, p),
+                "b_vs_a": evaluate(annotations_as_detections(b), a, p),
+            }
+            continue
+        ab = _cells(annotations_as_detections(a), b, p)
+        ba = _cells(annotations_as_detections(b), a, p)
+        keys: dict = {}
+        side_a, ab_d, ba_g = _shapes(keys, dets_of=ab, gts_of=ba)
+        side_b, ba_d, ab_g = _shapes(keys, dets_of=ba, gts_of=ab)
+        ov = count_overlaps(side_a, side_b, _sizes(keys))
         out[task] = {
-            "a_vs_b": evaluate(annotations_as_detections(a), b, p),
-            "b_vs_a": evaluate(annotations_as_detections(b), a, p),
+            "a_vs_b": _score(ab, p, _pixel_counts(ov, ab_d, ab_g, ab)),
+            "b_vs_a": _score(ba, p, _pixel_counts(ov.transposed(), ba_d, ba_g, ba)),
         }
     return out

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import AnnotationDataset, InstanceRecord, single_polygon_view
-from .errors import GeometryError
-from .raster import box_iou_matrix, rasterize_window, window_intersection
+from .raster import box_iou_matrix, count_overlaps
 
 _IOU_MODES = ("box", "mask")
 
@@ -68,14 +67,6 @@ class MatchSet:
     config: MatchConfig = field(default_factory=MatchConfig)
 
 
-def _instance_window(inst: InstanceRecord, width: int, height: int) -> tuple[int, int, np.ndarray]:
-    # Degenerate rings rasterize to nothing rather than failing the search.
-    try:
-        return rasterize_window(inst.segmentation, width, height)
-    except GeometryError:
-        return 0, 0, np.zeros((0, 0), dtype=bool)
-
-
 def _iou_matrix(
     source: list[InstanceRecord],
     target: list[InstanceRecord],
@@ -88,18 +79,15 @@ def _iou_matrix(
         )
     if image_size is None:
         raise ValueError("mask IoU matching needs image_size=(width, height)")
-    w, h = image_size
-    src = [_instance_window(s, w, h) for s in source]
-    tgt = [_instance_window(t, w, h) for t in target]
-    src_areas = [int(np.count_nonzero(m)) for _, _, m in src]
-    tgt_areas = [int(np.count_nonzero(m)) for _, _, m in tgt]
+    # a degenerate ring counts as empty rather than failing the search
+    ov = count_overlaps(
+        [(s.segmentation, 0) for s in source],
+        [(t.segmentation, 0) for t in target],
+        [image_size],
+        skip_invalid=True,
+    )
     out = np.zeros((len(source), len(target)))
-    for i in range(len(source)):
-        for j in range(len(target)):
-            inter = window_intersection(src[i], tgt[j])
-            union = src_areas[i] + tgt_areas[j] - inter
-            if union > 0:
-                out[i, j] = inter / union
+    out[ov.a, ov.b] = ov.inter / (ov.area_a[ov.a] + ov.area_b[ov.b] - ov.inter)
     return out
 
 

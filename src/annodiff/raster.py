@@ -20,18 +20,23 @@ edge the crossing may be rounded, so a center that lies within rounding of
 it (a center on a polygon vertex, or on the edge itself) is decided by the
 rounded crossing, and can land on the other side from the exact rule.
 
-Windows
--------
-A shape is filled by one vectorized scanline pass onto the tight window of
-its foreground, ``(row0, col0, mask)`` (:func:`rasterize_window`,
-:func:`window_of`). Crossings are computed in absolute grid coordinates, so
-no pixel depends on the window. Whole-grid masks paste the window into a
-zero grid; pixel counts and overlaps (:func:`window_intersection`) need
-only windows.
+Row runs and windows
+--------------------
+Polygons are scan-converted into row runs ``(row, c0, c1)``: columns
+``[c0, c1)`` of ``row`` are inside. One vectorized scanline pass serves any
+number of shapes at once. Crossings are computed in absolute grid
+coordinates, so no pixel depends on which shapes share the pass. A shape's
+window ``(row0, col0, mask)`` is the fill of its runs
+(:func:`rasterize_window`, :func:`window_of`); whole-grid masks paste the
+window into a zero grid. Pixel areas and pairwise intersections
+(:func:`count_overlaps`) are counted on the runs alone: an RLE is decoded
+and read off as runs, and two shapes intersect where their runs on a shared
+row overlap.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -69,80 +74,118 @@ def _ring_points(ring) -> np.ndarray:
     return pts
 
 
-def _gather_edges(poly) -> np.ndarray:
-    """Closed edge list (x1, y1, x2, y2) over all rings; degenerate rings raise."""
-    rings = poly.rings if isinstance(poly, Polygons) else poly
-    edges = []
-    for ring in rings:
-        pts = _ring_points(ring)
-        if len(pts) < 3:
-            raise GeometryError(f"degenerate ring with {len(pts)} vertices")
-        closed = np.concatenate([pts, pts[:1]])
-        edges.append(np.concatenate([closed[:-1], closed[1:]], axis=1))
-    if not edges:
-        raise GeometryError("polygon has no rings")
-    return np.concatenate(edges)
+class _Vertices(NamedTuple):
+    """Every vertex of every ring of a list of polygon shapes: its
+    coordinates, the index of its successor on its ring, and its shape."""
+
+    x: np.ndarray
+    y: np.ndarray
+    succ: np.ndarray
+    owner: np.ndarray
+
+
+def _vertices(shapes, skip_invalid: bool = False) -> _Vertices:
+    """The vertices of every polygon shape, in one gather; ``RleMask``
+    shapes add none. A shape with a degenerate ring (fewer than 3 vertices)
+    or no ring raises ``GeometryError``, or adds none when ``skip_invalid``
+    is set."""
+    rings: list = []  # flat (x1, y1, x2, y2, ...) coordinates per ring
+    owners: list[int] = []
+    for k, shape in enumerate(shapes):
+        if isinstance(shape, RleMask):
+            continue
+        try:
+            if isinstance(shape, Polygons):  # stored flat already
+                own = list(shape.rings)
+            else:
+                own = [_ring_points(ring).reshape(-1) for ring in shape]
+            for ring in own:
+                if len(ring) % 2:
+                    raise GeometryError(f"ring has odd coordinate count {len(ring)}")
+                if len(ring) < 6:
+                    raise GeometryError(f"degenerate ring with {len(ring) // 2} vertices")
+            if not own:
+                raise GeometryError("polygon has no rings")
+        except GeometryError:
+            if not skip_invalid:
+                raise
+            continue
+        rings += own
+        owners += [k] * len(own)
+    n = np.array([len(r) // 2 for r in rings], dtype=np.intp)
+    flat = np.fromiter(chain.from_iterable(rings), dtype=np.float64, count=2 * int(n.sum()))
+    # the last vertex of a ring closes it back to the first
+    end = np.cumsum(n)
+    succ = np.arange(1, flat.size // 2 + 1)
+    succ[end - 1] = end - n
+    return _Vertices(flat[0::2], flat[1::2], succ, np.repeat(np.array(owners, dtype=np.intp), n))
+
+
+def _runs(v: _Vertices, width: np.ndarray, height: np.ndarray, at=slice(None)):
+    """Row runs ``(owner, row, c0, c1)`` of the shapes of vertices ``at``,
+    sorted by (owner, row, c0): columns ``[c0, c1)`` of ``row`` are inside
+    ``owner``, whose grid is ``width[owner]`` x ``height[owner]``.
+
+    Each vertex and its successor make an edge. Every (edge, row) candidate
+    that passes the span test yields one crossing; sorted by (owner, row, x),
+    consecutive crossings pair up into the inside runs of each row. Multiple
+    rings of a shape combine by crossing parity (even-odd), so disjoint rings
+    union and nested rings punch holes.
+    """
+    x1, y1, succ = v.x[at], v.y[at], v.succ[at]
+    # horizontal edges never cross a scanline
+    edge = np.flatnonzero(y1 != v.y[succ])
+    x1, y1, owner, succ = x1[edge], y1[edge], v.owner[at][edge], succ[edge]
+    x2, y2 = v.x[succ], v.y[succ]
+    ylo = np.minimum(y1, y2)
+    yhi = np.maximum(y1, y2)
+    slope = (x2 - x1) / (y2 - y1)
+    # Every row r with ylo <= r + 0.5 < yhi lies in [floor(ylo), ceil(yhi)).
+    # Expand those candidates per edge, clipped to the grid, then keep exactly
+    # the pairs that pass the span test.
+    lim = height[owner]
+    first = np.clip(np.floor(ylo), 0, lim).astype(np.int64)
+    span = np.maximum(np.clip(np.ceil(yhi), 0, lim).astype(np.int64) - first, 0)
+    e = np.repeat(np.arange(span.size), span)
+    rows = np.arange(e.size) + np.repeat(first - (np.cumsum(span) - span), span)
+    py = rows + 0.5
+    hit = (ylo[e] <= py) & (py < yhi[e])
+    e, rows, py = e[hit], rows[hit], py[hit]
+    xs = x1[e] + (py - y1[e]) * slope[e]
+    owner = owner[e]
+    # Sort by (owner, row): the candidates come in owner order, so a stable
+    # integer sort is cheap. Rows with more than two crossings are then
+    # sorted by x; a row with two needs only their min and max.
+    group = owner * (int(rows.max(initial=0)) + 1) + rows
+    order = np.argsort(group, kind="stable")
+    group, owner, rows, xs = group[order], owner[order][0::2], rows[order][0::2], xs[order]
+    joined = group[2::2] == group[1:-1:2]  # pair i + 1 shares the row of pair i
+    if joined.any():
+        shared = np.zeros(owner.size, dtype=bool)
+        shared[1:] = joined
+        shared[:-1] |= joined
+        many = np.flatnonzero(np.repeat(shared, 2))
+        xs[many] = xs[many[np.lexsort((xs[many], group[many]))]]
+
+    # Each row of a shape has an even number of crossings, so after the sort
+    # crossing parity makes each pair [xs[2i], xs[2i+1]) an inside run, and
+    # the runs are disjoint. Pixel centers in [a, b) are the columns
+    # [ceil(a - 0.5), ceil(b - 0.5)).
+    a, b = np.minimum(xs[0::2], xs[1::2]), np.maximum(xs[0::2], xs[1::2])
+    c0 = np.maximum(np.ceil(a - 0.5), 0)
+    c1 = np.minimum(np.ceil(b - 0.5), width[owner])
+    run = c0 < c1
+    return owner[run], rows[run], c0[run].astype(np.int64), c1[run].astype(np.int64)
 
 
 def _empty_window() -> tuple[int, int, np.ndarray]:
     return 0, 0, np.zeros((0, 0), dtype=bool)
 
 
-def rasterize_window(poly, width: int, height: int) -> tuple[int, int, np.ndarray]:
-    """Rasterize polygon rings onto the tight window of their foreground.
-
-    Returns ``(row0, col0, mask)``: pixel ``(r, c)`` of ``mask`` is pixel
-    ``(row0 + r, col0 + c)`` of the ``width`` x ``height`` grid, filled under
-    the module convention, and the first and last rows and columns of
-    ``mask`` each hold foreground. A shape with no foreground on the grid
-    gives ``(0, 0)`` and a ``(0, 0)`` mask.
-
-    Every (edge, row) pair that passes the span test yields one crossing;
-    sorted by (row, x), consecutive crossings pair up into the inside runs
-    of each row, which one running parity paints. Multiple rings combine by
-    crossing parity over all edges (even-odd), so disjoint rings union and
-    nested rings punch holes. Crossings are rounded in float64 (see the
-    module docstring).
-
-    Args:
-        poly: ``Polygons`` or a sequence of rings (flat lists or (k, 2) arrays).
-        width, height: grid dimensions in pixels.
-
-    Raises:
-        GeometryError: a ring has fewer than 3 vertices, or dims are invalid.
-    """
-    if width < 1 or height < 1:
-        raise GeometryError(f"invalid grid {width}x{height}")
-    edges = _gather_edges(poly)
-    # horizontal edges never cross a scanline
-    x1, y1, x2, y2 = edges[edges[:, 1] != edges[:, 3]].T
-    ylo = np.minimum(y1, y2)
-    yhi = np.maximum(y1, y2)
-    slope = (x2 - x1) / (y2 - y1)
-
-    # Every row r with ylo <= r + 0.5 < yhi lies in [floor(ylo), ceil(yhi)).
-    # Expand those candidates per edge, clipped to the grid, then keep exactly
-    # the pairs that pass the span test.
-    first, stop = np.clip([np.floor(ylo), np.ceil(yhi)], 0, height).astype(np.int64)
-    span = np.maximum(stop - first, 0)
-    e = np.repeat(np.arange(span.size), span)
-    rows = first[e] + np.arange(e.size) - np.repeat(np.cumsum(span) - span, span)
-    py = rows + 0.5
-    hit = (ylo[e] <= py) & (py < yhi[e])
-    e, rows, py = e[hit], rows[hit], py[hit]
-    xs = x1[e] + (py - y1[e]) * slope[e]
-    order = np.lexsort((xs, rows))
-    rows, xs = rows[order], xs[order]
-
-    # Each row has an even number of crossings, so after the sort crossing
-    # parity makes [xs[2i], xs[2i+1]) the disjoint inside runs. Pixel centers
-    # in [a, b) are the columns [ceil(a - 0.5), ceil(b - 0.5)).
-    c0 = np.maximum(np.ceil(xs[0::2] - 0.5), 0)
-    c1 = np.minimum(np.ceil(xs[1::2] - 0.5), width)
-    run = c0 < c1
-    if not run.any():
+def _fill(rows: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """The tight window ``(row0, col0, mask)`` of one shape's row runs."""
+    if not rows.size:
         return _empty_window()
-    rows, c0, c1 = rows[0::2][run], c0[run].astype(np.int64), c1[run].astype(np.int64)
     row0, col0 = int(rows[0]), int(c0.min())
     h, w = int(rows[-1]) - row0 + 1, int(c1.max()) - col0
     # Toggle at each run's first column and just past its last; the runs are
@@ -155,6 +198,37 @@ def rasterize_window(poly, width: int, height: int) -> tuple[int, int, np.ndarra
     toggles[base + c1] ^= True  # a run may end where the next one starts
     mask = np.logical_xor.accumulate(toggles).reshape(h, stride)[:, :w]
     return row0, col0, mask
+
+
+def rasterize_windows(shapes, width: int, height: int) -> list[tuple[int, int, np.ndarray]]:
+    """:func:`rasterize_window` of each of several shapes on one grid, from
+    one scanline pass over all of them."""
+    if width < 1 or height < 1:
+        raise GeometryError(f"invalid grid {width}x{height}")
+    n = len(shapes)
+    owner, rows, c0, c1 = _runs(_vertices(shapes), np.full(n, width), np.full(n, height))
+    cut = np.searchsorted(owner, np.arange(n + 1)).tolist()
+    return [_fill(rows[i:j], c0[i:j], c1[i:j]) for i, j in zip(cut, cut[1:])]
+
+
+def rasterize_window(poly, width: int, height: int) -> tuple[int, int, np.ndarray]:
+    """Rasterize polygon rings onto the tight window of their foreground.
+
+    Returns ``(row0, col0, mask)``: pixel ``(r, c)`` of ``mask`` is pixel
+    ``(row0 + r, col0 + c)`` of the ``width`` x ``height`` grid, filled under
+    the module convention, and the first and last rows and columns of
+    ``mask`` each hold foreground. A shape with no foreground on the grid
+    gives ``(0, 0)`` and a ``(0, 0)`` mask. The mask is the fill of the
+    shape's row runs (see the module docstring).
+
+    Args:
+        poly: ``Polygons`` or a sequence of rings (flat lists or (k, 2) arrays).
+        width, height: grid dimensions in pixels.
+
+    Raises:
+        GeometryError: a ring has fewer than 3 vertices, or dims are invalid.
+    """
+    return rasterize_windows([poly], width, height)[0]
 
 
 def rasterize(poly, width: int, height: int) -> np.ndarray:
@@ -229,17 +303,160 @@ def window_of(shape, width: int, height: int) -> tuple[int, int, np.ndarray]:
     return r0, c0, mask[r0 : rows[-1] + 1, c0 : cols[-1] + 1].copy()
 
 
-def window_intersection(a, b) -> int:
-    """Foreground pixels shared by two windows ``(row0, col0, mask)`` of one
-    grid, counted on the overlap of the windows only."""
-    (ar, ac, am), (br, bc, bm) = a, b
-    r0, r1 = max(ar, br), min(ar + am.shape[0], br + bm.shape[0])
-    c0, c1 = max(ac, bc), min(ac + am.shape[1], bc + bm.shape[1])
-    if r0 >= r1 or c0 >= c1:
+def _mask_runs(mask: np.ndarray):
+    """Row runs ``(row, c0, c1)`` of a boolean mask, in row-major order."""
+    h, w = mask.shape
+    padded = np.zeros((h, w + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    # each row's changes alternate: run start, run end, ...
+    rows, cols = np.nonzero(padded[:, 1:] != padded[:, :-1])
+    return rows[0::2], cols[0::2], cols[1::2]
+
+
+# ---------------------------------------------------------------------------
+# overlap counts on row runs
+
+
+class Overlaps(NamedTuple):
+    """Pixel counts of two sides of shapes: each shape's area, and the
+    intersection ``inter[i]`` of shape ``a[i]`` of side a with shape ``b[i]``
+    of side b, for every pair that shares foreground."""
+
+    area_a: np.ndarray
+    area_b: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    inter: np.ndarray
+
+    def transposed(self) -> "Overlaps":
+        return Overlaps(self.area_b, self.area_a, self.b, self.a, self.inter)
+
+
+# Elements per chunk of the overlap count: polygon coordinates gathered at
+# once; then (edge, row) crossing candidates plus one per grid row of an RLE
+# scanned at once; and run pairs joined at once. About 64 bytes each.
+_CHUNK = 2**13
+
+
+def _chunks(cost: np.ndarray):
+    """``(lo, hi)`` bounds of consecutive runs of keys whose cost stays
+    within ``_CHUNK``; a key over the cap is a run of its own."""
+    lo, total = 0, 0
+    for k, c in enumerate(cost.tolist()):
+        if total and total + c > _CHUNK:
+            yield lo, k
+            lo, total = k, 0
+        total += c
+    yield lo, cost.size
+
+
+def _coordinates(shape) -> int:
+    """Coordinates of a polygon shape's rings (0 for an RLE), before any check."""
+    if isinstance(shape, RleMask):
         return 0
-    return int(
-        np.count_nonzero(am[r0 - ar : r1 - ar, c0 - ac : c1 - ac] & bm[r0 - br : r1 - br, c0 - bc : c1 - bc])
-    )
+    return sum(map(len, shape.rings if isinstance(shape, Polygons) else shape))
+
+
+def _reduce(codes: list, inter: list) -> tuple[list, list]:
+    """Sum the intersections of equal pair codes, as one pair of arrays."""
+    code, at = np.unique(np.concatenate(codes), return_inverse=True)
+    return [code], [np.bincount(at, weights=np.concatenate(inter), minlength=code.size)]
+
+
+def _join(owner, rows, c0, c1, n_a: int, n_b: int, join_key: np.ndarray):
+    """Pair codes ``a * n_b + b`` and intersections of the runs of side a
+    (``owner < n_a``) and side b that share a join key; runs of one shape
+    are disjoint, so the overlaps of their run pairs sum to the intersection."""
+    side_a = owner < n_a
+    ia, ib = np.flatnonzero(side_a), np.flatnonzero(~side_a)
+    ia = ia[np.argsort(join_key[ia], kind="stable")]
+    ib = ib[np.argsort(join_key[ib], kind="stable")]
+    kb = join_key[ib]
+    lo = np.searchsorted(kb, join_key[ia], "left")
+    n = np.searchsorted(kb, join_key[ia], "right") - lo
+    ends = np.cumsum(n)
+    codes, inter = [np.empty(0, np.int64)], [np.empty(0)]
+    s = pending = 0
+    while s < ia.size:  # slices of at most _CHUNK run pairs, one a-run at least
+        t = max(s + 1, int(np.searchsorted(ends, (ends[s - 1] if s else 0) + _CHUNK, "right")))
+        m = n[s:t]
+        ra = np.repeat(ia[s:t], m)
+        rb = ib[np.repeat(lo[s:t] - (np.cumsum(m) - m), m) + np.arange(ra.size)]
+        overlap = np.minimum(c1[ra], c1[rb]) - np.maximum(c0[ra], c0[rb])
+        hit = overlap > 0
+        codes.append(owner[ra[hit]] * n_b + (owner[rb[hit]] - n_a))
+        inter.append(overlap[hit])
+        pending += codes[-1].size
+        if pending > _CHUNK:
+            codes, inter = _reduce(codes, inter)
+            pending = 0
+        s = t
+    return _reduce(codes, inter)
+
+
+def count_overlaps(a, b, sizes, *, skip_invalid: bool = False) -> Overlaps:
+    """Pixel areas of two sides of shapes, and the intersections of their pairs.
+
+    ``a`` and ``b`` hold ``(shape, key)`` items, either shape encoding; a
+    shape lies on the grid ``sizes[key] = (width, height)``, and only pairs
+    of a shape of side a and one of side b with the same key are counted.
+    Every shape is scan-converted once into row runs (RLEs are decoded by
+    :func:`mask_of` and read off the mask), and each pair's intersection is
+    the sum of the overlaps of its runs on shared rows. Work goes in runs
+    of keys, cut at ``_CHUNK`` elements.
+
+    Raises:
+        GeometryError: a polygon has a degenerate ring or none (unless
+            ``skip_invalid``, which counts such a shape as empty), or an RLE
+            does not match its grid.
+    """
+    n_a, n_b = len(a), len(b)
+    items = [*a, *b]
+    n = len(items)
+    key = np.array([k for _, k in items], dtype=np.intp)
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1, 2)
+    width, height = sizes[key, 0], sizes[key, 1]
+    stride = int(height.max(initial=0)) + 1  # join key: key * stride + row
+    # shapes in key order, so a run of keys is a run of shapes
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    coordinates = [_coordinates(items[i][0]) for i in order.tolist()]
+    area = np.zeros(n, dtype=np.int64)
+    codes, inter = [np.empty(0, np.int64)], [np.empty(0)]
+    # gather the vertices of a run of keys, then scan and join sub-runs
+    for k0, k1 in _chunks(np.bincount(ranked, weights=coordinates, minlength=len(sizes))):
+        r0, r1 = np.searchsorted(ranked, [k0, k1])
+        v = _vertices([items[i][0] for i in order[r0:r1]], skip_invalid)
+        v = v._replace(owner=order[r0 + v.owner])
+        vertex_key = key[v.owner] - k0
+        rle = np.array([i for i in order[r0:r1] if isinstance(items[i][0], RleMask)], dtype=np.intp)
+        rle_key = key[rle] - k0
+        # an edge has at most |dy| + 2 candidate rows, an RLE about one run per row
+        dy = v.y[v.succ]
+        dy -= v.y
+        cost = np.bincount(
+            np.concatenate([vertex_key, rle_key]),
+            weights=np.concatenate([np.abs(dy, out=dy) + 2, height[rle]]),
+            minlength=k1 - k0,
+        )
+        for j0, j1 in _chunks(cost):
+            lo, hi = np.searchsorted(vertex_key, [j0, j1])
+            owner, rows, c0, c1 = _runs(v, width, height, slice(lo, hi))
+            parts = [(owner, rows, c0, c1)]
+            lo, hi = np.searchsorted(rle_key, [j0, j1])
+            for i in rle[lo:hi].tolist():
+                r, s, t = _mask_runs(mask_of(items[i][0], int(width[i]), int(height[i])))
+                parts.append((np.full(r.size, i), r, s, t))
+            if len(parts) > 1:
+                owner, rows, c0, c1 = (np.concatenate(p) for p in zip(*parts))
+            np.add.at(area, owner, c1 - c0)
+            more_codes, more_inter = _join(owner, rows, c0, c1, n_a, n_b, key[owner] * stride + rows)
+            codes += more_codes
+            inter += more_inter
+    # runs of keys are disjoint, so each pair comes from one of them
+    code, total = np.concatenate(codes), np.concatenate(inter)
+    pa, pb = np.divmod(code, max(n_b, 1))
+    return Overlaps(area[:n_a], area[n_a:], pa, pb, total.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

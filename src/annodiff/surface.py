@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import AnnotationDataset
 from .errors import DegenerateShape, GeometryError
 from .matching import MatchPair
-from .raster import contour, rasterize_window
+from .raster import contour, rasterize_windows
 from .shapes import Polygons
 
 
@@ -119,9 +119,10 @@ def ring_pair_metrics(
 ) -> tuple[float, float, int, int]:
     """Full pipeline for one ring pair: rasterize, contour, both metrics.
 
-    Each ring is rasterized onto its own window, and both windows are pasted
-    into one grid: with ``mode="crop"`` their union window padded by one
-    pixel and clipped to the image, with ``mode="full"`` the whole image.
+    Both rings are rasterized in one pass, each onto its own window, and
+    both windows are pasted into one grid: with ``mode="crop"`` their union
+    window padded by one pixel and clipped to the image, with
+    ``mode="full"`` the whole image.
     Both yield identical values (distances only ever reach the nearest
     contour pixel, which the crop contains). The audit always measures on
     the crop; ``mode="full"`` is kept as the reference that the tests check
@@ -134,14 +135,12 @@ def ring_pair_metrics(
     """
     if mode not in ("full", "crop"):
         raise ValueError(f"mode must be 'full' or 'crop', got {mode!r}")
-    windows = []
     for ring in (src_ring, tgt_ring):
         if len(ring) < 6:
             raise DegenerateShape(f"ring with {len(ring) // 2} vertices")
-        window = rasterize_window([ring], width, height)
-        if window[2].size == 0:
-            raise DegenerateShape("shape rasterizes to an empty mask")
-        windows.append(window)
+    windows = rasterize_windows([[src_ring], [tgt_ring]], width, height)
+    if any(mask.size == 0 for _, _, mask in windows):
+        raise DegenerateShape("shape rasterizes to an empty mask")
 
     r0, r1, c0, c1 = 0, height, 0, width
     if mode == "crop":

@@ -85,6 +85,37 @@ class TestParse:
         with pytest.raises(SchemaError, match="counts"):
             ds_of([ann])
 
+    @pytest.mark.parametrize(
+        "counts, size, msg",
+        [
+            ([3, "4", 9], [4, 4], "annotation 1 field 'counts' must be an integer"),
+            ([3, 4.0, 9], [4, 4], "annotation 1 field 'counts' must be an integer"),
+            ([3, True, 12], [4, 4], "annotation 1 field 'counts' must be an integer"),
+            ([3, None, 13], [4, 4], "annotation 1 field 'counts' must be an integer"),
+            ([3, -1, 14], [4, 4], "annotation 1 has negative RLE counts"),
+            ([20, -4], [4, 4], "annotation 1 has negative RLE counts"),
+            ([16], [4], r"annotation 1 field 'size' must be \[height, width\]"),
+            ([16], "4x4", r"annotation 1 field 'size' must be \[height, width\]"),
+            ([16], [4, 4.0], "annotation 1 field 'size' must be an integer"),
+            ([16], [True, 4], "annotation 1 field 'size' must be an integer"),
+            ([3, 4], [4, 4], r"annotation 1 RLE counts sum 7 != 4x4 grid"),
+            ([], [4, 4], r"annotation 1 RLE counts sum 0 != 4x4 grid"),
+        ],
+    )
+    def test_rle_faults_are_named(self, counts, size, msg):
+        ann = make_ann(1, 1, {"counts": counts, "size": size}, iscrowd=1, bbox=[0, 0, 1, 1], area=1)
+        with pytest.raises(SchemaError, match=f"^{msg}$"):
+            ds_of([ann])
+
+    def test_rle_counts_parse_to_ints(self):
+        class Count(int):
+            pass
+
+        for counts in ([0, 10, 6], [Count(0), 10, Count(6)]):
+            ann = make_ann(1, 1, {"counts": counts, "size": [4, 4]}, iscrowd=1, bbox=[0, 0, 1, 1], area=1)
+            seg = ds_of([ann]).instances[0].segmentation
+            assert seg.counts == (0, 10, 6) and (seg.height, seg.width) == (4, 4)
+
     def test_nonpositive_image_dims_rejected(self):
         imgs = [{"id": 1, "width": 0, "height": 4, "file_name": "x"}]
         with pytest.raises(SchemaError):

@@ -18,8 +18,8 @@ from annodiff.deteval import (
     detections_from_results,
     evaluate,
 )
-from annodiff.errors import EvalError, ParseError, SchemaError
-from annodiff.raster import encode_rle, mask_of, window_of
+from annodiff.errors import EvalError, GeometryError, ParseError, SchemaError
+from annodiff.raster import count_overlaps, encode_rle, mask_of
 from annodiff.shapes import Polygons
 
 from conftest import make_ann, make_coco, make_images, random_simple_rings, rect_ring
@@ -193,7 +193,7 @@ def full_grid_iou_with_crowd(dt_masks, gt_masks, crowd_flags):
     return out
 
 
-class TestMaskWindows:
+class TestMaskOverlaps:
     W, H = 64, 48
 
     def shapes(self, rng, n):
@@ -210,21 +210,26 @@ class TestMaskWindows:
         return out
 
     def compare(self, dts, gts, crowd):
-        windows = lambda shapes: [window_of(s, self.W, self.H) for s in shapes]  # noqa: E731
+        """IoUs of one cell from the run kernel's counts against the crowd
+        formula on whole-image masks."""
+        ov = count_overlaps([(s, 0) for s in dts], [(s, 0) for s in gts], [(self.W, self.H)])
+        inter = np.zeros((1, len(dts), len(gts)), dtype=np.int64)
+        inter[0, ov.a, ov.b] = ov.inter
+        flags = np.array(crowd, dtype=bool).reshape(1, len(gts))
+        got = _mask_iou_with_crowd(inter, ov.area_a[None], ov.area_b[None], flags)[0]
         grids = lambda shapes: [mask_of(s, self.W, self.H) for s in shapes]  # noqa: E731
-        got = _mask_iou_with_crowd(windows(dts), windows(gts), crowd)
         want = full_grid_iou_with_crowd(grids(dts), grids(gts), crowd)
         assert np.array_equal(got, want)
         return got
 
-    def test_overlap_window_iou_equals_full_grid_iou(self):
+    def test_run_overlap_iou_equals_full_grid_iou(self):
         rng = np.random.default_rng(61)
         for _ in range(30):
             dts = self.shapes(rng, int(rng.integers(0, 5)))
             gts = self.shapes(rng, int(rng.integers(0, 5)))
             self.compare(dts, gts, [bool(rng.uniform() < 0.3) for _ in gts])
 
-    def test_disjoint_and_touching_windows(self):
+    def test_disjoint_and_touching_shapes(self):
         left = Polygons((tuple(rect_ring(2, 2, 10, 10)),))
         touching = Polygons((tuple(rect_ring(12, 2, 10, 10)),))  # shares the x = 12 edge
         corner = Polygons((tuple(rect_ring(12, 12, 5, 5)),))  # shares one corner point
@@ -237,7 +242,7 @@ class TestMaskWindows:
             assert (got[0] == 0.0).all()
             assert got[1, 2] == 1.0
 
-    def test_segm_eval_scores_crowd_overlap_on_windows(self):
+    def test_segm_eval_scores_crowd_overlap_on_runs(self):
         band = np.zeros((100, 100), dtype=bool)
         band[40:60, :] = True
         rle = {"counts": list(encode_rle(band).counts), "size": [100, 100]}
@@ -253,6 +258,19 @@ class TestMaskWindows:
         # the stray detection, ranked first, lies inside the crowd: it is
         # ignored, where a false positive would halve the AP
         assert evaluate(dets, gt, EvalParams(task="segm")).map == 1.0
+
+    def test_degenerate_ring_raises_only_in_a_cell_with_detections(self):
+        seg = lambda ring: Polygons((tuple(float(v) for v in ring),))  # noqa: E731
+        gt = gt_of(
+            [make_ann(1, 1, rect_ring(0, 0, 20, 20)), make_ann(2, 2, [0, 0, 4, 4], bbox=[0, 0, 4, 4], area=0.0)],
+            n_images=2,
+        )
+        dets = [Detection(1, 1, 1, 0.9, (0.0, 0.0, 20.0, 20.0), seg(rect_ring(0, 0, 20, 20)))]
+        # the degenerate ground truth is never rasterized: it only lowers recall
+        assert evaluate(DetectionSet(tuple(dets)), gt, EvalParams(task="segm")).map < 1.0
+        dets.append(Detection(2, 2, 1, 0.9, (0.0, 0.0, 4.0, 4.0), seg(rect_ring(0, 0, 4, 4))))
+        with pytest.raises(GeometryError, match="degenerate ring"):
+            evaluate(DetectionSet(tuple(dets)), gt, EvalParams(task="segm"))
 
 
 class TestCrowds:
@@ -522,28 +540,32 @@ class TestOracleEquivalence:
         assert calls == [(1, 2, 2)] * 3  # one (C, D, G) block per cell
 
 
+def dense_scene():
+    """One image with 1,000 ground truths and 100 detections, and 300 images
+    with one ground truth and 100 detections each."""
+    rng = np.random.default_rng(5)
+    anns = [
+        make_ann(i + 1, 1, rect_ring(*(int(v) for v in rng.integers(0, 900, size=2)),
+                                     *(int(v) for v in rng.integers(4, 90, size=2))))
+        for i in range(1000)
+    ]
+    anns += [make_ann(1000 + img, img, rect_ring(100, 100, 40, 40)) for img in range(2, 302)]
+    gt = parse_dataset(make_coco(make_images(301, 1000, 1000), anns))
+    dets = []
+    for img in range(1, 302):
+        for _ in range(100):
+            if img == 1:
+                x, y = (float(v) for v in rng.integers(0, 900, size=2))
+            else:
+                x, y = (100.0 + float(v) for v in rng.integers(-30, 30, size=2))
+            w, h = (float(v) for v in rng.integers(4, 90, size=2))
+            dets.append(det(len(dets) + 1, img, float(rng.random()), [x, y, w, h]))
+    return DetectionSet(tuple(dets)), gt
+
+
 class TestMemoryBound:
     def test_dense_scene_peak_stays_under_32_mb(self):
-        # one image with 1,000 ground truths and 100 detections, and 300
-        # images with one ground truth and 100 detections each
-        rng = np.random.default_rng(5)
-        anns = [
-            make_ann(i + 1, 1, rect_ring(*(int(v) for v in rng.integers(0, 900, size=2)),
-                                         *(int(v) for v in rng.integers(4, 90, size=2))))
-            for i in range(1000)
-        ]
-        anns += [make_ann(1000 + img, img, rect_ring(100, 100, 40, 40)) for img in range(2, 302)]
-        gt = parse_dataset(make_coco(make_images(301, 1000, 1000), anns))
-        dets = []
-        for img in range(1, 302):
-            for _ in range(100):
-                if img == 1:
-                    x, y = (float(v) for v in rng.integers(0, 900, size=2))
-                else:
-                    x, y = (100.0 + float(v) for v in rng.integers(-30, 30, size=2))
-                w, h = (float(v) for v in rng.integers(4, 90, size=2))
-                dets.append(det(len(dets) + 1, img, float(rng.random()), [x, y, w, h]))
-        dets = DetectionSet(tuple(dets))
+        dets, gt = dense_scene()
         tracemalloc.start()
         try:
             result = evaluate(dets, gt)
@@ -552,6 +574,20 @@ class TestMemoryBound:
             tracemalloc.stop()
         assert result.map is not None
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_dense_scene_block_count(self, monkeypatch):
+        # a block is charged for the arrays its greedy pass allocates: cells
+        # with 100 detections and one ground truth pack 8 to a block
+        import annodiff.deteval as deteval
+
+        calls = []
+        real = deteval._match_image
+        monkeypatch.setattr(deteval, "_match_image", lambda *a: calls.append(a[1].shape) or real(*a))
+        dets, gt = dense_scene()
+        evaluate(dets, gt)
+        assert len(calls) == 39
+        assert calls[:-1] == [(8, 100, 1)] * 37 + [(4, 100, 1)]
+        assert calls[-1] == (1, 100, 1000)
 
 
 class TestCrossTable:
@@ -578,6 +614,61 @@ class TestCrossTable:
         table = cross_table(synthetic_a, synthetic_a)
         assert table["bbox"]["a_vs_b"].map == 1.0
         assert table["bbox"]["b_vs_a"].map == 1.0
+
+    @staticmethod
+    def both_evaluations(a, b, params):
+        return {
+            "a_vs_b": evaluate(annotations_as_detections(a), b, params),
+            "b_vs_a": evaluate(annotations_as_detections(b), a, params),
+        }
+
+    @pytest.mark.parametrize("max_det", [100, 2])
+    def test_segm_table_equals_the_two_evaluations_on_the_fixture(self, synthetic_a, synthetic_b, max_det):
+        p = EvalParams(task="segm", max_detections=max_det)
+        table = cross_table(synthetic_a, synthetic_b, ("segm",), p)["segm"]
+        assert table == self.both_evaluations(synthetic_a, synthetic_b, p)
+
+    def test_segm_table_equals_the_two_evaluations_on_random_scenes(self, monkeypatch):
+        import annodiff.raster as raster
+
+        def dataset(sizes, anns):
+            images = [{"id": i, "width": w, "height": h, "file_name": f"{i}.jpg"} for i, (w, h) in enumerate(sizes, 1)]
+            cats = [{"id": c, "name": f"c{c}", "supercategory": "x"} for c in (1, 2)]
+            return parse_dataset(make_coco(images, anns, categories=cats))
+
+        def crowd(rng, ann_id, img, w, h):
+            m = np.zeros((h, w), dtype=bool)
+            m[: int(rng.integers(1, h)), : int(rng.integers(1, w))] = True
+            rle = {"counts": list(encode_rle(m).counts), "size": [h, w]}
+            return make_ann(ann_id, img, rle, category_id=int(rng.integers(1, 3)), iscrowd=1,
+                            bbox=[0, 0, w, h], area=float(m.sum()))
+
+        rng = np.random.default_rng(97)
+        for trial in range(12):
+            sizes_a = [(64, 48), (40, 40), (50, 30)]
+            # image 3 has another size in b: each direction rasterizes on
+            # its own ground truth's grid
+            sizes_b = sizes_a[:2] + [(30, 50)]
+            anns_a, anns_b = [], []
+            for img, (w, h) in enumerate(sizes_a, 1):
+                for _ in range(int(rng.integers(0, 6))):
+                    rings = random_simple_rings(rng, n_rings=int(rng.integers(1, 3)), width=w, height=h)
+                    cat = int(rng.integers(1, 3))
+                    anns_a.append(make_ann(len(anns_a) + 1, img, rings, category_id=cat))
+                    if rng.uniform() < 0.8:  # b's twin, shifted by up to a pixel
+                        dx, dy = (float(v) for v in rng.uniform(-1, 1, size=2))
+                        twin = [[v + (dx if k % 2 == 0 else dy) for k, v in enumerate(r)] for r in rings]
+                        anns_b.append(make_ann(1000 + len(anns_b), img, twin, category_id=cat))
+                for anns, (cw, ch), first in ((anns_a, (w, h), 500), (anns_b, sizes_b[img - 1], 2000)):
+                    if rng.uniform() < 0.5:
+                        anns.append(crowd(rng, first + len(anns), img, cw, ch))
+            a, b = dataset(sizes_a, anns_a), dataset(sizes_b, anns_b)
+            p = EvalParams(task="segm", max_detections=2 if trial % 3 == 0 else 100)
+            want = self.both_evaluations(a, b, p)
+            assert want["a_vs_b"].map is not None
+            for cap in (1, 7, raster._CHUNK):
+                monkeypatch.setattr(raster, "_CHUNK", cap)
+                assert cross_table(a, b, ("segm",), p)["segm"] == want, f"trial {trial}"
 
 
 class TestResultsFormat:

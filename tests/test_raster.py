@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from annodiff.errors import GeometryError, SchemaError
+import annodiff.raster as raster
 from annodiff.raster import (
     Box,
     bbox_of_mask,
@@ -10,6 +13,7 @@ from annodiff.raster import (
     box_iou,
     box_iou_matrix,
     contour,
+    count_overlaps,
     decode_rle,
     edt,
     edt_squared,
@@ -19,7 +23,7 @@ from annodiff.raster import (
     mask_of,
     rasterize,
     rasterize_window,
-    window_intersection,
+    rasterize_windows,
     window_of,
 )
 from annodiff.shapes import Polygons, RleMask
@@ -166,6 +170,25 @@ class TestRasterizeWindow:
             window = self.check(rings, 12, 9)
             assert window[:2] == (0, 0) and window[2].shape == (0, 0)
 
+    def test_several_shapes_in_one_pass(self):
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            w, h = int(rng.integers(8, 48)), int(rng.integers(8, 48))
+            shapes = [wild_rings(rng, int(rng.integers(1, 3)), w, h) for _ in range(int(rng.integers(0, 5)))]
+            shapes.insert(int(rng.integers(len(shapes) + 1)), [[0, 0, 5, 0, 5, 0]])  # an empty one
+            windows = rasterize_windows([poly(*rings) for rings in shapes], w, h)
+            assert len(windows) == len(shapes)
+            for rings, window in zip(shapes, windows):
+                want = rasterize_oracle(rings, w, h)
+                assert np.array_equal(paste(window, w, h), want)
+                if want.any():
+                    assert_tight(window)
+                else:
+                    assert window[:2] == (0, 0) and window[2].shape == (0, 0)
+        assert rasterize_windows([], 4, 4) == []
+        with pytest.raises(GeometryError):
+            rasterize_windows([poly(rect_ring(0, 0, 2, 2))], 0, 4)
+
     def test_invalid_input_raises_like_rasterize(self):
         with pytest.raises(GeometryError):
             rasterize_window(poly(rect_ring(0, 0, 2, 2)), 0, 4)
@@ -191,15 +214,111 @@ class TestRasterizeWindow:
         a, b = window_of(shape, 16, 8), rasterize_window(shape, 16, 8)
         assert a[:2] == b[:2] == (1, 2) and np.array_equal(a[2], b[2])
 
-    def test_window_intersection_counts_the_shared_pixels(self):
+
+
+def assert_counts_match_full_grids(a, b, sizes):
+    """``count_overlaps`` on ``(shape, key)`` items equals pixel counts of
+    full-grid masks: every area, and the intersection of every same-key pair."""
+    got = count_overlaps(a, b, sizes)
+    grids = [[mask_of(s, *sizes[k]) for s, k in side] for side in (a, b)]
+    assert got.area_a.tolist() == [int(m.sum()) for m in grids[0]]
+    assert got.area_b.tolist() == [int(m.sum()) for m in grids[1]]
+    want = {
+        (i, j): int(np.count_nonzero(ma & mb))
+        for i, ((_, ka), ma) in enumerate(zip(a, grids[0]))
+        for j, ((_, kb), mb) in enumerate(zip(b, grids[1]))
+        if ka == kb and (ma & mb).any()
+    }
+    assert dict(zip(zip(got.a.tolist(), got.b.tolist()), got.inter.tolist())) == want
+    return got
+
+
+class TestCountOverlaps:
+    SIZES = [(64, 48), (23, 31), (64, 48), (1, 7)]
+
+    def shapes(self, rng, n, key):
+        """Random shapes of every kind on the grid of ``key``."""
+        w, h = self.SIZES[key]
+        out = []
+        for _ in range(n):
+            kind = rng.integers(6)
+            if kind == 0:  # an RLE crowd, maybe empty
+                out.append(encode_rle(random_mask(rng, h, w, p=float(rng.uniform(0.0, 0.4)))))
+            elif kind == 1 and min(w, h) > 12:  # multi-ring, with a hole
+                outer = random_simple_rings(rng, width=w, height=h)[0]
+                xs, ys = np.array(outer[0::2]), np.array(outer[1::2])
+                cx, cy = xs.mean(), ys.mean()
+                inner = [float(v) for x, y in zip(xs, ys) for v in (cx + 0.4 * (x - cx), cy + 0.4 * (y - cy))]
+                out.append(poly(outer, inner, *random_simple_rings(rng, width=w, height=h)))
+            elif kind == 2:  # empty: a sliver or wholly off the grid
+                out.append(poly(rect_ring(-20, 3, 10, 4) if rng.integers(2) else [0, 0, 5, 0, 5, 0]))
+            else:  # clipped at the borders, possibly self-intersecting
+                out.append(poly(*wild_rings(rng, int(rng.integers(1, 3)), w, h, sort_angles=bool(kind < 5))))
+        return out
+
+    @pytest.mark.parametrize("cap", [1, 7, None])
+    def test_equals_full_grid_counts_at_every_chunk_size(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(raster, "_CHUNK", cap)
+        rng = np.random.default_rng(67)
+        for _ in range(40):
+            sides = []
+            for _ in range(2):
+                keys = rng.integers(len(self.SIZES), size=int(rng.integers(0, 7))).tolist()
+                sides.append([(s, k) for k in keys for s in self.shapes(rng, 1, k)])
+            assert_counts_match_full_grids(*sides, self.SIZES)
+
+    def test_counts_the_shared_pixels_of_rle_masks(self):
         rng = np.random.default_rng(59)
         for _ in range(60):
             w, h = int(rng.integers(4, 40)), int(rng.integers(4, 40))
-            a, b = (window_of(encode_rle(random_mask(rng, h, w, p=0.05)), w, h) for _ in range(2))
-            want = int(np.count_nonzero(paste(a, w, h) & paste(b, w, h)))
-            assert window_intersection(a, b) == window_intersection(b, a) == want
-        nothing = (0, 0, np.zeros((0, 0), bool))
-        assert window_intersection(nothing, (0, 0, np.ones((3, 3), bool))) == 0
+            a, b = ((encode_rle(random_mask(rng, h, w, p=0.05)), 0) for _ in range(2))
+            one = assert_counts_match_full_grids([a], [b], [(w, h)])
+            two = count_overlaps([b], [a], [(w, h)])
+            assert one.inter.tolist() == two.inter.tolist()
+        nothing = encode_rle(np.zeros((3, 3), bool))
+        got = assert_counts_match_full_grids([(nothing, 0)], [(encode_rle(np.ones((3, 3), bool)), 0)], [(3, 3)])
+        assert got.area_a.tolist() == [0] and got.a.size == 0
+
+    def test_pairs_only_within_a_key(self):
+        square = poly(rect_ring(2, 2, 10, 10))
+        got = count_overlaps([(square, 0), (square, 1)], [(square, 1)], [(16, 16), (16, 16)])
+        assert (got.a.tolist(), got.b.tolist(), got.inter.tolist()) == ([1], [0], [100])
+        assert got.transposed().a.tolist() == [0] and got.transposed().area_a.tolist() == [100]
+
+    def test_no_shapes(self):
+        got = count_overlaps([], [], [])
+        assert got.area_a.size == got.area_b.size == got.inter.size == 0
+
+    def test_invalid_shapes_raise_or_count_as_empty(self):
+        square, degenerate = poly(rect_ring(2, 2, 10, 10)), poly([0, 0, 4, 4])
+        for bad in (degenerate, Polygons(())):
+            with pytest.raises(GeometryError):
+                count_overlaps([(square, 0)], [(bad, 0)], [(16, 16)])
+            got = count_overlaps([(square, 0)], [(bad, 0)], [(16, 16)], skip_invalid=True)
+            assert got.area_b.tolist() == [0] and got.inter.size == 0
+        with pytest.raises(GeometryError):  # the grid-size check of mask_of
+            count_overlaps([(RleMask((0, 4), 2, 2), 0)], [], [(3, 3)])
+
+    def test_dense_scene_peak_stays_under_8_mb(self):
+        # 40 images of 400 x 300 px, each with 30 detections and 30 ground
+        # truths piled onto one spot, plus an RLE crowd covering the image
+        rng = np.random.default_rng(71)
+        w, h = 400, 300
+        crowd = encode_rle(np.ones((h, w), bool))
+        a, b = [], []
+        for key in range(40):
+            for side in (a, b):
+                side += [(poly(*random_simple_rings(rng, max_vertices=40, width=w, height=h)), key) for _ in range(30)]
+            b.append((crowd, key))
+        tracemalloc.start()
+        try:
+            got = count_overlaps(a, b, [(w, h)] * 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.area_b[30] == w * h
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestRle:

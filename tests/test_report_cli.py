@@ -301,6 +301,15 @@ class TestCliEvalMatch:
         err = capsys.readouterr().err
         assert "must be finite" in err and "Traceback" not in err
 
+    def test_eval_segm_degenerate_ring_is_input_error(self, tmp_path, capsys):
+        doc = json.loads(Path(TINY_A).read_text())
+        doc["annotations"][0]["segmentation"] = [[1.0, 1.0, 5.0, 5.0]]
+        bad = tmp_path / "a.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["eval", str(bad), TINY_B, "--task", "segm"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "degenerate ring with 2 vertices" in err and "Traceback" not in err
+
     def test_match_ndjson_stdout(self, capsys):
         assert main(["match", TINY_A, TINY_B]) == EXIT_OK
         rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
