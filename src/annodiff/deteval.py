@@ -165,7 +165,7 @@ def annotations_as_detections(ds: AnnotationDataset) -> DetectionSet:
                 image_id=inst.image_id,
                 category_id=inst.category_id,
                 score=1.0,
-                bbox=tuple(float(v) for v in inst.bbox),
+                bbox=inst.bbox,  # the parser stores a tuple of floats
                 segmentation=inst.segmentation,
             )
             for inst in ds.instances

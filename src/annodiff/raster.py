@@ -25,10 +25,13 @@ Row runs and windows
 Polygons are scan-converted into row runs ``(row, c0, c1)``: columns
 ``[c0, c1)`` of ``row`` are inside. One vectorized scanline pass serves any
 number of shapes at once. Crossings are computed in absolute grid
-coordinates, so no pixel depends on which shapes share the pass. A shape's
-window ``(row0, col0, mask)`` is the fill of its runs
-(:func:`rasterize_window`, :func:`window_of`); whole-grid masks paste the
-window into a zero grid. Pixel areas and pairwise intersections
+coordinates, so no pixel depends on which shapes share the pass. One toggle
+fill turns the runs of several shapes into a stack of masks on their shared
+window ``(row0, col0, stack)``, the tight bounds of their union
+(:func:`rasterize_stack`, which the surface metrics use for a matched pair);
+a single shape's window ``(row0, col0, mask)`` is the same fill of its runs
+alone (:func:`rasterize_window`, :func:`window_of`), and whole-grid masks
+paste that window into a zero grid. Pixel areas and pairwise intersections
 (:func:`count_overlaps`) are counted on the runs alone: an RLE is decoded
 and read off as runs, and two shapes intersect where their runs on a shared
 row overlap.
@@ -182,33 +185,43 @@ def _empty_window() -> tuple[int, int, np.ndarray]:
     return 0, 0, np.zeros((0, 0), dtype=bool)
 
 
-def _fill(rows: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """The tight window ``(row0, col0, mask)`` of one shape's row runs."""
+def _fill(owner: np.ndarray, rows: np.ndarray, c0: np.ndarray, c1: np.ndarray, n: int):
+    """The shared tight window ``(row0, col0, stack)`` of ``n`` shapes' row
+    runs: ``stack[k]`` is the mask of the runs of ``owner == k``."""
     if not rows.size:
-        return _empty_window()
-    row0, col0 = int(rows[0]), int(c0.min())
-    h, w = int(rows[-1]) - row0 + 1, int(c1.max()) - col0
-    # Toggle at each run's first column and just past its last; the runs are
-    # disjoint, so the running parity is set exactly inside them. Every row
-    # holds an even number of toggles, so one flat pass serves all rows.
+        return 0, 0, np.zeros((n, 0, 0), dtype=bool)
+    row0, col0 = int(rows.min()), int(c0.min())
+    h, w = int(rows.max()) - row0 + 1, int(c1.max()) - col0
+    # Toggle at each run's first column and just past its last; the runs of
+    # one shape are disjoint, so the running parity is set exactly inside
+    # them. Every row of every layer holds an even number of toggles, so one
+    # flat pass serves all rows of all layers.
     stride = w + 1
-    base = (rows - row0) * stride - col0
-    toggles = np.zeros(h * stride, dtype=bool)
+    base = (owner * h + rows - row0) * stride - col0
+    toggles = np.zeros(n * h * stride, dtype=bool)
     toggles[base + c0] = True
     toggles[base + c1] ^= True  # a run may end where the next one starts
-    mask = np.logical_xor.accumulate(toggles).reshape(h, stride)[:, :w]
-    return row0, col0, mask
+    stack = np.logical_xor.accumulate(toggles).reshape(n, h, stride)[:, :, :w]
+    return row0, col0, stack
 
 
-def rasterize_windows(shapes, width: int, height: int) -> list[tuple[int, int, np.ndarray]]:
-    """:func:`rasterize_window` of each of several shapes on one grid, from
-    one scanline pass over all of them."""
+def rasterize_stack(shapes, width: int, height: int) -> tuple[int, int, np.ndarray]:
+    """Rasterize several shapes, from one scanline pass, onto one shared window.
+
+    Returns ``(row0, col0, stack)``: pixel ``(r, c)`` of ``stack[k]`` is pixel
+    ``(row0 + r, col0 + c)`` of shape ``k`` on the ``width`` x ``height``
+    grid, and the window is the tight bounds of the union of their
+    foreground. With no foreground at all, the window is ``(0, 0)`` and
+    ``stack`` has shape ``(len(shapes), 0, 0)``.
+
+    Raises:
+        GeometryError: a ring has fewer than 3 vertices, or dims are invalid.
+    """
     if width < 1 or height < 1:
         raise GeometryError(f"invalid grid {width}x{height}")
     n = len(shapes)
     owner, rows, c0, c1 = _runs(_vertices(shapes), np.full(n, width), np.full(n, height))
-    cut = np.searchsorted(owner, np.arange(n + 1)).tolist()
-    return [_fill(rows[i:j], c0[i:j], c1[i:j]) for i, j in zip(cut, cut[1:])]
+    return _fill(owner, rows, c0, c1, n)
 
 
 def rasterize_window(poly, width: int, height: int) -> tuple[int, int, np.ndarray]:
@@ -219,7 +232,8 @@ def rasterize_window(poly, width: int, height: int) -> tuple[int, int, np.ndarra
     the module convention, and the first and last rows and columns of
     ``mask`` each hold foreground. A shape with no foreground on the grid
     gives ``(0, 0)`` and a ``(0, 0)`` mask. The mask is the fill of the
-    shape's row runs (see the module docstring).
+    shape's row runs (see the module docstring), :func:`rasterize_stack` of
+    the one shape.
 
     Args:
         poly: ``Polygons`` or a sequence of rings (flat lists or (k, 2) arrays).
@@ -228,7 +242,8 @@ def rasterize_window(poly, width: int, height: int) -> tuple[int, int, np.ndarra
     Raises:
         GeometryError: a ring has fewer than 3 vertices, or dims are invalid.
     """
-    return rasterize_windows([poly], width, height)[0]
+    row0, col0, stack = rasterize_stack([poly], width, height)
+    return row0, col0, stack[0]
 
 
 def rasterize(poly, width: int, height: int) -> np.ndarray:
@@ -470,21 +485,23 @@ def erode(mask: np.ndarray, footprint: str = "cross") -> np.ndarray:
     """Binary erosion; pixels outside the grid count as background.
 
     ``cross`` uses the 4-connected structuring element, ``square`` the full
-    3x3 neighborhood.
+    3x3 neighborhood. A stack ``(..., h, w)`` of masks is eroded at once,
+    each mask on its own.
     """
     if footprint not in _FOOTPRINTS:
         raise ValueError(f"footprint must be one of {_FOOTPRINTS}")
     mask = np.asarray(mask, dtype=bool)
-    p = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
-    p[1:-1, 1:-1] = mask
-    out = p[1:-1, 1:-1] & p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:]
+    p = np.zeros((*mask.shape[:-2], mask.shape[-2] + 2, mask.shape[-1] + 2), dtype=bool)
+    p[..., 1:-1, 1:-1] = mask
+    out = p[..., 1:-1, 1:-1] & p[..., :-2, 1:-1] & p[..., 2:, 1:-1] & p[..., 1:-1, :-2] & p[..., 1:-1, 2:]
     if footprint == "square":
-        out &= p[:-2, :-2] & p[:-2, 2:] & p[2:, :-2] & p[2:, 2:]
+        out &= p[..., :-2, :-2] & p[..., :-2, 2:] & p[..., 2:, :-2] & p[..., 2:, 2:]
     return out
 
 
 def contour(mask: np.ndarray, footprint: str = "cross") -> np.ndarray:
-    """Boundary pixels: the foreground removed by one erosion."""
+    """Boundary pixels: the foreground removed by one erosion (of each mask
+    of a stack)."""
     mask = np.asarray(mask, dtype=bool)
     return mask & ~erode(mask, footprint)
 

@@ -10,6 +10,11 @@ worst case (discrete Hausdorff distance between the contour pixel sets).
 These are the metrics of Taha & Hanbury, "Metrics for evaluating 3D medical
 image segmentation" (BMC Medical Imaging, 2015). Distances are exact:
 integer squared pixel distances with the square root taken only at read-out.
+They are taken on grid-relative coordinates, in int32 when both grid sides
+are below 2**15 (a squared distance is then at most 2 * 32766**2, below
+2**31 - 1) and in int64 otherwise. A matched pair is measured on the window
+of its two shapes' foreground, not on the image, so only a pair whose window
+side reaches 2**15 takes int64.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from .dataset import AnnotationDataset
 from .errors import DegenerateShape, GeometryError
 from .matching import MatchPair
-from .raster import contour, rasterize_windows
+from .raster import contour, rasterize_stack
 from .shapes import Polygons
 
 
@@ -34,25 +39,32 @@ class SurfaceDistanceResult:
     contour_len_target: int
 
 
-# Element cap of one block of pairwise squared distances: 2**16 int64
-# values, 512 KB per temporary, however long the contours are.
+# Element cap of one block of pairwise squared distances: 2**16 values,
+# 256 KB (int32) or 512 KB (int64) per temporary, however long the contours
+# are.
 _BLOCK = 1 << 16
+
+# Grids whose sides are all below this take int32 coordinates: every squared
+# distance between two of their pixels is at most 2 * (2**15 - 2)**2 < 2**31 - 1.
+_INT32_SIDE = 1 << 15
 
 
 def _nearest_squared(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Squared distance from each point of ``x`` to its nearest point of
     ``y``, and from each point of ``y`` to its nearest point of ``x``.
 
-    ``x`` and ``y`` are ``(rows, cols)`` pairs of int64 coordinate arrays.
-    The pairwise block is built ``_BLOCK`` elements at a time, from separate
-    row and column differences, and each block updates the running minima
-    of both directions. Exact in int64.
+    ``x`` and ``y`` are ``(rows, cols)`` pairs of coordinate arrays of one
+    integer dtype, which the distances keep: int32 is exact for coordinates
+    below ``_INT32_SIDE``, int64 for any grid. The pairwise block is built
+    ``_BLOCK`` elements at a time, from separate row and column differences,
+    and each block updates the running minima of both directions.
     """
     (xr, xc), (yr, yc) = x, y
     cols = min(yr.size, _BLOCK)
     rows = max(_BLOCK // cols, 1)
-    to_y = np.full(xr.size, np.iinfo(np.int64).max)
-    to_x = np.full(yr.size, np.iinfo(np.int64).max)
+    far = np.iinfo(xr.dtype).max
+    to_y = np.full(xr.size, far, dtype=xr.dtype)
+    to_x = np.full(yr.size, far, dtype=xr.dtype)
     for j in range(0, yr.size, cols):
         br, bc, near_x = yr[j : j + cols], yc[j : j + cols], to_x[j : j + cols]
         for i in range(0, xr.size, rows):
@@ -70,7 +82,8 @@ def _nearest_squared(x, y) -> tuple[np.ndarray, np.ndarray]:
 def surface_distances(cx: np.ndarray, cy: np.ndarray) -> tuple[float, float, int, int]:
     """Both surface metrics for two same-grid contour masks.
 
-    Returns ``(d_avg, d_max, |cx|, |cy|)``.
+    Returns ``(d_avg, d_max, |cx|, |cy|)``. Distances are exact, in int32
+    when both grid sides are below ``2**15`` and in int64 otherwise.
 
     Raises:
         GeometryError: either contour is empty or the grids differ.
@@ -80,7 +93,9 @@ def surface_distances(cx: np.ndarray, cy: np.ndarray) -> tuple[float, float, int
     if cx.shape != cy.shape:
         raise GeometryError(f"contour grids differ: {cx.shape} vs {cy.shape}")
     # pixel coordinates in row-major order, which fixes the summation order
-    x, y = np.nonzero(cx), np.nonzero(cy)
+    dtype = np.int32 if max(cx.shape) < _INT32_SIDE else np.int64
+    x = tuple(a.astype(dtype, copy=False) for a in np.nonzero(cx))
+    y = tuple(a.astype(dtype, copy=False) for a in np.nonzero(cy))
     nx, ny = x[0].size, y[0].size
     if nx == 0 or ny == 0:
         raise GeometryError("surface distance of an empty contour")
@@ -119,15 +134,16 @@ def ring_pair_metrics(
 ) -> tuple[float, float, int, int]:
     """Full pipeline for one ring pair: rasterize, contour, both metrics.
 
-    Both rings are rasterized in one pass, each onto its own window, and
-    both windows are pasted into one grid: with ``mode="crop"`` their union
-    window padded by one pixel and clipped to the image, with
-    ``mode="full"`` the whole image.
-    Both yield identical values (distances only ever reach the nearest
-    contour pixel, which the crop contains). The audit always measures on
-    the crop; ``mode="full"`` is kept as the reference that the tests check
-    the crop against. ``mode`` stays until the benchmark stops passing it:
-    ``perfbench/run.py`` calls this with ``mode="crop"`` (ROADMAP item 2).
+    Both rings are scan-converted in one pass and filled into one stack of
+    two masks on their union window (:func:`~annodiff.raster.rasterize_stack`).
+    The stack is eroded once, with a one-pixel background border, which gives
+    the same contour pixels as the whole image grid. Distances are taken on
+    window-relative coordinates, so a pair takes the exact int32 branch of
+    :func:`surface_distances` unless its window side reaches ``2**15``.
+
+    ``mode`` selects nothing: ``"crop"`` and ``"full"`` give the same values
+    and run the same code. It is accepted, and validated, only because the
+    benchmark still passes ``mode="crop"`` (ROADMAP item 2).
 
     Raises:
         DegenerateShape: a ring has fewer than 3 vertices or rasterizes to
@@ -138,21 +154,11 @@ def ring_pair_metrics(
     for ring in (src_ring, tgt_ring):
         if len(ring) < 6:
             raise DegenerateShape(f"ring with {len(ring) // 2} vertices")
-    windows = rasterize_windows([[src_ring], [tgt_ring]], width, height)
-    if any(mask.size == 0 for _, _, mask in windows):
+    _, _, stack = rasterize_stack([[src_ring], [tgt_ring]], width, height)
+    if not stack.any(axis=(1, 2)).all():
         raise DegenerateShape("shape rasterizes to an empty mask")
-
-    r0, r1, c0, c1 = 0, height, 0, width
-    if mode == "crop":
-        (ar, ac, am), (br, bc, bm) = windows
-        r0 = max(min(ar, br) - 1, 0)
-        r1 = min(max(ar + am.shape[0], br + bm.shape[0]) + 1, height)
-        c0 = max(min(ac, bc) - 1, 0)
-        c1 = min(max(ac + am.shape[1], bc + bm.shape[1]) + 1, width)
-    mx, my = np.zeros((2, r1 - r0, c1 - c0), dtype=bool)
-    for grid, (r, c, m) in zip((mx, my), windows):
-        grid[r - r0 : r - r0 + m.shape[0], c - c0 : c - c0 + m.shape[1]] = m
-    return surface_distances(contour(mx, footprint), contour(my, footprint))
+    cx, cy = contour(stack, footprint)
+    return surface_distances(cx, cy)
 
 
 def pair_rings(

@@ -1,0 +1,53 @@
+"""The program names and call forms that the benchmark in ``perfbench/``
+reaches into. A refactor that renames or reshapes one of them breaks the
+benchmark's checks and its tests; these tests make it fail here first."""
+
+import json
+
+import numpy as np
+
+import annodiff.report
+from annodiff import cli
+from annodiff.dataset import load_dataset
+from annodiff.deteval import EvalParams, annotations_as_detections, evaluate
+from annodiff.raster import rasterize
+from annodiff.surface import ring_pair_metrics
+
+from conftest import FIXTURES, rect_ring
+
+A, B = FIXTURES / "synthetic_a.json", FIXTURES / "synthetic_b.json"
+
+
+def test_diff_calls_the_report_binding_once_per_measured_pair(tmp_path, monkeypatch):
+    # the benchmark's own tests swap this binding to corrupt one pair
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ring_pair_metrics(*args, **kwargs)
+
+    monkeypatch.setattr(annodiff.report, "ring_pair_metrics", counted)
+    report, pairs = tmp_path / "report.json", tmp_path / "pairs.ndjson"
+    argv = ["diff", str(A), str(B), "--out", str(report), "--pairs-out", str(pairs), "--jobs", "1"]
+    assert cli.main(argv) == 0
+    surface = json.loads(report.read_text())["surface"]
+    assert surface["degenerate_excluded"] == 0
+    assert len(calls) == surface["measured_pairs"] > 0
+    assert len(pairs.read_text().splitlines()) == surface["measured_pairs"]
+
+
+def test_ring_pair_metrics_takes_mode_crop():
+    ra, rb = rect_ring(2, 2, 8, 6), [3.5, 1.2, 11.0, 4.0, 9.5, 9.8, 2.1, 8.0]
+    assert ring_pair_metrics(ra, rb, 16, 12, mode="crop") == ring_pair_metrics(ra, rb, 16, 12)
+
+
+def test_rasterize_fills_raw_rings_on_the_whole_grid():
+    mask = rasterize([rect_ring(1, 2, 3, 4)], 8, 10)
+    assert mask.shape == (10, 8) and mask.dtype == bool and int(mask.sum()) == 12
+
+
+def test_self_evaluation_of_a_loaded_dataset():
+    ds = load_dataset(A)
+    for task in ("bbox", "segm"):
+        result = evaluate(annotations_as_detections(ds), ds, EvalParams(task=task))
+        assert np.isclose(result.map, 1.0)

@@ -22,8 +22,8 @@ from annodiff.raster import (
     mask_iou,
     mask_of,
     rasterize,
+    rasterize_stack,
     rasterize_window,
-    rasterize_windows,
     window_of,
 )
 from annodiff.shapes import Polygons, RleMask
@@ -170,24 +170,24 @@ class TestRasterizeWindow:
             window = self.check(rings, 12, 9)
             assert window[:2] == (0, 0) and window[2].shape == (0, 0)
 
-    def test_several_shapes_in_one_pass(self):
+    def test_several_shapes_in_one_stack(self):
         rng = np.random.default_rng(73)
         for _ in range(20):
             w, h = int(rng.integers(8, 48)), int(rng.integers(8, 48))
             shapes = [wild_rings(rng, int(rng.integers(1, 3)), w, h) for _ in range(int(rng.integers(0, 5)))]
             shapes.insert(int(rng.integers(len(shapes) + 1)), [[0, 0, 5, 0, 5, 0]])  # an empty one
-            windows = rasterize_windows([poly(*rings) for rings in shapes], w, h)
-            assert len(windows) == len(shapes)
-            for rings, window in zip(shapes, windows):
-                want = rasterize_oracle(rings, w, h)
-                assert np.array_equal(paste(window, w, h), want)
-                if want.any():
-                    assert_tight(window)
-                else:
-                    assert window[:2] == (0, 0) and window[2].shape == (0, 0)
-        assert rasterize_windows([], 4, 4) == []
+            row0, col0, stack = rasterize_stack([poly(*rings) for rings in shapes], w, h)
+            assert stack.shape[0] == len(shapes)
+            for rings, mask in zip(shapes, stack):
+                assert np.array_equal(paste((row0, col0, mask), w, h), rasterize_oracle(rings, w, h))
+            if stack.any():  # the shared window is the tight bounds of the union
+                assert_tight((row0, col0, stack.any(axis=0)))
+            else:
+                assert (row0, col0) == (0, 0) and stack.shape[1:] == (0, 0)
+        row0, col0, stack = rasterize_stack([], 4, 4)
+        assert (row0, col0) == (0, 0) and stack.shape == (0, 0, 0)
         with pytest.raises(GeometryError):
-            rasterize_windows([poly(rect_ring(0, 0, 2, 2))], 0, 4)
+            rasterize_stack([poly(rect_ring(0, 0, 2, 2))], 0, 4)
 
     def test_invalid_input_raises_like_rasterize(self):
         with pytest.raises(GeometryError):
@@ -368,6 +368,16 @@ class TestMorphology:
         mask = np.zeros((3, 3), dtype=bool)
         mask[1, 1] = True
         assert np.array_equal(contour(mask), mask)
+
+    @pytest.mark.parametrize("footprint", ["cross", "square"])
+    def test_a_stack_is_eroded_mask_by_mask(self, footprint):
+        rng = np.random.default_rng(29)
+        stack = np.stack([random_mask(rng, 9, 13) for _ in range(3)])
+        stack[1] = True  # foreground on every border of its neighbours' layers
+        eroded, edges = erode(stack, footprint), contour(stack, footprint)
+        for mask, got, edge in zip(stack, eroded, edges):
+            assert np.array_equal(got, erode(mask, footprint))
+            assert np.array_equal(edge, contour(mask, footprint))
 
 
 class TestEdt:

@@ -147,6 +147,15 @@ class TestPointSetKernel:
         assert surface_distances(ca, ca) == edt_reference(ca, ca) == (0.0, 0.0, ca.sum(), ca.sum())
         assert surface_distances(ca, pixel(3, 5, ca.shape)) == edt_reference(ca, pixel(3, 5, ca.shape))
 
+    def test_int32_is_exact_up_to_the_side_bound(self):
+        # the farthest two pixels of a grid with sides just below 2**15
+        side = surface._INT32_SIDE - 1
+        x = (np.array([0], np.int32), np.array([0], np.int32))
+        y = (np.array([side - 1], np.int32), np.array([side - 1], np.int32))
+        to_y, to_x = surface._nearest_squared(x, y)
+        assert to_y.dtype == np.int32
+        assert int(to_y[0]) == int(to_x[0]) == 2 * (side - 1) ** 2 < np.iinfo(np.int32).max
+
     @pytest.mark.parametrize("cap", [7, 97, 1001])
     def test_ragged_chunks_match_edt_reference(self, monkeypatch, cap):
         # caps below the contour lengths split both point sets into chunks
@@ -176,27 +185,70 @@ class TestPointSetKernel:
         assert peak < 4 * 2**20
 
 
+def full_grid_reference(ra, rb, w, h, footprint="cross"):
+    """``ring_pair_metrics`` built from whole-image masks: each ring rasterized
+    onto the ``w`` x ``h`` grid, contoured there, and measured there."""
+    ca, cb = (contour(rasterize([ring], w, h), footprint) for ring in (ra, rb))
+    return surface_distances(ca, cb)
+
+
+def random_ring(rng, w, h, overhang):
+    """A random simple ring shifted by up to ``overhang`` times the grid, so
+    it may be clipped by any border."""
+    ring = np.reshape(random_simple_rings(rng, width=w, height=h)[0], (-1, 2))
+    ring += rng.uniform(-overhang, overhang, size=2) * (w, h)
+    return [round(float(v), 2) for v in ring.reshape(-1)]
+
+
 class TestRingPipeline:
-    def test_crop_equals_full(self):
+    @pytest.mark.parametrize("footprint", ["cross", "square"])
+    def test_equals_full_grid_reference(self, footprint):
         rng = np.random.default_rng(7)
-        for _ in range(25):
+        measured = 0
+        for k in range(60):
             w, h = 64, 48
-            ra = random_simple_rings(rng, width=w, height=h)[0]
-            rb = random_simple_rings(rng, width=w, height=h)[0]
+            ra, rb = (random_ring(rng, w, h, overhang=0.5 * (k % 2)) for _ in range(2))
             try:
-                full = ring_pair_metrics(ra, rb, w, h, mode="full")
-                crop = ring_pair_metrics(ra, rb, w, h, mode="crop")
+                got = ring_pair_metrics(ra, rb, w, h, footprint=footprint)
             except DegenerateShape:
                 continue
-            assert crop == full
+            assert got == full_grid_reference(ra, rb, w, h, footprint)
+            assert ring_pair_metrics(ra, rb, w, h, mode="full", footprint=footprint) == got
+            measured += 1
+        assert measured > 40
+
+    @pytest.mark.parametrize("footprint", ["cross", "square"])
+    def test_far_apart_and_clipped_rings_equal_full_grid_reference(self, footprint):
+        w, h = 200, 150
+        pairs = [
+            (rect_ring(1, 1, 6, 4), [190.5, 140.2, 197.3, 143.9, 193.1, 148.6]),  # opposite corners
+            (rect_ring(-3, -2, 9, 7), rect_ring(195, 144, 10, 10)),  # clipped at all four borders
+            (rect_ring(-5, 20, 210, 3), [100.2, -4.0, 104.9, 160.0, 96.1, 155.5]),  # clipped spans
+        ]
+        for ra, rb in pairs:
+            got = ring_pair_metrics(ra, rb, w, h, footprint=footprint)
+            assert got == full_grid_reference(ra, rb, w, h, footprint)
+            assert ring_pair_metrics(rb, ra, w, h, footprint=footprint) == (*got[:2], got[3], got[2])
+
+    def test_wide_window_takes_the_int64_branch(self):
+        # the union window is 59 992 px wide; squared distances near
+        # 59 989**2 overflow int32
+        w, h = 60_000, 6
+        ra, rb = rect_ring(1, 1, 3, 3), rect_ring(59_990, 1, 3, 3)
+        got = ring_pair_metrics(ra, rb, w, h)
+        assert got == full_grid_reference(ra, rb, w, h)
+        assert got[1] == 59_989.0 and got[2:] == (8, 8)
 
     def test_square_footprint_contour_differs(self):
-        ring = rect_ring(2, 2, 8, 8)
-        cross = ring_pair_metrics(ring, rect_ring(2, 2, 8, 7), 16, 16, footprint="cross")
-        square = ring_pair_metrics(ring, rect_ring(2, 2, 8, 7), 16, 16, footprint="square")
-        # an 8x8 solid square: cross keeps the 28-pixel frame either way here,
-        # so just assert both run and agree on contour lengths
-        assert cross[2] > 0 and square[2] > 0
+        # a diamond's staircase edges: the 3x3 footprint also keeps the
+        # pixels that touch the background only at a corner
+        diamond = [12, 2, 22, 12, 12, 22, 2, 12]
+        shifted = [13, 3, 22, 12, 12, 21, 3, 12]
+        cross = ring_pair_metrics(diamond, shifted, 24, 24, footprint="cross")
+        square = ring_pair_metrics(diamond, shifted, 24, 24, footprint="square")
+        assert cross[2] < square[2] and cross[3] < square[3]
+        assert cross == full_grid_reference(diamond, shifted, 24, 24, "cross")
+        assert square == full_grid_reference(diamond, shifted, 24, 24, "square")
 
     def test_too_few_vertices_raises(self):
         with pytest.raises(DegenerateShape, match="vertices"):
@@ -228,7 +280,7 @@ class TestPairMetrics:
         ms = match_datasets(tiny_a, tiny_b)
         for pair in ms.pairs:
             res = pair_metrics(pair, tiny_a, tiny_b)
-            full = ring_pair_metrics(*pair_rings(pair, tiny_a, tiny_b), mode="full")
+            full = full_grid_reference(*pair_rings(pair, tiny_a, tiny_b))
             assert (res.d_avg, res.d_max, res.contour_len_source, res.contour_len_target) == full
 
     def test_crowd_pair_is_degenerate(self, tiny_a, tiny_b):
