@@ -38,24 +38,20 @@ EXIT_INPUT = 2
 EXIT_EMPTY = 3
 
 
-def _env_float(name: str) -> float | None:
+def _flag_or_env(flag, name: str, parse, default):
+    """The flag's value if given, else the environment variable ``name``
+    parsed by ``parse`` (``float`` or ``int``) if set and non-empty, else
+    ``default``."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(name)
     if raw is None or raw == "":
-        return None
+        return default
     try:
-        return float(raw)
+        return parse(raw)
     except ValueError:
-        raise ValueError(f"environment variable {name}={raw!r} is not a number") from None
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name}={raw!r} is not an integer") from None
+        kind = "a number" if parse is float else "an integer"
+        raise ValueError(f"environment variable {name}={raw!r} is not {kind}") from None
 
 
 def _emit(data: bytes, out: str | None) -> None:
@@ -63,20 +59,6 @@ def _emit(data: bytes, out: str | None) -> None:
         Path(out).write_bytes(data)
     else:
         sys.stdout.write(data.decode("utf-8"))
-
-
-def _resolve_threshold(args) -> float:
-    if args.iou_threshold is not None:
-        return args.iou_threshold
-    env = _env_float(ENV_THRESHOLD)
-    return 0.90 if env is None else env
-
-
-def _resolve_jobs(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    env = _env_int(ENV_JOBS)
-    return 1 if env is None else env
 
 
 def _eval_tasks(choice: str) -> tuple[str, ...]:
@@ -105,12 +87,12 @@ def cmd_diff(args) -> int:
     target = load_dataset(args.target)
     parse_s = time.perf_counter() - t0
     config = AuditConfig(
-        iou_threshold=_resolve_threshold(args),
+        iou_threshold=_flag_or_env(args.iou_threshold, ENV_THRESHOLD, float, 0.90),
         iou_mode=args.iou_mode,
         same_category=args.same_category,
         footprint=args.footprint,
         bins=args.bins,
-        jobs=_resolve_jobs(args),
+        jobs=_flag_or_env(args.jobs, ENV_JOBS, int, 1),
         eval_tasks=_eval_tasks(args.eval),
         source_path=str(args.source),
         target_path=str(args.target),
@@ -144,7 +126,7 @@ def cmd_match(args) -> int:
     source = load_dataset(args.source)
     target = load_dataset(args.target)
     cfg = MatchConfig(
-        iou_threshold=_resolve_threshold(args),
+        iou_threshold=_flag_or_env(args.iou_threshold, ENV_THRESHOLD, float, 0.90),
         iou_mode=args.iou_mode,
         same_category_required=args.same_category,
     )
@@ -175,10 +157,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="dataset summary statistics as JSON")
     p.add_argument("dataset")
-    p.add_argument("--recompute-areas", action="store_true",
-                   help="bucket by rasterized pixel count instead of the stored area")
-    p.add_argument("--dims-buckets", action="store_true",
-                   help="bucket by bounding-box dimensions instead of area")
+    buckets = p.add_mutually_exclusive_group()
+    buckets.add_argument("--recompute-areas", action="store_true",
+                         help="bucket by rasterized pixel count instead of the stored area")
+    buckets.add_argument("--dims-buckets", action="store_true",
+                         help="bucket by bounding-box dimensions instead of area")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_stats)
 
@@ -189,7 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--footprint", choices=("cross", "square"), default="cross",
                    help="erosion neighborhood used to trace contours")
     p.add_argument("--bins", type=int, default=50, help="histogram bin count")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes for pair metrics")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes for pair metrics, at most one per CPU")
     p.add_argument("--eval", choices=("none", "bbox", "segm", "both"), default="none",
                    help="also cross-evaluate with the COCO mAP protocol")
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")

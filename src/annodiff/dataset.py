@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, BinaryIO
 
-import numpy as np
-
-from .errors import GeometryError, IntegrityError, ParseError, SchemaError
-from .raster import window_of
+from .errors import IntegrityError, ParseError, SchemaError
+from .raster import count_overlaps
 from .shapes import Polygons, RleMask, ShapeSpec
 
 _IMAGE_FIELDS = {"id", "width", "height", "file_name"}
@@ -417,18 +415,35 @@ def _shape_issues(inst: InstanceRecord, image: ImageRecord) -> list[Issue]:
     return issues
 
 
-def _rasterized_area(inst: InstanceRecord, image: ImageRecord) -> int | None:
+def _countable(inst: InstanceRecord, image: ImageRecord) -> bool:
+    """Whether :func:`validate` counts an instance's pixels: an RLE on its
+    image's grid, or polygons with at least one ring, every ring of at least
+    three vertices, on a grid of positive size."""
     seg = inst.segmentation
-    if isinstance(seg, RleMask) and (seg.height, seg.width) != (image.height, image.width):
-        return None
-    if isinstance(seg, Polygons) and (
-        seg.ring_count == 0 or any(len(r) < 6 for r in seg.rings)
-    ):
-        return None
-    try:
-        return int(np.count_nonzero(window_of(seg, image.width, image.height)[2]))
-    except GeometryError:
-        return None
+    if isinstance(seg, RleMask):
+        return (seg.height, seg.width) == (image.height, image.width)
+    return (
+        seg.ring_count > 0
+        and all(len(r) >= 6 and len(r) % 2 == 0 for r in seg.rings)
+        and min(image.width, image.height) >= 1
+    )
+
+
+def _pixel_areas(ds: AnnotationDataset, instances) -> dict[int, int]:
+    """Rasterized pixel area of each of ``instances``, by id, from one overlap
+    count keyed by image.
+
+    Raises:
+        GeometryError: a polygon has a degenerate ring or none, or an RLE
+            does not match its image's grid.
+    """
+    key = {img.id: k for k, img in enumerate(ds.images)}
+    ov = count_overlaps(
+        [(inst.segmentation, key[inst.image_id]) for inst in instances],
+        [],
+        [(img.width, img.height) for img in ds.images],
+    )
+    return dict(zip([inst.id for inst in instances], ov.area_a.tolist()))
 
 
 def validate(ds: AnnotationDataset, *, area_tolerance: float | None = 0.1) -> list[Issue]:
@@ -437,6 +452,11 @@ def validate(ds: AnnotationDataset, *, area_tolerance: float | None = 0.1) -> li
     ``area_tolerance`` compares the stored area against the rasterized pixel
     count (relative to the latter); pass ``None`` to skip rasterization.
     """
+    areas = {}
+    if area_tolerance is not None:
+        areas = _pixel_areas(
+            ds, [i for i in ds.instances if i.area >= 0 and _countable(i, ds.image(i.image_id))]
+        )
     issues: list[Issue] = []
     for inst in ds.instances:
         image = ds.image(inst.image_id)
@@ -460,9 +480,9 @@ def validate(ds: AnnotationDataset, *, area_tolerance: float | None = 0.1) -> li
             issues.append(
                 Issue(IssueCode.NEGATIVE_AREA, f"annotation {inst.id} area {inst.area} < 0", inst.id)
             )
-        elif area_tolerance is not None:
-            pixels = _rasterized_area(inst, image)
-            if pixels is not None and abs(inst.area - pixels) > area_tolerance * max(pixels, 1):
+        elif inst.id in areas:
+            pixels = areas[inst.id]
+            if abs(inst.area - pixels) > area_tolerance * max(pixels, 1):
                 issues.append(
                     Issue(
                         IssueCode.AREA_MISMATCH,

@@ -62,7 +62,7 @@ import numpy as np
 
 from .dataset import AnnotationDataset, _finite, _finite_tuple, _parse_segmentation
 from .errors import EvalError, ParseError, SchemaError
-from .raster import Overlaps, bbox_of_mask, bbox_of_polygon, count_overlaps, decode_rle
+from .raster import Overlaps, bbox_of_mask, bbox_of_polygon, box_overlaps, count_overlaps, decode_rle, iou
 from .shapes import Polygons, RleMask, ShapeSpec
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(np.linspace(0.5, 0.95, 10).tolist())
@@ -245,35 +245,6 @@ def detections_from_results(raw) -> DetectionSet:
 _BLOCK = 2**15
 
 
-def _box_iou_with_crowd(d, g, crowd) -> np.ndarray:
-    """Pairwise box IoU per cell of a block: ``d`` (C, D, 4) against ``g``
-    (C, G, 4), over the detection's area where ``crowd`` (C, G) is set."""
-    d = d[:, :, None, :]
-    g = g[:, None, :, :]
-    ix0 = np.maximum(d[..., 0], g[..., 0])
-    iy0 = np.maximum(d[..., 1], g[..., 1])
-    ix1 = np.minimum(d[..., 0] + d[..., 2], g[..., 0] + g[..., 2])
-    iy1 = np.minimum(d[..., 1] + d[..., 3], g[..., 1] + g[..., 3])
-    inter = np.clip(ix1 - ix0, 0.0, None) * np.clip(iy1 - iy0, 0.0, None)
-    d_area = d[..., 2] * d[..., 3]
-    g_area = g[..., 2] * g[..., 3]
-    denom = np.where(crowd[:, None, :], d_area, d_area + g_area - inter)
-    out = np.zeros_like(inter)
-    np.divide(inter, denom, out=out, where=denom > 0)
-    return out
-
-
-def _mask_iou_with_crowd(inter, d_area, g_area, crowd) -> np.ndarray:
-    """Pairwise mask IoU per cell of a block, from pixel counts: ``inter``
-    (C, D, G), ``d_area`` (C, D) and ``g_area`` (C, G); over the detection's
-    area where ``crowd`` (C, G) is set."""
-    d = d_area[:, :, None]
-    denom = np.where(crowd[:, None, :], d, d + g_area[:, None, :] - inter)
-    out = np.zeros(inter.shape)
-    np.divide(inter, denom, out=out, where=denom > 0)
-    return out
-
-
 def _match_image(thresholds, ious, gt_ignore, crowd) -> tuple[np.ndarray, np.ndarray]:
     """Greedy matching of a block of cells, at every area range and threshold at once.
 
@@ -405,18 +376,6 @@ def _cells(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams) -> _Ce
     return _Cells(gt, keys, [gts_by.get(k, []) for k in keys], [dts_by.get(k, []) for k in keys])
 
 
-class _PixelCounts(NamedTuple):
-    """Segm pixel counts of one direction, over its flat detections and
-    ground truths: their areas, and the intersection ``inter[i]`` of
-    detection ``d[i]`` with ground truth ``g[i]`` where they share foreground."""
-
-    d_area: np.ndarray
-    g_area: np.ndarray
-    d: np.ndarray
-    g: np.ndarray
-    inter: np.ndarray
-
-
 def _shapes(keys: dict, dets_of: _Cells | None = None, gts_of: _Cells | None = None):
     """The shapes one dataset brings to an overlap count: its detections in
     ``dets_of`` and its ground truths in the cells of ``gts_of`` that have
@@ -451,13 +410,10 @@ def _shapes(keys: dict, dets_of: _Cells | None = None, gts_of: _Cells | None = N
     return items, np.array(d_pos, dtype=np.intp), np.array(g_pos, dtype=np.intp)
 
 
-def _sizes(keys: dict) -> list[tuple[int, int]]:
-    return [(w, h) for _, _, w, h in keys]
-
-
-def _pixel_counts(ov: Overlaps, d_pos: np.ndarray, g_pos: np.ndarray, c: _Cells) -> _PixelCounts:
-    """One direction's counts from an overlap count whose side a holds its
-    detections at ``d_pos`` and side b its ground truths at ``g_pos``."""
+def _direction(ov: Overlaps, d_pos: np.ndarray, g_pos: np.ndarray, c: _Cells) -> Overlaps:
+    """One direction's counts, over its flat detections (side a) and ground
+    truths (side b), from an overlap count whose side a holds its detections
+    at ``d_pos`` and side b its ground truths at ``g_pos``."""
     d_area = np.zeros(sum(map(len, c.cell_dts)), dtype=np.int64)
     g_area = np.zeros(sum(map(len, c.cell_gts)), dtype=np.int64)
     ok = d_pos >= 0
@@ -466,7 +422,26 @@ def _pixel_counts(ov: Overlaps, d_pos: np.ndarray, g_pos: np.ndarray, c: _Cells)
     g_area[g_pos[ok]] = ov.area_b[ok]
     d, g = d_pos[ov.a], g_pos[ov.b]
     keep = (d >= 0) & (g >= 0)
-    return _PixelCounts(d_area, g_area, d[keep], g[keep], ov.inter[keep])
+    return Overlaps(d_area, g_area, d[keep], g[keep], ov.inter[keep])
+
+
+def _pixel_counts(ab: _Cells, ba: _Cells | None = None) -> list[Overlaps]:
+    """Segm pixel counts of direction ``ab``, and of the opposite direction
+    ``ba`` when given, from one overlap count of ``ab``'s detections and
+    ``ba``'s ground truths (one dataset's shapes) against the other's.
+
+    Raises:
+        GeometryError: a shape in a cell with detections has a degenerate
+            ring or none, or an RLE does not fit its image.
+    """
+    keys: dict = {}
+    side_a, ab_d, ba_g = _shapes(keys, dets_of=ab, gts_of=ba)
+    side_b, ba_d, ab_g = _shapes(keys, dets_of=ba, gts_of=ab)
+    ov = count_overlaps(side_a, side_b, [(w, h) for _, _, w, h in keys])
+    counts = [_direction(ov, ab_d, ab_g, ab)]
+    if ba is not None:
+        counts.append(_direction(ov.transposed(), ba_d, ba_g, ba))
+    return counts
 
 
 def evaluate(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams | None = None) -> EvalResult:
@@ -482,16 +457,13 @@ def evaluate(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams | Non
     c = _cells(dets, gt, params)
     if params.task == "bbox":
         return _score(c, params)
-    keys: dict = {}
-    side_a, d_pos, _ = _shapes(keys, dets_of=c)
-    side_b, _, g_pos = _shapes(keys, gts_of=c)
-    ov = count_overlaps(side_a, side_b, _sizes(keys))
-    return _score(c, params, _pixel_counts(ov, d_pos, g_pos, c))
+    (pixels,) = _pixel_counts(c)
+    return _score(c, params, pixels)
 
 
-def _score(c: _Cells, params: EvalParams, pixels: _PixelCounts | None = None) -> EvalResult:
+def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> EvalResult:
     """The evaluation of one direction's cells: box IoUs, or mask IoUs from
-    ``pixels`` on the segm task."""
+    the pixel counts ``pixels`` (side a its detections) on the segm task."""
     cat_ids = sorted(cat.id for cat in c.gt.categories)
     gts, dts = c.gts, c.dts
     n_gt = np.array([len(group) for group in c.cell_gts], dtype=np.intp)
@@ -525,10 +497,10 @@ def _score(c: _Cells, params: EvalParams, pixels: _PixelCounts | None = None) ->
     if pixels is None:
         dt_area = dt_box[:, 2] * dt_box[:, 3]
     else:
-        dt_area = pixels.d_area.astype(np.float64)
+        dt_area = pixels.area_a.astype(np.float64)
         # each intersection's cell and that cell's slot in its block; the
         # intersections grouped by block
-        pair_cell = np.repeat(np.arange(n_dt.size), n_dt)[pixels.d]
+        pair_cell = np.repeat(np.arange(n_dt.size), n_dt)[pixels.a]
         block_of, slot_of = np.empty(n_dt.size, dtype=np.intp), np.empty(n_dt.size, dtype=np.intp)
         for i, block in enumerate(blocks):
             block_of[block], slot_of[block] = i, np.arange(block.size)
@@ -545,17 +517,15 @@ def _score(c: _Cells, params: EvalParams, pixels: _PixelCounts | None = None) ->
         gt_at = (gt_start[block, None] + np.arange(G))[gt_ok]
         block_crowd = _pad(crowd[gt_at], gt_ok, False)
         if pixels is None:
-            ious = _box_iou_with_crowd(
-                _pad(dt_box[dt_at], dt_ok, 0.0), _pad(gt_box[gt_at], gt_ok, 0.0), block_crowd
-            )
+            inter, d_area, g_area = box_overlaps(_pad(dt_box[dt_at], dt_ok, 0.0), _pad(gt_box[gt_at], gt_ok, 0.0))
         else:
             at = by_block[block_bounds[i] : block_bounds[i + 1]]
             cell = pair_cell[at]
             inter = np.zeros((block.size, D, G), dtype=np.int64)
-            inter[slot_of[cell], pixels.d[at] - dt_start[cell], pixels.g[at] - gt_start[cell]] = pixels.inter[at]
-            ious = _mask_iou_with_crowd(
-                inter, _pad(pixels.d_area[dt_at], dt_ok, 0), _pad(pixels.g_area[gt_at], gt_ok, 0), block_crowd
-            )
+            inter[slot_of[cell], pixels.a[at] - dt_start[cell], pixels.b[at] - gt_start[cell]] = pixels.inter[at]
+            d_area = _pad(pixels.area_a[dt_at], dt_ok, 0)[:, :, None]
+            g_area = _pad(pixels.area_b[gt_at], gt_ok, 0)[:, None, :]
+        ious = iou(inter, d_area, g_area, block_crowd[:, None, :])
         ious[~(dt_ok[:, :, None] & gt_ok[:, None, :])] = -1.0
         block_ignore = _pad(gt_ignore.T[gt_at], gt_ok, True).transpose(0, 2, 1)
         hit, hit_ignore = _match_image(params.iou_thresholds, ious, block_ignore, block_crowd)
@@ -625,12 +595,6 @@ def cross_table(
             continue
         ab = _cells(annotations_as_detections(a), b, p)
         ba = _cells(annotations_as_detections(b), a, p)
-        keys: dict = {}
-        side_a, ab_d, ba_g = _shapes(keys, dets_of=ab, gts_of=ba)
-        side_b, ba_d, ab_g = _shapes(keys, dets_of=ba, gts_of=ab)
-        ov = count_overlaps(side_a, side_b, _sizes(keys))
-        out[task] = {
-            "a_vs_b": _score(ab, p, _pixel_counts(ov, ab_d, ab_g, ab)),
-            "b_vs_a": _score(ba, p, _pixel_counts(ov.transposed(), ba_d, ba_g, ba)),
-        }
+        ab_pixels, ba_pixels = _pixel_counts(ab, ba)
+        out[task] = {"a_vs_b": _score(ab, p, ab_pixels), "b_vs_a": _score(ba, p, ba_pixels)}
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import AnnotationDataset, InstanceRecord, single_polygon_view
-from .raster import box_iou_matrix, count_overlaps
+from .raster import box_iou_matrix, count_overlaps, iou
 
 _IOU_MODES = ("box", "mask")
 
@@ -86,9 +86,9 @@ def _iou_matrix(
         [image_size],
         skip_invalid=True,
     )
-    out = np.zeros((len(source), len(target)))
-    out[ov.a, ov.b] = ov.inter / (ov.area_a[ov.a] + ov.area_b[ov.b] - ov.inter)
-    return out
+    inter = np.zeros((len(source), len(target)), dtype=np.int64)
+    inter[ov.a, ov.b] = ov.inter
+    return iou(inter, ov.area_a[:, None], ov.area_b[None, :])
 
 
 def match_image(

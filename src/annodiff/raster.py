@@ -20,21 +20,21 @@ edge the crossing may be rounded, so a center that lies within rounding of
 it (a center on a polygon vertex, or on the edge itself) is decided by the
 rounded crossing, and can land on the other side from the exact rule.
 
-Row runs and windows
---------------------
+Row runs
+--------
 Polygons are scan-converted into row runs ``(row, c0, c1)``: columns
 ``[c0, c1)`` of ``row`` are inside. One vectorized scanline pass serves any
 number of shapes at once. Crossings are computed in absolute grid
-coordinates, so no pixel depends on which shapes share the pass. One toggle
-fill turns the runs of several shapes into a stack of masks on their shared
-window ``(row0, col0, stack)``, the tight bounds of their union
+coordinates, so no pixel depends on which shapes share the pass. Pixel areas
+and pairwise intersections (:func:`count_overlaps`) are counted on the runs
+alone: an RLE is decoded and read off as runs, and two shapes intersect where
+their runs on a shared row overlap. Where masks are needed, one toggle fill
+turns the runs of several shapes into a stack of masks on their shared window
+``(row0, col0, stack)``, the tight bounds of their union
 (:func:`rasterize_stack`, which the surface metrics use for a matched pair);
-a single shape's window ``(row0, col0, mask)`` is the same fill of its runs
-alone (:func:`rasterize_window`, :func:`window_of`), and whole-grid masks
-paste that window into a zero grid. Pixel areas and pairwise intersections
-(:func:`count_overlaps`) are counted on the runs alone: an RLE is decoded
-and read off as runs, and two shapes intersect where their runs on a shared
-row overlap.
+a whole-grid mask (:func:`rasterize`) pastes a one-shape stack into a zero
+grid. Every IoU, of boxes or of pixel counts, is :func:`iou` of an
+intersection and two areas.
 """
 
 from __future__ import annotations
@@ -181,10 +181,6 @@ def _runs(v: _Vertices, width: np.ndarray, height: np.ndarray, at=slice(None)):
     return owner[run], rows[run], c0[run].astype(np.int64), c1[run].astype(np.int64)
 
 
-def _empty_window() -> tuple[int, int, np.ndarray]:
-    return 0, 0, np.zeros((0, 0), dtype=bool)
-
-
 def _fill(owner: np.ndarray, rows: np.ndarray, c0: np.ndarray, c1: np.ndarray, n: int):
     """The shared tight window ``(row0, col0, stack)`` of ``n`` shapes' row
     runs: ``stack[k]`` is the mask of the runs of ``owner == k``."""
@@ -224,33 +220,16 @@ def rasterize_stack(shapes, width: int, height: int) -> tuple[int, int, np.ndarr
     return _fill(owner, rows, c0, c1, n)
 
 
-def rasterize_window(poly, width: int, height: int) -> tuple[int, int, np.ndarray]:
-    """Rasterize polygon rings onto the tight window of their foreground.
-
-    Returns ``(row0, col0, mask)``: pixel ``(r, c)`` of ``mask`` is pixel
-    ``(row0 + r, col0 + c)`` of the ``width`` x ``height`` grid, filled under
-    the module convention, and the first and last rows and columns of
-    ``mask`` each hold foreground. A shape with no foreground on the grid
-    gives ``(0, 0)`` and a ``(0, 0)`` mask. The mask is the fill of the
-    shape's row runs (see the module docstring), :func:`rasterize_stack` of
-    the one shape.
+def rasterize(poly, width: int, height: int) -> np.ndarray:
+    """Rasterize polygon rings to a whole-grid boolean mask: the one-shape
+    window of :func:`rasterize_stack`, whose errors it shares, pasted into a
+    zero grid.
 
     Args:
         poly: ``Polygons`` or a sequence of rings (flat lists or (k, 2) arrays).
         width, height: grid dimensions in pixels.
-
-    Raises:
-        GeometryError: a ring has fewer than 3 vertices, or dims are invalid.
     """
-    row0, col0, stack = rasterize_stack([poly], width, height)
-    return row0, col0, stack[0]
-
-
-def rasterize(poly, width: int, height: int) -> np.ndarray:
-    """Rasterize polygon rings to a whole-grid boolean mask: the window of
-    :func:`rasterize_window`, whose arguments and errors it shares, pasted
-    into a zero grid."""
-    row0, col0, window = rasterize_window(poly, width, height)
+    row0, col0, (window,) = rasterize_stack([poly], width, height)
     mask = np.zeros((height, width), dtype=bool)
     mask[row0 : row0 + window.shape[0], col0 : col0 + window.shape[1]] = window
     return mask
@@ -300,22 +279,6 @@ def mask_of(shape, width: int, height: int) -> np.ndarray:
             )
         return m
     return rasterize(shape, width, height)
-
-
-def window_of(shape, width: int, height: int) -> tuple[int, int, np.ndarray]:
-    """Either shape encoding as a tight window ``(row0, col0, mask)`` of a
-    ``width`` x ``height`` grid; see :func:`rasterize_window`. An RLE is
-    decoded once and cropped."""
-    if not isinstance(shape, RleMask):
-        return rasterize_window(shape, width, height)
-    mask = mask_of(shape, width, height)
-    rows = np.flatnonzero(mask.any(axis=1))
-    if rows.size == 0:
-        return _empty_window()
-    cols = np.flatnonzero(mask.any(axis=0))
-    r0, c0 = int(rows[0]), int(cols[0])
-    # a copy, so the whole decoded grid is not kept alive by the window
-    return r0, c0, mask[r0 : rows[-1] + 1, c0 : cols[-1] + 1].copy()
 
 
 def _mask_runs(mask: np.ndarray):
@@ -631,21 +594,39 @@ def box_iou(a, b) -> float:
     return inter / union
 
 
+def box_overlaps(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairwise intersections of (..., n, 4) boxes ``a`` with (..., m, 4)
+    boxes ``b``, rows (x, y, w, h), broadcast over leading dimensions.
+
+    Returns ``(inter, area_a, area_b)``: ``inter`` is (..., n, m), ``area_a``
+    (..., n, 1) and ``area_b`` (..., 1, m), ready for :func:`iou`.
+    """
+    a = np.asarray(a, dtype=np.float64)[..., :, None, :]
+    b = np.asarray(b, dtype=np.float64)[..., None, :, :]
+    iw = np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    return inter, a[..., 2] * a[..., 3], b[..., 2] * b[..., 3]
+
+
+def iou(inter, area_a, area_b, crowd=None) -> np.ndarray:
+    """Intersection over union from an intersection and the two areas, all
+    broadcast together: ``inter / (area_a + area_b - inter)``, and
+    ``inter / area_a`` where ``crowd`` is set (the crowd rule, which divides
+    by the detection's own area). 0 where the denominator is not positive."""
+    denom = area_a + area_b - inter
+    if crowd is not None:
+        denom = np.where(crowd, area_a, denom)
+    out = np.zeros(np.shape(denom))
+    np.divide(inter, denom, out=out, where=denom > 0)
+    return out
+
+
 def box_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise box IoU for (n, 4) and (m, 4) arrays of (x, y, w, h) rows."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    ax0, ay0 = a[:, 0], a[:, 1]
-    ax1, ay1 = a[:, 0] + a[:, 2], a[:, 1] + a[:, 3]
-    bx0, by0 = b[:, 0], b[:, 1]
-    bx1, by1 = b[:, 0] + b[:, 2], b[:, 1] + b[:, 3]
-    iw = np.minimum(ax1[:, None], bx1[None, :]) - np.maximum(ax0[:, None], bx0[None, :])
-    ih = np.minimum(ay1[:, None], by1[None, :]) - np.maximum(ay0[:, None], by0[None, :])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    union = (a[:, 2] * a[:, 3])[:, None] + (b[:, 2] * b[:, 3])[None, :] - inter
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0)
-    return out
+    return iou(*box_overlaps(a, b))
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .dataset import AnnotationDataset
@@ -92,7 +93,9 @@ def compute_surface_results(
     Returns ``(results, degenerate_pairs)``. A pair is degenerate when either
     instance is not a single polygon ring, or when its rings cannot be
     measured. The worker pool size never changes the output: tasks are
-    dispatched and collected in pair order.
+    dispatched and collected in pair order. The pool holds at most one
+    worker per payload and per CPU, and with room for only one the pairs
+    are measured in this process.
     """
     payloads = []
     for idx, pair in enumerate(match_set.pairs):
@@ -100,7 +103,9 @@ def compute_surface_results(
             payloads.append((idx, *pair_rings(pair, source, target), footprint))
         except DegenerateShape:
             continue
-    if jobs > 1 and len(payloads) > 1:
+    # the executor starts every worker at its first map
+    jobs = min(jobs, len(payloads), os.cpu_count() or 1)
+    if jobs > 1:
         chunk = max(1, len(payloads) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_surface_task, payloads, chunksize=chunk))
@@ -162,19 +167,7 @@ def _histogram_json(results: list[SurfaceDistanceResult], metric: str, bins: int
             "overflow": 0,
             "total": len(results),
         }
-    return {
-        "metric": h.metric,
-        "empty": False,
-        "edges": h.edges,
-        "counts": h.counts,
-        "mean": h.mean,
-        "std": h.std,
-        "clip": h.clip,
-        "included": h.included,
-        "excluded_below": h.excluded_below,
-        "overflow": h.overflow,
-        "total": h.total,
-    }
+    return {**asdict(h), "empty": False}
 
 
 @dataclass

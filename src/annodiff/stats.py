@@ -15,9 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import AnnotationDataset
+from .dataset import AnnotationDataset, _pixel_areas
 from .errors import StatsError
-from .raster import window_of
 from .shapes import Polygons
 from .surface import SurfaceDistanceResult
 
@@ -74,10 +73,16 @@ def summarize(
 
     The size histogram excludes crowd instances. ``area_mode="recomputed"``
     buckets by rasterized pixel count instead of the stored area field;
-    ``dims_mode`` buckets by bounding-box dimensions instead of area.
+    ``dims_mode`` buckets by bounding-box dimensions instead of area, so the
+    two cannot be combined (``ValueError``).
     """
     if area_mode not in ("stored", "recomputed"):
         raise ValueError(f"area_mode must be 'stored' or 'recomputed', got {area_mode!r}")
+    if dims_mode and area_mode == "recomputed":
+        raise ValueError("dims_mode buckets by box dimensions, not area: area_mode must be 'stored'")
+    areas = {}
+    if area_mode == "recomputed":
+        areas = _pixel_areas(ds, [inst for inst in ds.instances if not inst.iscrowd])
     per_category = Counter()
     buckets = {b: 0 for b in SizeBucket}
     crowd_count = 0
@@ -91,13 +96,8 @@ def summarize(
             continue
         if dims_mode:
             bucket = size_bucket_of_dims(inst.bbox[2], inst.bbox[3])
-        elif area_mode == "stored":
-            bucket = size_bucket(inst.area)
         else:
-            image = ds.image(inst.image_id)
-            bucket = size_bucket(
-                float(np.count_nonzero(window_of(inst.segmentation, image.width, image.height)[2]))
-            )
+            bucket = size_bucket(areas.get(inst.id, inst.area))
         buckets[bucket] += 1
     return DatasetSummary(
         image_count=len(ds.images),

@@ -1,8 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from annodiff.dataset import (
+    AnnotationDataset,
+    CategoryRecord,
+    ImageRecord,
+    InstanceRecord,
     Issue,
     IssueCode,
     load_dataset,
@@ -13,6 +18,7 @@ from annodiff.dataset import (
     validate,
 )
 from annodiff.errors import IntegrityError, ParseError, SchemaError
+from annodiff.raster import encode_rle
 from annodiff.shapes import Polygons, RleMask
 
 from conftest import FIXTURES, make_ann, make_coco, make_images, rect_ring
@@ -234,6 +240,48 @@ class TestValidate:
         ann["area"] = -1.0
         issues = validate(ds_of([ann]))
         assert any(i.code is IssueCode.NEGATIVE_AREA for i in issues)
+
+    def test_each_shape_issue_is_named_exactly(self):
+        block = np.zeros((100, 100), dtype=bool)
+        block[20:30, 40:50] = True
+        rle = {"counts": list(encode_rle(block).counts), "size": [100, 100]}
+        anns = [
+            make_ann(1, 1, rect_ring(0, 0, 10, 10), area=100),
+            make_ann(2, 1, rle, iscrowd=1, bbox=[40, 20, 10, 10], area=100),
+            make_ann(3, 1, rect_ring(0, 0, 5, 5), area=999),
+            make_ann(4, 1, [0, 0, 5, 0], bbox=[0, 0, 5, 1], area=999),
+            make_ann(5, 1, [rect_ring(0, 0, 10, 10), [0, 0, 5, 0]], area=999),
+            make_ann(6, 1, rect_ring(-2, 5, 10, 10), bbox=[0, 5, 8, 10], area=80),
+            make_ann(7, 1, {"counts": [3000], "size": [50, 60]}, iscrowd=1, bbox=[0, 0, 5, 5], area=999),
+            make_ann(8, 2, {"counts": [0, 2400], "size": [40, 60]}, iscrowd=1, bbox=[0, 0, 60, 40], area=2400),
+            make_ann(9, 2, rect_ring(10, 10, 50, 30), area=1200),
+        ]
+        anns[0]["iscrowd"] = 1  # a crowd drawn as polygons
+        anns[1]["iscrowd"] = 0  # a non-crowd drawn as RLE
+        anns[2]["segmentation"] = []
+        images = make_images(1) + [{"id": 2, "width": 60, "height": 40, "file_name": "img_2.png"}]
+        ds = parse_dataset(make_coco(images, anns))
+        assert validate(ds) == [
+            Issue(IssueCode.ENCODING_MISMATCH, "crowd annotation 1 uses polygons", 1),
+            Issue(IssueCode.ENCODING_MISMATCH, "non-crowd annotation 2 uses RLE", 2),
+            Issue(IssueCode.DEGENERATE_POLYGON, "annotation 3 has no rings", 3),
+            Issue(IssueCode.DEGENERATE_POLYGON, "annotation 4 has a ring with 2 vertices", 4),
+            Issue(IssueCode.DEGENERATE_POLYGON, "annotation 5 has a ring with 2 vertices", 5),
+            Issue(IssueCode.BAD_COORDINATE, "annotation 6 has negative coordinates", 6),
+            Issue(IssueCode.RLE_GRID_MISMATCH, "annotation 7 RLE grid 50x60 != image 100x100", 7),
+            Issue(IssueCode.AREA_MISMATCH, "annotation 9 stored area 1200.0 vs rasterized 1500", 9),
+        ]
+
+    def test_shapes_built_past_the_parser_are_counted_by_the_same_rule(self):
+        # an odd coordinate count, and a grid of zero width: rasterization
+        # rejects both, so neither gets an area check
+        odd = Polygons(((0.0, 0.0, 9.0, 0.0, 9.0, 9.0, 0.0),))
+        square = Polygons((tuple(map(float, rect_ring(0, 0, 4, 4))),))
+        odd = InstanceRecord(1, 1, 1, odd, (0.0, 0.0, 9.0, 9.0), 999.0, False)
+        flat = InstanceRecord(2, 2, 1, square, (0.0, 0.0, 0.0, 4.0), 999.0, False)
+        images = (ImageRecord(1, 20, 20, "a.png"), ImageRecord(2, 0, 20, "b.png"))
+        ds = AnnotationDataset(images, (CategoryRecord(1, "c"),), (odd, flat))
+        assert [(i.code, i.instance_id) for i in validate(ds)] == [(IssueCode.ZERO_EXTENT_BBOX, 2)]
 
 
 class TestLoad:

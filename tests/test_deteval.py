@@ -13,13 +13,12 @@ from annodiff.deteval import (
     DetectionSet,
     EvalParams,
     annotations_as_detections,
-    _mask_iou_with_crowd,
     cross_table,
     detections_from_results,
     evaluate,
 )
 from annodiff.errors import EvalError, GeometryError, ParseError, SchemaError
-from annodiff.raster import count_overlaps, encode_rle, mask_of
+from annodiff.raster import count_overlaps, encode_rle, iou, mask_of
 from annodiff.shapes import Polygons
 
 from conftest import make_ann, make_coco, make_images, random_simple_rings, rect_ring
@@ -213,10 +212,10 @@ class TestMaskOverlaps:
         """IoUs of one cell from the run kernel's counts against the crowd
         formula on whole-image masks."""
         ov = count_overlaps([(s, 0) for s in dts], [(s, 0) for s in gts], [(self.W, self.H)])
-        inter = np.zeros((1, len(dts), len(gts)), dtype=np.int64)
-        inter[0, ov.a, ov.b] = ov.inter
+        inter = np.zeros((len(dts), len(gts)), dtype=np.int64)
+        inter[ov.a, ov.b] = ov.inter
         flags = np.array(crowd, dtype=bool).reshape(1, len(gts))
-        got = _mask_iou_with_crowd(inter, ov.area_a[None], ov.area_b[None], flags)[0]
+        got = iou(inter, ov.area_a[:, None], ov.area_b[None, :], flags)
         grids = lambda shapes: [mask_of(s, self.W, self.H) for s in shapes]  # noqa: E731
         want = full_grid_iou_with_crowd(grids(dts), grids(gts), crowd)
         assert np.array_equal(got, want)

@@ -12,6 +12,7 @@ from annodiff.raster import (
     bbox_of_polygon,
     box_iou,
     box_iou_matrix,
+    box_overlaps,
     contour,
     count_overlaps,
     decode_rle,
@@ -19,12 +20,11 @@ from annodiff.raster import (
     edt_squared,
     encode_rle,
     erode,
+    iou,
     mask_iou,
     mask_of,
     rasterize,
     rasterize_stack,
-    rasterize_window,
-    window_of,
 )
 from annodiff.shapes import Polygons, RleMask
 
@@ -102,9 +102,15 @@ def wild_rings(rng, n, width, height, sort_angles=True):
     return rings
 
 
+def one_shape_window(shape, width, height):
+    """``(row0, col0, mask)``: the one-shape stack of :func:`rasterize_stack`."""
+    row0, col0, (mask,) = rasterize_stack([shape], width, height)
+    return row0, col0, mask
+
+
 class TestRasterizeWindow:
     def check(self, rings, width, height):
-        window = rasterize_window(poly(*rings), width, height)
+        window = one_shape_window(poly(*rings), width, height)
         want = rasterize_oracle(rings, width, height)
         assert np.array_equal(paste(window, width, height), want)
         assert np.array_equal(rasterize(poly(*rings), width, height), paste(window, width, height))
@@ -190,30 +196,11 @@ class TestRasterizeWindow:
             rasterize_stack([poly(rect_ring(0, 0, 2, 2))], 0, 4)
 
     def test_invalid_input_raises_like_rasterize(self):
-        with pytest.raises(GeometryError):
-            rasterize_window(poly(rect_ring(0, 0, 2, 2)), 0, 4)
-        with pytest.raises(GeometryError):
-            rasterize_window(poly([0, 0, 4, 4]), 8, 8)
-
-    def test_window_of_crops_rle_to_its_foreground(self):
-        rng = np.random.default_rng(53)
-        for _ in range(20):
-            h, w = int(rng.integers(1, 20)), int(rng.integers(1, 20))
-            m = random_mask(rng, h, w, p=float(rng.uniform(0.0, 0.3)))
-            window = window_of(encode_rle(m), w, h)
-            assert np.array_equal(paste(window, w, h), m)
-            if m.any():
-                assert_tight(window)
-        empty = window_of(encode_rle(np.zeros((3, 4), bool)), 4, 3)
-        assert empty[:2] == (0, 0) and empty[2].shape == (0, 0)
-        with pytest.raises(GeometryError):
-            window_of(RleMask((0, 4), 2, 2), 3, 3)
-
-    def test_window_of_polygons_is_rasterize_window(self):
-        shape = poly(rect_ring(2.5, 1.5, 6, 3))
-        a, b = window_of(shape, 16, 8), rasterize_window(shape, 16, 8)
-        assert a[:2] == b[:2] == (1, 2) and np.array_equal(a[2], b[2])
-
+        for args in ((poly(rect_ring(0, 0, 2, 2)), 0, 4), (poly([0, 0, 4, 4]), 8, 8)):
+            with pytest.raises(GeometryError):
+                one_shape_window(*args)
+            with pytest.raises(GeometryError):
+                rasterize(*args)
 
 
 def assert_counts_match_full_grids(a, b, sizes):
@@ -468,6 +455,29 @@ class TestOverlap:
         for i in range(5):
             for j in range(7):
                 assert mat[i, j] == pytest.approx(box_iou(a[i], b[j]), abs=1e-12)
+
+    def test_box_overlaps_broadcast_over_leading_dimensions(self):
+        rng = np.random.default_rng(19)
+        a = rng.uniform(0, 20, size=(3, 5, 4))
+        b = rng.uniform(0, 20, size=(3, 7, 4))
+        inter, area_a, area_b = box_overlaps(a, b)
+        assert inter.shape == (3, 5, 7) and area_a.shape == (3, 5, 1) and area_b.shape == (3, 1, 7)
+        for c in range(3):
+            assert np.array_equal(iou(inter[c], area_a[c], area_b[c]), box_iou_matrix(a[c], b[c]))
+            for i in range(5):
+                for j in range(7):
+                    assert iou(inter[c, i, j], area_a[c, i, 0], area_b[c, 0, j]) == pytest.approx(
+                        box_iou(a[c, i], b[c, j]), abs=1e-12
+                    )
+
+    def test_iou_crowd_rule_and_empty_denominators(self):
+        inter = np.array([[50, 0], [0, 0]])
+        area_a = np.array([[100], [0]])
+        area_b = np.array([[100, 0]])
+        assert iou(inter, area_a, area_b).tolist() == [[50 / 150, 0.0], [0.0, 0.0]]
+        crowd = np.array([[True, False]])  # over the detection's own area
+        assert iou(inter, area_a, area_b, crowd).tolist() == [[0.5, 0.0], [0.0, 0.0]]
+        assert iou(0.0, 0.0, 0.0) == 0.0
 
     def test_mask_iou_shifted_square(self):
         a = rasterize(poly(rect_ring(0, 0, 10, 10)), 20, 20)

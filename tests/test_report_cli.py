@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -132,6 +133,20 @@ class TestRunAudit:
         bucket_rows = (tmp_path / "size_buckets.csv").read_text().strip().splitlines()
         assert len(bucket_rows) == 1 + 4
 
+    def test_csv_histograms_mirror_the_report(self, synthetic_a, synthetic_b, tmp_path):
+        r = run_audit(synthetic_a, synthetic_b).report
+        write_report_csv(r, tmp_path)
+        for metric in ("d_avg", "d_max"):
+            hist = r["surface"][metric]
+            assert hist["empty"] is False and sum(hist["counts"]) == hist["included"] > 0
+            with (tmp_path / f"histogram_{metric}.csv").open(newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["bin_low", "bin_high", "count"]
+            edges, counts = hist["edges"], hist["counts"]
+            assert [(float(lo), float(hi), int(n)) for lo, hi, n in rows[1:]] == list(
+                zip(edges[:-1], edges[1:], counts)
+            )
+
 
 # Pairs the matcher never emits, built by hand: source instance 4 of the tiny
 # pair has two rings and source instance 5 is a crowd RLE. Either makes its
@@ -168,6 +183,41 @@ class TestPairResolver:
         validate_report(r)
 
 
+class FakePool:
+    """A stand-in for ``ProcessPoolExecutor`` that records each pool's size
+    and maps in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+class TestSurfacePool:
+    # the tiny pair has 3 measurable pairs
+    @pytest.mark.parametrize(
+        "jobs, cpus, pools",
+        [(64, 2, [2]), (2, 8, [2]), (8, 8, [3]), (64, None, []), (1, 8, [])],
+    )
+    def test_pool_is_capped_by_pairs_and_cpus(self, jobs, cpus, pools, tiny_a, tiny_b, monkeypatch):
+        ms = match_datasets(tiny_a, tiny_b)
+        want = compute_surface_results(ms, tiny_a, tiny_b)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        monkeypatch.setattr(annodiff.report, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(annodiff.report.os, "cpu_count", lambda: cpus)
+        assert compute_surface_results(ms, tiny_a, tiny_b, jobs=jobs) == want
+        assert FakePool.sizes == pools
+
+
 class TestCliStats:
     def test_stats_to_stdout(self, capsys):
         assert main(["stats", TINY_A]) == EXIT_OK
@@ -190,6 +240,12 @@ class TestCliStats:
         bad.write_text("{nope")
         assert main(["stats", str(bad)]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    def test_bucket_flags_cannot_be_combined(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["stats", TINY_A, "--recompute-areas", "--dims-buckets"])
+        assert exit_.value.code == EXIT_INPUT
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestCliDiff:
@@ -266,6 +322,11 @@ class TestCliEnv:
         monkeypatch.setenv("ANNODIFF_IOU_THRESHOLD", "ninety")
         assert main(["diff", TINY_A, TINY_B]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    def test_malformed_env_jobs_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("ANNODIFF_JOBS", "two")
+        assert main(["diff", TINY_A, TINY_B]) == EXIT_INPUT
+        assert "ANNODIFF_JOBS='two' is not an integer" in capsys.readouterr().err
 
     def test_env_jobs(self, capsys, monkeypatch):
         monkeypatch.setenv("ANNODIFF_JOBS", "2")

@@ -110,6 +110,10 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize(tiny_a, area_mode="guessed")
 
+    def test_dims_mode_cannot_take_recomputed_areas(self, tiny_a):
+        with pytest.raises(ValueError, match="area_mode must be 'stored'"):
+            summarize(tiny_a, area_mode="recomputed", dims_mode=True)
+
 
 class TestCompare:
     def test_delta_is_target_minus_source(self, tiny_a, tiny_b):
