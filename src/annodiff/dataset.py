@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Any, BinaryIO
 
 from .errors import IntegrityError, ParseError, SchemaError
-from .raster import count_overlaps
+from .raster import count_overlaps, rasterizable
 from .shapes import Polygons, RleMask, ShapeSpec
 
 _IMAGE_FIELDS = {"id", "width", "height", "file_name"}
@@ -373,62 +373,6 @@ class Issue:
     instance_id: int
 
 
-def _shape_issues(inst: InstanceRecord, image: ImageRecord) -> list[Issue]:
-    issues = []
-    seg = inst.segmentation
-    if isinstance(seg, Polygons):
-        if inst.iscrowd:
-            issues.append(
-                Issue(IssueCode.ENCODING_MISMATCH, f"crowd annotation {inst.id} uses polygons", inst.id)
-            )
-        if seg.ring_count == 0:
-            issues.append(
-                Issue(IssueCode.DEGENERATE_POLYGON, f"annotation {inst.id} has no rings", inst.id)
-            )
-        for ring in seg.rings:
-            if len(ring) < 6:
-                issues.append(
-                    Issue(
-                        IssueCode.DEGENERATE_POLYGON,
-                        f"annotation {inst.id} has a ring with {len(ring) // 2} vertices",
-                        inst.id,
-                    )
-                )
-        if any(v < 0 for ring in seg.rings for v in ring):
-            issues.append(
-                Issue(IssueCode.BAD_COORDINATE, f"annotation {inst.id} has negative coordinates", inst.id)
-            )
-    else:
-        if not inst.iscrowd:
-            issues.append(
-                Issue(IssueCode.ENCODING_MISMATCH, f"non-crowd annotation {inst.id} uses RLE", inst.id)
-            )
-        if (seg.height, seg.width) != (image.height, image.width):
-            issues.append(
-                Issue(
-                    IssueCode.RLE_GRID_MISMATCH,
-                    f"annotation {inst.id} RLE grid {seg.height}x{seg.width} "
-                    f"!= image {image.height}x{image.width}",
-                    inst.id,
-                )
-            )
-    return issues
-
-
-def _countable(inst: InstanceRecord, image: ImageRecord) -> bool:
-    """Whether :func:`validate` counts an instance's pixels: an RLE on its
-    image's grid, or polygons with at least one ring, every ring of at least
-    three vertices, on a grid of positive size."""
-    seg = inst.segmentation
-    if isinstance(seg, RleMask):
-        return (seg.height, seg.width) == (image.height, image.width)
-    return (
-        seg.ring_count > 0
-        and all(len(r) >= 6 and len(r) % 2 == 0 for r in seg.rings)
-        and min(image.width, image.height) >= 1
-    )
-
-
 def _pixel_areas(ds: AnnotationDataset, instances) -> dict[int, int]:
     """Rasterized pixel area of each of ``instances``, by id, from one overlap
     count keyed by image.
@@ -446,6 +390,43 @@ def _pixel_areas(ds: AnnotationDataset, instances) -> dict[int, int]:
     return dict(zip([inst.id for inst in instances], ov.area_a.tolist()))
 
 
+def _issues(inst: InstanceRecord, image: ImageRecord, pixels: int | None, area_tolerance: float | None):
+    """``(code, message)`` of each defect of one instance, in report order;
+    ``pixels`` is its rasterized area, ``None`` where it is not counted."""
+    seg = inst.segmentation
+    if isinstance(seg, Polygons):
+        if inst.iscrowd:
+            yield IssueCode.ENCODING_MISMATCH, f"crowd annotation {inst.id} uses polygons"
+        if seg.ring_count == 0:
+            yield IssueCode.DEGENERATE_POLYGON, f"annotation {inst.id} has no rings"
+        for n in (len(ring) // 2 for ring in seg.rings if len(ring) < 6):
+            yield IssueCode.DEGENERATE_POLYGON, f"annotation {inst.id} has a ring with {n} vertices"
+        if any(v < 0 for ring in seg.rings for v in ring):
+            yield IssueCode.BAD_COORDINATE, f"annotation {inst.id} has negative coordinates"
+    else:
+        if not inst.iscrowd:
+            yield IssueCode.ENCODING_MISMATCH, f"non-crowd annotation {inst.id} uses RLE"
+        if (seg.height, seg.width) != (image.height, image.width):
+            yield (
+                IssueCode.RLE_GRID_MISMATCH,
+                f"annotation {inst.id} RLE grid {seg.height}x{seg.width} != image {image.height}x{image.width}",
+            )
+
+    x, y, w, h = inst.bbox
+    if w < 0 or h < 0 or x < 0 or y < 0 or x + w > image.width or y + h > image.height:
+        yield (
+            IssueCode.BBOX_OUT_OF_BOUNDS,
+            f"annotation {inst.id} bbox {inst.bbox} outside {image.width}x{image.height}",
+        )
+    elif w == 0 or h == 0:
+        yield IssueCode.ZERO_EXTENT_BBOX, f"annotation {inst.id} bbox has zero extent"
+
+    if inst.area < 0:
+        yield IssueCode.NEGATIVE_AREA, f"annotation {inst.id} area {inst.area} < 0"
+    elif pixels is not None and abs(inst.area - pixels) > area_tolerance * max(pixels, 1):
+        yield IssueCode.AREA_MISMATCH, f"annotation {inst.id} stored area {inst.area} vs rasterized {pixels}"
+
+
 def validate(ds: AnnotationDataset, *, area_tolerance: float | None = 0.1) -> list[Issue]:
     """Report geometric and consistency defects without mutating the dataset.
 
@@ -454,40 +435,14 @@ def validate(ds: AnnotationDataset, *, area_tolerance: float | None = 0.1) -> li
     """
     areas = {}
     if area_tolerance is not None:
-        areas = _pixel_areas(
-            ds, [i for i in ds.instances if i.area >= 0 and _countable(i, ds.image(i.image_id))]
-        )
-    issues: list[Issue] = []
-    for inst in ds.instances:
-        image = ds.image(inst.image_id)
-        issues.extend(_shape_issues(inst, image))
-
-        x, y, w, h = inst.bbox
-        if w < 0 or h < 0 or x < 0 or y < 0 or x + w > image.width or y + h > image.height:
-            issues.append(
-                Issue(
-                    IssueCode.BBOX_OUT_OF_BOUNDS,
-                    f"annotation {inst.id} bbox {inst.bbox} outside {image.width}x{image.height}",
-                    inst.id,
-                )
-            )
-        elif w == 0 or h == 0:
-            issues.append(
-                Issue(IssueCode.ZERO_EXTENT_BBOX, f"annotation {inst.id} bbox has zero extent", inst.id)
-            )
-
-        if inst.area < 0:
-            issues.append(
-                Issue(IssueCode.NEGATIVE_AREA, f"annotation {inst.id} area {inst.area} < 0", inst.id)
-            )
-        elif inst.id in areas:
-            pixels = areas[inst.id]
-            if abs(inst.area - pixels) > area_tolerance * max(pixels, 1):
-                issues.append(
-                    Issue(
-                        IssueCode.AREA_MISMATCH,
-                        f"annotation {inst.id} stored area {inst.area} vs rasterized {pixels}",
-                        inst.id,
-                    )
-                )
-    return issues
+        countable = []
+        for inst in ds.instances:
+            image = ds.image(inst.image_id)
+            if inst.area >= 0 and rasterizable(inst.segmentation, image.width, image.height):
+                countable.append(inst)
+        areas = _pixel_areas(ds, countable)
+    return [
+        Issue(code, message, inst.id)
+        for inst in ds.instances
+        for code, message in _issues(inst, ds.image(inst.image_id), areas.get(inst.id), area_tolerance)
+    ]

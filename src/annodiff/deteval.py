@@ -245,6 +245,13 @@ def detections_from_results(raw) -> DetectionSet:
 _BLOCK = 2**15
 
 
+def _mask_iou_with_crowd(inter, d_area, g_area, crowd) -> np.ndarray:
+    """:func:`iou` of a block's pixel counts ``inter`` (C, D, G), ``d_area``
+    (C, D) and ``g_area`` (C, G), by the crowd rule where ``crowd`` (C, G) is
+    set; a step of its own, which perfbench traces as a layer."""
+    return iou(inter, d_area[:, :, None], g_area[:, None, :], crowd[:, None, :])
+
+
 def _match_image(thresholds, ious, gt_ignore, crowd) -> tuple[np.ndarray, np.ndarray]:
     """Greedy matching of a block of cells, at every area range and threshold at once.
 
@@ -518,14 +525,15 @@ def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> Eva
         block_crowd = _pad(crowd[gt_at], gt_ok, False)
         if pixels is None:
             inter, d_area, g_area = box_overlaps(_pad(dt_box[dt_at], dt_ok, 0.0), _pad(gt_box[gt_at], gt_ok, 0.0))
+            ious = iou(inter, d_area, g_area, block_crowd[:, None, :])
         else:
             at = by_block[block_bounds[i] : block_bounds[i + 1]]
             cell = pair_cell[at]
             inter = np.zeros((block.size, D, G), dtype=np.int64)
             inter[slot_of[cell], pixels.a[at] - dt_start[cell], pixels.b[at] - gt_start[cell]] = pixels.inter[at]
-            d_area = _pad(pixels.area_a[dt_at], dt_ok, 0)[:, :, None]
-            g_area = _pad(pixels.area_b[gt_at], gt_ok, 0)[:, None, :]
-        ious = iou(inter, d_area, g_area, block_crowd[:, None, :])
+            ious = _mask_iou_with_crowd(
+                inter, _pad(pixels.area_a[dt_at], dt_ok, 0), _pad(pixels.area_b[gt_at], gt_ok, 0), block_crowd
+            )
         ious[~(dt_ok[:, :, None] & gt_ok[:, None, :])] = -1.0
         block_ignore = _pad(gt_ignore.T[gt_at], gt_ok, True).transpose(0, 2, 1)
         hit, hit_ignore = _match_image(params.iou_thresholds, ious, block_ignore, block_crowd)

@@ -87,28 +87,35 @@ class _Vertices(NamedTuple):
     owner: np.ndarray
 
 
+def _rings(shape) -> list:
+    """The rings of a polygon shape as flat ``(x1, y1, x2, y2, ...)``
+    coordinates; ``GeometryError`` if a ring has an odd coordinate count or
+    fewer than 3 vertices, or there is no ring."""
+    if isinstance(shape, Polygons):  # stored flat already
+        own = list(shape.rings)
+    else:
+        own = [_ring_points(ring).reshape(-1) for ring in shape]
+    for ring in own:
+        if len(ring) % 2:
+            raise GeometryError(f"ring has odd coordinate count {len(ring)}")
+        if len(ring) < 6:
+            raise GeometryError(f"degenerate ring with {len(ring) // 2} vertices")
+    if not own:
+        raise GeometryError("polygon has no rings")
+    return own
+
+
 def _vertices(shapes, skip_invalid: bool = False) -> _Vertices:
     """The vertices of every polygon shape, in one gather; ``RleMask``
-    shapes add none. A shape with a degenerate ring (fewer than 3 vertices)
-    or no ring raises ``GeometryError``, or adds none when ``skip_invalid``
-    is set."""
+    shapes add none. A shape that :func:`_rings` rejects raises
+    ``GeometryError``, or adds none when ``skip_invalid`` is set."""
     rings: list = []  # flat (x1, y1, x2, y2, ...) coordinates per ring
     owners: list[int] = []
     for k, shape in enumerate(shapes):
         if isinstance(shape, RleMask):
             continue
         try:
-            if isinstance(shape, Polygons):  # stored flat already
-                own = list(shape.rings)
-            else:
-                own = [_ring_points(ring).reshape(-1) for ring in shape]
-            for ring in own:
-                if len(ring) % 2:
-                    raise GeometryError(f"ring has odd coordinate count {len(ring)}")
-                if len(ring) < 6:
-                    raise GeometryError(f"degenerate ring with {len(ring) // 2} vertices")
-            if not own:
-                raise GeometryError("polygon has no rings")
+            own = _rings(shape)
         except GeometryError:
             if not skip_invalid:
                 raise
@@ -201,6 +208,25 @@ def _fill(owner: np.ndarray, rows: np.ndarray, c0: np.ndarray, c1: np.ndarray, n
     return row0, col0, stack
 
 
+def _check_grid(width: int, height: int) -> None:
+    if width < 1 or height < 1:
+        raise GeometryError(f"invalid grid {width}x{height}")
+
+
+def rasterizable(shape, width: int, height: int) -> bool:
+    """Whether ``shape`` can be rasterized on a ``width`` x ``height`` grid:
+    an RLE of exactly that grid, or polygons that :func:`rasterize_stack`
+    takes without a ``GeometryError``."""
+    if isinstance(shape, RleMask):
+        return (shape.height, shape.width) == (height, width)
+    try:
+        _check_grid(width, height)
+        _rings(shape)
+    except GeometryError:
+        return False
+    return True
+
+
 def rasterize_stack(shapes, width: int, height: int) -> tuple[int, int, np.ndarray]:
     """Rasterize several shapes, from one scanline pass, onto one shared window.
 
@@ -213,8 +239,7 @@ def rasterize_stack(shapes, width: int, height: int) -> tuple[int, int, np.ndarr
     Raises:
         GeometryError: a ring has fewer than 3 vertices, or dims are invalid.
     """
-    if width < 1 or height < 1:
-        raise GeometryError(f"invalid grid {width}x{height}")
+    _check_grid(width, height)
     n = len(shapes)
     owner, rows, c0, c1 = _runs(_vertices(shapes), np.full(n, width), np.full(n, height))
     return _fill(owner, rows, c0, c1, n)
@@ -347,6 +372,8 @@ def _join(owner, rows, c0, c1, n_a: int, n_b: int, join_key: np.ndarray):
     are disjoint, so the overlaps of their run pairs sum to the intersection."""
     side_a = owner < n_a
     ia, ib = np.flatnonzero(side_a), np.flatnonzero(~side_a)
+    if not (ia.size and ib.size):
+        return [], []
     ia = ia[np.argsort(join_key[ia], kind="stable")]
     ib = ib[np.argsort(join_key[ib], kind="stable")]
     kb = join_key[ib]

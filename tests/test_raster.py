@@ -24,6 +24,7 @@ from annodiff.raster import (
     mask_iou,
     mask_of,
     rasterize,
+    rasterizable,
     rasterize_stack,
 )
 from annodiff.shapes import Polygons, RleMask
@@ -201,6 +202,26 @@ class TestRasterizeWindow:
                 one_shape_window(*args)
             with pytest.raises(GeometryError):
                 rasterize(*args)
+
+    def test_rasterizable_is_whether_mask_of_succeeds(self):
+        shapes = [
+            poly(rect_ring(0, 0, 2, 2)),
+            [np.array([[0, 0], [4, 0], [0, 4]])],
+            poly([0, 0, 4, 4]),
+            Polygons(((0.0, 0.0, 4.0, 0.0, 0.0, 4.0, 1.0),)),
+            Polygons(()),
+            encode_rle(np.ones((8, 8), bool)),
+            encode_rle(np.ones((4, 8), bool)),
+        ]
+        for shape in shapes:
+            for w, h in ((8, 8), (8, 4), (0, 8), (8, 0)):
+                try:
+                    mask_of(shape, w, h)
+                except GeometryError:
+                    assert not rasterizable(shape, w, h)
+                else:
+                    assert rasterizable(shape, w, h)
+        assert [rasterizable(s, 8, 8) for s in shapes] == [True, True, False, False, False, True, False]
 
 
 def assert_counts_match_full_grids(a, b, sizes):
