@@ -20,21 +20,25 @@ edge the crossing may be rounded, so a center that lies within rounding of
 it (a center on a polygon vertex, or on the edge itself) is decided by the
 rounded crossing, and can land on the other side from the exact rule.
 
-Row runs
---------
-Polygons are scan-converted into row runs ``(row, c0, c1)``: columns
-``[c0, c1)`` of ``row`` are inside. One vectorized scanline pass serves any
-number of shapes at once. Crossings are computed in absolute grid
-coordinates, so no pixel depends on which shapes share the pass. Pixel areas
-and pairwise intersections (:func:`count_overlaps`) are counted on the runs
-alone: an RLE is decoded and read off as runs, and two shapes intersect where
-their runs on a shared row overlap. Where masks are needed, one toggle fill
-turns the runs of several shapes into a stack of masks on their shared window
-``(row0, col0, stack)``, the tight bounds of their union
-(:func:`rasterize_stack`, which the surface metrics use for a matched pair);
-a whole-grid mask (:func:`rasterize`) pastes a one-shape stack into a zero
-grid. Every IoU, of boxes or of pixel counts, is :func:`iou` of an
-intersection and two areas.
+Crossings and row runs
+----------------------
+One vectorized scanline pass turns any number of shapes into their
+crossings ``(owner, row, x)``: the center line of ``row`` crosses an edge of
+shape ``owner`` at ``x``. Crossings are computed in absolute grid
+coordinates, so no pixel depends on which shapes share the pass. Sorted by
+x, the crossings of a row pair up into row runs ``(row, c0, c1)``: columns
+``[c0, c1)`` of ``row`` are inside. Pixel areas and pairwise intersections
+(:func:`count_overlaps`) are counted on the runs alone: an RLE is decoded and
+read off as runs, and two shapes intersect where their runs on a shared row
+overlap. Masks are not painted from runs. :func:`rasterize_stack` fills the
+masks of several shapes straight from their unsorted crossings, one parity
+toggle per crossing accumulated along each row, into a stack on their shared
+window ``(row0, col0, stack)``, the tight bounds of their union; the surface
+metrics use it for a matched pair. This gives exactly the pixels of the runs:
+the column of a crossing is monotone in ``x``, so the order of the toggles
+does not matter. A whole-grid mask (:func:`rasterize`) pastes a one-shape
+stack into a zero grid. Every IoU, of boxes or of pixel counts, is
+:func:`iou` of an intersection and two areas.
 """
 
 from __future__ import annotations
@@ -131,16 +135,14 @@ def _vertices(shapes, skip_invalid: bool = False) -> _Vertices:
     return _Vertices(flat[0::2], flat[1::2], succ, np.repeat(np.array(owners, dtype=np.intp), n))
 
 
-def _runs(v: _Vertices, width: np.ndarray, height: np.ndarray, at=slice(None)):
-    """Row runs ``(owner, row, c0, c1)`` of the shapes of vertices ``at``,
-    sorted by (owner, row, c0): columns ``[c0, c1)`` of ``row`` are inside
-    ``owner``, whose grid is ``width[owner]`` x ``height[owner]``.
+def _crossings(v: _Vertices, width: np.ndarray, height: np.ndarray, at=slice(None)):
+    """Scanline crossings ``(owner, row, x)`` of the shapes of vertices
+    ``at``, unsorted: the ray along the center line of ``row`` crosses an
+    edge of ``owner``, whose grid is ``width[owner]`` x ``height[owner]``,
+    at ``x``. Every row of a shape holds an even number of them.
 
     Each vertex and its successor make an edge. Every (edge, row) candidate
-    that passes the span test yields one crossing; sorted by (owner, row, x),
-    consecutive crossings pair up into the inside runs of each row. Multiple
-    rings of a shape combine by crossing parity (even-odd), so disjoint rings
-    union and nested rings punch holes.
+    that passes the span test yields one crossing.
     """
     x1, y1, succ = v.x[at], v.y[at], v.succ[at]
     # horizontal edges never cross a scanline
@@ -161,8 +163,20 @@ def _runs(v: _Vertices, width: np.ndarray, height: np.ndarray, at=slice(None)):
     py = rows + 0.5
     hit = (ylo[e] <= py) & (py < yhi[e])
     e, rows, py = e[hit], rows[hit], py[hit]
-    xs = x1[e] + (py - y1[e]) * slope[e]
-    owner = owner[e]
+    return owner[e], rows, x1[e] + (py - y1[e]) * slope[e]
+
+
+def _runs(v: _Vertices, width: np.ndarray, height: np.ndarray, at=slice(None)):
+    """Row runs ``(owner, row, c0, c1)`` of the shapes of vertices ``at``,
+    sorted by (owner, row, c0): columns ``[c0, c1)`` of ``row`` are inside
+    ``owner``, whose grid is ``width[owner]`` x ``height[owner]``.
+
+    The crossings of :func:`_crossings`, sorted by (owner, row, x), pair up
+    into the inside runs of each row. Multiple rings of a shape combine by
+    crossing parity (even-odd), so disjoint rings union and nested rings
+    punch holes.
+    """
+    owner, rows, xs = _crossings(v, width, height, at)
     # Sort by (owner, row): the candidates come in owner order, so a stable
     # integer sort is cheap. Rows with more than two crossings are then
     # sorted by x; a row with two needs only their min and max.
@@ -186,26 +200,6 @@ def _runs(v: _Vertices, width: np.ndarray, height: np.ndarray, at=slice(None)):
     c1 = np.minimum(np.ceil(b - 0.5), width[owner])
     run = c0 < c1
     return owner[run], rows[run], c0[run].astype(np.int64), c1[run].astype(np.int64)
-
-
-def _fill(owner: np.ndarray, rows: np.ndarray, c0: np.ndarray, c1: np.ndarray, n: int):
-    """The shared tight window ``(row0, col0, stack)`` of ``n`` shapes' row
-    runs: ``stack[k]`` is the mask of the runs of ``owner == k``."""
-    if not rows.size:
-        return 0, 0, np.zeros((n, 0, 0), dtype=bool)
-    row0, col0 = int(rows.min()), int(c0.min())
-    h, w = int(rows.max()) - row0 + 1, int(c1.max()) - col0
-    # Toggle at each run's first column and just past its last; the runs of
-    # one shape are disjoint, so the running parity is set exactly inside
-    # them. Every row of every layer holds an even number of toggles, so one
-    # flat pass serves all rows of all layers.
-    stride = w + 1
-    base = (owner * h + rows - row0) * stride - col0
-    toggles = np.zeros(n * h * stride, dtype=bool)
-    toggles[base + c0] = True
-    toggles[base + c1] ^= True  # a run may end where the next one starts
-    stack = np.logical_xor.accumulate(toggles).reshape(n, h, stride)[:, :, :w]
-    return row0, col0, stack
 
 
 def _check_grid(width: int, height: int) -> None:
@@ -241,8 +235,30 @@ def rasterize_stack(shapes, width: int, height: int) -> tuple[int, int, np.ndarr
     """
     _check_grid(width, height)
     n = len(shapes)
-    owner, rows, c0, c1 = _runs(_vertices(shapes), np.full(n, width), np.full(n, height))
-    return _fill(owner, rows, c0, c1, n)
+    owner, rows, xs = _crossings(_vertices(shapes), np.full(n, width), np.full(n, height))
+    if not rows.size:
+        return 0, 0, np.zeros((n, 0, 0), dtype=bool)
+    # Toggle at the first pixel column whose center lies at or past each
+    # crossing. Sorted by x, a row's crossings pair into its runs, and a run
+    # [a, b) holds the columns [ceil(a - 0.5), ceil(b - 0.5)) clipped to the
+    # grid; that map is monotone, so the running parity of the toggles, in
+    # any order, is set exactly inside the runs. Toggles at one position
+    # cancel, as an empty run does. Every row holds an even number of
+    # toggles, so one flat pass serves all rows of all layers.
+    cols = np.clip(np.ceil(xs - 0.5), 0, width).astype(np.int64)
+    row0, col0 = int(rows.min()), int(cols.min())
+    h, stride = int(rows.max()) - row0 + 1, int(cols.max()) - col0 + 1
+    toggles = np.zeros(n * h * stride, dtype=bool)
+    np.logical_xor.at(toggles, (owner * h + rows - row0) * stride + cols - col0, True)
+    stack = np.logical_xor.accumulate(toggles).reshape(n, h, stride)
+    # trim to the tight bounds of the foreground
+    fg = stack.any(axis=0)
+    r = np.flatnonzero(fg.any(axis=1))
+    if not r.size:
+        return 0, 0, np.zeros((n, 0, 0), dtype=bool)
+    c = np.flatnonzero(fg.any(axis=0))
+    stack = stack[:, r[0] : r[-1] + 1, c[0] : c[-1] + 1]
+    return row0 + int(r[0]), col0 + int(c[0]), stack
 
 
 def rasterize(poly, width: int, height: int) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .dataset import AnnotationDataset, _pixel_areas
 from .errors import StatsError
+from .raster import rasterizable
 from .shapes import Polygons
 from .surface import SurfaceDistanceResult
 
@@ -63,6 +64,11 @@ class DatasetSummary:
     )
 
 
+def _countable(ds: AnnotationDataset, inst) -> bool:
+    image = ds.image(inst.image_id)
+    return rasterizable(inst.segmentation, image.width, image.height)
+
+
 def summarize(
     ds: AnnotationDataset,
     *,
@@ -72,9 +78,12 @@ def summarize(
     """Exact corpus counts: categories, crowds, vertices, size strata.
 
     The size histogram excludes crowd instances. ``area_mode="recomputed"``
-    buckets by rasterized pixel count instead of the stored area field;
-    ``dims_mode`` buckets by bounding-box dimensions instead of area, so the
-    two cannot be combined (``ValueError``).
+    buckets by rasterized pixel count instead of the stored area field, for
+    the shapes that :func:`~annodiff.raster.rasterizable` accepts on their
+    image, as ``validate`` counts them; any other shape (a degenerate ring,
+    no ring, an RLE of another grid) keeps its stored area. ``dims_mode``
+    buckets by bounding-box dimensions instead of area, so the two cannot be
+    combined (``ValueError``).
     """
     if area_mode not in ("stored", "recomputed"):
         raise ValueError(f"area_mode must be 'stored' or 'recomputed', got {area_mode!r}")
@@ -82,7 +91,7 @@ def summarize(
         raise ValueError("dims_mode buckets by box dimensions, not area: area_mode must be 'stored'")
     areas = {}
     if area_mode == "recomputed":
-        areas = _pixel_areas(ds, [inst for inst in ds.instances if not inst.iscrowd])
+        areas = _pixel_areas(ds, [inst for inst in ds.instances if not inst.iscrowd and _countable(ds, inst)])
     per_category = Counter()
     buckets = {b: 0 for b in SizeBucket}
     crowd_count = 0

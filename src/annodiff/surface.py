@@ -10,11 +10,15 @@ worst case (discrete Hausdorff distance between the contour pixel sets).
 These are the metrics of Taha & Hanbury, "Metrics for evaluating 3D medical
 image segmentation" (BMC Medical Imaging, 2015). Distances are exact:
 integer squared pixel distances with the square root taken only at read-out.
-They are taken on grid-relative coordinates, in int32 when both grid sides
-are below 2**15 (a squared distance is then at most 2 * 32766**2, below
-2**31 - 1) and in int64 otherwise. A matched pair is measured on the window
-of its two shapes' foreground, not on the image, so only a pair whose window
-side reaches 2**15 takes int64.
+They are taken on grid-relative coordinates in the narrowest integer type
+that holds them: int16 when both grid sides are at most 128 (a squared
+distance is then at most 2 * 127**2 = 32258, below 2**15 - 1), int32 when
+both are below 2**15 (at most 2 * 32766**2, below 2**31 - 1), and int64
+otherwise. A matched pair is measured on the window of its two shapes'
+foreground, not on the image, so most pairs take int16, and only a pair
+whose window side reaches 2**15 takes int64. The pair's two masks are filled
+on that window straight from the scanline crossings of both rings
+(:func:`~annodiff.raster.rasterize_stack`).
 """
 
 from __future__ import annotations
@@ -40,13 +44,25 @@ class SurfaceDistanceResult:
 
 
 # Element cap of one block of pairwise squared distances: 2**16 values,
-# 256 KB (int32) or 512 KB (int64) per temporary, however long the contours
-# are.
+# 128 KB (int16), 256 KB (int32) or 512 KB (int64) per temporary, however
+# long the contours are.
 _BLOCK = 1 << 16
+
+# Grids whose sides are all below this take int16 coordinates: every squared
+# distance between two of their pixels is at most 2 * 127**2 = 32258, below
+# the int16 maximum 32767 that marks "no distance yet".
+_INT16_SIDE = 129
 
 # Grids whose sides are all below this take int32 coordinates: every squared
 # distance between two of their pixels is at most 2 * (2**15 - 2)**2 < 2**31 - 1.
 _INT32_SIDE = 1 << 15
+
+
+def _distance_dtype(shape) -> type:
+    """The narrowest integer dtype that holds every squared distance between
+    two pixels of a grid of ``shape``, and a sentinel above them."""
+    side = max(shape)
+    return np.int16 if side < _INT16_SIDE else np.int32 if side < _INT32_SIDE else np.int64
 
 
 def _nearest_squared(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -54,10 +70,11 @@ def _nearest_squared(x, y) -> tuple[np.ndarray, np.ndarray]:
     ``y``, and from each point of ``y`` to its nearest point of ``x``.
 
     ``x`` and ``y`` are ``(rows, cols)`` pairs of coordinate arrays of one
-    integer dtype, which the distances keep: int32 is exact for coordinates
-    below ``_INT32_SIDE``, int64 for any grid. The pairwise block is built
-    ``_BLOCK`` elements at a time, from separate row and column differences,
-    and each block updates the running minima of both directions.
+    integer dtype, which the distances keep: int16 is exact for coordinates
+    below ``_INT16_SIDE - 1``, int32 below ``_INT32_SIDE - 1``, int64 for any
+    grid. The pairwise block is built ``_BLOCK`` elements at a time, from
+    separate row and column differences, and each block updates the running
+    minima of both directions.
     """
     (xr, xc), (yr, yc) = x, y
     cols = min(yr.size, _BLOCK)
@@ -82,8 +99,9 @@ def _nearest_squared(x, y) -> tuple[np.ndarray, np.ndarray]:
 def surface_distances(cx: np.ndarray, cy: np.ndarray) -> tuple[float, float, int, int]:
     """Both surface metrics for two same-grid contour masks.
 
-    Returns ``(d_avg, d_max, |cx|, |cy|)``. Distances are exact, in int32
-    when both grid sides are below ``2**15`` and in int64 otherwise.
+    Returns ``(d_avg, d_max, |cx|, |cy|)``. Distances are exact: in int16
+    when both grid sides are at most 128, in int32 when both are below
+    ``2**15``, and in int64 otherwise.
 
     Raises:
         GeometryError: either contour is empty or the grids differ.
@@ -93,7 +111,7 @@ def surface_distances(cx: np.ndarray, cy: np.ndarray) -> tuple[float, float, int
     if cx.shape != cy.shape:
         raise GeometryError(f"contour grids differ: {cx.shape} vs {cy.shape}")
     # pixel coordinates in row-major order, which fixes the summation order
-    dtype = np.int32 if max(cx.shape) < _INT32_SIDE else np.int64
+    dtype = _distance_dtype(cx.shape)
     x = tuple(a.astype(dtype, copy=False) for a in np.nonzero(cx))
     y = tuple(a.astype(dtype, copy=False) for a in np.nonzero(cy))
     nx, ny = x[0].size, y[0].size
@@ -138,8 +156,9 @@ def ring_pair_metrics(
     two masks on their union window (:func:`~annodiff.raster.rasterize_stack`).
     The stack is eroded once, with a one-pixel background border, which gives
     the same contour pixels as the whole image grid. Distances are taken on
-    window-relative coordinates, so a pair takes the exact int32 branch of
-    :func:`surface_distances` unless its window side reaches ``2**15``.
+    window-relative coordinates, so a pair takes the exact int16 branch of
+    :func:`surface_distances` while its window side is at most 128, and
+    int32 until that side reaches ``2**15``.
 
     ``mode`` selects nothing: ``"crop"`` and ``"full"`` give the same values
     and run the same code. It is accepted, and validated, only because the

@@ -7,11 +7,12 @@ import json
 import numpy as np
 
 import annodiff.report
+import annodiff.surface
 from annodiff import cli
 from annodiff.dataset import load_dataset
 from annodiff.deteval import EvalParams, annotations_as_detections, evaluate
 from annodiff.raster import rasterize
-from annodiff.surface import ring_pair_metrics
+from annodiff.surface import ring_pair_metrics, surface_distances
 
 from conftest import FIXTURES, rect_ring
 
@@ -34,6 +35,22 @@ def test_diff_calls_the_report_binding_once_per_measured_pair(tmp_path, monkeypa
     assert surface["degenerate_excluded"] == 0
     assert len(calls) == surface["measured_pairs"] > 0
     assert len(pairs.read_text().splitlines()) == surface["measured_pairs"]
+
+
+def test_diff_measures_each_pair_through_the_surface_distances_binding(tmp_path, monkeypatch):
+    # the benchmark's tracer counts contour pixels on this binding; were the
+    # call inlined, that count would read 0 without any error
+    calls = []
+
+    def counted(cx, cy):
+        calls.append(None)
+        return surface_distances(cx, cy)
+
+    monkeypatch.setattr(annodiff.surface, "surface_distances", counted)
+    report = tmp_path / "report.json"
+    assert cli.main(["diff", str(A), str(B), "--out", str(report), "--jobs", "1"]) == 0
+    surface = json.loads(report.read_text())["surface"]
+    assert len(calls) == surface["measured_pairs"] > 0
 
 
 def test_ring_pair_metrics_takes_mode_crop():

@@ -224,6 +224,85 @@ class TestRasterizeWindow:
         assert [rasterizable(s, 8, 8) for s in shapes] == [True, True, False, False, False, True, False]
 
 
+def stack_from_runs(shapes, width, height):
+    """``(row0, col0, stack)`` painted run by run from :func:`raster._runs`
+    (the sorted crossings paired into runs) on the tight window of the runs."""
+    n = len(shapes)
+    owner, rows, c0, c1 = raster._runs(raster._vertices(shapes), np.full(n, width), np.full(n, height))
+    if not rows.size:
+        return 0, 0, np.zeros((n, 0, 0), dtype=bool)
+    row0, col0 = int(rows.min()), int(c0.min())
+    stack = np.zeros((n, int(rows.max()) - row0 + 1, int(c1.max()) - col0), dtype=bool)
+    for k, r, a, b in zip(owner.tolist(), rows.tolist(), c0.tolist(), c1.tolist()):
+        assert a < b and not stack[k, r - row0, a - col0 : b - col0].any()  # disjoint, non-empty runs
+        stack[k, r - row0, a - col0 : b - col0] = True
+    return row0, col0, stack
+
+
+class TestCrossingFill:
+    """``rasterize_stack`` toggles at every crossing, unsorted; it must paint
+    exactly the runs that the sorted crossings pair into."""
+
+    def check(self, shapes, width, height):
+        shapes = [poly(*rings) for rings in shapes]
+        row0, col0, stack = rasterize_stack(shapes, width, height)
+        want_row0, want_col0, want = stack_from_runs(shapes, width, height)
+        assert (row0, col0) == (want_row0, want_col0)
+        assert stack.shape == want.shape and np.array_equal(stack, want)
+        return stack
+
+    def test_rings_with_holes(self):
+        rng = np.random.default_rng(101)
+        for _ in range(30):
+            outer = random_simple_rings(rng, width=64, height=64)[0]
+            xs, ys = np.array(outer[0::2]), np.array(outer[1::2])
+            cx, cy, scale = xs.mean(), ys.mean(), float(rng.uniform(0.2, 0.7))
+            inner = [round(float(v), 2) for x, y in zip(xs, ys) for v in (cx + scale * (x - cx), cy + scale * (y - cy))]
+            # a holed shape, and one of three rings that may overlap
+            self.check([[outer, inner], wild_rings(rng, 3, 64, 64)], 64, 64)
+        holed = self.check([[rect_ring(0, 0, 10, 10), rect_ring(3, 3, 4, 4)]], 16, 16)[0]
+        assert holed.sum() == 84 and not holed[4, 4]
+
+    def test_self_intersecting_rings(self):
+        rng = np.random.default_rng(103)
+        for _ in range(40):
+            w, h = int(rng.integers(8, 80)), int(rng.integers(8, 80))
+            shapes = [wild_rings(rng, int(rng.integers(1, 4)), w, h, sort_angles=False) for _ in range(2)]
+            self.check(shapes, w, h)
+
+    def test_rings_clipped_at_the_border(self):
+        rng = np.random.default_rng(107)
+        sides = set()
+        for _ in range(40):
+            w, h = int(rng.integers(8, 80)), int(rng.integers(8, 80))
+            shapes = [wild_rings(rng, int(rng.integers(1, 3)), w, h) for _ in range(int(rng.integers(1, 4)))]
+            self.check(shapes, w, h)
+            x, y = np.concatenate([np.reshape(r, (-1, 2)) for rings in shapes for r in rings]).T
+            outside = {"left": x < 0, "top": y < 0, "right": x > w, "bottom": y > h}
+            sides.update(side for side, out in outside.items() if out.any())
+        assert sides == {"left", "top", "right", "bottom"}
+
+    def test_vertex_on_a_pixel_center(self):
+        # the seed-109 ring: its vertex (61.5, 103.5) is the center of pixel
+        # (103, 61)
+        ring = [117.1, 161.16, 61.5, 103.5, 130.0, 90.0]
+        self.check([[ring]], 200, 200)
+        self.check([[ring], [rect_ring(50, 95, 20, 20)]], 200, 200)
+        self.check([[[5.5, 1.5, 9.5, 5.5, 5.5, 9.5, 1.5, 5.5]]], 12, 12)
+
+    def test_sliver_of_empty_runs(self):
+        # every row crosses the sliver at x = 3.6 and 3.9, both of which put
+        # the next pixel center at column 4: each row's two toggles cancel
+        sliver = [3.6, 0.0, 3.9, 0.0, 3.9, 10.0, 3.6, 10.0]
+        owner, rows, xs = raster._crossings(raster._vertices([poly(sliver)]), np.full(1, 12), np.full(1, 12))
+        assert rows.size == 20 and (np.ceil(xs - 0.5) == 4).all()
+        assert stack_from_runs([poly(sliver)], 12, 12)[2].shape == (1, 0, 0)
+        assert self.check([[sliver]], 12, 12).shape == (1, 0, 0)
+        # inside a non-empty window, its toggles still paint nothing
+        stack = self.check([[sliver], [rect_ring(1, 2, 8, 6)]], 12, 12)
+        assert not stack[0].any() and stack[1].sum() == 48
+
+
 def assert_counts_match_full_grids(a, b, sizes):
     """``count_overlaps`` on ``(shape, key)`` items equals pixel counts of
     full-grid masks: every area, and the intersection of every same-key pair."""

@@ -21,7 +21,7 @@ from annodiff.report import (
 )
 from annodiff.surface import pair_metrics
 
-from conftest import FIXTURES, make_ann, make_coco, make_images
+from conftest import FIXTURES, make_ann, make_coco, make_images, rect_ring
 
 TINY_A = str(FIXTURES / "tiny_pair_a.json")
 TINY_B = str(FIXTURES / "tiny_pair_b.json")
@@ -240,6 +240,20 @@ class TestCliStats:
         bad.write_text("{nope")
         assert main(["stats", str(bad)]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    def test_recomputed_areas_keep_the_stored_area_of_a_degenerate_ring(self, tmp_path, capsys):
+        # stored areas put both in the wrong bucket: the 20 x 20 square
+        # (400 px, small) says medium, the 2-vertex ring says large
+        path = tmp_path / "degenerate.json"
+        path.write_text(make_coco(make_images(1), [
+            make_ann(1, 1, [10, 10, 40, 40], area=20_000),
+            make_ann(2, 1, rect_ring(50, 50, 20, 20), area=5_000),
+        ]))
+        assert main(["stats", str(path), "--recompute-areas"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["size_buckets"] == {"very_small": 0, "small": 1, "medium": 0, "large": 1}
+        assert main(["stats", str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["size_buckets"]["medium"] == 1
 
     def test_bucket_flags_cannot_be_combined(self, capsys):
         with pytest.raises(SystemExit) as exit_:

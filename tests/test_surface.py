@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from annodiff import surface
 from annodiff.errors import DegenerateShape, GeometryError
 from annodiff.matching import MatchConfig, match_datasets
-from annodiff.raster import contour, edt_squared, rasterize
+from annodiff.raster import contour, edt_squared, rasterize, rasterize_stack
 from annodiff.surface import (
     average_surface_distance,
     max_surface_distance,
@@ -156,6 +156,30 @@ class TestPointSetKernel:
         assert to_y.dtype == np.int32
         assert int(to_y[0]) == int(to_x[0]) == 2 * (side - 1) ** 2 < np.iinfo(np.int32).max
 
+    def test_int16_is_exact_up_to_the_side_bound(self):
+        # the farthest two pixels of a 128 px side, 2 * 127**2 = 32258 apart
+        # squared, stay below the int16 sentinel
+        side = surface._INT16_SIDE - 1
+        assert side == 128
+        x = (np.array([0], np.int16), np.array([0], np.int16))
+        y = (np.array([side - 1], np.int16), np.array([side - 1], np.int16))
+        to_y, to_x = surface._nearest_squared(x, y)
+        assert to_y.dtype == to_x.dtype == np.int16
+        assert int(to_y[0]) == int(to_x[0]) == 2 * 127**2 < np.iinfo(np.int16).max
+        corners = pixel(0, 0, (side, side)), pixel(side - 1, side - 1, (side, side))
+        assert surface._distance_dtype((side, side)) == np.int16
+        d = float(np.sqrt(2 * 127**2))
+        assert surface_distances(*corners) == edt_reference(*corners) == (d, d, 1, 1)
+
+    @pytest.mark.parametrize("shape", [(129, 129), (129, 3), (3, 129)])
+    def test_a_129_px_side_takes_int32(self, shape):
+        # 2 * 128**2 = 32768 would wrap around in int16
+        assert surface._distance_dtype(shape) == np.int32
+        h, w = shape
+        corners = pixel(0, 0, shape), pixel(h - 1, w - 1, shape)
+        d = float(np.sqrt((h - 1) ** 2 + (w - 1) ** 2))
+        assert surface_distances(*corners) == edt_reference(*corners) == (d, d, 1, 1)
+
     @pytest.mark.parametrize("cap", [7, 97, 1001])
     def test_ragged_chunks_match_edt_reference(self, monkeypatch, cap):
         # caps below the contour lengths split both point sets into chunks
@@ -238,6 +262,16 @@ class TestRingPipeline:
         got = ring_pair_metrics(ra, rb, w, h)
         assert got == full_grid_reference(ra, rb, w, h)
         assert got[1] == 59_989.0 and got[2:] == (8, 8)
+
+    @pytest.mark.parametrize("side", [128, 129])
+    def test_window_at_the_int16_bound_equals_full_grid_reference(self, side):
+        # two squares in opposite corners of a side x side union window: the
+        # block of pairwise distances holds their farthest contour pixels,
+        # 2 * (side - 1)**2 apart squared, which int16 holds at 128 px and
+        # not at 129
+        ra, rb = rect_ring(2, 3, 4, 4), rect_ring(side - 2, side - 1, 4, 4)
+        assert rasterize_stack([[ra], [rb]], 200, 200)[2].shape == (2, side, side)
+        assert ring_pair_metrics(ra, rb, 200, 200) == full_grid_reference(ra, rb, 200, 200)
 
     def test_square_footprint_contour_differs(self):
         # a diamond's staircase edges: the 3x3 footprint also keeps the
