@@ -374,20 +374,16 @@ class Issue:
 
 
 def _pixel_areas(ds: AnnotationDataset, instances) -> dict[int, int]:
-    """Rasterized pixel area of each of ``instances``, by id, from one overlap
-    count keyed by image.
-
-    Raises:
-        GeometryError: a polygon has a degenerate ring or none, or an RLE
-            does not match its image's grid.
+    """Rasterized pixel area, by id, of each of ``instances`` that
+    :func:`~annodiff.raster.rasterizable` accepts on its image, from one
+    overlap count keyed by image; any other shape (a degenerate ring, no
+    ring, an RLE of another grid) gets no area.
     """
     key = {img.id: k for k, img in enumerate(ds.images)}
-    ov = count_overlaps(
-        [(inst.segmentation, key[inst.image_id]) for inst in instances],
-        [],
-        [(img.width, img.height) for img in ds.images],
-    )
-    return dict(zip([inst.id for inst in instances], ov.area_a.tolist()))
+    sizes = [(img.width, img.height) for img in ds.images]
+    countable = [inst for inst in instances if rasterizable(inst.segmentation, *sizes[key[inst.image_id]])]
+    ov = count_overlaps([(inst.segmentation, key[inst.image_id]) for inst in countable], [], sizes)
+    return dict(zip([inst.id for inst in countable], ov.area_a.tolist()))
 
 
 def _issues(inst: InstanceRecord, image: ImageRecord, pixels: int | None, area_tolerance: float | None):
@@ -433,14 +429,7 @@ def validate(ds: AnnotationDataset, *, area_tolerance: float | None = 0.1) -> li
     ``area_tolerance`` compares the stored area against the rasterized pixel
     count (relative to the latter); pass ``None`` to skip rasterization.
     """
-    areas = {}
-    if area_tolerance is not None:
-        countable = []
-        for inst in ds.instances:
-            image = ds.image(inst.image_id)
-            if inst.area >= 0 and rasterizable(inst.segmentation, image.width, image.height):
-                countable.append(inst)
-        areas = _pixel_areas(ds, countable)
+    areas = {} if area_tolerance is None else _pixel_areas(ds, ds.instances)
     return [
         Issue(code, message, inst.id)
         for inst in ds.instances

@@ -20,25 +20,28 @@ edge the crossing may be rounded, so a center that lies within rounding of
 it (a center on a polygon vertex, or on the edge itself) is decided by the
 rounded crossing, and can land on the other side from the exact rule.
 
-Crossings and row runs
-----------------------
-One vectorized scanline pass turns any number of shapes into their
-crossings ``(owner, row, x)``: the center line of ``row`` crosses an edge of
-shape ``owner`` at ``x``. Crossings are computed in absolute grid
-coordinates, so no pixel depends on which shapes share the pass. Sorted by
-x, the crossings of a row pair up into row runs ``(row, c0, c1)``: columns
-``[c0, c1)`` of ``row`` are inside. Pixel areas and pairwise intersections
-(:func:`count_overlaps`) are counted on the runs alone: an RLE is decoded and
-read off as runs, and two shapes intersect where their runs on a shared row
-overlap. Masks are not painted from runs. :func:`rasterize_stack` fills the
-masks of several shapes straight from their unsorted crossings, one parity
-toggle per crossing accumulated along each row, into a stack on their shared
-window ``(row0, col0, stack)``, the tight bounds of their union; the surface
-metrics use it for a matched pair. This gives exactly the pixels of the runs:
-the column of a crossing is monotone in ``x``, so the order of the toggles
-does not matter. A whole-grid mask (:func:`rasterize`) pastes a one-shape
-stack into a zero grid. Every IoU, of boxes or of pixel counts, is
-:func:`iou` of an intersection and two areas.
+Pixel toggles and row runs
+--------------------------
+One vectorized scanline pass turns any number of shapes into their pixel
+toggles ``(owner, row, col)``: the center line of ``row`` crosses an edge of
+shape ``owner`` at ``x``, and ``col = ceil(x - 0.5)``, clipped to the grid, is
+the first pixel column whose center lies at or past that crossing. Crossings
+are computed in absolute grid coordinates, so no pixel depends on which
+shapes share the pass. The column map is monotone in ``x``, so sorted by
+column, the toggles of a row pair up into its row runs ``(row, c0, c1)``:
+columns ``[c0, c1)`` of ``row`` are inside, and a pair at one column is an
+empty run. An RLE is decoded and read off as toggles too, one at each change
+along a row. Pixel areas and pairwise intersections (:func:`count_overlaps`)
+are counted on the runs alone: two shapes intersect where their runs on a
+shared row overlap. Masks are not painted from runs. :func:`rasterize_stack`
+fills the masks of several shapes straight from their unsorted toggles, by
+their running parity along each row, into a stack on their shared window
+``(row0, col0, stack)``, the tight bounds of their union; the surface
+metrics use it for a matched pair. Since the order of the toggles does not
+matter to their parity, this gives exactly the pixels of the runs. A
+whole-grid mask (:func:`rasterize`) pastes a one-shape stack into a zero
+grid. Every IoU, of boxes or of pixel counts, is :func:`iou` of an
+intersection and two areas.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import GeometryError, SchemaError
+from .errors import DegenerateShape, GeometryError, SchemaError
 from .shapes import Polygons, RleMask
 
 # Sentinel for "no source in this row"; BIG**2 must stay well inside int64.
@@ -93,8 +96,9 @@ class _Vertices(NamedTuple):
 
 def _rings(shape) -> list:
     """The rings of a polygon shape as flat ``(x1, y1, x2, y2, ...)``
-    coordinates; ``GeometryError`` if a ring has an odd coordinate count or
-    fewer than 3 vertices, or there is no ring."""
+    coordinates; ``GeometryError`` if a ring has an odd coordinate count, and
+    ``DegenerateShape`` if a ring has fewer than 3 vertices or there is no
+    ring."""
     if isinstance(shape, Polygons):  # stored flat already
         own = list(shape.rings)
     else:
@@ -103,9 +107,9 @@ def _rings(shape) -> list:
         if len(ring) % 2:
             raise GeometryError(f"ring has odd coordinate count {len(ring)}")
         if len(ring) < 6:
-            raise GeometryError(f"degenerate ring with {len(ring) // 2} vertices")
+            raise DegenerateShape(f"degenerate ring with {len(ring) // 2} vertices")
     if not own:
-        raise GeometryError("polygon has no rings")
+        raise DegenerateShape("polygon has no rings")
     return own
 
 
@@ -136,10 +140,11 @@ def _vertices(shapes, skip_invalid: bool = False) -> _Vertices:
 
 
 def _crossings(v: _Vertices, width: np.ndarray, height: np.ndarray, at=slice(None)):
-    """Scanline crossings ``(owner, row, x)`` of the shapes of vertices
-    ``at``, unsorted: the ray along the center line of ``row`` crosses an
-    edge of ``owner``, whose grid is ``width[owner]`` x ``height[owner]``,
-    at ``x``. Every row of a shape holds an even number of them.
+    """Pixel toggles ``(owner, row, col)`` of the shapes of vertices ``at``,
+    unsorted: the ray along the center line of ``row`` crosses an edge of
+    ``owner``, whose grid is ``width[owner]`` x ``height[owner]``, at an ``x``
+    whose next pixel center is in column ``col``. Every row of a shape holds
+    an even number of them.
 
     Each vertex and its successor make an edge. Every (edge, row) candidate
     that passes the span test yields one crossing.
@@ -163,43 +168,43 @@ def _crossings(v: _Vertices, width: np.ndarray, height: np.ndarray, at=slice(Non
     py = rows + 0.5
     hit = (ylo[e] <= py) & (py < yhi[e])
     e, rows, py = e[hit], rows[hit], py[hit]
-    return owner[e], rows, x1[e] + (py - y1[e]) * slope[e]
+    owner = owner[e]
+    # Pixel centers in a run [a, b) are the columns [ceil(a - 0.5),
+    # ceil(b - 0.5)); clipped to the grid, an off-grid run becomes empty.
+    xs = x1[e] + (py - y1[e]) * slope[e]
+    return owner, rows, np.clip(np.ceil(xs - 0.5), 0, width[owner]).astype(np.int64)
 
 
-def _runs(v: _Vertices, width: np.ndarray, height: np.ndarray, at=slice(None)):
-    """Row runs ``(owner, row, c0, c1)`` of the shapes of vertices ``at``,
-    sorted by (owner, row, c0): columns ``[c0, c1)`` of ``row`` are inside
-    ``owner``, whose grid is ``width[owner]`` x ``height[owner]``.
+def _runs(owner: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Row runs ``(owner, row, c0, c1)`` of pixel toggles, sorted by
+    (row, owner, c0): columns ``[c0, c1)`` of ``row`` are inside ``owner``.
 
-    The crossings of :func:`_crossings`, sorted by (owner, row, x), pair up
-    into the inside runs of each row. Multiple rings of a shape combine by
-    crossing parity (even-odd), so disjoint rings union and nested rings
-    punch holes.
+    The toggles of each (owner, row) are sorted by column and paired up:
+    every row of a shape holds an even number of them, so crossing parity
+    makes each pair an inside run, and the runs are disjoint. Multiple rings
+    of a shape combine by parity (even-odd), so disjoint rings union and
+    nested rings punch holes; a pair at one column is dropped as empty.
     """
-    owner, rows, xs = _crossings(v, width, height, at)
-    # Sort by (owner, row): the candidates come in owner order, so a stable
-    # integer sort is cheap. Rows with more than two crossings are then
-    # sorted by x; a row with two needs only their min and max.
-    group = owner * (int(rows.max(initial=0)) + 1) + rows
-    order = np.argsort(group, kind="stable")
-    group, owner, rows, xs = group[order], owner[order][0::2], rows[order][0::2], xs[order]
-    joined = group[2::2] == group[1:-1:2]  # pair i + 1 shares the row of pair i
-    if joined.any():
-        shared = np.zeros(owner.size, dtype=bool)
-        shared[1:] = joined
-        shared[:-1] |= joined
-        many = np.flatnonzero(np.repeat(shared, 2))
-        xs[many] = xs[many[np.lexsort((xs[many], group[many]))]]
-
-    # Each row of a shape has an even number of crossings, so after the sort
-    # crossing parity makes each pair [xs[2i], xs[2i+1]) an inside run, and
-    # the runs are disjoint. Pixel centers in [a, b) are the columns
-    # [ceil(a - 0.5), ceil(b - 0.5)).
-    a, b = np.minimum(xs[0::2], xs[1::2]), np.maximum(xs[0::2], xs[1::2])
-    c0 = np.maximum(np.ceil(a - 0.5), 0)
-    c1 = np.minimum(np.ceil(b - 0.5), width[owner])
+    if not rows.size:
+        return owner, rows, cols, cols
+    r0, o0, q0 = int(rows.min()), int(owner.min()), int(cols.min())
+    n, w = int(owner.max()) - o0 + 1, int(cols.max()) - q0 + 1
+    if (int(rows.max()) - r0 + 1) * n * w <= 2**63:
+        # every combined key fits int64 (the product is taken in Python
+        # integers): sort them in place and take the three keys back out
+        key = ((rows - r0) * n + (owner - o0)) * w + (cols - q0)
+        key.sort()
+        key, cols = np.divmod(key, w)
+        rows, owner = np.divmod(key, n)
+        rows += r0
+        owner += o0
+        cols += q0
+    else:  # keys too far apart to combine exactly
+        order = np.lexsort((cols, owner, rows))
+        owner, rows, cols = owner[order], rows[order], cols[order]
+    c0, c1 = cols[0::2], cols[1::2]
     run = c0 < c1
-    return owner[run], rows[run], c0[run].astype(np.int64), c1[run].astype(np.int64)
+    return owner[0::2][run], rows[0::2][run], c0[run], c1[run]
 
 
 def _check_grid(width: int, height: int) -> None:
@@ -231,21 +236,19 @@ def rasterize_stack(shapes, width: int, height: int) -> tuple[int, int, np.ndarr
     ``stack`` has shape ``(len(shapes), 0, 0)``.
 
     Raises:
-        GeometryError: a ring has fewer than 3 vertices, or dims are invalid.
+        DegenerateShape: a ring has fewer than 3 vertices, or a shape none.
+        GeometryError: a ring has an odd coordinate count, or dims are invalid.
     """
     _check_grid(width, height)
     n = len(shapes)
-    owner, rows, xs = _crossings(_vertices(shapes), np.full(n, width), np.full(n, height))
+    owner, rows, cols = _crossings(_vertices(shapes), np.full(n, width), np.full(n, height))
     if not rows.size:
         return 0, 0, np.zeros((n, 0, 0), dtype=bool)
-    # Toggle at the first pixel column whose center lies at or past each
-    # crossing. Sorted by x, a row's crossings pair into its runs, and a run
-    # [a, b) holds the columns [ceil(a - 0.5), ceil(b - 0.5)) clipped to the
-    # grid; that map is monotone, so the running parity of the toggles, in
-    # any order, is set exactly inside the runs. Toggles at one position
-    # cancel, as an empty run does. Every row holds an even number of
-    # toggles, so one flat pass serves all rows of all layers.
-    cols = np.clip(np.ceil(xs - 0.5), 0, width).astype(np.int64)
+    # The running parity of a row's toggles, in any order, is set exactly
+    # inside its runs, and toggles at one position cancel, as an empty run
+    # does. Every row holds an even number of toggles, so one flat pass
+    # serves all rows of all layers. Each flat index lies inside the
+    # allocated window, so it cannot overflow.
     row0, col0 = int(rows.min()), int(cols.min())
     h, stride = int(rows.max()) - row0 + 1, int(cols.max()) - col0 + 1
     toggles = np.zeros(n * h * stride, dtype=bool)
@@ -322,16 +325,6 @@ def mask_of(shape, width: int, height: int) -> np.ndarray:
     return rasterize(shape, width, height)
 
 
-def _mask_runs(mask: np.ndarray):
-    """Row runs ``(row, c0, c1)`` of a boolean mask, in row-major order."""
-    h, w = mask.shape
-    padded = np.zeros((h, w + 2), dtype=bool)
-    padded[:, 1:-1] = mask
-    # each row's changes alternate: run start, run end, ...
-    rows, cols = np.nonzero(padded[:, 1:] != padded[:, :-1])
-    return rows[0::2], cols[0::2], cols[1::2]
-
-
 # ---------------------------------------------------------------------------
 # overlap counts on row runs
 
@@ -382,19 +375,18 @@ def _reduce(codes: list, inter: list) -> tuple[list, list]:
     return [code], [np.bincount(at, weights=np.concatenate(inter), minlength=code.size)]
 
 
-def _join(owner, rows, c0, c1, n_a: int, n_b: int, join_key: np.ndarray):
+def _join(item, group, c0, c1, n_a: int, n_b: int):
     """Pair codes ``a * n_b + b`` and intersections of the runs of side a
-    (``owner < n_a``) and side b that share a join key; runs of one shape
-    are disjoint, so the overlaps of their run pairs sum to the intersection."""
-    side_a = owner < n_a
+    (``item < n_a``) and side b that share a join group, the runs sorted by
+    group; runs of one shape are disjoint, so the overlaps of their run pairs
+    sum to the intersection."""
+    side_a = item < n_a
     ia, ib = np.flatnonzero(side_a), np.flatnonzero(~side_a)
     if not (ia.size and ib.size):
         return [], []
-    ia = ia[np.argsort(join_key[ia], kind="stable")]
-    ib = ib[np.argsort(join_key[ib], kind="stable")]
-    kb = join_key[ib]
-    lo = np.searchsorted(kb, join_key[ia], "left")
-    n = np.searchsorted(kb, join_key[ia], "right") - lo
+    kb = group[ib]
+    lo = np.searchsorted(kb, group[ia], "left")
+    n = np.searchsorted(kb, group[ia], "right") - lo
     ends = np.cumsum(n)
     codes, inter = [np.empty(0, np.int64)], [np.empty(0)]
     s = pending = 0
@@ -405,7 +397,7 @@ def _join(owner, rows, c0, c1, n_a: int, n_b: int, join_key: np.ndarray):
         rb = ib[np.repeat(lo[s:t] - (np.cumsum(m) - m), m) + np.arange(ra.size)]
         overlap = np.minimum(c1[ra], c1[rb]) - np.maximum(c0[ra], c0[rb])
         hit = overlap > 0
-        codes.append(owner[ra[hit]] * n_b + (owner[rb[hit]] - n_a))
+        codes.append(item[ra[hit]] * n_b + (item[rb[hit]] - n_a))
         inter.append(overlap[hit])
         pending += codes[-1].size
         if pending > _CHUNK:
@@ -421,37 +413,38 @@ def count_overlaps(a, b, sizes, *, skip_invalid: bool = False) -> Overlaps:
     ``a`` and ``b`` hold ``(shape, key)`` items, either shape encoding; a
     shape lies on the grid ``sizes[key] = (width, height)``, and only pairs
     of a shape of side a and one of side b with the same key are counted.
-    Every shape is scan-converted once into row runs (RLEs are decoded by
-    :func:`mask_of` and read off the mask), and each pair's intersection is
-    the sum of the overlaps of its runs on shared rows. Work goes in runs
-    of keys, cut at ``_CHUNK`` elements.
+    Every shape is scan-converted once into pixel toggles (RLEs are decoded
+    by :func:`mask_of` and read off the mask), which one sort pairs into row
+    runs, and each pair's intersection is the sum of the overlaps of its runs
+    on shared rows. Work goes in runs of keys, cut at ``_CHUNK`` elements.
 
     Raises:
-        GeometryError: a polygon has a degenerate ring or none (unless
-            ``skip_invalid``, which counts such a shape as empty), or an RLE
-            does not match its grid.
+        DegenerateShape: a polygon has a ring of fewer than 3 vertices, or
+            none (unless ``skip_invalid``, which counts such a shape as empty).
+        GeometryError: a ring has an odd coordinate count (unless
+            ``skip_invalid``), or an RLE does not match its grid.
     """
     n_a, n_b = len(a), len(b)
     items = [*a, *b]
-    n = len(items)
+    # shapes ranked in key order, so a run of keys is a run of ranks; the
+    # toggles are owned by rank
     key = np.array([k for _, k in items], dtype=np.intp)
-    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1, 2)
-    width, height = sizes[key, 0], sizes[key, 1]
-    stride = int(height.max(initial=0)) + 1  # join key: key * stride + row
-    # shapes in key order, so a run of keys is a run of shapes
     order = np.argsort(key, kind="stable")
     ranked = key[order]
-    coordinates = [_coordinates(items[i][0]) for i in order.tolist()]
-    area = np.zeros(n, dtype=np.int64)
+    shapes = [items[i][0] for i in order.tolist()]
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1, 2)
+    width, height = sizes[ranked, 0], sizes[ranked, 1]
+    coordinates = [_coordinates(shape) for shape in shapes]
+    area = np.zeros(len(items), dtype=np.int64)
     codes, inter = [np.empty(0, np.int64)], [np.empty(0)]
     # gather the vertices of a run of keys, then scan and join sub-runs
     for k0, k1 in _chunks(np.bincount(ranked, weights=coordinates, minlength=len(sizes))):
         r0, r1 = np.searchsorted(ranked, [k0, k1])
-        v = _vertices([items[i][0] for i in order[r0:r1]], skip_invalid)
-        v = v._replace(owner=order[r0 + v.owner])
-        vertex_key = key[v.owner] - k0
-        rle = np.array([i for i in order[r0:r1] if isinstance(items[i][0], RleMask)], dtype=np.intp)
-        rle_key = key[rle] - k0
+        v = _vertices(shapes[r0:r1], skip_invalid)
+        v = v._replace(owner=r0 + v.owner)
+        vertex_key = ranked[v.owner] - k0
+        rle = np.array([r for r in range(r0, r1) if isinstance(shapes[r], RleMask)], dtype=np.intp)
+        rle_key = ranked[rle] - k0
         # an edge has at most |dy| + 2 candidate rows, an RLE about one run per row
         dy = v.y[v.succ]
         dy -= v.y
@@ -462,16 +455,22 @@ def count_overlaps(a, b, sizes, *, skip_invalid: bool = False) -> Overlaps:
         )
         for j0, j1 in _chunks(cost):
             lo, hi = np.searchsorted(vertex_key, [j0, j1])
-            owner, rows, c0, c1 = _runs(v, width, height, slice(lo, hi))
-            parts = [(owner, rows, c0, c1)]
+            parts = [_crossings(v, width, height, slice(lo, hi))]
             lo, hi = np.searchsorted(rle_key, [j0, j1])
-            for i in rle[lo:hi].tolist():
-                r, s, t = _mask_runs(mask_of(items[i][0], int(width[i]), int(height[i])))
-                parts.append((np.full(r.size, i), r, s, t))
-            if len(parts) > 1:
-                owner, rows, c0, c1 = (np.concatenate(p) for p in zip(*parts))
-            np.add.at(area, owner, c1 - c0)
-            more_codes, more_inter = _join(owner, rows, c0, c1, n_a, n_b, key[owner] * stride + rows)
+            for r in rle[lo:hi].tolist():
+                # a mask toggles at each change along a row, from and to the
+                # background beyond the grid border
+                mask = mask_of(shapes[r], int(width[r]), int(height[r]))
+                rows, cols = np.nonzero(np.diff(mask, axis=1, prepend=False, append=False))
+                parts.append((np.full(rows.size, r), rows, cols))
+            rank, rows, c0, c1 = _runs(*(np.concatenate(p) for p in zip(*parts)))
+            item = order[rank]
+            np.add.at(area, item, c1 - c0)
+            # Within a row, runs come in rank order and so in key order: each
+            # (row, key) is one group of consecutive runs.
+            change = (rows[1:] != rows[:-1]) | (ranked[rank[1:]] != ranked[rank[:-1]])
+            group = np.concatenate([[0], np.cumsum(change)])
+            more_codes, more_inter = _join(item, group, c0, c1, n_a, n_b)
             codes += more_codes
             inter += more_inter
     # runs of keys are disjoint, so each pair comes from one of them

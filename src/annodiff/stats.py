@@ -17,7 +17,6 @@ import numpy as np
 
 from .dataset import AnnotationDataset, _pixel_areas
 from .errors import StatsError
-from .raster import rasterizable
 from .shapes import Polygons
 from .surface import SurfaceDistanceResult
 
@@ -64,11 +63,6 @@ class DatasetSummary:
     )
 
 
-def _countable(ds: AnnotationDataset, inst) -> bool:
-    image = ds.image(inst.image_id)
-    return rasterizable(inst.segmentation, image.width, image.height)
-
-
 def summarize(
     ds: AnnotationDataset,
     *,
@@ -78,12 +72,15 @@ def summarize(
     """Exact corpus counts: categories, crowds, vertices, size strata.
 
     The size histogram excludes crowd instances. ``area_mode="recomputed"``
-    buckets by rasterized pixel count instead of the stored area field, for
-    the shapes that :func:`~annodiff.raster.rasterizable` accepts on their
-    image, as ``validate`` counts them; any other shape (a degenerate ring,
-    no ring, an RLE of another grid) keeps its stored area. ``dims_mode``
-    buckets by bounding-box dimensions instead of area, so the two cannot be
-    combined (``ValueError``).
+    buckets by rasterized pixel count instead of the stored area field,
+    wherever ``dataset._pixel_areas`` counts one, as ``validate`` does; any
+    other shape (a degenerate ring, no ring, an RLE of another grid) keeps
+    its stored area. ``dims_mode`` buckets by bounding-box dimensions instead
+    of area, so the two cannot be combined (``ValueError``).
+
+    Raises:
+        StatsError: a bucketed instance has a negative area or box extent;
+            the message names the annotation.
     """
     if area_mode not in ("stored", "recomputed"):
         raise ValueError(f"area_mode must be 'stored' or 'recomputed', got {area_mode!r}")
@@ -91,7 +88,7 @@ def summarize(
         raise ValueError("dims_mode buckets by box dimensions, not area: area_mode must be 'stored'")
     areas = {}
     if area_mode == "recomputed":
-        areas = _pixel_areas(ds, [inst for inst in ds.instances if not inst.iscrowd and _countable(ds, inst)])
+        areas = _pixel_areas(ds, [inst for inst in ds.instances if not inst.iscrowd])
     per_category = Counter()
     buckets = {b: 0 for b in SizeBucket}
     crowd_count = 0
@@ -103,10 +100,13 @@ def summarize(
         if inst.iscrowd:
             crowd_count += 1
             continue
-        if dims_mode:
-            bucket = size_bucket_of_dims(inst.bbox[2], inst.bbox[3])
-        else:
-            bucket = size_bucket(areas.get(inst.id, inst.area))
+        try:
+            if dims_mode:
+                bucket = size_bucket_of_dims(inst.bbox[2], inst.bbox[3])
+            else:
+                bucket = size_bucket(areas.get(inst.id, inst.area))
+        except StatsError as e:
+            raise StatsError(f"annotation {inst.id} has {e}") from None
         buckets[bucket] += 1
     return DatasetSummary(
         image_count=len(ds.images),

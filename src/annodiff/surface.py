@@ -17,7 +17,7 @@ both are below 2**15 (at most 2 * 32766**2, below 2**31 - 1), and int64
 otherwise. A matched pair is measured on the window of its two shapes'
 foreground, not on the image, so most pairs take int16, and only a pair
 whose window side reaches 2**15 takes int64. The pair's two masks are filled
-on that window straight from the scanline crossings of both rings
+on that window straight from the pixel toggles of both rings
 (:func:`~annodiff.raster.rasterize_stack`).
 """
 
@@ -170,9 +170,6 @@ def ring_pair_metrics(
     """
     if mode not in ("full", "crop"):
         raise ValueError(f"mode must be 'full' or 'crop', got {mode!r}")
-    for ring in (src_ring, tgt_ring):
-        if len(ring) < 6:
-            raise DegenerateShape(f"ring with {len(ring) // 2} vertices")
     _, _, stack = rasterize_stack([[src_ring], [tgt_ring]], width, height)
     if not stack.any(axis=(1, 2)).all():
         raise DegenerateShape("shape rasterizes to an empty mask")

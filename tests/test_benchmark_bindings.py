@@ -2,9 +2,13 @@
 reaches into. A refactor that renames or reshapes one of them breaks the
 benchmark's checks and its tests; these tests make it fail here first."""
 
+import importlib
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import annodiff.report
 import annodiff.surface
@@ -17,6 +21,22 @@ from annodiff.surface import ring_pair_metrics, surface_distances
 from conftest import FIXTURES, rect_ring
 
 A, B = FIXTURES / "synthetic_a.json", FIXTURES / "synthetic_b.json"
+
+
+def timed_layers():
+    """``<module>.<function>`` of every per-layer time or call count that
+    ``BENCHMARK.json`` lists."""
+    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    names = [m["name"].rsplit(".", 1) for m in spec["per_layer"]]
+    return sorted({layer for layer, metric in names if metric in ("s", "self_s", "calls")})
+
+
+@pytest.mark.parametrize("layer", timed_layers())
+def test_every_timed_layer_is_a_function_of_the_program(layer):
+    # the benchmark times each of these by name; a deleted or renamed one
+    # would fail only the benchmark's own tests
+    module, function = layer.split(".")
+    assert inspect.isfunction(getattr(importlib.import_module(f"annodiff.{module}"), function, None))
 
 
 def test_diff_calls_the_report_binding_once_per_measured_pair(tmp_path, monkeypatch):

@@ -226,9 +226,9 @@ class TestRasterizeWindow:
 
 def stack_from_runs(shapes, width, height):
     """``(row0, col0, stack)`` painted run by run from :func:`raster._runs`
-    (the sorted crossings paired into runs) on the tight window of the runs."""
+    (the sorted pixel toggles paired into runs) on the tight window of the runs."""
     n = len(shapes)
-    owner, rows, c0, c1 = raster._runs(raster._vertices(shapes), np.full(n, width), np.full(n, height))
+    owner, rows, c0, c1 = raster._runs(*raster._crossings(raster._vertices(shapes), np.full(n, width), np.full(n, height)))
     if not rows.size:
         return 0, 0, np.zeros((n, 0, 0), dtype=bool)
     row0, col0 = int(rows.min()), int(c0.min())
@@ -294,13 +294,22 @@ class TestCrossingFill:
         # every row crosses the sliver at x = 3.6 and 3.9, both of which put
         # the next pixel center at column 4: each row's two toggles cancel
         sliver = [3.6, 0.0, 3.9, 0.0, 3.9, 10.0, 3.6, 10.0]
-        owner, rows, xs = raster._crossings(raster._vertices([poly(sliver)]), np.full(1, 12), np.full(1, 12))
-        assert rows.size == 20 and (np.ceil(xs - 0.5) == 4).all()
+        owner, rows, cols = raster._crossings(raster._vertices([poly(sliver)]), np.full(1, 12), np.full(1, 12))
+        assert rows.size == 20 and (cols == 4).all()
         assert stack_from_runs([poly(sliver)], 12, 12)[2].shape == (1, 0, 0)
         assert self.check([[sliver]], 12, 12).shape == (1, 0, 0)
         # inside a non-empty window, its toggles still paint nothing
         stack = self.check([[sliver], [rect_ring(1, 2, 8, 6)]], 12, 12)
         assert not stack[0].any() and stack[1].sum() == 48
+
+    def test_far_corner_of_a_2_41_px_grid(self):
+        # pixel rows and columns near 2**40 are exact in float64, and the
+        # window index stays small however far the window lies from the origin
+        far, side = 2**40, 2**41
+        stack = self.check([[rect_ring(far, far, 10, 10)], [rect_ring(far + 5, far + 5, 10, 10)]], side, side)
+        assert rasterize_stack([poly(rect_ring(far, far, 10, 10))], side, side)[:2] == (far, far)
+        assert stack.shape == (2, 15, 15) and stack[0, :10, :10].all() and stack[1, 5:, 5:].all()
+        assert stack.sum() == 200
 
 
 def assert_counts_match_full_grids(a, b, sizes):
@@ -363,6 +372,13 @@ class TestCountOverlaps:
             one = assert_counts_match_full_grids([a], [b], [(w, h)])
             two = count_overlaps([b], [a], [(w, h)])
             assert one.inter.tolist() == two.inter.tolist()
+        # foreground on the first and last columns, beside a polygon with the
+        # same key that also spans the grid from border to border
+        edges = np.zeros((6, 9), bool)
+        edges[1:4, 0] = edges[2:6, 8] = edges[3] = True
+        full_width = poly(rect_ring(-1, 2, 11, 3))
+        assert_counts_match_full_grids([(encode_rle(edges), 0)], [(full_width, 0)], [(9, 6)])
+        assert_counts_match_full_grids([(full_width, 0), (encode_rle(edges), 0)], [(encode_rle(edges), 0)], [(9, 6)])
         nothing = encode_rle(np.zeros((3, 3), bool))
         got = assert_counts_match_full_grids([(nothing, 0)], [(encode_rle(np.ones((3, 3), bool)), 0)], [(3, 3)])
         assert got.area_a.tolist() == [0] and got.a.size == 0
@@ -386,6 +402,21 @@ class TestCountOverlaps:
             assert got.area_b.tolist() == [0] and got.inter.size == 0
         with pytest.raises(GeometryError):  # the grid-size check of mask_of
             count_overlaps([(RleMask((0, 4), 2, 2), 0)], [], [(3, 3)])
+
+    @pytest.mark.parametrize("x, y", [(2**40, 2**40), (2**41 - 20, 2**40 + 12345)])
+    def test_exact_on_a_grid_with_a_2_41_px_side(self, x, y):
+        # rows and columns both span about 2**40 here, so (row, shape, column)
+        # does not fit one int64 sort key: the runs must still pair exactly
+        side = 2**41
+        a = [(poly(rect_ring(x, y, 10, 10)), 0), (poly(rect_ring(1, 1, 5, 5)), 0)]
+        b = [(poly(rect_ring(x + 5, y + 5, 10, 10)), 0), (poly(rect_ring(20, 20, 4, 4)), 0)]
+        got = count_overlaps(a, b, [(side, side)])
+        assert (got.area_a.tolist(), got.area_b.tolist()) == ([100, 25], [100, 16])
+        assert (got.a.tolist(), got.b.tolist(), got.inter.tolist()) == ([0], [0], [25])
+        toggles = raster._crossings(raster._vertices([s for s, _ in a + b]), np.full(4, side), np.full(4, side))
+        runs = sorted(zip(*(k.tolist() for k in raster._runs(*toggles))))
+        boxes = [(0, x, y, 10), (1, 1, 1, 5), (2, x + 5, y + 5, 10), (3, 20, 20, 4)]
+        assert runs == sorted((k, r, c, c + n) for k, c, r0, n in boxes for r in range(r0, r0 + n))
 
     def test_dense_scene_peak_stays_under_8_mb(self):
         # 40 images of 400 x 300 px, each with 30 detections and 30 ground

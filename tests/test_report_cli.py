@@ -255,6 +255,16 @@ class TestCliStats:
         assert main(["stats", str(path)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["size_buckets"]["medium"] == 1
 
+    def test_negative_stored_area_names_the_annotation(self, tmp_path, capsys):
+        path = tmp_path / "negative.json"
+        path.write_text(make_coco(make_images(1), [
+            make_ann(1, 1, [10, 10, 40, 40], area=-5),
+            make_ann(2, 1, rect_ring(50, 50, 20, 20)),
+        ]))
+        for flags in ([], ["--recompute-areas"]):
+            assert main(["stats", str(path), *flags]) == EXIT_INPUT
+            assert capsys.readouterr().err.strip() == "error: annotation 1 has negative area -5.0"
+
     def test_bucket_flags_cannot_be_combined(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(["stats", TINY_A, "--recompute-areas", "--dims-buckets"])
