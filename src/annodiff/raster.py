@@ -96,21 +96,20 @@ class _Vertices(NamedTuple):
 
 def _rings(shape) -> list:
     """The rings of a polygon shape as flat ``(x1, y1, x2, y2, ...)``
-    coordinates; ``GeometryError`` if a ring has an odd coordinate count, and
-    ``DegenerateShape`` if a ring has fewer than 3 vertices or there is no
-    ring."""
-    if isinstance(shape, Polygons):  # stored flat already
-        own = list(shape.rings)
-    else:
-        own = [_ring_points(ring).reshape(-1) for ring in shape]
+    coordinates. ``DegenerateShape`` if there is no ring or a ring has fewer
+    than 6 coordinates (3 vertices); past that rule, ``GeometryError`` if a
+    ring's coordinates do not pair up into vertices."""
+    flat = isinstance(shape, Polygons)  # stored flat already
+    own = list(shape.rings) if flat else [np.asarray(ring, dtype=np.float64) for ring in shape]
     for ring in own:
-        if len(ring) % 2:
-            raise GeometryError(f"ring has odd coordinate count {len(ring)}")
-        if len(ring) < 6:
-            raise DegenerateShape(f"degenerate ring with {len(ring) // 2} vertices")
+        size = len(ring) if flat else ring.size
+        if size < 6:
+            raise DegenerateShape(f"degenerate ring with {size // 2} vertices")
+        if flat and size % 2:
+            raise GeometryError(f"ring has odd coordinate count {size}")
     if not own:
         raise DegenerateShape("polygon has no rings")
-    return own
+    return own if flat else [_ring_points(ring).reshape(-1) for ring in own]
 
 
 def _vertices(shapes, skip_invalid: bool = False) -> _Vertices:
@@ -187,18 +186,15 @@ def _runs(owner: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     """
     if not rows.size:
         return owner, rows, cols, cols
-    r0, o0, q0 = int(rows.min()), int(owner.min()), int(cols.min())
-    n, w = int(owner.max()) - o0 + 1, int(cols.max()) - q0 + 1
-    if (int(rows.max()) - r0 + 1) * n * w <= 2**63:
+    n, w = int(owner.max()) + 1, int(cols.max()) + 1
+    if (int(rows.max()) + 1) * n * w <= 2**63:
         # every combined key fits int64 (the product is taken in Python
-        # integers): sort them in place and take the three keys back out
-        key = ((rows - r0) * n + (owner - o0)) * w + (cols - q0)
+        # integers): sort them in place and take the three keys back out,
+        # which is much faster than np.lexsort of the three
+        key = (rows * n + owner) * w + cols
         key.sort()
         key, cols = np.divmod(key, w)
         rows, owner = np.divmod(key, n)
-        rows += r0
-        owner += o0
-        cols += q0
     else:  # keys too far apart to combine exactly
         order = np.lexsort((cols, owner, rows))
         owner, rows, cols = owner[order], rows[order], cols[order]
@@ -237,11 +233,13 @@ def rasterize_stack(shapes, width: int, height: int) -> tuple[int, int, np.ndarr
 
     Raises:
         DegenerateShape: a ring has fewer than 3 vertices, or a shape none.
-        GeometryError: a ring has an odd coordinate count, or dims are invalid.
+        GeometryError: otherwise, a ring's coordinates do not pair up into
+            vertices, or dims are invalid.
     """
+    v = _vertices(shapes)
     _check_grid(width, height)
     n = len(shapes)
-    owner, rows, cols = _crossings(_vertices(shapes), np.full(n, width), np.full(n, height))
+    owner, rows, cols = _crossings(v, np.full(n, width), np.full(n, height))
     if not rows.size:
         return 0, 0, np.zeros((n, 0, 0), dtype=bool)
     # The running parity of a row's toggles, in any order, is set exactly
@@ -421,8 +419,8 @@ def count_overlaps(a, b, sizes, *, skip_invalid: bool = False) -> Overlaps:
     Raises:
         DegenerateShape: a polygon has a ring of fewer than 3 vertices, or
             none (unless ``skip_invalid``, which counts such a shape as empty).
-        GeometryError: a ring has an odd coordinate count (unless
-            ``skip_invalid``), or an RLE does not match its grid.
+        GeometryError: a ring's coordinates do not pair up into vertices
+            (unless ``skip_invalid``), or an RLE does not match its grid.
     """
     n_a, n_b = len(a), len(b)
     items = [*a, *b]

@@ -167,6 +167,8 @@ def ring_pair_metrics(
     Raises:
         DegenerateShape: a ring has fewer than 3 vertices or rasterizes to
             an empty mask.
+        GeometryError: otherwise, a ring's coordinates do not pair up into
+            vertices, or the grid is invalid.
     """
     if mode not in ("full", "crop"):
         raise ValueError(f"mode must be 'full' or 'crop', got {mode!r}")

@@ -288,6 +288,20 @@ class TestRingPipeline:
         with pytest.raises(DegenerateShape, match="vertices"):
             ring_pair_metrics([0, 0, 5, 5], rect_ring(0, 0, 5, 5), 10, 10)
 
+    @pytest.mark.parametrize("short, width", [([0, 0, 5], 10), ([0, 0, 5, 5], 0)])
+    def test_vertex_rule_comes_before_other_geometry_rules(self, short, width):
+        # an odd count, or an invalid grid, is not reached by a short ring
+        with pytest.raises(DegenerateShape, match="vertices"):
+            ring_pair_metrics(short, rect_ring(0, 0, 5, 5), width, 10)
+        with pytest.raises(DegenerateShape, match="vertices"):
+            ring_pair_metrics(rect_ring(0, 0, 5, 5), short, width, 10)
+
+    def test_odd_ring_and_invalid_grid_raise_geometry_errors(self):
+        for ring, width in (([0, 0, 5, 0, 5, 5, 0], 10), (rect_ring(0, 0, 5, 5), 0)):
+            with pytest.raises(GeometryError) as info:
+                ring_pair_metrics(ring, rect_ring(0, 0, 5, 5), width, 10)
+            assert not isinstance(info.value, DegenerateShape)
+
     def test_empty_rasterization_raises(self):
         sliver = [0.9, 0.9, 0.95, 0.9, 0.95, 0.95]  # no pixel center inside
         with pytest.raises(DegenerateShape, match="empty mask"):
