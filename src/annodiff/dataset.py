@@ -5,15 +5,32 @@ reference integrity are enforced (``SchemaError`` / ``IntegrityError``),
 while geometric defects (degenerate polygons, out-of-bounds boxes, stale
 areas) are reported by :func:`validate` as data, not failures. Unknown JSON
 fields are preserved on every record and at the top level so files round-trip.
+
+Every record type is a ``NamedTuple``: immutable, and cheap to build once
+per object. A record built without ``extra`` gets an empty read-only mapping.
+
+An annotation takes one of two paths. The fast path takes a *plain* polygon
+annotation: an object with the seven required fields, ``int`` ids, a
+``bbox`` of 4 plain ``int`` or ``float`` values, a plain-number ``area``, an
+``iscrowd`` of 0 or 1, and rings that are lists of an even number of plain
+numbers, every value finite. One combined test accepts it (a finite sum of
+all the values means each is finite; a sum that overflows goes the other
+way), and its record is built directly. Anything else (an RLE, a value of
+another type, any fault) takes the naming path, which checks field by field
+and names the first fault. The naming path is the reference: on any object,
+both give the same record or the same ``SchemaError``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, BinaryIO
+from itertools import count
+from operator import attrgetter
+from typing import Any, BinaryIO, NamedTuple
 
 from .errors import IntegrityError, ParseError, SchemaError
 from .raster import count_overlaps, rasterizable
@@ -24,25 +41,43 @@ _CATEGORY_FIELDS = {"id", "name", "supercategory"}
 _ANNOTATION_FIELDS = {"id", "image_id", "category_id", "segmentation", "area", "bbox", "iscrowd"}
 
 
-@dataclass(frozen=True)
-class ImageRecord:
+class _NoExtra(Mapping):
+    """The ``extra`` of a record built without one: empty and read-only, so
+    no two records share a mutable default; unlike a ``MappingProxyType``,
+    it pickles and deep-copies."""
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "{}"
+
+
+_NO_EXTRA = _NoExtra()
+
+
+class ImageRecord(NamedTuple):
     id: int
     width: int
     height: int
     file_name: str
-    extra: dict = field(default_factory=dict)
+    extra: Mapping[str, Any] = _NO_EXTRA
 
 
-@dataclass(frozen=True)
-class CategoryRecord:
+class CategoryRecord(NamedTuple):
     id: int
     name: str
     supercategory: str | None = None
-    extra: dict = field(default_factory=dict)
+    extra: Mapping[str, Any] = _NO_EXTRA
 
 
-@dataclass(frozen=True)
-class InstanceRecord:
+class InstanceRecord(NamedTuple):
     id: int
     image_id: int
     category_id: int
@@ -50,7 +85,7 @@ class InstanceRecord:
     bbox: tuple[float, float, float, float]
     area: float
     iscrowd: bool
-    extra: dict = field(default_factory=dict)
+    extra: Mapping[str, Any] = _NO_EXTRA
 
 
 @dataclass
@@ -120,19 +155,27 @@ def _finite(value, what: str, name: str) -> float:
 
 _PLAIN_NUMBERS = frozenset((int, float))
 _PLAIN_INTS = frozenset((int,))
+_CROWD_FLAGS = (0, 1, True, False)
+_BY_ID = attrgetter("id")
+
+
+def _plain_floats(values: list) -> tuple[float, ...] | None:
+    """``values`` as floats if each is a plain ``int`` or ``float``, else
+    ``None``. Raises ``OverflowError`` for an integer beyond the float range."""
+    if _PLAIN_NUMBERS.issuperset(map(type, values)):
+        return tuple(map(float, values))
+    return None
 
 
 def _finite_tuple(values: list, what: str, name: str) -> tuple[float, ...]:
     """Every value through :func:`_finite`. Plain ints and floats are taken in
     one pass; anything else, or any fault, goes value by value, which names it."""
-    if _PLAIN_NUMBERS.issuperset(map(type, values)):
-        try:
-            out = tuple(map(float, values))
-        except OverflowError:
-            pass
-        else:
-            if all(map(math.isfinite, out)):
-                return out
+    try:
+        out = _plain_floats(values)
+    except OverflowError:
+        out = None
+    if out is not None and all(map(math.isfinite, out)):
+        return out
     return tuple(_finite(v, what, name) for v in values)
 
 
@@ -213,7 +256,53 @@ def _parse_segmentation(seg, what: str) -> ShapeSpec:
     raise SchemaError(f"{what} field 'segmentation' must be polygons or RLE")
 
 
-def _parse_annotation(obj, pos: int) -> InstanceRecord:
+def _plain_annotation(obj) -> InstanceRecord | None:
+    """The record of a plain polygon annotation, from one combined test, or
+    ``None`` for anything else: an RLE, a missing field, a value of another
+    type, or a value that is not finite."""
+    if type(obj) is not dict:
+        return None
+    try:
+        rec_id, image_id, category_id = obj["id"], obj["image_id"], obj["category_id"]
+        seg, bbox, area, iscrowd = obj["segmentation"], obj["bbox"], obj["area"], obj["iscrowd"]
+    except KeyError:
+        return None
+    if not (
+        type(rec_id) is int
+        and type(image_id) is int
+        and type(category_id) is int
+        and type(area) in _PLAIN_NUMBERS
+        and iscrowd in _CROWD_FLAGS
+        and type(bbox) is list
+        and len(bbox) == 4
+        and type(seg) is list
+    ):
+        return None
+    rings = []
+    try:
+        for ring in seg:
+            if type(ring) is not list or len(ring) % 2:
+                return None
+            rings.append(_plain_floats(ring))
+        bbox = _plain_floats(bbox)
+        area = float(area)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if bbox is None or None in rings:
+        return None
+    # the sum is finite only if every value is; one that overflows goes
+    # field by field, which accepts it
+    if not math.isfinite(sum(map(sum, rings)) + sum(bbox) + area):
+        return None
+    extra = {} if len(obj) == 7 else {k: v for k, v in obj.items() if k not in _ANNOTATION_FIELDS}
+    return InstanceRecord(
+        rec_id, image_id, category_id, Polygons(tuple(rings)), bbox, area, bool(iscrowd), extra
+    )
+
+
+def _annotation_by_field(obj, pos: int) -> InstanceRecord:
+    """One annotation, checked field by field; the one place that names an
+    annotation's fault."""
     if not isinstance(obj, dict):
         raise SchemaError(f"annotation at position {pos} is not an object")
     what = f"annotation {obj['id']}" if "id" in obj else f"annotation at position {pos}"
@@ -226,13 +315,20 @@ def _parse_annotation(obj, pos: int) -> InstanceRecord:
     bbox = _finite_tuple(bbox, what, "bbox")
     area = _finite(_required(obj, "area", what), what, "area")
     iscrowd = _required(obj, "iscrowd", what)
-    if iscrowd not in (0, 1, True, False):
+    if iscrowd not in _CROWD_FLAGS:
         raise SchemaError(f"{what} field 'iscrowd' must be 0 or 1")
     segmentation = _parse_segmentation(_required(obj, "segmentation", what), what)
     extra = {k: v for k, v in obj.items() if k not in _ANNOTATION_FIELDS}
     return InstanceRecord(
         rec_id, image_id, category_id, segmentation, bbox, area, bool(iscrowd), extra
     )
+
+
+def _parse_annotation(obj, pos: int) -> InstanceRecord:
+    """One annotation: a plain polygon annotation is built directly, and
+    anything else goes field by field, to the same record or the fault."""
+    rec = _plain_annotation(obj)
+    return _annotation_by_field(obj, pos) if rec is None else rec
 
 
 def parse_dataset(raw: bytes | str | BinaryIO) -> AnnotationDataset:
@@ -242,7 +338,8 @@ def parse_dataset(raw: bytes | str | BinaryIO) -> AnnotationDataset:
     permutation of the same records yields an equal dataset.
 
     Raises:
-        ParseError: not UTF-8 or not JSON (carries the byte offset).
+        ParseError: not UTF-8 or not JSON (carries the byte offset, or
+            ``None`` where the JSON nests too deeply to decode).
         SchemaError: a record is missing a field or has a malformed one.
         IntegrityError: duplicate ids or dangling image/category references.
     """
@@ -260,6 +357,8 @@ def parse_dataset(raw: bytes | str | BinaryIO) -> AnnotationDataset:
     except json.JSONDecodeError as e:
         offset = len(text[: e.pos].encode("utf-8"))
         raise ParseError(f"malformed JSON at byte {offset}: {e.msg}", offset) from None
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise ParseError("malformed JSON: nested too deeply", None) from None
 
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
@@ -269,17 +368,12 @@ def parse_dataset(raw: bytes | str | BinaryIO) -> AnnotationDataset:
         if not isinstance(doc[key], list):
             raise SchemaError(f"top-level key '{key}' must be a list")
 
-    images = sorted(
-        (_parse_image(o, i) for i, o in enumerate(doc["images"])), key=lambda r: r.id
-    )
-    categories = sorted(
-        (_parse_category(o, i) for i, o in enumerate(doc["categories"])), key=lambda r: r.id
-    )
-    instances = sorted(
-        (_parse_annotation(o, i) for i, o in enumerate(doc["annotations"])), key=lambda r: r.id
-    )
+    # each record from its object and position, canonicalized by id
+    images = tuple(sorted(map(_parse_image, doc["images"], count()), key=_BY_ID))
+    categories = tuple(sorted(map(_parse_category, doc["categories"], count()), key=_BY_ID))
+    instances = tuple(sorted(map(_parse_annotation, doc["annotations"], count()), key=_BY_ID))
     extra = {k: v for k, v in doc.items() if k not in ("images", "annotations", "categories")}
-    return AnnotationDataset(tuple(images), tuple(categories), tuple(instances), extra)
+    return AnnotationDataset(images, categories, instances, extra)
 
 
 def load_dataset(path) -> AnnotationDataset:
@@ -377,12 +471,16 @@ def _pixel_areas(ds: AnnotationDataset, instances) -> dict[int, int]:
     """Rasterized pixel area, by id, of each of ``instances`` that
     :func:`~annodiff.raster.rasterizable` accepts on its image, from one
     overlap count keyed by image; any other shape (a degenerate ring, no
-    ring, an RLE of another grid) gets no area.
+    ring, an RLE of another grid, an image side beyond 2**52 px) gets no
+    area.
     """
-    key = {img.id: k for k, img in enumerate(ds.images)}
-    sizes = [(img.width, img.height) for img in ds.images]
-    countable = [inst for inst in instances if rasterizable(inst.segmentation, *sizes[key[inst.image_id]])]
-    ov = count_overlaps([(inst.segmentation, key[inst.image_id]) for inst in countable], [], sizes)
+    size = {img.id: (img.width, img.height) for img in ds.images}
+    countable = [inst for inst in instances if rasterizable(inst.segmentation, *size[inst.image_id])]
+    # keyed by image, among the images of countable shapes: the grid of any
+    # other image may be one that count_overlaps rejects
+    key = {i: k for k, i in enumerate(dict.fromkeys(inst.image_id for inst in countable))}
+    items = [(inst.segmentation, key[inst.image_id]) for inst in countable]
+    ov = count_overlaps(items, [], [size[i] for i in key])
     return dict(zip([inst.id for inst in countable], ov.area_a.tolist()))
 
 

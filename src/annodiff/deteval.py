@@ -75,8 +75,7 @@ AREA_RANGES: tuple[tuple[str, float, float], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     """One scored prediction; ``segmentation`` is required for the segm task."""
 
     id: int
@@ -158,16 +157,10 @@ def annotations_as_detections(ds: AnnotationDataset) -> DetectionSet:
     Crowds are never emitted: they play their part as ignore regions on the
     ground-truth side only. Output is ordered by instance id.
     """
+    # the parser stores each bbox as a tuple of floats
     return DetectionSet(
         tuple(
-            Detection(
-                id=inst.id,
-                image_id=inst.image_id,
-                category_id=inst.category_id,
-                score=1.0,
-                bbox=inst.bbox,  # the parser stores a tuple of floats
-                segmentation=inst.segmentation,
-            )
+            Detection(inst.id, inst.image_id, inst.category_id, 1.0, inst.bbox, inst.segmentation)
             for inst in ds.instances
             if not inst.iscrowd
         )
@@ -193,6 +186,8 @@ def detections_from_results(raw) -> DetectionSet:
             raw = json.loads(raw)
         except json.JSONDecodeError as e:
             raise ParseError(f"results JSON is invalid: {e.msg}", e.pos) from e
+        except RecursionError:  # the decoder recurses once per level of nesting
+            raise ParseError("results JSON is invalid: nested too deeply", None) from None
     if not isinstance(raw, list):
         raise SchemaError("results file must be a JSON array of detections")
     dets = []

@@ -13,8 +13,10 @@ strict ``x_center < x_crossing`` comparison. Centers exactly on a top or
 left edge are inside, on a bottom or right edge outside, so abutting
 polygons tile the grid without overlap.
 
-The span test is exact, but the crossing is not: it is computed in float64
-as ``x1 + (y_center - y1) * slope``, with ``slope = (x2 - x1) / (y2 - y1)``
+The span test is exact on any grid whose sides are at most 2**52 px, where
+every pixel center is exact in float64; a larger grid is rejected. The
+crossing is not exact: it is computed in float64 as
+``x1 + (y_center - y1) * slope``, with ``slope = (x2 - x1) / (y2 - y1)``
 taken first. On horizontal and vertical edges that is exact. On a slanted
 edge the crossing may be rounded, so a center that lies within rounding of
 it (a center on a polygon vertex, or on the edge itself) is decided by the
@@ -203,9 +205,16 @@ def _runs(owner: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     return owner[0::2][run], rows[0::2][run], c0[run], c1[run]
 
 
+# The largest grid side: every pixel center ``r + 0.5`` below it is exact in
+# float64, which the span test needs.
+_MAX_SIDE = 2**52
+
+
 def _check_grid(width: int, height: int) -> None:
     if width < 1 or height < 1:
         raise GeometryError(f"invalid grid {width}x{height}")
+    if width > _MAX_SIDE or height > _MAX_SIDE:
+        raise GeometryError(f"grid {width}x{height} has a side beyond 2**52 px")
 
 
 def rasterizable(shape, width: int, height: int) -> bool:
@@ -234,7 +243,7 @@ def rasterize_stack(shapes, width: int, height: int) -> tuple[int, int, np.ndarr
     Raises:
         DegenerateShape: a ring has fewer than 3 vertices, or a shape none.
         GeometryError: otherwise, a ring's coordinates do not pair up into
-            vertices, or dims are invalid.
+            vertices, or a side is below 1 or beyond 2**52 px.
     """
     v = _vertices(shapes)
     _check_grid(width, height)
@@ -420,7 +429,8 @@ def count_overlaps(a, b, sizes, *, skip_invalid: bool = False) -> Overlaps:
         DegenerateShape: a polygon has a ring of fewer than 3 vertices, or
             none (unless ``skip_invalid``, which counts such a shape as empty).
         GeometryError: a ring's coordinates do not pair up into vertices
-            (unless ``skip_invalid``), or an RLE does not match its grid.
+            (unless ``skip_invalid``), an RLE does not match its grid, or a
+            grid of ``sizes`` has a side below 1 or beyond 2**52 px.
     """
     n_a, n_b = len(a), len(b)
     items = [*a, *b]
@@ -430,6 +440,8 @@ def count_overlaps(a, b, sizes, *, skip_invalid: bool = False) -> Overlaps:
     order = np.argsort(key, kind="stable")
     ranked = key[order]
     shapes = [items[i][0] for i in order.tolist()]
+    for w, h in sizes:
+        _check_grid(w, h)
     sizes = np.asarray(sizes, dtype=np.int64).reshape(-1, 2)
     width, height = sizes[ranked, 0], sizes[ranked, 1]
     coordinates = [_coordinates(shape) for shape in shapes]

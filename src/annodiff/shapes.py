@@ -2,18 +2,19 @@
 
 Two encodings exist in COCO-style files: lists of polygon rings (flat
 ``[x1, y1, x2, y2, ...]`` coordinate lists in pixel units, origin top-left)
-and column-major run-length encoded masks for crowd regions.
+and column-major run-length encoded masks for crowd regions. Both carriers
+are ``NamedTuple`` records: immutable, and cheap to build once per
+annotation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Polygons:
+class Polygons(NamedTuple):
     """One or more polygon rings, each stored in the flat COCO layout."""
 
     rings: tuple[tuple[float, ...], ...]
@@ -37,8 +38,7 @@ class Polygons:
         return np.concatenate([self.points(i) for i in range(len(self.rings))])
 
 
-@dataclass(frozen=True)
-class RleMask:
+class RleMask(NamedTuple):
     """Column-major run-length encoded binary mask; first run is background."""
 
     counts: tuple[int, ...]

@@ -1,9 +1,15 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annodiff.dataset import (
+    _annotation_by_field,
+    _parse_annotation,
+    _plain_annotation,
     AnnotationDataset,
     CategoryRecord,
     ImageRecord,
@@ -17,6 +23,7 @@ from annodiff.dataset import (
     to_coco,
     validate,
 )
+from annodiff.deteval import Detection
 from annodiff.errors import IntegrityError, ParseError, SchemaError
 from annodiff.raster import encode_rle
 from annodiff.shapes import Polygons, RleMask
@@ -53,6 +60,11 @@ class TestParse:
         with pytest.raises(ParseError) as e:
             parse_dataset('{"images": [},')
         assert e.value.byte_offset == '{"images": [},'.index("}")
+
+    def test_deeply_nested_json_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^malformed JSON: nested too deeply$") as e:
+            parse_dataset("[" * 100_000)
+        assert e.value.byte_offset is None
 
     def test_multibyte_text_keeps_byte_offsets(self):
         # 4 ASCII bytes + 6 bytes of CJK before the bad token
@@ -169,6 +181,217 @@ class TestParse:
         inst = ds_of([make_ann(1, 1, ring, bbox=[0, 0, 5, 5])]).instances[0]
         assert inst.segmentation.rings == (tuple(float(v) for v in ring),)
         assert all(type(v) is float for v in inst.segmentation.rings[0] + inst.bbox)
+
+
+# ---------------------------------------------------------------------------
+# the plain-annotation fast path against the field-by-field path
+
+_REQUIRED = ("id", "image_id", "category_id", "segmentation", "area", "bbox", "iscrowd")
+_numbers = st.one_of(
+    st.integers(-1000, 1000),
+    st.floats(-1e4, 1e4, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.5, 7]),
+)
+
+
+@st.composite
+def _rle(draw):
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(st.integers(0, h * w), max_size=4)))
+    bounds = [0, *cuts, h * w]
+    return {"counts": [b - a for a, b in zip(bounds, bounds[1:])], "size": [h, w]}
+
+
+@st.composite
+def _annotation(draw):
+    """A valid annotation object, as ``json.loads`` gives it: polygons of int
+    and float coordinates or an RLE, sometimes with extra keys, with a
+    sum of values that may overflow."""
+    coordinates = _numbers | st.just(1.7e308) if draw(st.booleans()) else _numbers
+    rings = st.lists(st.tuples(coordinates, coordinates), max_size=5).map(lambda ps: [v for p in ps for v in p])
+    obj = {
+        "id": draw(st.integers(-5, 10**12)),
+        "image_id": draw(st.integers(0, 9)),
+        "category_id": draw(st.integers(0, 9)),
+        "segmentation": draw(st.lists(rings, max_size=3) | _rle()),
+        "area": draw(coordinates),
+        "bbox": draw(st.lists(coordinates, min_size=4, max_size=4)),
+        "iscrowd": draw(st.sampled_from([0, 1, True, False, 0.0, 1.0])),
+    }
+    extra = st.sampled_from(["score", "attributes", "id_"])
+    obj.update(draw(st.dictionaries(extra, _numbers | st.text(max_size=3), max_size=2)))
+    return obj
+
+
+def _places(obj) -> list[tuple]:
+    """``(container, key)`` of every value of ``obj`` that must be a number."""
+    places = [(obj, "area")]
+    bbox, seg = obj.get("bbox"), obj.get("segmentation")
+    if isinstance(bbox, list):
+        places += [(bbox, i) for i in range(len(bbox))]
+    if isinstance(seg, list):
+        places += [(ring, i) for ring in seg if isinstance(ring, list) for i in range(len(ring))]
+    return places
+
+
+@st.composite
+def _faulty(draw, obj):
+    """``obj`` with one fault of a drawn kind, at a drawn place."""
+    fault = draw(st.sampled_from([
+        "missing", "not an int", "string", "nan", "inf", "huge", "odd ring", "not a list", "short bbox", "iscrowd 2",
+        "field not a list",
+    ]))
+    pick = lambda seq: seq[draw(st.integers(0, len(seq) - 1))]
+    if fault == "missing":
+        obj.pop(pick(_REQUIRED), None)
+    elif fault == "not an int":
+        obj[pick(["id", "image_id", "category_id"])] = pick([True, False, 3.0, 2.5])
+    elif fault == "iscrowd 2":
+        obj["iscrowd"] = 2
+    elif fault == "short bbox":
+        obj["bbox"] = [1, 2, 3]
+    elif fault == "field not a list":
+        obj[pick(["bbox", "segmentation"])] = pick(["1 2 3 4", 4, None, {}])
+    elif fault in ("odd ring", "not a list"):
+        seg = obj.get("segmentation")
+        if not isinstance(seg, list) or not seg:
+            obj["segmentation"] = seg = [[1, 2]]
+        i = draw(st.integers(0, len(seg) - 1))
+        if fault == "odd ring":
+            seg[i] = [1, 2, 3]
+        else:
+            seg[i] = pick([(1, 2), "1 2", 3, {"x": 1}, None])
+    else:
+        value = {"string": "3", "nan": float("nan"), "inf": pick([float("inf"), float("-inf")]), "huge": 10**400}[fault]
+        container, key = pick(_places(obj))
+        container[key] = value
+    return obj
+
+
+def _outcome(parse, obj):
+    try:
+        rec = parse(obj, 3)
+    except SchemaError as e:
+        return "SchemaError", str(e)
+    return rec, repr(rec)  # the repr tells an int from a float and True from 1
+
+
+_PLAIN = {
+    "id": 7, "image_id": 1, "category_id": 2, "segmentation": [[0, 0.5, 4, 0, 4.25, 4]],
+    "area": 8, "bbox": [0, 0, 4.25, 4], "iscrowd": 0,
+}
+
+
+def _with(*path_and_value):
+    """A copy of ``_PLAIN`` with the value at ``path`` set, or removed for ``...``."""
+    *path, value = path_and_value
+    obj = copy.deepcopy(_PLAIN)
+    container = obj
+    for key in path[:-1]:
+        container = container[key]
+    if value is ...:
+        del container[path[-1]]
+    else:
+        container[path[-1]] = value
+    return obj
+
+
+_NOT_NUMBERS = {
+    "string": "3", "null": None, "true": True, "nan": float("nan"),
+    "inf": float("inf"), "-inf": float("-inf"), "10**400": 10**400,
+}
+_FAULT_TABLE = [
+    *[(f"missing {name}", _with(name, ...)) for name in _REQUIRED],
+    *[(f"{name} {v!r}", _with(name, v)) for name in ("id", "image_id", "category_id") for v in (True, 3.0, "3")],
+    *[
+        (f"{'/'.join(map(str, place))} {name}", _with(*place, v))
+        for place in (("area",), ("bbox", 2), ("segmentation", 0, 0), ("segmentation", 0, 5))
+        for name, v in _NOT_NUMBERS.items()
+    ],
+    ("odd ring", _with("segmentation", 0, [0, 0, 4, 0, 4])),
+    *[(f"ring {v!r}", _with("segmentation", 0, v)) for v in ("0 0 4 0 4 4", 4, None, {"x": 1})],
+    *[(f"segmentation {v!r}", _with("segmentation", v)) for v in ("0 0 4 0 4 4", 4, None, {})],
+    *[(f"bbox {v!r}", _with("bbox", v)) for v in ([0, 0, 4], "0044", 4, None, {"0": 0, "1": 0, "2": 4, "3": 4})],
+    ("iscrowd 2", _with("iscrowd", 2)),
+]
+
+
+class TestFastPath:
+    @pytest.mark.parametrize("obj", [o for _, o in _FAULT_TABLE], ids=[name for name, _ in _FAULT_TABLE])
+    def test_each_fault_is_named_by_the_field_by_field_path(self, obj):
+        assert _plain_annotation(obj) is None
+        outcome = _outcome(_parse_annotation, obj)
+        assert outcome[0] == "SchemaError" and outcome == _outcome(_annotation_by_field, obj)
+
+    @pytest.mark.parametrize("iscrowd", [0, 1, 0.0, 1.0, True, False])
+    def test_every_iscrowd_flag_is_plain(self, iscrowd):
+        obj = _with("iscrowd", iscrowd)
+        rec = _plain_annotation(obj)
+        assert rec is not None and rec.iscrowd is bool(iscrowd)
+        assert _outcome(_parse_annotation, obj) == _outcome(_annotation_by_field, obj)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_agrees_with_the_field_by_field_path(self, data):
+        obj = data.draw(_annotation())
+        faults = data.draw(st.integers(0, 2))
+        for _ in range(faults):
+            obj = data.draw(_faulty(obj))
+        assert _outcome(_parse_annotation, obj) == _outcome(_annotation_by_field, obj)
+        plain = not faults and isinstance(obj["segmentation"], list)
+        if plain and all(abs(container[key]) < 1e300 for container, key in _places(obj)):
+            assert _plain_annotation(obj) is not None
+
+    @pytest.mark.parametrize("obj", [None, [1], "annotation", 7])
+    def test_a_non_object_is_named_by_position(self, obj):
+        with pytest.raises(SchemaError, match="^annotation at position 3 is not an object$"):
+            _parse_annotation(obj, 3)
+
+    def test_plain_polygons_take_the_fast_path(self):
+        ann = make_ann(1, 1, [0, 0.5, 5, 0, 5.25, 5, 0, 5], bbox=[0, 0, 5, 5])
+        rec = _plain_annotation(ann)
+        assert rec == _annotation_by_field(ann, 0) and type(rec.extra) is dict
+        rle = make_ann(2, 1, {"counts": [0, 16], "size": [4, 4]}, iscrowd=1, bbox=[0, 0, 4, 4], area=16)
+        assert _plain_annotation(rle) is None and _parse_annotation(rle, 0) == _annotation_by_field(rle, 0)
+
+
+# ---------------------------------------------------------------------------
+# records
+
+_RECORDS = [
+    ImageRecord(1, 4, 4, "a.png"),
+    CategoryRecord(1, "blob"),
+    InstanceRecord(1, 1, 1, Polygons(((0.0, 0.0, 4.0, 0.0, 4.0, 4.0),)), (0.0, 0.0, 4.0, 4.0), 8.0, False),
+    Polygons(((0.0, 0.0, 4.0, 0.0, 4.0, 4.0),)),
+    RleMask((0, 16), 4, 4),
+    Detection(1, 1, 1, 0.5, (0.0, 0.0, 4.0, 4.0)),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("rec", _RECORDS, ids=lambda r: type(r).__name__)
+    def test_every_field_is_read_only(self, rec):
+        for name in rec._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+        assert isinstance(rec, tuple)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ImageRecord(1, 4, 4, "a.png"),
+        lambda: CategoryRecord(1, "blob"),
+        lambda: _RECORDS[2]._replace(id=2),
+    ])
+    def test_records_built_without_extra_share_no_mutable_default(self, make):
+        first, second = make(), make()
+        with pytest.raises(TypeError):
+            first.extra["note"] = 1
+        assert first.extra == second.extra == {} and not first.extra and repr(first).endswith("extra={})")
+        assert pickle.loads(pickle.dumps(first)) == copy.deepcopy(first) == first
+
+    def test_parsed_records_keep_their_own_extra(self):
+        ds = ds_of([make_ann(i, 1, rect_ring(i, i, 5, 5)) for i in (1, 2)])
+        first, second = ds.instances
+        assert first.extra == second.extra == {} and first.extra is not second.extra
 
 
 class TestAccessors:

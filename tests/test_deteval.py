@@ -694,6 +694,11 @@ class TestResultsFormat:
         with pytest.raises(ParseError):
             detections_from_results("[{")
 
+    def test_deeply_nested_json_is_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply") as e:
+            detections_from_results("[" * 100_000)
+        assert e.value.byte_offset is None
+
     @pytest.mark.parametrize(
         "entry,msg",
         [

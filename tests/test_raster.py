@@ -418,6 +418,26 @@ class TestCountOverlaps:
         boxes = [(0, x, y, 10), (1, 1, 1, 5), (2, x + 5, y + 5, 10), (3, 20, 20, 4)]
         assert runs == sorted((k, r, c, c + n) for k, c, r0, n in boxes for r in range(r0, r0 + n))
 
+    @pytest.mark.parametrize("width, height", [(64, 2**52), (2**52, 2**52)])
+    def test_exact_on_the_last_rows_of_a_2_52_px_side(self, width, height):
+        # the last pixel center, 2**52 - 0.5, is still exact in float64
+        last = rect_ring(width - 10, height - 10, 10, 10)
+        half = rect_ring(width - 10.5, height - 10.5, 10, 10)
+        got = count_overlaps([(poly(last), 0)], [(poly(half), 0)], [(width, height)])
+        assert (got.area_a.tolist(), got.area_b.tolist(), got.inter.tolist()) == ([100], [100], [81])
+        row0, col0, stack = rasterize_stack([poly(last), poly(half)], width, height)
+        assert (row0, col0, stack.shape) == (height - 11, width - 11, (2, 11, 11))
+        assert stack[0, 1:, 1:].all() and stack[1, :10, :10].all() and stack.sum() == 200
+
+    @pytest.mark.parametrize("width, height", [(2**52 + 1, 64), (64, 2**52 + 1), (2**64, 40)])
+    def test_a_side_beyond_2_52_px_is_rejected(self, width, height):
+        square = poly(rect_ring(0, 0, 10, 10))
+        with pytest.raises(GeometryError, match=r"side beyond 2\*\*52 px"):
+            count_overlaps([(square, 0)], [], [(16, 16), (width, height)])
+        with pytest.raises(GeometryError, match=r"side beyond 2\*\*52 px"):
+            rasterize_stack([square], width, height)
+        assert not raster.rasterizable(square, width, height)
+
     def test_dense_scene_peak_stays_under_8_mb(self):
         # 40 images of 400 x 300 px, each with 30 detections and 30 ground
         # truths piled onto one spot, plus an RLE crowd covering the image

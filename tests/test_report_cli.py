@@ -265,6 +265,25 @@ class TestCliStats:
             assert main(["stats", str(path), *flags]) == EXIT_INPUT
             assert capsys.readouterr().err.strip() == "error: annotation 1 has negative area -5.0"
 
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        assert main(["stats", str(deep)]) == EXIT_INPUT
+        assert capsys.readouterr().err.strip() == "error: malformed JSON: nested too deeply"
+
+    def test_image_side_beyond_2_52_px(self, tmp_path, capsys):
+        # pixel centers are no longer exact in float64: recomputed areas keep
+        # the stored one, and the segm evaluator names the grid
+        path = tmp_path / "wide.json"
+        path.write_text(make_coco(make_images(1, width=2**64, height=40), [
+            make_ann(1, 1, rect_ring(0, 0, 10, 10), area=20_000),
+        ]))
+        assert main(["stats", str(path), "--recompute-areas"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["size_buckets"]["large"] == 1
+        assert main(["eval", str(path), str(path), "--task", "segm"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.strip() == "error: grid 18446744073709551616x40 has a side beyond 2**52 px"
+
     def test_bucket_flags_cannot_be_combined(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(["stats", TINY_A, "--recompute-areas", "--dims-buckets"])
