@@ -6,11 +6,15 @@ pairs (so "nothing to analyze" is distinguishable from failure).
 
 ``ANNODIFF_IOU_THRESHOLD`` and ``ANNODIFF_JOBS`` override the built-in
 defaults; explicit flags beat both.
+
+A command runs with the cyclic garbage collector paused, because the records
+and arrays it builds hold no reference cycles; library calls are unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -203,11 +207,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # the collector would only traverse acyclic records; the caller's
+    # setting comes back however the command ends
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (AnnodiffError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

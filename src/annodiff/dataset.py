@@ -331,6 +331,29 @@ def _parse_annotation(obj, pos: int) -> InstanceRecord:
     return _annotation_by_field(obj, pos) if rec is None else rec
 
 
+def _load_json(raw: bytes | bytearray | str) -> Any:
+    """Decode UTF-8 JSON bytes or text.
+
+    Raises:
+        ParseError: not UTF-8 or not JSON, with the offset in the UTF-8
+            bytes, or ``None`` where the JSON nests too deeply to decode.
+    """
+    if isinstance(raw, (bytes, bytearray)):
+        try:
+            text = bytes(raw).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"not UTF-8 at byte {e.start}", e.start) from None
+    else:
+        text = raw
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        offset = len(text[: e.pos].encode("utf-8"))
+        raise ParseError(f"malformed JSON at byte {offset}: {e.msg}", offset) from None
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise ParseError("malformed JSON: nested too deeply", None) from None
+
+
 def parse_dataset(raw: bytes | str | BinaryIO) -> AnnotationDataset:
     """Parse COCO-format JSON bytes into an indexed, immutable dataset.
 
@@ -345,21 +368,7 @@ def parse_dataset(raw: bytes | str | BinaryIO) -> AnnotationDataset:
     """
     if hasattr(raw, "read"):
         raw = raw.read()
-    if isinstance(raw, (bytes, bytearray)):
-        try:
-            text = bytes(raw).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ParseError(f"not UTF-8 at byte {e.start}", e.start) from None
-    else:
-        text = raw
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        offset = len(text[: e.pos].encode("utf-8"))
-        raise ParseError(f"malformed JSON at byte {offset}: {e.msg}", offset) from None
-    except RecursionError:  # the decoder recurses once per level of nesting
-        raise ParseError("malformed JSON: nested too deeply", None) from None
-
+    doc = _load_json(raw)
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
     for key in ("images", "annotations", "categories"):

@@ -53,17 +53,16 @@ grid per direction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import AnnotationDataset, _finite, _finite_tuple, _parse_segmentation
-from .errors import EvalError, ParseError, SchemaError
+from .dataset import AnnotationDataset, _finite, _finite_tuple, _load_json, _parse_segmentation
+from .errors import EvalError, SchemaError
 from .raster import Overlaps, bbox_of_mask, bbox_of_polygon, box_overlaps, count_overlaps, decode_rle, iou
-from .shapes import Polygons, RleMask, ShapeSpec
+from .shapes import Polygons, ShapeSpec
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(np.linspace(0.5, 0.95, 10).tolist())
 RECALL_POINTS: tuple[float, ...] = tuple(np.linspace(0.0, 1.0, 101).tolist())
@@ -180,14 +179,14 @@ def detections_from_results(raw) -> DetectionSet:
     ``bbox`` may be omitted when a segmentation is present (it is then derived
     from the shape). Detection ids are assigned by file position, starting
     at 1, which also fixes the score-tie order.
+
+    Raises:
+        ParseError: bytes that are not UTF-8, or text that is not JSON, as
+            ``parse_dataset`` raises it.
+        SchemaError: the array or an entry is malformed.
     """
     if isinstance(raw, (bytes, str)):
-        try:
-            raw = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"results JSON is invalid: {e.msg}", e.pos) from e
-        except RecursionError:  # the decoder recurses once per level of nesting
-            raise ParseError("results JSON is invalid: nested too deeply", None) from None
+        raw = _load_json(raw)
     if not isinstance(raw, list):
         raise SchemaError("results file must be a JSON array of detections")
     dets = []

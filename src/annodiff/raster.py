@@ -49,7 +49,7 @@ intersection and two areas.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 

@@ -21,7 +21,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -106,6 +105,9 @@ def compute_surface_results(
     # the executor starts every worker at its first map
     jobs = min(jobs, len(payloads), os.cpu_count() or 1)
     if jobs > 1:
+        # imported here, so that a command without a pool loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(payloads) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_surface_task, payloads, chunksize=chunk))

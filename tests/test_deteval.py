@@ -699,6 +699,17 @@ class TestResultsFormat:
             detections_from_results("[" * 100_000)
         assert e.value.byte_offset is None
 
+    @pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+    def test_invalid_json_reports_the_byte_offset(self, encode):
+        with pytest.raises(ParseError, match="^malformed JSON at byte 11: ") as e:
+            detections_from_results(encode('["你好", }'))
+        assert e.value.byte_offset == len('["你好", '.encode("utf-8"))
+
+    def test_bytes_not_utf8_is_parse_error(self):
+        with pytest.raises(ParseError, match="^not UTF-8 at byte 2$") as e:
+            detections_from_results(b'["\xff"]')
+        assert e.value.byte_offset == 2
+
     @pytest.mark.parametrize(
         "entry,msg",
         [

@@ -1,13 +1,18 @@
 import csv
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
+import annodiff.cli
 import annodiff.report
-from annodiff.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, main
+from annodiff.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, cmd_stats, main
 from annodiff.dataset import parse_dataset
 from annodiff.errors import DegenerateShape
 from annodiff.matching import MatchPair, MatchSet, match_datasets, pairs_to_ndjson
@@ -25,6 +30,8 @@ from conftest import FIXTURES, make_ann, make_coco, make_images, rect_ring
 
 TINY_A = str(FIXTURES / "tiny_pair_a.json")
 TINY_B = str(FIXTURES / "tiny_pair_b.json")
+SYNTHETIC_A = str(FIXTURES / "synthetic_a.json")
+SYNTHETIC_B = str(FIXTURES / "synthetic_b.json")
 
 _schema = json.loads(
     (Path(__file__).resolve().parents[1] / "schemas" / "audit-report.v1.schema.json").read_text()
@@ -212,10 +219,86 @@ class TestSurfacePool:
         ms = match_datasets(tiny_a, tiny_b)
         want = compute_surface_results(ms, tiny_a, tiny_b)
         monkeypatch.setattr(FakePool, "sizes", [])
-        monkeypatch.setattr(annodiff.report, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(annodiff.report.os, "cpu_count", lambda: cpus)
         assert compute_surface_results(ms, tiny_a, tiny_b, jobs=jobs) == want
         assert FakePool.sizes == pools
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = Path(annodiff.cli.__file__).resolve().parents[1]
+    code = "import sys, annodiff.cli; print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+class TestCliCollector:
+    """A command runs with the cyclic collector paused, and the caller gets
+    its own setting back however the command ends."""
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("outcome", ["exit-0", "exit-2", "raises"])
+    def test_caller_setting_comes_back(self, collecting, outcome, monkeypatch, capsys):
+        seen = []
+
+        def stats(args):
+            seen.append(gc.isenabled())
+            if outcome == "raises":
+                raise RuntimeError("boom")
+            return cmd_stats(args)
+
+        monkeypatch.setattr(annodiff.cli, "cmd_stats", stats)
+        path = TINY_A if outcome == "exit-0" else "/nonexistent/p.json"
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            if outcome == "raises":
+                with pytest.raises(RuntimeError, match="boom"):
+                    main(["stats", path])
+            else:
+                assert main(["stats", path]) == (EXIT_OK if outcome == "exit-0" else EXIT_INPUT)
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
+
+    # the argparse parser is the only cyclic garbage a command leaves, so it
+    # is as much on the 50-image pair as on the tiny one
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["stats", "{a}"], id="stats"),
+            pytest.param(["stats", "{a}", "--recompute-areas"], id="stats-recompute-areas"),
+            pytest.param(["stats", "{a}", "--dims-buckets"], id="stats-dims-buckets"),
+            pytest.param(["match", "{a}", "{b}"], id="match"),
+            pytest.param(["match", "{a}", "{b}", "--iou-mode", "mask"], id="match-mask"),
+            pytest.param(
+                ["diff", "{a}", "{b}", "--eval", "both", "--csv-dir", "{tmp}", "--pairs-out", "{tmp}/p.ndjson"],
+                id="diff-eval-both",
+            ),
+            pytest.param(["diff", "{a}", "{b}", "--jobs", "2"], id="diff-jobs-2"),
+            pytest.param(["eval", "{a}", "{b}", "--task", "both"], id="eval-both"),
+            pytest.param(["stats", "{a}.missing"], id="exit-2"),
+        ],
+    )
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, argv, tmp_path, capsys):
+        def garbage(a, b):
+            gc.collect()
+            main([arg.format(a=a, b=b, tmp=tmp_path) for arg in argv])
+            return gc.collect()
+
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            garbage(TINY_A, TINY_B)  # first-use imports, such as the pool's
+            tiny = garbage(TINY_A, TINY_B)
+            synthetic = garbage(SYNTHETIC_A, SYNTHETIC_B)
+        finally:
+            if was:
+                gc.enable()
+        assert tiny == synthetic
 
 
 class TestCliStats:
