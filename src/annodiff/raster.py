@@ -13,14 +13,18 @@ strict ``x_center < x_crossing`` comparison. Centers exactly on a top or
 left edge are inside, on a bottom or right edge outside, so abutting
 polygons tile the grid without overlap.
 
-The span test is exact on any grid whose sides are at most 2**52 px, where
-every pixel center is exact in float64; a larger grid is rejected. The
-crossing is not exact: it is computed in float64 as
-``x1 + (y_center - y1) * slope``, with ``slope = (x2 - x1) / (y2 - y1)``
-taken first. On horizontal and vertical edges that is exact. On a slanted
-edge the crossing may be rounded, so a center that lies within rounding of
-it (a center on a polygon vertex, or on the edge itself) is decided by the
-rounded crossing, and can land on the other side from the exact rule.
+The span test is never evaluated pixel by pixel. An edge spanning
+``[ymin, ymax)`` crosses the center lines of exactly the rows
+``[ceil(ymin - 0.5), ceil(ymax - 0.5))``, and a crossing at ``x`` puts the
+next pixel center in column ``ceil(x - 0.5)``; both are clipped to the grid.
+In float64 this rule is exact on any grid whose sides are at most 2**52 px
+(``_next_center``); a larger grid is rejected. The crossing is not exact: it
+is computed in float64 as ``x1 + (y_center - y1) * slope``, with
+``slope = (x2 - x1) / (y2 - y1)`` taken first. On horizontal and vertical
+edges that is exact. On a slanted edge the crossing may be rounded, so a
+center that lies within rounding of it (a center on a polygon vertex, or on
+the edge itself) is decided by the rounded crossing, and can land on the
+other side from the exact rule.
 
 Pixel toggles and row runs
 --------------------------
@@ -96,22 +100,40 @@ class _Vertices(NamedTuple):
     owner: np.ndarray
 
 
+# Containers that a ring of plain ``int`` and ``float`` coordinates may come
+# in and still be read as flat ``(x1, y1, x2, y2, ...)`` coordinates as it is.
+_FLAT_RINGS = frozenset((tuple, list))
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
 def _rings(shape) -> list:
     """The rings of a polygon shape as flat ``(x1, y1, x2, y2, ...)``
     coordinates. ``DegenerateShape`` if there is no ring or a ring has fewer
     than 6 coordinates (3 vertices); past that rule, ``GeometryError`` if a
-    ring's coordinates do not pair up into vertices."""
-    flat = isinstance(shape, Polygons)  # stored flat already
-    own = list(shape.rings) if flat else [np.asarray(ring, dtype=np.float64) for ring in shape]
+    ring's coordinates do not pair up into vertices.
+
+    The rings of ``Polygons`` are stored flat, and so is a raw ring that is a
+    tuple or list of plain ints and floats; these are taken as they are. Any
+    other raw ring (an array, a list of pairs) goes through NumPy."""
+    if isinstance(shape, Polygons):
+        own = list(shape.rings)
+    else:
+        own = [
+            ring
+            if type(ring) in _FLAT_RINGS and _PLAIN_NUMBERS.issuperset(map(type, ring))
+            else np.asarray(ring, dtype=np.float64)
+            for ring in shape
+        ]
     for ring in own:
-        size = len(ring) if flat else ring.size
+        array = type(ring) is np.ndarray
+        size = ring.size if array else len(ring)
         if size < 6:
             raise DegenerateShape(f"degenerate ring with {size // 2} vertices")
-        if flat and size % 2:
+        if not array and size % 2:
             raise GeometryError(f"ring has odd coordinate count {size}")
     if not own:
         raise DegenerateShape("polygon has no rings")
-    return own if flat else [_ring_points(ring).reshape(-1) for ring in own]
+    return [_ring_points(ring).reshape(-1) if type(ring) is np.ndarray else ring for ring in own]
 
 
 def _vertices(shapes, skip_invalid: bool = False) -> _Vertices:
@@ -140,6 +162,24 @@ def _vertices(shapes, skip_invalid: bool = False) -> _Vertices:
     return _Vertices(flat[0::2], flat[1::2], succ, np.repeat(np.array(owners, dtype=np.intp), n))
 
 
+def _next_center(v: np.ndarray, lim) -> np.ndarray:
+    """Index ``i`` of the first pixel whose center ``i + 0.5`` lies at or past
+    each coordinate of ``v``: ``ceil(v - 0.5)``, clipped to ``[0, lim]``.
+
+    Exact for any finite float64 ``v``, and so the same rule as the span test
+    ``v <= i + 0.5``. ``v - 0.5`` is exact for ``0.25 <= v < 2**52``.
+    Elsewhere it may round, but rounding is monotone: for ``v < 0.25`` the
+    exact and the rounded ``ceil`` are both at most 0, and for ``v >= 2**52``
+    both are at least ``2**52``, so the clip maps them to the same bound (a
+    grid side is at most ``2**52``).
+    """
+    out = v - 0.5
+    np.ceil(out, out=out)
+    np.maximum(out, 0, out=out)
+    np.minimum(out, lim, out=out)
+    return out.astype(np.int64)
+
+
 def _crossings(v: _Vertices, width: np.ndarray, height: np.ndarray, at=slice(None)):
     """Pixel toggles ``(owner, row, col)`` of the shapes of vertices ``at``,
     unsorted: the ray along the center line of ``row`` crosses an edge of
@@ -147,33 +187,33 @@ def _crossings(v: _Vertices, width: np.ndarray, height: np.ndarray, at=slice(Non
     whose next pixel center is in column ``col``. Every row of a shape holds
     an even number of them.
 
-    Each vertex and its successor make an edge. Every (edge, row) candidate
-    that passes the span test yields one crossing.
+    Each vertex and its successor make an edge, which spans ``[ylo, yhi)``.
+    It crosses the center lines of the rows ``r`` with
+    ``ylo <= r + 0.5 < yhi``, which are exactly the rows
+    ``[ceil(ylo - 0.5), ceil(yhi - 0.5))``; clipped to the grid
+    (:func:`_next_center`), each of them yields one crossing.
     """
-    x1, y1, succ = v.x[at], v.y[at], v.succ[at]
-    # horizontal edges never cross a scanline
-    edge = np.flatnonzero(y1 != v.y[succ])
-    x1, y1, owner, succ = x1[edge], y1[edge], v.owner[at][edge], succ[edge]
-    x2, y2 = v.x[succ], v.y[succ]
-    ylo = np.minimum(y1, y2)
-    yhi = np.maximum(y1, y2)
-    slope = (x2 - x1) / (y2 - y1)
-    # Every row r with ylo <= r + 0.5 < yhi lies in [floor(ylo), ceil(yhi)).
-    # Expand those candidates per edge, clipped to the grid, then keep exactly
-    # the pairs that pass the span test.
-    lim = height[owner]
-    first = np.clip(np.floor(ylo), 0, lim).astype(np.int64)
-    span = np.maximum(np.clip(np.ceil(yhi), 0, lim).astype(np.int64) - first, 0)
+    x1, y1, owner, succ = v.x[at], v.y[at], v.owner[at], v.succ[at]
+    y2 = v.y[succ]
+    dy = y2 - y1
+    # a horizontal edge has an empty row range, so its slope is never read
+    slope = np.divide(v.x[succ] - x1, dy, out=np.zeros_like(dy), where=dy != 0)
+    # rows [first, first + span) of each edge, in one pass for both bounds
+    ends = np.empty((2, dy.size))
+    np.minimum(y1, y2, out=ends[0])
+    np.maximum(y1, y2, out=ends[1])
+    first, span = _next_center(ends, height[owner])
+    span -= first
     e = np.repeat(np.arange(span.size), span)
     rows = np.arange(e.size) + np.repeat(first - (np.cumsum(span) - span), span)
-    py = rows + 0.5
-    hit = (ylo[e] <= py) & (py < yhi[e])
-    e, rows, py = e[hit], rows[hit], py[hit]
     owner = owner[e]
     # Pixel centers in a run [a, b) are the columns [ceil(a - 0.5),
     # ceil(b - 0.5)); clipped to the grid, an off-grid run becomes empty.
-    xs = x1[e] + (py - y1[e]) * slope[e]
-    return owner, rows, np.clip(np.ceil(xs - 0.5), 0, width[owner]).astype(np.int64)
+    xs = rows + 0.5
+    xs -= y1[e]
+    xs *= slope[e]
+    xs += x1[e]
+    return owner, rows, _next_center(xs, width[owner])
 
 
 def _runs(owner: np.ndarray, rows: np.ndarray, cols: np.ndarray):
@@ -205,8 +245,8 @@ def _runs(owner: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     return owner[0::2][run], rows[0::2][run], c0[run], c1[run]
 
 
-# The largest grid side: every pixel center ``r + 0.5`` below it is exact in
-# float64, which the span test needs.
+# The largest grid side: ``_next_center`` is exact on grids up to it, and
+# every pixel center ``r + 0.5`` below it is exact in float64.
 _MAX_SIDE = 2**52
 
 
@@ -352,8 +392,8 @@ class Overlaps(NamedTuple):
 
 
 # Elements per chunk of the overlap count: polygon coordinates gathered at
-# once; then (edge, row) crossing candidates plus one per grid row of an RLE
-# scanned at once; and run pairs joined at once. About 64 bytes each.
+# once; then (edge, row) crossings plus one per grid row of an RLE scanned
+# at once; and run pairs joined at once. About 64 bytes each.
 _CHUNK = 2**13
 
 
@@ -455,12 +495,13 @@ def count_overlaps(a, b, sizes, *, skip_invalid: bool = False) -> Overlaps:
         vertex_key = ranked[v.owner] - k0
         rle = np.array([r for r in range(r0, r1) if isinstance(shapes[r], RleMask)], dtype=np.intp)
         rle_key = ranked[rle] - k0
-        # an edge has at most |dy| + 2 candidate rows, an RLE about one run per row
+        # an edge crosses at most |dy| + 1 row centers, an RLE has about one
+        # run per row
         dy = v.y[v.succ]
         dy -= v.y
         cost = np.bincount(
             np.concatenate([vertex_key, rle_key]),
-            weights=np.concatenate([np.abs(dy, out=dy) + 2, height[rle]]),
+            weights=np.concatenate([np.abs(dy, out=dy) + 1, height[rle]]),
             minlength=k1 - k0,
         )
         for j0, j1 in _chunks(cost):
@@ -508,9 +549,15 @@ def erode(mask: np.ndarray, footprint: str = "cross") -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     p = np.zeros((*mask.shape[:-2], mask.shape[-2] + 2, mask.shape[-1] + 2), dtype=bool)
     p[..., 1:-1, 1:-1] = mask
-    out = p[..., 1:-1, 1:-1] & p[..., :-2, 1:-1] & p[..., 2:, 1:-1] & p[..., 1:-1, :-2] & p[..., 1:-1, 2:]
+    out = p[..., :-2, 1:-1] & p[..., 2:, 1:-1]
+    out &= p[..., 1:-1, :-2]
+    out &= p[..., 1:-1, 2:]
+    out &= mask
     if footprint == "square":
-        out &= p[..., :-2, :-2] & p[..., :-2, 2:] & p[..., 2:, :-2] & p[..., 2:, 2:]
+        out &= p[..., :-2, :-2]
+        out &= p[..., :-2, 2:]
+        out &= p[..., 2:, :-2]
+        out &= p[..., 2:, 2:]
     return out
 
 
@@ -518,7 +565,8 @@ def contour(mask: np.ndarray, footprint: str = "cross") -> np.ndarray:
     """Boundary pixels: the foreground removed by one erosion (of each mask
     of a stack)."""
     mask = np.asarray(mask, dtype=bool)
-    return mask & ~erode(mask, footprint)
+    out = erode(mask, footprint)
+    return np.greater(mask, out, out=out)  # mask and not eroded
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,14 @@ They are taken on grid-relative coordinates in the narrowest integer type
 that holds them: int16 when both grid sides are at most 128 (a squared
 distance is then at most 2 * 127**2 = 32258, below 2**15 - 1), int32 when
 both are below 2**15 (at most 2 * 32766**2, below 2**31 - 1), and int64
-otherwise. A matched pair is measured on the window of its two shapes'
-foreground, not on the image, so most pairs take int16, and only a pair
-whose window side reaches 2**15 takes int64. The pair's two masks are filled
-on that window straight from the pixel toggles of both rings
+otherwise. Contour coordinates come from each mask's flat row-major indices
+(``np.flatnonzero``), split into rows and columns by ``np.divmod`` in that
+type: a flat index is below the pixel count, so below ``2**15`` on an int16
+grid and below ``2**30`` on an int32 one. Their row-major order fixes the
+summation order of the average. A matched pair is measured on the window of
+its two shapes' foreground, not on the image, so most pairs take int16, and
+only a pair whose window side reaches 2**15 takes int64. The pair's two masks
+are filled on that window straight from the pixel toggles of both rings
 (:func:`~annodiff.raster.rasterize_stack`).
 """
 
@@ -50,7 +54,7 @@ _BLOCK = 1 << 16
 
 # Grids whose sides are all below this take int16 coordinates: every squared
 # distance between two of their pixels is at most 2 * 127**2 = 32258, below
-# the int16 maximum 32767 that marks "no distance yet".
+# the int16 maximum 32767.
 _INT16_SIDE = 129
 
 # Grids whose sides are all below this take int32 coordinates: every squared
@@ -60,7 +64,7 @@ _INT32_SIDE = 1 << 15
 
 def _distance_dtype(shape) -> type:
     """The narrowest integer dtype that holds every squared distance between
-    two pixels of a grid of ``shape``, and a sentinel above them."""
+    two pixels of a grid of ``shape``, and every flat pixel index."""
     side = max(shape)
     return np.int16 if side < _INT16_SIDE else np.int32 if side < _INT32_SIDE else np.int64
 
@@ -73,15 +77,14 @@ def _nearest_squared(x, y) -> tuple[np.ndarray, np.ndarray]:
     integer dtype, which the distances keep: int16 is exact for coordinates
     below ``_INT16_SIDE - 1``, int32 below ``_INT32_SIDE - 1``, int64 for any
     grid. The pairwise block is built ``_BLOCK`` elements at a time, from
-    separate row and column differences, and each block updates the running
-    minima of both directions.
+    separate row and column differences. The first block of each point's
+    comparisons starts its running minimum, and each later one lowers it.
     """
     (xr, xc), (yr, yc) = x, y
     cols = min(yr.size, _BLOCK)
     rows = max(_BLOCK // cols, 1)
-    far = np.iinfo(xr.dtype).max
-    to_y = np.full(xr.size, far, dtype=xr.dtype)
-    to_x = np.full(yr.size, far, dtype=xr.dtype)
+    to_y = np.empty(xr.size, dtype=xr.dtype)
+    to_x = np.empty(yr.size, dtype=xr.dtype)
     for j in range(0, yr.size, cols):
         br, bc, near_x = yr[j : j + cols], yc[j : j + cols], to_x[j : j + cols]
         for i in range(0, xr.size, rows):
@@ -91,9 +94,23 @@ def _nearest_squared(x, y) -> tuple[np.ndarray, np.ndarray]:
             dc *= dc
             d += dc
             near_y = to_y[i : i + rows]
-            np.minimum(near_y, d.min(axis=1), out=near_y)
-            np.minimum(near_x, d.min(axis=0), out=near_x)
+            if j:
+                np.minimum(near_y, d.min(axis=1), out=near_y)
+            else:
+                d.min(axis=1, out=near_y)
+            if i:
+                np.minimum(near_x, d.min(axis=0), out=near_x)
+            else:
+                d.min(axis=0, out=near_x)
     return to_y, to_x
+
+
+def _points(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` of the foreground of a 2-D mask in row-major order,
+    in the mask's :func:`_distance_dtype`, from its flat indices."""
+    dtype = _distance_dtype(mask.shape)
+    at = np.flatnonzero(mask).astype(dtype, copy=False)
+    return np.divmod(at, dtype(mask.shape[1]))
 
 
 def surface_distances(cx: np.ndarray, cy: np.ndarray) -> tuple[float, float, int, int]:
@@ -104,22 +121,23 @@ def surface_distances(cx: np.ndarray, cy: np.ndarray) -> tuple[float, float, int
     ``2**15``, and in int64 otherwise.
 
     Raises:
-        GeometryError: either contour is empty or the grids differ.
+        GeometryError: either contour is empty, the grids differ, or they
+            are not 2-D.
     """
     cx = np.asarray(cx, dtype=bool)
     cy = np.asarray(cy, dtype=bool)
     if cx.shape != cy.shape:
         raise GeometryError(f"contour grids differ: {cx.shape} vs {cy.shape}")
+    if cx.ndim != 2:
+        raise GeometryError(f"surface distance of {cx.ndim}-D contours")
     # pixel coordinates in row-major order, which fixes the summation order
-    dtype = _distance_dtype(cx.shape)
-    x = tuple(a.astype(dtype, copy=False) for a in np.nonzero(cx))
-    y = tuple(a.astype(dtype, copy=False) for a in np.nonzero(cy))
+    x, y = _points(cx), _points(cy)
     nx, ny = x[0].size, y[0].size
     if nx == 0 or ny == 0:
         raise GeometryError("surface distance of an empty contour")
     sq_x, sq_y = _nearest_squared(x, y)
-    from_cx = np.sqrt(sq_x.astype(np.float64))
-    from_cy = np.sqrt(sq_y.astype(np.float64))
+    from_cx = np.sqrt(sq_x, dtype=np.float64)
+    from_cy = np.sqrt(sq_y, dtype=np.float64)
     d_avg = float((from_cx.sum() + from_cy.sum()) / (nx + ny))
     d_max = float(np.sqrt(max(int(sq_x.max()), int(sq_y.max()))))
     return d_avg, d_max, nx, ny

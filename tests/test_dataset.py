@@ -8,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from annodiff.dataset import (
     _annotation_by_field,
+    _image_by_field,
     _parse_annotation,
+    _parse_image,
     _plain_annotation,
+    _plain_image,
     AnnotationDataset,
     CategoryRecord,
     ImageRecord,
@@ -353,6 +356,92 @@ class TestFastPath:
         assert rec == _annotation_by_field(ann, 0) and type(rec.extra) is dict
         rle = make_ann(2, 1, {"counts": [0, 16], "size": [4, 4]}, iscrowd=1, bbox=[0, 0, 4, 4], area=16)
         assert _plain_annotation(rle) is None and _parse_annotation(rle, 0) == _annotation_by_field(rle, 0)
+
+
+# ---------------------------------------------------------------------------
+# the plain-image fast path against the field-by-field path
+
+_IMAGE_REQUIRED = ("id", "width", "height", "file_name")
+
+
+@st.composite
+def _image(draw):
+    """A valid image object, as ``json.loads`` gives it, sometimes with extra keys."""
+    obj = {
+        "id": draw(st.integers(-5, 10**12)),
+        "width": draw(st.integers(1, 2**64)),
+        "height": draw(st.integers(1, 5000)),
+        "file_name": draw(st.text(max_size=5)),
+    }
+    extra = st.sampled_from(["license", "coco_url", "id_"])
+    obj.update(draw(st.dictionaries(extra, _numbers | st.text(max_size=3), max_size=2)))
+    return obj
+
+
+@st.composite
+def _faulty_image(draw, obj):
+    """``obj`` with one fault of a drawn kind, at a drawn field."""
+    fault = draw(st.sampled_from(["missing", "not an int", "not positive", "file name"]))
+    pick = lambda seq: seq[draw(st.integers(0, len(seq) - 1))]
+    if fault == "missing":
+        obj.pop(pick(_IMAGE_REQUIRED), None)
+    elif fault == "not an int":
+        obj[pick(["id", "width", "height"])] = pick([True, False, 3.0, "3", None, [3]])
+    elif fault == "not positive":
+        obj[pick(["width", "height"])] = pick([0, -1, -(2**70)])
+    else:
+        obj["file_name"] = pick([None, 3, b"a.png", ["a.png"]])
+    return obj
+
+
+_PLAIN_IMAGE = {"id": 7, "width": 40, "height": 30, "file_name": "a.png"}
+
+
+def _image_with(name, value):
+    """A copy of ``_PLAIN_IMAGE`` with field ``name`` set, or removed for ``...``."""
+    obj = dict(_PLAIN_IMAGE)
+    if value is ...:
+        del obj[name]
+    else:
+        obj[name] = value
+    return obj
+
+
+_IMAGE_FAULTS = [
+    *[(f"missing {name}", _image_with(name, ...)) for name in _IMAGE_REQUIRED],
+    *[(f"{name} {v!r}", _image_with(name, v)) for name in ("id", "width", "height") for v in (True, 3.0, "3", None)],
+    *[(f"{name} {v}", _image_with(name, v)) for name in ("width", "height") for v in (0, -4)],
+    *[(f"file_name {v!r}", _image_with("file_name", v)) for v in (None, 3, ["a.png"])],
+]
+
+
+class TestImageFastPath:
+    @pytest.mark.parametrize("obj", [o for _, o in _IMAGE_FAULTS], ids=[name for name, _ in _IMAGE_FAULTS])
+    def test_each_fault_is_named_by_the_field_by_field_path(self, obj):
+        assert _plain_image(obj) is None
+        outcome = _outcome(_parse_image, obj)
+        assert outcome[0] == "SchemaError" and outcome == _outcome(_image_by_field, obj)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_agrees_with_the_field_by_field_path(self, data):
+        obj = data.draw(_image())
+        faults = data.draw(st.integers(0, 2))
+        for _ in range(faults):
+            obj = data.draw(_faulty_image(obj))
+        assert _outcome(_parse_image, obj) == _outcome(_image_by_field, obj)
+        if not faults:
+            assert _plain_image(obj) is not None
+
+    @pytest.mark.parametrize("obj", [None, [1], "image", 7])
+    def test_a_non_object_is_named_by_position(self, obj):
+        with pytest.raises(SchemaError, match="^image at position 3 is not an object$"):
+            _parse_image(obj, 3)
+
+    def test_plain_images_take_the_fast_path(self):
+        for obj in (_PLAIN_IMAGE, {**_PLAIN_IMAGE, "license": 2}):
+            rec = _plain_image(obj)
+            assert rec == _image_by_field(obj, 0) and type(rec.extra) is dict
 
 
 # ---------------------------------------------------------------------------

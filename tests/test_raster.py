@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -310,6 +312,87 @@ class TestCrossingFill:
         assert rasterize_stack([poly(rect_ring(far, far, 10, 10))], side, side)[:2] == (far, far)
         assert stack.shape == (2, 15, 15) and stack[0, :10, :10].all() and stack[1, 5:, 5:].all()
         assert stack.sum() == 200
+
+
+def exact_next_center(v: float, lim: int) -> int:
+    """``ceil(v - 1/2)`` in exact rationals, clipped to ``[0, lim]``."""
+    return min(max(math.ceil(Fraction(v) - Fraction(1, 2)), 0), lim)
+
+
+def candidate_crossings(v, width, height):
+    """The toggles of ``raster._crossings`` by the candidate-and-filter rule:
+    every row in ``[floor(ymin), ceil(ymax))`` of each edge, clipped to the
+    grid, is a candidate, and those whose center ``r + 0.5`` passes the span
+    test ``ymin <= r + 0.5 < ymax`` each yield a crossing."""
+    y2 = v.y[v.succ]
+    edge = np.flatnonzero(v.y != y2)
+    x1, y1, owner, succ = v.x[edge], v.y[edge], v.owner[edge], v.succ[edge]
+    x2, y2 = v.x[succ], v.y[succ]
+    ylo, yhi = np.minimum(y1, y2), np.maximum(y1, y2)
+    slope = (x2 - x1) / (y2 - y1)
+    lim = height[owner]
+    first = np.clip(np.floor(ylo), 0, lim).astype(np.int64)
+    span = np.maximum(np.clip(np.ceil(yhi), 0, lim).astype(np.int64) - first, 0)
+    e = np.repeat(np.arange(span.size), span)
+    rows = np.arange(e.size) + np.repeat(first - (np.cumsum(span) - span), span)
+    py = rows + 0.5
+    hit = (ylo[e] <= py) & (py < yhi[e])
+    e, rows, py = e[hit], rows[hit], py[hit]
+    owner = owner[e]
+    xs = x1[e] + (py - y1[e]) * slope[e]
+    return owner, rows, np.clip(np.ceil(xs - 0.5), 0, width[owner]).astype(np.int64)
+
+
+_ULP = lambda v, toward: float(np.nextafter(v, toward))  # noqa: E731
+# coordinates where ``v - 0.5`` rounds or sits on a pixel center or border
+_ADVERSARIAL = [
+    0.0, -0.0, 2**-60, -(2**-60), 0.25, _ULP(0.25, 0), 0.5, _ULP(0.5, 0), _ULP(0.5, 1), 1.5, 7.5, 7.0,
+    -0.5, _ULP(-0.5, 0), _ULP(-0.5, -1), -1.5, _ULP(-1.5, 0), _ULP(-1.5, -2),
+    2.0**52 - 0.5, _ULP(2.0**52 - 0.5, 0), 2.0**52 - 1.5, 2.0**52, 2.0**52 + 1, 2.0**53 + 2,
+    1e300, -1e300,
+]
+_LIMITS = [0, 1, 7, 2**31, 2**52 - 1, 2**52]
+
+
+class TestNextCenter:
+    """``raster._next_center`` computes ``ceil(v - 0.5)`` in float64, clipped:
+    the row range of an edge and the column of a crossing."""
+
+    @pytest.mark.parametrize("lim", _LIMITS)
+    def test_adversarial_coordinates_equal_the_exact_rule(self, lim):
+        got = raster._next_center(np.array(_ADVERSARIAL), lim).tolist()
+        assert got == [exact_next_center(v, lim) for v in _ADVERSARIAL]
+
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_LIMITS) | st.integers(0, 2**52))
+    def test_any_float_equals_the_exact_rule(self, v, lim):
+        assert raster._next_center(np.array([v]), lim).tolist() == [exact_next_center(v, lim)]
+
+    @given(
+        st.floats(-12, 40, allow_nan=False) | st.sampled_from([-1.5, -0.5, 0.5, 2**-60, 0.25]),
+        st.floats(-12, 40, allow_nan=False) | st.sampled_from([-1.5, -0.5, 0.5, 2**-60, 0.25]),
+        st.integers(1, 30),
+    )
+    def test_row_range_is_the_span_test(self, a, b, height):
+        ylo, yhi = min(a, b), max(a, b)
+        first, end = raster._next_center(np.array([ylo, yhi]), height).tolist()
+        half = Fraction(1, 2)
+        assert list(range(first, end)) == [r for r in range(height) if ylo <= r + half < yhi]
+
+    def test_crossings_equal_the_candidate_and_filter_rule(self):
+        rng = np.random.default_rng(151)
+        for trial in range(150):
+            w, h = (int(v) for v in rng.integers(3, 60, size=2))
+            shapes = [poly(*wild_rings(rng, int(rng.integers(1, 3)), w, h, sort_angles=bool(trial % 2)))
+                      for _ in range(int(rng.integers(1, 4)))]
+            if trial % 3 == 0:  # vertices on pixel centers, borders and half-way points
+                shapes = [poly(*[[round(2 * c) / 2 for c in r] for r in s.rings]) for s in shapes]
+            width = rng.integers(1, 60, size=len(shapes))
+            height = rng.integers(1, 60, size=len(shapes))
+            v = raster._vertices(shapes)
+            got = raster._crossings(v, width, height)
+            want = candidate_crossings(v, width, height)
+            for g, x in zip(got, want):
+                assert g.tolist() == x.tolist()
 
 
 def assert_counts_match_full_grids(a, b, sizes):

@@ -9,6 +9,7 @@ from annodiff import surface
 from annodiff.errors import DegenerateShape, GeometryError
 from annodiff.matching import MatchConfig, match_datasets
 from annodiff.raster import contour, edt_squared, rasterize, rasterize_stack
+from annodiff.shapes import Polygons
 from annodiff.surface import (
     average_surface_distance,
     max_surface_distance,
@@ -63,6 +64,11 @@ class TestCore:
     def test_grid_mismatch_raises(self):
         with pytest.raises(GeometryError, match="grids differ"):
             surface_distances(np.ones((4, 4), bool), np.ones((4, 5), bool))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4, 4), ()])
+    def test_contours_that_are_not_2d_raise(self, shape):
+        with pytest.raises(GeometryError, match="-D contours"):
+            surface_distances(np.ones(shape, bool), np.ones(shape, bool))
 
     def test_convenience_wrappers(self):
         cx, cy = pixel(2, 2), pixel(2, 7)
@@ -158,7 +164,7 @@ class TestPointSetKernel:
 
     def test_int16_is_exact_up_to_the_side_bound(self):
         # the farthest two pixels of a 128 px side, 2 * 127**2 = 32258 apart
-        # squared, stay below the int16 sentinel
+        # squared, stay below the int16 maximum
         side = surface._INT16_SIDE - 1
         assert side == 128
         x = (np.array([0], np.int16), np.array([0], np.int16))
@@ -207,6 +213,56 @@ class TestPointSetKernel:
         assert (nx, ny) == (10_010, 10_010)
         assert d_max == 9.0 and 2.0 < d_avg < 9.0
         assert peak < 4 * 2**20
+
+
+def nonzero_reference(cx, cy):
+    """Both metrics from 2-D ``np.nonzero`` coordinates in int64 and one
+    unchunked block of squared distances, read out in row-major order."""
+    (xr, xc), (yr, yc) = (np.nonzero(np.asarray(c, dtype=bool)) for c in (cx, cy))
+    sq = (xr[:, None] - yr) ** 2 + (xc[:, None] - yc) ** 2
+    to_y, to_x = sq.min(axis=1), sq.min(axis=0)
+    from_x, from_y = np.sqrt(to_y.astype(np.float64)), np.sqrt(to_x.astype(np.float64))
+    d_avg = float((from_x.sum() + from_y.sum()) / (to_y.size + to_x.size))
+    d_max = float(np.sqrt(max(int(to_y.max()), int(to_x.max()))))
+    return d_avg, d_max, to_y.size, to_x.size
+
+
+def scattered(rng, shape, n):
+    """A mask of ``shape`` with ``n`` random pixels and two opposite corners set."""
+    m = np.zeros(shape, dtype=bool)
+    m[rng.integers(shape[0], size=n), rng.integers(shape[1], size=n)] = True
+    m[0, 0] = m[-1, -1] = True
+    return m
+
+
+class TestContourCoordinates:
+    """``surface_distances`` reads contour coordinates from flat indices in
+    the distance dtype; they must be the row-major ``np.nonzero`` coordinates,
+    whatever the memory layout, so that ``d_avg`` sums in the same order."""
+
+    def test_non_contiguous_views_and_fortran_order(self):
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            ca, cb = random_contour_pair(rng, 70, 50)
+            want = nonzero_reference(ca, cb)
+            assert surface_distances(ca, cb) == want
+            assert surface_distances(np.asfortranarray(ca), np.asfortranarray(cb)) == want
+            assert surface_distances(ca.T, cb.T) == nonzero_reference(ca.T, cb.T)
+            assert not ca[1::2, ::3].flags.contiguous
+            assert surface_distances(ca[1::2, ::3] | cb[::2, ::3], cb[::2, ::3]) == nonzero_reference(
+                ca[1::2, ::3] | cb[::2, ::3], cb[::2, ::3]
+            )
+
+    @pytest.mark.parametrize(
+        "side, dtype", [(128, np.int16), (129, np.int32), (2**15 - 1, np.int32), (2**15, np.int64)]
+    )
+    def test_windows_at_each_dtype_bound(self, side, dtype):
+        rng = np.random.default_rng(side)
+        for shape in ((side, 5), (5, side), (side, side) if side < 200 else (side, 2)):
+            assert surface._distance_dtype(shape) == dtype
+            cx, cy = scattered(rng, shape, 40), scattered(rng, shape, 30)
+            assert surface_distances(cx, cy) == nonzero_reference(cx, cy)
+            assert surface_distances(np.asfortranarray(cx), cy[::-1]) == nonzero_reference(cx, cy[::-1])
 
 
 def full_grid_reference(ra, rb, w, h, footprint="cross"):
@@ -272,6 +328,34 @@ class TestRingPipeline:
         ra, rb = rect_ring(2, 3, 4, 4), rect_ring(side - 2, side - 1, 4, 4)
         assert rasterize_stack([[ra], [rb]], 200, 200)[2].shape == (2, side, side)
         assert ring_pair_metrics(ra, rb, 200, 200) == full_grid_reference(ra, rb, 200, 200)
+
+    def test_ring_containers_give_identical_values(self):
+        # a stored ring is a tuple of floats and takes the flat path; lists of
+        # plain numbers take it too, arrays are converted: all give one value
+        rng = np.random.default_rng(11)
+        measured = 0
+        for _ in range(30):
+            ra, rb = (random_ring(rng, 64, 48, overhang=0.2) for _ in range(2))
+            forms = [
+                (tuple(ra), tuple(rb)),
+                (list(ra), list(rb)),
+                ([int(v) if v == int(v) else v for v in ra], rb),
+                (np.array(ra), np.array(rb)),
+                (np.reshape(ra, (-1, 2)), np.reshape(rb, (-1, 2))),
+                (np.reshape(ra, (-1, 2)).tolist(), tuple(rb)),
+            ]
+            try:
+                want = ring_pair_metrics(*forms[0], 64, 48)
+            except DegenerateShape:
+                continue
+            assert all(ring_pair_metrics(a, b, 64, 48) == want for a, b in forms)
+            shapes = [Polygons((tuple(ra),)), Polygons((tuple(rb),))]
+            row0, col0, stack = rasterize_stack(shapes, 64, 48)
+            for a, b in forms:
+                got = rasterize_stack([[a], [b]], 64, 48)
+                assert got[:2] == (row0, col0) and got[2].shape == stack.shape and (got[2] == stack).all()
+            measured += 1
+        assert measured > 20
 
     def test_square_footprint_contour_differs(self):
         # a diamond's staircase edges: the 3x3 footprint also keeps the
