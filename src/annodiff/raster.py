@@ -43,11 +43,11 @@ shared row overlap. Masks are not painted from runs. :func:`rasterize_stack`
 fills the masks of several shapes straight from their unsorted toggles, by
 their running parity along each row, into a stack on their shared window
 ``(row0, col0, stack)``, the tight bounds of their union; the surface
-metrics use it for a matched pair. Since the order of the toggles does not
-matter to their parity, this gives exactly the pixels of the runs. A
-whole-grid mask (:func:`rasterize`) pastes a one-shape stack into a zero
-grid. Every IoU, of boxes or of pixel counts, is :func:`iou` of an
-intersection and two areas.
+metrics fill a chunk of matched pairs with the same parity fill, from one
+scanline pass. Since the order of the toggles does not matter to their
+parity, this gives exactly the pixels of the runs. A whole-grid mask
+(:func:`rasterize`) pastes a one-shape stack into a zero grid. Every IoU, of
+boxes or of pixel counts, is :func:`iou` of an intersection and two areas.
 """
 
 from __future__ import annotations
@@ -153,6 +153,12 @@ def _vertices(shapes, skip_invalid: bool = False) -> _Vertices:
             continue
         rings += own
         owners += [k] * len(own)
+    return _ring_vertices(rings, owners)
+
+
+def _ring_vertices(rings: list, owners: list[int]) -> _Vertices:
+    """The vertices of rings as :func:`_rings` returns them, in one gather;
+    ring ``i`` belongs to shape ``owners[i]``."""
     n = np.array([len(r) // 2 for r in rings], dtype=np.intp)
     flat = np.fromiter(chain.from_iterable(rings), dtype=np.float64, count=2 * int(n.sum()))
     # the last vertex of a ring closes it back to the first
@@ -271,6 +277,21 @@ def rasterizable(shape, width: int, height: int) -> bool:
     return True
 
 
+def _parity_fill(toggles: np.ndarray, size: int) -> np.ndarray:
+    """A flat mask of ``size`` pixels, set by the running parity of its pixel
+    toggles (flat indices, in any order).
+
+    The running parity of a row's toggles is set exactly inside its runs,
+    and toggles at one position cancel, as an empty run does. Every row of
+    the buffer must hold an even number of toggles: the parity is then 0
+    again at the end of each row, so one pass fills every row of every
+    layer in the buffer.
+    """
+    mask = np.zeros(size, dtype=bool)
+    np.logical_xor.at(mask, toggles, True)
+    return np.logical_xor.accumulate(mask, out=mask)
+
+
 def rasterize_stack(shapes, width: int, height: int) -> tuple[int, int, np.ndarray]:
     """Rasterize several shapes, from one scanline pass, onto one shared window.
 
@@ -291,16 +312,10 @@ def rasterize_stack(shapes, width: int, height: int) -> tuple[int, int, np.ndarr
     owner, rows, cols = _crossings(v, np.full(n, width), np.full(n, height))
     if not rows.size:
         return 0, 0, np.zeros((n, 0, 0), dtype=bool)
-    # The running parity of a row's toggles, in any order, is set exactly
-    # inside its runs, and toggles at one position cancel, as an empty run
-    # does. Every row holds an even number of toggles, so one flat pass
-    # serves all rows of all layers. Each flat index lies inside the
-    # allocated window, so it cannot overflow.
+    # Each flat index lies inside the allocated window, so it cannot overflow.
     row0, col0 = int(rows.min()), int(cols.min())
     h, stride = int(rows.max()) - row0 + 1, int(cols.max()) - col0 + 1
-    toggles = np.zeros(n * h * stride, dtype=bool)
-    np.logical_xor.at(toggles, (owner * h + rows - row0) * stride + cols - col0, True)
-    stack = np.logical_xor.accumulate(toggles).reshape(n, h, stride)
+    stack = _parity_fill((owner * h + rows - row0) * stride + cols - col0, n * h * stride).reshape(n, h, stride)
     # trim to the tight bounds of the foreground
     fg = stack.any(axis=0)
     r = np.flatnonzero(fg.any(axis=1))

@@ -7,7 +7,8 @@ live in a single ``timings`` field that ``canonical_report_bytes`` strips, so
 byte-level determinism can be checked (and parallelism shown harmless) by
 comparing canonical bytes.
 
-Surface metrics are computed per matched pair; pairs that cannot be
+Surface metrics are computed for every matched pair, chunk by chunk
+(:func:`~annodiff.surface.ring_pairs_metrics`); pairs that cannot be
 measured (an instance that is not a single polygon ring, a ring of fewer than
 three vertices, or one rasterizing to nothing) are tallied as degenerate
 rather than dropped silently. The report carries an explicit
@@ -29,7 +30,7 @@ from .deteval import EvalParams, cross_table
 from .errors import DegenerateShape, StatsError
 from .matching import MatchConfig, MatchSet, match_datasets
 from .stats import DatasetDelta, DatasetSummary, SizeBucket, compare, distance_histogram, summarize
-from .surface import SurfaceDistanceResult, pair_rings, ring_pair_metrics
+from .surface import _GROUP, SurfaceDistanceResult, pair_rings, ring_pairs_metrics
 
 SCHEMA_NAME = "annodiff-audit-report"
 SCHEMA_VERSION = 1
@@ -72,11 +73,8 @@ class AuditConfig:
 
 
 def _surface_task(args):
-    idx, ring_a, ring_b, width, height, footprint = args
-    try:
-        return idx, ring_pair_metrics(ring_a, ring_b, width, height, footprint=footprint)
-    except DegenerateShape:
-        return idx, None
+    pairs, footprint = args
+    return ring_pairs_metrics(pairs, footprint=footprint)
 
 
 def compute_surface_results(
@@ -91,29 +89,33 @@ def compute_surface_results(
 
     Returns ``(results, degenerate_pairs)``. A pair is degenerate when either
     instance is not a single polygon ring, or when its rings cannot be
-    measured. The worker pool size never changes the output: tasks are
-    dispatched and collected in pair order. The pool holds at most one
-    worker per payload and per CPU, and with room for only one the pairs
-    are measured in this process.
+    measured. The pairs are measured in chunks (:func:`ring_pairs_metrics`),
+    whose values do not depend on which pairs share a chunk, so the worker
+    pool size never changes the output. The pool holds at most one worker
+    per pair and per CPU, each taking one group of the kernel
+    (``surface._GROUP`` pairs) at a time, and with room for only one the
+    pairs are measured in this process.
     """
-    payloads = []
+    index, pairs = [], []
     for idx, pair in enumerate(match_set.pairs):
         try:
-            payloads.append((idx, *pair_rings(pair, source, target), footprint))
+            pairs.append(pair_rings(pair, source, target))
         except DegenerateShape:
             continue
+        index.append(idx)
     # the executor starts every worker at its first map
-    jobs = min(jobs, len(payloads), os.cpu_count() or 1)
+    jobs = min(jobs, len(pairs), os.cpu_count() or 1)
     if jobs > 1:
         # imported here, so that a command without a pool loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(payloads) // (4 * jobs))
+        # one task per group of the kernel
+        tasks = [(pairs[i : i + _GROUP], footprint) for i in range(0, len(pairs), _GROUP)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_surface_task, payloads, chunksize=chunk))
+            rows = [m for part in pool.map(_surface_task, tasks) for m in part]
     else:
-        rows = [_surface_task(p) for p in payloads]
-    measured = {idx: metrics for idx, metrics in rows if metrics is not None}
+        rows = ring_pairs_metrics(pairs, footprint=footprint)
+    measured = {idx: metrics for idx, metrics in zip(index, rows) if metrics is not None}
     results: list[SurfaceDistanceResult] = []
     degenerate = []
     for idx, pair in enumerate(match_set.pairs):

@@ -5,18 +5,19 @@ benchmark's checks and its tests; these tests make it fail here first."""
 import importlib
 import inspect
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import annodiff.report
-import annodiff.surface
 from annodiff import cli
 from annodiff.dataset import load_dataset
 from annodiff.deteval import EvalParams, annotations_as_detections, evaluate
 from annodiff.raster import rasterize
-from annodiff.surface import ring_pair_metrics, surface_distances
+from annodiff.stats import distance_histogram
+from annodiff.surface import SurfaceDistanceResult, ring_pair_metrics, ring_pairs_metrics
 
 from conftest import FIXTURES, rect_ring
 
@@ -39,38 +40,62 @@ def test_every_timed_layer_is_a_function_of_the_program(layer):
     assert inspect.isfunction(getattr(importlib.import_module(f"annodiff.{module}"), function, None))
 
 
-def test_diff_calls_the_report_binding_once_per_measured_pair(tmp_path, monkeypatch):
-    # the benchmark's own tests swap this binding to corrupt one pair
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return ring_pair_metrics(*args, **kwargs)
-
-    monkeypatch.setattr(annodiff.report, "ring_pair_metrics", counted)
+def run_diff(tmp_path):
     report, pairs = tmp_path / "report.json", tmp_path / "pairs.ndjson"
     argv = ["diff", str(A), str(B), "--out", str(report), "--pairs-out", str(pairs), "--jobs", "1"]
     assert cli.main(argv) == 0
-    surface = json.loads(report.read_text())["surface"]
+    return json.loads(report.read_text()), [json.loads(line) for line in pairs.read_text().splitlines()]
+
+
+def test_diff_passes_each_measured_pair_once_through_the_report_binding(tmp_path, monkeypatch):
+    # the benchmark's own tests swap this binding to corrupt one pair
+    seen = []
+
+    def counted(pairs, **kwargs):
+        seen.extend(pairs)
+        return ring_pairs_metrics(pairs, **kwargs)
+
+    monkeypatch.setattr(annodiff.report, "ring_pairs_metrics", counted)
+    report, rows = run_diff(tmp_path)
+    surface = report["surface"]
     assert surface["degenerate_excluded"] == 0
-    assert len(calls) == surface["measured_pairs"] > 0
-    assert len(pairs.read_text().splitlines()) == surface["measured_pairs"]
+    assert len(seen) == surface["measured_pairs"] == len(rows) > 0
+    # every pair once: its two rings, as stored, are in no other pair
+    assert len({(id(ring_a), id(ring_b)) for ring_a, ring_b, _, _ in seen}) == len(seen)
+    sa, sb = load_dataset(A), load_dataset(B)
+    rings = {(sa.instance(r["source_id"]).segmentation.rings[0], sb.instance(r["target_id"]).segmentation.rings[0]) for r in rows}
+    assert rings == {(ring_a, ring_b) for ring_a, ring_b, _, _ in seen}
 
 
-def test_diff_measures_each_pair_through_the_surface_distances_binding(tmp_path, monkeypatch):
-    # the benchmark's tracer counts contour pixels on this binding; were the
-    # call inlined, that count would read 0 without any error
-    calls = []
+def test_one_pixel_dmax_error_in_the_report_binding_reaches_the_report(tmp_path, monkeypatch):
+    # what the benchmark's own d_max test injects, here in the batched binding:
+    # the report's d_max histogram moves, its d_avg histogram does not, and
+    # both still cover every pair of the pairs NDJSON
+    sa, sb = load_dataset(A), load_dataset(B)
+    clean, rows = run_diff(tmp_path)
+    measured = []
+    for r in rows:
+        ring_a = sa.instance(r["source_id"]).segmentation.rings[0]
+        ring_b = sb.instance(r["target_id"]).segmentation.rings[0]
+        image = sa.image(r["image_id"])
+        measured.append(ring_pair_metrics(ring_a, ring_b, image.width, image.height))
+    bins = clean["config"]["bins"]
+    values = [SurfaceDistanceResult(None, *m) for m in measured]
+    for metric in ("d_avg", "d_max"):
+        assert clean["surface"][metric] == {**asdict(distance_histogram(values, metric, bins)), "empty": False}
 
-    def counted(cx, cy):
-        calls.append(None)
-        return surface_distances(cx, cy)
+    def one_pair_off(pairs, **kwargs):
+        out = ring_pairs_metrics(pairs, **kwargs)
+        d_avg, d_max, nx, ny = out[0]
+        return [(d_avg, d_max + 1.0, nx, ny), *out[1:]]
 
-    monkeypatch.setattr(annodiff.surface, "surface_distances", counted)
-    report = tmp_path / "report.json"
-    assert cli.main(["diff", str(A), str(B), "--out", str(report), "--jobs", "1"]) == 0
-    surface = json.loads(report.read_text())["surface"]
-    assert len(calls) == surface["measured_pairs"] > 0
+    monkeypatch.setattr(annodiff.report, "ring_pairs_metrics", one_pair_off)
+    broken, broken_rows = run_diff(tmp_path)
+    assert broken_rows == rows
+    assert broken["surface"]["d_avg"] == clean["surface"]["d_avg"]
+    assert broken["surface"]["d_max"] != clean["surface"]["d_max"]
+    off = [SurfaceDistanceResult(None, v.d_avg, v.d_max + (1.0 if i == 0 else 0.0), 0, 0) for i, v in enumerate(values)]
+    assert broken["surface"]["d_max"] == {**asdict(distance_histogram(off, "d_max", bins)), "empty": False}
 
 
 def test_ring_pair_metrics_takes_mode_crop():

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from annodiff import surface
 from annodiff.errors import DegenerateShape, GeometryError
 from annodiff.matching import MatchConfig, match_datasets
+from annodiff.report import compute_surface_results
 from annodiff.raster import contour, edt_squared, rasterize, rasterize_stack
 from annodiff.shapes import Polygons
 from annodiff.surface import (
@@ -16,6 +18,7 @@ from annodiff.surface import (
     pair_metrics,
     pair_rings,
     ring_pair_metrics,
+    ring_pairs_metrics,
     surface_distances,
 )
 
@@ -158,7 +161,7 @@ class TestPointSetKernel:
         side = surface._INT32_SIDE - 1
         x = (np.array([0], np.int32), np.array([0], np.int32))
         y = (np.array([side - 1], np.int32), np.array([side - 1], np.int32))
-        to_y, to_x = surface._nearest_squared(x, y)
+        to_y, to_x = surface._nearest_squared(x, y), surface._nearest_squared(y, x)
         assert to_y.dtype == np.int32
         assert int(to_y[0]) == int(to_x[0]) == 2 * (side - 1) ** 2 < np.iinfo(np.int32).max
 
@@ -169,7 +172,7 @@ class TestPointSetKernel:
         assert side == 128
         x = (np.array([0], np.int16), np.array([0], np.int16))
         y = (np.array([side - 1], np.int16), np.array([side - 1], np.int16))
-        to_y, to_x = surface._nearest_squared(x, y)
+        to_y, to_x = surface._nearest_squared(x, y), surface._nearest_squared(y, x)
         assert to_y.dtype == to_x.dtype == np.int16
         assert int(to_y[0]) == int(to_x[0]) == 2 * 127**2 < np.iinfo(np.int16).max
         corners = pixel(0, 0, (side, side)), pixel(side - 1, side - 1, (side, side))
@@ -327,7 +330,19 @@ class TestRingPipeline:
         # not at 129
         ra, rb = rect_ring(2, 3, 4, 4), rect_ring(side - 2, side - 1, 4, 4)
         assert rasterize_stack([[ra], [rb]], 200, 200)[2].shape == (2, side, side)
-        assert ring_pair_metrics(ra, rb, 200, 200) == full_grid_reference(ra, rb, 200, 200)
+        # every contour point lies beyond the band, so the finisher measures
+        # them all, in int16 up to 128 px and in int32 past it
+        dtypes = []
+        real = surface._nearest_squared
+
+        def spy(x, y):
+            dtypes.append(x[0].dtype)
+            return real(x, y)
+
+        with mock.patch.object(surface, "_nearest_squared", spy):
+            got = ring_pair_metrics(ra, rb, 200, 200)
+        assert got == full_grid_reference(ra, rb, 200, 200)
+        assert dtypes == [np.dtype(np.int16 if side == 128 else np.int32)] * 2
 
     def test_ring_containers_give_identical_values(self):
         # a stored ring is a tuple of floats and takes the flat path; lists of
@@ -394,6 +409,138 @@ class TestRingPipeline:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             ring_pair_metrics(rect_ring(0, 0, 5, 5), rect_ring(0, 0, 5, 5), 10, 10, mode="fast")
+
+
+def whole_grid_oracle(ra, rb, w, h, footprint):
+    """``ring_pairs_metrics`` of one pair from whole-image masks and the
+    brute-force oracle, or None where the pair is degenerate."""
+    if len(ra) < 6 or len(rb) < 6:
+        return None
+    ma, mb = rasterize([ra], w, h), rasterize([rb], w, h)
+    if not (ma.any() and mb.any()):
+        return None
+    ca, cb = contour(ma, footprint), contour(mb, footprint)
+    return (*surface_metrics_oracle(ca, cb), int(ca.sum()), int(cb.sum()))
+
+
+def jittered(rng, ring, amount):
+    return [round(v + float(rng.uniform(-amount, amount)), 2) for v in ring]
+
+
+def chunk_pair(rng, kind):
+    """One ring pair ``(ring a, ring b, width, height)`` of the given kind."""
+    if kind == "close":
+        w, h = int(rng.integers(16, 90)), int(rng.integers(16, 90))
+        ra = random_ring(rng, w, h, overhang=0.3)
+        return ra, jittered(rng, ra, 1.5), w, h
+    if kind == "shifted":
+        # some points within the band of rows, others beyond it
+        w, h = 120, 100
+        ra = random_ring(rng, w, h, overhang=0.0)
+        dx, dy = (float(v) for v in rng.uniform(-9, 9, size=2))
+        return ra, [v + (dx if i % 2 == 0 else dy) for i, v in enumerate(ra)], w, h
+    if kind == "far":
+        # every nearest point lies beyond the band: only the finisher measures
+        w, h = 200, 150
+        ra = [v / 5 for v in random_simple_rings(rng, width=w, height=h)[0]]
+        rb = [v / 5 + (150 if i % 2 == 0 else 110) for i, v in enumerate(random_simple_rings(rng, width=w, height=h)[0])]
+        return (ra, rb, w, h) if rng.random() < 0.5 else (rb, ra, w, h)
+    if kind == "wide":
+        # a window wider than 128 px: the finisher takes int32
+        w, h = 400, 60
+        ra = [5.5, 10.2, 300.7, 12.9, 297.1, 30.4, 8.8, 25.0]
+        return jittered(rng, ra, 2.0), [260.0, 40.0, 380.0, 41.5, 379.0, 55.0, 255.0, 52.0], w, h
+    if kind == "thin":
+        # bars of 1 to 3 rows, or columns, a few rows apart: windows whose
+        # rows run out before the band does
+        bars = []
+        for _ in range(2):
+            x, y = round(float(rng.uniform(0, 30)), 2), int(rng.integers(0, 6))
+            bar = rect_ring(x, y, round(float(rng.uniform(1, 10)), 2), int(rng.integers(1, 4)))
+            bars.append(bar if rng.random() < 0.5 else [bar[i ^ 1] for i in range(len(bar))])
+        return (*bars, 40, 40)
+    if kind == "short":
+        short = [float(v) for v in rng.uniform(0, 30, size=2 * int(rng.integers(1, 3)))]
+        ring = random_ring(rng, 32, 32, overhang=0.0)
+        return (short, ring, 32, 32) if rng.random() < 0.5 else (ring, short, 32, 32)
+    # "empty": a triangle inside one pixel, clear of its center
+    x, y = (int(v) for v in rng.integers(0, 30, size=2))
+    sliver = [x + 0.1, y + 0.1, x + 0.4, y + 0.1, x + 0.4, y + 0.4]
+    ring = random_ring(rng, 32, 32, overhang=0.0)
+    return (sliver, ring, 32, 32) if rng.random() < 0.5 else (ring, sliver, 32, 32)
+
+
+KINDS = ["close", "shifted", "far", "wide", "thin", "short", "empty"]
+
+
+class TestRingPairsMetrics:
+    """The chunked kernel against whole-grid masks and the brute-force
+    oracle, to the bit, on chunks that mix every kind of pair."""
+
+    @given(
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=10),
+        footprint=st.sampled_from(["cross", "square"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40)
+    def test_mixed_chunks_equal_the_whole_grid_oracle(self, kinds, footprint, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [chunk_pair(rng, kind) for kind in kinds]
+        got = ring_pairs_metrics(pairs, footprint=footprint)
+        assert got == [whole_grid_oracle(*p, footprint) for p in pairs]
+        for size in (1, 2):
+            split = [m for i in range(0, len(pairs), size) for m in ring_pairs_metrics(pairs[i : i + size], footprint=footprint)]
+            assert split == got
+        # one pair per chunk and per group inside the kernel
+        with mock.patch.object(surface, "_CHUNK_PX", 1), mock.patch.object(surface, "_GROUP", 1):
+            assert ring_pairs_metrics(pairs, footprint=footprint) == got
+
+    def test_far_pairs_are_finished_and_partial_ones_too(self):
+        # the far kind leaves every point open after the band, the shifted
+        # kind some of them
+        rng = np.random.default_rng(3)
+        calls = []
+        real = surface._nearest_squared
+
+        def spy(x, y):
+            calls.append((x[0].size, y[0].size))
+            return real(x, y)
+
+        pairs = [chunk_pair(rng, kind) for kind in ["far", "shifted", "shifted", "far", "close"]]
+        with mock.patch.object(surface, "_nearest_squared", spy):
+            got = ring_pairs_metrics(pairs)
+        assert got == [whole_grid_oracle(*p, "cross") for p in pairs]
+        # a far pair compares each whole contour with the other; a shifted
+        # one only its open points, fewer than any whole contour
+        assert got[0][2:] in calls and got[0][2:][::-1] in calls
+        assert min(nx for nx, _ in calls) < min(min(m[2:]) for m in got)
+
+    def test_one_pair_equals_ring_pair_metrics(self):
+        rng = np.random.default_rng(5)
+        pairs = [chunk_pair(rng, kind) for kind in KINDS * 3]
+        for pair, metrics in zip(pairs, ring_pairs_metrics(pairs, footprint="square")):
+            if metrics is None:
+                with pytest.raises(DegenerateShape):
+                    ring_pair_metrics(*pair, footprint="square")
+            else:
+                assert ring_pair_metrics(*pair, footprint="square") == metrics
+
+    def test_empty_pair_list(self):
+        assert ring_pairs_metrics([]) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_zero_match_diff(self, jobs, tiny_a, tiny_b):
+        ms = match_datasets(tiny_a, tiny_b, MatchConfig(iou_threshold=0.999))
+        assert ms.pairs == []
+        assert compute_surface_results(ms, tiny_a, tiny_b, jobs=jobs) == ([], [])
+
+    def test_malformed_ring_raises_and_bad_footprint_is_rejected(self):
+        good = rect_ring(2, 2, 5, 5)
+        with pytest.raises(GeometryError) as info:
+            ring_pairs_metrics([(good, good, 10, 10), (good, [0, 0, 5, 0, 5, 5, 0], 10, 10)])
+        assert not isinstance(info.value, DegenerateShape)
+        with pytest.raises(ValueError, match="footprint"):
+            ring_pairs_metrics([(good, good, 10, 10)], footprint="disk")
 
 
 class TestPairMetrics:
