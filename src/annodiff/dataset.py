@@ -275,6 +275,8 @@ def _parse_segmentation(seg, what: str) -> ShapeSpec:
             raise SchemaError(f"{what} field 'size' must be [height, width]")
         h = _integer(size[0], what, "size")
         w = _integer(size[1], what, "size")
+        if h < 0 or w < 0:
+            raise SchemaError(f"{what} has negative RLE size {h}x{w}")
         if sum(counts) != h * w:
             raise SchemaError(f"{what} RLE counts sum {sum(counts)} != {h}x{w} grid")
         return RleMask(counts, h, w)

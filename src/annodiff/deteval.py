@@ -1,8 +1,11 @@
 """COCO-protocol average precision, for scoring one annotation set against another.
 
-The protocol constants (ten IoU thresholds 0.50:0.05:0.95, 101 recall sample
-points, exactly the standard area strata, 100 detections per image and
-category) are the published benchmark defaults. Matching semantics follow the
+The protocol constants are fixed at the published benchmark values: ten IoU
+thresholds 0.50:0.05:0.95 (``IOU_THRESHOLDS``), 101 recall sample points
+(``RECALL_POINTS``) and the area strata all, small, medium and large
+(``AREA_RANGES``), in which a ground truth is placed by its stored ``area``.
+Only the task and the number of detections kept per image and category
+(100 by default) are parameters (``EvalParams``). Matching semantics follow the
 reference evaluator: per image and category, detections in descending score
 order greedily take the not-yet-matched ground truth of highest IoU at or
 above the threshold; crowd ground truths act as ignore regions (their overlap
@@ -96,33 +99,13 @@ class DetectionSet:
 @dataclass(frozen=True)
 class EvalParams:
     task: str = "bbox"
-    iou_thresholds: tuple[float, ...] = IOU_THRESHOLDS
-    recall_points: tuple[float, ...] = RECALL_POINTS
-    area_ranges: tuple[tuple[str, float, float], ...] = AREA_RANGES
     max_detections: int = 100
-    # ground-truth stratification area: "stored" uses the annotation's area
-    # field, "bbox" uses box width*height.
-    area_source: str = "stored"
 
     def __post_init__(self) -> None:
         if self.task not in ("bbox", "segm"):
             raise ValueError(f"task must be 'bbox' or 'segm', got {self.task!r}")
-        thr = self.iou_thresholds
-        if not thr or any(b <= a for a, b in zip(thr, thr[1:])):
-            raise ValueError("iou_thresholds must be strictly increasing")
-        if min(thr) <= 0.0 or max(thr) > 1.0:
-            raise ValueError("iou_thresholds must lie in (0, 1]")
-        rp = self.recall_points
-        if not rp or any(b <= a for a, b in zip(rp, rp[1:])):
-            raise ValueError("recall_points must be strictly increasing")
-        if min(rp) < 0.0 or max(rp) > 1.0:
-            raise ValueError("recall_points must lie in [0, 1]")
         if self.max_detections < 1:
             raise ValueError("max_detections must be >= 1")
-        if not self.area_ranges or self.area_ranges[0][0] != "all":
-            raise ValueError("area_ranges must start with the 'all' range")
-        if self.area_source not in ("stored", "bbox"):
-            raise ValueError(f"area_source must be 'stored' or 'bbox', got {self.area_source!r}")
 
 
 @dataclass(frozen=True)
@@ -471,11 +454,8 @@ def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> Eva
     n_dt = np.array([len(group) for group in c.cell_dts], dtype=np.intp)
     gt_start, dt_start = np.cumsum(n_gt) - n_gt, np.cumsum(n_dt) - n_dt
 
-    T = len(params.iou_thresholds)
-    R = len(params.recall_points)
-    K = len(cat_ids)
-    A = len(params.area_ranges)
-    ranges = np.array([(lo, hi) for _, lo, hi in params.area_ranges], dtype=np.float64)
+    T, R, K, A = len(IOU_THRESHOLDS), len(RECALL_POINTS), len(cat_ids), len(AREA_RANGES)
+    ranges = np.array([(lo, hi) for _, lo, hi in AREA_RANGES], dtype=np.float64)
 
     def out_of_range(area: np.ndarray) -> np.ndarray:  # (A, n)
         return (area < ranges[:, :1]) | (area > ranges[:, 1:])
@@ -484,10 +464,7 @@ def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> Eva
     gt_cat = np.array([cat_index[g.category_id] for g in gts], dtype=np.intp)
     crowd = np.array([g.iscrowd for g in gts], dtype=bool)
     gt_box = np.array([g.bbox for g in gts], dtype=np.float64).reshape(-1, 4)
-    if params.area_source == "bbox":
-        gt_area = gt_box[:, 2] * gt_box[:, 3]
-    else:
-        gt_area = np.array([g.area for g in gts], dtype=np.float64)
+    gt_area = np.array([g.area for g in gts], dtype=np.float64)
     gt_ignore = crowd | out_of_range(gt_area)  # (A, n_gt)
     n_positive = np.array([np.bincount(gt_cat[~ig], minlength=K) for ig in gt_ignore])  # (A, K)
 
@@ -530,7 +507,7 @@ def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> Eva
             )
         ious[~(dt_ok[:, :, None] & gt_ok[:, None, :])] = -1.0
         block_ignore = _pad(gt_ignore.T[gt_at], gt_ok, True).transpose(0, 2, 1)
-        hit, hit_ignore = _match_image(params.iou_thresholds, ious, block_ignore, block_crowd)
+        hit, hit_ignore = _match_image(IOU_THRESHOLDS, ious, block_ignore, block_crowd)
         matched[:, :, dt_at] = hit.transpose(1, 2, 0, 3)[:, :, dt_ok]
         on_ignore[:, :, dt_at] = hit_ignore.transpose(1, 2, 0, 3)[:, :, dt_ok]
     # unmatched detections outside the area range neither score nor penalize
@@ -538,7 +515,7 @@ def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> Eva
 
     # -1 marks undefined (category, area) strata, excluded from every mean
     precision = -np.ones((T, R, K, A), dtype=np.float64)
-    rec_thrs = np.asarray(params.recall_points, dtype=np.float64)
+    rec_thrs = np.asarray(RECALL_POINTS, dtype=np.float64)
     # per category, a stable sort by score over the detections in image order
     order = np.lexsort((-dt_score, dt_cat))
     bounds = np.searchsorted(dt_cat[order], np.arange(K + 1))
@@ -549,15 +526,11 @@ def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> Eva
             span = slice(bounds[k], bounds[k + 1])
             precision[:, :, k, a] = _sampled_precision(tp[:, span], fp[:, span], n_positive[a, k], rec_thrs)
 
-    def stratum(t_slice, a_name) -> float | None:
-        for a, (name, _, _) in enumerate(params.area_ranges):
-            if name == a_name:
-                block = precision[t_slice, :, :, a]
-                vals = block[block > -1]
-                return float(vals.mean()) if vals.size else None
-        return None
+    def stratum(t, a) -> float | None:  # a: all, small, medium, large
+        block = precision[t, :, :, a]
+        vals = block[block > -1]
+        return float(vals.mean()) if vals.size else None
 
-    t50 = [i for i, t in enumerate(params.iou_thresholds) if abs(t - 0.5) < 1e-9]
     per_category = {}
     for k, cat in enumerate(cat_ids):
         block = precision[:, :, k, 0]
@@ -565,11 +538,11 @@ def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> Eva
         per_category[cat] = float(vals.mean()) if vals.size else None
     return EvalResult(
         task=params.task,
-        map=stratum(slice(None), "all"),
-        map_50=stratum(t50[0], "all") if t50 else None,
-        map_small=stratum(slice(None), "small"),
-        map_medium=stratum(slice(None), "medium"),
-        map_large=stratum(slice(None), "large"),
+        map=stratum(slice(None), 0),
+        map_50=stratum(0, 0),  # IOU_THRESHOLDS[0] is 0.5
+        map_small=stratum(slice(None), 1),
+        map_medium=stratum(slice(None), 2),
+        map_large=stratum(slice(None), 3),
         per_category=per_category,
     )
 

@@ -39,15 +39,13 @@ columns ``[c0, c1)`` of ``row`` are inside, and a pair at one column is an
 empty run. An RLE is decoded and read off as toggles too, one at each change
 along a row. Pixel areas and pairwise intersections (:func:`count_overlaps`)
 are counted on the runs alone: two shapes intersect where their runs on a
-shared row overlap. Masks are not painted from runs. :func:`rasterize_stack`
-fills the masks of several shapes straight from their unsorted toggles, by
-their running parity along each row, into a stack on their shared window
-``(row0, col0, stack)``, the tight bounds of their union; the surface
-metrics fill a chunk of matched pairs with the same parity fill, from one
-scanline pass. Since the order of the toggles does not matter to their
-parity, this gives exactly the pixels of the runs. A whole-grid mask
-(:func:`rasterize`) pastes a one-shape stack into a zero grid. Every IoU, of
-boxes or of pixel counts, is :func:`iou` of an intersection and two areas.
+shared row overlap. Masks are not painted from runs: :func:`rasterize` fills
+the whole grid straight from the unsorted toggles, by their running parity
+along each row (:func:`_parity_fill`), and the surface metrics fill a chunk
+of matched pairs the same way, from one scanline pass. Since the order of
+the toggles does not matter to their parity, this gives exactly the pixels
+of the runs. Every IoU, of boxes or of pixel counts, is :func:`iou` of an
+intersection and two areas.
 """
 
 from __future__ import annotations
@@ -265,8 +263,8 @@ def _check_grid(width: int, height: int) -> None:
 
 def rasterizable(shape, width: int, height: int) -> bool:
     """Whether ``shape`` can be rasterized on a ``width`` x ``height`` grid:
-    an RLE of exactly that grid, or polygons that :func:`rasterize_stack`
-    takes without a ``GeometryError``."""
+    an RLE of exactly that grid, or polygons whose rings :func:`rasterize`
+    and :func:`count_overlaps` take without a ``GeometryError``."""
     if isinstance(shape, RleMask):
         return (shape.height, shape.width) == (height, width)
     try:
@@ -292,53 +290,29 @@ def _parity_fill(toggles: np.ndarray, size: int) -> np.ndarray:
     return np.logical_xor.accumulate(mask, out=mask)
 
 
-def rasterize_stack(shapes, width: int, height: int) -> tuple[int, int, np.ndarray]:
-    """Rasterize several shapes, from one scanline pass, onto one shared window.
-
-    Returns ``(row0, col0, stack)``: pixel ``(r, c)`` of ``stack[k]`` is pixel
-    ``(row0 + r, col0 + c)`` of shape ``k`` on the ``width`` x ``height``
-    grid, and the window is the tight bounds of the union of their
-    foreground. With no foreground at all, the window is ``(0, 0)`` and
-    ``stack`` has shape ``(len(shapes), 0, 0)``.
-
-    Raises:
-        DegenerateShape: a ring has fewer than 3 vertices, or a shape none.
-        GeometryError: otherwise, a ring's coordinates do not pair up into
-            vertices, or a side is below 1 or beyond 2**52 px.
-    """
-    v = _vertices(shapes)
-    _check_grid(width, height)
-    n = len(shapes)
-    owner, rows, cols = _crossings(v, np.full(n, width), np.full(n, height))
-    if not rows.size:
-        return 0, 0, np.zeros((n, 0, 0), dtype=bool)
-    # Each flat index lies inside the allocated window, so it cannot overflow.
-    row0, col0 = int(rows.min()), int(cols.min())
-    h, stride = int(rows.max()) - row0 + 1, int(cols.max()) - col0 + 1
-    stack = _parity_fill((owner * h + rows - row0) * stride + cols - col0, n * h * stride).reshape(n, h, stride)
-    # trim to the tight bounds of the foreground
-    fg = stack.any(axis=0)
-    r = np.flatnonzero(fg.any(axis=1))
-    if not r.size:
-        return 0, 0, np.zeros((n, 0, 0), dtype=bool)
-    c = np.flatnonzero(fg.any(axis=0))
-    stack = stack[:, r[0] : r[-1] + 1, c[0] : c[-1] + 1]
-    return row0 + int(r[0]), col0 + int(c[0]), stack
-
-
 def rasterize(poly, width: int, height: int) -> np.ndarray:
-    """Rasterize polygon rings to a whole-grid boolean mask: the one-shape
-    window of :func:`rasterize_stack`, whose errors it shares, pasted into a
-    zero grid.
+    """Rasterize polygon rings to a C-contiguous ``(height, width)`` boolean
+    mask, from one scanline pass and one parity fill of the whole grid.
+
+    The fill's rows are ``width + 1`` pixels apart: a run that reaches the
+    right border closes with a toggle at column ``width``, in the spare
+    column, which is dropped.
 
     Args:
         poly: ``Polygons`` or a sequence of rings (flat lists or (k, 2) arrays).
         width, height: grid dimensions in pixels.
+
+    Raises:
+        DegenerateShape: a ring has fewer than 3 vertices, or there is none.
+        GeometryError: otherwise, a ring's coordinates do not pair up into
+            vertices, or a side is below 1 or beyond 2**52 px.
     """
-    row0, col0, (window,) = rasterize_stack([poly], width, height)
-    mask = np.zeros((height, width), dtype=bool)
-    mask[row0 : row0 + window.shape[0], col0 : col0 + window.shape[1]] = window
-    return mask
+    v = _vertices([poly])
+    _check_grid(width, height)
+    _, rows, cols = _crossings(v, np.full(1, width), np.full(1, height))
+    stride = width + 1
+    mask = _parity_fill(rows * stride + cols, height * stride)
+    return np.ascontiguousarray(mask.reshape(height, stride)[:, :width])
 
 
 # ---------------------------------------------------------------------------

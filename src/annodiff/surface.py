@@ -15,7 +15,7 @@ Matched pairs are measured in chunks (:func:`ring_pairs_metrics`). A pair's
 window is the bounding box of its two rings' pixel toggles. The rings of a
 chunk are scan-converted in one pass, and every layer (one per ring) is
 filled into one flat boolean buffer by the running parity of its toggles,
-the fill :func:`~annodiff.raster.rasterize_stack` uses too. All layers share
+the fill :func:`~annodiff.raster.rasterize` uses too. All layers share
 one row stride, and each has a blank row above it and a blank column left of
 it, so one parity pass fills them all and one erosion by shifted ANDs (±1 and
 ± the stride, plus the diagonals for ``square``) gives the same contour
@@ -32,11 +32,8 @@ up among the other contour's points of that row (``np.searchsorted``). A
 distance is final once it is at most ``(k + 1)**2`` after rows ``|dr| <= k``,
 since every point farther out is at least that far, or once no rows are
 left. Points still open after ``_BAND`` rows on either side are compared
-with every point of the other contour (:func:`_nearest_squared`), in blocks
-of ``_BLOCK`` squared distances, in the narrowest integer type that holds
-them: int16 when both window sides are at most 128 (a squared distance is
-then at most 2 * 127**2 = 32258, below 2**15 - 1), int32 when both are below
-2**15 (at most 2 * 32766**2, below 2**31 - 1), and int64 otherwise.
+with every point of the other contour (:func:`_nearest_squared`), in int64
+blocks of ``_BLOCK`` squared distances.
 :func:`surface_distances` runs the same search on a two-layer buffer.
 """
 
@@ -71,19 +68,9 @@ class SurfaceDistanceResult:
     contour_len_target: int
 
 
-# Element cap of one block of pairwise squared distances: 2**16 values,
-# 128 KB (int16), 256 KB (int32) or 512 KB (int64) per temporary, however
-# long the contours are.
-_BLOCK = 1 << 16
-
-# Grids whose sides are all below this take int16 coordinates: every squared
-# distance between two of their pixels is at most 2 * 127**2 = 32258, below
-# the int16 maximum 32767.
-_INT16_SIDE = 129
-
-# Grids whose sides are all below this take int32 coordinates: every squared
-# distance between two of their pixels is at most 2 * (2**15 - 2)**2 < 2**31 - 1.
-_INT32_SIDE = 1 << 15
+# Element cap of one block of pairwise squared distances: 2**15 int64
+# values, 256 KB in each of the two buffers, however long the contours are.
+_BLOCK = 1 << 15
 
 # Pairs whose vertices are gathered at once, and whose windows are sorted by
 # width and cut into chunks; the report's pool takes one group per task.
@@ -106,34 +93,29 @@ _BAND = 4
 _NONE = 1 << 60
 
 
-def _distance_dtype(shape) -> type:
-    """The narrowest integer dtype that holds every squared distance between
-    two pixels of a grid of ``shape``, and every coordinate."""
-    side = max(shape)
-    return np.int16 if side < _INT16_SIDE else np.int32 if side < _INT32_SIDE else np.int64
-
-
 def _nearest_squared(x, y) -> np.ndarray:
     """Squared distance from each point of ``x`` to its nearest point of
     ``y``.
 
-    ``x`` and ``y`` are ``(rows, cols)`` pairs of coordinate arrays of one
-    integer dtype, which the distances keep: int16 is exact for coordinates
-    below ``_INT16_SIDE - 1``, int32 below ``_INT32_SIDE - 1``, int64 for any
-    grid. The pairwise block is built ``_BLOCK`` elements at a time, from
-    separate row and column differences. The first block of each point's
-    comparisons starts its running minimum, and each later one lowers it.
+    ``x`` and ``y`` are ``(rows, cols)`` pairs of int64 coordinate arrays.
+    The pairwise block is built ``_BLOCK`` elements at a time, from
+    separate row and column differences, in two buffers taken once per
+    call. The first block of each point's comparisons starts its running
+    minimum, and each later one lowers it.
     """
     (xr, xc), (yr, yc) = x, y
     cols = min(yr.size, _BLOCK)
     rows = max(_BLOCK // cols, 1)
-    near = np.empty(xr.size, dtype=xr.dtype)
+    near = np.empty(xr.size, dtype=np.int64)
+    buffers = np.empty((2, rows * cols), dtype=np.int64)
     for j in range(0, yr.size, cols):
         br, bc = yr[j : j + cols], yc[j : j + cols]
         for i in range(0, xr.size, rows):
-            d = xr[i : i + rows, None] - br
+            ar, ac = xr[i : i + rows, None], xc[i : i + rows, None]
+            d, dc = buffers[:, : ar.size * br.size].reshape(2, ar.size, br.size)
+            np.subtract(ar, br, out=d)
             d *= d
-            dc = xc[i : i + rows, None] - bc
+            np.subtract(ac, bc, out=dc)
             dc *= dc
             d += dc
             part = near[i : i + rows]
@@ -161,7 +143,7 @@ def _row_gaps(ends: np.ndarray, t: np.ndarray, far: int) -> np.ndarray:
     return after
 
 
-def _nearest(points: np.ndarray, stride: int, top: np.ndarray, height: np.ndarray, width: np.ndarray):
+def _nearest(points: np.ndarray, stride: int, top: np.ndarray, height: np.ndarray):
     """Squared distance from each contour point to the nearest point of its
     partner layer, and the bounds of each layer's points.
 
@@ -169,8 +151,8 @@ def _nearest(points: np.ndarray, stride: int, top: np.ndarray, height: np.ndarra
     a buffer of row ``stride``. Layer ``l`` starts with the blank buffer row
     ``top[l]``, and ``top[-1]`` is the blank row after the last layer. Layers
     ``2j`` and ``2j + 1`` are the two contours of pair ``j``, both on its
-    window of ``height[j]`` rows (after the blank row) and buffer columns
-    ``1..width[j] - 1``, so a point and its partner row share one column.
+    window of ``height[j]`` rows (after the blank row) and the same buffer
+    columns, so a point and its partner row share one column.
     Returns ``(best, bounds)``: the points of layer ``l`` are
     ``points[bounds[l]:bounds[l + 1]]``. A point whose partner layer is
     empty gets no distance (its value is meaningless).
@@ -209,20 +191,19 @@ def _nearest(points: np.ndarray, stride: int, top: np.ndarray, height: np.ndarra
         still = (d > (k + 1) ** 2) & (reach > k)
         open_, reach = open_[still], reach[still]
     if open_.size:
-        _finish(best, open_, bounds, points, stride, top, height, width)
+        _finish(best, open_, bounds, points, stride, top)
     return best, bounds
 
 
-def _finish(best, open_, bounds, points, stride, top, height, width) -> None:
+def _finish(best, open_, bounds, points, stride, top) -> None:
     """Set the exact distance of each point of ``open_`` by comparing it with
     every point of its partner layer (:func:`_nearest_squared`), one call per
-    layer with open points, on window coordinates: rows ``0..height[j] - 1``
-    and columns ``0..width[j] - 2`` (the window's last column is blank)."""
-    def window(lo, hi, layer, dtype):
+    layer with open points, on the rows of its layer and the columns of the
+    buffer."""
+    def layer_points(lo, hi, layer):
         rows, cols = np.divmod(points[lo:hi], stride)
-        rows -= top[layer] + 1
-        cols -= 1
-        return rows.astype(dtype), cols.astype(dtype)
+        rows -= top[layer]
+        return rows, cols
 
     cut = np.searchsorted(open_, bounds).tolist()
     b = bounds.tolist()
@@ -230,8 +211,7 @@ def _finish(best, open_, bounds, points, stride, top, height, width) -> None:
         a, m, e = b[2 * j : 2 * j + 3]
         if a == m or m == e:
             continue  # an empty layer: the pair is not measured
-        dtype = _distance_dtype((int(height[j]), int(width[j]) - 1))
-        xa, xb = window(a, m, 2 * j, dtype), window(m, e, 2 * j + 1, dtype)
+        xa, xb = layer_points(a, m, 2 * j), layer_points(m, e, 2 * j + 1)
         for layer, x, y in ((2 * j, xa, xb), (2 * j + 1, xb, xa)):
             at = open_[cut[layer] : cut[layer + 1]] - b[layer]
             if at.size:
@@ -282,7 +262,7 @@ def surface_distances(cx: np.ndarray, cy: np.ndarray) -> tuple[float, float, int
     top = np.array([0, h + 1, 2 * h + 2])
     if not (points.size and points[0] < top[1] * (w + 1) <= points[-1]):
         raise GeometryError("surface distance of an empty contour")
-    best, bounds = _nearest(points, w + 1, top, np.array([h]), np.array([w + 1]))
+    best, bounds = _nearest(points, w + 1, top, np.array([h]))
     return _read_out(best, bounds)[0]
 
 
@@ -365,7 +345,7 @@ def _measure_chunk(v: _Vertices, start: np.ndarray, sel: np.ndarray, width, heig
     points = _contour_points(toggles, (int(top[-1]) + 1) * stride, stride, footprint)
     if not points.size:
         return [None] * sel.size
-    best, bounds = _nearest(points, stride, top, h, w)
+    best, bounds = _nearest(points, stride, top, h)
     return _read_out(best, bounds)
 
 
@@ -450,7 +430,7 @@ def ring_pair_metrics(
 
     ``mode`` selects nothing: ``"crop"`` and ``"full"`` give the same values
     and run the same code. It is accepted, and validated, only because the
-    benchmark still passes ``mode="crop"`` (ROADMAP item 2).
+    benchmark still passes ``mode="crop"`` (ROADMAP item 1).
 
     Raises:
         DegenerateShape: a ring has fewer than 3 vertices or rasterizes to

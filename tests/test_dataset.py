@@ -119,6 +119,8 @@ class TestParse:
             ([16], "4x4", r"annotation 1 field 'size' must be \[height, width\]"),
             ([16], [4, 4.0], "annotation 1 field 'size' must be an integer"),
             ([16], [True, 4], "annotation 1 field 'size' must be an integer"),
+            ([6], [-2, -3], "annotation 1 has negative RLE size -2x-3"),
+            ([], [-2, 0], "annotation 1 has negative RLE size -2x0"),
             ([3, 4], [4, 4], r"annotation 1 RLE counts sum 7 != 4x4 grid"),
             ([], [4, 4], r"annotation 1 RLE counts sum 0 != 4x4 grid"),
         ],

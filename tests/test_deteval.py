@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -77,21 +78,12 @@ class TestConstants:
 class TestParams:
     def test_defaults(self):
         p = EvalParams()
-        assert p.task == "bbox" and p.max_detections == 100 and p.area_source == "stored"
+        assert p.task == "bbox" and p.max_detections == 100
 
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"task": "keypoints"},
-            {"iou_thresholds": (0.9, 0.5)},
-            {"iou_thresholds": ()},
-            {"recall_points": (0.5, 0.5)},
-            {"max_detections": 0},
-            {"area_ranges": (("small", 0, 10),)},
-            {"area_source": "guess"},
-            {"area_source": "auto"},
-        ],
-    )
+    def test_the_protocol_constants_are_not_parameters(self):
+        assert [f.name for f in dataclasses.fields(EvalParams)] == ["task", "max_detections"]
+
+    @pytest.mark.parametrize("kw", [{"task": "keypoints"}, {"max_detections": 0}])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             EvalParams(**kw)
@@ -128,6 +120,12 @@ class TestKnownValues:
         r = evaluate(dets, gt)
         assert r.map == 0.2  # AP 1.0 at 0.50 and 0.55, 0 at the other eight
         assert r.map_50 == 1.0
+
+    def test_iou_050_matches_only_the_first_threshold(self):
+        # map_50 reads threshold 0.50 alone: 0.55 no longer matches here
+        gt = gt_of([make_ann(1, 1, rect_ring(0, 0, 10, 10))])
+        r = evaluate(DetectionSet((det(1, 1, 0.9, [0, 0, 10, 5]),)), gt)
+        assert r.map == 0.1 and r.map_50 == 1.0
 
     def test_fp_ranked_above_tp_halves_ap(self):
         gt = gt_of([make_ann(1, 1, rect_ring(0, 0, 10, 10))])
@@ -328,13 +326,11 @@ class TestAreaStrata:
         assert r.map_small == 1.0
         assert r.map_medium is None and r.map_large is None
 
-    def test_area_source_bbox_overrides_stored(self):
+    def test_stored_area_places_the_ground_truth(self):
         ann = make_ann(1, 1, rect_ring(0, 0, 10, 10), area=5000.0)  # lies: medium
         gt = gt_of([ann])
-        stored = evaluate(annotations_as_detections(gt), gt, EvalParams(area_source="stored"))
-        bboxed = evaluate(annotations_as_detections(gt), gt, EvalParams(area_source="bbox"))
+        stored = evaluate(annotations_as_detections(gt), gt)
         assert stored.map_medium == 1.0 and stored.map_small is None
-        assert bboxed.map_small == 1.0 and bboxed.map_medium is None
 
     def test_matched_det_outside_stratum_is_ignored_not_fp(self):
         # large gt + its det, plus one small gt + det: the large pair must

@@ -27,12 +27,12 @@ from annodiff.raster import (
     mask_of,
     rasterize,
     rasterizable,
-    rasterize_stack,
 )
 from annodiff.shapes import Polygons, RleMask
+from annodiff.surface import ring_pairs_metrics
 
 from conftest import random_mask, random_simple_rings, rect_ring
-from oracles import edt_squared_oracle, rasterize_oracle
+from oracles import edt_squared_oracle, rasterize_oracle, surface_metrics_oracle
 
 
 def poly(*rings):
@@ -75,18 +75,6 @@ class TestRasterize:
             assert np.array_equal(got, want)
 
 
-def paste(window, width, height):
-    row0, col0, mask = window
-    grid = np.zeros((height, width), dtype=bool)
-    grid[row0 : row0 + mask.shape[0], col0 : col0 + mask.shape[1]] = mask
-    return grid
-
-
-def assert_tight(window):
-    _, _, mask = window
-    assert mask[0].any() and mask[-1].any() and mask[:, 0].any() and mask[:, -1].any()
-
-
 def wild_rings(rng, n, width, height, sort_angles=True):
     """Star rings that may stick out of the grid on any side; unsorted angles
     make them self-intersect."""
@@ -105,23 +93,12 @@ def wild_rings(rng, n, width, height, sort_angles=True):
     return rings
 
 
-def one_shape_window(shape, width, height):
-    """``(row0, col0, mask)``: the one-shape stack of :func:`rasterize_stack`."""
-    row0, col0, (mask,) = rasterize_stack([shape], width, height)
-    return row0, col0, mask
-
-
 class TestRasterizeWindow:
     def check(self, rings, width, height):
-        window = one_shape_window(poly(*rings), width, height)
-        want = rasterize_oracle(rings, width, height)
-        assert np.array_equal(paste(window, width, height), want)
-        assert np.array_equal(rasterize(poly(*rings), width, height), paste(window, width, height))
-        if want.any():
-            assert_tight(window)
-        else:
-            assert window[:2] == (0, 0) and window[2].shape == (0, 0)
-        return window
+        mask = rasterize(poly(*rings), width, height)
+        assert mask.shape == (height, width) and mask.flags.c_contiguous
+        assert np.array_equal(mask, rasterize_oracle(rings, width, height))
+        return mask
 
     def test_rings_across_every_border(self):
         rng = np.random.default_rng(41)
@@ -136,16 +113,17 @@ class TestRasterizeWindow:
         assert sides == {"left", "top", "right", "bottom"}
 
     def test_ring_covering_the_whole_grid(self):
-        window = self.check([[-5, -5, 40, -5, 40, 30, -5, 30]], 20, 12)
-        assert window[:2] == (0, 0) and window[2].shape == (12, 20) and window[2].all()
+        # every run closes at the right border, in the fill's spare column
+        assert self.check([[-5, -5, 40, -5, 40, 30, -5, 30]], 20, 12).all()
 
     def test_self_intersecting_rings(self):
         rng = np.random.default_rng(43)
         for _ in range(40):
             w, h = int(rng.integers(8, 48)), int(rng.integers(8, 48))
             self.check(wild_rings(rng, int(rng.integers(1, 3)), w, h, sort_angles=False), w, h)
-        bowtie = self.check([[2, 2, 18, 14, 18, 2, 2, 14]], 20, 16)[2]
-        assert not bowtie[:, bowtie.shape[1] // 2].all()  # the crossing pinches the waist
+        bowtie = self.check([[2, 2, 18, 14, 18, 2, 2, 14]], 20, 16)
+        assert bbox_of_mask(bowtie) == (2, 2, 16, 12)
+        assert not bowtie[2:14, 10].all()  # the crossing pinches the waist
 
     def test_rings_with_holes(self):
         rng = np.random.default_rng(47)
@@ -157,18 +135,18 @@ class TestRasterizeWindow:
                 round(float(v), 2) for x, y in zip(xs, ys) for v in (cx + 0.4 * (x - cx), cy + 0.4 * (y - cy))
             ]
             self.check([outer, inner], 64, 64)
-        holed = self.check([rect_ring(0, 0, 10, 10), rect_ring(3, 3, 4, 4)], 16, 16)[2]
-        assert holed.shape == (10, 10) and holed.sum() == 84 and not holed[4, 4]
+        holed = self.check([rect_ring(0, 0, 10, 10), rect_ring(3, 3, 4, 4)], 16, 16)
+        assert bbox_of_mask(holed) == (0, 0, 10, 10) and holed.sum() == 84 and not holed[4, 4]
 
     def test_vertex_on_a_pixel_center(self):
         # every crossing here is exact: slopes are +-1, +-1/2 and vertical
         diamond = self.check([[5.5, 1.5, 9.5, 5.5, 5.5, 9.5, 1.5, 5.5]], 12, 12)
         # the top vertex's two crossings meet at x = 5.5: an empty run
-        assert diamond[:2] == (2, 1)
+        assert bbox_of_mask(diamond)[:2] == (1, 2)  # (x, y): row 2, column 1
         self.check([[2.5, 3.5, 6.5, 11.5, 0.5, 7.5]], 10, 14)
         self.check([[3.5, 0.5, 3.5, 6.5, 7.5, 6.5]], 10, 10)
 
-    def test_sliver_and_off_grid_rings_give_an_empty_window(self):
+    def test_sliver_and_off_grid_rings_give_an_empty_mask(self):
         for rings in (
             [[0, 0, 5, 0, 5, 0, 0, 0]],
             [[0.1, 2.0, 6.0, 2.0, 3.0, 2.4]],  # no pixel center inside
@@ -176,32 +154,24 @@ class TestRasterizeWindow:
             [rect_ring(3, 9, 4, 4)],  # starts on the bottom edge of a 9-row grid
             [rect_ring(12, -30, 5, 29.5)],
         ):
-            window = self.check(rings, 12, 9)
-            assert window[:2] == (0, 0) and window[2].shape == (0, 0)
+            assert not self.check(rings, 12, 9).any()
 
-    def test_several_shapes_in_one_stack(self):
+    def test_several_shapes_in_one_scanline_pass(self):
+        # shapes scanned together, an empty one among them, paint from their
+        # runs exactly what each one's own fill gives
         rng = np.random.default_rng(73)
         for _ in range(20):
             w, h = int(rng.integers(8, 48)), int(rng.integers(8, 48))
             shapes = [wild_rings(rng, int(rng.integers(1, 3)), w, h) for _ in range(int(rng.integers(0, 5)))]
             shapes.insert(int(rng.integers(len(shapes) + 1)), [[0, 0, 5, 0, 5, 0]])  # an empty one
-            row0, col0, stack = rasterize_stack([poly(*rings) for rings in shapes], w, h)
-            assert stack.shape[0] == len(shapes)
-            for rings, mask in zip(shapes, stack):
-                assert np.array_equal(paste((row0, col0, mask), w, h), rasterize_oracle(rings, w, h))
-            if stack.any():  # the shared window is the tight bounds of the union
-                assert_tight((row0, col0, stack.any(axis=0)))
-            else:
-                assert (row0, col0) == (0, 0) and stack.shape[1:] == (0, 0)
-        row0, col0, stack = rasterize_stack([], 4, 4)
-        assert (row0, col0) == (0, 0) and stack.shape == (0, 0, 0)
-        with pytest.raises(GeometryError):
-            rasterize_stack([poly(rect_ring(0, 0, 2, 2))], 0, 4)
+            grids = grids_from_runs([poly(*rings) for rings in shapes], w, h)
+            for rings, grid in zip(shapes, grids):
+                assert np.array_equal(grid, rasterize_oracle(rings, w, h))
+                assert np.array_equal(rasterize(poly(*rings), w, h), grid)
+        assert grids_from_runs([], 4, 4).shape == (0, 4, 4)
 
-    def test_invalid_input_raises_like_rasterize(self):
+    def test_invalid_input_raises(self):
         for args in ((poly(rect_ring(0, 0, 2, 2)), 0, 4), (poly([0, 0, 4, 4]), 8, 8)):
-            with pytest.raises(GeometryError):
-                one_shape_window(*args)
             with pytest.raises(GeometryError):
                 rasterize(*args)
 
@@ -226,32 +196,35 @@ class TestRasterizeWindow:
         assert [rasterizable(s, 8, 8) for s in shapes] == [True, True, False, False, False, True, False]
 
 
-def stack_from_runs(shapes, width, height):
-    """``(row0, col0, stack)`` painted run by run from :func:`raster._runs`
-    (the sorted pixel toggles paired into runs) on the tight window of the runs."""
+def grids_from_runs(shapes, width, height):
+    """``(len(shapes), height, width)`` whole-grid masks painted run by run
+    from :func:`raster._runs` (the sorted pixel toggles paired into runs) of
+    one scanline pass over all the shapes."""
     n = len(shapes)
     owner, rows, c0, c1 = raster._runs(*raster._crossings(raster._vertices(shapes), np.full(n, width), np.full(n, height)))
-    if not rows.size:
-        return 0, 0, np.zeros((n, 0, 0), dtype=bool)
-    row0, col0 = int(rows.min()), int(c0.min())
-    stack = np.zeros((n, int(rows.max()) - row0 + 1, int(c1.max()) - col0), dtype=bool)
+    grids = np.zeros((n, height, width), dtype=bool)
     for k, r, a, b in zip(owner.tolist(), rows.tolist(), c0.tolist(), c1.tolist()):
-        assert a < b and not stack[k, r - row0, a - col0 : b - col0].any()  # disjoint, non-empty runs
-        stack[k, r - row0, a - col0 : b - col0] = True
-    return row0, col0, stack
+        assert a < b and not grids[k, r, a:b].any()  # disjoint, non-empty runs
+        grids[k, r, a:b] = True
+    return grids
+
+
+def surface_reference(ring_a, ring_b, width, height):
+    """``ring_pairs_metrics`` of one pair from whole-grid masks and the
+    brute-force oracle."""
+    ca, cb = (contour(rasterize([ring], width, height)) for ring in (ring_a, ring_b))
+    return (*surface_metrics_oracle(ca, cb), int(ca.sum()), int(cb.sum()))
 
 
 class TestCrossingFill:
-    """``rasterize_stack`` toggles at every crossing, unsorted; it must paint
+    """``rasterize`` toggles at every crossing, unsorted; it must paint
     exactly the runs that the sorted crossings pair into."""
 
     def check(self, shapes, width, height):
         shapes = [poly(*rings) for rings in shapes]
-        row0, col0, stack = rasterize_stack(shapes, width, height)
-        want_row0, want_col0, want = stack_from_runs(shapes, width, height)
-        assert (row0, col0) == (want_row0, want_col0)
-        assert stack.shape == want.shape and np.array_equal(stack, want)
-        return stack
+        masks = np.array([rasterize(shape, width, height) for shape in shapes])
+        assert np.array_equal(masks, grids_from_runs(shapes, width, height))
+        return masks
 
     def test_rings_with_holes(self):
         rng = np.random.default_rng(101)
@@ -298,20 +271,23 @@ class TestCrossingFill:
         sliver = [3.6, 0.0, 3.9, 0.0, 3.9, 10.0, 3.6, 10.0]
         owner, rows, cols = raster._crossings(raster._vertices([poly(sliver)]), np.full(1, 12), np.full(1, 12))
         assert rows.size == 20 and (cols == 4).all()
-        assert stack_from_runs([poly(sliver)], 12, 12)[2].shape == (1, 0, 0)
-        assert self.check([[sliver]], 12, 12).shape == (1, 0, 0)
-        # inside a non-empty window, its toggles still paint nothing
-        stack = self.check([[sliver], [rect_ring(1, 2, 8, 6)]], 12, 12)
-        assert not stack[0].any() and stack[1].sum() == 48
+        assert not grids_from_runs([poly(sliver)], 12, 12).any()
+        assert not self.check([[sliver]], 12, 12).any()
+        # beside another shape's runs, its toggles still paint nothing
+        masks = self.check([[sliver], [rect_ring(1, 2, 8, 6)]], 12, 12)
+        assert not masks[0].any() and masks[1].sum() == 48
 
     def test_far_corner_of_a_2_41_px_grid(self):
         # pixel rows and columns near 2**40 are exact in float64, and the
-        # window index stays small however far the window lies from the origin
+        # surface metrics fill the pair's window with the same parity fill,
+        # its index small however far the window lies from the origin
         far, side = 2**40, 2**41
-        stack = self.check([[rect_ring(far, far, 10, 10)], [rect_ring(far + 5, far + 5, 10, 10)]], side, side)
-        assert rasterize_stack([poly(rect_ring(far, far, 10, 10))], side, side)[:2] == (far, far)
-        assert stack.shape == (2, 15, 15) and stack[0, :10, :10].all() and stack[1, 5:, 5:].all()
-        assert stack.sum() == 200
+        got = ring_pairs_metrics([(rect_ring(far, far, 10, 10), rect_ring(far + 5, far + 5, 10, 10), side, side)])
+        near = (rect_ring(0, 0, 10, 10), rect_ring(5, 5, 10, 10), 20, 20)
+        assert got == ring_pairs_metrics([near]) == [surface_reference(*near)]
+        # 36 contour pixels each; the farthest is a corner, 5 px across and
+        # down from the other square's contour
+        assert got[0][1:] == (math.sqrt(50), 36, 36)
 
 
 def exact_next_center(v: float, lim: int) -> int:
@@ -508,9 +484,10 @@ class TestCountOverlaps:
         half = rect_ring(width - 10.5, height - 10.5, 10, 10)
         got = count_overlaps([(poly(last), 0)], [(poly(half), 0)], [(width, height)])
         assert (got.area_a.tolist(), got.area_b.tolist(), got.inter.tolist()) == ([100], [100], [81])
-        row0, col0, stack = rasterize_stack([poly(last), poly(half)], width, height)
-        assert (row0, col0, stack.shape) == (height - 11, width - 11, (2, 11, 11))
-        assert stack[0, 1:, 1:].all() and stack[1, :10, :10].all() and stack.sum() == 200
+        # the surface metrics of the pair equal those of its copy on the last
+        # rows and columns of a 20 px grid, whose borders clip it alike
+        near = (rect_ring(10, 10, 10, 10), rect_ring(9.5, 9.5, 10, 10), 20, 20)
+        assert ring_pairs_metrics([(last, half, width, height)]) == [surface_reference(*near)]
 
     @pytest.mark.parametrize("width, height", [(2**52 + 1, 64), (64, 2**52 + 1), (2**64, 40)])
     def test_a_side_beyond_2_52_px_is_rejected(self, width, height):
@@ -518,7 +495,7 @@ class TestCountOverlaps:
         with pytest.raises(GeometryError, match=r"side beyond 2\*\*52 px"):
             count_overlaps([(square, 0)], [], [(16, 16), (width, height)])
         with pytest.raises(GeometryError, match=r"side beyond 2\*\*52 px"):
-            rasterize_stack([square], width, height)
+            rasterize(square, width, height)
         assert not raster.rasterizable(square, width, height)
 
     def test_dense_scene_peak_stays_under_8_mb(self):

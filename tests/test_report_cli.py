@@ -497,6 +497,17 @@ class TestCliEvalMatch:
         err = capsys.readouterr().err
         assert "degenerate ring with 2 vertices" in err and "Traceback" not in err
 
+    def test_eval_segm_negative_rle_size_is_input_error(self, tmp_path, capsys):
+        # (-2) * (-3) equals the counts' sum, so only the sign check names it
+        doc = json.loads(Path(TINY_A).read_text())
+        ann = next(a for a in doc["annotations"] if a["iscrowd"])
+        ann["segmentation"] = {"counts": [6], "size": [-2, -3]}
+        bad = tmp_path / "a.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["eval", str(bad), TINY_B, "--task", "segm"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"annotation {ann['id']} has negative RLE size -2x-3" in err and "Traceback" not in err
+
     def test_match_ndjson_stdout(self, capsys):
         assert main(["match", TINY_A, TINY_B]) == EXIT_OK
         rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]

@@ -10,7 +10,7 @@ from annodiff import surface
 from annodiff.errors import DegenerateShape, GeometryError
 from annodiff.matching import MatchConfig, match_datasets
 from annodiff.report import compute_surface_results
-from annodiff.raster import contour, edt_squared, rasterize, rasterize_stack
+from annodiff.raster import bbox_of_mask, contour, edt_squared, rasterize
 from annodiff.shapes import Polygons
 from annodiff.surface import (
     average_surface_distance,
@@ -156,34 +156,29 @@ class TestPointSetKernel:
         assert surface_distances(ca, ca) == edt_reference(ca, ca) == (0.0, 0.0, ca.sum(), ca.sum())
         assert surface_distances(ca, pixel(3, 5, ca.shape)) == edt_reference(ca, pixel(3, 5, ca.shape))
 
-    def test_int32_is_exact_up_to_the_side_bound(self):
+    def test_farthest_pixels_of_a_2_15_px_side(self):
         # the farthest two pixels of a grid with sides just below 2**15
-        side = surface._INT32_SIDE - 1
-        x = (np.array([0], np.int32), np.array([0], np.int32))
-        y = (np.array([side - 1], np.int32), np.array([side - 1], np.int32))
+        side = 2**15 - 1
+        x = (np.array([0]), np.array([0]))
+        y = (np.array([side - 1]), np.array([side - 1]))
         to_y, to_x = surface._nearest_squared(x, y), surface._nearest_squared(y, x)
-        assert to_y.dtype == np.int32
-        assert int(to_y[0]) == int(to_x[0]) == 2 * (side - 1) ** 2 < np.iinfo(np.int32).max
+        assert int(to_y[0]) == int(to_x[0]) == 2 * (side - 1) ** 2
 
-    def test_int16_is_exact_up_to_the_side_bound(self):
+    def test_farthest_pixels_of_a_128_px_side(self):
         # the farthest two pixels of a 128 px side, 2 * 127**2 = 32258 apart
-        # squared, stay below the int16 maximum
-        side = surface._INT16_SIDE - 1
-        assert side == 128
-        x = (np.array([0], np.int16), np.array([0], np.int16))
-        y = (np.array([side - 1], np.int16), np.array([side - 1], np.int16))
+        # squared
+        side = 128
+        x = (np.array([0]), np.array([0]))
+        y = (np.array([side - 1]), np.array([side - 1]))
         to_y, to_x = surface._nearest_squared(x, y), surface._nearest_squared(y, x)
-        assert to_y.dtype == to_x.dtype == np.int16
-        assert int(to_y[0]) == int(to_x[0]) == 2 * 127**2 < np.iinfo(np.int16).max
+        assert int(to_y[0]) == int(to_x[0]) == 2 * 127**2
         corners = pixel(0, 0, (side, side)), pixel(side - 1, side - 1, (side, side))
-        assert surface._distance_dtype((side, side)) == np.int16
         d = float(np.sqrt(2 * 127**2))
         assert surface_distances(*corners) == edt_reference(*corners) == (d, d, 1, 1)
 
     @pytest.mark.parametrize("shape", [(129, 129), (129, 3), (3, 129)])
-    def test_a_129_px_side_takes_int32(self, shape):
-        # 2 * 128**2 = 32768 would wrap around in int16
-        assert surface._distance_dtype(shape) == np.int32
+    def test_farthest_pixels_of_a_129_px_side(self, shape):
+        # 2 * 128**2 = 32768, one past the int16 maximum
         h, w = shape
         corners = pixel(0, 0, shape), pixel(h - 1, w - 1, shape)
         d = float(np.sqrt((h - 1) ** 2 + (w - 1) ** 2))
@@ -239,8 +234,8 @@ def scattered(rng, shape, n):
 
 
 class TestContourCoordinates:
-    """``surface_distances`` reads contour coordinates from flat indices in
-    the distance dtype; they must be the row-major ``np.nonzero`` coordinates,
+    """``surface_distances`` reads contour coordinates from flat indices;
+    they must be the row-major ``np.nonzero`` coordinates,
     whatever the memory layout, so that ``d_avg`` sums in the same order."""
 
     def test_non_contiguous_views_and_fortran_order(self):
@@ -256,13 +251,10 @@ class TestContourCoordinates:
                 ca[1::2, ::3] | cb[::2, ::3], cb[::2, ::3]
             )
 
-    @pytest.mark.parametrize(
-        "side, dtype", [(128, np.int16), (129, np.int32), (2**15 - 1, np.int32), (2**15, np.int64)]
-    )
-    def test_windows_at_each_dtype_bound(self, side, dtype):
+    @pytest.mark.parametrize("side", [128, 129, 2**15 - 1, 2**15])
+    def test_long_and_wide_windows(self, side):
         rng = np.random.default_rng(side)
         for shape in ((side, 5), (5, side), (side, side) if side < 200 else (side, 2)):
-            assert surface._distance_dtype(shape) == dtype
             cx, cy = scattered(rng, shape, 40), scattered(rng, shape, 30)
             assert surface_distances(cx, cy) == nonzero_reference(cx, cy)
             assert surface_distances(np.asfortranarray(cx), cy[::-1]) == nonzero_reference(cx, cy[::-1])
@@ -313,7 +305,7 @@ class TestRingPipeline:
             assert got == full_grid_reference(ra, rb, w, h, footprint)
             assert ring_pair_metrics(rb, ra, w, h, footprint=footprint) == (*got[:2], got[3], got[2])
 
-    def test_wide_window_takes_the_int64_branch(self):
+    def test_wide_window_is_exact_beyond_int32(self):
         # the union window is 59 992 px wide; squared distances near
         # 59 989**2 overflow int32
         w, h = 60_000, 6
@@ -323,26 +315,26 @@ class TestRingPipeline:
         assert got[1] == 59_989.0 and got[2:] == (8, 8)
 
     @pytest.mark.parametrize("side", [128, 129])
-    def test_window_at_the_int16_bound_equals_full_grid_reference(self, side):
+    def test_opposite_corners_of_a_window_equal_full_grid_reference(self, side):
         # two squares in opposite corners of a side x side union window: the
         # block of pairwise distances holds their farthest contour pixels,
-        # 2 * (side - 1)**2 apart squared, which int16 holds at 128 px and
-        # not at 129
+        # 2 * (side - 1)**2 apart squared
         ra, rb = rect_ring(2, 3, 4, 4), rect_ring(side - 2, side - 1, 4, 4)
-        assert rasterize_stack([[ra], [rb]], 200, 200)[2].shape == (2, side, side)
+        union = rasterize([ra], 200, 200) | rasterize([rb], 200, 200)
+        assert bbox_of_mask(union)[2:] == (side, side)
         # every contour point lies beyond the band, so the finisher measures
-        # them all, in int16 up to 128 px and in int32 past it
-        dtypes = []
+        # them all
+        calls = []
         real = surface._nearest_squared
 
         def spy(x, y):
-            dtypes.append(x[0].dtype)
+            calls.append(x[0].size)
             return real(x, y)
 
         with mock.patch.object(surface, "_nearest_squared", spy):
             got = ring_pair_metrics(ra, rb, 200, 200)
         assert got == full_grid_reference(ra, rb, 200, 200)
-        assert dtypes == [np.dtype(np.int16 if side == 128 else np.int32)] * 2
+        assert calls == [12, 12]
 
     def test_ring_containers_give_identical_values(self):
         # a stored ring is a tuple of floats and takes the flat path; lists of
@@ -364,11 +356,9 @@ class TestRingPipeline:
             except DegenerateShape:
                 continue
             assert all(ring_pair_metrics(a, b, 64, 48) == want for a, b in forms)
-            shapes = [Polygons((tuple(ra),)), Polygons((tuple(rb),))]
-            row0, col0, stack = rasterize_stack(shapes, 64, 48)
-            for a, b in forms:
-                got = rasterize_stack([[a], [b]], 64, 48)
-                assert got[:2] == (row0, col0) and got[2].shape == stack.shape and (got[2] == stack).all()
+            masks = [rasterize(Polygons((tuple(ring),)), 64, 48) for ring in (ra, rb)]
+            for form in forms:
+                assert all(np.array_equal(rasterize([ring], 64, 48), mask) for ring, mask in zip(form, masks))
             measured += 1
         assert measured > 20
 
@@ -446,7 +436,7 @@ def chunk_pair(rng, kind):
         rb = [v / 5 + (150 if i % 2 == 0 else 110) for i, v in enumerate(random_simple_rings(rng, width=w, height=h)[0])]
         return (ra, rb, w, h) if rng.random() < 0.5 else (rb, ra, w, h)
     if kind == "wide":
-        # a window wider than 128 px: the finisher takes int32
+        # a window wider than 128 px
         w, h = 400, 60
         ra = [5.5, 10.2, 300.7, 12.9, 297.1, 30.4, 8.8, 25.0]
         return jittered(rng, ra, 2.0), [260.0, 40.0, 380.0, 41.5, 379.0, 55.0, 255.0, 52.0], w, h

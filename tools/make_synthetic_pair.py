@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from annodiff.raster import bbox_of_polygon, encode_rle, rasterize_stack
+from annodiff.raster import bbox_of_polygon, count_overlaps, encode_rle
 from annodiff.shapes import Polygons
 
 CATEGORIES = [
@@ -50,7 +50,9 @@ def star_ring(rng, width, height) -> list[float]:
 
 
 def pixel_area(ring, width, height) -> int:
-    return int(np.count_nonzero(rasterize_stack([Polygons((tuple(ring),))], width, height)[2]))
+    """The ring's rasterized pixel area, counted on its row runs as the
+    dataset's area check counts it."""
+    return int(count_overlaps([(Polygons((tuple(ring),)), 0)], [], [(width, height)]).area_a[0])
 
 
 def polygon_annotation(ann_id, image, ring, category_id) -> dict:
