@@ -63,9 +63,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import AnnotationDataset, _finite, _finite_tuple, _load_json, _parse_segmentation
-from .errors import EvalError, SchemaError
+from .errors import EvalError, GeometryError, SchemaError
 from .raster import Overlaps, bbox_of_mask, bbox_of_polygon, box_overlaps, count_overlaps, decode_rle, iou
-from .shapes import Polygons, ShapeSpec
+from .shapes import Polygons, RleMask, ShapeSpec
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(np.linspace(0.5, 0.95, 10).tolist())
 RECALL_POINTS: tuple[float, ...] = tuple(np.linspace(0.0, 1.0, 101).tolist())
@@ -369,6 +369,10 @@ def _shapes(keys: dict, dets_of: _Cells | None = None, gts_of: _Cells | None = N
     ``dets_of.dts`` and among ``gts_of.gts`` (-1 for none). ``keys`` maps
     (category, image, width, height) to a key, shared by both sides of the
     count; a shape lies on the grid of its direction's ground truth.
+
+    Raises:
+        GeometryError: an RLE's grid is not its image's; the error names
+            the annotation, as ``validate`` does.
     """
     items: list = []
     d_pos: list[int] = []
@@ -386,7 +390,13 @@ def _shapes(keys: dict, dets_of: _Cells | None = None, gts_of: _Cells | None = N
                 for q, inst in enumerate(group, p):
                     at = seen.setdefault((inst.id, key), len(items))
                     if at == len(items):
-                        items.append((inst.segmentation, key))
+                        seg = inst.segmentation
+                        if isinstance(seg, RleMask) and (seg.height, seg.width) != (rec.height, rec.width):
+                            raise GeometryError(
+                                f"annotation {inst.id} RLE grid {seg.height}x{seg.width}"
+                                f" != image {rec.height}x{rec.width}"
+                            )
+                        items.append((seg, key))
                         d_pos.append(-1)
                         g_pos.append(-1)
                     pos[at] = q

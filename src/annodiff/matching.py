@@ -67,6 +67,25 @@ class MatchSet:
     config: MatchConfig = field(default_factory=MatchConfig)
 
 
+def _mask_ious(images):
+    """The mask IoU matrix of each image's source and target instances, from
+    one overlap count keyed by image; ``images`` holds ``(source, target,
+    (width, height))`` per image. A degenerate ring counts as empty rather
+    than failing the search."""
+    a = [(s.segmentation, k) for k, (source, _, _) in enumerate(images) for s in source]
+    b = [(t.segmentation, k) for k, (_, target, _) in enumerate(images) for t in target]
+    ov = count_overlaps(a, b, [size for _, _, size in images], skip_invalid=True)
+    # the pairs come in (a, b) order, so each image's pairs are one slice
+    a0 = b0 = 0
+    for source, target, _ in images:
+        a1, b1 = a0 + len(source), b0 + len(target)
+        lo, hi = np.searchsorted(ov.a, [a0, a1])
+        inter = np.zeros((len(source), len(target)), dtype=np.int64)
+        inter[ov.a[lo:hi] - a0, ov.b[lo:hi] - b0] = ov.inter[lo:hi]
+        yield iou(inter, ov.area_a[a0:a1, None], ov.area_b[None, b0:b1])
+        a0, b0 = a1, b1
+
+
 def _iou_matrix(
     source: list[InstanceRecord],
     target: list[InstanceRecord],
@@ -79,16 +98,7 @@ def _iou_matrix(
         )
     if image_size is None:
         raise ValueError("mask IoU matching needs image_size=(width, height)")
-    # a degenerate ring counts as empty rather than failing the search
-    ov = count_overlaps(
-        [(s.segmentation, 0) for s in source],
-        [(t.segmentation, 0) for t in target],
-        [image_size],
-        skip_invalid=True,
-    )
-    inter = np.zeros((len(source), len(target)), dtype=np.int64)
-    inter[ov.a, ov.b] = ov.inter
-    return iou(inter, ov.area_a[:, None], ov.area_b[None, :])
+    return next(_mask_ious([(source, target, image_size)]))
 
 
 def match_image(
@@ -103,13 +113,19 @@ def match_image(
     :func:`annodiff.dataset.single_polygon_view`); :func:`match_datasets`
     does this for whole corpora.
     """
+    iou = _iou_matrix(source, target, cfg, image_size) if source and target else None
+    return _greedy(source, target, iou, cfg)
+
+
+def _greedy(source: list[InstanceRecord], target: list[InstanceRecord], iou, cfg: MatchConfig) -> MatchSet:
+    """The greedy matching of :func:`match_image`, given the IoU matrix of
+    ``source`` against ``target`` (``None`` when either is empty)."""
     result = MatchSet(config=cfg)
     if not source or not target:
         result.unmatched_source = sorted(s.id for s in source)
         result.unmatched_target = sorted(t.id for t in target)
         return result
 
-    iou = _iou_matrix(source, target, cfg, image_size)
     candidates = []
     for i, s in enumerate(source):
         for j, t in enumerate(target):
@@ -143,7 +159,9 @@ def match_datasets(
     """Match every shared image independently and merge the per-image results.
 
     Images present on one side only contribute unmatched instances. Pairs come
-    out canonically ordered by (image_id, source_instance_id).
+    out canonically ordered by (image_id, source_instance_id). In mask mode,
+    the masks of every image with instances on both sides are counted in one
+    overlap count keyed by image.
     """
     eligible_src = {inst.id for inst in single_polygon_view(source)}
     eligible_tgt = {inst.id for inst in single_polygon_view(target)}
@@ -152,14 +170,22 @@ def match_datasets(
     result.ineligible_target = sorted(i.id for i in target.instances if i.id not in eligible_tgt)
 
     image_ids = sorted({img.id for img in source.images} | {img.id for img in target.images})
-    for image_id in image_ids:
-        src = [i for i in source.instances_in(image_id) if i.id in eligible_src]
-        tgt = [i for i in target.instances_in(image_id) if i.id in eligible_tgt]
-        size = None
-        if cfg.iou_mode == "mask":
-            img = source.image(image_id) if image_id in source.index else target.image(image_id)
-            size = (img.width, img.height)
-        local = match_image(src, tgt, cfg, image_size=size)
+    images = [
+        (
+            [i for i in source.instances_in(image_id) if i.id in eligible_src],
+            [i for i in target.instances_in(image_id) if i.id in eligible_tgt],
+            image_id,
+        )
+        for image_id in image_ids
+    ]
+    both = [(src, tgt, image_id) for src, tgt, image_id in images if src and tgt]
+    if cfg.iou_mode == "mask":
+        sizes = [source.image(i) if i in source.index else target.image(i) for _, _, i in both]
+        ious = _mask_ious([(src, tgt, (img.width, img.height)) for (src, tgt, _), img in zip(both, sizes)])
+    else:
+        ious = (_iou_matrix(src, tgt, cfg, None) for src, tgt, _ in both)
+    for src, tgt, _ in images:
+        local = _greedy(src, tgt, next(ious) if src and tgt else None, cfg)
         result.pairs.extend(local.pairs)
         result.unmatched_source.extend(local.unmatched_source)
         result.unmatched_target.extend(local.unmatched_target)

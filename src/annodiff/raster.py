@@ -36,21 +36,23 @@ are computed in absolute grid coordinates, so no pixel depends on which
 shapes share the pass. The column map is monotone in ``x``, so sorted by
 column, the toggles of a row pair up into its row runs ``(row, c0, c1)``:
 columns ``[c0, c1)`` of ``row`` are inside, and a pair at one column is an
-empty run. An RLE is decoded and read off as toggles too, one at each change
-along a row. Pixel areas and pairwise intersections (:func:`count_overlaps`)
-are counted on the runs alone: two shapes intersect where their runs on a
-shared row overlap. Masks are not painted from runs: :func:`rasterize` fills
-the whole grid straight from the unsorted toggles, by their running parity
-along each row (:func:`_parity_fill`), and the surface metrics fill a chunk
-of matched pairs the same way, from one scanline pass. Since the order of
-the toggles does not matter to their parity, this gives exactly the pixels
-of the runs. Every IoU, of boxes or of pixel counts, is :func:`iou` of an
+empty run. An RLE gives toggles too, one at each change along a row, read
+straight off its column-major counts without decoding it
+(:func:`_rle_toggles`): the toggles at column ``c`` are the rows where
+columns ``c - 1`` and ``c`` differ. Pixel areas and pairwise intersections
+(:func:`count_overlaps`) are counted on the runs alone: two shapes intersect
+where their runs on a shared row overlap. Masks are not painted from runs:
+:func:`rasterize` fills the whole grid straight from the unsorted toggles,
+by their running parity along each row (:func:`_parity_fill`), and the
+surface metrics fill a chunk of matched pairs the same way, from one
+scanline pass. Since the order of the toggles does not matter to their
+parity, this gives exactly the pixels of the runs. Every IoU, of boxes or of pixel counts, is :func:`iou` of an
 intersection and two areas.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -104,11 +106,18 @@ _FLAT_RINGS = frozenset((tuple, list))
 _PLAIN_NUMBERS = frozenset((int, float))
 
 
+def _bad_ring(size):
+    """Whether a flat ring of ``size`` coordinates is one that :func:`_rings`
+    rejects: fewer than 6 coordinates (3 vertices), or an odd count. Takes an
+    int or an array of them."""
+    return (size < 6) | (size % 2 == 1)
+
+
 def _rings(shape) -> list:
     """The rings of a polygon shape as flat ``(x1, y1, x2, y2, ...)``
     coordinates. ``DegenerateShape`` if there is no ring or a ring has fewer
     than 6 coordinates (3 vertices); past that rule, ``GeometryError`` if a
-    ring's coordinates do not pair up into vertices.
+    ring's coordinates do not pair up into vertices (:func:`_bad_ring`).
 
     The rings of ``Polygons`` are stored flat, and so is a raw ring that is a
     tuple or list of plain ints and floats; these are taken as they are. Any
@@ -127,28 +136,23 @@ def _rings(shape) -> list:
         size = ring.size if array else len(ring)
         if size < 6:
             raise DegenerateShape(f"degenerate ring with {size // 2} vertices")
-        if not array and size % 2:
+        if not array and _bad_ring(size):
             raise GeometryError(f"ring has odd coordinate count {size}")
     if not own:
         raise DegenerateShape("polygon has no rings")
     return [_ring_points(ring).reshape(-1) if type(ring) is np.ndarray else ring for ring in own]
 
 
-def _vertices(shapes, skip_invalid: bool = False) -> _Vertices:
+def _vertices(shapes) -> _Vertices:
     """The vertices of every polygon shape, in one gather; ``RleMask``
     shapes add none. A shape that :func:`_rings` rejects raises
-    ``GeometryError``, or adds none when ``skip_invalid`` is set."""
+    ``GeometryError``."""
     rings: list = []  # flat (x1, y1, x2, y2, ...) coordinates per ring
     owners: list[int] = []
     for k, shape in enumerate(shapes):
         if isinstance(shape, RleMask):
             continue
-        try:
-            own = _rings(shape)
-        except GeometryError:
-            if not skip_invalid:
-                raise
-            continue
+        own = _rings(shape)
         rings += own
         owners += [k] * len(own)
     return _ring_vertices(rings, owners)
@@ -157,7 +161,7 @@ def _vertices(shapes, skip_invalid: bool = False) -> _Vertices:
 def _ring_vertices(rings: list, owners: list[int]) -> _Vertices:
     """The vertices of rings as :func:`_rings` returns them, in one gather;
     ring ``i`` belongs to shape ``owners[i]``."""
-    n = np.array([len(r) // 2 for r in rings], dtype=np.intp)
+    n = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings)) // 2
     flat = np.fromiter(chain.from_iterable(rings), dtype=np.float64, count=2 * int(n.sum()))
     # the last vertex of a ring closes it back to the first
     end = np.cumsum(n)
@@ -232,21 +236,32 @@ def _runs(owner: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     """
     if not rows.size:
         return owner, rows, cols, cols
-    n, w = int(owner.max()) + 1, int(cols.max()) + 1
-    if (int(rows.max()) + 1) * n * w <= 2**63:
-        # every combined key fits int64 (the product is taken in Python
-        # integers): sort them in place and take the three keys back out,
-        # which is much faster than np.lexsort of the three
-        key = (rows * n + owner) * w + cols
-        key.sort()
-        key, cols = np.divmod(key, w)
-        rows, owner = np.divmod(key, n)
-    else:  # keys too far apart to combine exactly
-        order = np.lexsort((cols, owner, rows))
-        owner, rows, cols = owner[order], rows[order], cols[order]
-    c0, c1 = cols[0::2], cols[1::2]
+    rows, owner, c0, c1 = _sorted_pairs(rows, owner, cols)
     run = c0 < c1
-    return owner[0::2][run], rows[0::2][run], c0[run], c1[run]
+    return owner[run], rows[run], c0[run], c1[run]
+
+
+def _sorted_pairs(major: np.ndarray, middle: np.ndarray, minor: np.ndarray):
+    """Non-empty int64 triples of non-negative values, sorted by (major,
+    middle, minor) and taken two at a time: the major and the middle of the
+    first of each pair, and the minors of both.
+
+    Where the three fit in 63 bits, they are packed into one int64 key with
+    shifts, sorted in place and unpacked with masks, which is much faster
+    than ``np.lexsort`` of the three; elsewhere ``np.lexsort`` sorts them.
+    """
+    bm, bn = int(middle.max()).bit_length(), int(minor.max()).bit_length()
+    if int(major.max()).bit_length() + bm + bn > 63:
+        order = np.lexsort((minor, middle, major))
+        first = order[0::2]
+        return major[first], middle[first], minor[first], minor[order[1::2]]
+    key = major << (bm + bn)
+    key |= middle << bn
+    key |= minor
+    key.sort()
+    first = key[0::2]
+    low = (1 << bn) - 1
+    return first >> (bm + bn), (first >> bn) & ((1 << bm) - 1), first & low, key[1::2] & low
 
 
 # The largest grid side: ``_next_center`` is exact on grids up to it, and
@@ -319,16 +334,23 @@ def rasterize(poly, width: int, height: int) -> np.ndarray:
 # run-length codec (column-major, first run background)
 
 
+def _check_rle(rle: RleMask, width: int | None = None, height: int | None = None) -> None:
+    """Raise what is wrong with an RLE: ``SchemaError`` for a negative count
+    or counts that do not sum to its grid, then ``GeometryError`` if that
+    grid is not ``width`` x ``height`` (when given)."""
+    if len(rle.counts) and min(rle.counts) < 0:
+        raise SchemaError("RLE counts must be non-negative")
+    total = sum(rle.counts)
+    if total != rle.height * rle.width:
+        raise SchemaError(f"RLE counts sum {total} != {rle.height}x{rle.width} grid")
+    if width is not None and (rle.height, rle.width) != (height, width):
+        raise GeometryError(f"RLE grid {(rle.height, rle.width)} does not match image {height}x{width}")
+
+
 def decode_rle(rle: RleMask) -> np.ndarray:
     """Decode a column-major RLE into a boolean ``(height, width)`` mask."""
+    _check_rle(rle)
     counts = np.asarray(rle.counts, dtype=np.int64)
-    if counts.size and counts.min() < 0:
-        raise SchemaError("RLE counts must be non-negative")
-    total = int(counts.sum())
-    if total != rle.height * rle.width:
-        raise SchemaError(
-            f"RLE counts sum {total} != {rle.height}x{rle.width} grid"
-        )
     values = np.arange(counts.size, dtype=np.int64) % 2 == 1
     flat = np.repeat(values, counts)
     return flat.reshape((rle.width, rle.height)).T
@@ -352,12 +374,8 @@ def encode_rle(mask: np.ndarray) -> RleMask:
 def mask_of(shape, width: int, height: int) -> np.ndarray:
     """Rasterize either shape encoding onto a ``width`` x ``height`` grid."""
     if isinstance(shape, RleMask):
-        m = decode_rle(shape)
-        if m.shape != (height, width):
-            raise GeometryError(
-                f"RLE grid {m.shape} does not match image {height}x{width}"
-            )
-        return m
+        _check_rle(shape, width, height)
+        return decode_rle(shape)
     return rasterize(shape, width, height)
 
 
@@ -381,9 +399,11 @@ class Overlaps(NamedTuple):
 
 
 # Elements per chunk of the overlap count: polygon coordinates gathered at
-# once; then (edge, row) crossings plus one per grid row of an RLE scanned
-# at once; and run pairs joined at once. About 64 bytes each.
-_CHUNK = 2**13
+# once; then (edge, row) crossings, and an RLE's toggles and segment ends,
+# scanned at once; and run pairs joined at once. Set by measurement on the
+# segm counts of 200 and 1,000 image pairs: 2**14 ran 6 and 15 % faster than
+# 2**13, and the count's peak memory grows with it, about 100 bytes each.
+_CHUNK = 2**14
 
 
 def _chunks(cost: np.ndarray):
@@ -398,31 +418,139 @@ def _chunks(cost: np.ndarray):
     yield lo, cost.size
 
 
-def _coordinates(shape) -> int:
-    """Coordinates of a polygon shape's rings (0 for an RLE), before any check."""
-    if isinstance(shape, RleMask):
-        return 0
-    return sum(map(len, shape.rings if isinstance(shape, Polygons) else shape))
+def _read_shapes(shapes: list, sizes, ranked: np.ndarray, skip_invalid: bool):
+    """One pass over shapes, in rank order: the flat rings of the polygon
+    shapes (as :func:`_rings` takes them), each ring's length and shape, and
+    the ranks of the RLE shapes; shape ``r`` lies on the grid
+    ``sizes[ranked[r]]``.
+
+    Raises the error of the first faulty shape: an RLE's, as
+    :func:`_check_rle` names it, or a polygon shape's, as :func:`_rings` names
+    it. With ``skip_invalid``, a faulty polygon shape adds no rings instead.
+    """
+    rings: list = []
+    n_rings: list[int] = []
+    rle: list[int] = []
+    rle_fault = None
+    for r, shape in enumerate(shapes):
+        if type(shape) is Polygons:
+            own = shape.rings
+        elif isinstance(shape, RleMask):
+            own = ()
+            rle.append(r)
+            if rle_fault is None:
+                try:
+                    _check_rle(shape, *sizes[ranked[r]])
+                except (GeometryError, SchemaError) as exc:
+                    rle_fault = r, exc
+        else:
+            try:
+                own = _rings(shape)
+            except GeometryError:  # no rings: a fault, raised below
+                own = ()
+        rings += own
+        n_rings.append(len(own))
+    ring_len = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
+    ring_rank = np.repeat(np.arange(len(shapes)), n_rings)
+    # the polygon shapes that _rings rejects
+    faulty = np.array(n_rings) == 0
+    faulty[rle] = False
+    faulty[ring_rank[_bad_ring(ring_len)]] = True
+    first = int(faulty.argmax()) if faulty.any() else len(shapes)
+    if rle_fault is not None and (skip_invalid or rle_fault[0] < first):
+        raise rle_fault[1]
+    if first < len(shapes):
+        if not skip_invalid:
+            _rings(shapes[first])  # raises
+        keep = ~faulty[ring_rank]
+        rings = list(compress(rings, keep.tolist()))
+        ring_len, ring_rank = ring_len[keep], ring_rank[keep]
+    return rings, ring_len, ring_rank, np.array(rle, dtype=np.intp)
 
 
-def _reduce(codes: list, inter: list) -> tuple[list, list]:
-    """Sum the intersections of equal pair codes, as one pair of arrays."""
-    code, at = np.unique(np.concatenate(codes), return_inverse=True)
-    return [code], [np.bincount(at, weights=np.concatenate(inter), minlength=code.size)]
+def _rle_toggles(rles: list, owner: np.ndarray):
+    """Pixel toggles ``(owner, row, col)`` of RLE masks, read off their
+    column-major counts without decoding them; ``rles[i]`` is shape
+    ``owner[i]``.
+
+    Each foreground run is split into per-column segments of rows
+    ``[r0, r1)``. A column is inside at row ``r`` where an odd number of its
+    segments' ends lie at or above ``r``, so column ``c`` differs from column
+    ``c - 1`` where an odd number of the ends of both columns do; those rows
+    are the toggles at ``c`` (columns ``-1`` and ``width`` are background).
+    Sorted, the ends of each (mask, ``c``) pair up into the row ranges of its
+    toggles, so the work follows the masks' boundaries, not their grids.
+    """
+    n = np.fromiter((len(r.counts) for r in rles), dtype=np.intp, count=len(rles))
+    height = np.fromiter((r.height for r in rles), dtype=np.int64, count=len(rles))
+    counts = np.fromiter(chain.from_iterable(r.counts for r in rles), dtype=np.int64, count=int(n.sum()))
+    # flat start of each count in its mask; every second one is foreground
+    first = np.cumsum(n) - n
+    start = np.cumsum(counts) - counts
+    start -= np.repeat(start[first], n)
+    fg = (np.arange(counts.size) - np.repeat(first, n)) % 2 == 1
+    fg &= counts > 0
+    mask = np.repeat(np.arange(len(rles)), n)[fg]
+    if not mask.size:
+        return owner[:0], mask, mask
+    start, h = start[fg], height[mask]
+    c_first, r_first = np.divmod(start, h)
+    c_last, r_last = np.divmod(start + counts[fg] - 1, h)
+    # segments: rows [r0, r1) of column col, the first and the last of each
+    # run cut at its ends, the others whole
+    k = c_last - c_first + 1
+    lead = np.cumsum(k) - k
+    seg = np.repeat(np.arange(k.size), k)
+    col = np.arange(seg.size) + np.repeat(c_first - lead, k)
+    r0 = np.zeros(seg.size, dtype=np.int64)
+    r0[lead] = r_first
+    r1 = h[seg]
+    r1[lead + k - 1] = r_last + 1
+    # each end counts in its own column and in the next one
+    at, col, row, end = _sorted_pairs(
+        np.tile(mask[seg], 4), np.concatenate([col, col, col + 1, col + 1]), np.concatenate([r0, r1, r0, r1])
+    )
+    span = end - row
+    e = np.repeat(np.arange(span.size), span)
+    return owner[at[e]], np.arange(e.size) + np.repeat(row - (np.cumsum(span) - span), span), col[e]
 
 
-def _join(item, group, c0, c1, n_a: int, n_b: int):
-    """Pair codes ``a * n_b + b`` and intersections of the runs of side a
-    (``item < n_a``) and side b that share a join group, the runs sorted by
-    group; runs of one shape are disjoint, so the overlaps of their run pairs
-    sum to the intersection."""
-    side_a = item < n_a
-    ia, ib = np.flatnonzero(side_a), np.flatnonzero(~side_a)
-    if not (ia.size and ib.size):
-        return [], []
-    kb = group[ib]
-    lo = np.searchsorted(kb, group[ia], "left")
-    n = np.searchsorted(kb, group[ia], "right") - lo
+def _reduce(codes: list, inter: list, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the intersections of equal pair codes, each in ``[0, size)``, and
+    keep the positive sums: by one dense ``np.bincount`` where ``size`` is
+    at most ``_CHUNK`` or the number of codes, which is the faster, and by
+    ``np.unique`` elsewhere, so that a key of many shapes, with far more
+    codes than pairs, takes memory by its pairs."""
+    code, inter = np.concatenate(codes), np.concatenate(inter)
+    if size <= max(_CHUNK, code.size):
+        total = np.bincount(code, weights=inter, minlength=size)
+        code = np.flatnonzero(total)
+        return code, total[code]
+    code, at = np.unique(code, return_inverse=True)
+    total = np.bincount(at, weights=inter, minlength=code.size)
+    hit = total > 0
+    return code[hit], total[hit]
+
+
+def _join(part, side_a, key, rows, c0, c1, offset: int, size: int):
+    """Pair codes ``part[i] + part[j] - offset``, each in ``[0, size)``, and
+    intersections of the a-runs ``i`` (``side_a``) and the b-runs ``j``, the
+    runs sorted by (row, rank).
+
+    Each (row, key) is a group of consecutive runs, and side a's runs come
+    before side b's in it, so an a-run meets the b-runs of its group as one
+    slice. Runs of one shape are disjoint, so the overlaps of a pair's runs
+    sum to its intersection.
+    """
+    change = np.empty(key.size, dtype=bool)
+    change[0] = True
+    np.not_equal(rows[1:], rows[:-1], out=change[1:])
+    change[1:] |= key[1:] != key[:-1]
+    start = np.flatnonzero(change)
+    ia = np.flatnonzero(side_a)
+    g = np.cumsum(change)[ia] - 1
+    lo = start[g] + np.bincount(g, minlength=start.size)[g]
+    n = np.append(start[1:], key.size)[g] - lo
     ends = np.cumsum(n)
     codes, inter = [np.empty(0, np.int64)], [np.empty(0)]
     s = pending = 0
@@ -430,17 +558,20 @@ def _join(item, group, c0, c1, n_a: int, n_b: int):
         t = max(s + 1, int(np.searchsorted(ends, (ends[s - 1] if s else 0) + _CHUNK, "right")))
         m = n[s:t]
         ra = np.repeat(ia[s:t], m)
-        rb = ib[np.repeat(lo[s:t] - (np.cumsum(m) - m), m) + np.arange(ra.size)]
-        overlap = np.minimum(c1[ra], c1[rb]) - np.maximum(c0[ra], c0[rb])
-        hit = overlap > 0
-        codes.append(item[ra[hit]] * n_b + (item[rb[hit]] - n_a))
-        inter.append(overlap[hit])
-        pending += codes[-1].size
+        rb = np.arange(ra.size) + np.repeat(lo[s:t] - (np.cumsum(m) - m), m)
+        overlap = np.minimum(c1[ra], c1[rb])
+        overlap -= np.maximum(c0[ra], c0[rb])
+        code = part[ra]
+        code += part[rb]
+        code -= offset
+        codes.append(code)
+        inter.append(np.maximum(overlap, 0, out=overlap))
+        pending += code.size
         if pending > _CHUNK:
-            codes, inter = _reduce(codes, inter)
-            pending = 0
+            code, total = _reduce(codes, inter, size)
+            codes, inter, pending = [code], [total], 0
         s = t
-    return _reduce(codes, inter)
+    return _reduce(codes, inter, size)
 
 
 def count_overlaps(a, b, sizes, *, skip_invalid: bool = False) -> Overlaps:
@@ -448,11 +579,12 @@ def count_overlaps(a, b, sizes, *, skip_invalid: bool = False) -> Overlaps:
 
     ``a`` and ``b`` hold ``(shape, key)`` items, either shape encoding; a
     shape lies on the grid ``sizes[key] = (width, height)``, and only pairs
-    of a shape of side a and one of side b with the same key are counted.
-    Every shape is scan-converted once into pixel toggles (RLEs are decoded
-    by :func:`mask_of` and read off the mask), which one sort pairs into row
-    runs, and each pair's intersection is the sum of the overlaps of its runs
-    on shared rows. Work goes in runs of keys, cut at ``_CHUNK`` elements.
+    of a shape of side a and one of side b with the same key are counted,
+    in (a, b) order. Every shape is turned once into pixel toggles (polygons
+    by the scanline pass, RLEs read off their counts by
+    :func:`_rle_toggles`), which one sort pairs into row runs, and each
+    pair's intersection is the sum of the overlaps of its runs on shared
+    rows. Work goes in runs of keys, cut at ``_CHUNK`` elements.
 
     Raises:
         DegenerateShape: a polygon has a ring of fewer than 3 vertices, or
@@ -460,6 +592,8 @@ def count_overlaps(a, b, sizes, *, skip_invalid: bool = False) -> Overlaps:
         GeometryError: a ring's coordinates do not pair up into vertices
             (unless ``skip_invalid``), an RLE does not match its grid, or a
             grid of ``sizes`` has a side below 1 or beyond 2**52 px.
+        SchemaError: an RLE has a negative count, or counts that do not sum
+            to its own grid.
     """
     n_a, n_b = len(a), len(b)
     items = [*a, *b]
@@ -471,52 +605,75 @@ def count_overlaps(a, b, sizes, *, skip_invalid: bool = False) -> Overlaps:
     shapes = [items[i][0] for i in order.tolist()]
     for w, h in sizes:
         _check_grid(w, h)
+    rings, ring_len, ring_rank, rle = _read_shapes(shapes, sizes, ranked, skip_invalid)
+    n_keys = len(sizes)
     sizes = np.asarray(sizes, dtype=np.int64).reshape(-1, 2)
     width, height = sizes[ranked, 0], sizes[ranked, 1]
-    coordinates = [_coordinates(shape) for shape in shapes]
-    area = np.zeros(len(items), dtype=np.int64)
+    # Within a key, the ranks of side a come before those of side b. Its
+    # pairs take the codes [base[k], base[k + 1]): the code of a pair is the
+    # part of its shape of side a (base, plus the shape's place among side a
+    # times the key's count of side b) plus the part of its shape of side b
+    # (its place among side b).
+    side_a = order < n_a
+    count_a = np.bincount(ranked[side_a], minlength=n_keys)
+    count = np.bincount(ranked, minlength=n_keys)
+    count_b = count - count_a
+    base = np.concatenate([[0], np.cumsum(count_a * count_b)])
+    first = np.cumsum(count) - count
+    place = np.arange(ranked.size) - first[ranked]
+    part = np.where(side_a, base[ranked] + place * count_b[ranked], place - count_a[ranked])
+    # an RLE has about two toggles per row; its foreground runs, cut at the
+    # columns, give at most one segment per run and one per column, and each
+    # segment has four ends
+    n_counts = np.array([len(shapes[r].counts) for r in rle.tolist()], dtype=np.int64)
+    rle_cost = height[rle] + 4 * width[rle] + 2 * n_counts
+    area = np.zeros(ranked.size, dtype=np.int64)
     codes, inter = [np.empty(0, np.int64)], [np.empty(0)]
     # gather the vertices of a run of keys, then scan and join sub-runs
-    for k0, k1 in _chunks(np.bincount(ranked, weights=coordinates, minlength=len(sizes))):
+    for k0, k1 in _chunks(np.bincount(ranked[ring_rank], weights=ring_len, minlength=n_keys)):
         r0, r1 = np.searchsorted(ranked, [k0, k1])
-        v = _vertices(shapes[r0:r1], skip_invalid)
-        v = v._replace(owner=r0 + v.owner)
+        i0, i1 = np.searchsorted(ring_rank, [r0, r1])
+        v = _ring_vertices(rings[i0:i1], ring_rank[i0:i1])
         vertex_key = ranked[v.owner] - k0
-        rle = np.array([r for r in range(r0, r1) if isinstance(shapes[r], RleMask)], dtype=np.intp)
-        rle_key = ranked[rle] - k0
-        # an edge crosses at most |dy| + 1 row centers, an RLE has about one
-        # run per row
+        q0, q1 = np.searchsorted(rle, [r0, r1])
+        rle_key = ranked[rle[q0:q1]] - k0
+        # an edge crosses at most |dy| + 1 row centers
         dy = v.y[v.succ]
         dy -= v.y
         cost = np.bincount(
             np.concatenate([vertex_key, rle_key]),
-            weights=np.concatenate([np.abs(dy, out=dy) + 1, height[rle]]),
+            weights=np.concatenate([np.abs(dy, out=dy) + 1, rle_cost[q0:q1]]),
             minlength=k1 - k0,
         )
         for j0, j1 in _chunks(cost):
             lo, hi = np.searchsorted(vertex_key, [j0, j1])
-            parts = [_crossings(v, width, height, slice(lo, hi))]
-            lo, hi = np.searchsorted(rle_key, [j0, j1])
-            for r in rle[lo:hi].tolist():
-                # a mask toggles at each change along a row, from and to the
-                # background beyond the grid border
-                mask = mask_of(shapes[r], int(width[r]), int(height[r]))
-                rows, cols = np.nonzero(np.diff(mask, axis=1, prepend=False, append=False))
-                parts.append((np.full(rows.size, r), rows, cols))
-            rank, rows, c0, c1 = _runs(*(np.concatenate(p) for p in zip(*parts)))
-            item = order[rank]
-            np.add.at(area, item, c1 - c0)
-            # Within a row, runs come in rank order and so in key order: each
-            # (row, key) is one group of consecutive runs.
-            change = (rows[1:] != rows[:-1]) | (ranked[rank[1:]] != ranked[rank[:-1]])
-            group = np.concatenate([[0], np.cumsum(change)])
-            more_codes, more_inter = _join(item, group, c0, c1, n_a, n_b)
-            codes += more_codes
-            inter += more_inter
-    # runs of keys are disjoint, so each pair comes from one of them
+            toggles = _crossings(v, width, height, slice(lo, hi))
+            lo, hi = q0 + np.searchsorted(rle_key, [j0, j1])
+            if lo < hi:
+                more = _rle_toggles([shapes[r] for r in rle[lo:hi].tolist()], rle[lo:hi])
+                toggles = [np.concatenate(p) for p in zip(toggles, more)]
+                del more
+            rank, rows, c0, c1 = _runs(*toggles)
+            # the toggles are freed before the join, and the runs before the
+            # next sub-chunk's scan, which bounds the peak memory
+            del toggles
+            if rank.size:
+                np.add.at(area, rank, c1 - c0)
+                b0, b1 = base[k0 + j0], base[k0 + j1]
+                code, total = _join(part[rank], side_a[rank], ranked[rank], rows, c0, c1, b0, b1 - b0)
+                codes.append(code + b0)
+                inter.append(total)
+            del rank, rows, c0, c1
+    # runs of keys are disjoint, so each pair comes from one of them; the
+    # pairs are put in (a, b) order
     code, total = np.concatenate(codes), np.concatenate(inter)
-    pa, pb = np.divmod(code, max(n_b, 1))
-    return Overlaps(area[:n_a], area[n_a:], pa, pb, total.astype(np.int64))
+    k = np.searchsorted(base, code, "right") - 1
+    pa, pb = np.divmod(code - base[k], count_b[k])
+    pa, pb = order[first[k] + pa], order[first[k] + count_a[k] + pb] - n_a
+    by_pair = np.lexsort((pb, pa))
+    by_item = np.empty_like(area)
+    by_item[order] = area
+    return Overlaps(by_item[:n_a], by_item[n_a:], pa[by_pair], pb[by_pair], total[by_pair].astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

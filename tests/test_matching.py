@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from annodiff.dataset import parse_dataset
-from annodiff.matching import MatchConfig, match_datasets, match_image, pairs_to_ndjson
+import annodiff.matching as matching
+from annodiff.dataset import parse_dataset, single_polygon_view
+from annodiff.matching import MatchConfig, MatchSet, match_datasets, match_image, pairs_to_ndjson
 from annodiff.raster import box_iou, mask_iou, rasterize
 
 from conftest import make_ann, make_coco, make_images, rect_ring
@@ -171,6 +172,37 @@ class TestEligibilityAndModes:
                 for ds, i in ((synthetic_a, p.source_instance_id), (synthetic_b, p.target_instance_id))
             )
             assert p.iou == mask_iou(a, b)
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.9])
+    def test_mask_mode_counts_every_image_at_once_as_match_image_would(
+        self, synthetic_a, synthetic_b, monkeypatch, threshold
+    ):
+        # one overlap count keyed by image for the whole dataset, and the same
+        # result as matching each image on its own
+        cfg = MatchConfig(iou_mode="mask", iou_threshold=threshold)
+        calls = []
+        count = matching.count_overlaps
+        monkeypatch.setattr(matching, "count_overlaps", lambda *args, **kw: calls.append(args) or count(*args, **kw))
+        batched = match_datasets(synthetic_a, synthetic_b, cfg)
+        assert len(calls) == 1 and len(calls[0][2]) > 40
+        eligible = [{i.id for i in single_polygon_view(ds)} for ds in (synthetic_a, synthetic_b)]
+        want = MatchSet(config=cfg)
+        for image in synthetic_a.images:
+            src, tgt = (
+                [i for i in ds.instances_in(image.id) if i.id in ids]
+                for ds, ids in zip((synthetic_a, synthetic_b), eligible)
+            )
+            local = match_image(src, tgt, cfg, image_size=(image.width, image.height))
+            want.pairs += local.pairs
+            want.unmatched_source += local.unmatched_source
+            want.unmatched_target += local.unmatched_target
+        assert len(calls) > 40  # match_image counts one image per call
+        assert batched.pairs == want.pairs and len(want.pairs) > 100
+        assert (batched.unmatched_source, batched.unmatched_target) == (
+            sorted(want.unmatched_source),
+            sorted(want.unmatched_target),
+        )
+        assert pairs_to_ndjson(batched) == pairs_to_ndjson(want)
 
     def test_mask_mode_ignores_stale_stored_boxes(self):
         # the stored boxes are disjoint, the masks are the same square

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from annodiff.errors import GeometryError, SchemaError
+from annodiff.deteval import cross_table
+from annodiff.errors import DegenerateShape, GeometryError, SchemaError
 import annodiff.raster as raster
 from annodiff.raster import (
     Box,
+    Overlaps,
     bbox_of_mask,
     bbox_of_polygon,
     box_iou,
@@ -413,15 +415,23 @@ class TestCountOverlaps:
 
     @pytest.mark.parametrize("cap", [1, 7, None])
     def test_equals_full_grid_counts_at_every_chunk_size(self, monkeypatch, cap):
-        if cap is not None:
-            monkeypatch.setattr(raster, "_CHUNK", cap)
         rng = np.random.default_rng(67)
         for _ in range(40):
             sides = []
             for _ in range(2):
                 keys = rng.integers(len(self.SIZES), size=int(rng.integers(0, 7))).tolist()
                 sides.append([(s, k) for k in keys for s in self.shapes(rng, 1, k)])
-            assert_counts_match_full_grids(*sides, self.SIZES)
+            with monkeypatch.context() as m:
+                if cap is not None:
+                    m.setattr(raster, "_CHUNK", cap)
+                got = assert_counts_match_full_grids(*sides, self.SIZES)
+            # the arrays themselves do not depend on the chunk size: the
+            # pairs come in (a, b) order
+            want = count_overlaps(*sides, self.SIZES)
+            for field, value in zip(Overlaps._fields, got):
+                assert value.dtype == np.int64 and value.tolist() == getattr(want, field).tolist(), field
+            pairs = list(zip(got.a.tolist(), got.b.tolist()))
+            assert pairs == sorted(set(pairs))
 
     def test_counts_the_shared_pixels_of_rle_masks(self):
         rng = np.random.default_rng(59)
@@ -452,10 +462,37 @@ class TestCountOverlaps:
         got = count_overlaps([], [], [])
         assert got.area_a.size == got.area_b.size == got.inter.size == 0
 
+    def test_rle_faults_are_those_of_decode_rle_and_mask_of(self):
+        square = poly(rect_ring(2, 2, 10, 10))
+        faults = [
+            (RleMask((3, -1, 14), 4, 4), SchemaError, "RLE counts must be non-negative"),
+            (RleMask((3, 4), 4, 4), SchemaError, "RLE counts sum 7 != 4x4 grid"),
+            (RleMask((3, 4), 2, 2), SchemaError, "RLE counts sum 7 != 2x2 grid"),  # and the grid
+            (RleMask((16,), 4, 4), GeometryError, "RLE grid (4, 4) does not match image 16x16"),
+        ]
+        for rle, kind, message in faults:
+            with pytest.raises(kind) as seen:
+                mask_of(rle, 16, 16)
+            assert str(seen.value) == message
+            for skip_invalid in (False, True):
+                with pytest.raises(kind) as seen:
+                    count_overlaps([(square, 0)], [(square, 0), (rle, 0)], [(16, 16)], skip_invalid=skip_invalid)
+                assert str(seen.value) == message
+        # the first faulty shape in key order raises; skip_invalid passes over
+        # a degenerate polygon, never over an RLE
+        degenerate, bad_grid = poly([0, 0, 4, 4]), RleMask((16,), 4, 4)
+        with pytest.raises(DegenerateShape, match="degenerate ring with 2 vertices"):
+            count_overlaps([(bad_grid, 1)], [(degenerate, 0)], [(16, 16)] * 2)
+        with pytest.raises(GeometryError, match=r"RLE grid \(4, 4\)"):
+            count_overlaps([(bad_grid, 0)], [(degenerate, 1)], [(16, 16)] * 2)
+        with pytest.raises(GeometryError, match=r"RLE grid \(4, 4\)"):
+            count_overlaps([(bad_grid, 1)], [(degenerate, 0)], [(16, 16)] * 2, skip_invalid=True)
+
     def test_invalid_shapes_raise_or_count_as_empty(self):
         square, degenerate = poly(rect_ring(2, 2, 10, 10)), poly([0, 0, 4, 4])
-        for bad in (degenerate, Polygons(())):
-            with pytest.raises(GeometryError):
+        odd = poly(rect_ring(2, 2, 10, 10), [1, 1, 5, 1, 5, 5, 1])
+        for bad, message in ((degenerate, "2 vertices"), (Polygons(()), "no rings"), (odd, "odd coordinate count 7")):
+            with pytest.raises(GeometryError, match=message):
                 count_overlaps([(square, 0)], [(bad, 0)], [(16, 16)])
             got = count_overlaps([(square, 0)], [(bad, 0)], [(16, 16)], skip_invalid=True)
             assert got.area_b.tolist() == [0] and got.inter.size == 0
@@ -517,6 +554,106 @@ class TestCountOverlaps:
             tracemalloc.stop()
         assert got.area_b[30] == w * h
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_one_key_of_many_shapes_peak_stays_under_8_mb(self):
+        # 2,000 small squares on each side of one key: 4 M pair codes, of
+        # which 2,000 pairs share pixels
+        squares = [poly(rect_ring(4 * (i % 100), 4 * (i // 100), 2, 2)) for i in range(2000)]
+        tracemalloc.start()
+        try:
+            got = count_overlaps([(s, 0) for s in squares], [(s, 0) for s in squares], [(400, 400)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.a.tolist() == got.b.tolist() == list(range(2000))
+        assert got.inter.tolist() == [4] * 2000
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_wide_rle_crowds_peak_stays_under_4_mb(self):
+        # 60 single-row images 4,000 px wide, each with a crowd of one run
+        # across all its columns: few counts, but 4,000 column segments each
+        w = 4000
+        crowd = RleMask(counts=(0, w), height=1, width=w)
+        square = poly(rect_ring(0, 0, 10, 1))
+        tracemalloc.start()
+        try:
+            got = count_overlaps([(square, k) for k in range(60)], [(crowd, k) for k in range(60)], [(w, 1)] * 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.area_b.tolist() == [w] * 60
+        assert got.inter.tolist() == [10] * 60
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def diff_toggles(rle: RleMask) -> list:
+    """The row toggles ``(row, col)`` of an RLE from its decoded mask: where
+    a pixel differs from its left neighbour, the grid bordered by background."""
+    rows, cols = np.nonzero(np.diff(decode_rle(rle), axis=1, prepend=False, append=False))
+    return sorted(zip(rows.tolist(), cols.tolist()))
+
+
+def random_rle(rng, height: int, width: int) -> RleMask:
+    """Counts that cut the grid at random places, repeated cuts giving
+    zero-length runs, and runs that wrap across columns."""
+    cuts = np.sort(rng.integers(0, height * width + 1, size=int(rng.integers(0, 12))))
+    return RleMask(tuple(np.diff(cuts, prepend=0, append=height * width).tolist()), height, width)
+
+
+class TestRleReadOff:
+    def check(self, rles):
+        owner = np.arange(len(rles)) * 3 + 5
+        got_owner, rows, cols = raster._rle_toggles(rles, owner)
+        for k, rle in enumerate(rles):
+            mine = got_owner == owner[k]
+            assert sorted(zip(rows[mine].tolist(), cols[mine].tolist())) == diff_toggles(rle)
+        assert np.isin(got_owner, owner).all()
+
+    def test_equals_the_decoded_mask_on_random_grids(self):
+        rng = np.random.default_rng(83)
+        for _ in range(300):
+            rles = [random_rle(rng, *(int(v) for v in rng.integers(1, 41, size=2))) for _ in range(rng.integers(1, 5))]
+            self.check(rles)
+
+    @pytest.mark.parametrize(
+        "rle",
+        [
+            RleMask((1,), 1, 1),  # empty 1x1
+            RleMask((0, 1), 1, 1),  # full 1x1
+            RleMask((40 * 40,), 40, 40),
+            RleMask((0, 40 * 40), 40, 40),  # one run over every column
+            RleMask((0, 5, 0, 3), 4, 2),  # zero-length runs join two runs
+            RleMask((0, 5, 0, 3), 2, 4),
+            RleMask((0, 0, 0, 8), 8, 1),  # a single column
+            RleMask((3, 0, 0, 5), 1, 8),  # a single row
+            RleMask((2, 7, 3), 4, 3),  # a run across a whole column
+            RleMask((4, 4, 4), 4, 3),  # full middle column
+        ],
+    )
+    def test_edge_cases_equal_the_decoded_mask(self, rle):
+        self.check([rle])
+        self.check([rle, random_rle(np.random.default_rng(5), 7, 9), rle])
+
+    def test_no_foreground_gives_no_toggles(self):
+        owner, rows, cols = raster._rle_toggles([RleMask((6,), 2, 3), RleMask((0, 0, 4), 2, 2)], np.array([1, 2]))
+        assert owner.size == rows.size == cols.size == 0
+
+    def test_counts_areas_and_intersections_of_random_rles(self):
+        rng = np.random.default_rng(89)
+        for _ in range(40):
+            w, h = (int(v) for v in rng.integers(1, 41, size=2))
+            side = lambda: [(random_rle(rng, h, w), 0) for _ in range(rng.integers(0, 4))]  # noqa: E731
+            assert_counts_match_full_grids(side(), side(), [(w, h)])
+
+    def test_segm_cross_table_decodes_no_rle(self, monkeypatch, synthetic_a, synthetic_b):
+        want = cross_table(synthetic_a, synthetic_b, ("segm",))
+        assert any(isinstance(i.segmentation, RleMask) for i in synthetic_a.instances)
+
+        def refuse(*args):
+            raise AssertionError("an RLE was decoded")
+
+        monkeypatch.setattr(raster, "decode_rle", refuse)
+        assert cross_table(synthetic_a, synthetic_b, ("segm",)) == want
 
 
 class TestRle:

@@ -508,6 +508,18 @@ class TestCliEvalMatch:
         err = capsys.readouterr().err
         assert f"annotation {ann['id']} has negative RLE size -2x-3" in err and "Traceback" not in err
 
+    def test_eval_segm_rle_of_another_grid_names_the_annotation(self, tmp_path, capsys):
+        # the crowd, as ground truth in a cell with detections, on a 4x4 grid
+        # in a 100x100 image
+        doc = json.loads(Path(TINY_A).read_text())
+        ann = next(a for a in doc["annotations"] if a["iscrowd"])
+        ann.update(image_id=1, category_id=1, segmentation={"counts": [16], "size": [4, 4]})
+        bad = tmp_path / "a.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["eval", TINY_B, str(bad), "--task", "segm"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"error: annotation {ann['id']} RLE grid 4x4 != image 100x100" in err and "Traceback" not in err
+
     def test_match_ndjson_stdout(self, capsys):
         assert main(["match", TINY_A, TINY_B]) == EXIT_OK
         rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
