@@ -13,7 +13,6 @@ from pathlib import Path
 from annodiff.dataset import load_dataset
 from annodiff.deteval import (
     Detection,
-    DetectionSet,
     annotations_as_detections,
     cross_table,
     evaluate,
@@ -51,10 +50,10 @@ def main():
     hit = dict(image_id=1, category_id=1, bbox=(10.0, 10.0, 30.0, 40.0))
     miss = dict(image_id=1, category_id=1, bbox=(70.0, 70.0, 5.0, 5.0))
     for order, (s_hit, s_miss) in (("fp below tp", (0.9, 0.8)), ("fp above tp", (0.8, 0.9))):
-        dets = DetectionSet((
+        dets = (
             Detection(id=1, score=s_hit, **hit),
             Detection(id=2, score=s_miss, **miss),
-        ))
+        )
         r = evaluate(dets, gt)
         print(f"{order}: per-category AP for category 1 = {r.per_category[1]:.3f}")
 

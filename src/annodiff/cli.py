@@ -4,8 +4,7 @@ Exit codes form a small contract scripts can rely on: 0 for success, 2 for
 any input or usage problem, 3 when the run was fine but produced zero matched
 pairs (so "nothing to analyze" is distinguishable from failure).
 
-``ANNODIFF_IOU_THRESHOLD`` and ``ANNODIFF_JOBS`` override the built-in
-defaults; explicit flags beat both.
+Every setting comes from a flag; the environment configures nothing.
 
 A command runs with the cyclic garbage collector paused, because the records
 and arrays it builds hold no reference cycles; library calls are unaffected.
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -34,28 +32,9 @@ from .report import (
 )
 from .stats import summarize
 
-ENV_THRESHOLD = "ANNODIFF_IOU_THRESHOLD"
-ENV_JOBS = "ANNODIFF_JOBS"
-
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
-
-
-def _flag_or_env(flag, name: str, parse, default):
-    """The flag's value if given, else the environment variable ``name``
-    parsed by ``parse`` (``float`` or ``int``) if set and non-empty, else
-    ``default``."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return parse(raw)
-    except ValueError:
-        kind = "a number" if parse is float else "an integer"
-        raise ValueError(f"environment variable {name}={raw!r} is not {kind}") from None
 
 
 def _emit(data: bytes, out: str | None) -> None:
@@ -75,11 +54,7 @@ def _eval_tasks(choice: str) -> tuple[str, ...]:
 
 def cmd_stats(args) -> int:
     ds = load_dataset(args.dataset)
-    s = summarize(
-        ds,
-        area_mode="recomputed" if args.recompute_areas else "stored",
-        dims_mode=args.dims_buckets,
-    )
+    s = summarize(ds, buckets=args.buckets)
     data = (json.dumps(summary_json(s), sort_keys=True, indent=2) + "\n").encode("utf-8")
     _emit(data, args.out)
     return EXIT_OK
@@ -91,12 +66,12 @@ def cmd_diff(args) -> int:
     target = load_dataset(args.target)
     parse_s = time.perf_counter() - t0
     config = AuditConfig(
-        iou_threshold=_flag_or_env(args.iou_threshold, ENV_THRESHOLD, float, 0.90),
+        iou_threshold=args.iou_threshold,
         iou_mode=args.iou_mode,
         same_category=args.same_category,
         footprint=args.footprint,
         bins=args.bins,
-        jobs=_flag_or_env(args.jobs, ENV_JOBS, int, 1),
+        jobs=args.jobs,
         eval_tasks=_eval_tasks(args.eval),
         source_path=str(args.source),
         target_path=str(args.target),
@@ -130,7 +105,7 @@ def cmd_match(args) -> int:
     source = load_dataset(args.source)
     target = load_dataset(args.target)
     cfg = MatchConfig(
-        iou_threshold=_flag_or_env(args.iou_threshold, ENV_THRESHOLD, float, 0.90),
+        iou_threshold=args.iou_threshold,
         iou_mode=args.iou_mode,
         same_category_required=args.same_category,
     )
@@ -144,7 +119,7 @@ def cmd_match(args) -> int:
 
 
 def _add_match_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iou-threshold", type=float, default=None,
+    p.add_argument("--iou-threshold", type=float, default=0.90,
                    help="match acceptance threshold, strict, in (0, 1] (default 0.90)")
     p.add_argument("--iou-mode", choices=("box", "mask"), default="box",
                    help="overlap measure used for matching")
@@ -162,12 +137,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="dataset summary statistics as JSON")
     p.add_argument("dataset")
     buckets = p.add_mutually_exclusive_group()
-    buckets.add_argument("--recompute-areas", action="store_true",
+    buckets.add_argument("--recompute-areas", dest="buckets", action="store_const", const="recomputed",
                          help="bucket by rasterized pixel count instead of the stored area")
-    buckets.add_argument("--dims-buckets", action="store_true",
+    buckets.add_argument("--dims-buckets", dest="buckets", action="store_const", const="dims",
                          help="bucket by bounding-box dimensions instead of area")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_stats)
+    p.set_defaults(func=cmd_stats, buckets="stored")
 
     p = sub.add_parser("diff", help="full audit: match, surface metrics, stats, report")
     p.add_argument("source")
@@ -176,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--footprint", choices=("cross", "square"), default="cross",
                    help="erosion neighborhood used to trace contours")
     p.add_argument("--bins", type=int, default=50, help="histogram bin count")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for pair metrics, at most one per CPU")
     p.add_argument("--eval", choices=("none", "bbox", "segm", "both"), default="none",
                    help="also cross-evaluate with the COCO mAP protocol")

@@ -18,9 +18,8 @@ all the values means each is finite; a sum that overflows goes the other
 way), and its record is built directly. Anything else (an RLE, a value of
 another type, any fault) takes the naming path, which checks field by field
 and names the first fault. The naming path is the reference: on any object,
-both give the same record or the same ``SchemaError``. An image takes the
-same two paths: a *plain* image (``int`` id, width and height, both sides at
-least 1, and a ``str`` file name) is built directly.
+both give the same record or the same ``SchemaError``. An image or a
+category always goes field by field.
 """
 
 from __future__ import annotations
@@ -193,32 +192,7 @@ def _required(obj: dict, name: str, what: str):
     return obj[name]
 
 
-def _plain_image(obj) -> ImageRecord | None:
-    """The record of a plain image, from one combined test, or ``None`` for
-    anything else: a missing field, a value of another type, or a side
-    below 1."""
-    if type(obj) is not dict:
-        return None
-    try:
-        rec_id, width, height, file_name = obj["id"], obj["width"], obj["height"], obj["file_name"]
-    except KeyError:
-        return None
-    if not (
-        type(rec_id) is int
-        and type(width) is int
-        and type(height) is int
-        and type(file_name) is str
-        and width >= 1
-        and height >= 1
-    ):
-        return None
-    extra = {} if len(obj) == 4 else {k: v for k, v in obj.items() if k not in _IMAGE_FIELDS}
-    return ImageRecord(rec_id, width, height, file_name, extra)
-
-
-def _image_by_field(obj, pos: int) -> ImageRecord:
-    """One image, checked field by field; the one place that names an
-    image's fault."""
+def _parse_image(obj, pos: int) -> ImageRecord:
     if not isinstance(obj, dict):
         raise SchemaError(f"image at position {pos} is not an object")
     what = f"image {obj['id']}" if "id" in obj else f"image at position {pos}"
@@ -232,13 +206,6 @@ def _image_by_field(obj, pos: int) -> ImageRecord:
         raise SchemaError(f"{what} field 'file_name' must be a string")
     extra = {k: v for k, v in obj.items() if k not in _IMAGE_FIELDS}
     return ImageRecord(rec_id, width, height, file_name, extra)
-
-
-def _parse_image(obj, pos: int) -> ImageRecord:
-    """One image: a plain image is built directly, and anything else goes
-    field by field, to the same record or the fault."""
-    rec = _plain_image(obj)
-    return _image_by_field(obj, pos) if rec is None else rec
 
 
 def _parse_category(obj, pos: int) -> CategoryRecord:

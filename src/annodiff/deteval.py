@@ -57,14 +57,24 @@ grid per direction.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import AnnotationDataset, _finite, _finite_tuple, _load_json, _parse_segmentation
-from .errors import EvalError, GeometryError, SchemaError
-from .raster import Overlaps, bbox_of_mask, bbox_of_polygon, box_overlaps, count_overlaps, decode_rle, iou
+from .errors import DegenerateShape, EvalError, GeometryError, SchemaError
+from .raster import (
+    Overlaps,
+    _rings,
+    bbox_of_mask,
+    bbox_of_polygon,
+    box_overlaps,
+    count_overlaps,
+    decode_rle,
+    iou,
+)
 from .shapes import Polygons, RleMask, ShapeSpec
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(np.linspace(0.5, 0.95, 10).tolist())
@@ -86,14 +96,6 @@ class Detection(NamedTuple):
     score: float
     bbox: tuple[float, float, float, float]
     segmentation: ShapeSpec | None = None
-
-
-@dataclass(frozen=True)
-class DetectionSet:
-    detections: tuple[Detection, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.detections)
 
 
 @dataclass(frozen=True)
@@ -133,19 +135,17 @@ class EvalResult:
         }
 
 
-def annotations_as_detections(ds: AnnotationDataset) -> DetectionSet:
+def annotations_as_detections(ds: AnnotationDataset) -> tuple[Detection, ...]:
     """Re-cast every non-crowd instance as a score-1.0 prediction.
 
     Crowds are never emitted: they play their part as ignore regions on the
     ground-truth side only. Output is ordered by instance id.
     """
     # the parser stores each bbox as a tuple of floats
-    return DetectionSet(
-        tuple(
-            Detection(inst.id, inst.image_id, inst.category_id, 1.0, inst.bbox, inst.segmentation)
-            for inst in ds.instances
-            if not inst.iscrowd
-        )
+    return tuple(
+        Detection(inst.id, inst.image_id, inst.category_id, 1.0, inst.bbox, inst.segmentation)
+        for inst in ds.instances
+        if not inst.iscrowd
     )
 
 
@@ -155,7 +155,7 @@ def _derived_bbox(seg: ShapeSpec) -> tuple[float, float, float, float]:
     return tuple(float(v) for v in bbox_of_mask(decode_rle(seg)))
 
 
-def detections_from_results(raw) -> DetectionSet:
+def detections_from_results(raw) -> tuple[Detection, ...]:
     """Parse the standard results-format JSON array.
 
     Entries are ``{image_id, category_id, bbox, score, segmentation?}``;
@@ -211,7 +211,7 @@ def detections_from_results(raw) -> DetectionSet:
                 segmentation=seg,
             )
         )
-    return DetectionSet(tuple(dets))
+    return tuple(dets)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,7 @@ class _Cells(NamedTuple):
         return [d for group in self.cell_dts for d in group]
 
 
-def _cells(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams) -> _Cells:
+def _cells(dets: Sequence[Detection], gt: AnnotationDataset, params: EvalParams) -> _Cells:
     """Check the detections against the ground truth and group both into cells.
 
     Raises:
@@ -340,7 +340,7 @@ def _cells(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams) -> _Ce
             truth does not define, or lacks a segmentation on the segm task.
     """
     cat_set, img_set = {c.id for c in gt.categories}, {i.id for i in gt.images}
-    for d in dets.detections:
+    for d in dets:
         if d.category_id not in cat_set:
             raise EvalError(f"detection {d.id} has unknown category {d.category_id}")
         if d.image_id not in img_set:
@@ -351,7 +351,7 @@ def _cells(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams) -> _Ce
     for inst in gt.instances:
         gts_by.setdefault((inst.category_id, inst.image_id), []).append(inst)
     dts_by: dict[tuple[int, int], list[Detection]] = {}
-    for d in dets.detections:
+    for d in dets:
         dts_by.setdefault((d.category_id, d.image_id), []).append(d)
     for group in dts_by.values():
         group.sort(key=lambda d: (-d.score, d.id))
@@ -419,6 +419,23 @@ def _direction(ov: Overlaps, d_pos: np.ndarray, g_pos: np.ndarray, c: _Cells) ->
     return Overlaps(d_area, g_area, d[keep], g[keep], ov.inter[keep])
 
 
+def _named_degenerate(sides) -> DegenerateShape:
+    """The error of the first polygon shape that ``raster._rings`` rejects,
+    naming its annotation. Each side is ``(items, d_pos, dets_of, g_pos,
+    gts_of)``, as :func:`_shapes` made it."""
+    for items, d_pos, dets_of, g_pos, gts_of in sides:
+        for (seg, _), d, g in zip(items, d_pos.tolist(), g_pos.tolist()):
+            if isinstance(seg, RleMask):
+                continue
+            try:
+                _rings(seg)
+            except DegenerateShape as exc:
+                ann_id = dets_of.dts[d].id if d >= 0 else gts_of.gts[g].id
+                fault = f"a {exc}" if seg.rings else "no rings"
+                return DegenerateShape(f"annotation {ann_id} has {fault}")
+    raise AssertionError("count_overlaps rejected no polygon shape")
+
+
 def _pixel_counts(ab: _Cells, ba: _Cells | None = None) -> list[Overlaps]:
     """Segm pixel counts of direction ``ab``, and of the opposite direction
     ``ba`` when given, from one overlap count of ``ab``'s detections and
@@ -426,20 +443,28 @@ def _pixel_counts(ab: _Cells, ba: _Cells | None = None) -> list[Overlaps]:
 
     Raises:
         GeometryError: a shape in a cell with detections has a degenerate
-            ring or none, or an RLE does not fit its image.
+            ring or none, or an RLE does not fit its image; the error names
+            the annotation.
     """
     keys: dict = {}
     side_a, ab_d, ba_g = _shapes(keys, dets_of=ab, gts_of=ba)
     side_b, ba_d, ab_g = _shapes(keys, dets_of=ba, gts_of=ab)
-    ov = count_overlaps(side_a, side_b, [(w, h) for _, _, w, h in keys])
+    try:
+        ov = count_overlaps(side_a, side_b, [(w, h) for _, _, w, h in keys])
+    except DegenerateShape:
+        raise _named_degenerate(
+            ((side_a, ab_d, ab, ba_g, ba), (side_b, ba_d, ba, ab_g, ab))
+        ) from None
     counts = [_direction(ov, ab_d, ab_g, ab)]
     if ba is not None:
         counts.append(_direction(ov.transposed(), ba_d, ba_g, ba))
     return counts
 
 
-def evaluate(dets: DetectionSet, gt: AnnotationDataset, params: EvalParams | None = None) -> EvalResult:
-    """Score a detection set against ground truth; see the module docstring.
+def evaluate(
+    dets: Sequence[Detection], gt: AnnotationDataset, params: EvalParams | None = None
+) -> EvalResult:
+    """Score detections against ground truth; see the module docstring.
 
     Raises:
         EvalError: a detection references a category or image the ground

@@ -684,32 +684,40 @@ _FOOTPRINTS = ("cross", "square")
 
 
 def erode(mask: np.ndarray, footprint: str = "cross") -> np.ndarray:
-    """Binary erosion; pixels outside the grid count as background.
+    """Binary erosion of a 2-D mask; pixels outside the grid count as
+    background.
 
     ``cross`` uses the 4-connected structuring element, ``square`` the full
-    3x3 neighborhood. A stack ``(..., h, w)`` of masks is eroded at once,
-    each mask on its own.
+    3x3 neighborhood.
+
+    Raises:
+        GeometryError: the mask is not 2-D.
     """
     if footprint not in _FOOTPRINTS:
         raise ValueError(f"footprint must be one of {_FOOTPRINTS}")
     mask = np.asarray(mask, dtype=bool)
-    p = np.zeros((*mask.shape[:-2], mask.shape[-2] + 2, mask.shape[-1] + 2), dtype=bool)
-    p[..., 1:-1, 1:-1] = mask
-    out = p[..., :-2, 1:-1] & p[..., 2:, 1:-1]
-    out &= p[..., 1:-1, :-2]
-    out &= p[..., 1:-1, 2:]
+    if mask.ndim != 2:
+        raise GeometryError(f"erosion of a {mask.ndim}-D array")
+    p = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    p[1:-1, 1:-1] = mask
+    out = p[:-2, 1:-1] & p[2:, 1:-1]
+    out &= p[1:-1, :-2]
+    out &= p[1:-1, 2:]
     out &= mask
     if footprint == "square":
-        out &= p[..., :-2, :-2]
-        out &= p[..., :-2, 2:]
-        out &= p[..., 2:, :-2]
-        out &= p[..., 2:, 2:]
+        out &= p[:-2, :-2]
+        out &= p[:-2, 2:]
+        out &= p[2:, :-2]
+        out &= p[2:, 2:]
     return out
 
 
 def contour(mask: np.ndarray, footprint: str = "cross") -> np.ndarray:
-    """Boundary pixels: the foreground removed by one erosion (of each mask
-    of a stack)."""
+    """Boundary pixels of a 2-D mask: the foreground removed by one erosion.
+
+    Raises:
+        GeometryError: the mask is not 2-D.
+    """
     mask = np.asarray(mask, dtype=bool)
     out = erode(mask, footprint)
     return np.greater(mask, out, out=out)  # mask and not eroded

@@ -63,34 +63,27 @@ class DatasetSummary:
     )
 
 
-def summarize(
-    ds: AnnotationDataset,
-    *,
-    area_mode: str = "stored",
-    dims_mode: bool = False,
-) -> DatasetSummary:
+def summarize(ds: AnnotationDataset, *, buckets: str = "stored") -> DatasetSummary:
     """Exact corpus counts: categories, crowds, vertices, size strata.
 
-    The size histogram excludes crowd instances. ``area_mode="recomputed"``
-    buckets by rasterized pixel count instead of the stored area field,
-    wherever ``dataset._pixel_areas`` counts one, as ``validate`` does; any
+    The size histogram excludes crowd instances. ``buckets`` picks what
+    sets an instance's stratum: ``"stored"``, its stored area field;
+    ``"recomputed"``, its rasterized pixel count wherever
+    ``dataset._pixel_areas`` counts one, as ``validate`` does, while any
     other shape (a degenerate ring, no ring, an RLE of another grid) keeps
-    its stored area. ``dims_mode`` buckets by bounding-box dimensions instead
-    of area, so the two cannot be combined (``ValueError``).
+    its stored area; ``"dims"``, its bounding-box dimensions.
 
     Raises:
         StatsError: a bucketed instance has a negative area or box extent;
             the message names the annotation.
     """
-    if area_mode not in ("stored", "recomputed"):
-        raise ValueError(f"area_mode must be 'stored' or 'recomputed', got {area_mode!r}")
-    if dims_mode and area_mode == "recomputed":
-        raise ValueError("dims_mode buckets by box dimensions, not area: area_mode must be 'stored'")
+    if buckets not in ("stored", "recomputed", "dims"):
+        raise ValueError(f"buckets must be 'stored', 'recomputed' or 'dims', got {buckets!r}")
     areas = {}
-    if area_mode == "recomputed":
+    if buckets == "recomputed":
         areas = _pixel_areas(ds, [inst for inst in ds.instances if not inst.iscrowd])
     per_category = Counter()
-    buckets = {b: 0 for b in SizeBucket}
+    size_buckets = {b: 0 for b in SizeBucket}
     crowd_count = 0
     vertex_count = 0
     for inst in ds.instances:
@@ -101,20 +94,20 @@ def summarize(
             crowd_count += 1
             continue
         try:
-            if dims_mode:
+            if buckets == "dims":
                 bucket = size_bucket_of_dims(inst.bbox[2], inst.bbox[3])
             else:
                 bucket = size_bucket(areas.get(inst.id, inst.area))
         except StatsError as e:
             raise StatsError(f"annotation {inst.id} has {e}") from None
-        buckets[bucket] += 1
+        size_buckets[bucket] += 1
     return DatasetSummary(
         image_count=len(ds.images),
         instance_count=len(ds.instances),
         crowd_count=crowd_count,
         vertex_count=vertex_count,
         per_category=dict(per_category),
-        size_buckets=buckets,
+        size_buckets=size_buckets,
     )
 
 

@@ -266,16 +266,6 @@ def surface_distances(cx: np.ndarray, cy: np.ndarray) -> tuple[float, float, int
     return _read_out(best, bounds)[0]
 
 
-def average_surface_distance(cx: np.ndarray, cy: np.ndarray) -> float:
-    """Mean boundary-to-boundary distance, symmetric in its arguments."""
-    return surface_distances(cx, cy)[0]
-
-
-def max_surface_distance(cx: np.ndarray, cy: np.ndarray) -> float:
-    """Worst boundary-to-boundary distance (symmetric Hausdorff form)."""
-    return surface_distances(cx, cy)[1]
-
-
 def _contour_points(toggles: np.ndarray, size: int, stride: int, footprint: str) -> np.ndarray:
     """Sorted flat indices of the contour pixels of a buffer of ``size``
     pixels and row ``stride``, filled from the flat indices of its pixel

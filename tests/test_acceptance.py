@@ -21,7 +21,6 @@ from annodiff.deteval import (
     IOU_THRESHOLDS,
     RECALL_POINTS,
     Detection,
-    DetectionSet,
     EvalParams,
     annotations_as_detections,
     evaluate,
@@ -217,7 +216,7 @@ def test_eval_engine_correctness(tiny_a, tiny_b, synthetic_a, synthetic_b):
         # thresholds 0.50 and 0.55 only -> mAP = 2/10
         gt = parse_dataset(make_coco(make_images(1), [make_ann(1, 1, rect_ring(0, 0, 10, 10))]))
         det = Detection(id=1, image_id=1, category_id=1, score=0.9, bbox=(0.0, 0.0, 10.0, 5.5))
-        assert evaluate(DetectionSet((det,)), gt).map == 0.2
+        assert evaluate((det,), gt).map == 0.2
 
         # exhaustive PR oracle agreement over every scene in a structured
         # family of <= 6-detection fixtures (plus crowd variants)
@@ -246,7 +245,7 @@ def test_eval_engine_correctness(tiny_a, tiny_b, synthetic_a, synthetic_b):
                                 score=round(0.9 - 0.1 * j, 2),
                                 bbox=(90.0, 90.0, 5.0, 5.0),
                             )
-                    ds = DetectionSet(tuple(dets))
+                    ds = tuple(dets)
                     got = evaluate(ds, gt_ds).map
                     want = _oracle_map(dets, gts, [False] * n_gt)
                     assert got == pytest.approx(want, abs=1e-12)
@@ -284,7 +283,7 @@ def test_eval_engine_correctness(tiny_a, tiny_b, synthetic_a, synthetic_b):
                               bw, bh),
                     )
                 )
-            ds = DetectionSet(tuple(dets))
+            ds = tuple(dets)
             got = evaluate(ds, gt_ds).map
             want = _oracle_map(dets, gts, crowd_flags)
             assert got == pytest.approx(want, abs=1e-12)

@@ -5,6 +5,7 @@ benchmark's checks and its tests; these tests make it fail here first."""
 import importlib
 import inspect
 import json
+import runpy
 from dataclasses import asdict
 from pathlib import Path
 
@@ -22,6 +23,10 @@ from annodiff.surface import SurfaceDistanceResult, ring_pair_metrics, ring_pair
 from conftest import FIXTURES, rect_ring
 
 A, B = FIXTURES / "synthetic_a.json", FIXTURES / "synthetic_b.json"
+# the benchmark driver's workloads, read from its file without running it
+WORKLOADS = runpy.run_path(
+    str(Path(__file__).parents[1] / "perfbench" / "run.py"), run_name="perfbench_run"
+)["WORKLOADS"]
 
 
 def timed_layers():
@@ -38,6 +43,16 @@ def test_every_timed_layer_is_a_function_of_the_program(layer):
     # would fail only the benchmark's own tests
     module, function = layer.split(".")
     assert inspect.isfunction(getattr(importlib.import_module(f"annodiff.{module}"), function, None))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_each_benchmark_command_runs_on_the_fixture(tmp_path, name):
+    # the benchmark runs exactly these argv; a dropped flag or option would
+    # fail only the benchmark
+    workload = WORKLOADS[name]
+    argv = [arg.format(a=A, b=B, out=tmp_path) for arg in workload.command]
+    assert cli.main(argv) == 0
+    assert all((tmp_path / output).is_file() for output in workload.outputs)
 
 
 def run_diff(tmp_path):

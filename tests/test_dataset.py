@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from annodiff.dataset import (
     _annotation_by_field,
-    _image_by_field,
     _parse_annotation,
     _parse_image,
     _plain_annotation,
-    _plain_image,
     AnnotationDataset,
     CategoryRecord,
     ImageRecord,
@@ -410,40 +408,58 @@ def _image_with(name, value):
 
 
 _IMAGE_FAULTS = [
-    *[(f"missing {name}", _image_with(name, ...)) for name in _IMAGE_REQUIRED],
-    *[(f"{name} {v!r}", _image_with(name, v)) for name in ("id", "width", "height") for v in (True, 3.0, "3", None)],
-    *[(f"{name} {v}", _image_with(name, v)) for name in ("width", "height") for v in (0, -4)],
-    *[(f"file_name {v!r}", _image_with("file_name", v)) for v in (None, 3, ["a.png"])],
+    ("missing id", _image_with("id", ...), "image at position 3 missing required field 'id'"),
+    *[
+        (f"missing {name}", _image_with(name, ...), f"image 7 missing required field '{name}'")
+        for name in ("width", "height", "file_name")
+    ],
+    *[
+        (f"id {v!r}", _image_with("id", v), f"image {v} field 'id' must be an integer")
+        for v in (True, 3.0, "3", None)
+    ],
+    *[
+        (f"{name} {v!r}", _image_with(name, v), f"image 7 field '{name}' must be an integer")
+        for name in ("width", "height")
+        for v in (True, 3.0, "3", None)
+    ],
+    ("width 0", _image_with("width", 0), "image 7 has non-positive dimensions 0x30"),
+    ("width -4", _image_with("width", -4), "image 7 has non-positive dimensions -4x30"),
+    ("height 0", _image_with("height", 0), "image 7 has non-positive dimensions 40x0"),
+    ("height -4", _image_with("height", -4), "image 7 has non-positive dimensions 40x-4"),
+    *[
+        (f"file_name {v!r}", _image_with("file_name", v), "image 7 field 'file_name' must be a string")
+        for v in (None, 3, ["a.png"])
+    ],
 ]
 
 
-class TestImageFastPath:
-    @pytest.mark.parametrize("obj", [o for _, o in _IMAGE_FAULTS], ids=[name for name, _ in _IMAGE_FAULTS])
-    def test_each_fault_is_named_by_the_field_by_field_path(self, obj):
-        assert _plain_image(obj) is None
-        outcome = _outcome(_parse_image, obj)
-        assert outcome[0] == "SchemaError" and outcome == _outcome(_image_by_field, obj)
+class TestParseImage:
+    @pytest.mark.parametrize(
+        "obj, message",
+        [(o, m) for _, o, m in _IMAGE_FAULTS],
+        ids=[name for name, _, _ in _IMAGE_FAULTS],
+    )
+    def test_each_fault_is_named(self, obj, message):
+        assert _outcome(_parse_image, obj) == ("SchemaError", message)
 
     @settings(max_examples=300)
     @given(st.data())
-    def test_agrees_with_the_field_by_field_path(self, data):
+    def test_a_valid_image_parses_and_a_faulty_one_is_named(self, data):
         obj = data.draw(_image())
         faults = data.draw(st.integers(0, 2))
         for _ in range(faults):
             obj = data.draw(_faulty_image(obj))
-        assert _outcome(_parse_image, obj) == _outcome(_image_by_field, obj)
-        if not faults:
-            assert _plain_image(obj) is not None
+        outcome = _outcome(_parse_image, obj)
+        if faults:
+            assert outcome[0] == "SchemaError"
+        else:
+            extra = {k: v for k, v in obj.items() if k not in _IMAGE_REQUIRED}
+            assert outcome[0] == ImageRecord(obj["id"], obj["width"], obj["height"], obj["file_name"], extra)
 
     @pytest.mark.parametrize("obj", [None, [1], "image", 7])
     def test_a_non_object_is_named_by_position(self, obj):
         with pytest.raises(SchemaError, match="^image at position 3 is not an object$"):
             _parse_image(obj, 3)
-
-    def test_plain_images_take_the_fast_path(self):
-        for obj in (_PLAIN_IMAGE, {**_PLAIN_IMAGE, "license": 2}):
-            rec = _plain_image(obj)
-            assert rec == _image_by_field(obj, 0) and type(rec.extra) is dict
 
 
 # ---------------------------------------------------------------------------

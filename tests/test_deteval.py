@@ -11,7 +11,6 @@ from annodiff.deteval import (
     IOU_THRESHOLDS,
     RECALL_POINTS,
     Detection,
-    DetectionSet,
     EvalParams,
     annotations_as_detections,
     cross_table,
@@ -116,7 +115,7 @@ class TestSelfEval:
 class TestKnownValues:
     def test_iou_055_matches_exactly_two_thresholds(self):
         gt = gt_of([make_ann(1, 1, rect_ring(0, 0, 10, 10))])
-        dets = DetectionSet((det(1, 1, 0.9, [0, 0, 10, 5.5]),))
+        dets = (det(1, 1, 0.9, [0, 0, 10, 5.5]),)
         r = evaluate(dets, gt)
         assert r.map == 0.2  # AP 1.0 at 0.50 and 0.55, 0 at the other eight
         assert r.map_50 == 1.0
@@ -124,16 +123,14 @@ class TestKnownValues:
     def test_iou_050_matches_only_the_first_threshold(self):
         # map_50 reads threshold 0.50 alone: 0.55 no longer matches here
         gt = gt_of([make_ann(1, 1, rect_ring(0, 0, 10, 10))])
-        r = evaluate(DetectionSet((det(1, 1, 0.9, [0, 0, 10, 5]),)), gt)
+        r = evaluate((det(1, 1, 0.9, [0, 0, 10, 5]),), gt)
         assert r.map == 0.1 and r.map_50 == 1.0
 
     def test_fp_ranked_above_tp_halves_ap(self):
         gt = gt_of([make_ann(1, 1, rect_ring(0, 0, 10, 10))])
-        dets = DetectionSet(
-            (
-                det(1, 1, 0.9, [50, 50, 10, 10]),  # miss, ranked first
-                det(2, 1, 0.8, [0, 0, 10, 10]),  # hit
-            )
+        dets = (
+            det(1, 1, 0.9, [50, 50, 10, 10]),  # miss, ranked first
+            det(2, 1, 0.8, [0, 0, 10, 10]),  # hit
         )
         r = evaluate(dets, gt)
         assert r.map == 0.5
@@ -144,21 +141,17 @@ class TestKnownValues:
         # precision is sampled at achieved recall points only, so a trailing
         # false positive cannot lower any sampled value
         gt = gt_of([make_ann(1, 1, rect_ring(0, 0, 10, 10))])
-        dets = DetectionSet(
-            (
-                det(1, 1, 0.9, [0, 0, 10, 10]),
-                det(2, 1, 0.8, [50, 50, 10, 10]),
-            )
+        dets = (
+            det(1, 1, 0.9, [0, 0, 10, 10]),
+            det(2, 1, 0.8, [50, 50, 10, 10]),
         )
         assert evaluate(dets, gt).map == 1.0
 
     def test_score_tie_broken_by_ascending_id(self):
         gt = gt_of([make_ann(1, 1, rect_ring(0, 0, 10, 10))])
-        dets = DetectionSet(
-            (
-                det(1, 1, 0.7, [0, 0, 10, 6.2]),  # IoU 0.62, considered first
-                det(2, 1, 0.7, [0, 0, 10, 9.6]),  # IoU ~0.96
-            )
+        dets = (
+            det(1, 1, 0.7, [0, 0, 10, 6.2]),  # IoU 0.62, considered first
+            det(2, 1, 0.7, [0, 0, 10, 9.6]),  # IoU ~0.96
         )
         r = evaluate(dets, gt)
         # t <= 0.6: det 1 claims the gt, det 2 is the fp -> AP 1.0 (three
@@ -167,11 +160,9 @@ class TestKnownValues:
 
     def test_max_detections_truncates_before_matching(self):
         gt = gt_of([make_ann(1, 1, rect_ring(0, 0, 10, 10))])
-        dets = DetectionSet(
-            (
-                det(1, 1, 0.9, [50, 50, 10, 10]),  # kept: highest score
-                det(2, 1, 0.8, [0, 0, 10, 10]),  # dropped by max_detections=1
-            )
+        dets = (
+            det(1, 1, 0.9, [50, 50, 10, 10]),  # kept: highest score
+            det(2, 1, 0.8, [0, 0, 10, 10]),  # dropped by max_detections=1
         )
         r = evaluate(dets, gt, EvalParams(max_detections=1))
         assert r.map == 0.0
@@ -248,10 +239,10 @@ class TestMaskOverlaps:
             make_ann(2, 1, rle, iscrowd=1, bbox=[0, 40, 100, 20], area=2000.0),
         ])
         seg = lambda ring: Polygons((tuple(float(v) for v in ring),))  # noqa: E731
-        dets = DetectionSet((
+        dets = (
             Detection(1, 1, 1, 0.9, (0.0, 0.0, 20.0, 20.0), seg(rect_ring(0, 0, 20, 20))),
             Detection(2, 1, 1, 0.95, (10.0, 45.0, 10.0, 10.0), seg(rect_ring(10, 45, 10, 10))),
-        ))
+        )
         # the stray detection, ranked first, lies inside the crowd: it is
         # ignored, where a false positive would halve the AP
         assert evaluate(dets, gt, EvalParams(task="segm")).map == 1.0
@@ -264,20 +255,18 @@ class TestMaskOverlaps:
         )
         dets = [Detection(1, 1, 1, 0.9, (0.0, 0.0, 20.0, 20.0), seg(rect_ring(0, 0, 20, 20)))]
         # the degenerate ground truth is never rasterized: it only lowers recall
-        assert evaluate(DetectionSet(tuple(dets)), gt, EvalParams(task="segm")).map < 1.0
+        assert evaluate(tuple(dets), gt, EvalParams(task="segm")).map < 1.0
         dets.append(Detection(2, 2, 1, 0.9, (0.0, 0.0, 4.0, 4.0), seg(rect_ring(0, 0, 4, 4))))
-        with pytest.raises(GeometryError, match="degenerate ring"):
-            evaluate(DetectionSet(tuple(dets)), gt, EvalParams(task="segm"))
+        with pytest.raises(GeometryError, match="^annotation 2 has a degenerate ring with 2 vertices$"):
+            evaluate(tuple(dets), gt, EvalParams(task="segm"))
 
 
 class TestCrowds:
     def test_crowd_absorbs_stray_detection(self):
         base = [make_ann(1, 1, rect_ring(30, 30, 10, 10))]
-        dets = DetectionSet(
-            (
-                det(1, 1, 0.9, [0, 0, 10, 10]),  # stray, ranked first
-                det(2, 1, 0.8, [30, 30, 10, 10]),
-            )
+        dets = (
+            det(1, 1, 0.9, [0, 0, 10, 10]),  # stray, ranked first
+            det(2, 1, 0.8, [30, 30, 10, 10]),
         )
         without = evaluate(dets, gt_of(base)).map
         with_crowd = evaluate(dets, gt_of(base + [crowd_ann(2, 1, [0, 0, 10, 10])])).map
@@ -296,7 +285,7 @@ class TestCrowds:
                 x, y = int(rng.integers(0, 60)), int(rng.integers(0, 60))
                 w, h = int(rng.integers(5, 20)), int(rng.integers(5, 20))
                 dets.append(det(j + 1, 1, float((j + 1) * 0.11), [x, y, w, h]))
-            ds = DetectionSet(tuple(dets))
+            ds = tuple(dets)
             base = evaluate(ds, gt_of(anns)).map
             cx, cy = int(rng.integers(0, 50)), int(rng.integers(0, 50))
             cw, ch = int(rng.integers(10, 40)), int(rng.integers(10, 40))
@@ -305,7 +294,7 @@ class TestCrowds:
 
     def test_crowd_only_category_is_undefined(self):
         gt = gt_of([crowd_ann(1, 1, [0, 0, 10, 10])])
-        r = evaluate(DetectionSet((det(1, 1, 0.9, [0, 0, 10, 10]),)), gt)
+        r = evaluate((det(1, 1, 0.9, [0, 0, 10, 10]),), gt)
         assert r.map is None
         assert r.per_category == {1: None}
 
@@ -370,7 +359,7 @@ class TestOracleEquivalence:
                 dx = float(rng.integers(-4, 5))
                 dy = float(rng.integers(-4, 5))
                 dets.append(det(j + 1, 1, float(scores[j]), [bx + dx, by + dy, bw, bh]))
-            ds = DetectionSet(tuple(dets))
+            ds = tuple(dets)
             gt = gt_of(gts)
             got = evaluate(ds, gt)
 
@@ -405,7 +394,7 @@ class TestOracleEquivalence:
             det(2, 1, 0.6, [40, 40, 10, 10]),  # miss in image 1
             det(3, 2, 0.8, [10, 10, 16, 15]),  # IoU 15/16
         ]
-        got = evaluate(DetectionSet(tuple(dets)), gt)
+        got = evaluate(tuple(dets), gt)
         bboxes = {d.id: d.bbox for d in dets}
         all_gts = gts[1] + gts[2]
         by_image = {1: [0], 2: [1]}
@@ -510,7 +499,7 @@ class TestOracleEquivalence:
             results = []
             for block in (1, 41, 997):
                 monkeypatch.setattr(deteval, "_BLOCK", block)
-                results.append(evaluate(DetectionSet(dets), gt, EvalParams(max_detections=max_det)))
+                results.append(evaluate(dets, gt, EvalParams(max_detections=max_det)))
             assert results[0] == results[1] == results[2], f"trial {trial}"
             got = results[0]
             want = self.oracle(anns, dets, n_images, n_cats, max_det)
@@ -530,7 +519,7 @@ class TestOracleEquivalence:
         monkeypatch.setattr(deteval, "_match_image", lambda *a: calls.append(a[1].shape) or real(*a))
         monkeypatch.setattr(deteval, "_BLOCK", 1)
         gt = gt_of([make_ann(i + 1, 1 + i % 3, rect_ring(10 * i, 0, 8, 8)) for i in range(6)], n_images=3)
-        dets = DetectionSet(tuple(det(i + 1, 1 + i % 3, 0.9, [10 * i, 0, 8, 8]) for i in range(6)))
+        dets = tuple(det(i + 1, 1 + i % 3, 0.9, [10 * i, 0, 8, 8]) for i in range(6))
         assert evaluate(dets, gt).map == 1.0
         assert calls == [(1, 2, 2)] * 3  # one (C, D, G) block per cell
 
@@ -555,7 +544,7 @@ def dense_scene():
                 x, y = (100.0 + float(v) for v in rng.integers(-30, 30, size=2))
             w, h = (float(v) for v in rng.integers(4, 90, size=2))
             dets.append(det(len(dets) + 1, img, float(rng.random()), [x, y, w, h]))
-    return DetectionSet(tuple(dets)), gt
+    return tuple(dets), gt
 
 
 class TestMemoryBound:
@@ -675,15 +664,15 @@ class TestResultsFormat:
             ]
         )
         ds = detections_from_results(raw)
-        assert [d.id for d in ds.detections] == [1, 2]
-        assert ds.detections[0].score == 0.5
+        assert [d.id for d in ds] == [1, 2]
+        assert ds[0].score == 0.5
 
     def test_bbox_derived_from_segmentation(self):
         raw = json.dumps(
             [{"image_id": 1, "category_id": 1, "score": 0.7,
               "segmentation": [[2, 3, 12, 3, 12, 9, 2, 9]]}]
         )
-        d = detections_from_results(raw).detections[0]
+        d = detections_from_results(raw)[0]
         assert d.bbox == (2.0, 3.0, 10.0, 6.0)
 
     def test_invalid_json_is_parse_error(self):
@@ -742,7 +731,7 @@ class TestResultsFormat:
     def test_numeric_subclasses_are_accepted(self):
         entry = {"image_id": 1, "category_id": 1, "score": np.float64(0.5),
                  "bbox": [np.float64(1.5), 0, 5, 5]}
-        d = detections_from_results([entry]).detections[0]
+        d = detections_from_results([entry])[0]
         assert d.bbox == (1.5, 0.0, 5.0, 5.0) and d.score == 0.5
 
     def test_top_level_must_be_array(self):
@@ -754,18 +743,18 @@ class TestEvalErrors:
     def test_unknown_category(self):
         gt = gt_of([make_ann(1, 1, rect_ring(0, 0, 5, 5))])
         with pytest.raises(EvalError, match="category 9"):
-            evaluate(DetectionSet((det(1, 1, 0.5, [0, 0, 5, 5], category_id=9),)), gt)
+            evaluate((det(1, 1, 0.5, [0, 0, 5, 5], category_id=9),), gt)
 
     def test_unknown_image(self):
         gt = gt_of([make_ann(1, 1, rect_ring(0, 0, 5, 5))])
         with pytest.raises(EvalError, match="image 7"):
-            evaluate(DetectionSet((det(1, 7, 0.5, [0, 0, 5, 5]),)), gt)
+            evaluate((det(1, 7, 0.5, [0, 0, 5, 5]),), gt)
 
     def test_segm_task_needs_segmentation(self):
         gt = gt_of([make_ann(1, 1, rect_ring(0, 0, 5, 5))])
         with pytest.raises(EvalError, match="no segmentation"):
             evaluate(
-                DetectionSet((det(1, 1, 0.5, [0, 0, 5, 5]),)), gt, EvalParams(task="segm")
+                (det(1, 1, 0.5, [0, 0, 5, 5]),), gt, EvalParams(task="segm")
             )
 
 
@@ -783,5 +772,5 @@ class TestResultJson:
 
     def test_annotations_as_detections_drops_crowds(self, tiny_a):
         ds = annotations_as_detections(tiny_a)
-        assert [d.id for d in ds.detections] == [1, 2, 3, 4]
-        assert all(d.score == 1.0 for d in ds.detections)
+        assert [d.id for d in ds] == [1, 2, 3, 4]
+        assert all(d.score == 1.0 for d in ds)

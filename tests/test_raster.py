@@ -704,16 +704,6 @@ class TestMorphology:
         mask[1, 1] = True
         assert np.array_equal(contour(mask), mask)
 
-    @pytest.mark.parametrize("footprint", ["cross", "square"])
-    def test_a_stack_is_eroded_mask_by_mask(self, footprint):
-        rng = np.random.default_rng(29)
-        stack = np.stack([random_mask(rng, 9, 13) for _ in range(3)])
-        stack[1] = True  # foreground on every border of its neighbours' layers
-        eroded, edges = erode(stack, footprint), contour(stack, footprint)
-        for mask, got, edge in zip(stack, eroded, edges):
-            assert np.array_equal(got, erode(mask, footprint))
-            assert np.array_equal(edge, contour(mask, footprint))
-
 
 class TestEdt:
     def test_spec_pattern_three_four_five(self):
@@ -731,9 +721,10 @@ class TestEdt:
             edt_squared(np.zeros((4, 4), dtype=bool))
 
     @pytest.mark.parametrize("shape", [(4,), (2, 4, 4)])
-    def test_non_2d_source_raises(self, shape):
+    @pytest.mark.parametrize("fn", [edt_squared, erode, contour], ids=lambda fn: fn.__name__)
+    def test_non_2d_source_raises(self, fn, shape):
         with pytest.raises(GeometryError, match="-D"):
-            edt_squared(np.ones(shape, dtype=bool))
+            fn(np.ones(shape, dtype=bool))
 
     def test_exact_on_random_masks(self):
         rng = np.random.default_rng(5)

@@ -430,34 +430,12 @@ class TestCliDiff:
 
 
 class TestCliEnv:
-    def test_env_threshold_applies(self, capsys, monkeypatch):
+    def test_the_environment_configures_nothing(self, capsys, monkeypatch):
         monkeypatch.setenv("ANNODIFF_IOU_THRESHOLD", "0.95")
-        assert main(["diff", TINY_A, TINY_B]) == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["config"]["iou_threshold"] == 0.95
-        assert doc["matching"]["pair_count"] == 2  # 0.9756 and 0.9524 survive
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ANNODIFF_IOU_THRESHOLD", "0.95")
-        assert main(["diff", TINY_A, TINY_B, "--iou-threshold", "0.5"]) == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["config"]["iou_threshold"] == 0.5
-        assert doc["matching"]["pair_count"] == 3
-
-    def test_malformed_env_is_input_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("ANNODIFF_IOU_THRESHOLD", "ninety")
-        assert main(["diff", TINY_A, TINY_B]) == EXIT_INPUT
-        assert "error:" in capsys.readouterr().err
-
-    def test_malformed_env_jobs_is_input_error(self, capsys, monkeypatch):
         monkeypatch.setenv("ANNODIFF_JOBS", "two")
-        assert main(["diff", TINY_A, TINY_B]) == EXIT_INPUT
-        assert "ANNODIFF_JOBS='two' is not an integer" in capsys.readouterr().err
-
-    def test_env_jobs(self, capsys, monkeypatch):
-        monkeypatch.setenv("ANNODIFF_JOBS", "2")
         assert main(["diff", TINY_A, TINY_B]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["iou_threshold"] == 0.9
         assert doc["matching"]["pair_count"] == 3
 
 
@@ -496,6 +474,25 @@ class TestCliEvalMatch:
         assert main(["eval", str(bad), TINY_B, "--task", "segm"]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "degenerate ring with 2 vertices" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "side, ann_id, segmentation, message",
+        [
+            ("a", 1, [[1.0, 1.0, 5.0, 5.0]], "annotation 1 has a degenerate ring with 2 vertices"),
+            ("a", 4, [], "annotation 4 has no rings"),
+            ("b", 103, [[10.0, 10.0, 20.0, 20.0]], "annotation 103 has a degenerate ring with 2 vertices"),
+        ],
+    )
+    def test_eval_segm_degenerate_shape_names_the_annotation(
+        self, tmp_path, capsys, side, ann_id, segmentation, message
+    ):
+        paths = {"a": TINY_A, "b": TINY_B}
+        doc = json.loads(Path(paths[side]).read_text())
+        next(a for a in doc["annotations"] if a["id"] == ann_id)["segmentation"] = segmentation
+        paths[side] = tmp_path / f"{side}.json"
+        paths[side].write_text(json.dumps(doc))
+        assert main(["eval", str(paths["a"]), str(paths["b"]), "--task", "segm"]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_eval_segm_negative_rle_size_is_input_error(self, tmp_path, capsys):
         # (-2) * (-3) equals the counts' sum, so only the sign check names it

@@ -81,7 +81,7 @@ class TestSummarize:
 
     def test_recomputed_areas_can_move_buckets(self, tiny_a):
         stored = summarize(tiny_a)
-        recomputed = summarize(tiny_a, area_mode="recomputed")
+        recomputed = summarize(tiny_a, buckets="recomputed")
         # triangle: stored area 200 (area formula) vs 190 rasterized pixels --
         # both small, so bucket counts agree here; totals must be conserved
         assert sum(recomputed.size_buckets.values()) == sum(stored.size_buckets.values())
@@ -92,10 +92,10 @@ class TestSummarize:
             if not inst.iscrowd:
                 image = synthetic_a.image(inst.image_id)
                 want[size_bucket(float(mask_of(inst.segmentation, image.width, image.height).sum()))] += 1
-        assert summarize(synthetic_a, area_mode="recomputed").size_buckets == want
+        assert summarize(synthetic_a, buckets="recomputed").size_buckets == want
 
-    def test_dims_mode_uses_bbox_extents(self, tiny_a):
-        s = summarize(tiny_a, dims_mode=True)
+    def test_dims_buckets_use_bbox_extents(self, tiny_a):
+        s = summarize(tiny_a, buckets="dims")
         # ann 1 bbox 30x40 -> medium; ann 2 20x20 and ann 3 20x10 -> small;
         # ann 4 spans 71x71 (two distant rings) -> medium, though its area
         # (100 px) put it in very_small under the area rule
@@ -106,13 +106,9 @@ class TestSummarize:
             SizeBucket.LARGE: 0,
         }
 
-    def test_bad_area_mode_rejected(self, tiny_a):
-        with pytest.raises(ValueError):
-            summarize(tiny_a, area_mode="guessed")
-
-    def test_dims_mode_cannot_take_recomputed_areas(self, tiny_a):
-        with pytest.raises(ValueError, match="area_mode must be 'stored'"):
-            summarize(tiny_a, area_mode="recomputed", dims_mode=True)
+    def test_bad_buckets_rejected(self, tiny_a):
+        with pytest.raises(ValueError, match="buckets must be 'stored', 'recomputed' or 'dims'"):
+            summarize(tiny_a, buckets="guessed")
 
 
 class TestCompare:

@@ -13,8 +13,6 @@ from annodiff.report import compute_surface_results
 from annodiff.raster import bbox_of_mask, contour, edt_squared, rasterize
 from annodiff.shapes import Polygons
 from annodiff.surface import (
-    average_surface_distance,
-    max_surface_distance,
     pair_metrics,
     pair_rings,
     ring_pair_metrics,
@@ -72,11 +70,6 @@ class TestCore:
     def test_contours_that_are_not_2d_raise(self, shape):
         with pytest.raises(GeometryError, match="-D contours"):
             surface_distances(np.ones(shape, bool), np.ones(shape, bool))
-
-    def test_convenience_wrappers(self):
-        cx, cy = pixel(2, 2), pixel(2, 7)
-        assert average_surface_distance(cx, cy) == 5.0
-        assert max_surface_distance(cx, cy) == 5.0
 
     def test_asymmetric_contour_sizes_weight_the_mean(self):
         # three pixels at distance d sum 3d against one pixel whose nearest
