@@ -149,10 +149,14 @@ def annotations_as_detections(ds: AnnotationDataset) -> tuple[Detection, ...]:
     )
 
 
-def _derived_bbox(seg: ShapeSpec) -> tuple[float, float, float, float]:
-    if isinstance(seg, Polygons):
-        return tuple(bbox_of_polygon(seg))
-    return tuple(float(v) for v in bbox_of_mask(decode_rle(seg)))
+def _derived_bbox(seg: ShapeSpec, what: str) -> tuple[float, float, float, float]:
+    """The bounds of the shape of entry ``what``, which has no ``bbox``."""
+    try:
+        if isinstance(seg, Polygons):
+            return tuple(bbox_of_polygon(seg))
+        return tuple(float(v) for v in bbox_of_mask(decode_rle(seg)))
+    except GeometryError:
+        raise SchemaError(f"{what} has no bbox and an empty segmentation") from None
 
 
 def detections_from_results(raw) -> tuple[Detection, ...]:
@@ -196,7 +200,7 @@ def detections_from_results(raw) -> tuple[Detection, ...]:
         if bbox is None:
             if seg is None:
                 raise SchemaError(f"{what} needs a bbox or a segmentation")
-            bbox = _derived_bbox(seg)
+            bbox = _derived_bbox(seg, what)
         else:
             if not isinstance(bbox, list) or len(bbox) != 4:
                 raise SchemaError(f"{what} field 'bbox' must be [x, y, w, h]")

@@ -837,15 +837,7 @@ def edt(source: np.ndarray) -> np.ndarray:
 
 def box_iou(a, b) -> float:
     """Intersection over union of two (x, y, w, h) boxes; 0 when the union is empty."""
-    ax, ay, aw, ah = (float(v) for v in a)
-    bx, by, bw, bh = (float(v) for v in b)
-    iw = min(ax + aw, bx + bw) - max(ax, bx)
-    ih = min(ay + ah, by + bh) - max(ay, by)
-    inter = max(0.0, iw) * max(0.0, ih)
-    union = aw * ah + bw * bh - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    return float(iou(*box_overlaps([a], [b]))[0, 0])
 
 
 def box_overlaps(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -889,11 +881,7 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=bool)
     if a.shape != b.shape:
         raise GeometryError(f"mask grids differ: {a.shape} vs {b.shape}")
-    inter = int(np.count_nonzero(a & b))
-    union = int(np.count_nonzero(a | b))
-    if union == 0:
-        return 0.0
-    return inter / union
+    return float(iou(np.count_nonzero(a & b), np.count_nonzero(a), np.count_nonzero(b)))
 
 
 def bbox_of_mask(mask: np.ndarray) -> Box:

@@ -30,10 +30,10 @@ order of the average. The nearest point of the other contour is searched in
 an expanding band of rows: for each row offset, the point's column is looked
 up among the other contour's points of that row (``np.searchsorted``). A
 distance is final once it is at most ``(k + 1)**2`` after rows ``|dr| <= k``,
-since every point farther out is at least that far, or once no rows are
-left. Points still open after ``_BAND`` rows on either side are compared
-with every point of the other contour (:func:`_nearest_squared`), in int64
-blocks of ``_BLOCK`` squared distances.
+since every point farther out is at least that far, or once the band has
+reached both edges of the pair's window. The band grows one row on each side
+per step while any point is open, so a pair whose contours lie far apart in
+rows takes one step per window row; that is the worst case.
 :func:`surface_distances` runs the same search on a two-layer buffer.
 """
 
@@ -68,10 +68,6 @@ class SurfaceDistanceResult:
     contour_len_target: int
 
 
-# Element cap of one block of pairwise squared distances: 2**15 int64
-# values, 256 KB in each of the two buffers, however long the contours are.
-_BLOCK = 1 << 15
-
 # Pairs whose vertices are gathered at once, and whose windows are sorted by
 # width and cut into chunks; the report's pool takes one group per task.
 # Larger groups pack chunks more tightly and cost more memory: on a
@@ -84,46 +80,8 @@ _GROUP = 128
 # fill and erosion takes one byte per pixel.
 _CHUNK_PX = 1 << 18
 
-# Row offsets searched on each side of a contour point before it is compared
-# with every point of the other contour. With pairs matched at a box IoU of
-# 0.90, nearly every contour point lies within 2 px of the other contour.
-_BAND = 4
-
 # Window bounds of a pair with no toggles at all.
 _NONE = 1 << 60
-
-
-def _nearest_squared(x, y) -> np.ndarray:
-    """Squared distance from each point of ``x`` to its nearest point of
-    ``y``.
-
-    ``x`` and ``y`` are ``(rows, cols)`` pairs of int64 coordinate arrays.
-    The pairwise block is built ``_BLOCK`` elements at a time, from
-    separate row and column differences, in two buffers taken once per
-    call. The first block of each point's comparisons starts its running
-    minimum, and each later one lowers it.
-    """
-    (xr, xc), (yr, yc) = x, y
-    cols = min(yr.size, _BLOCK)
-    rows = max(_BLOCK // cols, 1)
-    near = np.empty(xr.size, dtype=np.int64)
-    buffers = np.empty((2, rows * cols), dtype=np.int64)
-    for j in range(0, yr.size, cols):
-        br, bc = yr[j : j + cols], yc[j : j + cols]
-        for i in range(0, xr.size, rows):
-            ar, ac = xr[i : i + rows, None], xc[i : i + rows, None]
-            d, dc = buffers[:, : ar.size * br.size].reshape(2, ar.size, br.size)
-            np.subtract(ar, br, out=d)
-            d *= d
-            np.subtract(ac, bc, out=dc)
-            dc *= dc
-            d += dc
-            part = near[i : i + rows]
-            if j:
-                np.minimum(part, d.min(axis=1), out=part)
-            else:
-                d.min(axis=1, out=part)
-    return near
 
 
 def _row_gaps(ends: np.ndarray, t: np.ndarray, far: int) -> np.ndarray:
@@ -160,29 +118,34 @@ def _nearest(points: np.ndarray, stride: int, top: np.ndarray, height: np.ndarra
     layers = top.size - 1
     bounds = np.searchsorted(points, top * stride)
     lay = np.repeat(np.arange(layers), np.diff(bounds))
-    # Search keys: ``step`` keys per buffer row, and _BAND more blank rows
-    # after each layer, so that no row searched from a layer's window reaches
-    # into a neighbouring layer. ``far`` exceeds every column distance within
-    # a row and every distance within a window.
-    far = stride + int(height.max()) + _BAND + 2
+    # Search keys: ``step`` keys per buffer row, and ``pad`` more blank rows
+    # after each layer, one more than the tallest window has, so that no row
+    # searched from a layer's window reaches into a neighbouring layer.
+    # ``far`` exceeds every column distance within a row and every distance
+    # within a window.
+    pad = int(height.max()) + 1
+    far = stride + pad + 1
     step = far + stride
     rows, cols = np.divmod(points, stride)
-    rows += lay * _BAND
+    rows += lay * pad
     keys = rows * step
     keys += cols
-    start = top + np.arange(layers + 1) * _BAND  # first key row of each layer
-    ends = np.concatenate(([-(_BAND + 2) * step], keys, [(int(start[-1]) + _BAND + 2) * step]))
+    start = top + np.arange(layers + 1) * pad  # first key row of each layer
+    ends = np.concatenate(([-(pad + 2) * step], keys, [(int(start[-1]) + pad + 2) * step]))
     shift = (start[np.arange(layers) ^ 1] - start[:-1]) * step
     target = keys + shift[lay]
     best = _row_gaps(ends, target, far)
     open_ = np.flatnonzero(best > 1)
-    # rows to the window's far edge: once searched, a distance is final
-    window_row = rows[open_] - start[lay[open_]]
-    reach = np.maximum(window_row - 1, np.repeat(height, 2)[lay[open_]] - window_row)
+    # rows to the window's far edge: once searched, a distance is final; a
+    # point whose partner layer is empty has no rows to search
+    at = lay[open_]
+    window_row = rows[open_] - start[at]
+    reach = np.maximum(window_row - 1, np.repeat(height, 2)[at] - window_row)
+    reach[np.diff(bounds)[at ^ 1] == 0] = 0
     open_, reach = open_[reach > 0], reach[reach > 0]
-    for k in range(1, _BAND + 1):
-        if not open_.size:
-            break
+    k = 0
+    while open_.size:
+        k += 1
         gap = _row_gaps(ends, np.add.outer((k * step, -k * step), target[open_]).ravel(), far)
         d = gap.reshape(2, -1).min(axis=0)
         d += k * k
@@ -190,32 +153,7 @@ def _nearest(points: np.ndarray, stride: int, top: np.ndarray, height: np.ndarra
         best[open_] = d
         still = (d > (k + 1) ** 2) & (reach > k)
         open_, reach = open_[still], reach[still]
-    if open_.size:
-        _finish(best, open_, bounds, points, stride, top)
     return best, bounds
-
-
-def _finish(best, open_, bounds, points, stride, top) -> None:
-    """Set the exact distance of each point of ``open_`` by comparing it with
-    every point of its partner layer (:func:`_nearest_squared`), one call per
-    layer with open points, on the rows of its layer and the columns of the
-    buffer."""
-    def layer_points(lo, hi, layer):
-        rows, cols = np.divmod(points[lo:hi], stride)
-        rows -= top[layer]
-        return rows, cols
-
-    cut = np.searchsorted(open_, bounds).tolist()
-    b = bounds.tolist()
-    for j in np.flatnonzero(np.diff(cut[::2])).tolist():
-        a, m, e = b[2 * j : 2 * j + 3]
-        if a == m or m == e:
-            continue  # an empty layer: the pair is not measured
-        xa, xb = layer_points(a, m, 2 * j), layer_points(m, e, 2 * j + 1)
-        for layer, x, y in ((2 * j, xa, xb), (2 * j + 1, xb, xa)):
-            at = open_[cut[layer] : cut[layer + 1]] - b[layer]
-            if at.size:
-                best[b[layer] + at] = _nearest_squared((x[0][at], x[1][at]), y)
 
 
 def _read_out(best: np.ndarray, bounds: np.ndarray) -> list:

@@ -708,6 +708,18 @@ class TestResultsFormat:
         with pytest.raises(SchemaError, match=msg):
             detections_from_results(json.dumps([entry]))
 
+    @pytest.mark.parametrize(
+        "segmentation",
+        [[], [[]], {"counts": [4], "size": [2, 2]}, {"counts": [], "size": [0, 3]}],
+        ids=["no-rings", "empty-ring", "background-rle", "empty-grid-rle"],
+    )
+    def test_empty_shape_without_a_bbox_is_named(self, segmentation):
+        good = {"image_id": 1, "category_id": 1, "score": 0.5, "bbox": [0, 0, 1, 1]}
+        entry = {"image_id": 1, "category_id": 1, "score": 0.5, "segmentation": segmentation}
+        with pytest.raises(SchemaError) as info:
+            detections_from_results([good, entry])
+        assert str(info.value) == "detection #1 has no bbox and an empty segmentation"
+
     @pytest.mark.parametrize("field", ["score", "bbox", "segmentation"])
     def test_integer_beyond_float_range_is_schema_error(self, field):
         entry = {"image_id": 1, "category_id": 1, "score": 0.5, "bbox": [0, 0, 5, 5],

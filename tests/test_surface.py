@@ -149,22 +149,10 @@ class TestPointSetKernel:
         assert surface_distances(ca, ca) == edt_reference(ca, ca) == (0.0, 0.0, ca.sum(), ca.sum())
         assert surface_distances(ca, pixel(3, 5, ca.shape)) == edt_reference(ca, pixel(3, 5, ca.shape))
 
-    def test_farthest_pixels_of_a_2_15_px_side(self):
-        # the farthest two pixels of a grid with sides just below 2**15
-        side = 2**15 - 1
-        x = (np.array([0]), np.array([0]))
-        y = (np.array([side - 1]), np.array([side - 1]))
-        to_y, to_x = surface._nearest_squared(x, y), surface._nearest_squared(y, x)
-        assert int(to_y[0]) == int(to_x[0]) == 2 * (side - 1) ** 2
-
     def test_farthest_pixels_of_a_128_px_side(self):
         # the farthest two pixels of a 128 px side, 2 * 127**2 = 32258 apart
         # squared
         side = 128
-        x = (np.array([0]), np.array([0]))
-        y = (np.array([side - 1]), np.array([side - 1]))
-        to_y, to_x = surface._nearest_squared(x, y), surface._nearest_squared(y, x)
-        assert int(to_y[0]) == int(to_x[0]) == 2 * 127**2
         corners = pixel(0, 0, (side, side)), pixel(side - 1, side - 1, (side, side))
         d = float(np.sqrt(2 * 127**2))
         assert surface_distances(*corners) == edt_reference(*corners) == (d, d, 1, 1)
@@ -177,15 +165,16 @@ class TestPointSetKernel:
         d = float(np.sqrt((h - 1) ** 2 + (w - 1) ** 2))
         assert surface_distances(*corners) == edt_reference(*corners) == (d, d, 1, 1)
 
-    @pytest.mark.parametrize("cap", [7, 97, 1001])
-    def test_ragged_chunks_match_edt_reference(self, monkeypatch, cap):
-        # caps below the contour lengths split both point sets into chunks
-        # whose last one is short
-        monkeypatch.setattr(surface, "_BLOCK", cap)
-        rng = np.random.default_rng(cap)
+    @pytest.mark.parametrize("seed", [7, 97, 1001])
+    def test_contours_many_rows_apart_match_edt_reference(self, seed):
+        # one contour moved down by up to 210 rows: the band of rows runs
+        # far from each point before its distance is final
+        rng = np.random.default_rng(seed)
         for _ in range(8):
             ca, cb = random_contour_pair(rng, 90, 70)
-            assert surface_distances(ca, cb) == edt_reference(ca, cb)
+            drop = int(rng.integers(0, 211))
+            cx, cy = np.pad(ca, ((0, 210), (0, 0))), np.pad(cb, ((drop, 210 - drop), (0, 0)))
+            assert surface_distances(cx, cy) == edt_reference(cx, cy)
 
     def test_peak_memory_is_bounded_for_long_contours(self):
         # two parallel 10 010 px lines: an unchunked 10 010 x 10 010 int64
@@ -298,6 +287,16 @@ class TestRingPipeline:
             assert got == full_grid_reference(ra, rb, w, h, footprint)
             assert ring_pair_metrics(rb, ra, w, h, footprint=footprint) == (*got[:2], got[3], got[2])
 
+    def test_tall_narrow_window_is_exact(self):
+        # an 8 px wide, 5 000 row window: the band steps nearly 5 000 rows,
+        # and its squared row offsets pass 2.4e7
+        w, h = 8, 5_000
+        ra, rb = rect_ring(1, 1, 5, 3), rect_ring(2, 4_990, 5, 4)
+        got = ring_pair_metrics(ra, rb, w, h)
+        ca, cb = (contour(rasterize([ring], w, h)) for ring in (ra, rb))
+        assert got == full_grid_reference(ra, rb, w, h) == edt_reference(ca, cb)
+        assert got[1] > 4_985.0
+
     def test_wide_window_is_exact_beyond_int32(self):
         # the union window is 59 992 px wide; squared distances near
         # 59 989**2 overflow int32
@@ -309,25 +308,25 @@ class TestRingPipeline:
 
     @pytest.mark.parametrize("side", [128, 129])
     def test_opposite_corners_of_a_window_equal_full_grid_reference(self, side):
-        # two squares in opposite corners of a side x side union window: the
-        # block of pairwise distances holds their farthest contour pixels,
-        # 2 * (side - 1)**2 apart squared
+        # two squares in opposite corners of a side x side union window, their
+        # farthest contour pixels 2 * (side - 1)**2 apart squared: the band's
+        # worst case, which runs to the window's far edge, one step per row
         ra, rb = rect_ring(2, 3, 4, 4), rect_ring(side - 2, side - 1, 4, 4)
         union = rasterize([ra], 200, 200) | rasterize([rb], 200, 200)
         assert bbox_of_mask(union)[2:] == (side, side)
-        # every contour point lies beyond the band, so the finisher measures
-        # them all
-        calls = []
-        real = surface._nearest_squared
-
-        def spy(x, y):
-            calls.append(x[0].size)
-            return real(x, y)
-
-        with mock.patch.object(surface, "_nearest_squared", spy):
+        with mock.patch.object(surface, "_row_gaps", wraps=surface._row_gaps) as row_gaps:
             got = ring_pair_metrics(ra, rb, 200, 200)
-        assert got == full_grid_reference(ra, rb, 200, 200)
-        assert calls == [12, 12]
+        ca, cb = (contour(rasterize([ring], 200, 200)) for ring in (ra, rb))
+        assert got == full_grid_reference(ra, rb, 200, 200) == edt_reference(ca, cb)
+        assert row_gaps.call_count <= side + 1
+
+    def test_a_pair_with_an_empty_layer_takes_no_band_step(self):
+        # the sliver fills no pixel center, so the tall ring's points have
+        # no partner to search for
+        sliver = [10.1, 10.1, 10.4, 10.1, 10.4, 10.4]
+        with mock.patch.object(surface, "_row_gaps", wraps=surface._row_gaps) as row_gaps:
+            assert ring_pairs_metrics([(sliver, rect_ring(2, 2, 20, 300), 400, 400)]) == [None]
+        assert row_gaps.call_count == 1
 
     def test_ring_containers_give_identical_values(self):
         # a stored ring is a tuple of floats and takes the flat path; lists of
@@ -417,13 +416,13 @@ def chunk_pair(rng, kind):
         ra = random_ring(rng, w, h, overhang=0.3)
         return ra, jittered(rng, ra, 1.5), w, h
     if kind == "shifted":
-        # some points within the band of rows, others beyond it
+        # some points final after a few rows of the band, others many rows on
         w, h = 120, 100
         ra = random_ring(rng, w, h, overhang=0.0)
         dx, dy = (float(v) for v in rng.uniform(-9, 9, size=2))
         return ra, [v + (dx if i % 2 == 0 else dy) for i, v in enumerate(ra)], w, h
     if kind == "far":
-        # every nearest point lies beyond the band: only the finisher measures
+        # every nearest point lies tens of rows away
         w, h = 200, 150
         ra = [v / 5 for v in random_simple_rings(rng, width=w, height=h)[0]]
         rb = [v / 5 + (150 if i % 2 == 0 else 110) for i, v in enumerate(random_simple_rings(rng, width=w, height=h)[0])]
@@ -434,8 +433,8 @@ def chunk_pair(rng, kind):
         ra = [5.5, 10.2, 300.7, 12.9, 297.1, 30.4, 8.8, 25.0]
         return jittered(rng, ra, 2.0), [260.0, 40.0, 380.0, 41.5, 379.0, 55.0, 255.0, 52.0], w, h
     if kind == "thin":
-        # bars of 1 to 3 rows, or columns, a few rows apart: windows whose
-        # rows run out before the band does
+        # bars of 1 to 3 rows, or columns, a few rows apart: windows of few
+        # rows, where the band stops at the window's edge
         bars = []
         for _ in range(2):
             x, y = round(float(rng.uniform(0, 30)), 2), int(rng.integers(0, 6))
@@ -478,25 +477,12 @@ class TestRingPairsMetrics:
         with mock.patch.object(surface, "_CHUNK_PX", 1), mock.patch.object(surface, "_GROUP", 1):
             assert ring_pairs_metrics(pairs, footprint=footprint) == got
 
-    def test_far_pairs_are_finished_and_partial_ones_too(self):
-        # the far kind leaves every point open after the band, the shifted
-        # kind some of them
+    def test_far_and_shifted_pairs_equal_the_whole_grid_oracle(self):
+        # the far kind keeps every point open for tens of rows, the shifted
+        # kind some of them, beside a close pair in the same chunk
         rng = np.random.default_rng(3)
-        calls = []
-        real = surface._nearest_squared
-
-        def spy(x, y):
-            calls.append((x[0].size, y[0].size))
-            return real(x, y)
-
         pairs = [chunk_pair(rng, kind) for kind in ["far", "shifted", "shifted", "far", "close"]]
-        with mock.patch.object(surface, "_nearest_squared", spy):
-            got = ring_pairs_metrics(pairs)
-        assert got == [whole_grid_oracle(*p, "cross") for p in pairs]
-        # a far pair compares each whole contour with the other; a shifted
-        # one only its open points, fewer than any whole contour
-        assert got[0][2:] in calls and got[0][2:][::-1] in calls
-        assert min(nx for nx, _ in calls) < min(min(m[2:]) for m in got)
+        assert ring_pairs_metrics(pairs) == [whole_grid_oracle(*p, "cross") for p in pairs]
 
     def test_one_pair_equals_ring_pair_metrics(self):
         rng = np.random.default_rng(5)

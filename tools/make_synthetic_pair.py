@@ -32,8 +32,9 @@ CATEGORIES = [
 IMAGE_SIZES = [(320, 240), (256, 256), (400, 300)]
 
 
-def star_ring(rng, width, height) -> list[float]:
-    """One simple polygon: random radii around a center, angle-sorted."""
+def star_ring(rng, width, height) -> tuple[list[float], int]:
+    """One simple polygon, random radii around a center, angle-sorted, and
+    its pixel area."""
     while True:
         k = int(rng.integers(5, 13))
         r_hi = float(rng.uniform(14.0, 75.0))
@@ -45,8 +46,9 @@ def star_ring(rng, width, height) -> list[float]:
         for a, r in zip(angles, radii):
             ring.append(round(cx + r * math.cos(a), 2))
             ring.append(round(cy + r * math.sin(a), 2))
-        if pixel_area(ring, width, height) >= 8:
-            return ring
+        area = pixel_area(ring, width, height)
+        if area >= 8:
+            return ring, area
 
 
 def pixel_area(ring, width, height) -> int:
@@ -55,7 +57,7 @@ def pixel_area(ring, width, height) -> int:
     return int(count_overlaps([(Polygons((tuple(ring),)), 0)], [], [(width, height)]).area_a[0])
 
 
-def polygon_annotation(ann_id, image, ring, category_id) -> dict:
+def polygon_annotation(ann_id, image, ring, area, category_id) -> dict:
     bbox = bbox_of_polygon(Polygons((tuple(ring),)))
     return {
         "id": ann_id,
@@ -63,7 +65,7 @@ def polygon_annotation(ann_id, image, ring, category_id) -> dict:
         "category_id": category_id,
         "segmentation": [list(ring)],
         "bbox": [bbox.x, bbox.y, bbox.w, bbox.h],
-        "area": float(pixel_area(ring, image["width"], image["height"])),
+        "area": float(area),
         "iscrowd": 0,
     }
 
@@ -140,7 +142,8 @@ def jittered(rng, ann, image) -> dict | None:
         center, shift, bound = (gx, dx, w) if i % 2 == 0 else (gy, dy, h)
         v = center + (v - center) * grow + shift + float(rng.uniform(-noise, noise))
         moved.append(round(min(max(v, 0.0), float(bound)), 2))
-    if pixel_area(moved, w, h) < 4:
+    area = pixel_area(moved, w, h)
+    if area < 4:
         return None
     category = ann["category_id"]
     if rng.uniform() < 0.04:
@@ -152,7 +155,7 @@ def jittered(rng, ann, image) -> dict | None:
         "category_id": category,
         "segmentation": [moved],
         "bbox": [bbox.x, bbox.y, bbox.w, bbox.h],
-        "area": float(pixel_area(moved, w, h)),
+        "area": float(area),
         "iscrowd": 0,
     }
 
@@ -168,9 +171,9 @@ def build_pair(seed: int, n_images: int) -> tuple[dict, dict]:
     next_id = 1
     for image in images:
         for _ in range(int(rng.integers(3, 9))):
-            ring = star_ring(rng, image["width"], image["height"])
+            ring, area = star_ring(rng, image["width"], image["height"])
             cat = int(rng.integers(1, len(CATEGORIES) + 1))
-            anns_a.append(polygon_annotation(next_id, image, ring, cat))
+            anns_a.append(polygon_annotation(next_id, image, ring, area, cat))
             next_id += 1
         if rng.uniform() < 0.12:
             anns_a.append(crowd_annotation(rng, next_id, image))
@@ -203,9 +206,9 @@ def build_pair(seed: int, n_images: int) -> tuple[dict, dict]:
             next_id += 1
     for image in images:
         if rng.uniform() < 0.08:
-            ring = star_ring(rng, image["width"], image["height"])
+            ring, area = star_ring(rng, image["width"], image["height"])
             cat = int(rng.integers(1, len(CATEGORIES) + 1))
-            anns_b.append(polygon_annotation(next_id, image, ring, cat))
+            anns_b.append(polygon_annotation(next_id, image, ring, area, cat))
             next_id += 1
 
     def dataset(anns):
