@@ -21,10 +21,11 @@ from pathlib import Path
 
 from .dataset import load_dataset
 from .errors import AnnodiffError
-from .deteval import EvalParams, cross_table
+from .deteval import EvalParams
 from .matching import MatchConfig, match_datasets, pairs_to_ndjson
 from .report import (
     AuditConfig,
+    eval_json,
     report_bytes,
     run_audit,
     summary_json,
@@ -89,13 +90,7 @@ def cmd_eval(args) -> int:
     source = load_dataset(args.source)
     target = load_dataset(args.target)
     tasks = _eval_tasks(args.task)
-    tables = cross_table(
-        source, target, tasks=tasks, params=EvalParams(max_detections=args.max_dets)
-    )
-    payload = {
-        task: {side: res.to_json() for side, res in sides.items()}
-        for task, sides in tables.items()
-    }
+    payload = eval_json(source, target, tasks, EvalParams(max_detections=args.max_dets))
     data = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
     _emit(data, args.out)
     return EXIT_OK

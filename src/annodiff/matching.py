@@ -1,10 +1,11 @@
 """Cross-dataset instance correspondence by highest IoU above a threshold.
 
-Matching is per image and greedy: all eligible cross pairs are ranked by
-descending IoU (ties broken by ascending source then target id) and accepted
-while both endpoints are free and the IoU strictly exceeds the threshold.
-Each instance therefore appears in at most one pair, and the result is
-invariant to the order instances arrive in.
+:func:`match_datasets` is the one way in. Matching is per image and greedy:
+all eligible cross pairs of an image are ranked by descending IoU (ties
+broken by ascending source then target id) and accepted while both endpoints
+are free and the IoU strictly exceeds the threshold. Each instance therefore
+appears in at most one pair, and the result is invariant to the order
+instances arrive in.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class MatchSet:
     unmatched_target: list[int] = field(default_factory=list)
     ineligible_source: list[int] = field(default_factory=list)
     ineligible_target: list[int] = field(default_factory=list)
-    config: MatchConfig = field(default_factory=MatchConfig)
 
 
 def _mask_ious(images):
@@ -86,45 +86,17 @@ def _mask_ious(images):
         a0, b0 = a1, b1
 
 
-def _iou_matrix(
-    source: list[InstanceRecord],
-    target: list[InstanceRecord],
-    cfg: MatchConfig,
-    image_size: tuple[int, int] | None,
-) -> np.ndarray:
-    if cfg.iou_mode == "box":
-        return box_iou_matrix(
-            np.array([s.bbox for s in source]), np.array([t.bbox for t in target])
-        )
-    if image_size is None:
-        raise ValueError("mask IoU matching needs image_size=(width, height)")
-    return next(_mask_ious([(source, target, image_size)]))
-
-
-def match_image(
-    source: list[InstanceRecord],
-    target: list[InstanceRecord],
-    cfg: MatchConfig = MatchConfig(),
-    image_size: tuple[int, int] | None = None,
-) -> MatchSet:
-    """Greedy one-to-one matching of two instance lists from the same image.
-
-    Inputs are expected to be pre-filtered to matchable shapes (see
-    :func:`annodiff.dataset.single_polygon_view`); :func:`match_datasets`
-    does this for whole corpora.
-    """
-    iou = _iou_matrix(source, target, cfg, image_size) if source and target else None
-    return _greedy(source, target, iou, cfg)
-
-
-def _greedy(source: list[InstanceRecord], target: list[InstanceRecord], iou, cfg: MatchConfig) -> MatchSet:
-    """The greedy matching of :func:`match_image`, given the IoU matrix of
-    ``source`` against ``target`` (``None`` when either is empty)."""
-    result = MatchSet(config=cfg)
-    if not source or not target:
-        result.unmatched_source = sorted(s.id for s in source)
-        result.unmatched_target = sorted(t.id for t in target)
-        return result
+def _greedy(
+    source: list[InstanceRecord], target: list[InstanceRecord], iou, cfg: MatchConfig, result: MatchSet
+) -> None:
+    """Greedy one-to-one matching of one image's matchable instances, given
+    the IoU matrix of ``source`` against ``target`` (``None`` when either is
+    empty). Pairs are added to ``result`` by source id; the unmatched ids are
+    added unsorted."""
+    if iou is None:
+        result.unmatched_source += (s.id for s in source)
+        result.unmatched_target += (t.id for t in target)
+        return
 
     candidates = []
     for i, s in enumerate(source):
@@ -137,18 +109,16 @@ def _greedy(source: list[InstanceRecord], target: list[InstanceRecord], iou, cfg
 
     used_src: set[int] = set()
     used_tgt: set[int] = set()
+    pairs = []
     for neg, sid, tid, i, j in candidates:
         if i in used_src or j in used_tgt:
             continue
         used_src.add(i)
         used_tgt.add(j)
-        result.pairs.append(
-            MatchPair(sid, tid, source[i].image_id, source[i].category_id, float(-neg))
-        )
-    result.pairs.sort(key=lambda p: p.source_instance_id)
-    result.unmatched_source = sorted(s.id for i, s in enumerate(source) if i not in used_src)
-    result.unmatched_target = sorted(t.id for j, t in enumerate(target) if j not in used_tgt)
-    return result
+        pairs.append(MatchPair(sid, tid, source[i].image_id, source[i].category_id, float(-neg)))
+    result.pairs += sorted(pairs, key=lambda p: p.source_instance_id)
+    result.unmatched_source += (s.id for i, s in enumerate(source) if i not in used_src)
+    result.unmatched_target += (t.id for j, t in enumerate(target) if j not in used_tgt)
 
 
 def match_datasets(
@@ -165,7 +135,7 @@ def match_datasets(
     """
     eligible_src = {inst.id for inst in single_polygon_view(source)}
     eligible_tgt = {inst.id for inst in single_polygon_view(target)}
-    result = MatchSet(config=cfg)
+    result = MatchSet()
     result.ineligible_source = sorted(i.id for i in source.instances if i.id not in eligible_src)
     result.ineligible_target = sorted(i.id for i in target.instances if i.id not in eligible_tgt)
 
@@ -183,12 +153,12 @@ def match_datasets(
         sizes = [source.image(i) if i in source.index else target.image(i) for _, _, i in both]
         ious = _mask_ious([(src, tgt, (img.width, img.height)) for (src, tgt, _), img in zip(both, sizes)])
     else:
-        ious = (_iou_matrix(src, tgt, cfg, None) for src, tgt, _ in both)
+        ious = (
+            box_iou_matrix(np.array([s.bbox for s in src]), np.array([t.bbox for t in tgt]))
+            for src, tgt, _ in both
+        )
     for src, tgt, _ in images:
-        local = _greedy(src, tgt, next(ious) if src and tgt else None, cfg)
-        result.pairs.extend(local.pairs)
-        result.unmatched_source.extend(local.unmatched_source)
-        result.unmatched_target.extend(local.unmatched_target)
+        _greedy(src, tgt, next(ious) if src and tgt else None, cfg, result)
     result.unmatched_source.sort()
     result.unmatched_target.sort()
     return result

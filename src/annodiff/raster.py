@@ -683,12 +683,13 @@ def count_overlaps(a, b, sizes, *, skip_invalid: bool = False) -> Overlaps:
 _FOOTPRINTS = ("cross", "square")
 
 
-def erode(mask: np.ndarray, footprint: str = "cross") -> np.ndarray:
-    """Binary erosion of a 2-D mask; pixels outside the grid count as
-    background.
+def contour(mask: np.ndarray, footprint: str = "cross") -> np.ndarray:
+    """Boundary pixels of a 2-D mask: the foreground removed by one binary
+    erosion, in which pixels outside the grid count as background.
 
-    ``cross`` uses the 4-connected structuring element, ``square`` the full
-    3x3 neighborhood.
+    ``cross`` erodes with the 4-connected structuring element, ``square``
+    with the full 3x3 neighborhood. This whole-grid form is the reference
+    for the contours that :mod:`annodiff.surface` traces chunk by chunk.
 
     Raises:
         GeometryError: the mask is not 2-D.
@@ -697,30 +698,20 @@ def erode(mask: np.ndarray, footprint: str = "cross") -> np.ndarray:
         raise ValueError(f"footprint must be one of {_FOOTPRINTS}")
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
-        raise GeometryError(f"erosion of a {mask.ndim}-D array")
+        raise GeometryError(f"contour of a {mask.ndim}-D array")
     p = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
     p[1:-1, 1:-1] = mask
     out = p[:-2, 1:-1] & p[2:, 1:-1]
     out &= p[1:-1, :-2]
     out &= p[1:-1, 2:]
-    out &= mask
     if footprint == "square":
         out &= p[:-2, :-2]
         out &= p[:-2, 2:]
         out &= p[2:, :-2]
         out &= p[2:, 2:]
-    return out
-
-
-def contour(mask: np.ndarray, footprint: str = "cross") -> np.ndarray:
-    """Boundary pixels of a 2-D mask: the foreground removed by one erosion.
-
-    Raises:
-        GeometryError: the mask is not 2-D.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    out = erode(mask, footprint)
-    return np.greater(mask, out, out=out)  # mask and not eroded
+    # ``out`` marks the pixels whose neighbours are all foreground, so the
+    # centre need not be tested: foreground and not eroded
+    return np.greater(mask, out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -897,12 +888,10 @@ def bbox_of_mask(mask: np.ndarray) -> Box:
 
 
 def bbox_of_polygon(poly) -> Box:
-    """Tight axis-aligned bounds of polygon vertices, in continuous units."""
-    if isinstance(poly, Polygons):
-        pts = poly.all_points()
-    else:
-        parts = [_ring_points(r) for r in poly]
-        pts = np.concatenate(parts) if parts else np.empty((0, 2))
+    """Tight axis-aligned bounds of polygon vertices, in continuous units;
+    ``poly`` is a :class:`Polygons` or a list of raw rings."""
+    parts = [_ring_points(r) for r in (poly.rings if isinstance(poly, Polygons) else poly)]
+    pts = np.concatenate(parts) if parts else np.empty((0, 2))
     if pts.size == 0:
         raise GeometryError("bounding box of an empty polygon")
     x0, y0 = pts.min(axis=0)

@@ -45,7 +45,6 @@ class AuditConfig:
     bins: int = 50
     jobs: int = 1
     eval_tasks: tuple[str, ...] = ()
-    max_detections: int = 100
     source_path: str | None = None
     target_path: str | None = None
 
@@ -153,6 +152,15 @@ def delta_json(d: DatasetDelta) -> dict:
     }
 
 
+def eval_json(
+    a: AnnotationDataset, b: AnnotationDataset, tasks: tuple[str, ...], params: EvalParams | None = None
+) -> dict:
+    """``{task: {"a_vs_b": ..., "b_vs_a": ...}}`` of :func:`cross_table`, each
+    result as its JSON form."""
+    tables = cross_table(a, b, tasks=tasks, params=params)
+    return {task: {side: res.to_json() for side, res in sides.items()} for task, sides in tables.items()}
+
+
 def _histogram_json(results: list[SurfaceDistanceResult], metric: str, bins: int) -> dict:
     try:
         h = distance_histogram(results, metric, bins)
@@ -218,12 +226,7 @@ def run_audit(
     eval_s = 0.0
     if config.eval_tasks:
         t0 = time.perf_counter()
-        params = EvalParams(max_detections=config.max_detections)
-        tables = cross_table(source, target, tasks=config.eval_tasks, params=params)
-        eval_section = {
-            task: {side: res.to_json() for side, res in sides.items()}
-            for task, sides in tables.items()
-        }
+        eval_section = eval_json(source, target, config.eval_tasks)
         eval_s = time.perf_counter() - t0
 
     pair_count = len(match_set.pairs)
@@ -254,7 +257,8 @@ def run_audit(
             # jobs is deliberately not echoed: parallelism never changes
             # results, so reports must not vary with it
             "eval_tasks": list(config.eval_tasks),
-            "max_detections": config.max_detections,
+            # diff scores with the default cap, which the v1 schema requires
+            "max_detections": EvalParams().max_detections,
             "source_path": config.source_path,
             "target_path": config.target_path,
         },

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 
 class Polygons(NamedTuple):
     """One or more polygon rings, each stored in the flat COCO layout."""
@@ -26,16 +24,6 @@ class Polygons(NamedTuple):
     @property
     def vertex_count(self) -> int:
         return sum(len(r) // 2 for r in self.rings)
-
-    def points(self, i: int) -> np.ndarray:
-        """Vertices of ring ``i`` as a float ``(k, 2)`` array of (x, y)."""
-        return np.asarray(self.rings[i], dtype=np.float64).reshape(-1, 2)
-
-    def all_points(self) -> np.ndarray:
-        """Vertices of every ring stacked into one ``(k, 2)`` array."""
-        if not self.rings:
-            return np.empty((0, 2), dtype=np.float64)
-        return np.concatenate([self.points(i) for i in range(len(self.rings))])
 
 
 class RleMask(NamedTuple):

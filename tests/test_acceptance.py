@@ -25,7 +25,7 @@ from annodiff.deteval import (
     annotations_as_detections,
     evaluate,
 )
-from annodiff.matching import MatchConfig, match_datasets, match_image
+from annodiff.matching import MatchConfig, match_datasets
 from annodiff.raster import box_iou, contour, edt_squared, rasterize
 from annodiff.stats import SizeBucket, size_bucket
 from annodiff.surface import surface_distances
@@ -159,11 +159,14 @@ def test_matching_soundness():
             assert len(set(srcs)) == len(srcs) and len(set(tgts)) == len(tgts), "injectivity"
             assert all(p.iou > thr for p in ms.pairs), "strict threshold"
 
-            shuffled_src = list(ds_a.instances)
-            shuffled_tgt = list(ds_b.instances)
+            shuffled_src, shuffled_tgt = list(src), list(tgt)
             rng.shuffle(shuffled_src)
             rng.shuffle(shuffled_tgt)
-            again = match_image(shuffled_src, shuffled_tgt, cfg)
+            again = match_datasets(
+                parse_dataset(make_coco(make_images(1, 300, 40), shuffled_src)),
+                parse_dataset(make_coco(make_images(1, 300, 40), shuffled_tgt)),
+                cfg,
+            )
             assert again.pairs == ms.pairs, "permutation invariance"
 
             # conflict-free here: disjoint 30px-spaced clusters mean any

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 import annodiff.matching as matching
 from annodiff.dataset import parse_dataset, single_polygon_view
-from annodiff.matching import MatchConfig, MatchSet, match_datasets, match_image, pairs_to_ndjson
-from annodiff.raster import box_iou, mask_iou, rasterize
+from annodiff.matching import MatchConfig, MatchSet, match_datasets, pairs_to_ndjson
+from annodiff.raster import box_iou, mask_iou, mask_of, rasterize
 
 from conftest import make_ann, make_coco, make_images, rect_ring
 from oracles import best_assignment
@@ -118,13 +119,12 @@ class TestGreedy:
         rng = random.Random(4)
         src = [make_ann(i + 1, 1, rect_ring(25 * i, 0, 20, 20)) for i in range(4)]
         tgt = [make_ann(50 + i, 1, rect_ring(25 * i, 0, 20, 19)) for i in range(4)]
-        a, b = scene(src, tgt)
-        base = match_image(list(a.instances), list(b.instances), MatchConfig(iou_threshold=0.5))
+        base = match_datasets(*scene(src, tgt), MatchConfig(iou_threshold=0.5))
         for _ in range(5):
-            s2, t2 = list(a.instances), list(b.instances)
+            s2, t2 = list(src), list(tgt)
             rng.shuffle(s2)
             rng.shuffle(t2)
-            again = match_image(s2, t2, MatchConfig(iou_threshold=0.5))
+            again = match_datasets(*scene(s2, t2), MatchConfig(iou_threshold=0.5))
             assert again.pairs == base.pairs
             assert again.unmatched_source == base.unmatched_source
 
@@ -174,11 +174,11 @@ class TestEligibilityAndModes:
             assert p.iou == mask_iou(a, b)
 
     @pytest.mark.parametrize("threshold", [0.5, 0.9])
-    def test_mask_mode_counts_every_image_at_once_as_match_image_would(
+    def test_mask_mode_counts_every_image_at_once_and_matches_whole_grid_masks(
         self, synthetic_a, synthetic_b, monkeypatch, threshold
     ):
-        # one overlap count keyed by image for the whole dataset, and the same
-        # result as matching each image on its own
+        # one overlap count keyed by image for the whole dataset; the pairs
+        # are those of a greedy pass over IoUs of whole-grid masks
         cfg = MatchConfig(iou_mode="mask", iou_threshold=threshold)
         calls = []
         count = matching.count_overlaps
@@ -186,23 +186,32 @@ class TestEligibilityAndModes:
         batched = match_datasets(synthetic_a, synthetic_b, cfg)
         assert len(calls) == 1 and len(calls[0][2]) > 40
         eligible = [{i.id for i in single_polygon_view(ds)} for ds in (synthetic_a, synthetic_b)]
-        want = MatchSet(config=cfg)
+        want, unmatched_s, unmatched_t = [], [], []
         for image in synthetic_a.images:
             src, tgt = (
                 [i for i in ds.instances_in(image.id) if i.id in ids]
                 for ds, ids in zip((synthetic_a, synthetic_b), eligible)
             )
-            local = match_image(src, tgt, cfg, image_size=(image.width, image.height))
-            want.pairs += local.pairs
-            want.unmatched_source += local.unmatched_source
-            want.unmatched_target += local.unmatched_target
-        assert len(calls) > 40  # match_image counts one image per call
-        assert batched.pairs == want.pairs and len(want.pairs) > 100
-        assert (batched.unmatched_source, batched.unmatched_target) == (
-            sorted(want.unmatched_source),
-            sorted(want.unmatched_target),
-        )
-        assert pairs_to_ndjson(batched) == pairs_to_ndjson(want)
+            masks = [[mask_of(i.segmentation, image.width, image.height) for i in side] for side in (src, tgt)]
+            ranked = sorted(
+                (-iou, s.id, t.id, i, j)
+                for i, (s, ms) in enumerate(zip(src, masks[0]))
+                for j, (t, mt) in enumerate(zip(tgt, masks[1]))
+                if s.category_id == t.category_id
+                and (iou := np.count_nonzero(ms & mt) / np.count_nonzero(ms | mt)) > threshold
+            )
+            used_s, used_t, pairs = set(), set(), []
+            for neg, sid, tid, i, j in ranked:
+                if i not in used_s and j not in used_t:
+                    used_s.add(i)
+                    used_t.add(j)
+                    pairs.append((image.id, sid, tid, -neg))
+            want += sorted(pairs)
+            unmatched_s += [s.id for i, s in enumerate(src) if i not in used_s]
+            unmatched_t += [t.id for j, t in enumerate(tgt) if j not in used_t]
+        got = [(p.image_id, p.source_instance_id, p.target_instance_id, p.iou) for p in batched.pairs]
+        assert got == want and len(want) > 100
+        assert (batched.unmatched_source, batched.unmatched_target) == (sorted(unmatched_s), sorted(unmatched_t))
 
     def test_mask_mode_ignores_stale_stored_boxes(self):
         # the stored boxes are disjoint, the masks are the same square
@@ -211,12 +220,6 @@ class TestEligibilityAndModes:
         a, b = scene(src, tgt)
         ms = match_datasets(a, b, MatchConfig(iou_mode="mask"))
         assert [(p.source_instance_id, p.target_instance_id, p.iou) for p in ms.pairs] == [(1, 2, 1.0)]
-
-    def test_mask_mode_requires_image_size_in_match_image(self, tiny_a, tiny_b):
-        with pytest.raises(ValueError, match="image_size"):
-            match_image(
-                [tiny_a.instance(1)], [tiny_b.instance(101)], MatchConfig(iou_mode="mask")
-            )
 
     def test_zero_match_result(self):
         src = [make_ann(1, 1, rect_ring(0, 0, 10, 10))]
@@ -295,6 +298,9 @@ class TestNdjson:
         }
 
     def test_empty_ndjson_is_empty_string(self):
-        from annodiff.matching import MatchSet
-
         assert pairs_to_ndjson(MatchSet()) == ""
+
+    def test_match_set_fields_are_pinned(self):
+        assert [f.name for f in dataclasses.fields(MatchSet)] == [
+            "pairs", "unmatched_source", "unmatched_target", "ineligible_source", "ineligible_target",
+        ]

@@ -23,7 +23,6 @@ from annodiff.raster import (
     edt,
     edt_squared,
     encode_rle,
-    erode,
     iou,
     mask_iou,
     mask_of,
@@ -690,14 +689,20 @@ class TestMorphology:
 
     def test_cross_erosion_drops_border(self):
         mask = np.ones((5, 5), dtype=bool)
-        inner = erode(mask, footprint="cross")
-        assert inner.sum() == 9  # 3x3 core: grid edge counts as background
+        edge = contour(mask, footprint="cross")
+        assert edge.sum() == 16  # all but the 3x3 core: grid edge counts as background
+        assert not edge[1:4, 1:4].any()
 
     def test_square_footprint_erodes_diagonals_too(self):
         mask = np.zeros((5, 5), dtype=bool)
         mask[1:4, 1:4] = True
         mask[0, 0] = True
-        assert erode(mask, footprint="cross").sum() == erode(mask, footprint="square").sum() == 1
+        centre = np.pad([[True]], 2)
+        for footprint in ("cross", "square"):
+            assert np.array_equal(contour(mask, footprint=footprint), mask & ~centre)
+        mask[1, 1] = False  # a diagonal neighbour of the centre
+        assert np.array_equal(contour(mask, footprint="cross"), mask & ~centre)
+        assert np.array_equal(contour(mask, footprint="square"), mask)
 
     def test_single_pixel_is_its_own_contour(self):
         mask = np.zeros((3, 3), dtype=bool)
@@ -721,7 +726,7 @@ class TestEdt:
             edt_squared(np.zeros((4, 4), dtype=bool))
 
     @pytest.mark.parametrize("shape", [(4,), (2, 4, 4)])
-    @pytest.mark.parametrize("fn", [edt_squared, erode, contour], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("fn", [edt_squared, contour], ids=lambda fn: fn.__name__)
     def test_non_2d_source_raises(self, fn, shape):
         with pytest.raises(GeometryError, match="-D"):
             fn(np.ones(shape, dtype=bool))

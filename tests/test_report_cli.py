@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import hashlib
 import json
@@ -88,6 +89,12 @@ class TestRunAudit:
         assert r["surface"]["degenerate_excluded"] == 1
         assert r["consistency"]["ok"] is True
         validate_report(r)
+
+    def test_config_fields_are_pinned(self):
+        assert [f.name for f in dataclasses.fields(AuditConfig)] == [
+            "iou_threshold", "iou_mode", "same_category", "footprint", "bins", "jobs", "eval_tasks",
+            "source_path", "target_path",
+        ]
 
     def test_config_echo_omits_jobs(self, tiny_a, tiny_b):
         r = run_audit(tiny_a, tiny_b, AuditConfig(jobs=4)).report
@@ -421,6 +428,15 @@ class TestCliDiff:
             doc.pop("timings")
             outs.append(json.dumps(doc, sort_keys=True))
         assert outs[0] == outs[1]
+
+    def test_eval_both_echoes_the_default_detection_cap(self, capsys):
+        assert main(["diff", TINY_A, TINY_B, "--eval", "both"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["max_detections"] == 100
+        validate_report(doc)
+        # the report's eval section is what the eval command writes
+        assert main(["eval", TINY_A, TINY_B, "--task", "both"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == doc["eval"]
 
     def test_mask_mode_flag(self, capsys):
         assert main(["diff", TINY_A, TINY_B, "--iou-mode", "mask"]) == EXIT_OK
