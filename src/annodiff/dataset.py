@@ -9,17 +9,19 @@ fields are preserved on every record and at the top level so files round-trip.
 Every record type is a ``NamedTuple``: immutable, and cheap to build once
 per object. A record built without ``extra`` gets an empty read-only mapping.
 
-An annotation takes one of two paths. The fast path takes a *plain* polygon
-annotation: an object with the seven required fields, ``int`` ids, a
-``bbox`` of 4 plain ``int`` or ``float`` values, a plain-number ``area``, an
-``iscrowd`` of 0 or 1, and rings that are lists of an even number of plain
-numbers, every value finite. One combined test accepts it (a finite sum of
-all the values means each is finite; a sum that overflows goes the other
-way), and its record is built directly. Anything else (an RLE, a value of
-another type, any fault) takes the naming path, which checks field by field
-and names the first fault. The naming path is the reference: on any object,
-both give the same record or the same ``SchemaError``. An image or a
-category always goes field by field.
+The ``annotations`` array is parsed as one batch. One pass picks out the
+*plain* polygon annotations: objects with the seven required fields,
+``int`` ids, a plain-number ``area``, an ``iscrowd`` of 0 or 1, a ``bbox``
+list of 4 items, and rings that are lists of even length. Then one check
+covers all of them at once: the types of all their numbers must be plain
+``int`` or ``float``, and one sum of those numbers and the areas must be
+finite (a finite sum means each value is; a sum that overflows fails the
+check). If it passes, their records are built directly, and only then do
+the other annotations (RLE crowds, anything else) go field by field, so the
+first fault raised is the first by position. If it fails, the whole array
+goes field by field. The field-by-field path is the reference and the one
+place that names a fault: on any input, both give the same records or the
+same ``SchemaError``. An image or a category always goes field by field.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import count
+from itertools import chain, count
 from operator import attrgetter
 from typing import Any, BinaryIO, NamedTuple
 
@@ -155,24 +157,24 @@ def _finite(value, what: str, name: str) -> float:
 
 
 _PLAIN_NUMBERS = frozenset((int, float))
+_FLOATS = frozenset((float,))
 _PLAIN_INTS = frozenset((int,))
 _CROWD_FLAGS = (0, 1, True, False)
 _BY_ID = attrgetter("id")
+_new = tuple.__new__  # builds a NamedTuple record without its generated __new__
 
 
-def _plain_floats(values: list) -> tuple[float, ...] | None:
-    """``values`` as floats if each is a plain ``int`` or ``float``, else
-    ``None``. Raises ``OverflowError`` for an integer beyond the float range."""
-    if _PLAIN_NUMBERS.issuperset(map(type, values)):
-        return tuple(map(float, values))
-    return None
+def _floats(values: list) -> tuple[float, ...]:
+    """``values`` as floats. Raises ``OverflowError`` for an integer beyond
+    the float range."""
+    return tuple(map(float, values))
 
 
 def _finite_tuple(values: list, what: str, name: str) -> tuple[float, ...]:
     """Every value through :func:`_finite`. Plain ints and floats are taken in
     one pass; anything else, or any fault, goes value by value, which names it."""
     try:
-        out = _plain_floats(values)
+        out = _floats(values) if _PLAIN_NUMBERS.issuperset(map(type, values)) else None
     except OverflowError:
         out = None
     if out is not None and all(map(math.isfinite, out)):
@@ -259,50 +261,6 @@ def _parse_segmentation(seg, what: str) -> ShapeSpec:
     raise SchemaError(f"{what} field 'segmentation' must be polygons or RLE")
 
 
-def _plain_annotation(obj) -> InstanceRecord | None:
-    """The record of a plain polygon annotation, from one combined test, or
-    ``None`` for anything else: an RLE, a missing field, a value of another
-    type, or a value that is not finite."""
-    if type(obj) is not dict:
-        return None
-    try:
-        rec_id, image_id, category_id = obj["id"], obj["image_id"], obj["category_id"]
-        seg, bbox, area, iscrowd = obj["segmentation"], obj["bbox"], obj["area"], obj["iscrowd"]
-    except KeyError:
-        return None
-    if not (
-        type(rec_id) is int
-        and type(image_id) is int
-        and type(category_id) is int
-        and type(area) in _PLAIN_NUMBERS
-        and iscrowd in _CROWD_FLAGS
-        and type(bbox) is list
-        and len(bbox) == 4
-        and type(seg) is list
-    ):
-        return None
-    rings = []
-    try:
-        for ring in seg:
-            if type(ring) is not list or len(ring) % 2:
-                return None
-            rings.append(_plain_floats(ring))
-        bbox = _plain_floats(bbox)
-        area = float(area)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    if bbox is None or None in rings:
-        return None
-    # the sum is finite only if every value is; one that overflows goes
-    # field by field, which accepts it
-    if not math.isfinite(sum(map(sum, rings)) + sum(bbox) + area):
-        return None
-    extra = {} if len(obj) == 7 else {k: v for k, v in obj.items() if k not in _ANNOTATION_FIELDS}
-    return InstanceRecord(
-        rec_id, image_id, category_id, Polygons(tuple(rings)), bbox, area, bool(iscrowd), extra
-    )
-
-
 def _annotation_by_field(obj, pos: int) -> InstanceRecord:
     """One annotation, checked field by field; the one place that names an
     annotation's fault."""
@@ -327,11 +285,71 @@ def _annotation_by_field(obj, pos: int) -> InstanceRecord:
     )
 
 
-def _parse_annotation(obj, pos: int) -> InstanceRecord:
-    """One annotation: a plain polygon annotation is built directly, and
-    anything else goes field by field, to the same record or the fault."""
-    rec = _plain_annotation(obj)
-    return _annotation_by_field(obj, pos) if rec is None else rec
+def _parse_annotations(objs: list) -> list[InstanceRecord]:
+    """The record of each annotation of ``objs``, in order, or the first
+    fault by position: the same outcome as :func:`_annotation_by_field` on
+    each in turn.
+
+    The plain polygon annotations are checked as one batch: one pass over
+    the types of all their numbers, which must be plain ``int`` or
+    ``float``, and one sum of them, which must be finite. Their records are
+    then built directly. Only then do the others go field by field, so the
+    first fault raised is the first by position. If the batch check fails
+    (an ``OverflowError`` on the way counts as a failure), the whole list
+    goes field by field.
+    """
+    records: list = [None] * len(objs)
+    plain, others, numbers, areas = [], [], [], []
+    for pos, obj in enumerate(objs):
+        if type(obj) is dict:
+            try:
+                rec_id, image_id, category_id = obj["id"], obj["image_id"], obj["category_id"]
+                seg, bbox, area, iscrowd = obj["segmentation"], obj["bbox"], obj["area"], obj["iscrowd"]
+            except KeyError:
+                pass
+            else:
+                if (
+                    type(rec_id) is int
+                    and type(image_id) is int
+                    and type(category_id) is int
+                    and type(area) in _PLAIN_NUMBERS
+                    and iscrowd in _CROWD_FLAGS
+                    and type(bbox) is list
+                    and len(bbox) == 4
+                    and type(seg) is list
+                ):
+                    for ring in seg:
+                        if type(ring) is not list or len(ring) % 2:
+                            break
+                    else:
+                        plain.append((pos, obj, rec_id, image_id, category_id, seg, bbox, area, iscrowd))
+                        numbers.append(bbox)
+                        numbers += seg
+                        areas.append(area)
+                        continue
+        others.append(pos)
+
+    types = set(map(type, chain.from_iterable(numbers)))
+    floats = tuple if types <= _FLOATS else _floats
+    try:
+        # the sum is finite only if every value is; an int beyond the float
+        # range that another cancels overflows in float() instead
+        valid = types <= _PLAIN_NUMBERS and math.isfinite(sum(chain.from_iterable(numbers), sum(areas)))
+        if valid:
+            for pos, obj, rec_id, image_id, category_id, seg, bbox, area, iscrowd in plain:
+                extra = {} if len(obj) == 7 else {k: v for k, v in obj.items() if k not in _ANNOTATION_FIELDS}
+                shape = _new(Polygons, (tuple(map(floats, seg)),))
+                records[pos] = _new(
+                    InstanceRecord,
+                    (rec_id, image_id, category_id, shape, floats(bbox), float(area), bool(iscrowd), extra),
+                )
+    except OverflowError:
+        valid = False
+    if not valid:
+        return list(map(_annotation_by_field, objs, count()))
+    for pos in others:
+        records[pos] = _annotation_by_field(objs[pos], pos)
+    return records
 
 
 def _load_json(raw: bytes | bytearray | str) -> Any:
@@ -383,7 +401,7 @@ def parse_dataset(raw: bytes | str | BinaryIO) -> AnnotationDataset:
     # each record from its object and position, canonicalized by id
     images = tuple(sorted(map(_parse_image, doc["images"], count()), key=_BY_ID))
     categories = tuple(sorted(map(_parse_category, doc["categories"], count()), key=_BY_ID))
-    instances = tuple(sorted(map(_parse_annotation, doc["annotations"], count()), key=_BY_ID))
+    instances = tuple(sorted(_parse_annotations(doc["annotations"]), key=_BY_ID))
     extra = {k: v for k, v in doc.items() if k not in ("images", "annotations", "categories")}
     return AnnotationDataset(images, categories, instances, extra)
 

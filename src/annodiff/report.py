@@ -196,7 +196,11 @@ def run_audit(
     *,
     parse_seconds: float | None = None,
 ) -> AuditOutcome:
-    """Full pipeline: match, per-pair surface metrics, stats, optional eval."""
+    """Full pipeline: match, per-pair surface metrics, stats, optional eval.
+
+    ``parse_seconds``, the caller's time to parse both inputs, is reported
+    as ``parse_s`` and counted in ``total_s``.
+    """
     config = config or AuditConfig()
     started = time.perf_counter()
 
@@ -285,7 +289,7 @@ def run_audit(
             "surface_s": surface_s,
             "stats_s": stats_s,
             "eval_s": eval_s,
-            "total_s": time.perf_counter() - started,
+            "total_s": (parse_seconds or 0.0) + time.perf_counter() - started,
         },
     }
     return AuditOutcome(report=report, match_set=match_set, surface_results=results)

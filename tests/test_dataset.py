@@ -1,16 +1,18 @@
 import copy
 import json
+import math
 import pickle
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import annodiff.dataset
 from annodiff.dataset import (
     _annotation_by_field,
-    _parse_annotation,
+    _parse_annotations,
     _parse_image,
-    _plain_annotation,
     AnnotationDataset,
     CategoryRecord,
     ImageRecord,
@@ -187,7 +189,7 @@ class TestParse:
 
 
 # ---------------------------------------------------------------------------
-# the plain-annotation fast path against the field-by-field path
+# the batch of plain polygon annotations against the field-by-field path
 
 _REQUIRED = ("id", "image_id", "category_id", "segmentation", "area", "bbox", "iscrowd")
 _numbers = st.one_of(
@@ -242,7 +244,7 @@ def _faulty(draw, obj):
     """``obj`` with one fault of a drawn kind, at a drawn place."""
     fault = draw(st.sampled_from([
         "missing", "not an int", "string", "nan", "inf", "huge", "odd ring", "not a list", "short bbox", "iscrowd 2",
-        "field not a list",
+        "field not a list", "huge ints that cancel",
     ]))
     pick = lambda seq: seq[draw(st.integers(0, len(seq) - 1))]
     if fault == "missing":
@@ -255,6 +257,10 @@ def _faulty(draw, obj):
         obj["bbox"] = [1, 2, 3]
     elif fault == "field not a list":
         obj[pick(["bbox", "segmentation"])] = pick(["1 2 3 4", 4, None, {}])
+    elif fault == "huge ints that cancel":
+        for value in (10**400, -(10**400)):
+            container, key = pick(_places(obj))
+            container[key] = value
     elif fault in ("odd ring", "not a list"):
         seg = obj.get("segmentation")
         if not isinstance(seg, list) or not seg:
@@ -319,47 +325,150 @@ _FAULT_TABLE = [
 ]
 
 
-class TestFastPath:
+def _parse_one_by_one(objs):
+    return [_annotation_by_field(obj, pos) for pos, obj in enumerate(objs)]
+
+
+def _list_outcome(parse, objs):
+    """The records and their ``repr``, or the text of the ``SchemaError``."""
+    try:
+        recs = parse(objs)
+    except SchemaError as e:
+        return "SchemaError", str(e)
+    return recs, repr(recs)
+
+
+def _count_by_field_calls(monkeypatch) -> list[int]:
+    """The position of each ``_annotation_by_field`` call made from here on."""
+    calls = []
+    by_field = annodiff.dataset._annotation_by_field
+
+    def counting(obj, pos):
+        calls.append(pos)
+        return by_field(obj, pos)
+
+    monkeypatch.setattr(annodiff.dataset, "_annotation_by_field", counting)
+    return calls
+
+
+_RLE = {
+    "id": 9, "image_id": 1, "category_id": 1, "segmentation": {"counts": [0, 16], "size": [4, 4]},
+    "area": 16, "bbox": [0, 0, 4, 4], "iscrowd": 1,
+}
+_valid_neighbours = st.lists(st.sampled_from([_PLAIN, _RLE]).map(copy.deepcopy) | _annotation(), max_size=6)
+
+
+class TestBatch:
     @pytest.mark.parametrize("obj", [o for _, o in _FAULT_TABLE], ids=[name for name, _ in _FAULT_TABLE])
-    def test_each_fault_is_named_by_the_field_by_field_path(self, obj):
-        assert _plain_annotation(obj) is None
-        outcome = _outcome(_parse_annotation, obj)
-        assert outcome[0] == "SchemaError" and outcome == _outcome(_annotation_by_field, obj)
+    def test_each_fault_is_named_alone(self, obj):
+        outcome = _list_outcome(_parse_annotations, [obj])
+        assert outcome[0] == "SchemaError" and outcome == _list_outcome(_parse_one_by_one, [obj])
+
+    @pytest.mark.parametrize("obj", [o for _, o in _FAULT_TABLE], ids=[name for name, _ in _FAULT_TABLE])
+    @settings(max_examples=5)
+    @given(st.data())
+    def test_each_fault_is_named_among_valid_annotations(self, obj, data):
+        objs = data.draw(_valid_neighbours)
+        objs.insert(data.draw(st.integers(0, len(objs))), copy.deepcopy(obj))
+        outcome = _list_outcome(_parse_annotations, objs)
+        assert outcome[0] == "SchemaError" and outcome == _list_outcome(_parse_one_by_one, objs)
 
     @pytest.mark.parametrize("iscrowd", [0, 1, 0.0, 1.0, True, False])
-    def test_every_iscrowd_flag_is_plain(self, iscrowd):
-        obj = _with("iscrowd", iscrowd)
-        rec = _plain_annotation(obj)
-        assert rec is not None and rec.iscrowd is bool(iscrowd)
-        assert _outcome(_parse_annotation, obj) == _outcome(_annotation_by_field, obj)
+    def test_every_iscrowd_flag_is_plain(self, iscrowd, monkeypatch):
+        objs = [_with("iscrowd", iscrowd)]
+        expected = _list_outcome(_parse_one_by_one, objs)
+        calls = _count_by_field_calls(monkeypatch)
+        (rec,) = _parse_annotations(objs)
+        assert not calls and rec.iscrowd is bool(iscrowd) and repr([rec]) == expected[1]
 
-    @settings(max_examples=300)
+    @settings(max_examples=150)
     @given(st.data())
     def test_agrees_with_the_field_by_field_path(self, data):
-        obj = data.draw(_annotation())
-        faults = data.draw(st.integers(0, 2))
-        for _ in range(faults):
-            obj = data.draw(_faulty(obj))
-        assert _outcome(_parse_annotation, obj) == _outcome(_annotation_by_field, obj)
-        plain = not faults and isinstance(obj["segmentation"], list)
-        if plain and all(abs(container[key]) < 1e300 for container, key in _places(obj)):
-            assert _plain_annotation(obj) is not None
+        objs = data.draw(st.lists(_annotation(), max_size=6))
+        for _ in range(data.draw(st.integers(0, 2)) if objs else 0):
+            pos = data.draw(st.integers(0, len(objs) - 1))
+            objs[pos] = data.draw(_faulty(objs[pos]))
+        assert _list_outcome(_parse_annotations, objs) == _list_outcome(_parse_one_by_one, objs)
 
     @pytest.mark.parametrize("obj", [None, [1], "annotation", 7])
     def test_a_non_object_is_named_by_position(self, obj):
         with pytest.raises(SchemaError, match="^annotation at position 3 is not an object$"):
-            _parse_annotation(obj, 3)
+            _parse_annotations([_PLAIN, _RLE, _PLAIN, obj, _with("iscrowd", 2)])
 
-    def test_plain_polygons_take_the_fast_path(self):
-        ann = make_ann(1, 1, [0, 0.5, 5, 0, 5.25, 5, 0, 5], bbox=[0, 0, 5, 5])
-        rec = _plain_annotation(ann)
-        assert rec == _annotation_by_field(ann, 0) and type(rec.extra) is dict
-        rle = make_ann(2, 1, {"counts": [0, 16], "size": [4, 4]}, iscrowd=1, bbox=[0, 0, 4, 4], area=16)
-        assert _plain_annotation(rle) is None and _parse_annotation(rle, 0) == _annotation_by_field(rle, 0)
+    def test_a_fault_the_batch_finds_is_named_before_a_later_one(self):
+        objs = [_with("id", 1), _with("bbox", 0, float("nan")), _RLE, _with("area", ...)]
+        expected = ("SchemaError", "annotation 7 field 'bbox' must be finite")
+        assert _list_outcome(_parse_annotations, objs) == _list_outcome(_parse_one_by_one, objs) == expected
+
+    def test_only_the_rle_goes_field_by_field(self, monkeypatch):
+        objs = [_with("id", 1), _RLE, _with("extra", [1]), _with("segmentation", [])]
+        expected = _list_outcome(_parse_one_by_one, objs)
+        calls = _count_by_field_calls(monkeypatch)
+        recs = _parse_annotations(objs)
+        assert calls == [1] and repr(recs) == expected[1]
+        assert [type(rec.extra) for rec in recs] == [dict] * 4 and recs[2].extra == {"extra": [1]}
+
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    @pytest.mark.parametrize("place", [("segmentation", 0, 0), ("segmentation", 0, 5), ("bbox", 3)])
+    def test_one_true_value_anywhere_is_named(self, pos, place):
+        objs = [_with("id", i) for i in range(3)]
+        container = objs[pos]
+        for key in place[:-1]:
+            container = container[key]
+        container[place[-1]] = True
+        expected = ("SchemaError", f"annotation {pos} field '{place[0]}' must be a number")
+        assert _list_outcome(_parse_annotations, objs) == _list_outcome(_parse_one_by_one, objs) == expected
+
+    def test_finite_values_whose_sum_overflows_parse(self):
+        obj = _with("segmentation", 0, [1e308, 1e308, 1e308, 0.0, 0.0, 0.0])
+        assert not math.isfinite(sum(obj["segmentation"][0]))
+        objs = [_with("id", 1), obj, _RLE]
+        outcome = _list_outcome(_parse_annotations, objs)
+        assert outcome[0][1].segmentation.rings == ((1e308, 1e308, 1e308, 0.0, 0.0, 0.0),)
+        assert outcome == _list_outcome(_parse_one_by_one, objs)
+
+    def test_huge_ints_that_cancel_are_named(self):
+        objs = [
+            {**_with("id", i), "segmentation": [[0, 0, 4, 0, 4, 4]], "bbox": [0, 0, 4, 4], "area": 8}
+            for i in (1, 2, 3)
+        ]
+        objs[1]["segmentation"][0][2:4] = [10**400, -(10**400)]
+        # every value is an int, so a sum over all of them is exact, and finite
+        assert math.isfinite(sum(v for obj in objs for v in [obj["area"], *obj["bbox"], *obj["segmentation"][0]]))
+        expected = ("SchemaError", "annotation 2 field 'segmentation' must be finite")
+        assert _list_outcome(_parse_annotations, objs) == _list_outcome(_parse_one_by_one, objs) == expected
+
+    def test_a_file_goes_field_by_field_only_for_its_rles(self, monkeypatch):
+        path = FIXTURES / "synthetic_a.json"
+        objs = json.loads(path.read_text())["annotations"]
+        rles = [pos for pos, obj in enumerate(objs) if isinstance(obj["segmentation"], dict)]
+        calls = _count_by_field_calls(monkeypatch)
+        ds = load_dataset(path)
+        assert rles and calls == rles and len(ds.instances) == len(objs)
+
+    @pytest.mark.parametrize("path", ["batch", "field by field"])
+    def test_every_value_is_a_float(self, path, monkeypatch):
+        objs = [
+            {
+                **_with("id", 1),
+                "segmentation": [[0, 0, 4, 0, 4, 4], [1, 1.5, 2, 1, 2, 2]],
+                "bbox": [0, 0, 4, 4],
+                "area": 8,
+            },
+            _with("id", 2),
+        ]
+        if path == "field by field":  # finite values whose sum overflows fail the batch check
+            objs.append({**_with("id", 3), "bbox": [1e308, 1e308, 1e308, 1]})
+        calls = _count_by_field_calls(monkeypatch)
+        recs = _parse_annotations(objs)
+        assert calls == ([] if path == "batch" else list(range(len(objs))))
+        assert recs[0].segmentation.rings == ((0.0, 0.0, 4.0, 0.0, 4.0, 4.0), (1.0, 1.5, 2.0, 1.0, 2.0, 2.0))
+        values = [v for rec in recs for v in (rec.area, *rec.bbox, *chain.from_iterable(rec.segmentation.rings))]
+        assert {type(v) for v in values} == {float}
 
 
 # ---------------------------------------------------------------------------
-# the plain-image fast path against the field-by-field path
+# images, field by field
 
 _IMAGE_REQUIRED = ("id", "width", "height", "file_name")
 

@@ -429,6 +429,14 @@ class TestCliDiff:
             outs.append(json.dumps(doc, sort_keys=True))
         assert outs[0] == outs[1]
 
+    def test_total_time_counts_the_parse_and_every_stage(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["diff", SYNTHETIC_A, SYNTHETIC_B, "--eval", "bbox", "--out", str(out)]) == EXIT_OK
+        timings = json.loads(out.read_text())["timings"]
+        stages = ("parse_s", "match_s", "surface_s", "stats_s", "eval_s")
+        assert timings["parse_s"] > 0
+        assert timings["total_s"] >= sum(timings[stage] for stage in stages)
+
     def test_eval_both_echoes_the_default_detection_cap(self, capsys):
         assert main(["diff", TINY_A, TINY_B, "--eval", "both"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
