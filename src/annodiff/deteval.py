@@ -23,15 +23,27 @@ exactly 1.0 (the reference lands a few ulps below).
 Strata with no ground truth are undefined rather than zero; they are dropped
 from every average and surface as ``None``.
 
-The engine matches in batches. A cell is one (category, image). Each cell's
-detections are ordered by (descending score, id) and cut to
-``max_detections``. Cells with detections are grouped into blocks of similar
-size, padded into (C, D, G) IoU arrays with -1 in the padding. A block holds
-at most ``_BLOCK`` elements, counted as C x max(D*G, A*T*max(G, D)); a cell
-over the cap is a block of its own. One greedy pass per block walks detection
-rank and, for every cell, area range and threshold at once, gives each
-detection the free ground truth of highest IoU with IoU >= min(t, 1 - 1e-10).
-It keeps the per-cell scan's rules exactly, so results are bit-equal to it:
+The engine works on columns. Each dataset's instances, or ``evaluate``'s
+detections, are turned into arrays once per call: id, image, category,
+score, crowd flag, bbox (n x 4) and area, with the shapes kept by position.
+A cell is one (category, image), keyed by one integer per row: category
+place x image count + image place, among the sorted ids of the call's
+datasets. One ``np.unique`` gives the sorted cell keys, a stable argsort
+keeps each cell's ground truths in input order, and one lexsort by (cell,
+descending score, id) ranks the detections, which a rank cut trims to
+``max_detections``. ``cross_table`` builds no ``Detection``: a dataset's
+non-crowd rows are its detections, scored by the same engine as
+``evaluate``'s. A detection's fault (an unknown category or image, or no
+segmentation on the segm task) is named for the first faulty detection by
+position.
+
+Cells with detections are grouped into blocks of similar size, padded into
+(C, D, G) IoU arrays with -1 in the padding. A block holds at most
+``_BLOCK`` elements, counted as C x max(D*G, A*T*max(G, D)); a cell over the
+cap is a block of its own. One greedy pass per block walks detection rank
+and, for every cell, area range and threshold at once, gives each detection
+the free ground truth of highest IoU with IoU >= min(t, 1 - 1e-10). It keeps
+the per-cell scan's rules exactly, so results are bit-equal to it:
 
 - a real ground truth always beats an ignore region;
 - among equal IoUs, the last ground truth in input order wins;
@@ -51,7 +63,9 @@ directions from the one table: IoU is symmetric except at crowds, whose
 denominator is the detection's own area, and ``max_detections`` is applied
 per direction. A shape is counted on the grid of its direction's ground
 truth, so an image whose size differs between the two datasets keeps one
-grid per direction.
+grid per direction. The count's shapes are picked from the shape column by
+row; an instance that is a detection of one direction and a ground truth of
+the other, on the same grid, is counted once.
 """
 
 from __future__ import annotations
@@ -59,6 +73,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import chain, count, repeat
+from operator import attrgetter, is_
 from typing import NamedTuple
 
 import numpy as np
@@ -281,19 +297,20 @@ def _blocks(n_dt: np.ndarray, n_gt: np.ndarray, width: int):
     cap is a block of its own.
     """
     live = np.flatnonzero(n_dt)
-    live = live[np.lexsort((n_gt[live], n_dt[live]))].tolist()
-    n_dt, n_gt = n_dt.tolist(), n_gt.tolist()
-    block: list[int] = []
-    g_max = 0
-    for c in live:
-        d, g = n_dt[c], max(g_max, n_gt[c])  # d never falls: cells come sorted
-        if block and (len(block) + 1) * max(d * g, width * max(g, d)) > _BLOCK:
-            yield np.array(block)
-            block, g = [], n_gt[c]
-        block.append(c)
-        g_max = g
-    if block:
-        yield np.array(block)
+    live = live[np.lexsort((n_gt[live], n_dt[live]))]
+    d, g = n_dt[live], n_gt[live]
+    # every cell costs at least ``width``: no block holds more cells than this
+    span = max(1, _BLOCK // width)
+    start = 0
+    while start < live.size:
+        stop = min(start + span, live.size)
+        # D is the last cell's count, since cells come sorted; G the most of any
+        D, G = d[start:stop], np.maximum.accumulate(g[start:stop])
+        cost = np.arange(1, stop - start + 1) * np.maximum(D * G, width * np.maximum(G, D))
+        over = cost[1:] > _BLOCK
+        end = start + 1 + int(over.argmax()) if over.any() else stop
+        yield live[start:end]
+        start = end
 
 
 def _pad(values: np.ndarray, ok: np.ndarray, fill) -> np.ndarray:
@@ -317,103 +334,198 @@ def _sampled_precision(tp: np.ndarray, fp: np.ndarray, n_positive: int, rec_thrs
     return np.take_along_axis(pr, hits, axis=1)
 
 
+def _index(*datasets: AnnotationDataset) -> tuple[dict, dict]:
+    """The image and the category ids of ``datasets``, each mapped to its
+    place in sorted order."""
+    images = sorted({img.id for ds in datasets for img in ds.images})
+    categories = sorted({cat.id for ds in datasets for cat in ds.categories})
+    return dict(zip(images, count())), dict(zip(categories, count()))
+
+
+def _places(place: dict, ids) -> np.ndarray:
+    """The place of each of ``ids``, -1 for an id that ``place`` lacks."""
+    return np.fromiter(map(place.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
+
+
+def _ints(values) -> np.ndarray:
+    """Python ints as int64, or kept as they are where one is beyond it."""
+    try:
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _column(values, dtype=np.float64, width: int = 1) -> np.ndarray:
+    """Numbers, or rows of ``width`` numbers, as an (n,) or (n, width) array."""
+    if width == 1:
+        return np.fromiter(values, dtype=dtype, count=len(values))
+    return np.fromiter(chain.from_iterable(values), dtype=dtype, count=width * len(values)).reshape(-1, width)
+
+
+class _Rows(NamedTuple):
+    """Instances or detections as columns, one row each, in input order.
+    ``image`` and ``category`` are places in the call's :func:`_index`, and
+    ``records`` the rows as given, for the values an error names. An
+    instance scores 1.0; a detection has no crowd flag or area (``None``)."""
+
+    records: Sequence
+    id: np.ndarray  # int64, or Python ints beyond it, which sort as ids do
+    image: np.ndarray
+    category: np.ndarray
+    score: np.ndarray
+    crowd: np.ndarray | None
+    bbox: np.ndarray
+    area: np.ndarray | None
+    shape: tuple
+
+
+def _instance_rows(ds: AnnotationDataset, index: tuple[dict, dict]) -> _Rows:
+    ids, images, cats, shapes, boxes, areas, crowds, _ = tuple(zip(*ds.instances)) or ((),) * 8
+    place = _places(index[0], images), _places(index[1], cats)
+    return _Rows(
+        ds.instances, _ints(ids), *place, np.ones(len(ids)),
+        _column(crowds, bool), _column(boxes, width=4), _column(areas), shapes,
+    )
+
+
+def _detection_rows(dets: Sequence[Detection], index: tuple[dict, dict]) -> _Rows:
+    ids, images, cats, scores, boxes, shapes = tuple(zip(*dets)) or ((),) * 6
+    place = _places(index[0], images), _places(index[1], cats)
+    return _Rows(dets, _ints(ids), *place, _column(scores), None, _column(boxes, width=4), None, shapes)
+
+
 class _Cells(NamedTuple):
-    """One scoring direction's (category, image) cells, in key order, with
-    their ground truths and their ranked detections cut to
-    ``max_detections``; ``gts`` and ``dts`` lay them out flat, cell after cell."""
+    """One scoring direction's (category, image) cells, in key order.
 
-    gt: AnnotationDataset
-    keys: list[tuple[int, int]]
-    cell_gts: list[list]
-    cell_dts: list[list[Detection]]
+    ``gts`` and ``dts`` are rows of ``gt`` and ``dt``, cell after cell: the
+    ground truths in input order, and the detections ranked by (descending
+    score, id) and cut to ``max_detections``; ``n_gt`` and ``n_dt`` count
+    them per cell. ``cat_ids`` are the ground truth's categories, sorted,
+    and ``cat`` maps a category's place in the index to its place among
+    them. ``size`` is the (width, height) of each of the ground truth's
+    images, by place in the index.
+    """
 
-    @property
-    def gts(self) -> list:
-        return [g for group in self.cell_gts for g in group]
+    gt: _Rows
+    dt: _Rows
+    keys: np.ndarray  # category place x image count + image place
+    gts: np.ndarray
+    dts: np.ndarray
+    n_gt: np.ndarray
+    n_dt: np.ndarray
+    cat_ids: list
+    cat: np.ndarray
+    size: np.ndarray
 
-    @property
-    def dts(self) -> list[Detection]:
-        return [d for group in self.cell_dts for d in group]
 
-
-def _cells(dets: Sequence[Detection], gt: AnnotationDataset, params: EvalParams) -> _Cells:
-    """Check the detections against the ground truth and group both into cells.
+def _cells(
+    dt: _Rows, rows: np.ndarray, gt: _Rows, truth: AnnotationDataset, index: tuple[dict, dict], params: EvalParams
+) -> _Cells:
+    """Check detections ``rows`` of ``dt`` against the ground truth ``gt``,
+    the instances of ``truth``, and group both into cells.
 
     Raises:
         EvalError: a detection references a category or image the ground
-            truth does not define, or lacks a segmentation on the segm task.
+            truth does not define, or lacks a segmentation on the segm task;
+            the first such detection by position is named.
     """
-    cat_set, img_set = {c.id for c in gt.categories}, {i.id for i in gt.images}
-    for d in dets:
-        if d.category_id not in cat_set:
+    n_img = len(index[0])
+    image_ids, widths, heights = (tuple(zip(*truth.images)) or ((),) * 5)[:3]
+    at = _places(index[0], image_ids)
+    # one spare place past the end, which -1 (an id the index lacks) reads
+    has_image = np.zeros(n_img + 1, dtype=bool)
+    has_image[at] = True
+    sides = _ints(widths + heights)  # a side beyond int64 is kept, for count_overlaps to name
+    size = np.zeros((n_img, 2), dtype=sides.dtype)
+    size[at] = sides.reshape(2, -1).T
+    cat_ids = sorted(cat.id for cat in truth.categories)
+    has_cat = np.zeros(len(index[1]) + 1, dtype=bool)
+    has_cat[_places(index[1], cat_ids)] = True
+
+    d_cat, d_img = dt.category[rows], dt.image[rows]
+    bad = ~has_cat[d_cat] | ~has_image[d_img]
+    if params.task == "segm":
+        bad |= np.fromiter(map(is_, dt.shape, repeat(None)), dtype=bool, count=len(dt.shape))[rows]
+    if bad.any():
+        at = int(rows[bad.argmax()])
+        d = dt.records[at]
+        if not has_cat[dt.category[at]]:
             raise EvalError(f"detection {d.id} has unknown category {d.category_id}")
-        if d.image_id not in img_set:
+        if not has_image[dt.image[at]]:
             raise EvalError(f"detection {d.id} has unknown image {d.image_id}")
-        if params.task == "segm" and d.segmentation is None:
-            raise EvalError(f"detection {d.id} has no segmentation (segm task)")
-    gts_by: dict[tuple[int, int], list] = {}
-    for inst in gt.instances:
-        gts_by.setdefault((inst.category_id, inst.image_id), []).append(inst)
-    dts_by: dict[tuple[int, int], list[Detection]] = {}
-    for d in dets:
-        dts_by.setdefault((d.category_id, d.image_id), []).append(d)
-    for group in dts_by.values():
-        group.sort(key=lambda d: (-d.score, d.id))
-        del group[params.max_detections :]
-    keys = sorted(gts_by.keys() | dts_by.keys())
-    return _Cells(gt, keys, [gts_by.get(k, []) for k in keys], [dts_by.get(k, []) for k in keys])
+        raise EvalError(f"detection {d.id} has no segmentation (segm task)")
+
+    g_key = gt.category * n_img + gt.image
+    keys, cell = np.unique(np.concatenate([g_key, d_cat * n_img + d_img]), return_inverse=True)
+    g_cell, d_cell = cell[: g_key.size], cell[g_key.size :]
+    order = np.lexsort((dt.id[rows], -dt.score[rows], d_cell))
+    d_cell = d_cell[order]
+    n_all = np.bincount(d_cell, minlength=keys.size)
+    keep = np.arange(d_cell.size) - (np.cumsum(n_all) - n_all)[d_cell] < params.max_detections
+    n_gt, n_dt = np.bincount(g_cell, minlength=keys.size), np.bincount(d_cell[keep], minlength=keys.size)
+    gts, dts = np.argsort(g_cell, kind="stable"), rows[order[keep]]
+    return _Cells(gt, dt, keys, gts, dts, n_gt, n_dt, cat_ids, np.cumsum(has_cat[:-1]) - 1, size)
 
 
-def _shapes(keys: dict, dets_of: _Cells | None = None, gts_of: _Cells | None = None):
-    """The shapes one dataset brings to an overlap count: its detections in
-    ``dets_of`` and its ground truths in the cells of ``gts_of`` that have
-    detections, each once per grid.
+def _shapes(sizes: np.ndarray, dets=None, gts=None):
+    """The shapes one dataset brings to an overlap count: the detections of
+    direction ``dets`` and the ground truths of direction ``gts`` in its
+    cells with detections, each once per grid. Each direction comes as
+    ``(cells, key)``, where ``key`` is the grid key of each of its cells,
+    and a key lies on the grid ``sizes[key]``, a (width, height) row.
 
-    Returns the ``(shape, key)`` items, and each item's position among
-    ``dets_of.dts`` and among ``gts_of.gts`` (-1 for none). ``keys`` maps
-    (category, image, width, height) to a key, shared by both sides of the
-    count; a shape lies on the grid of its direction's ground truth.
+    Returns the ``(shape, key)`` items, each item's row among the dataset's
+    columns, and its position among the flat detections of ``dets`` and
+    among the flat ground truths of ``gts`` (-1 for none).
 
     Raises:
         GeometryError: an RLE's grid is not its image's; the error names
             the annotation, as ``validate`` does.
     """
-    items: list = []
-    d_pos: list[int] = []
-    g_pos: list[int] = []
-    seen: dict = {}
-    for c, pos in ((dets_of, d_pos), (gts_of, g_pos)):
-        if c is None:
-            continue
-        p = 0
-        for (cat, img), gts, dts in zip(c.keys, c.cell_gts, c.cell_dts):
-            group = dts if pos is d_pos else gts
-            if dts:
-                rec = c.gt.image(img)
-                key = keys.setdefault((cat, img, rec.width, rec.height), len(keys))
-                for q, inst in enumerate(group, p):
-                    at = seen.setdefault((inst.id, key), len(items))
-                    if at == len(items):
-                        seg = inst.segmentation
-                        if isinstance(seg, RleMask) and (seg.height, seg.width) != (rec.height, rec.width):
-                            raise GeometryError(
-                                f"annotation {inst.id} RLE grid {seg.height}x{seg.width}"
-                                f" != image {rec.height}x{rec.width}"
-                            )
-                        items.append((seg, key))
-                        d_pos.append(-1)
-                        g_pos.append(-1)
-                    pos[at] = q
-            p += len(group)
-    return items, np.array(d_pos, dtype=np.intp), np.array(g_pos, dtype=np.intp)
+    empty = np.zeros(0, dtype=np.intp)
+    d_rows = d_key = g_rows = g_key = g_at = empty
+    if dets is not None:
+        c, key = dets
+        table, d_rows, d_key = c.dt, c.dts, np.repeat(key, c.n_dt)
+    if gts is not None:
+        c, key = gts
+        g_at = np.flatnonzero(np.repeat(c.n_dt > 0, c.n_gt))
+        table, g_rows, g_key = c.gt, c.gts[g_at], np.repeat(key, c.n_gt)[g_at]
+    # a ground truth that is also one of the detections, on the same grid,
+    # is the same item
+    det_key = np.full(len(table.shape), -1)
+    det_key[d_rows] = d_key
+    det_item = np.full(len(table.shape), -1)
+    det_item[d_rows] = np.arange(d_rows.size)
+    shared = det_key[g_rows] == g_key
+    rows = np.concatenate([d_rows, g_rows[~shared]])
+    keys = np.concatenate([d_key, g_key[~shared]])
+    d_pos = np.full(rows.size, -1)
+    d_pos[: d_rows.size] = np.arange(d_rows.size)
+    g_pos = np.full(rows.size, -1)
+    g_pos[d_rows.size :] = g_at[~shared]
+    g_pos[det_item[g_rows[shared]]] = g_at[shared]
+
+    shapes = list(map(table.shape.__getitem__, rows.tolist()))
+    rle = np.flatnonzero(np.fromiter(map(isinstance, shapes, repeat(RleMask)), dtype=bool, count=len(shapes)))
+    if rle.size:
+        grid = list(map(attrgetter("width", "height"), map(shapes.__getitem__, rle.tolist())))
+        wrong = (np.array(grid, dtype=object).reshape(-1, 2) != sizes[keys[rle]]).any(axis=1)
+        if wrong.any():
+            at = rle[wrong.argmax()]
+            seg, (w, h) = shapes[at], sizes[keys[at]].tolist()
+            raise GeometryError(
+                f"annotation {table.records[rows[at]].id} RLE grid {seg.height}x{seg.width} != image {h}x{w}"
+            )
+    return list(zip(shapes, keys.tolist())), rows, d_pos, g_pos
 
 
 def _direction(ov: Overlaps, d_pos: np.ndarray, g_pos: np.ndarray, c: _Cells) -> Overlaps:
     """One direction's counts, over its flat detections (side a) and ground
     truths (side b), from an overlap count whose side a holds its detections
     at ``d_pos`` and side b its ground truths at ``g_pos``."""
-    d_area = np.zeros(sum(map(len, c.cell_dts)), dtype=np.int64)
-    g_area = np.zeros(sum(map(len, c.cell_gts)), dtype=np.int64)
+    d_area = np.zeros(c.dts.size, dtype=np.int64)
+    g_area = np.zeros(c.gts.size, dtype=np.int64)
     ok = d_pos >= 0
     d_area[d_pos[ok]] = ov.area_a[ok]
     ok = g_pos >= 0
@@ -425,19 +537,46 @@ def _direction(ov: Overlaps, d_pos: np.ndarray, g_pos: np.ndarray, c: _Cells) ->
 
 def _named_degenerate(sides) -> DegenerateShape:
     """The error of the first polygon shape that ``raster._rings`` rejects,
-    naming its annotation. Each side is ``(items, d_pos, dets_of, g_pos,
-    gts_of)``, as :func:`_shapes` made it."""
-    for items, d_pos, dets_of, g_pos, gts_of in sides:
-        for (seg, _), d, g in zip(items, d_pos.tolist(), g_pos.tolist()):
+    naming its annotation. Each side is ``(items, rows, table)``: the items
+    and rows of :func:`_shapes`, and the columns the rows are of."""
+    for items, rows, table in sides:
+        for (seg, _), row in zip(items, rows.tolist()):
             if isinstance(seg, RleMask):
                 continue
             try:
                 _rings(seg)
             except DegenerateShape as exc:
-                ann_id = dets_of.dts[d].id if d >= 0 else gts_of.gts[g].id
                 fault = f"a {exc}" if seg.rings else "no rings"
-                return DegenerateShape(f"annotation {ann_id} has {fault}")
+                return DegenerateShape(f"annotation {table.records[row].id} has {fault}")
     raise AssertionError("count_overlaps rejected no polygon shape")
+
+
+def _grid_keys(directions: list[_Cells]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The grid key of each cell with detections of each direction (-1 for
+    a cell without), and each key's (width, height) row.
+
+    A cell lies on the grid of its direction's ground truth. A cell of the
+    second direction shares the first's key where both grids agree: its
+    code is twice its key, plus one where they differ. Keys are numbered in
+    order of first use, the first direction's cells first, which is the
+    order in which ``count_overlaps`` checks the grids and names the first
+    bad one.
+    """
+    live = [np.flatnonzero(c.n_dt) for c in directions]
+    image = [c.keys[cells] % len(c.size) for c, cells in zip(directions, live)]
+    grids = [c.size[img] for c, img in zip(directions, image)]
+    codes = [c.keys[cells] * 2 for c, cells in zip(directions, live)]
+    if len(directions) == 2:
+        codes[1] += (grids[1] != directions[0].size[image[1]]).any(axis=1)
+    _, first, code_key = np.unique(np.concatenate(codes), return_index=True, return_inverse=True)
+    number = np.empty(first.size, dtype=np.intp)
+    number[np.argsort(first)] = np.arange(first.size)
+    keys = []
+    for c, cells, part in zip(directions, live, np.split(number[code_key], [live[0].size])):
+        key = np.full(c.keys.size, -1)
+        key[cells] = part
+        keys.append(key)
+    return np.concatenate(grids)[np.sort(first)], keys
 
 
 def _pixel_counts(ab: _Cells, ba: _Cells | None = None) -> list[Overlaps]:
@@ -450,15 +589,16 @@ def _pixel_counts(ab: _Cells, ba: _Cells | None = None) -> list[Overlaps]:
             ring or none, or an RLE does not fit its image; the error names
             the annotation.
     """
-    keys: dict = {}
-    side_a, ab_d, ba_g = _shapes(keys, dets_of=ab, gts_of=ba)
-    side_b, ba_d, ab_g = _shapes(keys, dets_of=ba, gts_of=ab)
+    directions = [ab] if ba is None else [ab, ba]
+    sizes, keys = _grid_keys(directions)
+    fwd = ab, keys[0]
+    back = None if ba is None else (ba, keys[1])
+    side_a, a_rows, ab_d, ba_g = _shapes(sizes, dets=fwd, gts=back)
+    side_b, b_rows, ba_d, ab_g = _shapes(sizes, dets=back, gts=fwd)
     try:
-        ov = count_overlaps(side_a, side_b, [(w, h) for _, _, w, h in keys])
+        ov = count_overlaps(side_a, side_b, sizes.tolist())
     except DegenerateShape:
-        raise _named_degenerate(
-            ((side_a, ab_d, ab, ba_g, ba), (side_b, ba_d, ba, ab_g, ab))
-        ) from None
+        raise _named_degenerate(((side_a, a_rows, ab.dt), (side_b, b_rows, ab.gt))) from None
     counts = [_direction(ov, ab_d, ab_g, ab)]
     if ba is not None:
         counts.append(_direction(ov.transposed(), ba_d, ba_g, ba))
@@ -472,12 +612,15 @@ def evaluate(
 
     Raises:
         EvalError: a detection references a category or image the ground
-            truth does not define.
+            truth does not define, or lacks a segmentation on the segm task;
+            the first such detection by position is named.
         GeometryError: on the segm task, a shape in a cell with detections
             has a degenerate ring or none, or an RLE does not fit its image.
     """
     params = params or EvalParams()
-    c = _cells(dets, gt, params)
+    index = _index(gt)
+    dt = _detection_rows(dets, index)
+    c = _cells(dt, np.arange(len(dt.shape)), _instance_rows(gt, index), gt, index, params)
     if params.task == "bbox":
         return _score(c, params)
     (pixels,) = _pixel_counts(c)
@@ -487,10 +630,7 @@ def evaluate(
 def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> EvalResult:
     """The evaluation of one direction's cells: box IoUs, or mask IoUs from
     the pixel counts ``pixels`` (side a its detections) on the segm task."""
-    cat_ids = sorted(cat.id for cat in c.gt.categories)
-    gts, dts = c.gts, c.dts
-    n_gt = np.array([len(group) for group in c.cell_gts], dtype=np.intp)
-    n_dt = np.array([len(group) for group in c.cell_dts], dtype=np.intp)
+    cat_ids, n_gt, n_dt = c.cat_ids, c.n_gt, c.n_dt
     gt_start, dt_start = np.cumsum(n_gt) - n_gt, np.cumsum(n_dt) - n_dt
 
     T, R, K, A = len(IOU_THRESHOLDS), len(RECALL_POINTS), len(cat_ids), len(AREA_RANGES)
@@ -499,17 +639,15 @@ def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> Eva
     def out_of_range(area: np.ndarray) -> np.ndarray:  # (A, n)
         return (area < ranges[:, :1]) | (area > ranges[:, 1:])
 
-    cat_index = {cat: k for k, cat in enumerate(cat_ids)}
-    gt_cat = np.array([cat_index[g.category_id] for g in gts], dtype=np.intp)
-    crowd = np.array([g.iscrowd for g in gts], dtype=bool)
-    gt_box = np.array([g.bbox for g in gts], dtype=np.float64).reshape(-1, 4)
-    gt_area = np.array([g.area for g in gts], dtype=np.float64)
-    gt_ignore = crowd | out_of_range(gt_area)  # (A, n_gt)
+    gt_cat = c.cat[c.gt.category[c.gts]]
+    crowd = c.gt.crowd[c.gts]
+    gt_box = c.gt.bbox[c.gts]
+    gt_ignore = crowd | out_of_range(c.gt.area[c.gts])  # (A, n_gt)
     n_positive = np.array([np.bincount(gt_cat[~ig], minlength=K) for ig in gt_ignore])  # (A, K)
 
-    dt_cat = np.array([cat_index[d.category_id] for d in dts], dtype=np.intp)
-    dt_score = np.array([d.score for d in dts], dtype=np.float64)
-    dt_box = np.array([d.bbox for d in dts], dtype=np.float64).reshape(-1, 4)
+    dt_cat = c.cat[c.dt.category[c.dts]]
+    dt_score = c.dt.score[c.dts]
+    dt_box = c.dt.bbox[c.dts]
     blocks = list(_blocks(n_dt, n_gt, A * T))
     if pixels is None:
         dt_area = dt_box[:, 2] * dt_box[:, 3]
@@ -523,8 +661,8 @@ def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> Eva
             block_of[block], slot_of[block] = i, np.arange(block.size)
         by_block = np.argsort(block_of[pair_cell], kind="stable")
         block_bounds = np.searchsorted(block_of[pair_cell][by_block], np.arange(len(blocks) + 1))
-    matched = np.zeros((A, T, len(dts)), dtype=bool)
-    on_ignore = np.zeros((A, T, len(dts)), dtype=bool)
+    matched = np.zeros((A, T, dt_cat.size), dtype=bool)
+    on_ignore = np.zeros((A, T, dt_cat.size), dtype=bool)
     for i, block in enumerate(blocks):
         # a block of cells without ground truth still gets one padding column
         D, G = int(n_dt[block].max()), max(1, int(n_gt[block].max()))
@@ -595,20 +733,18 @@ def cross_table(
     """Score each dataset against the other, per task.
 
     Returns ``{task: {"a_vs_b": ..., "b_vs_a": ...}}`` where ``a_vs_b`` treats
-    a's annotations as the predictions and b as ground truth. On the segm
-    task one overlap count of a's shapes against b's serves both directions.
+    a's annotations as the predictions and b as ground truth, as
+    ``evaluate(annotations_as_detections(a), b)`` would. On the segm task
+    one overlap count of a's shapes against b's serves both directions.
     """
+    index = _index(a, b)
+    rows_a, rows_b = _instance_rows(a, index), _instance_rows(b, index)
     out: dict[str, dict[str, EvalResult]] = {}
     for task in tasks:
         p = replace(params or EvalParams(), task=task)
-        if task == "bbox":
-            out[task] = {
-                "a_vs_b": evaluate(annotations_as_detections(a), b, p),
-                "b_vs_a": evaluate(annotations_as_detections(b), a, p),
-            }
-            continue
-        ab = _cells(annotations_as_detections(a), b, p)
-        ba = _cells(annotations_as_detections(b), a, p)
-        ab_pixels, ba_pixels = _pixel_counts(ab, ba)
-        out[task] = {"a_vs_b": _score(ab, p, ab_pixels), "b_vs_a": _score(ba, p, ba_pixels)}
+        # crowds are never detections
+        ab = _cells(rows_a, np.flatnonzero(~rows_a.crowd), rows_b, b, index, p)
+        ba = _cells(rows_b, np.flatnonzero(~rows_b.crowd), rows_a, a, index, p)
+        pixels = _pixel_counts(ab, ba) if task == "segm" else (None, None)
+        out[task] = {"a_vs_b": _score(ab, p, pixels[0]), "b_vs_a": _score(ba, p, pixels[1])}
     return out

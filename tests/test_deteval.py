@@ -21,7 +21,7 @@ from annodiff.errors import EvalError, GeometryError, ParseError, SchemaError
 from annodiff.raster import count_overlaps, encode_rle, iou, mask_of
 from annodiff.shapes import Polygons
 
-from conftest import make_ann, make_coco, make_images, random_simple_rings, rect_ring
+from conftest import FIXTURES, make_ann, make_coco, make_images, random_simple_rings, rect_ring
 from oracles import ap_oracle, match_labels_oracle
 
 
@@ -246,6 +246,16 @@ class TestMaskOverlaps:
         # the stray detection, ranked first, lies inside the crowd: it is
         # ignored, where a false positive would halve the AP
         assert evaluate(dets, gt, EvalParams(task="segm")).map == 1.0
+
+    def test_detections_that_share_an_id_keep_their_own_shapes(self):
+        gt = gt_of([make_ann(1, 1, rect_ring(0, 0, 20, 20)), make_ann(2, 1, rect_ring(50, 50, 20, 20))])
+        seg = lambda ring: Polygons((tuple(float(v) for v in ring),))  # noqa: E731
+        for ids in ((1, 2), (7, 7)):
+            dets = (
+                Detection(ids[0], 1, 1, 0.9, (0.0, 0.0, 20.0, 20.0), seg(rect_ring(0, 0, 20, 20))),
+                Detection(ids[1], 1, 1, 0.8, (50.0, 50.0, 20.0, 20.0), seg(rect_ring(50, 50, 20, 20))),
+            )
+            assert evaluate(dets, gt, EvalParams(task="segm")).map == 1.0, ids
 
     def test_degenerate_ring_raises_only_in_a_cell_with_detections(self):
         seg = lambda ring: Polygons((tuple(float(v) for v in ring),))  # noqa: E731
@@ -574,6 +584,37 @@ class TestMemoryBound:
         assert calls[-1] == (1, 100, 1000)
 
 
+def blocks_cell_by_cell(n_dt, n_gt, width, cap):
+    """The block cut, one cell at a time: cells sorted by detection count,
+    then ground-truth count, a block cut before its count of C x max(D*G,
+    width*max(G, D)) would pass ``cap``."""
+    cells = sorted((int(d), int(g), c) for c, (d, g) in enumerate(zip(n_dt, n_gt)) if d)
+    blocks, block, g_max = [], [], 0
+    for d, g, c in cells:
+        g = max(g_max, g)
+        if block and (len(block) + 1) * max(d * g, width * max(g, d)) > cap:
+            blocks.append(block)
+            block, g = [], int(n_gt[c])
+        block.append(c)
+        g_max = g
+    return blocks + [block] if block else blocks
+
+
+def test_blocks_are_cut_as_cell_by_cell(monkeypatch):
+    import annodiff.deteval as deteval
+
+    rng = np.random.default_rng(17)
+    for trial in range(300):
+        # many small cells fill a block up to its cap on the cell count
+        n, most = int(rng.integers(0, 1000)), int(rng.choice([2, 3, 10, 120]))
+        n_dt = rng.integers(0, most, size=n) * (rng.random(n) < 0.8)
+        n_gt = rng.integers(0, most, size=n)
+        cap, width = int(rng.choice([1, 41, 997, 2**12, 2**15])), int(rng.choice([1, 3, 40]))
+        monkeypatch.setattr(deteval, "_BLOCK", cap)
+        got = [block.tolist() for block in deteval._blocks(n_dt, n_gt, width)]
+        assert got == blocks_cell_by_cell(n_dt, n_gt, width, cap), f"trial {trial}"
+
+
 class TestCrossTable:
     def test_symmetric_for_shifted_twins(self, tiny_a, tiny_b):
         table = cross_table(tiny_a, tiny_b)
@@ -606,11 +647,76 @@ class TestCrossTable:
             "b_vs_a": evaluate(annotations_as_detections(b), a, params),
         }
 
+    @pytest.mark.parametrize("max_det", [1, 2, 100])
+    def test_bbox_table_equals_the_two_evaluations_on_the_fixture(self, synthetic_a, synthetic_b, max_det):
+        p = EvalParams(max_detections=max_det)
+        table = cross_table(synthetic_a, synthetic_b, ("bbox",), p)["bbox"]
+        assert table == self.both_evaluations(synthetic_a, synthetic_b, p)
+
+    def test_bbox_table_equals_the_two_evaluations_on_random_scenes(self):
+        # crowds on both sides, three categories of which each side may lack
+        # one, images that only one side has, and boxes near one another so
+        # that the detection cap decides matches
+        rng = np.random.default_rng(311)
+        for trial in range(20):
+            sides, n_images = [], int(rng.integers(1, 5))
+            for first_id, first_cat in ((1, 1), (900, 2)):
+                images = n_images - int(n_images > 1 and rng.random() < 0.2)
+                cats = [{"id": c, "name": f"c{c}", "supercategory": "x"} for c in range(first_cat, first_cat + 3)]
+                anns = []
+                for img in range(1, images + 1):
+                    for _ in range(int(rng.integers(0, 8))):
+                        x, y = (int(v) for v in rng.integers(0, 60, size=2))
+                        w, h = (int(v) for v in rng.integers(2, 40, size=2))
+                        # categories 2 and 3 are on both sides, 1 and 4 on one
+                        cat = first_cat if rng.random() < 0.03 else int(rng.integers(2, 4))
+                        ann_id = first_id + int(rng.integers(0, 10_000))
+                        if any(ann["id"] == ann_id for ann in anns):
+                            continue
+                        if rng.random() < 0.2:
+                            anns.append(crowd_ann(ann_id, img, [x, y, w, h], category_id=cat))
+                        else:
+                            anns.append(make_ann(ann_id, img, rect_ring(x, y, w, h), category_id=cat))
+                sides.append(gt_of(anns, n_images=images, categories=cats))
+            a, b = sides
+            for max_det in (1, 2, 100):
+                p = EvalParams(max_detections=max_det)
+                try:
+                    want = self.both_evaluations(a, b, p)
+                except EvalError as exc:
+                    with pytest.raises(EvalError, match=f"^{exc}$"):
+                        cross_table(a, b, ("bbox",), p)
+                    continue
+                assert cross_table(a, b, ("bbox",), p)["bbox"] == want, f"trial {trial}"
+
     @pytest.mark.parametrize("max_det", [100, 2])
     def test_segm_table_equals_the_two_evaluations_on_the_fixture(self, synthetic_a, synthetic_b, max_det):
         p = EvalParams(task="segm", max_detections=max_det)
         table = cross_table(synthetic_a, synthetic_b, ("segm",), p)["segm"]
         assert table == self.both_evaluations(synthetic_a, synthetic_b, p)
+
+    def test_ids_beyond_int64_rank_as_their_order_does(self, synthetic_a, synthetic_b):
+        # max_detections 1 keeps each cell's detection of lowest id; the ids
+        # are drawn out of input order, and the huge ones differ by less
+        # than a float64 tells apart
+        p = EvalParams(max_detections=1)
+        dets = annotations_as_detections(synthetic_a)
+        ids = np.random.default_rng(1).permutation(len(dets)).tolist()
+        want = evaluate([d._replace(id=1 + k) for d, k in zip(dets, ids)], synthetic_b, p)
+        assert evaluate([d._replace(id=2**70 + k) for d, k in zip(dets, ids)], synthetic_b, p) == want
+        assert evaluate(dets, synthetic_b, p) != want  # the id order decides
+
+        def shifted(name, shift):
+            coco = json.loads((FIXTURES / name).read_text())
+            for img in coco["images"]:
+                img["id"] += 2**70
+            for ann in coco["annotations"]:
+                ann["id"] += shift
+                ann["image_id"] += 2**70
+            return parse_dataset(json.dumps(coco))
+
+        a, b = shifted("synthetic_a.json", 2**70), shifted("synthetic_b.json", -(2**70))
+        assert cross_table(a, b, ("bbox", "segm"), p) == cross_table(synthetic_a, synthetic_b, ("bbox", "segm"), p)
 
     def test_segm_table_equals_the_two_evaluations_on_random_scenes(self, monkeypatch):
         import annodiff.raster as raster
@@ -752,6 +858,54 @@ class TestResultsFormat:
 
 
 class TestEvalErrors:
+    """A detection's fault is named by the first faulty detection in input
+    order, whatever its cell or score; a detection's category is checked
+    before its image, and its image before its segmentation."""
+
+    @staticmethod
+    def gt_two_images():
+        return gt_of([make_ann(1, 1, rect_ring(0, 0, 5, 5)), make_ann(2, 2, rect_ring(0, 0, 5, 5))], n_images=2)
+
+    def test_unknown_image_is_named_before_a_later_unknown_category(self):
+        dets = [det(i, 2, 0.9, [0, 0, 5, 5]) for i in (10, 9, 8, 7, 6, 5)]
+        dets[1] = det(9, 7, 0.1, [0, 0, 5, 5])  # position 2: unknown image
+        dets[4] = det(6, 1, 0.99, [0, 0, 5, 5], category_id=9)  # position 5: unknown category
+        with pytest.raises(EvalError, match="^detection 9 has unknown image 7$"):
+            evaluate(tuple(dets), self.gt_two_images())
+
+    def test_a_detection_with_both_faults_gets_the_category_message(self):
+        dets = (det(1, 1, 0.5, [0, 0, 5, 5]), det(2, 7, 0.5, [0, 0, 5, 5], category_id=9))
+        with pytest.raises(EvalError, match="^detection 2 has unknown category 9$"):
+            evaluate(dets, self.gt_two_images())
+
+    def test_a_missing_segmentation_is_named_in_position_order(self):
+        seg = Polygons((tuple(float(v) for v in rect_ring(0, 0, 5, 5)),))
+        dets = (
+            Detection(4, 2, 1, 0.9, (0.0, 0.0, 5.0, 5.0), seg),
+            Detection(8, 2, 1, 0.2, (0.0, 0.0, 5.0, 5.0)),  # the first without one
+            Detection(3, 1, 1, 0.9, (0.0, 0.0, 5.0, 5.0)),  # an earlier cell, a lower id
+            Detection(5, 1, 9, 0.9, (0.0, 0.0, 5.0, 5.0), seg),  # an unknown category
+        )
+        with pytest.raises(EvalError, match="^detection 8 has no segmentation \\(segm task\\)$"):
+            evaluate(dets, self.gt_two_images(), EvalParams(task="segm"))
+        # the bbox task needs none: the unknown category comes first
+        with pytest.raises(EvalError, match="^detection 5 has unknown category 9$"):
+            evaluate(dets, self.gt_two_images())
+
+    def test_degenerate_rings_on_both_sides_name_the_detection_side(self):
+        # one overlap count holds a's shapes on one side and b's on the
+        # other; a's is named, though b's has a lower id, an earlier image
+        # and an earlier place in its file
+        two = [[0, 0, 4, 4]]  # a ring of 2 vertices
+        a = gt_of([make_ann(1, 1, rect_ring(0, 0, 20, 20)), make_ann(50, 2, two, bbox=[0, 0, 4, 4])], n_images=2)
+        b = gt_of([make_ann(3, 1, two, bbox=[0, 0, 4, 4]), make_ann(4, 2, rect_ring(0, 0, 4, 4))], n_images=2)
+        with pytest.raises(GeometryError, match="^annotation 50 has a degenerate ring with 2 vertices$"):
+            cross_table(a, b, ("segm",))
+        with pytest.raises(GeometryError, match="^annotation 3 has a degenerate ring with 2 vertices$"):
+            cross_table(b, a, ("segm",))
+        with pytest.raises(GeometryError, match="^annotation 50 has a degenerate ring with 2 vertices$"):
+            evaluate(annotations_as_detections(a), b, EvalParams(task="segm"))
+
     def test_unknown_category(self):
         gt = gt_of([make_ann(1, 1, rect_ring(0, 0, 5, 5))])
         with pytest.raises(EvalError, match="category 9"):

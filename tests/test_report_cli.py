@@ -241,6 +241,26 @@ def test_importing_the_cli_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_eval_and_diff_never_import_numpy_ma(tmp_path):
+    """``numpy.ma`` costs 15-19 ms to import in a fresh process. NumPy 2.4's
+    hash path of a plain ``np.unique``, ``np.union1d`` or ``np.setdiff1d``
+    (no ``return_*`` argument) imports it on its first call, so no command
+    may take that path."""
+    src = Path(annodiff.cli.__file__).resolve().parents[1]
+    out = tmp_path
+    code = (
+        "import sys; from annodiff.cli import main\n"
+        f"assert main(['eval', {SYNTHETIC_A!r}, {SYNTHETIC_B!r}, '--task', 'both', '--out', {str(out / 'e.json')!r}]) == 0\n"
+        f"assert main(['diff', {SYNTHETIC_A!r}, {SYNTHETIC_B!r}, '--eval', 'both', '--out', {str(out / 'r.json')!r},"
+        f" '--pairs-out', {str(out / 'p.ndjson')!r}, '--jobs', '1']) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestCliCollector:
     """A command runs with the cyclic collector paused, and the caller gets
     its own setting back however the command ends."""
