@@ -49,6 +49,16 @@ the per-cell scan's rules exactly, so results are bit-equal to it:
 - among equal IoUs, the last ground truth in input order wins;
 - a crowd is never taken.
 
+Most (cell, area range, threshold) rows of a block pose the same problem as
+another row of their cell, so the pass runs once per problem class and its
+result is copied back to every row of the class. Two facts make this exact.
+The thresholds ascend, so the IoUs each admits are nested: thresholds that
+admit as many of a cell's IoUs admit the same ones and form a run, and a
+threshold that admits none matches nothing. A range whose ignore flags are
+all set, or all clear, on the cell's ground truths shifts every key by the
+same amount, so all such ranges take the same ground truths; each range
+still reads its own flags for whether a match took an ignore region.
+
 Each category's detections are then ranked by a stable sort on descending
 score, over the detections in image order, and precision is accumulated one
 area range at a time.
@@ -249,13 +259,51 @@ def _mask_iou_with_crowd(inter, d_area, g_area, crowd) -> np.ndarray:
     return iou(inter, d_area[:, :, None], g_area[:, None, :], crowd[:, None, :])
 
 
-def _match_image(thresholds, ious, gt_ignore, crowd) -> tuple[np.ndarray, np.ndarray]:
+def _problems(rank: np.ndarray, floor: np.ndarray, ignore: np.ndarray, gt_ok: np.ndarray):
+    """The distinct greedy problems of a block, one row each.
+
+    ``rank`` is (C, D, G), ``floor`` the least rank each threshold admits,
+    and ``ignore`` (C, A, G) and ``gt_ok`` (C, G) are in ``rank``'s column
+    order. Returns each problem's flat (cell, area range, threshold) index,
+    in order, and the 1-based row of the problem that each (C, A, T) entry
+    poses, 0 where its threshold admits no IoU of the cell.
+
+    Two thresholds that admit as many of a cell's entries admit the same
+    ones, since the floors ascend; such thresholds are runs, posed by the
+    run's first. A range whose flags are all set, or all clear, on the
+    cell's real ground truths lifts every key by the same amount, so all
+    such ranges pose the problem of the first of them.
+    """
+    C, A, T = *ignore.shape[:2], floor.size
+    # how many thresholds admit each entry, counted per cell
+    level = np.searchsorted(floor, rank.reshape(C, -1), side="right")
+    level += np.arange(0, C * (T + 1), T + 1)[:, None]
+    seen = np.bincount(level.ravel(), minlength=C * (T + 1)).reshape(C, T + 1)
+    live = np.cumsum(seen[:, :0:-1], axis=1)[:, ::-1] > 0  # (C, T): admits an entry
+    first = live.copy()
+    first[:, 1:] &= seen[:, 1:T] > 0  # admits fewer than the threshold before it
+    n_set = np.count_nonzero(ignore & gt_ok[:, None, :], axis=2)
+    uniform = (n_set == 0) | (n_set == np.count_nonzero(gt_ok, axis=1)[:, None])
+    alike = np.where(uniform, uniform.argmax(axis=1)[:, None], np.arange(A))
+    rows = (alike == np.arange(A))[:, :, None] & first[:, None, :]
+    # along a range's thresholds, the running count of rows is the row of
+    # each run's first
+    number = np.cumsum(rows).reshape(C * A, T)
+    number = number[(alike + np.arange(0, C * A, A)[:, None]).ravel()].reshape(C, A, T)
+    number *= live[:, None, :]
+    return np.flatnonzero(rows), number
+
+
+def _match_image(thresholds, ious, gt_ignore, crowd, dt_ok, gt_ok) -> tuple[np.ndarray, np.ndarray]:
     """Greedy matching of a block of cells, at every area range and threshold at once.
 
     ``ious`` is (C, D, G) with each cell's detections in rank order and -1 in
-    the padding; ``gt_ignore`` is (C, A, G) and ``crowd`` (C, G). Returns
-    ``matched`` and ``matched_ignore`` (the detection took an ignore region),
-    both (C, A, T, D).
+    the padding; ``gt_ignore`` is (C, A, G), ``crowd`` (C, G), and ``dt_ok``
+    (C, D) and ``gt_ok`` (C, G) mark the real detections and ground truths.
+    Returns ``matched`` and ``matched_ignore`` (the detection took an ignore
+    region), both (n, A, T) over the block's n real detections in (cell,
+    rank) order. The pass runs once per distinct problem (:func:`_problems`),
+    whose result serves each (cell, area range, threshold) that poses it.
     """
     C, D, G = ious.shape
     A, T = gt_ignore.shape[1], len(thresholds)
@@ -265,26 +313,36 @@ def _match_image(thresholds, ious, gt_ignore, crowd) -> tuple[np.ndarray, np.nda
     # argmax, which returns the first of equal keys, picks the last ground
     # truth in input order.
     values, rank = np.unique(ious[:, :, ::-1], return_inverse=True)
-    rank = rank.reshape(C, D, 1, 1, G)
-    ignore = gt_ignore[:, :, ::-1]
-    lift = np.where(ignore, 0, values.size)[:, :, None, :]  # (C, A, 1, G)
-    floor = np.searchsorted(values, np.minimum(thresholds, 1.0 - 1e-10))[:, None]  # (T, 1)
-    free = np.ones((C, A, T, G), dtype=bool)
-    rows = np.arange(C * A * T)  # one per (cell, area range, threshold)
-    row_crowd = np.repeat(crowd[:, ::-1], A * T, axis=0)
-    taken = np.empty((D, rows.size), dtype=np.intp)  # column taken, -1 for none
+    rank = rank.reshape(C, D, G)
+    ignore = np.ascontiguousarray(gt_ignore[:, :, ::-1])
+    floor = np.searchsorted(values, np.minimum(thresholds, 1.0 - 1e-10))
+    rows, problem = _problems(rank, floor, ignore, gt_ok[:, ::-1])
+    P = rows.size
+    cell_range, t = np.divmod(rows, T)
+    cells = cell_range // A
+    lift = np.where(ignore.reshape(C * A, G)[cell_range], 0, values.size)
+    least = floor[t, None]
+    # a ground truth once taken is keyed below every rank; a crowd never is
+    spent = np.where(crowd[cells, ::-1], lift, -2 * values.size - 2).ravel()
+    lift = lift.ravel()
+    by_rank = rank.transpose(1, 0, 2)
+    starts = np.arange(0, P * G, G)
+    taken = np.full((P + 1, D), -1, dtype=np.intp)  # column taken, -1 for none; row 0 for no problem
     for d in range(D):
-        r = rank[:, d]
-        key = np.where((r >= floor) & free, r + lift, -1).reshape(-1, G)
-        m = key.argmax(axis=1)
-        hit = key[rows, m] >= 0
-        taken[d] = np.where(hit, m, -1)
-        grab = rows[hit & ~row_crowd[rows, m]]  # a crowd is never taken
-        free.reshape(-1, G)[grab, m[grab]] = False
-    taken = taken.T.reshape(C, A, T * D)
-    on_ignore = np.take_along_axis(ignore, np.maximum(taken, 0), axis=2)
+        r = by_rank[d][cells]
+        key = np.where(r >= least, r + lift.reshape(P, G), -1)
+        m = key.argmax(axis=1) + starts
+        hit = key.ravel()[m] >= 0
+        taken[1:, d] = np.where(hit, m - starts, -1)
+        grab = m[hit]
+        lift[grab] = spent[grab]
+    c, d = np.nonzero(dt_ok)
+    taken = taken.ravel()[problem[c] * D + d[:, None, None]]
     matched = taken >= 0
-    return matched.reshape(C, A, T, D), (matched & on_ignore).reshape(C, A, T, D)
+    # each range reads its own flags (where nothing was taken, column -1
+    # reads a neighbour's flag, which ``matched`` masks off)
+    on_ignore = ignore.ravel()[taken + np.arange(0, C * A * G, G).reshape(C, A, 1)[c]]
+    return matched, matched & on_ignore
 
 
 def _blocks(n_dt: np.ndarray, n_gt: np.ndarray, width: int):
@@ -292,9 +350,9 @@ def _blocks(n_dt: np.ndarray, n_gt: np.ndarray, width: int):
 
     Cells are sorted by detection count, then ground-truth count, and a block
     is cut before it would pass ``_BLOCK`` elements, counted as
-    C x max(D*G, width*max(G, D)): the (C, D, G) IoUs, and the (C, A, T, G)
-    free columns and (D, C*A*T) matches of the greedy pass. A cell over the
-    cap is a block of its own.
+    C x max(D*G, width*max(G, D)): the (C, D, G) IoUs, and the (P, G) keys
+    and (P, D) matches of the greedy pass, whose P problems number C*A*T at
+    most. A cell over the cap is a block of its own.
     """
     live = np.flatnonzero(n_dt)
     live = live[np.lexsort((n_gt[live], n_dt[live]))]
@@ -322,16 +380,23 @@ def _pad(values: np.ndarray, ok: np.ndarray, fill) -> np.ndarray:
 
 def _sampled_precision(tp: np.ndarray, fp: np.ndarray, n_positive: int, rec_thrs) -> np.ndarray:
     """(T, R) precision at the recall points, from (T, n) ranked tp/fp flags."""
-    tps = np.cumsum(tp, axis=1, dtype=np.float64)
-    fps = np.cumsum(fp, axis=1, dtype=np.float64)
-    rc = tps / n_positive
+    (T, n), R = tp.shape, rec_thrs.size
+    tps = np.cumsum(tp, axis=1)
+    fps = np.cumsum(fp, axis=1)
     fps += tps
     # one zero column past the end: recall points out of reach read it
-    pr = np.zeros((tps.shape[0], tps.shape[1] + 1), dtype=np.float64)
+    pr = np.zeros((T, n + 1), dtype=np.float64)
     np.divide(tps, fps, out=pr[:, :-1], where=fps > 0)
     pr = np.maximum.accumulate(pr[:, ::-1], axis=1)[:, ::-1]
-    hits = np.array([np.searchsorted(row, rec_thrs, side="left") for row in rc])
-    return np.take_along_axis(pr, hits, axis=1)
+    # A recall point reads the first column whose recall reaches it: the
+    # number of columns whose recall is below it. A column's recall is one of
+    # the n + 1 values (0..n) / n_positive; one search gives the number of
+    # recall points at or below each, and a column is below every point
+    # past those.
+    reached = np.searchsorted(rec_thrs, np.arange(n + 1) / n_positive, side="right")[tps]
+    reached += np.arange(0, T * (R + 1), R + 1)[:, None]
+    below = np.bincount(reached.ravel(), minlength=T * (R + 1)).reshape(T, R + 1)
+    return np.take_along_axis(pr, np.cumsum(below[:, :R], axis=1), axis=1)
 
 
 def _index(*datasets: AnnotationDataset) -> tuple[dict, dict]:
@@ -661,8 +726,8 @@ def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> Eva
             block_of[block], slot_of[block] = i, np.arange(block.size)
         by_block = np.argsort(block_of[pair_cell], kind="stable")
         block_bounds = np.searchsorted(block_of[pair_cell][by_block], np.arange(len(blocks) + 1))
-    matched = np.zeros((A, T, dt_cat.size), dtype=bool)
-    on_ignore = np.zeros((A, T, dt_cat.size), dtype=bool)
+    matched = np.zeros((dt_cat.size, A, T), dtype=bool)
+    on_ignore = np.zeros((dt_cat.size, A, T), dtype=bool)
     for i, block in enumerate(blocks):
         # a block of cells without ground truth still gets one padding column
         D, G = int(n_dt[block].max()), max(1, int(n_gt[block].max()))
@@ -684,11 +749,7 @@ def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> Eva
             )
         ious[~(dt_ok[:, :, None] & gt_ok[:, None, :])] = -1.0
         block_ignore = _pad(gt_ignore.T[gt_at], gt_ok, True).transpose(0, 2, 1)
-        hit, hit_ignore = _match_image(IOU_THRESHOLDS, ious, block_ignore, block_crowd)
-        matched[:, :, dt_at] = hit.transpose(1, 2, 0, 3)[:, :, dt_ok]
-        on_ignore[:, :, dt_at] = hit_ignore.transpose(1, 2, 0, 3)[:, :, dt_ok]
-    # unmatched detections outside the area range neither score nor penalize
-    ignored = np.where(matched, on_ignore, out_of_range(dt_area)[:, None, :])
+        matched[dt_at], on_ignore[dt_at] = _match_image(IOU_THRESHOLDS, ious, block_ignore, block_crowd, dt_ok, gt_ok)
 
     # -1 marks undefined (category, area) strata, excluded from every mean
     precision = -np.ones((T, R, K, A), dtype=np.float64)
@@ -696,9 +757,12 @@ def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> Eva
     # per category, a stable sort by score over the detections in image order
     order = np.lexsort((-dt_score, dt_cat))
     bounds = np.searchsorted(dt_cat[order], np.arange(K + 1))
+    in_range = ~out_of_range(dt_area)
     for a in range(A):
-        tp = (matched[a] & ~ignored[a])[:, order]
-        fp = (~matched[a] & ~ignored[a])[:, order]
+        # a match scores unless it took an ignore region; an unmatched
+        # detection outside the area range neither scores nor penalizes
+        tp = (matched[:, a] & ~on_ignore[:, a])[order].T
+        fp = (~matched[:, a] & in_range[a, :, None])[order].T
         for k in np.flatnonzero(n_positive[a]):
             span = slice(bounds[k], bounds[k + 1])
             precision[:, :, k, a] = _sampled_precision(tp[:, span], fp[:, span], n_positive[a, k], rec_thrs)

@@ -615,6 +615,154 @@ def test_blocks_are_cut_as_cell_by_cell(monkeypatch):
         assert got == blocks_cell_by_cell(n_dt, n_gt, width, cap), f"trial {trial}"
 
 
+def match_row_by_row(thresholds, ious, gt_ignore, crowd):
+    """The greedy pass on one row per (cell, area range, threshold): the
+    reference for the pass that runs each distinct problem once. Returns
+    ``matched`` and ``matched_ignore``, both (C, A, T, D)."""
+    C, D, G = ious.shape
+    A, T = gt_ignore.shape[1], len(thresholds)
+    values, rank = np.unique(ious[:, :, ::-1], return_inverse=True)
+    rank = rank.reshape(C, D, 1, 1, G)
+    ignore = gt_ignore[:, :, ::-1]
+    lift = np.where(ignore, 0, values.size)[:, :, None, :]  # (C, A, 1, G)
+    floor = np.searchsorted(values, np.minimum(thresholds, 1.0 - 1e-10))[:, None]  # (T, 1)
+    free = np.ones((C, A, T, G), dtype=bool)
+    rows = np.arange(C * A * T)
+    row_crowd = np.repeat(crowd[:, ::-1], A * T, axis=0)
+    taken = np.empty((D, rows.size), dtype=np.intp)
+    for d in range(D):
+        r = rank[:, d]
+        key = np.where((r >= floor) & free, r + lift, -1).reshape(-1, G)
+        m = key.argmax(axis=1)
+        hit = key[rows, m] >= 0
+        taken[d] = np.where(hit, m, -1)
+        grab = rows[hit & ~row_crowd[rows, m]]
+        free.reshape(-1, G)[grab, m[grab]] = False
+    taken = taken.T.reshape(C, A, T * D)
+    on_ignore = np.take_along_axis(ignore, np.maximum(taken, 0), axis=2)
+    matched = taken >= 0
+    return matched.reshape(C, A, T, D), (matched & on_ignore).reshape(C, A, T, D)
+
+
+def random_block(rng, C, D, G):
+    """A padded block as ``_score`` builds it, with IoUs drawn from a small
+    pool so that ties are common: each threshold exactly, just below each,
+    1 - 1e-10, 1.0, 0.0 and a few others. Each cell's ranges have all, none
+    or some ground truths ignored, a crowd is ignored in every range, and
+    padding is -1, ignored and not a crowd."""
+    below = [float(np.nextafter(t, 0.0)) for t in IOU_THRESHOLDS]
+    pool = np.array([*IOU_THRESHOLDS, *below, 1 - 1e-10, 1.0, 0.0, 0.3, 0.97])
+    pool = pool[rng.choice(pool.size, size=int(rng.integers(2, 8)), replace=False)]
+    n_dt = rng.integers(1, D + 1, size=C)
+    n_gt = rng.integers(0, G + 1, size=C)
+    dt_ok = np.arange(D) < n_dt[:, None]
+    gt_ok = np.arange(G) < n_gt[:, None]
+    ok = dt_ok[:, :, None] & gt_ok[:, None, :]
+    ious = np.where(ok, rng.choice(pool, size=(C, D, G)), -1.0)
+    crowd = gt_ok & (rng.random((C, G)) < 0.2)
+    mode = rng.integers(0, 3, size=(C, len(AREA_RANGES), 1))  # all, none, some
+    flags = np.where(mode == 0, True, np.where(mode == 1, False, rng.random((C, len(AREA_RANGES), G)) < 0.5))
+    ignore = flags | crowd[:, None, :] | ~gt_ok[:, None, :]
+    return ious, ignore, crowd, dt_ok, gt_ok
+
+
+class TestDistinctProblems:
+    def test_match_image_equals_row_by_row(self):
+        import annodiff.deteval as deteval
+
+        rng = np.random.default_rng(4099)
+        for trial in range(400):
+            C, D, G = (int(v) for v in rng.integers(1, [9, 6, 6]))
+            ious, ignore, crowd, dt_ok, gt_ok = random_block(rng, C, D, G)
+            want = match_row_by_row(IOU_THRESHOLDS, ious, ignore, crowd)
+            got = deteval._match_image(IOU_THRESHOLDS, ious, ignore, crowd, dt_ok, gt_ok)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w.transpose(0, 3, 1, 2)[dt_ok], err_msg=f"trial {trial}")
+
+    def test_every_threshold_edge_is_its_own_problem(self):
+        # IoUs on each threshold, just below it, on 1 - 1e-10 and on 1.0
+        import annodiff.deteval as deteval
+
+        edges = [*IOU_THRESHOLDS, *(float(np.nextafter(t, 0.0)) for t in IOU_THRESHOLDS), 1 - 1e-10, 1.0]
+        C = len(edges)
+        ious = np.array(edges).reshape(C, 1, 1)
+        ignore = np.zeros((C, len(AREA_RANGES), 1), dtype=bool)
+        crowd = np.zeros((C, 1), dtype=bool)
+        ok = np.ones((C, 1), dtype=bool)
+        matched, _ = deteval._match_image(IOU_THRESHOLDS, ious, ignore, crowd, ok, ok)
+        want, _ = match_row_by_row(IOU_THRESHOLDS, ious, ignore, crowd)
+        np.testing.assert_array_equal(matched, want.transpose(0, 3, 1, 2)[:, 0])
+        # each IoU matches at the thresholds at or below it; 1 - 1e-10 and 1.0 at all
+        counts = matched[:, 0].sum(axis=1)
+        assert counts.tolist() == [*range(1, 11), *range(0, 10), 10, 10]
+
+    @staticmethod
+    def count_rows(monkeypatch) -> list:
+        """Per block, the rows that enter the rank loop and the (cell, area
+        range, threshold) entries they serve."""
+        import annodiff.deteval as deteval
+
+        counts = []
+        real = deteval._problems
+
+        def count(*args):
+            rows, problem = real(*args)
+            counts.append((rows.size, problem.size))
+            return rows, problem
+
+        monkeypatch.setattr(deteval, "_problems", count)
+        return counts
+
+    def test_block_of_clear_matches_runs_one_row_per_cell(self, monkeypatch):
+        # every cell has one IoU above 0.95 and no ignore region: all ten
+        # thresholds and all four ranges pose one problem
+        counts = self.count_rows(monkeypatch)
+        n = 30
+        gt = gt_of([make_ann(i + 1, i + 1, rect_ring(10, 10, 40, 40)) for i in range(n)], n_images=n)
+        dets = tuple(det(i + 1, i + 1, 0.9, [10, 10, 40, 39]) for i in range(n))
+        assert evaluate(dets, gt).map == 1.0
+        assert [sum(c) for c in zip(*counts)] == [n, n * len(AREA_RANGES) * len(IOU_THRESHOLDS)]
+
+    def test_fixture_poses_an_eighth_of_the_rows(self, synthetic_a, synthetic_b, monkeypatch):
+        counts = self.count_rows(monkeypatch)
+        cross_table(synthetic_a, synthetic_b, ("bbox", "segm"))
+        rows, entries = (sum(c) for c in zip(*counts))
+        assert 8 * rows <= entries
+
+
+def sampled_precision_row_by_row(tp, fp, n_positive, rec_thrs):
+    """``_sampled_precision`` with one ``np.searchsorted`` per threshold row."""
+    tps = np.cumsum(tp, axis=1, dtype=np.float64)
+    fps = np.cumsum(fp, axis=1, dtype=np.float64)
+    rc = tps / n_positive
+    fps += tps
+    pr = np.zeros((tps.shape[0], tps.shape[1] + 1), dtype=np.float64)
+    np.divide(tps, fps, out=pr[:, :-1], where=fps > 0)
+    pr = np.maximum.accumulate(pr[:, ::-1], axis=1)[:, ::-1]
+    hits = np.array([np.searchsorted(row, rec_thrs, side="left") for row in rc])
+    return np.take_along_axis(pr, hits, axis=1)
+
+
+@pytest.mark.parametrize("n_positive", [4, 10, 20, 100])
+def test_sampled_precision_equals_row_by_row(n_positive):
+    # with these counts some recalls land exactly on recall points; a row
+    # of false positives reaches none past the first
+    import annodiff.deteval as deteval
+
+    rng = np.random.default_rng(n_positive)
+    rec_thrs = np.asarray(RECALL_POINTS, dtype=np.float64)
+    for trial in range(60):
+        n = int(rng.integers(0, 3 * n_positive))
+        tp = np.zeros((len(IOU_THRESHOLDS), n), dtype=bool)
+        for row in tp[1:]:
+            hits = rng.choice(n, size=min(n, int(rng.integers(0, n_positive + 1))), replace=False)
+            row[hits] = True
+        fp = ~tp & (rng.random(tp.shape) < 0.7)
+        got = deteval._sampled_precision(tp, fp, n_positive, rec_thrs)
+        want = sampled_precision_row_by_row(tp, fp, n_positive, rec_thrs)
+        assert got.tobytes() == want.tobytes(), f"trial {trial}"
+
+
 class TestCrossTable:
     def test_symmetric_for_shifted_twins(self, tiny_a, tiny_b):
         table = cross_table(tiny_a, tiny_b)
