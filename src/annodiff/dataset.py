@@ -36,7 +36,7 @@ from operator import attrgetter
 from typing import Any, BinaryIO, NamedTuple
 
 from .errors import IntegrityError, ParseError, SchemaError
-from .raster import count_overlaps, rasterizable
+from .raster import count_overlaps
 from .shapes import Polygons, RleMask, ShapeSpec
 
 _IMAGE_FIELDS = {"id", "width", "height", "file_name"}
@@ -498,20 +498,23 @@ class Issue:
 
 
 def _pixel_areas(ds: AnnotationDataset, instances) -> dict[int, int]:
-    """Rasterized pixel area, by id, of each of ``instances`` that
-    :func:`~annodiff.raster.rasterizable` accepts on its image, from one
-    overlap count keyed by image; any other shape (a degenerate ring, no
-    ring, an RLE of another grid, an image side beyond 2**52 px) gets no
-    area.
+    """Rasterized pixel area, by id, of each of ``instances``, from one
+    overlap count keyed by image; a shape the count reports (a degenerate
+    ring, no ring, an RLE of another grid, an image side beyond 2**52 px)
+    gets no area.
     """
-    size = {img.id: (img.width, img.height) for img in ds.images}
-    countable = [inst for inst in instances if rasterizable(inst.segmentation, *size[inst.image_id])]
-    # keyed by image, among the images of countable shapes: the grid of any
-    # other image may be one that count_overlaps rejects
-    key = {i: k for k, i in enumerate(dict.fromkeys(inst.image_id for inst in countable))}
-    items = [(inst.segmentation, key[inst.image_id]) for inst in countable]
-    ov = count_overlaps(items, [], [size[i] for i in key])
-    return dict(zip([inst.id for inst in countable], ov.area_a.tolist()))
+    key = {img.id: k for k, img in enumerate(ds.images)}
+    items = [(inst.segmentation, key[inst.image_id]) for inst in instances]
+    ov = count_overlaps(items, [], [(img.width, img.height) for img in ds.images])
+    return {inst.id: area for k, (inst, area) in enumerate(zip(instances, ov.area_a.tolist())) if k not in ov.faults}
+
+
+def _rle_grid_fault(ann_id: int, rle: RleMask, width: int, height: int) -> str | None:
+    """What is wrong with RLE ``rle`` of annotation ``ann_id`` on an image of
+    ``width`` x ``height`` px: the message if its grid is another, else ``None``."""
+    if (rle.height, rle.width) != (height, width):
+        return f"annotation {ann_id} RLE grid {rle.height}x{rle.width} != image {height}x{width}"
+    return None
 
 
 def _issues(inst: InstanceRecord, image: ImageRecord, pixels: int | None, area_tolerance: float | None):
@@ -530,11 +533,9 @@ def _issues(inst: InstanceRecord, image: ImageRecord, pixels: int | None, area_t
     else:
         if not inst.iscrowd:
             yield IssueCode.ENCODING_MISMATCH, f"non-crowd annotation {inst.id} uses RLE"
-        if (seg.height, seg.width) != (image.height, image.width):
-            yield (
-                IssueCode.RLE_GRID_MISMATCH,
-                f"annotation {inst.id} RLE grid {seg.height}x{seg.width} != image {image.height}x{image.width}",
-            )
+        fault = _rle_grid_fault(inst.id, seg, image.width, image.height)
+        if fault:
+            yield IssueCode.RLE_GRID_MISMATCH, fault
 
     x, y, w, h = inst.bbox
     if w < 0 or h < 0 or x < 0 or y < 0 or x + w > image.width or y + h > image.height:

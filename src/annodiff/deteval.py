@@ -75,7 +75,8 @@ per direction. A shape is counted on the grid of its direction's ground
 truth, so an image whose size differs between the two datasets keeps one
 grid per direction. The count's shapes are picked from the shape column by
 row; an instance that is a detection of one direction and a ground truth of
-the other, on the same grid, is counted once.
+the other, on the same grid, is counted once. The first shape that the count
+reports (:func:`_named_fault`) fails the evaluation.
 """
 
 from __future__ import annotations
@@ -84,16 +85,17 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain, count, repeat
-from operator import attrgetter, is_
+from operator import is_
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import AnnotationDataset, _finite, _finite_tuple, _load_json, _parse_segmentation
+from .dataset import (
+    AnnotationDataset, _finite, _finite_tuple, _integer, _load_json, _parse_segmentation, _rle_grid_fault,
+)
 from .errors import DegenerateShape, EvalError, GeometryError, SchemaError
 from .raster import (
     Overlaps,
-    _rings,
     bbox_of_mask,
     bbox_of_polygon,
     box_overlaps,
@@ -210,12 +212,8 @@ def detections_from_results(raw) -> tuple[Detection, ...]:
         for name in ("image_id", "category_id", "score"):
             if name not in entry:
                 raise SchemaError(f"{what} missing required field '{name}'")
-        image_id = entry["image_id"]
-        category_id = entry["category_id"]
-        if not isinstance(image_id, int) or isinstance(image_id, bool):
-            raise SchemaError(f"{what} field 'image_id' must be an integer")
-        if not isinstance(category_id, int) or isinstance(category_id, bool):
-            raise SchemaError(f"{what} field 'category_id' must be an integer")
+        image_id = _integer(entry["image_id"], what, "image_id")
+        category_id = _integer(entry["category_id"], what, "category_id")
         score = _finite(entry["score"], what, "score")
         if not 0.0 <= score <= 1.0:
             raise SchemaError(f"{what} score {score} outside [0, 1]")
@@ -484,15 +482,16 @@ class _Cells(NamedTuple):
 
 
 def _cells(
-    dt: _Rows, rows: np.ndarray, gt: _Rows, truth: AnnotationDataset, index: tuple[dict, dict], params: EvalParams
+    dt: _Rows, rows: np.ndarray, gt: _Rows, truth: AnnotationDataset, index: tuple[dict, dict],
+    max_detections: int, segm: bool,
 ) -> _Cells:
     """Check detections ``rows`` of ``dt`` against the ground truth ``gt``,
     the instances of ``truth``, and group both into cells.
 
     Raises:
         EvalError: a detection references a category or image the ground
-            truth does not define, or lacks a segmentation on the segm task;
-            the first such detection by position is named.
+            truth does not define, or lacks a segmentation when ``segm`` is
+            set; the first such detection by position is named.
     """
     n_img = len(index[0])
     image_ids, widths, heights = (tuple(zip(*truth.images)) or ((),) * 5)[:3]
@@ -509,7 +508,7 @@ def _cells(
 
     d_cat, d_img = dt.category[rows], dt.image[rows]
     bad = ~has_cat[d_cat] | ~has_image[d_img]
-    if params.task == "segm":
+    if segm:
         bad |= np.fromiter(map(is_, dt.shape, repeat(None)), dtype=bool, count=len(dt.shape))[rows]
     if bad.any():
         at = int(rows[bad.argmax()])
@@ -526,26 +525,21 @@ def _cells(
     order = np.lexsort((dt.id[rows], -dt.score[rows], d_cell))
     d_cell = d_cell[order]
     n_all = np.bincount(d_cell, minlength=keys.size)
-    keep = np.arange(d_cell.size) - (np.cumsum(n_all) - n_all)[d_cell] < params.max_detections
+    keep = np.arange(d_cell.size) - (np.cumsum(n_all) - n_all)[d_cell] < max_detections
     n_gt, n_dt = np.bincount(g_cell, minlength=keys.size), np.bincount(d_cell[keep], minlength=keys.size)
     gts, dts = np.argsort(g_cell, kind="stable"), rows[order[keep]]
     return _Cells(gt, dt, keys, gts, dts, n_gt, n_dt, cat_ids, np.cumsum(has_cat[:-1]) - 1, size)
 
 
-def _shapes(sizes: np.ndarray, dets=None, gts=None):
+def _shapes(dets=None, gts=None):
     """The shapes one dataset brings to an overlap count: the detections of
     direction ``dets`` and the ground truths of direction ``gts`` in its
     cells with detections, each once per grid. Each direction comes as
-    ``(cells, key)``, where ``key`` is the grid key of each of its cells,
-    and a key lies on the grid ``sizes[key]``, a (width, height) row.
+    ``(cells, key)``, where ``key`` is the grid key of each of its cells.
 
     Returns the ``(shape, key)`` items, each item's row among the dataset's
     columns, and its position among the flat detections of ``dets`` and
     among the flat ground truths of ``gts`` (-1 for none).
-
-    Raises:
-        GeometryError: an RLE's grid is not its image's; the error names
-            the annotation, as ``validate`` does.
     """
     empty = np.zeros(0, dtype=np.intp)
     d_rows = d_key = g_rows = g_key = g_at = empty
@@ -571,17 +565,7 @@ def _shapes(sizes: np.ndarray, dets=None, gts=None):
     g_pos[d_rows.size :] = g_at[~shared]
     g_pos[det_item[g_rows[shared]]] = g_at[shared]
 
-    shapes = list(map(table.shape.__getitem__, rows.tolist()))
-    rle = np.flatnonzero(np.fromiter(map(isinstance, shapes, repeat(RleMask)), dtype=bool, count=len(shapes)))
-    if rle.size:
-        grid = list(map(attrgetter("width", "height"), map(shapes.__getitem__, rle.tolist())))
-        wrong = (np.array(grid, dtype=object).reshape(-1, 2) != sizes[keys[rle]]).any(axis=1)
-        if wrong.any():
-            at = rle[wrong.argmax()]
-            seg, (w, h) = shapes[at], sizes[keys[at]].tolist()
-            raise GeometryError(
-                f"annotation {table.records[rows[at]].id} RLE grid {seg.height}x{seg.width} != image {h}x{w}"
-            )
+    shapes = map(table.shape.__getitem__, rows.tolist())
     return list(zip(shapes, keys.tolist())), rows, d_pos, g_pos
 
 
@@ -597,23 +581,25 @@ def _direction(ov: Overlaps, d_pos: np.ndarray, g_pos: np.ndarray, c: _Cells) ->
     g_area[g_pos[ok]] = ov.area_b[ok]
     d, g = d_pos[ov.a], g_pos[ov.b]
     keep = (d >= 0) & (g >= 0)
-    return Overlaps(d_area, g_area, d[keep], g[keep], ov.inter[keep])
+    return Overlaps(d_area, g_area, d[keep], g[keep], ov.inter[keep], {})
 
 
-def _named_degenerate(sides) -> DegenerateShape:
-    """The error of the first polygon shape that ``raster._rings`` rejects,
-    naming its annotation. Each side is ``(items, rows, table)``: the items
-    and rows of :func:`_shapes`, and the columns the rows are of."""
+def _named_fault(ov: Overlaps, sides, grids: list):
+    """The error of the first shape that ``ov`` reports, naming its
+    annotation where the shape is at fault: a degenerate ring or none, or
+    an RLE of another grid than its image's. Each side is ``(items, rows,
+    table)``: the items and rows of :func:`_shapes`, and the columns the
+    rows are of; ``grids`` holds the (width, height) of each key."""
+    at, exc = next(iter(ov.faults.items()))
     for items, rows, table in sides:
-        for (seg, _), row in zip(items, rows.tolist()):
-            if isinstance(seg, RleMask):
-                continue
-            try:
-                _rings(seg)
-            except DegenerateShape as exc:
-                fault = f"a {exc}" if seg.rings else "no rings"
-                return DegenerateShape(f"annotation {table.records[row].id} has {fault}")
-    raise AssertionError("count_overlaps rejected no polygon shape")
+        if at < len(items):
+            break
+        at -= len(items)
+    (seg, key), ann = items[at], table.records[rows[at]].id
+    if isinstance(exc, DegenerateShape):
+        return DegenerateShape(f"annotation {ann} has " + (f"a {exc}" if seg.rings else "no rings"))
+    fault = isinstance(seg, RleMask) and _rle_grid_fault(ann, seg, *grids[key])
+    return GeometryError(fault) if fault else exc
 
 
 def _grid_keys(directions: list[_Cells]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -622,10 +608,7 @@ def _grid_keys(directions: list[_Cells]) -> tuple[np.ndarray, list[np.ndarray]]:
 
     A cell lies on the grid of its direction's ground truth. A cell of the
     second direction shares the first's key where both grids agree: its
-    code is twice its key, plus one where they differ. Keys are numbered in
-    order of first use, the first direction's cells first, which is the
-    order in which ``count_overlaps`` checks the grids and names the first
-    bad one.
+    code is twice its key, plus one where they differ.
     """
     live = [np.flatnonzero(c.n_dt) for c in directions]
     image = [c.keys[cells] % len(c.size) for c, cells in zip(directions, live)]
@@ -634,14 +617,12 @@ def _grid_keys(directions: list[_Cells]) -> tuple[np.ndarray, list[np.ndarray]]:
     if len(directions) == 2:
         codes[1] += (grids[1] != directions[0].size[image[1]]).any(axis=1)
     _, first, code_key = np.unique(np.concatenate(codes), return_index=True, return_inverse=True)
-    number = np.empty(first.size, dtype=np.intp)
-    number[np.argsort(first)] = np.arange(first.size)
     keys = []
-    for c, cells, part in zip(directions, live, np.split(number[code_key], [live[0].size])):
+    for c, cells, part in zip(directions, live, np.split(code_key, [live[0].size])):
         key = np.full(c.keys.size, -1)
         key[cells] = part
         keys.append(key)
-    return np.concatenate(grids)[np.sort(first)], keys
+    return np.concatenate(grids)[first], keys
 
 
 def _pixel_counts(ab: _Cells, ba: _Cells | None = None) -> list[Overlaps]:
@@ -651,19 +632,19 @@ def _pixel_counts(ab: _Cells, ba: _Cells | None = None) -> list[Overlaps]:
 
     Raises:
         GeometryError: a shape in a cell with detections has a degenerate
-            ring or none, or an RLE does not fit its image; the error names
-            the annotation.
+            ring or none, an RLE does not fit its image, or the image has a
+            side beyond 2**52 px; the first such shape in the count is named.
     """
     directions = [ab] if ba is None else [ab, ba]
     sizes, keys = _grid_keys(directions)
     fwd = ab, keys[0]
     back = None if ba is None else (ba, keys[1])
-    side_a, a_rows, ab_d, ba_g = _shapes(sizes, dets=fwd, gts=back)
-    side_b, b_rows, ba_d, ab_g = _shapes(sizes, dets=back, gts=fwd)
-    try:
-        ov = count_overlaps(side_a, side_b, sizes.tolist())
-    except DegenerateShape:
-        raise _named_degenerate(((side_a, a_rows, ab.dt), (side_b, b_rows, ab.gt))) from None
+    side_a, a_rows, ab_d, ba_g = _shapes(dets=fwd, gts=back)
+    side_b, b_rows, ba_d, ab_g = _shapes(dets=back, gts=fwd)
+    grids = sizes.tolist()
+    ov = count_overlaps(side_a, side_b, grids)
+    if ov.faults:
+        raise _named_fault(ov, ((side_a, a_rows, ab.dt), (side_b, b_rows, ab.gt)), grids)
     counts = [_direction(ov, ab_d, ab_g, ab)]
     if ba is not None:
         counts.append(_direction(ov.transposed(), ba_d, ba_g, ba))
@@ -683,13 +664,11 @@ def evaluate(
             has a degenerate ring or none, or an RLE does not fit its image.
     """
     params = params or EvalParams()
+    segm = params.task == "segm"
     index = _index(gt)
     dt = _detection_rows(dets, index)
-    c = _cells(dt, np.arange(len(dt.shape)), _instance_rows(gt, index), gt, index, params)
-    if params.task == "bbox":
-        return _score(c, params)
-    (pixels,) = _pixel_counts(c)
-    return _score(c, params, pixels)
+    c = _cells(dt, np.arange(len(dt.shape)), _instance_rows(gt, index), gt, index, params.max_detections, segm)
+    return _score(c, params, *(_pixel_counts(c) if segm else ()))
 
 
 def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> EvalResult:
@@ -801,14 +780,16 @@ def cross_table(
     ``evaluate(annotations_as_detections(a), b)`` would. On the segm task
     one overlap count of a's shapes against b's serves both directions.
     """
+    params = params or EvalParams()
     index = _index(a, b)
     rows_a, rows_b = _instance_rows(a, index), _instance_rows(b, index)
+    # the cells of each direction serve every task; crowds are never detections
+    cells = params.max_detections, "segm" in tasks
+    ab = _cells(rows_a, np.flatnonzero(~rows_a.crowd), rows_b, b, index, *cells)
+    ba = _cells(rows_b, np.flatnonzero(~rows_b.crowd), rows_a, a, index, *cells)
     out: dict[str, dict[str, EvalResult]] = {}
     for task in tasks:
-        p = replace(params or EvalParams(), task=task)
-        # crowds are never detections
-        ab = _cells(rows_a, np.flatnonzero(~rows_a.crowd), rows_b, b, index, p)
-        ba = _cells(rows_b, np.flatnonzero(~rows_b.crowd), rows_a, a, index, p)
+        p = replace(params, task=task)
         pixels = _pixel_counts(ab, ba) if task == "segm" else (None, None)
         out[task] = {"a_vs_b": _score(ab, p, pixels[0]), "b_vs_a": _score(ba, p, pixels[1])}
     return out

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import AnnotationDataset, InstanceRecord, single_polygon_view
+from .errors import DegenerateShape
 from .raster import box_iou_matrix, count_overlaps, iou
 
 _IOU_MODES = ("box", "mask")
@@ -71,10 +72,13 @@ def _mask_ious(images):
     """The mask IoU matrix of each image's source and target instances, from
     one overlap count keyed by image; ``images`` holds ``(source, target,
     (width, height))`` per image. A degenerate ring counts as empty rather
-    than failing the search."""
+    than failing the search; a shape on a grid the count rejects fails it."""
     a = [(s.segmentation, k) for k, (source, _, _) in enumerate(images) for s in source]
     b = [(t.segmentation, k) for k, (_, target, _) in enumerate(images) for t in target]
-    ov = count_overlaps(a, b, [size for _, _, size in images], skip_invalid=True)
+    ov = count_overlaps(a, b, [size for _, _, size in images])
+    grid = next((exc for exc in ov.faults.values() if not isinstance(exc, DegenerateShape)), None)
+    if grid is not None:
+        raise grid
     # the pairs come in (a, b) order, so each image's pairs are one slice
     a0 = b0 = 0
     for source, target, _ in images:

@@ -41,7 +41,10 @@ straight off its column-major counts without decoding it
 (:func:`_rle_toggles`): the toggles at column ``c`` are the rows where
 columns ``c - 1`` and ``c`` differ. Pixel areas and pairwise intersections
 (:func:`count_overlaps`) are counted on the runs alone: two shapes intersect
-where their runs on a shared row overlap. Masks are not painted from runs:
+where their runs on a shared row overlap. The count raises for no shape: a
+shape that :func:`mask_of` rejects, or one on a rejected grid, counts as
+empty and is reported with the error that says why, so each caller decides
+what a fault means to it. Masks are not painted from runs:
 :func:`rasterize` fills the whole grid straight from the unsorted toggles,
 by their running parity along each row (:func:`_parity_fill`), and the
 surface metrics fill a chunk of matched pairs the same way, from one
@@ -276,20 +279,6 @@ def _check_grid(width: int, height: int) -> None:
         raise GeometryError(f"grid {width}x{height} has a side beyond 2**52 px")
 
 
-def rasterizable(shape, width: int, height: int) -> bool:
-    """Whether ``shape`` can be rasterized on a ``width`` x ``height`` grid:
-    an RLE of exactly that grid, or polygons whose rings :func:`rasterize`
-    and :func:`count_overlaps` take without a ``GeometryError``."""
-    if isinstance(shape, RleMask):
-        return (shape.height, shape.width) == (height, width)
-    try:
-        _check_grid(width, height)
-        _rings(shape)
-    except GeometryError:
-        return False
-    return True
-
-
 def _parity_fill(toggles: np.ndarray, size: int) -> np.ndarray:
     """A flat mask of ``size`` pixels, set by the running parity of its pixel
     toggles (flat indices, in any order).
@@ -386,16 +375,21 @@ def mask_of(shape, width: int, height: int) -> np.ndarray:
 class Overlaps(NamedTuple):
     """Pixel counts of two sides of shapes: each shape's area, and the
     intersection ``inter[i]`` of shape ``a[i]`` of side a with shape ``b[i]``
-    of side b, for every pair that shares foreground."""
+    of side b, for every pair that shares foreground. ``faults`` maps the
+    position in ``[*a, *b]`` of each shape that could not be counted, which
+    counts as empty, to the error that says why, in position order."""
 
     area_a: np.ndarray
     area_b: np.ndarray
     a: np.ndarray
     b: np.ndarray
     inter: np.ndarray
+    faults: dict
 
     def transposed(self) -> "Overlaps":
-        return Overlaps(self.area_b, self.area_a, self.b, self.a, self.inter)
+        n_a, n = self.area_a.size, self.area_a.size + self.area_b.size
+        faults = dict(sorted(((p - n_a) % n, exc) for p, exc in self.faults.items()))
+        return Overlaps(self.area_b, self.area_a, self.b, self.a, self.inter, faults)
 
 
 # Elements per chunk of the overlap count: polygon coordinates gathered at
@@ -418,54 +412,61 @@ def _chunks(cost: np.ndarray):
     yield lo, cost.size
 
 
-def _read_shapes(shapes: list, sizes, ranked: np.ndarray, skip_invalid: bool):
-    """One pass over shapes, in rank order: the flat rings of the polygon
-    shapes (as :func:`_rings` takes them), each ring's length and shape, and
-    the ranks of the RLE shapes; shape ``r`` lies on the grid
-    ``sizes[ranked[r]]``.
+def _error(check, *args) -> GeometryError | SchemaError | None:
+    """The ``GeometryError`` or ``SchemaError`` that ``check(*args)`` raises, if any."""
+    try:
+        check(*args)
+    except (GeometryError, SchemaError) as exc:
+        return exc
+    return None
 
-    Raises the error of the first faulty shape: an RLE's, as
-    :func:`_check_rle` names it, or a polygon shape's, as :func:`_rings` names
-    it. With ``skip_invalid``, a faulty polygon shape adds no rings instead.
+
+def _read_shapes(shapes: list, sizes: list, ranked: np.ndarray, grid_faults: list):
+    """One pass over shapes, in rank order: the flat rings of the polygon
+    shapes (as :func:`_rings` takes them), each ring's length and shape, the
+    ranks of the RLE shapes, and the error of each shape that cannot be
+    counted, by rank. Shape ``r`` lies on the grid ``sizes[ranked[r]]``,
+    and ``grid_faults`` holds the error of each grid, ``None`` for one that
+    :func:`_check_grid` accepts.
+
+    A shape's own error comes first, as :func:`mask_of` raises it: an RLE's,
+    as :func:`_check_rle` names it, or a polygon shape's, as :func:`_rings`
+    names it; past it, its grid's. A shape with an error adds no rings and
+    is not among the RLEs.
     """
     rings: list = []
     n_rings: list[int] = []
     rle: list[int] = []
-    rle_fault = None
     for r, shape in enumerate(shapes):
         if type(shape) is Polygons:
             own = shape.rings
         elif isinstance(shape, RleMask):
             own = ()
             rle.append(r)
-            if rle_fault is None:
-                try:
-                    _check_rle(shape, *sizes[ranked[r]])
-                except (GeometryError, SchemaError) as exc:
-                    rle_fault = r, exc
         else:
             try:
                 own = _rings(shape)
-            except GeometryError:  # no rings: a fault, raised below
+            except GeometryError:  # no rings: a fault, named below
                 own = ()
         rings += own
         n_rings.append(len(own))
     ring_len = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
     ring_rank = np.repeat(np.arange(len(shapes)), n_rings)
-    # the polygon shapes that _rings rejects
-    faulty = np.array(n_rings) == 0
-    faulty[rle] = False
-    faulty[ring_rank[_bad_ring(ring_len)]] = True
-    first = int(faulty.argmax()) if faulty.any() else len(shapes)
-    if rle_fault is not None and (skip_invalid or rle_fault[0] < first):
-        raise rle_fault[1]
-    if first < len(shapes):
-        if not skip_invalid:
-            _rings(shapes[first])  # raises
-        keep = ~faulty[ring_rank]
+    # the RLEs, the polygon shapes that _rings rejects, and the shapes on
+    # rejected grids
+    suspect = (np.array(n_rings) == 0) | np.array([e is not None for e in grid_faults], dtype=bool)[ranked]
+    suspect[ring_rank[_bad_ring(ring_len)]] = True
+    faults = {}
+    for r in np.flatnonzero(suspect).tolist():
+        shape, key = shapes[r], ranked[r]
+        own = _error(_check_rle, shape, *sizes[key]) if isinstance(shape, RleMask) else _error(_rings, shape)
+        if fault := own or grid_faults[key]:
+            faults[r] = fault
+    if faults:
+        keep = ~np.isin(ring_rank, list(faults))
         rings = list(compress(rings, keep.tolist()))
         ring_len, ring_rank = ring_len[keep], ring_rank[keep]
-    return rings, ring_len, ring_rank, np.array(rle, dtype=np.intp)
+    return rings, ring_len, ring_rank, np.array([r for r in rle if r not in faults], dtype=np.intp), faults
 
 
 def _rle_toggles(rles: list, owner: np.ndarray):
@@ -574,7 +575,7 @@ def _join(part, side_a, key, rows, c0, c1, offset: int, size: int):
     return _reduce(codes, inter, size)
 
 
-def count_overlaps(a, b, sizes, *, skip_invalid: bool = False) -> Overlaps:
+def count_overlaps(a, b, sizes) -> Overlaps:
     """Pixel areas of two sides of shapes, and the intersections of their pairs.
 
     ``a`` and ``b`` hold ``(shape, key)`` items, either shape encoding; a
@@ -586,14 +587,10 @@ def count_overlaps(a, b, sizes, *, skip_invalid: bool = False) -> Overlaps:
     pair's intersection is the sum of the overlaps of its runs on shared
     rows. Work goes in runs of keys, cut at ``_CHUNK`` elements.
 
-    Raises:
-        DegenerateShape: a polygon has a ring of fewer than 3 vertices, or
-            none (unless ``skip_invalid``, which counts such a shape as empty).
-        GeometryError: a ring's coordinates do not pair up into vertices
-            (unless ``skip_invalid``), an RLE does not match its grid, or a
-            grid of ``sizes`` has a side below 1 or beyond 2**52 px.
-        SchemaError: an RLE has a negative count, or counts that do not sum
-            to its own grid.
+    Raises for no shape: a shape that :func:`mask_of` rejects on its grid,
+    or one on a grid with a side below 1 or beyond 2**52 px, counts as
+    empty, and ``faults`` holds its position in ``[*a, *b]`` and the error
+    that says why (:func:`_read_shapes`).
     """
     n_a, n_b = len(a), len(b)
     items = [*a, *b]
@@ -603,11 +600,11 @@ def count_overlaps(a, b, sizes, *, skip_invalid: bool = False) -> Overlaps:
     order = np.argsort(key, kind="stable")
     ranked = key[order]
     shapes = [items[i][0] for i in order.tolist()]
-    for w, h in sizes:
-        _check_grid(w, h)
-    rings, ring_len, ring_rank, rle = _read_shapes(shapes, sizes, ranked, skip_invalid)
+    grid_faults = [_error(_check_grid, w, h) for w, h in sizes]
+    rings, ring_len, ring_rank, rle, faults = _read_shapes(shapes, sizes, ranked, grid_faults)
     n_keys = len(sizes)
-    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1, 2)
+    # a rejected grid holds no shape to count, and its sides may be beyond int64
+    sizes = np.array([(0, 0) if e else s for s, e in zip(sizes, grid_faults)], dtype=np.int64).reshape(-1, 2)
     width, height = sizes[ranked, 0], sizes[ranked, 1]
     # Within a key, the ranks of side a come before those of side b. Its
     # pairs take the codes [base[k], base[k + 1]): the code of a pair is the
@@ -673,7 +670,8 @@ def count_overlaps(a, b, sizes, *, skip_invalid: bool = False) -> Overlaps:
     by_pair = np.lexsort((pb, pa))
     by_item = np.empty_like(area)
     by_item[order] = area
-    return Overlaps(by_item[:n_a], by_item[n_a:], pa[by_pair], pb[by_pair], total[by_pair].astype(np.int64))
+    faults = dict(sorted(zip(order[list(faults)].tolist(), faults.values())))
+    return Overlaps(by_item[:n_a], by_item[n_a:], pa[by_pair], pb[by_pair], total[by_pair].astype(np.int64), faults)
 
 
 # ---------------------------------------------------------------------------

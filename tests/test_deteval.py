@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import annodiff.deteval as deteval
 from annodiff.dataset import parse_dataset
 from annodiff.deteval import (
     AREA_RANGES,
@@ -788,6 +789,14 @@ class TestCrossTable:
         assert table["bbox"]["a_vs_b"].map == 1.0
         assert table["bbox"]["b_vs_a"].map == 1.0
 
+    def test_cells_are_built_once_per_direction_for_both_tasks(self, monkeypatch, synthetic_a, synthetic_b):
+        calls = []
+        cells = deteval._cells
+        monkeypatch.setattr(deteval, "_cells", lambda *args: calls.append(args) or cells(*args))
+        both = cross_table(synthetic_a, synthetic_b, ("bbox", "segm"))
+        assert len(calls) == 2
+        assert both == {task: cross_table(synthetic_a, synthetic_b, (task,))[task] for task in ("bbox", "segm")}
+
     @staticmethod
     def both_evaluations(a, b, params):
         return {
@@ -1053,6 +1062,19 @@ class TestEvalErrors:
             cross_table(b, a, ("segm",))
         with pytest.raises(GeometryError, match="^annotation 50 has a degenerate ring with 2 vertices$"):
             evaluate(annotations_as_detections(a), b, EvalParams(task="segm"))
+
+    def test_mixed_shape_faults_name_the_first_by_position(self):
+        # a's shapes are side a of the one overlap count and b's side b; the
+        # first faulty shape is named, whatever its kind
+        two = [[0, 0, 4, 4]]  # a ring of 2 vertices
+        a = gt_of([make_ann(1, 1, rect_ring(0, 0, 20, 20)), make_ann(2, 1, two, bbox=[0, 0, 4, 4])])
+        b = gt_of([make_ann(3, 1, rect_ring(0, 0, 20, 20)), crowd_ann(4, 1, [0, 0, 10, 10], size=50)])
+        with pytest.raises(GeometryError, match="^annotation 2 has a degenerate ring with 2 vertices$"):
+            cross_table(a, b, ("segm",))
+        with pytest.raises(GeometryError, match="^annotation 2 has a degenerate ring with 2 vertices$"):
+            evaluate(annotations_as_detections(a), b, EvalParams(task="segm"))
+        with pytest.raises(GeometryError, match="^annotation 4 RLE grid 50x50 != image 100x100$"):
+            cross_table(b, a, ("segm",))
 
     def test_unknown_category(self):
         gt = gt_of([make_ann(1, 1, rect_ring(0, 0, 5, 5))])

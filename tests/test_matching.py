@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import annodiff.matching as matching
 from annodiff.dataset import parse_dataset, single_polygon_view
+from annodiff.errors import GeometryError
 from annodiff.matching import MatchConfig, MatchSet, match_datasets, pairs_to_ndjson
 from annodiff.raster import box_iou, mask_iou, mask_of, rasterize
 
@@ -220,6 +221,17 @@ class TestEligibilityAndModes:
         a, b = scene(src, tgt)
         ms = match_datasets(a, b, MatchConfig(iou_mode="mask"))
         assert [(p.source_instance_id, p.target_instance_id, p.iou) for p in ms.pairs] == [(1, 2, 1.0)]
+
+    def test_mask_mode_counts_a_degenerate_ring_as_empty_and_fails_on_a_rejected_grid(self):
+        src = [make_ann(1, 1, [0, 0, 4, 4], bbox=[0, 0, 4, 4]), make_ann(2, 2, rect_ring(10, 10, 20, 20))]
+        tgt = [make_ann(3, 1, rect_ring(0, 0, 4, 4)), make_ann(4, 2, rect_ring(10, 10, 20, 20))]
+        a, b = scene(src, tgt, n_images=2)
+        ms = match_datasets(a, b, MatchConfig(iou_mode="mask"))
+        assert [(p.source_instance_id, p.target_instance_id) for p in ms.pairs] == [(2, 4)]
+        assert (ms.unmatched_source, ms.unmatched_target) == ([1], [3])
+        wide = parse_dataset(make_coco(make_images(2, width=2**64), src))
+        with pytest.raises(GeometryError, match=r"^grid 18446744073709551616x100 has a side beyond 2\*\*52 px$"):
+            match_datasets(wide, b, MatchConfig(iou_mode="mask"))
 
     def test_zero_match_result(self):
         src = [make_ann(1, 1, rect_ring(0, 0, 10, 10))]

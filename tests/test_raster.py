@@ -11,7 +11,6 @@ from annodiff.errors import DegenerateShape, GeometryError, SchemaError
 import annodiff.raster as raster
 from annodiff.raster import (
     Box,
-    Overlaps,
     bbox_of_mask,
     bbox_of_polygon,
     box_iou,
@@ -27,7 +26,6 @@ from annodiff.raster import (
     mask_iou,
     mask_of,
     rasterize,
-    rasterizable,
 )
 from annodiff.shapes import Polygons, RleMask
 from annodiff.surface import ring_pairs_metrics
@@ -176,7 +174,7 @@ class TestRasterizeWindow:
             with pytest.raises(GeometryError):
                 rasterize(*args)
 
-    def test_rasterizable_is_whether_mask_of_succeeds(self):
+    def test_count_overlaps_reports_the_shapes_that_mask_of_rejects(self):
         shapes = [
             poly(rect_ring(0, 0, 2, 2)),
             [np.array([[0, 0], [4, 0], [0, 4]])],
@@ -186,15 +184,20 @@ class TestRasterizeWindow:
             encode_rle(np.ones((8, 8), bool)),
             encode_rle(np.ones((4, 8), bool)),
         ]
-        for shape in shapes:
-            for w, h in ((8, 8), (8, 4), (0, 8), (8, 0)):
-                try:
-                    mask_of(shape, w, h)
-                except GeometryError:
-                    assert not rasterizable(shape, w, h)
-                else:
-                    assert rasterizable(shape, w, h)
-        assert [rasterizable(s, 8, 8) for s in shapes] == [True, True, False, False, False, True, False]
+        grids = [(8, 8), (8, 4), (0, 8), (8, 0)]
+        items = [(shape, key) for shape in shapes for key in range(len(grids))]
+        got = count_overlaps(items[::2], items[1::2], grids)  # both sides in one count
+        areas = np.concatenate([got.area_a, got.area_b])
+        for at, (shape, key) in enumerate(items[::2] + items[1::2]):
+            try:
+                mask = mask_of(shape, *grids[key])
+            except GeometryError as exc:
+                fault = got.faults.get(at)
+                assert (type(fault), str(fault)) == (type(exc), str(exc))
+                assert areas[at] == 0
+            else:
+                assert at not in got.faults and areas[at] == mask.sum()
+        assert list(count_overlaps([(s, 0) for s in shapes], [], [(8, 8)]).faults) == [2, 3, 4, 6]
 
 
 def grids_from_runs(shapes, width, height):
@@ -427,7 +430,9 @@ class TestCountOverlaps:
             # the arrays themselves do not depend on the chunk size: the
             # pairs come in (a, b) order
             want = count_overlaps(*sides, self.SIZES)
-            for field, value in zip(Overlaps._fields, got):
+            assert got.faults == want.faults == {}
+            for field in ("area_a", "area_b", "a", "b", "inter"):
+                value = getattr(got, field)
                 assert value.dtype == np.int64 and value.tolist() == getattr(want, field).tolist(), field
             pairs = list(zip(got.a.tolist(), got.b.tolist()))
             assert pairs == sorted(set(pairs))
@@ -473,30 +478,33 @@ class TestCountOverlaps:
             with pytest.raises(kind) as seen:
                 mask_of(rle, 16, 16)
             assert str(seen.value) == message
-            for skip_invalid in (False, True):
-                with pytest.raises(kind) as seen:
-                    count_overlaps([(square, 0)], [(square, 0), (rle, 0)], [(16, 16)], skip_invalid=skip_invalid)
-                assert str(seen.value) == message
-        # the first faulty shape in key order raises; skip_invalid passes over
-        # a degenerate polygon, never over an RLE
+            got = count_overlaps([(square, 0)], [(square, 0), (rle, 0)], [(16, 16)])
+            assert list(got.faults) == [2] and type(got.faults[2]) is kind and str(got.faults[2]) == message
+            # the faulty RLE counts as empty; the squares are still counted
+            assert (got.area_a.tolist(), got.area_b.tolist(), got.inter.tolist()) == ([100], [100, 0], [100])
+        # every faulty shape is reported, each with its own error, in
+        # position order whatever the key order
         degenerate, bad_grid = poly([0, 0, 4, 4]), RleMask((16,), 4, 4)
-        with pytest.raises(DegenerateShape, match="degenerate ring with 2 vertices"):
-            count_overlaps([(bad_grid, 1)], [(degenerate, 0)], [(16, 16)] * 2)
-        with pytest.raises(GeometryError, match=r"RLE grid \(4, 4\)"):
-            count_overlaps([(bad_grid, 0)], [(degenerate, 1)], [(16, 16)] * 2)
-        with pytest.raises(GeometryError, match=r"RLE grid \(4, 4\)"):
-            count_overlaps([(bad_grid, 1)], [(degenerate, 0)], [(16, 16)] * 2, skip_invalid=True)
+        for keys in ((1, 0), (0, 1)):
+            got = count_overlaps([(bad_grid, keys[0])], [(degenerate, keys[1])], [(16, 16)] * 2)
+            assert [(at, str(exc)) for at, exc in got.faults.items()] == [
+                (0, "RLE grid (4, 4) does not match image 16x16"),
+                (1, "degenerate ring with 2 vertices"),
+            ]
+            assert isinstance(got.faults[1], DegenerateShape)
 
-    def test_invalid_shapes_raise_or_count_as_empty(self):
+    def test_invalid_shapes_count_as_empty_and_are_reported(self):
         square, degenerate = poly(rect_ring(2, 2, 10, 10)), poly([0, 0, 4, 4])
         odd = poly(rect_ring(2, 2, 10, 10), [1, 1, 5, 1, 5, 5, 1])
         for bad, message in ((degenerate, "2 vertices"), (Polygons(()), "no rings"), (odd, "odd coordinate count 7")):
-            with pytest.raises(GeometryError, match=message):
-                count_overlaps([(square, 0)], [(bad, 0)], [(16, 16)])
-            got = count_overlaps([(square, 0)], [(bad, 0)], [(16, 16)], skip_invalid=True)
-            assert got.area_b.tolist() == [0] and got.inter.size == 0
-        with pytest.raises(GeometryError):  # the grid-size check of mask_of
-            count_overlaps([(RleMask((0, 4), 2, 2), 0)], [], [(3, 3)])
+            got = count_overlaps([(square, 0)], [(bad, 0)], [(16, 16)])
+            assert list(got.faults) == [1] and message in str(got.faults[1])
+            assert isinstance(got.faults[1], GeometryError)
+            assert got.area_a.tolist() == [100] and got.area_b.tolist() == [0] and got.inter.size == 0
+            assert list(got.transposed().faults) == [0]
+        # the grid-size check of mask_of
+        got = count_overlaps([(RleMask((0, 4), 2, 2), 0)], [], [(3, 3)])
+        assert str(got.faults[0]) == "RLE grid (2, 2) does not match image 3x3"
 
     @pytest.mark.parametrize("x, y", [(2**40, 2**40), (2**41 - 20, 2**40 + 12345)])
     def test_exact_on_a_grid_with_a_2_41_px_side(self, x, y):
@@ -527,12 +535,15 @@ class TestCountOverlaps:
 
     @pytest.mark.parametrize("width, height", [(2**52 + 1, 64), (64, 2**52 + 1), (2**64, 40)])
     def test_a_side_beyond_2_52_px_is_rejected(self, width, height):
-        square = poly(rect_ring(0, 0, 10, 10))
-        with pytest.raises(GeometryError, match=r"side beyond 2\*\*52 px"):
-            count_overlaps([(square, 0)], [], [(16, 16), (width, height)])
+        # every shape on the grid is reported, whatever its kind; the other
+        # grid is still counted, and a side beyond int64 does not overflow
+        square, rle = poly(rect_ring(0, 0, 10, 10)), RleMask((height * width,), height, width)
+        got = count_overlaps([(square, 0), (square, 1)], [(rle, 1)], [(16, 16), (width, height)])
+        assert list(got.faults) == [1, 2] and got.area_a.tolist() == [100, 0] and got.area_b.tolist() == [0]
+        for exc in got.faults.values():
+            assert type(exc) is GeometryError and str(exc) == f"grid {width}x{height} has a side beyond 2**52 px"
         with pytest.raises(GeometryError, match=r"side beyond 2\*\*52 px"):
             rasterize(square, width, height)
-        assert not raster.rasterizable(square, width, height)
 
     def test_dense_scene_peak_stays_under_8_mb(self):
         # 40 images of 400 x 300 px, each with 30 detections and 30 ground
