@@ -1,25 +1,29 @@
 """Cross-dataset instance correspondence by highest IoU above a threshold.
 
-:func:`match_datasets` is the one way in. Matching is per image and greedy:
-all eligible cross pairs of an image are ranked by descending IoU (ties
-broken by ascending source then target id) and accepted while both endpoints
-are free and the IoU strictly exceeds the threshold. Each instance therefore
-appears in at most one pair, and the result is invariant to the order
-instances arrive in.
+:func:`match_datasets` is the one way in. Matching is greedy, on one
+candidate list for the whole dataset pair: every same-image (source, target)
+pair whose IoU strictly exceeds the threshold (and whose categories match,
+where that is required) is ranked by descending IoU, ties broken by
+ascending source then target id, and accepted while both endpoints are free.
+An instance belongs to one image, so this one global order gives each
+image's greedy order. Each instance therefore appears in at most one pair,
+and the result is invariant to the order instances arrive in.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from itertools import chain, compress, count
+from operator import attrgetter
 
 import numpy as np
 
-from .dataset import AnnotationDataset, InstanceRecord, single_polygon_view
+from .dataset import AnnotationDataset, single_polygon_view
 from .errors import DegenerateShape
-from .raster import box_iou_matrix, count_overlaps, iou
+from .raster import box_overlaps, count_overlaps, iou
 
 _IOU_MODES = ("box", "mask")
+_BY_ID, _IMAGE_ID, _BBOX = attrgetter("id"), attrgetter("image_id"), attrgetter("bbox")
 
 
 @dataclass(frozen=True)
@@ -68,61 +72,38 @@ class MatchSet:
     ineligible_target: list[int] = field(default_factory=list)
 
 
-def _mask_ious(images):
-    """The mask IoU matrix of each image's source and target instances, from
-    one overlap count keyed by image; ``images`` holds ``(source, target,
-    (width, height))`` per image. A degenerate ring counts as empty rather
-    than failing the search; a shape on a grid the count rejects fails it."""
-    a = [(s.segmentation, k) for k, (source, _, _) in enumerate(images) for s in source]
-    b = [(t.segmentation, k) for k, (_, target, _) in enumerate(images) for t in target]
-    ov = count_overlaps(a, b, [size for _, _, size in images])
+def _box_candidates(src: list, tgt: list, sel_s, sel_t, per_s, per_t):
+    """Every (source, target) pair of each shared image, and its box IoU,
+    from one box overlap over the paired rows. ``sel_*`` index the
+    instances of the shared images in ``src`` and ``tgt``, by (image, id),
+    and ``per_*`` give each image's count of them. Pairs come in (image,
+    source, target) order."""
+    rep = np.repeat(per_t, per_s)  # each source pairs with its image's targets
+    start = np.cumsum(rep) - rep
+    first_t = np.repeat(np.cumsum(per_t) - per_t, per_s)
+    a = np.repeat(sel_s, rep)
+    b = sel_t[np.arange(rep.sum()) - np.repeat(start - first_t, rep)]
+    boxes_s, boxes_t = (
+        np.fromiter(chain.from_iterable(map(_BBOX, side)), dtype=np.float64, count=4 * len(side)).reshape(-1, 1, 4)
+        for side in (src, tgt)
+    )
+    return a, b, iou(*box_overlaps(boxes_s[a], boxes_t[b])).ravel()
+
+
+def _mask_candidates(src: list, tgt: list, sel_s, sel_t, per_s, per_t, sizes: list):
+    """The (source, target) pairs of each shared image that share a pixel,
+    and their mask IoU, from one overlap count keyed by image. A degenerate
+    ring counts as empty rather than failing the search; a shape on a grid
+    the count rejects fails it. Pairs come in (image, source, target) order."""
+    a, b = (
+        [(side[r].segmentation, k) for r, k in zip(sel.tolist(), np.repeat(np.arange(per.size), per).tolist())]
+        for side, sel, per in ((src, sel_s, per_s), (tgt, sel_t, per_t))
+    )
+    ov = count_overlaps(a, b, sizes)
     grid = next((exc for exc in ov.faults.values() if not isinstance(exc, DegenerateShape)), None)
     if grid is not None:
         raise grid
-    # the pairs come in (a, b) order, so each image's pairs are one slice
-    a0 = b0 = 0
-    for source, target, _ in images:
-        a1, b1 = a0 + len(source), b0 + len(target)
-        lo, hi = np.searchsorted(ov.a, [a0, a1])
-        inter = np.zeros((len(source), len(target)), dtype=np.int64)
-        inter[ov.a[lo:hi] - a0, ov.b[lo:hi] - b0] = ov.inter[lo:hi]
-        yield iou(inter, ov.area_a[a0:a1, None], ov.area_b[None, b0:b1])
-        a0, b0 = a1, b1
-
-
-def _greedy(
-    source: list[InstanceRecord], target: list[InstanceRecord], iou, cfg: MatchConfig, result: MatchSet
-) -> None:
-    """Greedy one-to-one matching of one image's matchable instances, given
-    the IoU matrix of ``source`` against ``target`` (``None`` when either is
-    empty). Pairs are added to ``result`` by source id; the unmatched ids are
-    added unsorted."""
-    if iou is None:
-        result.unmatched_source += (s.id for s in source)
-        result.unmatched_target += (t.id for t in target)
-        return
-
-    candidates = []
-    for i, s in enumerate(source):
-        for j, t in enumerate(target):
-            if cfg.same_category_required and s.category_id != t.category_id:
-                continue
-            if iou[i, j] > cfg.iou_threshold:
-                candidates.append((-iou[i, j], s.id, t.id, i, j))
-    candidates.sort()
-
-    used_src: set[int] = set()
-    used_tgt: set[int] = set()
-    pairs = []
-    for neg, sid, tid, i, j in candidates:
-        if i in used_src or j in used_tgt:
-            continue
-        used_src.add(i)
-        used_tgt.add(j)
-        pairs.append(MatchPair(sid, tid, source[i].image_id, source[i].category_id, float(-neg)))
-    result.pairs += sorted(pairs, key=lambda p: p.source_instance_id)
-    result.unmatched_source += (s.id for i, s in enumerate(source) if i not in used_src)
-    result.unmatched_target += (t.id for j, t in enumerate(target) if j not in used_tgt)
+    return sel_s[ov.a], sel_t[ov.b], iou(ov.inter, ov.area_a[ov.a], ov.area_b[ov.b])
 
 
 def match_datasets(
@@ -130,56 +111,65 @@ def match_datasets(
     target: AnnotationDataset,
     cfg: MatchConfig = MatchConfig(),
 ) -> MatchSet:
-    """Match every shared image independently and merge the per-image results.
+    """Match the instances of every shared image in one greedy pass.
 
     Images present on one side only contribute unmatched instances. Pairs come
-    out canonically ordered by (image_id, source_instance_id). In mask mode,
-    the masks of every image with instances on both sides are counted in one
-    overlap count keyed by image.
+    out canonically ordered by (image_id, source_instance_id). The candidates
+    are the same-image pairs of the whole dataset pair: in box mode all of
+    them, from one box overlap; in mask mode those that share a pixel, from
+    one overlap count keyed by image (a pair that shares none has IoU 0 and
+    never passes the threshold). An instance is known by its place among its
+    side's eligible instances in id order, so ids of any size rank as ids.
     """
-    eligible_src = {inst.id for inst in single_polygon_view(source)}
-    eligible_tgt = {inst.id for inst in single_polygon_view(target)}
-    result = MatchSet()
-    result.ineligible_source = sorted(i.id for i in source.instances if i.id not in eligible_src)
-    result.ineligible_target = sorted(i.id for i in target.instances if i.id not in eligible_tgt)
+    images = sorted({img.id for img in source.images} | {img.id for img in target.images})
+    place = dict(zip(images, count()))
+    src, tgt = (sorted(single_polygon_view(ds), key=_BY_ID) for ds in (source, target))
+    ids_s, ids_t = ({inst.id for inst in side} for side in (src, tgt))
+    ineligible_s = sorted(i.id for i in source.instances if i.id not in ids_s)
+    ineligible_t = sorted(i.id for i in target.instances if i.id not in ids_t)
 
-    image_ids = sorted({img.id for img in source.images} | {img.id for img in target.images})
-    images = [
-        (
-            [i for i in source.instances_in(image_id) if i.id in eligible_src],
-            [i for i in target.instances_in(image_id) if i.id in eligible_tgt],
-            image_id,
-        )
-        for image_id in image_ids
-    ]
-    both = [(src, tgt, image_id) for src, tgt, image_id in images if src and tgt]
+    # each side's instances of the images both sides hold, by (image, id)
+    img_s, img_t = (
+        np.fromiter(map(place.__getitem__, map(_IMAGE_ID, side)), dtype=np.intp, count=len(side))
+        for side in (src, tgt)
+    )
+    n_s, n_t = (np.bincount(img, minlength=len(images)) for img in (img_s, img_t))
+    shared = (n_s > 0) & (n_t > 0)
+    sel_s, sel_t = (np.flatnonzero(shared[img]) for img in (img_s, img_t))
+    sel_s, sel_t = (sel[np.argsort(img[sel], kind="stable")] for img, sel in ((img_s, sel_s), (img_t, sel_t)))
+    per_s, per_t = n_s[shared], n_t[shared]
     if cfg.iou_mode == "mask":
-        sizes = [source.image(i) if i in source.index else target.image(i) for _, _, i in both]
-        ious = _mask_ious([(src, tgt, (img.width, img.height)) for (src, tgt, _), img in zip(both, sizes)])
+        grids = (source.image(images[k]) for k in np.flatnonzero(shared).tolist())
+        a, b, ious = _mask_candidates(src, tgt, sel_s, sel_t, per_s, per_t, [(g.width, g.height) for g in grids])
     else:
-        ious = (
-            box_iou_matrix(np.array([s.bbox for s in src]), np.array([t.bbox for t in tgt]))
-            for src, tgt, _ in both
-        )
-    for src, tgt, _ in images:
-        _greedy(src, tgt, next(ious) if src and tgt else None, cfg, result)
-    result.unmatched_source.sort()
-    result.unmatched_target.sort()
-    return result
+        a, b, ious = _box_candidates(src, tgt, sel_s, sel_t, per_s, per_t)
+
+    keep = np.flatnonzero(ious > cfg.iou_threshold)
+    if cfg.same_category_required:
+        same = (src[i].category_id == tgt[j].category_id for i, j in zip(a[keep].tolist(), b[keep].tolist()))
+        keep = keep[np.fromiter(same, dtype=bool, count=keep.size)]
+    a, b, ious = a[keep].tolist(), b[keep].tolist(), ious[keep]
+    # one greedy pass over every image's candidates at once
+    free_s, free_t = [True] * len(src), [True] * len(tgt)
+    taken = []
+    for k in np.lexsort((b, a, -ious)).tolist():
+        i, j = a[k], b[k]
+        if free_s[i] and free_t[j]:
+            free_s[i] = free_t[j] = False
+            taken.append(k)
+    # candidates come in (image, source) order, and so do the pairs
+    taken.sort()
+    ious = ious.tolist()
+    pairs = [MatchPair(src[a[k]].id, tgt[b[k]].id, src[a[k]].image_id, src[a[k]].category_id, ious[k]) for k in taken]
+    unmatched = (list(compress(map(_BY_ID, side), free)) for side, free in ((src, free_s), (tgt, free_t)))
+    return MatchSet(pairs, *unmatched, ineligible_s, ineligible_t)
 
 
 def pairs_to_ndjson(match_set: MatchSet) -> str:
     """One JSON object per pair, one pair per line, in canonical order."""
     lines = [
-        json.dumps(
-            {
-                "image_id": p.image_id,
-                "source_id": p.source_instance_id,
-                "target_id": p.target_instance_id,
-                "iou": p.iou,
-                "category_id": p.category_id,
-            }
-        )
+        f'{{"image_id": {p.image_id}, "source_id": {p.source_instance_id}, "target_id": {p.target_instance_id},'
+        f' "iou": {p.iou!r}, "category_id": {p.category_id}}}'
         for p in match_set.pairs
     ]
     return "\n".join(lines) + ("\n" if lines else "")

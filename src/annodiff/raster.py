@@ -45,12 +45,14 @@ where their runs on a shared row overlap. The count raises for no shape: a
 shape that :func:`mask_of` rejects, or one on a rejected grid, counts as
 empty and is reported with the error that says why, so each caller decides
 what a fault means to it. Masks are not painted from runs:
-:func:`rasterize` fills the whole grid straight from the unsorted toggles,
-by their running parity along each row (:func:`_parity_fill`), and the
-surface metrics fill a chunk of matched pairs the same way, from one
-scanline pass. Since the order of the toggles does not matter to their
-parity, this gives exactly the pixels of the runs. Every IoU, of boxes or of pixel counts, is :func:`iou` of an
-intersection and two areas.
+:func:`rasterize` fills the whole grid straight from the toggles, by their
+running parity along each row (:func:`_parity_fill`), and the surface
+metrics fill a chunk of matched pairs the same way, from one scanline pass.
+The fill sorts the flat toggles once and repeats an alternating False/True
+pattern by the gaps between them: one sort and one write of the buffer,
+with no running XOR over every pixel. Toggles at one position cancel, as in
+the runs, so this gives exactly the pixels of the runs. Every IoU, of boxes
+or of pixel counts, is :func:`iou` of an intersection and two areas.
 """
 
 from __future__ import annotations
@@ -287,11 +289,12 @@ def _parity_fill(toggles: np.ndarray, size: int) -> np.ndarray:
     and toggles at one position cancel, as an empty run does. Every row of
     the buffer must hold an even number of toggles: the parity is then 0
     again at the end of each row, so one pass fills every row of every
-    layer in the buffer.
+    layer in the buffer. The sorted toggles cut the buffer into segments of
+    alternating parity, so the mask is that alternation repeated by the
+    segment lengths; toggles at one position make an empty segment.
     """
-    mask = np.zeros(size, dtype=bool)
-    np.logical_xor.at(mask, toggles, True)
-    return np.logical_xor.accumulate(mask, out=mask)
+    lengths = np.diff(np.sort(toggles), prepend=0, append=size)
+    return np.repeat(np.arange(lengths.size) % 2 == 1, lengths)
 
 
 def rasterize(poly, width: int, height: int) -> np.ndarray:

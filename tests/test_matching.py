@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import annodiff.matching as matching
-from annodiff.dataset import parse_dataset, single_polygon_view
+from annodiff.dataset import AnnotationDataset, parse_dataset, single_polygon_view
 from annodiff.errors import GeometryError
-from annodiff.matching import MatchConfig, MatchSet, match_datasets, pairs_to_ndjson
-from annodiff.raster import box_iou, mask_iou, mask_of, rasterize
+from annodiff.matching import MatchConfig, MatchPair, MatchSet, match_datasets, pairs_to_ndjson
+from annodiff.raster import box_iou, box_iou_matrix, mask_iou, mask_of, rasterize
 
 from conftest import make_ann, make_coco, make_images, rect_ring
 from oracles import best_assignment
@@ -25,6 +26,80 @@ def scene(src_anns, tgt_anns, n_images=1):
     a = parse_dataset(make_coco(make_images(n_images), src_anns))
     b = parse_dataset(make_coco(make_images(n_images), tgt_anns))
     return a, b
+
+
+def match_per_image(source, target, cfg: MatchConfig) -> MatchSet:
+    """The per-image matcher that ``match_datasets`` replaced, kept as its
+    reference: for each image, the IoU matrix of its eligible instances
+    (``box_iou_matrix`` of the stored boxes, or ``mask_iou`` of whole-grid
+    masks), then a greedy pass over the candidates ranked by (-IoU, source
+    id, target id)."""
+    eligible = [{i.id for i in single_polygon_view(ds)} for ds in (source, target)]
+    result = MatchSet()
+    for image_id in sorted({i.id for i in source.images} | {i.id for i in target.images}):
+        src, tgt = (
+            [i for i in ds.instances_in(image_id) if i.id in ids] for ds, ids in zip((source, target), eligible)
+        )
+        if not (src and tgt):
+            iou = np.zeros((len(src), len(tgt)))
+        elif cfg.iou_mode == "box":
+            iou = box_iou_matrix(np.array([s.bbox for s in src]), np.array([t.bbox for t in tgt]))
+        else:
+            image = source.image(image_id)
+            ms, mt = ([mask_of(i.segmentation, image.width, image.height) for i in side] for side in (src, tgt))
+            iou = np.array([[mask_iou(x, y) for y in mt] for x in ms])
+        candidates = sorted(
+            (-iou[i, j], s.id, t.id, i, j)
+            for i, s in enumerate(src)
+            for j, t in enumerate(tgt)
+            if iou[i, j] > cfg.iou_threshold and (s.category_id == t.category_id or not cfg.same_category_required)
+        )
+        used_s, used_t, pairs = set(), set(), []
+        for neg, sid, tid, i, j in candidates:
+            if i not in used_s and j not in used_t:
+                used_s.add(i)
+                used_t.add(j)
+                pairs.append(MatchPair(sid, tid, image_id, src[i].category_id, float(-neg)))
+        result.pairs += sorted(pairs, key=lambda p: p.source_instance_id)
+        result.unmatched_source += [s.id for i, s in enumerate(src) if i not in used_s]
+        result.unmatched_target += [t.id for j, t in enumerate(tgt) if j not in used_t]
+    result.unmatched_source.sort()
+    result.unmatched_target.sort()
+    result.ineligible_source, result.ineligible_target = (
+        sorted(i.id for i in ds.instances if i.id not in ids) for ds, ids in zip((source, target), eligible)
+    )
+    return result
+
+
+def random_scene(rng: random.Random, big_ids: bool):
+    """Two sides of rectangles from a small palette, so identical boxes and
+    exact IoU ties are common, plus a two-ring instance or an empty crowd now
+    and then. Each side holds a random subset of four images, so an image
+    can be on one side only and a side can be empty. With ``big_ids``, image
+    ids lie beyond int64 and annotation ids straddle its largest value."""
+    image_base, ann_base = (2**64, 2**63 - 8) if big_ids else (1, 1)
+    pool = [{"id": image_base + k, "width": 40, "height": 30, "file_name": f"{k}.png"} for k in range(4)]
+    sides = []
+    for _ in range(2):
+        images = [img for img in pool if rng.random() < 0.7]
+        anns = []
+        for img in images:
+            for _ in range(rng.randint(0, 6)):
+                x, y = rng.choice([0, 8]), rng.choice([0, 4]) + rng.choice([0, 0, 0.5])
+                ring = rect_ring(x, y, rng.choice([10, 20]), rng.choice([10, 12]))
+                kind = rng.random()
+                if kind < 0.08:
+                    anns.append(make_ann(0, img["id"], [ring, rect_ring(30, 20, 4, 4)]))
+                elif kind < 0.14:
+                    empty = {"counts": [1200], "size": [30, 40]}
+                    anns.append(make_ann(0, img["id"], empty, iscrowd=1, bbox=[0, 0, 4, 4]))
+                else:
+                    anns.append(make_ann(0, img["id"], ring, category_id=rng.choice([1, 2])))
+        for ann, k in zip(anns, rng.sample(range(len(anns)), len(anns))):
+            ann["id"] = ann_base + k
+        cats = [{"id": c, "name": f"cat{c}", "supercategory": "x"} for c in (1, 2)]
+        sides.append(parse_dataset(make_coco(images, anns, cats)))
+    return sides
 
 
 class TestThreshold:
@@ -128,6 +203,18 @@ class TestGreedy:
             again = match_datasets(*scene(s2, t2), MatchConfig(iou_threshold=0.5))
             assert again.pairs == base.pairs
             assert again.unmatched_source == base.unmatched_source
+
+    def test_instances_out_of_id_order_rank_by_id(self, synthetic_a, synthetic_b):
+        # a dataset built directly need not hold its instances in id order;
+        # ties still break by id, and the leftovers still come sorted
+        rng = random.Random(9)
+        shuffled = [
+            AnnotationDataset(ds.images, ds.categories, tuple(rng.sample(ds.instances, len(ds.instances))))
+            for ds in (synthetic_a, synthetic_b)
+        ]
+        for mode in ("box", "mask"):
+            cfg = MatchConfig(iou_threshold=0.5, iou_mode=mode)
+            assert match_datasets(*shuffled, cfg) == match_datasets(synthetic_a, synthetic_b, cfg)
 
 
 class TestEligibilityAndModes:
@@ -251,6 +338,45 @@ class TestEligibilityAndModes:
         assert ms.unmatched_target == [9]
 
 
+class TestAgainstPerImageReference:
+    @pytest.mark.parametrize("same_category", [True, False], ids=["same-category", "any-category"])
+    @pytest.mark.parametrize("mode", ["box", "mask"])
+    def test_equals_the_per_image_matcher_on_random_scenes(self, mode, same_category):
+        rng = random.Random(2026)
+        seen = {"pairs": 0, "tie": 0, "one-side image": 0, "empty side": 0}
+        for n in range(150):
+            a, b = random_scene(rng, big_ids=n % 2 == 1)
+            for threshold in (0.5, 0.9, 1.0):
+                cfg = MatchConfig(iou_threshold=threshold, iou_mode=mode, same_category_required=same_category)
+                got = match_datasets(a, b, cfg)
+                assert got == match_per_image(a, b, cfg)
+                assert threshold < 1.0 or got.pairs == []
+                seen["pairs"] += len(got.pairs)
+            # a box on both sides and a third time on either: an exact tie at IoU 1
+            boxes = [Counter((i.image_id, i.bbox) for i in single_polygon_view(ds)) for ds in (a, b)]
+            seen["tie"] += any(boxes[1][box] and k + boxes[1][box] > 2 for box, k in boxes[0].items())
+            images = [{i.id for i in ds.images} for ds in (a, b)]
+            seen["one-side image"] += bool(images[0] ^ images[1])
+            seen["empty side"] += not (a.instances and b.instances)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("mode", ["box", "mask"])
+    def test_one_overlap_call_per_dataset_pair(self, synthetic_a, synthetic_b, monkeypatch, mode):
+        calls = {"box_overlaps": 0, "count_overlaps": 0}
+        for name in calls:
+            original = getattr(matching, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(matching, name, counted)
+        got = match_datasets(synthetic_a, synthetic_b, MatchConfig(iou_mode=mode, iou_threshold=0.5))
+        assert len(got.pairs) > 100
+        want = {"box_overlaps": 1, "count_overlaps": 0} if mode == "box" else {"box_overlaps": 0, "count_overlaps": 1}
+        assert calls == want
+
+
 class TestProperties:
     @given(st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)), min_size=1, max_size=6),
            st.floats(0.3, 0.99))
@@ -308,6 +434,29 @@ class TestNdjson:
             "iou": ms.pairs[0].iou,
             "category_id": 1,
         }
+
+    def test_each_line_is_json_dumps_of_the_pair(self, synthetic_a, synthetic_b):
+        # IoU 1.0, floats of 17 significant digits, ids beyond int64
+        pairs = match_datasets(synthetic_a, synthetic_b, MatchConfig(iou_threshold=0.5)).pairs + [
+            MatchPair(2**64 + 1, 2**63, 2**70, 2**65, 1.0),
+            MatchPair(1, 2, 3, 4, 0.1 + 0.2),
+            MatchPair(-(2**64), 0, 7, 1, 0.9070294784580499),
+            MatchPair(5, 6, 7, 8, float(np.nextafter(0.9, 1.0))),
+        ]
+        lines = pairs_to_ndjson(MatchSet(pairs=pairs)).splitlines()
+        assert lines == [
+            json.dumps(
+                {
+                    "image_id": p.image_id,
+                    "source_id": p.source_instance_id,
+                    "target_id": p.target_instance_id,
+                    "iou": p.iou,
+                    "category_id": p.category_id,
+                }
+            )
+            for p in pairs
+        ]
+        assert len(repr(0.1 + 0.2)) == 19 and lines[-3].endswith('"iou": 0.30000000000000004, "category_id": 4}')
 
     def test_empty_ndjson_is_empty_string(self):
         assert pairs_to_ndjson(MatchSet()) == ""

@@ -293,6 +293,24 @@ class TestCrossingFill:
         # down from the other square's contour
         assert got[0][1:] == (math.sqrt(50), 36, 36)
 
+    def test_parity_fill_is_the_running_parity_of_its_toggles(self):
+        # the fill is the parity of the count of toggles at or before each
+        # pixel, with repeated positions, toggles at both ends of the buffer,
+        # none at all, and an odd count that leaves the tail set
+        rng = np.random.default_rng(113)
+        cases = [(np.zeros(0, np.intp), 7), (np.array([0, 6]), 7), (np.array([3, 3, 3]), 7), (np.array([6]), 7)]
+        for _ in range(200):
+            size = int(rng.integers(1, 300))
+            toggles = rng.integers(0, size, size=int(rng.integers(0, 2 * size)))
+            ends = rng.choice([0, size - 1], size=int(rng.integers(0, 4)))
+            toggles = np.concatenate([toggles, ends, toggles[: int(rng.integers(0, 5))]]).astype(np.intp)
+            cases.append((rng.permutation(toggles), size))
+        for toggles, size in cases:
+            want = np.cumsum(np.bincount(toggles, minlength=size)) % 2 == 1
+            got = raster._parity_fill(toggles, size)
+            assert got.dtype == bool and np.array_equal(got, want)
+        assert raster._parity_fill(np.array([0, 0, 6]), 7).tolist() == [False] * 6 + [True]
+
 
 def exact_next_center(v: float, lim: int) -> int:
     """``ceil(v - 1/2)`` in exact rationals, clipped to ``[0, lim]``."""
