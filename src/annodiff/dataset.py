@@ -93,7 +93,8 @@ class InstanceRecord(NamedTuple):
 
 @dataclass
 class AnnotationDataset:
-    """Parsed corpus with an image-id -> instance-ids index.
+    """Parsed corpus: its records, plus a map from id to record for each of
+    images, categories and instances.
 
     Ids are unique per namespace and every instance reference resolves;
     violations raise ``IntegrityError`` at construction time.
@@ -103,20 +104,16 @@ class AnnotationDataset:
     categories: tuple[CategoryRecord, ...]
     instances: tuple[InstanceRecord, ...]
     extra: dict = field(default_factory=dict)
-    index: dict[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self._images_by_id = _unique_by_id(self.images, "image")
         self._categories_by_id = _unique_by_id(self.categories, "category")
         self._instances_by_id = _unique_by_id(self.instances, "annotation")
-        per_image: dict[int, list[int]] = {img.id: [] for img in self.images}
         for inst in self.instances:
             if inst.image_id not in self._images_by_id:
                 raise IntegrityError(f"annotation {inst.id} -> image {inst.image_id}")
             if inst.category_id not in self._categories_by_id:
                 raise IntegrityError(f"annotation {inst.id} -> category {inst.category_id}")
-            per_image[inst.image_id].append(inst.id)
-        self.index = {k: tuple(sorted(v)) for k, v in per_image.items()}
 
     def image(self, image_id: int) -> ImageRecord:
         return self._images_by_id[image_id]
@@ -126,9 +123,6 @@ class AnnotationDataset:
 
     def instance(self, instance_id: int) -> InstanceRecord:
         return self._instances_by_id[instance_id]
-
-    def instances_in(self, image_id: int) -> tuple[InstanceRecord, ...]:
-        return tuple(self._instances_by_id[i] for i in self.index.get(image_id, ()))
 
 
 def _unique_by_id(records, what: str) -> dict:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, compress, count
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +48,7 @@ class MatchConfig:
             raise ValueError(f"iou_mode must be one of {_IOU_MODES}")
 
 
-@dataclass(frozen=True)
-class MatchPair:
+class MatchPair(NamedTuple):
     source_instance_id: int
     target_instance_id: int
     image_id: int
@@ -72,29 +72,48 @@ class MatchSet:
     ineligible_target: list[int] = field(default_factory=list)
 
 
-def _box_candidates(src: list, tgt: list, sel_s, sel_t, per_s, per_t):
-    """Every (source, target) pair of each shared image, and its box IoU,
-    from one box overlap over the paired rows. ``sel_*`` index the
-    instances of the shared images in ``src`` and ``tgt``, by (image, id),
-    and ``per_*`` give each image's count of them. Pairs come in (image,
+# Same-image pairs whose boxes one ``box_overlaps`` call takes at most, about
+# 100 bytes each. Set by measurement on seed 4242: from 2**12 to 2**17, box
+# mode matched 1,000 and 10,000 images as fast as with one call for all.
+_RUN = 2**14
+
+
+def _box_candidates(src: list, tgt: list, sel_s, sel_t, per_s, per_t, threshold: float):
+    """The (source, target) pairs of each shared image whose box IoU exceeds
+    ``threshold``, and that IoU. ``sel_*`` index the instances of the shared
+    images in ``src`` and ``tgt``, by (image, id), and ``per_*`` give each
+    image's count of them. One box overlap per run of images of at most
+    ``_RUN`` pairs (or of one image) bounds memory. Pairs come in (image,
     source, target) order."""
-    rep = np.repeat(per_t, per_s)  # each source pairs with its image's targets
-    start = np.cumsum(rep) - rep
-    first_t = np.repeat(np.cumsum(per_t) - per_t, per_s)
-    a = np.repeat(sel_s, rep)
-    b = sel_t[np.arange(rep.sum()) - np.repeat(start - first_t, rep)]
     boxes_s, boxes_t = (
         np.fromiter(chain.from_iterable(map(_BBOX, side)), dtype=np.float64, count=4 * len(side)).reshape(-1, 1, 4)
         for side in (src, tgt)
     )
-    return a, b, iou(*box_overlaps(boxes_s[a], boxes_t[b])).ravel()
+    rep = np.repeat(per_t, per_s)  # each source pairs with its image's targets
+    # pair p of source row r pairs it with target row p - shift[r]
+    shift = np.cumsum(rep) - rep - np.repeat(np.cumsum(per_t) - per_t, per_s)
+    # cut[k]: the source rows, or the pairs, of the shared images before image k
+    cut_s, cut = (np.concatenate(([0], np.cumsum(n))) for n in (per_s, per_s * per_t))
+    out = [(sel_s[:0], sel_t[:0], np.zeros(0))]  # typed, should no image be shared
+    i0 = 0
+    while i0 < per_s.size:
+        i1 = max(int(np.searchsorted(cut, cut[i0] + _RUN, side="right")) - 1, i0 + 1)
+        rows = slice(cut_s[i0], cut_s[i1])
+        a = np.repeat(sel_s[rows], rep[rows])
+        b = sel_t[np.arange(cut[i0], cut[i1]) - np.repeat(shift[rows], rep[rows])]
+        ious = iou(*box_overlaps(boxes_s[a], boxes_t[b])).ravel()
+        keep = ious > threshold
+        out.append((a[keep], b[keep], ious[keep]))
+        i0 = i1
+    return tuple(map(np.concatenate, zip(*out)))
 
 
-def _mask_candidates(src: list, tgt: list, sel_s, sel_t, per_s, per_t, sizes: list):
-    """The (source, target) pairs of each shared image that share a pixel,
-    and their mask IoU, from one overlap count keyed by image. A degenerate
-    ring counts as empty rather than failing the search; a shape on a grid
-    the count rejects fails it. Pairs come in (image, source, target) order."""
+def _mask_candidates(src: list, tgt: list, sel_s, sel_t, per_s, per_t, sizes: list, threshold: float):
+    """The (source, target) pairs of each shared image whose mask IoU exceeds
+    ``threshold``, and that IoU, from one overlap count keyed by image (a
+    pair that shares no pixel has IoU 0). A degenerate ring counts as empty
+    rather than failing the search; a shape on a grid the count rejects
+    fails it. Pairs come in (image, source, target) order."""
     a, b = (
         [(side[r].segmentation, k) for r, k in zip(sel.tolist(), np.repeat(np.arange(per.size), per).tolist())]
         for side, sel, per in ((src, sel_s, per_s), (tgt, sel_t, per_t))
@@ -103,7 +122,9 @@ def _mask_candidates(src: list, tgt: list, sel_s, sel_t, per_s, per_t, sizes: li
     grid = next((exc for exc in ov.faults.values() if not isinstance(exc, DegenerateShape)), None)
     if grid is not None:
         raise grid
-    return sel_s[ov.a], sel_t[ov.b], iou(ov.inter, ov.area_a[ov.a], ov.area_b[ov.b])
+    ious = iou(ov.inter, ov.area_a[ov.a], ov.area_b[ov.b])
+    keep = ious > threshold
+    return sel_s[ov.a[keep]], sel_t[ov.b[keep]], ious[keep]
 
 
 def match_datasets(
@@ -115,18 +136,17 @@ def match_datasets(
 
     Images present on one side only contribute unmatched instances. Pairs come
     out canonically ordered by (image_id, source_instance_id). The candidates
-    are the same-image pairs of the whole dataset pair: in box mode all of
-    them, from one box overlap; in mask mode those that share a pixel, from
-    one overlap count keyed by image (a pair that shares none has IoU 0 and
-    never passes the threshold). An instance is known by its place among its
-    side's eligible instances in id order, so ids of any size rank as ids.
+    are the same-image pairs of the whole dataset pair whose IoU passes the
+    threshold: in box mode from one box overlap per run of images; in mask
+    mode from one overlap count keyed by image. An instance is known by its
+    place among its side's eligible instances in id order, so ids of any
+    size rank as ids.
     """
     images = sorted({img.id for img in source.images} | {img.id for img in target.images})
     place = dict(zip(images, count()))
     src, tgt = (sorted(single_polygon_view(ds), key=_BY_ID) for ds in (source, target))
-    ids_s, ids_t = ({inst.id for inst in side} for side in (src, tgt))
-    ineligible_s = sorted(i.id for i in source.instances if i.id not in ids_s)
-    ineligible_t = sorted(i.id for i in target.instances if i.id not in ids_t)
+    sides = ((source, src), (target, tgt))
+    ineligible = [sorted(set(map(_BY_ID, ds.instances)).difference(map(_BY_ID, side))) for ds, side in sides]
 
     # each side's instances of the images both sides hold, by (image, id)
     img_s, img_t = (
@@ -139,30 +159,29 @@ def match_datasets(
     sel_s, sel_t = (sel[np.argsort(img[sel], kind="stable")] for img, sel in ((img_s, sel_s), (img_t, sel_t)))
     per_s, per_t = n_s[shared], n_t[shared]
     if cfg.iou_mode == "mask":
-        grids = (source.image(images[k]) for k in np.flatnonzero(shared).tolist())
-        a, b, ious = _mask_candidates(src, tgt, sel_s, sel_t, per_s, per_t, [(g.width, g.height) for g in grids])
+        sizes = [(g.width, g.height) for g in map(source.image, compress(images, shared.tolist()))]
+        a, b, ious = _mask_candidates(src, tgt, sel_s, sel_t, per_s, per_t, sizes, cfg.iou_threshold)
     else:
-        a, b, ious = _box_candidates(src, tgt, sel_s, sel_t, per_s, per_t)
+        a, b, ious = _box_candidates(src, tgt, sel_s, sel_t, per_s, per_t, cfg.iou_threshold)
 
-    keep = np.flatnonzero(ious > cfg.iou_threshold)
     if cfg.same_category_required:
-        same = (src[i].category_id == tgt[j].category_id for i, j in zip(a[keep].tolist(), b[keep].tolist()))
-        keep = keep[np.fromiter(same, dtype=bool, count=keep.size)]
-    a, b, ious = a[keep].tolist(), b[keep].tolist(), ious[keep]
+        same = (src[i].category_id == tgt[j].category_id for i, j in zip(a.tolist(), b.tolist()))
+        keep = np.fromiter(same, dtype=bool, count=a.size)
+        a, b, ious = a[keep], b[keep], ious[keep]
     # one greedy pass over every image's candidates at once
-    free_s, free_t = [True] * len(src), [True] * len(tgt)
-    taken = []
-    for k in np.lexsort((b, a, -ious)).tolist():
-        i, j = a[k], b[k]
+    free_s, free_t = bytearray(b"\x01") * len(src), bytearray(b"\x01") * len(tgt)
+    took = bytearray(a.size)
+    order = np.lexsort((b, a, -ious))
+    for k, i, j in zip(order.tolist(), a[order].tolist(), b[order].tolist()):
         if free_s[i] and free_t[j]:
-            free_s[i] = free_t[j] = False
-            taken.append(k)
+            free_s[i] = free_t[j] = 0
+            took[k] = 1
     # candidates come in (image, source) order, and so do the pairs
-    taken.sort()
-    ious = ious.tolist()
-    pairs = [MatchPair(src[a[k]].id, tgt[b[k]].id, src[a[k]].image_id, src[a[k]].category_id, ious[k]) for k in taken]
+    taken = np.flatnonzero(np.frombuffer(took, dtype=bool))
+    rows = zip(a[taken].tolist(), b[taken].tolist(), ious[taken].tolist())
+    pairs = [MatchPair(src[i].id, tgt[j].id, src[i].image_id, src[i].category_id, v) for i, j, v in rows]
     unmatched = (list(compress(map(_BY_ID, side), free)) for side, free in ((src, free_s), (tgt, free_t)))
-    return MatchSet(pairs, *unmatched, ineligible_s, ineligible_t)
+    return MatchSet(pairs, *unmatched, *ineligible)
 
 
 def pairs_to_ndjson(match_set: MatchSet) -> str:

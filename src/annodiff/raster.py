@@ -122,11 +122,14 @@ def _rings(shape) -> list:
     """The rings of a polygon shape as flat ``(x1, y1, x2, y2, ...)``
     coordinates. ``DegenerateShape`` if there is no ring or a ring has fewer
     than 6 coordinates (3 vertices); past that rule, ``GeometryError`` if a
-    ring's coordinates do not pair up into vertices (:func:`_bad_ring`).
+    ring's coordinates do not pair up into vertices (:func:`_bad_ring`), or
+    for an ``RleMask``, which has no rings.
 
     The rings of ``Polygons`` are stored flat, and so is a raw ring that is a
     tuple or list of plain ints and floats; these are taken as they are. Any
     other raw ring (an array, a list of pairs) goes through NumPy."""
+    if isinstance(shape, RleMask):
+        raise GeometryError("an RLE mask has no rings; mask_of decodes it")
     if isinstance(shape, Polygons):
         own = list(shape.rings)
     else:
@@ -146,21 +149,6 @@ def _rings(shape) -> list:
     if not own:
         raise DegenerateShape("polygon has no rings")
     return [_ring_points(ring).reshape(-1) if type(ring) is np.ndarray else ring for ring in own]
-
-
-def _vertices(shapes) -> _Vertices:
-    """The vertices of every polygon shape, in one gather; ``RleMask``
-    shapes add none. A shape that :func:`_rings` rejects raises
-    ``GeometryError``."""
-    rings: list = []  # flat (x1, y1, x2, y2, ...) coordinates per ring
-    owners: list[int] = []
-    for k, shape in enumerate(shapes):
-        if isinstance(shape, RleMask):
-            continue
-        own = _rings(shape)
-        rings += own
-        owners += [k] * len(own)
-    return _ring_vertices(rings, owners)
 
 
 def _ring_vertices(rings: list, owners: list[int]) -> _Vertices:
@@ -311,12 +299,12 @@ def rasterize(poly, width: int, height: int) -> np.ndarray:
 
     Raises:
         DegenerateShape: a ring has fewer than 3 vertices, or there is none.
-        GeometryError: otherwise, a ring's coordinates do not pair up into
-            vertices, or a side is below 1 or beyond 2**52 px.
+        GeometryError: ``poly`` is an ``RleMask`` (:func:`mask_of` takes it), or else a
+            ring's coordinates do not pair up into vertices, or a side is below 1 or beyond 2**52 px.
     """
-    v = _vertices([poly])
+    rings = _rings(poly)
     _check_grid(width, height)
-    _, rows, cols = _crossings(v, np.full(1, width), np.full(1, height))
+    _, rows, cols = _crossings(_ring_vertices(rings, [0] * len(rings)), np.full(1, width), np.full(1, height))
     stride = width + 1
     mask = _parity_fill(rows * stride + cols, height * stride)
     return np.ascontiguousarray(mask.reshape(height, stride)[:, :width])

@@ -379,18 +379,15 @@ def pair_rings(
     source: AnnotationDataset,
     target: AnnotationDataset,
 ) -> tuple[tuple[float, ...], tuple[float, ...], int, int]:
-    """``(source ring, target ring, width, height)`` of one matched pair.
+    """``(source ring, target ring, width, height)`` of one matched pair, on its source image's grid.
 
     Raises:
         DegenerateShape: either instance is not a single polygon ring.
     """
-    image = source.image(pair.image_id) if pair.image_id in source.index else target.image(pair.image_id)
-    return (
-        _single_ring(source.instance(pair.source_instance_id).segmentation),
-        _single_ring(target.instance(pair.target_instance_id).segmentation),
-        image.width,
-        image.height,
-    )
+    inst = source.instance(pair.source_instance_id)
+    image = source.image(inst.image_id)
+    ring = _single_ring(inst.segmentation)
+    return ring, _single_ring(target.instance(pair.target_instance_id).segmentation), image.width, image.height
 
 
 def pair_metrics(

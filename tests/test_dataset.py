@@ -611,11 +611,6 @@ class TestRecords:
 
 
 class TestAccessors:
-    def test_index_maps_images_to_instances(self, tiny_a):
-        assert tiny_a.index[1] == (1, 2)
-        assert tiny_a.index[2] == (3, 4)
-        assert tiny_a.index[3] == (5,)
-
     def test_segmentation_types(self, tiny_a):
         assert isinstance(tiny_a.instance(1).segmentation, Polygons)
         assert isinstance(tiny_a.instance(5).segmentation, RleMask)

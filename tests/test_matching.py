@@ -38,7 +38,8 @@ def match_per_image(source, target, cfg: MatchConfig) -> MatchSet:
     result = MatchSet()
     for image_id in sorted({i.id for i in source.images} | {i.id for i in target.images}):
         src, tgt = (
-            [i for i in ds.instances_in(image_id) if i.id in ids] for ds, ids in zip((source, target), eligible)
+            sorted((i for i in ds.instances if i.image_id == image_id and i.id in ids), key=lambda i: i.id)
+            for ds, ids in zip((source, target), eligible)
         )
         if not (src and tgt):
             iou = np.zeros((len(src), len(tgt)))
@@ -277,7 +278,7 @@ class TestEligibilityAndModes:
         want, unmatched_s, unmatched_t = [], [], []
         for image in synthetic_a.images:
             src, tgt = (
-                [i for i in ds.instances_in(image.id) if i.id in ids]
+                sorted((i for i in ds.instances if i.image_id == image.id and i.id in ids), key=lambda i: i.id)
                 for ds, ids in zip((synthetic_a, synthetic_b), eligible)
             )
             masks = [[mask_of(i.segmentation, image.width, image.height) for i in side] for side in (src, tgt)]
@@ -375,6 +376,28 @@ class TestAgainstPerImageReference:
         assert len(got.pairs) > 100
         want = {"box_overlaps": 1, "count_overlaps": 0} if mode == "box" else {"box_overlaps": 0, "count_overlaps": 1}
         assert calls == want
+
+    @pytest.mark.parametrize("run", [1, 40, 500])
+    def test_box_runs_give_the_pairs_of_one_run(self, synthetic_a, synthetic_b, monkeypatch, run):
+        # the shared images go in runs of at most `run` same-image pairs, an
+        # image of more in a run of its own, one box overlap each
+        cfg = MatchConfig(iou_threshold=0.5)
+        whole = match_datasets(synthetic_a, synthetic_b, cfg)
+        n_s, n_t = (Counter(inst.image_id for inst in single_polygon_view(ds)) for ds in (synthetic_a, synthetic_b))
+        want, total = [], 0
+        for n in (n_s[image] * n_t[image] for image in sorted(n_s.keys() & n_t.keys())):
+            if total and total + n > run:
+                want.append(total)
+                total = 0
+            total += n
+        want.append(total)
+        calls = []
+        overlaps = matching.box_overlaps
+        monkeypatch.setattr(matching, "_RUN", run)
+        monkeypatch.setattr(matching, "box_overlaps", lambda a, b: calls.append(len(a)) or overlaps(a, b))
+        got = match_datasets(synthetic_a, synthetic_b, cfg)
+        assert calls == want and len(calls) > 1
+        assert got == whole and pairs_to_ndjson(got) == pairs_to_ndjson(whole)
 
 
 class TestProperties:

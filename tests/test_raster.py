@@ -38,6 +38,13 @@ def poly(*rings):
     return Polygons(tuple(tuple(float(v) for v in r) for r in rings))
 
 
+def vertices(shapes):
+    """The vertices of every ring of ``shapes``, in one gather, each owned
+    by its shape's position."""
+    own = [raster._rings(shape) for shape in shapes]
+    return raster._ring_vertices([r for rings in own for r in rings], [k for k, rings in enumerate(own) for _ in rings])
+
+
 class TestRasterize:
     def test_axis_aligned_square_pixel_count(self):
         mask = rasterize(poly(rect_ring(2, 3, 10, 10)), 32, 32)
@@ -72,6 +79,13 @@ class TestRasterize:
             got = rasterize(poly(*rings), 64, 64)
             want = rasterize_oracle(rings, 64, 64)
             assert np.array_equal(got, want)
+
+    def test_rle_mask_is_rejected_not_filled_empty(self):
+        rle = RleMask((2, 4, 10), 4, 4)
+        with pytest.raises(GeometryError, match="mask_of") as e:
+            rasterize(rle, 4, 4)
+        assert not isinstance(e.value, DegenerateShape)
+        assert mask_of(rle, 4, 4).sum() == 4
 
 
 def wild_rings(rng, n, width, height, sort_angles=True):
@@ -205,7 +219,7 @@ def grids_from_runs(shapes, width, height):
     from :func:`raster._runs` (the sorted pixel toggles paired into runs) of
     one scanline pass over all the shapes."""
     n = len(shapes)
-    owner, rows, c0, c1 = raster._runs(*raster._crossings(raster._vertices(shapes), np.full(n, width), np.full(n, height)))
+    owner, rows, c0, c1 = raster._runs(*raster._crossings(vertices(shapes), np.full(n, width), np.full(n, height)))
     grids = np.zeros((n, height, width), dtype=bool)
     for k, r, a, b in zip(owner.tolist(), rows.tolist(), c0.tolist(), c1.tolist()):
         assert a < b and not grids[k, r, a:b].any()  # disjoint, non-empty runs
@@ -273,7 +287,7 @@ class TestCrossingFill:
         # every row crosses the sliver at x = 3.6 and 3.9, both of which put
         # the next pixel center at column 4: each row's two toggles cancel
         sliver = [3.6, 0.0, 3.9, 0.0, 3.9, 10.0, 3.6, 10.0]
-        owner, rows, cols = raster._crossings(raster._vertices([poly(sliver)]), np.full(1, 12), np.full(1, 12))
+        owner, rows, cols = raster._crossings(vertices([poly(sliver)]), np.full(1, 12), np.full(1, 12))
         assert rows.size == 20 and (cols == 4).all()
         assert not grids_from_runs([poly(sliver)], 12, 12).any()
         assert not self.check([[sliver]], 12, 12).any()
@@ -386,7 +400,7 @@ class TestNextCenter:
                 shapes = [poly(*[[round(2 * c) / 2 for c in r] for r in s.rings]) for s in shapes]
             width = rng.integers(1, 60, size=len(shapes))
             height = rng.integers(1, 60, size=len(shapes))
-            v = raster._vertices(shapes)
+            v = vertices(shapes)
             got = raster._crossings(v, width, height)
             want = candidate_crossings(v, width, height)
             for g, x in zip(got, want):
@@ -534,7 +548,7 @@ class TestCountOverlaps:
         got = count_overlaps(a, b, [(side, side)])
         assert (got.area_a.tolist(), got.area_b.tolist()) == ([100, 25], [100, 16])
         assert (got.a.tolist(), got.b.tolist(), got.inter.tolist()) == ([0], [0], [25])
-        toggles = raster._crossings(raster._vertices([s for s, _ in a + b]), np.full(4, side), np.full(4, side))
+        toggles = raster._crossings(vertices([s for s, _ in a + b]), np.full(4, side), np.full(4, side))
         runs = sorted(zip(*(k.tolist() for k in raster._runs(*toggles))))
         boxes = [(0, x, y, 10), (1, 1, 1, 5), (2, x + 5, y + 5, 10), (3, 20, 20, 4)]
         assert runs == sorted((k, r, c, c + n) for k, c, r0, n in boxes for r in range(r0, r0 + n))

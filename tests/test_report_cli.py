@@ -25,7 +25,8 @@ from annodiff.report import (
     run_audit,
     write_report_csv,
 )
-from annodiff.surface import pair_metrics
+from annodiff.raster import box_iou, mask_iou, mask_of
+from annodiff.surface import pair_metrics, ring_pair_metrics
 
 from conftest import FIXTURES, make_ann, make_coco, make_images, rect_ring
 
@@ -195,6 +196,37 @@ class TestPairResolver:
         assert r["surface"]["degenerate_excluded"] == 1
         assert r["consistency"]["ok"] is True
         validate_report(r)
+
+
+class TestSharedImageOfTwoSizes:
+    """Image 1 is 40x30 px on one side and 20x15 px on the other, and only
+    the larger grid holds all of either box. The audit behind ``diff``
+    counts mask IoU and measures surface metrics on the source's grid, so
+    swapping the sides swaps the grid."""
+
+    GRIDS = {"big": (40, 30), "small": (20, 15)}
+    RINGS = {"big": rect_ring(0, 0, 30, 10), "small": rect_ring(0, 0, 28, 10)}
+
+    @pytest.mark.parametrize("mode", ["box", "mask"])
+    @pytest.mark.parametrize("source_side, target_side", [("big", "small"), ("small", "big")])
+    def test_source_grid_counts(self, mode, source_side, target_side):
+        source, target = (
+            parse_dataset(make_coco(make_images(1, *self.GRIDS[side]), [make_ann(k, 1, self.RINGS[side])]))
+            for k, side in enumerate((source_side, target_side), 1)
+        )
+        out = run_audit(source, target, AuditConfig(iou_mode=mode, iou_threshold=0.5))
+        (pair,) = out.match_set.pairs
+        (result,) = out.surface_results
+        shapes = source.instance(1).segmentation, target.instance(2).segmentation
+        rings = [shape.rings[0] for shape in shapes]
+        grid, other = self.GRIDS[source_side], self.GRIDS[target_side]
+        measured = (result.d_avg, result.d_max, result.contour_len_source, result.contour_len_target)
+        assert measured == ring_pair_metrics(*rings, *grid) != ring_pair_metrics(*rings, *other)
+        if mode == "mask":
+            on = {g: mask_iou(*(mask_of(shape, *g) for shape in shapes)) for g in (grid, other)}
+            assert pair.iou == on[grid] != on[other]
+        else:
+            assert pair.iou == box_iou(source.instance(1).bbox, target.instance(2).bbox)
 
 
 class FakePool:
