@@ -57,6 +57,7 @@ or of pixel counts, is :func:`iou` of an intersection and two areas.
 
 from __future__ import annotations
 
+import math
 from itertools import chain, compress
 from typing import NamedTuple
 
@@ -118,27 +119,52 @@ def _bad_ring(size):
     return (size < 6) | (size % 2 == 1)
 
 
+def _float_ring(ring) -> np.ndarray:
+    """A raw ring as a float64 array of its shape. One holding an int beyond
+    the float range is all ``inf``, which :func:`_rings` rejects once the
+    vertex-count rule has passed it."""
+    try:
+        return np.asarray(ring, dtype=np.float64)
+    except OverflowError:
+        return np.full(np.shape(np.asarray(ring, dtype=object)), np.inf)
+
+
+def _finite(ring) -> bool:
+    """Whether every coordinate of a flat ring is a finite float64; an int
+    beyond the float range is not."""
+    if type(ring) is np.ndarray:
+        return bool(np.isfinite(ring).all())
+    try:
+        # the sum is finite if every value is, unless it overflows; only
+        # then is each value tested
+        return math.isfinite(sum(ring, 0.0)) or all(map(math.isfinite, ring))
+    except OverflowError:
+        return False
+
+
 def _rings(shape) -> list:
     """The rings of a polygon shape as flat ``(x1, y1, x2, y2, ...)``
     coordinates. ``DegenerateShape`` if there is no ring or a ring has fewer
     than 6 coordinates (3 vertices); past that rule, ``GeometryError`` if a
-    ring's coordinates do not pair up into vertices (:func:`_bad_ring`), or
-    for an ``RleMask``, which has no rings.
+    ring's coordinates do not pair up into vertices (:func:`_bad_ring`), if
+    a raw ring holds a coordinate that is not a finite float, or for an
+    ``RleMask``, which has no rings.
 
     The rings of ``Polygons`` are stored flat, and so is a raw ring that is a
     tuple or list of plain ints and floats; these are taken as they are. Any
-    other raw ring (an array, a list of pairs) goes through NumPy."""
+    other raw ring (an array, a list of pairs) goes through NumPy. The
+    coordinates of ``Polygons`` are trusted to be finite, as parsing leaves
+    them."""
     if isinstance(shape, RleMask):
         raise GeometryError("an RLE mask has no rings; mask_of decodes it")
-    if isinstance(shape, Polygons):
-        own = list(shape.rings)
-    else:
+    raw = not isinstance(shape, Polygons)
+    if raw:
         own = [
-            ring
-            if type(ring) in _FLAT_RINGS and _PLAIN_NUMBERS.issuperset(map(type, ring))
-            else np.asarray(ring, dtype=np.float64)
+            ring if type(ring) in _FLAT_RINGS and _PLAIN_NUMBERS.issuperset(map(type, ring)) else _float_ring(ring)
             for ring in shape
         ]
+    else:
+        own = list(shape.rings)
     for ring in own:
         array = type(ring) is np.ndarray
         size = ring.size if array else len(ring)
@@ -148,7 +174,10 @@ def _rings(shape) -> list:
             raise GeometryError(f"ring has odd coordinate count {size}")
     if not own:
         raise DegenerateShape("polygon has no rings")
-    return [_ring_points(ring).reshape(-1) if type(ring) is np.ndarray else ring for ring in own]
+    rings = [_ring_points(ring).reshape(-1) if type(ring) is np.ndarray else ring for ring in own]
+    if raw and not all(map(_finite, rings)):
+        raise GeometryError("ring has a coordinate that is not a finite float")
+    return rings
 
 
 def _ring_vertices(rings: list, owners: list[int]) -> _Vertices:
@@ -205,15 +234,15 @@ def _crossings(v: _Vertices, width: np.ndarray, height: np.ndarray, at=slice(Non
     np.maximum(y1, y2, out=ends[1])
     first, span = _next_center(ends, height[owner])
     span -= first
-    e = np.repeat(np.arange(span.size), span)
-    rows = np.arange(e.size) + np.repeat(first - (np.cumsum(span) - span), span)
-    owner = owner[e]
+    # each edge's values are spread over its crossings
+    rows = np.arange(int(span.sum())) + np.repeat(first - (np.cumsum(span) - span), span)
+    owner = np.repeat(owner, span)
     # Pixel centers in a run [a, b) are the columns [ceil(a - 0.5),
     # ceil(b - 0.5)); clipped to the grid, an off-grid run becomes empty.
     xs = rows + 0.5
-    xs -= y1[e]
-    xs *= slope[e]
-    xs += x1[e]
+    xs -= np.repeat(y1, span)
+    xs *= np.repeat(slope, span)
+    xs += np.repeat(x1, span)
     return owner, rows, _next_center(xs, width[owner])
 
 
@@ -300,7 +329,8 @@ def rasterize(poly, width: int, height: int) -> np.ndarray:
     Raises:
         DegenerateShape: a ring has fewer than 3 vertices, or there is none.
         GeometryError: ``poly`` is an ``RleMask`` (:func:`mask_of` takes it), or else a
-            ring's coordinates do not pair up into vertices, or a side is below 1 or beyond 2**52 px.
+            ring's coordinates do not pair up into vertices, a raw ring's coordinate is not a
+            finite float, or a side is below 1 or beyond 2**52 px.
     """
     rings = _rings(poly)
     _check_grid(width, height)

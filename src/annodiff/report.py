@@ -95,13 +95,14 @@ def compute_surface_results(
     (``surface._GROUP`` pairs) at a time, and with room for only one the
     pairs are measured in this process.
     """
-    index, pairs = [], []
-    for idx, pair in enumerate(match_set.pairs):
+    pairs, ringed = [], []
+    for pair in match_set.pairs:
         try:
             pairs.append(pair_rings(pair, source, target))
         except DegenerateShape:
-            continue
-        index.append(idx)
+            ringed.append(False)
+        else:
+            ringed.append(True)
     # the executor starts every worker at its first map
     jobs = min(jobs, len(pairs), os.cpu_count() or 1)
     if jobs > 1:
@@ -114,14 +115,15 @@ def compute_surface_results(
             rows = [m for part in pool.map(_surface_task, tasks) for m in part]
     else:
         rows = ring_pairs_metrics(pairs, footprint=footprint)
-    measured = {idx: metrics for idx, metrics in zip(index, rows) if metrics is not None}
+    measured = iter(rows)
     results: list[SurfaceDistanceResult] = []
     degenerate = []
-    for idx, pair in enumerate(match_set.pairs):
-        if idx in measured:
-            results.append(SurfaceDistanceResult(pair, *measured[idx]))
-        else:
+    for pair, ok in zip(match_set.pairs, ringed):
+        metrics = next(measured) if ok else None
+        if metrics is None:
             degenerate.append(pair)
+        else:
+            results.append(SurfaceDistanceResult(pair, *metrics))
     return results, degenerate
 
 

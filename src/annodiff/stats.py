@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,7 +29,9 @@ class SizeBucket(Enum):
     LARGE = "large"  # area > 96*96
 
 
+# Upper bounds of the strata below LARGE, in ``SizeBucket`` order.
 _BUCKET_BOUNDS = ((SizeBucket.VERY_SMALL, 100.0), (SizeBucket.SMALL, 1024.0), (SizeBucket.MEDIUM, 9216.0))
+_SIDE_BOUNDS = ((SizeBucket.VERY_SMALL, 10.0), (SizeBucket.SMALL, 32.0), (SizeBucket.MEDIUM, 96.0))
 
 
 def size_bucket(area: float) -> SizeBucket:
@@ -45,7 +48,7 @@ def size_bucket_of_dims(w: float, h: float) -> SizeBucket:
     """Alternative stratum rule: both box dimensions within the bound."""
     if w < 0 or h < 0:
         raise StatsError(f"negative extent {w}x{h}")
-    for bucket, side in ((SizeBucket.VERY_SMALL, 10.0), (SizeBucket.SMALL, 32.0), (SizeBucket.MEDIUM, 96.0)):
+    for bucket, side in _SIDE_BOUNDS:
         if w <= side and h <= side:
             return bucket
     return SizeBucket.LARGE
@@ -79,35 +82,37 @@ def summarize(ds: AnnotationDataset, *, buckets: str = "stored") -> DatasetSumma
     """
     if buckets not in ("stored", "recomputed", "dims"):
         raise ValueError(f"buckets must be 'stored', 'recomputed' or 'dims', got {buckets!r}")
-    areas = {}
-    if buckets == "recomputed":
-        areas = _pixel_areas(ds, [inst for inst in ds.instances if not inst.iscrowd])
-    per_category = Counter()
-    size_buckets = {b: 0 for b in SizeBucket}
-    crowd_count = 0
-    vertex_count = 0
-    for inst in ds.instances:
-        per_category[inst.category_id] += 1
-        if isinstance(inst.segmentation, Polygons):
-            vertex_count += inst.segmentation.vertex_count
-        if inst.iscrowd:
-            crowd_count += 1
-            continue
+    instances = ds.instances
+    plain = [inst for inst in instances if not inst.iscrowd]
+    if buckets == "dims":
+        values = np.array([inst.bbox[2:] for inst in plain], dtype=np.float64).reshape(-1, 2)
+        bounds = _SIDE_BOUNDS
+    else:
+        pixels = _pixel_areas(ds, plain) if buckets == "recomputed" else {}
+        areas = [pixels.get(inst.id, inst.area) for inst in plain]
+        values = np.array(areas, dtype=np.float64).reshape(-1, 1)
+        bounds = _BUCKET_BOUNDS
+    bad = (values < 0).any(axis=1)
+    # A stratum is the first whose bound is at or above every value of the
+    # instance (``side="left"``); a NaN sorts past every bound, into LARGE,
+    # where the scalar rules put it too.
+    stratum = np.searchsorted([bound for _, bound in bounds], values, side="left").max(axis=1, initial=0)
+    if bad.any():  # the first by position, named by the scalar rule
+        k = int(np.argmax(bad))
+        inst = plain[k]
         try:
-            if buckets == "dims":
-                bucket = size_bucket_of_dims(inst.bbox[2], inst.bbox[3])
-            else:
-                bucket = size_bucket(areas.get(inst.id, inst.area))
+            size_bucket_of_dims(*inst.bbox[2:]) if buckets == "dims" else size_bucket(areas[k])
         except StatsError as e:
             raise StatsError(f"annotation {inst.id} has {e}") from None
-        size_buckets[bucket] += 1
+    counts = np.bincount(stratum, minlength=len(SizeBucket)).tolist()
+    shapes = map(attrgetter("segmentation"), instances)
     return DatasetSummary(
         image_count=len(ds.images),
         instance_count=len(ds.instances),
-        crowd_count=crowd_count,
-        vertex_count=vertex_count,
-        per_category=dict(per_category),
-        size_buckets=size_buckets,
+        crowd_count=len(instances) - len(plain),
+        vertex_count=sum(len(ring) // 2 for shape in shapes if isinstance(shape, Polygons) for ring in shape.rings),
+        per_category=dict(Counter(map(attrgetter("category_id"), instances))),
+        size_buckets=dict(zip(SizeBucket, counts)),
     )
 
 

@@ -11,12 +11,16 @@ Hanbury, "Metrics for evaluating 3D medical image segmentation" (BMC Medical
 Imaging, 2015). Distances are exact: integer squared pixel distances with the
 square root taken only at read-out.
 
-Matched pairs are measured in chunks (:func:`ring_pairs_metrics`). A pair's
-window is the bounding box of its two rings' pixel toggles. The rings of a
-chunk are scan-converted in one pass, and every layer (one per ring) is
-filled into one flat boolean buffer by the running parity of its toggles,
-the fill :func:`~annodiff.raster.rasterize` uses too. All layers share
-one row stride, and each has a blank row above it and a blank column left of
+Matched pairs are measured in chunks (:func:`ring_pairs_metrics`). The
+rings of a group of pairs are checked in one pass, and a group that fails a
+check goes pair by pair, which raises the first fault. A pair's window is
+taken once, from its rings' vertex extents: exact rows, and the columns with
+a spare one on each side for a crossing that rounds past them
+(:func:`_windows`). The rings of a chunk are scan-converted in one pass,
+and every layer (one per ring) is filled into one flat boolean buffer by
+the running parity of its toggles, the fill
+:func:`~annodiff.raster.rasterize` uses too. All layers share one row
+stride, and each has a blank row above it and a blank column left of
 it, so one parity pass fills them all and one erosion by shifted ANDs (±1 and
 ± the stride, plus the diagonals for ``square``) gives the same contour
 pixels as the whole image grid. A chunk closes at
@@ -39,7 +43,9 @@ rows takes one step per window row; that is the worst case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from itertools import chain, compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +53,12 @@ from .dataset import AnnotationDataset
 from .errors import DegenerateShape, GeometryError
 from .matching import MatchPair
 from .raster import (
+    _FLAT_RINGS,
     _FOOTPRINTS,
+    _MAX_SIDE,
+    _PLAIN_NUMBERS,
     _Vertices,
+    _bad_ring,
     _check_grid,
     _crossings,
     _next_center,
@@ -59,8 +69,7 @@ from .raster import (
 from .shapes import Polygons
 
 
-@dataclass(frozen=True)
-class SurfaceDistanceResult:
+class SurfaceDistanceResult(NamedTuple):
     pair: MatchPair
     d_avg: float
     d_max: float
@@ -79,9 +88,6 @@ _GROUP = 128
 # Pixel cap of one chunk's fill buffer: each of the few temporaries of its
 # fill and erosion takes one byte per pixel.
 _CHUNK_PX = 1 << 18
-
-# Window bounds of a pair with no toggles at all.
-_NONE = 1 << 60
 
 
 def _row_gaps(ends: np.ndarray, t: np.ndarray, far: int) -> np.ndarray:
@@ -239,42 +245,119 @@ def _chunks(width: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
     return chunks
 
 
-def _measure_chunk(v: _Vertices, start: np.ndarray, sel: np.ndarray, width, height, footprint: str) -> list:
+def _measure_chunk(v: _Vertices, start: np.ndarray, sel: np.ndarray, grid, window, footprint: str) -> list:
     """:func:`_read_out` of the pairs ``sel`` of a group: the rings of pair
     ``j`` are the vertices of owners ``2j`` and ``2j + 1`` of ``v``, which
-    start at ``start[owner]``; ``width`` and ``height`` are per owner."""
+    start at ``start[owner]``. Per pair, ``grid`` holds its width and
+    height, and ``window`` the first row, the rows, the first column and
+    the columns that hold all its toggles (:func:`_windows`)."""
     lay = np.stack((2 * sel, 2 * sel + 1), axis=1).ravel()
     n = start[lay + 1] - start[lay]
     idx = np.arange(int(n.sum())) + np.repeat(start[lay] - (np.cumsum(n) - n), n)
     succ = v.succ[idx] - idx
     succ += np.arange(idx.size)
     chunk = _Vertices(v.x[idx], v.y[idx], succ, np.repeat(np.arange(lay.size), n))
-    owner, rows, cols = _crossings(chunk, width[lay], height[lay])
-    cut = np.searchsorted(owner, np.arange(lay.size + 1))
-    filled = np.flatnonzero(np.diff(cut))
-    if not filled.size:
-        return [None] * sel.size
-    # A pair's window spans the toggles of both its layers; each layer's are
-    # contiguous, and an empty layer adds none.
-    at, rc = cut[filled], np.stack((rows, cols))
-    lo = np.full((2, lay.size), _NONE)
-    lo[:, filled] = np.minimum.reduceat(rc, at, axis=1)
-    hi = np.full((2, lay.size), -_NONE)
-    hi[:, filled] = np.maximum.reduceat(rc, at, axis=1)
-    lo, hi = lo.reshape(2, -1, 2).min(axis=2), hi.reshape(2, -1, 2).max(axis=2)
-    # a pair's window: rows lo..hi, columns lo..hi, the last column blank
-    h, w = np.maximum(hi - lo + 1, 0)
+    width, height = grid[:, sel].repeat(2, axis=1)
+    owner, rows, cols = _crossings(chunk, width, height)
+    # a pair's window in each of its two layers, after a blank row, and
+    # after a blank column; its last column, a closing toggle's, is blank too
+    r0, h, c0, w = window[:, sel]
     stride = int(w.max()) + 1
     top = np.zeros(lay.size + 1, dtype=np.int64)
     np.cumsum(np.repeat(h + 1, 2), out=top[1:])
-    row_off = top[:-1] + 1 - np.repeat(lo[0], 2)
-    col_off = 1 - np.repeat(lo[1], 2)
+    row_off = top[:-1] + 1 - np.repeat(r0, 2)
+    col_off = 1 - np.repeat(c0, 2)
     toggles = (rows + row_off[owner]) * stride + cols + col_off[owner]
     points = _contour_points(toggles, (int(top[-1]) + 1) * stride, stride, footprint)
     if not points.size:
         return [None] * sel.size
     best, bounds = _nearest(points, stride, top, h)
     return _read_out(best, bounds)
+
+
+def _windows(v: _Vertices, first: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """``(first row, rows, first column, columns)`` of each pair's window,
+    from the extents of its vertices, which start at ``first[j]``, on its
+    grid ``grid[:, j]`` (width, height).
+
+    An edge crosses exactly the row centers ``[ceil(ylo - 0.5), ceil(yhi -
+    0.5))`` (:func:`~annodiff.raster._crossings`), so the rows are exact. A
+    computed crossing differs from the exact one, which lies within the
+    edge's x extent, by less than 13 units of roundoff (2**-53) times ``M``,
+    the largest magnitude of a coordinate of the pair, as long as the
+    edge's slope does not overflow. So it lands at most
+    ``floor(M * 2**-49) + 1`` columns past the columns of the pair's x
+    extent (one column below ``M = 2**49``), and the window takes that many
+    spare columns on each side, clipped to the grid.
+    """
+    ylo, yhi, xlo, xhi = (f.reduceat(xy, first) for xy in (v.y, v.x) for f in (np.minimum, np.maximum))
+    width, height = grid
+    r0, r1 = _next_center(np.stack((ylo, yhi)), height)
+    c0, c1 = _next_center(np.stack((xlo, xhi)), width)
+    magnitude = np.maximum(np.maximum(-ylo, yhi), np.maximum(-xlo, xhi))
+    spare = np.minimum(np.floor(magnitude * 2.0**-49) + 1, width).astype(np.int64)
+    c0 = np.maximum(c0 - spare, 0)
+    return np.stack((r0, r1 - r0, c0, np.minimum(c1 + spare, width) - c0 + 1))
+
+
+def _check_group(group) -> tuple | None:
+    """What :func:`_check_pairs` gives for ``group``, from one pass over
+    the whole group, or ``None`` where a check fails, which leaves the
+    group to :func:`_check_pairs` to name the first fault.
+
+    Every ring must be a tuple or list of plain ints and floats, with an
+    even count of coordinates where it has 3 vertices or more; the sum of
+    all the group's coordinates must be finite, and every grid must have
+    its sides in ``[1, 2**52]``. A pair is degenerate where ring a, or else
+    ring b, has fewer than 3 vertices.
+    """
+    try:
+        rings = [ring for ring_a, ring_b, _, _ in group for ring in (ring_a, ring_b)]
+        sizes = [(width, height) for _, _, width, height in group]
+        widths, heights = zip(*sizes)
+        if not (
+            _FLAT_RINGS.issuperset(map(type, rings))
+            and _PLAIN_NUMBERS.issuperset(map(type, chain.from_iterable(rings)))
+            and math.isfinite(sum(chain.from_iterable(rings), 0.0))
+            and min(widths) >= 1
+            and min(heights) >= 1
+            and max(widths) <= _MAX_SIDE
+            and max(heights) <= _MAX_SIDE
+        ):
+            return None
+    except (TypeError, ValueError, OverflowError):
+        return None
+    n = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
+    if (_bad_ring(n) & (n >= 6)).any():
+        return None
+    short = n < 6
+    degenerate = short.reshape(-1, 2).any(axis=1)
+    if not degenerate.any():
+        return list(range(len(group))), rings, sizes, {}
+    faults: dict = {}
+    for i in np.flatnonzero(short).tolist():  # ring a before ring b
+        faults.setdefault(i // 2, DegenerateShape(f"degenerate ring with {len(rings[i]) // 2} vertices"))
+    kept = np.flatnonzero(~degenerate).tolist()
+    return kept, list(compress(rings, np.repeat(~degenerate, 2).tolist())), [sizes[k] for k in kept], faults
+
+
+def _check_pairs(group) -> tuple:
+    """``(kept, rings, sizes, faults)`` of a group of pairs, pair by pair:
+    the positions of the pairs that are measured, their rings, two per
+    pair, and their grids, and the ``DegenerateShape`` of each other pair
+    by position. Raises the first fault of the group by pair order."""
+    kept, rings, sizes, faults = [], [], [], {}
+    for k, (ring_a, ring_b, width, height) in enumerate(group):
+        try:
+            own = _rings((ring_a,)) + _rings((ring_b,))
+        except DegenerateShape as exc:
+            faults[k] = exc
+            continue
+        _check_grid(width, height)
+        rings += own
+        kept.append(k)
+        sizes.append((width, height))
+    return kept, rings, sizes, faults
 
 
 def _measure_pairs(pairs, footprint: str) -> list:
@@ -284,35 +367,20 @@ def _measure_pairs(pairs, footprint: str) -> list:
         raise ValueError(f"footprint must be one of {_FOOTPRINTS}")
     out: list = [None] * len(pairs)
     for lo in range(0, len(pairs), _GROUP):
-        rings: list = []
-        ids, sizes = [], []
-        for k in range(lo, min(lo + _GROUP, len(pairs))):
-            ring_a, ring_b, width, height = pairs[k]
-            try:
-                own = _rings((ring_a,)) + _rings((ring_b,))
-            except DegenerateShape as exc:
-                out[k] = exc
-                continue
-            _check_grid(width, height)
-            rings += own
-            ids.append(k)
-            sizes.append((width, height))
-        if not ids:
+        group = pairs[lo : lo + _GROUP]
+        kept, rings, sizes, faults = _check_group(group) or _check_pairs(group)
+        for k, exc in faults.items():
+            out[lo + k] = exc
+        if not kept:
             continue
         v = _ring_vertices(rings, list(range(len(rings))))
         start = np.searchsorted(v.owner, np.arange(len(rings) + 1))
-        width, height = np.repeat(np.array(sizes, dtype=np.int64), 2, axis=0).T
-        # Window estimates from vertex extents: exact rows, and columns that
-        # the crossings may pass by one where they round.
-        first = start[:-1]
-        extent = np.stack([ufunc.reduceat(xy, first) for xy in (v.y, v.x) for ufunc in (np.minimum, np.maximum)])
-        r0, r1 = _next_center(extent[0:2], height)
-        c0, c1 = _next_center(extent[2:4], width)
-        rows = np.maximum(r1.reshape(-1, 2).max(axis=1) - r0.reshape(-1, 2).min(axis=1), 0)
-        cols = c1.reshape(-1, 2).max(axis=1) - c0.reshape(-1, 2).min(axis=1) + 1
+        grid = np.array(sizes, dtype=np.int64).T
+        window = _windows(v, start[:-1:2], grid)
+        _, rows, _, cols = window
         for sel in _chunks(cols, 2 * (rows + 1)):
-            for j, metrics in zip(sel.tolist(), _measure_chunk(v, start, sel, width, height, footprint)):
-                out[ids[j]] = metrics if metrics is not None else DegenerateShape("shape rasterizes to an empty mask")
+            for j, metrics in zip(sel.tolist(), _measure_chunk(v, start, sel, grid, window, footprint)):
+                out[lo + kept[j]] = metrics if metrics is not None else DegenerateShape("shape rasterizes to an empty mask")
     return out
 
 
@@ -326,9 +394,9 @@ def ring_pairs_metrics(pairs, *, footprint: str = "cross") -> list:
     gives for that pair alone, to the bit, whatever the other pairs.
 
     Raises:
-        GeometryError: a ring's coordinates do not pair up into vertices, or
-            a grid is invalid (each only where the pair is not already
-            degenerate by its vertex count).
+        GeometryError: a ring's coordinates do not pair up into vertices or
+            one is not a finite float, or a grid is invalid (each only where
+            the pair is not already degenerate by its vertex count).
         ValueError: an unknown footprint.
     """
     return [None if isinstance(m, DegenerateShape) else m for m in _measure_pairs(pairs, footprint)]
@@ -364,7 +432,7 @@ def ring_pair_metrics(
         DegenerateShape: a ring has fewer than 3 vertices or rasterizes to
             an empty mask.
         GeometryError: otherwise, a ring's coordinates do not pair up into
-            vertices, or the grid is invalid.
+            vertices or one is not a finite float, or the grid is invalid.
     """
     if mode not in ("full", "crop"):
         raise ValueError(f"mode must be 'full' or 'crop', got {mode!r}")

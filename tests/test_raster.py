@@ -28,7 +28,7 @@ from annodiff.raster import (
     rasterize,
 )
 from annodiff.shapes import Polygons, RleMask
-from annodiff.surface import ring_pairs_metrics
+from annodiff.surface import ring_pair_metrics, ring_pairs_metrics
 
 from conftest import random_mask, random_simple_rings, rect_ring
 from oracles import edt_squared_oracle, rasterize_oracle, surface_metrics_oracle
@@ -212,6 +212,47 @@ class TestRasterizeWindow:
             else:
                 assert at not in got.faults and areas[at] == mask.sum()
         assert list(count_overlaps([(s, 0) for s in shapes], [], [(8, 8)]).faults) == [2, 3, 4, 6]
+
+
+class TestNonFiniteCoordinates:
+    """A raw ring with a coordinate that is not a finite float is a
+    ``GeometryError`` past the vertex-count rule, in every container."""
+
+    FORMS = [list, tuple, lambda r: np.array(r, dtype=object), lambda r: [r[i : i + 2] for i in range(0, len(r), 2)]]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, -(10**400)])
+    @pytest.mark.parametrize("form", range(len(FORMS)))
+    def test_raises_a_geometry_error(self, bad, form):
+        ring = self.FORMS[form]([1, 1, bad, 1, 8, 8, 1, 8])
+        square = rect_ring(2, 2, 5, 5)
+        for call in (
+            lambda: rasterize([ring], 10, 10),
+            lambda: mask_of([square, ring], 10, 10),
+            lambda: ring_pair_metrics(ring, square, 10, 10),
+            lambda: ring_pair_metrics(square, ring, 10, 10),
+            lambda: ring_pairs_metrics([(square, square, 10, 10), (square, ring, 10, 10)]),
+        ):
+            with pytest.raises(GeometryError, match="not a finite float") as info:
+                call()
+            assert not isinstance(info.value, DegenerateShape)
+        fault = count_overlaps([([ring], 0), ([square], 0)], [], [(10, 10)]).faults
+        assert list(fault) == [0] and "not a finite float" in str(fault[0])
+
+    @pytest.mark.parametrize("bad", [math.nan, 10**400])
+    def test_the_vertex_rule_comes_first(self, bad):
+        with pytest.raises(DegenerateShape, match="2 vertices"):
+            rasterize([[1, 1, bad, 1]], 10, 10)
+        with pytest.raises(DegenerateShape, match="2 vertices"):
+            rasterize([np.array([[1, 1], [bad, 1]], dtype=object)], 10, 10)
+
+    def test_finite_values_whose_sum_overflows_are_kept(self):
+        ring = [1e308, 1.0, 1e308, 2.0, 1e308, 3.0]
+        assert raster._rings([ring]) == [ring]
+        assert raster._rings([tuple(ring)]) == [tuple(ring)]
+
+    def test_stored_polygons_are_trusted(self):
+        # the parse leaves every stored coordinate finite; they are not checked again
+        assert raster._rings(Polygons(((1.0, 1.0, math.nan, 1.0, 8.0, 8.0),))) == [(1.0, 1.0, math.nan, 1.0, 8.0, 8.0)]
 
 
 def grids_from_runs(shapes, width, height):

@@ -182,6 +182,15 @@ class TestPairResolver:
         assert [r.pair for r in results] == [good]
         assert degenerate == [odd]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_result_keeps_its_own_metrics(self, source_id, jobs, tiny_a, tiny_b):
+        # the degenerate pair sits between measured ones
+        first, *rest = match_datasets(tiny_a, tiny_b).pairs
+        _, _, odd = self.match_set(source_id, tiny_a, tiny_b)
+        results, degenerate = compute_surface_results(MatchSet(pairs=[first, odd, *rest]), tiny_a, tiny_b, jobs=jobs)
+        assert rest and results == [pair_metrics(p, tiny_a, tiny_b) for p in (first, *rest)]
+        assert degenerate == [odd]
+
     def test_pair_metrics_raises(self, source_id, tiny_a, tiny_b):
         _, _, odd = self.match_set(source_id, tiny_a, tiny_b)
         with pytest.raises(DegenerateShape):

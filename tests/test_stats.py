@@ -1,12 +1,18 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annodiff.dataset import AnnotationDataset, _pixel_areas
 from annodiff.errors import StatsError
 from annodiff.matching import MatchPair
 from annodiff.raster import mask_of
+from annodiff.shapes import Polygons
 from annodiff.stats import (
+    DatasetSummary,
     SizeBucket,
     compare,
     distance_histogram,
@@ -110,6 +116,72 @@ class TestSummarize:
         with pytest.raises(ValueError, match="buckets must be 'stored', 'recomputed' or 'dims'"):
             summarize(tiny_a, buckets="guessed")
 
+
+
+def summarize_by_instance(ds, buckets):
+    """The per-instance loop that :func:`summarize` replaces, as the
+    reference: each bucketed instance goes through the scalar rule."""
+    areas = _pixel_areas(ds, [inst for inst in ds.instances if not inst.iscrowd]) if buckets == "recomputed" else {}
+    per_category = Counter()
+    size_buckets = {b: 0 for b in SizeBucket}
+    crowd_count = vertex_count = 0
+    for inst in ds.instances:
+        per_category[inst.category_id] += 1
+        if isinstance(inst.segmentation, Polygons):
+            vertex_count += inst.segmentation.vertex_count
+        if inst.iscrowd:
+            crowd_count += 1
+            continue
+        try:
+            if buckets == "dims":
+                bucket = size_bucket_of_dims(inst.bbox[2], inst.bbox[3])
+            else:
+                bucket = size_bucket(areas.get(inst.id, inst.area))
+        except StatsError as e:
+            raise StatsError(f"annotation {inst.id} has {e}") from None
+        size_buckets[bucket] += 1
+    return DatasetSummary(len(ds.images), len(ds.instances), crowd_count, vertex_count, dict(per_category), size_buckets)
+
+
+EDGE_VALUES = [0.0, -0.0, 5.0, 10.0, 10.5, 32.0, 96.0, 96.5, 100.0, 100.5, 1024.0, 1025.0, 9216.0, 9217.0, 1e9, math.nan]
+
+
+class TestSummarizeAgainstTheLoop:
+    @pytest.mark.parametrize("buckets", ["stored", "recomputed", "dims"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_the_per_instance_loop(self, synthetic_a, buckets, seed):
+        # stored areas and box sides on every bound, NaNs, and in some
+        # seeds negative values, of crowds too: the same summary, or the
+        # same first error, as the loop gives
+        rng = np.random.default_rng(seed)
+        instances = []
+        for inst in synthetic_a.instances:
+            area, w, h = (float(rng.choice(EDGE_VALUES)) for _ in range(3))
+            if seed % 3 and rng.random() < 0.02:
+                area, w, h = -float(rng.integers(1, 9)), -0.5, float(rng.choice([-2.0, 3.0]))
+            instances.append(inst._replace(area=area, bbox=(*inst.bbox[:2], w, h), iscrowd=inst.iscrowd or rng.random() < 0.05))
+        ds = AnnotationDataset(synthetic_a.images, synthetic_a.categories, tuple(instances), synthetic_a.extra)
+
+        def outcome(fn):
+            try:
+                return fn()
+            except StatsError as e:
+                return str(e)
+
+        want = outcome(lambda: summarize_by_instance(ds, buckets))
+        assert outcome(lambda: summarize(ds, buckets=buckets)) == want
+        if seed % 3 == 0:
+            assert isinstance(want, DatasetSummary)
+
+    def test_negative_values_are_named_as_the_scalar_rules_name_them(self, tiny_a):
+        first = tiny_a.instances[0]
+        ds = AnnotationDataset(
+            tiny_a.images, tiny_a.categories, (first._replace(area=-5.0, bbox=(*first.bbox[:2], -1.5, 2.0)),), tiny_a.extra
+        )
+        with pytest.raises(StatsError, match=f"^annotation {first.id} has negative area -5.0$"):
+            summarize(ds)
+        with pytest.raises(StatsError, match=f"^annotation {first.id} has negative extent -1.5x2.0$"):
+            summarize(ds, buckets="dims")
 
 class TestCompare:
     def test_delta_is_target_minus_source(self, tiny_a, tiny_b):

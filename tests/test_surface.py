@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annodiff import surface
+from annodiff import raster, surface
 from annodiff.errors import DegenerateShape, GeometryError
-from annodiff.matching import MatchConfig, match_datasets
+from annodiff.matching import MatchConfig, MatchPair, match_datasets
 from annodiff.report import compute_surface_results
 from annodiff.raster import bbox_of_mask, contour, edt_squared, rasterize
 from annodiff.shapes import Polygons
 from annodiff.surface import (
+    SurfaceDistanceResult,
     pair_metrics,
     pair_rings,
     ring_pair_metrics,
@@ -512,6 +514,124 @@ class TestRingPairsMetrics:
             ring_pairs_metrics([(good, good, 10, 10)], footprint="disk")
 
 
+# Edges whose computed crossing rounds one column past their ring's vertex
+# extent, and the column it lands in: row center 15.5 is crossed at
+# x = 43.50000000000001, column 44, where the extent ends at column 43; row
+# center 3.5 at x = 22.5, column 22, where the extent starts at column 23.
+ROUNDING_RINGS = [
+    ([5.728466962098494, -18.91917885551335, 43.5, 15.500000000000002, 43.5, 30.0, 5.0, 30.0], 44),
+    ([59.37636972551407, -2.289432749378655, 22.500000000000004, 3.5000000000000004, 22.500000000000004, 20.0, 59.0, 20.0], 22),
+]
+
+
+class TestWindowFromVertexExtents:
+    @pytest.mark.parametrize("footprint", ["cross", "square"])
+    @pytest.mark.parametrize("ring, col", ROUNDING_RINGS)
+    def test_a_crossing_that_rounds_past_the_extent_equals_the_whole_grid(self, ring, col, footprint):
+        w, h = 70, 40
+        _, _, cols = raster._crossings(raster._ring_vertices([ring], [0]), np.array([w]), np.array([h]))
+        extent = [math.ceil(min(ring[0::2]) - 0.5), math.ceil(max(ring[0::2]) - 0.5)]
+        assert col in cols.tolist() and col in (extent[0] - 1, extent[1] + 1)
+        inner = rect_ring(25, 8, 10, 6)  # within the ring's extent, so the window is the ring's
+        for pair in ((ring, inner, w, h), (inner, ring, w, h)):
+            assert ring_pairs_metrics([pair], footprint=footprint) == [full_grid_reference(*pair, footprint)]
+
+    def test_huge_coordinates_take_more_spare_columns(self):
+        # vertices at 2**57 px, where a crossing rounds to a multiple of 32:
+        # one lands 12 columns past the extent, and the window's spare
+        # columns grow with the magnitude
+        w, h = 80, 60
+        far = [-(2.0**57), -(2.0**57), 20.3, 29.6, 20.3, 45.0, -(2.0**57), 45.0]
+        _, _, cols = raster._crossings(raster._ring_vertices([far], [0]), np.array([w]), np.array([h]))
+        assert cols.max() == math.ceil(20.3 - 0.5) + 12
+        for pair in ((far, rect_ring(5, 32, 8, 8), w, h), (rect_ring(2, 50, 5, 5), far, w, h)):
+            assert ring_pairs_metrics([pair]) == [full_grid_reference(*pair)]
+
+
+def fault_pair(rng, kind):
+    """One ``(ring a, ring b, width, height)`` item of the given kind: a
+    measurable pair in one of several ring containers, or one with a fault
+    on either side."""
+    w, h = int(rng.integers(16, 60)), int(rng.integers(16, 60))
+    ra = random_ring(rng, w, h, overhang=0.2)
+    rb = jittered(rng, ra, 1.5)
+    side = int(rng.integers(0, 2))
+    rings = [ra, rb]
+    if kind == "short":
+        rings[side] = rings[side][: 2 * int(rng.integers(0, 3)) + int(rng.integers(0, 2))]
+    elif kind == "odd":
+        rings[side] = rings[side] + [1.0]
+    elif kind in ("nan", "inf", "huge int"):
+        bad = {"nan": math.nan, "inf": -math.inf, "huge int": 10**400}[kind]
+        rings[side] = [bad if i == 2 else v for i, v in enumerate(rings[side])]
+    elif kind == "array":
+        rings[side] = np.array(rings[side])
+    elif kind == "list of pairs":
+        rings[side] = np.reshape(rings[side], (-1, 2)).tolist()
+    elif kind == "tuple":
+        rings[side] = tuple(rings[side])
+    elif kind == "grid":
+        w, h = [(0, h), (w, -3), (w, 2**53)][int(rng.integers(0, 3))]
+    elif kind == "empty":
+        x, y = (int(v) for v in rng.integers(0, 14, size=2))
+        rings[side] = [x + 0.1, y + 0.1, x + 0.4, y + 0.1, x + 0.4, y + 0.4]
+    return (*rings, w, h)
+
+
+FAULT_KINDS = ["good"] * 6 + ["short", "odd", "nan", "inf", "huge int", "array", "list of pairs", "tuple", "grid", "empty"]
+
+
+def outcome(measure):
+    """What ``measure()`` returns, or the type and message of the
+    ``GeometryError`` it raises."""
+    try:
+        return measure()
+    except GeometryError as exc:
+        assert not isinstance(exc, DegenerateShape)
+        return type(exc), str(exc)
+
+
+def pair_by_pair(pairs, footprint):
+    out = []
+    for pair in pairs:
+        try:
+            out.append(ring_pair_metrics(*pair, footprint=footprint))
+        except DegenerateShape:
+            out.append(None)
+    return out
+
+
+class TestGroupCheck:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mixed_groups_equal_pair_by_pair(self, seed):
+        # groups mixing degenerate pairs, faults on either side and rings in
+        # other containers give the values, or the first error, that the
+        # pairs give one by one, and that the pair-by-pair check gives
+        rng = np.random.default_rng(seed)
+        footprint = ["cross", "square"][seed % 2]
+        kinds = rng.choice(FAULT_KINDS, size=int(rng.integers(1, 14))).tolist()
+        if seed % 4 == 0:
+            kinds = [k for k in kinds if k not in ("odd", "nan", "inf", "huge int", "grid")]
+        pairs = [fault_pair(rng, kind) for kind in kinds]
+        want = outcome(lambda: pair_by_pair(pairs, footprint))
+        with mock.patch.object(surface, "_GROUP", 5):
+            assert outcome(lambda: ring_pairs_metrics(pairs, footprint=footprint)) == outcome(
+                lambda: [m for i in range(0, len(pairs), 5) for m in ring_pairs_metrics(pairs[i : i + 5], footprint=footprint)]
+            )
+        assert outcome(lambda: ring_pairs_metrics(pairs, footprint=footprint)) == want
+        with mock.patch.object(surface, "_check_group", return_value=None):
+            assert outcome(lambda: ring_pairs_metrics(pairs, footprint=footprint)) == want
+
+    def test_a_short_ring_a_comes_before_a_fault_of_ring_b(self):
+        good = rect_ring(2, 2, 5, 5)
+        for fault in ([1.0, 1.0, math.nan, 1.0, 8.0, 8.0], [0, 0, 5, 0, 5, 5, 0]):
+            assert ring_pairs_metrics([(good, good, 10, 10), ([0.0, 0.0, 5.0, 5.0], fault, 10, 10)])[1] is None
+            with pytest.raises(GeometryError, match="finite|odd"):
+                ring_pairs_metrics([(good, good, 10, 10), (fault, [0.0, 0.0, 5.0, 5.0], 10, 10)])
+        with pytest.raises(DegenerateShape, match="with 1 vertices"):
+            ring_pair_metrics([0.0, 0.0, 5.0], [1.0, 1.0, 2.0, 2.0], 10, 10)
+
+
 class TestPairMetrics:
     def test_resolves_instances_and_image(self, tiny_a, tiny_b):
         ms = match_datasets(tiny_a, tiny_b)
@@ -523,6 +643,14 @@ class TestPairMetrics:
         assert 0.0 < res.d_avg < 1.0
         assert res.d_max == 1.0
         assert res.contour_len_source > 0 and res.contour_len_target > 0
+
+    def test_a_result_is_the_plain_tuple_of_its_fields(self):
+        pair = MatchPair(1, 2, 3, 4, 0.95)
+        res = SurfaceDistanceResult(pair, 1.5, 2.0, 10, 12)
+        assert res._fields == ("pair", "d_avg", "d_max", "contour_len_source", "contour_len_target")
+        assert res == (pair, 1.5, 2.0, 10, 12)
+        with pytest.raises(AttributeError):
+            res.d_avg = 0.0
 
     def test_crop_matches_full_on_fixture(self, tiny_a, tiny_b):
         ms = match_datasets(tiny_a, tiny_b)
