@@ -36,7 +36,7 @@ from operator import attrgetter
 from typing import Any, BinaryIO, NamedTuple
 
 from .errors import IntegrityError, ParseError, SchemaError
-from .raster import count_overlaps
+from .raster import _PLAIN_NUMBERS, count_overlaps
 from .shapes import Polygons, RleMask, ShapeSpec
 
 _IMAGE_FIELDS = {"id", "width", "height", "file_name"}
@@ -150,7 +150,6 @@ def _finite(value, what: str, name: str) -> float:
     return value
 
 
-_PLAIN_NUMBERS = frozenset((int, float))
 _FLOATS = frozenset((float,))
 _PLAIN_INTS = frozenset((int,))
 _CROWD_FLAGS = (0, 1, True, False)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import AnnotationDataset, single_polygon_view
 from .errors import DegenerateShape
-from .raster import box_overlaps, count_overlaps, iou
+from .raster import _chunks, box_overlaps, count_overlaps, iou
 
 _IOU_MODES = ("box", "mask")
 _BY_ID, _IMAGE_ID, _BBOX = attrgetter("id"), attrgetter("image_id"), attrgetter("bbox")
@@ -94,17 +94,14 @@ def _box_candidates(src: list, tgt: list, sel_s, sel_t, per_s, per_t, threshold:
     shift = np.cumsum(rep) - rep - np.repeat(np.cumsum(per_t) - per_t, per_s)
     # cut[k]: the source rows, or the pairs, of the shared images before image k
     cut_s, cut = (np.concatenate(([0], np.cumsum(n))) for n in (per_s, per_s * per_t))
-    out = [(sel_s[:0], sel_t[:0], np.zeros(0))]  # typed, should no image be shared
-    i0 = 0
-    while i0 < per_s.size:
-        i1 = max(int(np.searchsorted(cut, cut[i0] + _RUN, side="right")) - 1, i0 + 1)
+    out = []
+    for i0, i1 in _chunks(per_s * per_t, _RUN):
         rows = slice(cut_s[i0], cut_s[i1])
         a = np.repeat(sel_s[rows], rep[rows])
         b = sel_t[np.arange(cut[i0], cut[i1]) - np.repeat(shift[rows], rep[rows])]
         ious = iou(*box_overlaps(boxes_s[a], boxes_t[b])).ravel()
         keep = ious > threshold
         out.append((a[keep], b[keep], ious[keep]))
-        i0 = i1
     return tuple(map(np.concatenate, zip(*out)))
 
 

@@ -20,11 +20,13 @@ next pixel center in column ``ceil(x - 0.5)``; both are clipped to the grid.
 In float64 this rule is exact on any grid whose sides are at most 2**52 px
 (``_next_center``); a larger grid is rejected. The crossing is not exact: it
 is computed in float64 as ``x1 + (y_center - y1) * slope``, with
-``slope = (x2 - x1) / (y2 - y1)`` taken first. On horizontal and vertical
-edges that is exact. On a slanted edge the crossing may be rounded, so a
-center that lies within rounding of it (a center on a polygon vertex, or on
-the edge itself) is decided by the rounded crossing, and can land on the
-other side from the exact rule.
+``slope = (x2 - x1) / (y2 - y1)`` taken first, or, where that slope or
+``y2 - y1`` overflows, as ``x1 * (1 - t) + x2 * t`` with
+``t = (y_center - y1) / (y2 - y1)``. On horizontal and vertical edges that
+is exact. On a slanted edge the crossing may be rounded, so a center that
+lies within rounding of it (a center on a polygon vertex, or on the edge
+itself) is decided by the rounded crossing, and can land on the other side
+from the exact rule.
 
 Pixel toggles and row runs
 --------------------------
@@ -221,13 +223,19 @@ def _crossings(v: _Vertices, width: np.ndarray, height: np.ndarray, at=slice(Non
     It crosses the center lines of the rows ``r`` with
     ``ylo <= r + 0.5 < yhi``, which are exactly the rows
     ``[ceil(ylo - 0.5), ceil(yhi - 0.5))``; clipped to the grid
-    (:func:`_next_center`), each of them yields one crossing.
+    (:func:`_next_center`), each of them yields one crossing, at
+    ``x1 + (r + 0.5 - y1) * slope``. Where the slope or ``dy`` is not
+    finite, it is at ``x1 * (1 - t) + x2 * t`` instead, with ``t`` taken on
+    halved coordinates, so that no difference of two of them overflows.
     """
     x1, y1, owner, succ = v.x[at], v.y[at], v.owner[at], v.succ[at]
     y2 = v.y[succ]
-    dy = y2 - y1
-    # a horizontal edge has an empty row range, so its slope is never read
-    slope = np.divide(v.x[succ] - x1, dy, out=np.zeros_like(dy), where=dy != 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dy = y2 - y1
+        # a horizontal edge has an empty row range, so its slope is never read
+        slope = np.divide(v.x[succ] - x1, dy, out=np.zeros_like(dy), where=dy != 0)
+    steep = np.flatnonzero(np.isinf(slope) | np.isinf(dy))  # a NaN slope is inf / inf
+    slope[steep] = 0.0
     # rows [first, first + span) of each edge, in one pass for both bounds
     ends = np.empty((2, dy.size))
     np.minimum(y1, y2, out=ends[0])
@@ -243,6 +251,11 @@ def _crossings(v: _Vertices, width: np.ndarray, height: np.ndarray, at=slice(Non
     xs -= np.repeat(y1, span)
     xs *= np.repeat(slope, span)
     xs += np.repeat(x1, span)
+    if steep.size:
+        cross, n = np.repeat(np.isin(np.arange(span.size), steep), span), span[steep]
+        y1h, y2h = (np.repeat(y[steep] * 0.5, n) for y in (y1, y2))
+        t = ((rows[cross] + 0.5) * 0.5 - y1h) / (y2h - y1h)
+        xs[cross] = np.repeat(x1[steep], n) * (1 - t) + np.repeat(v.x[succ[steep]], n) * t
     return owner, rows, _next_center(xs, width[owner])
 
 
@@ -421,12 +434,12 @@ class Overlaps(NamedTuple):
 _CHUNK = 2**14
 
 
-def _chunks(cost: np.ndarray):
+def _chunks(cost: np.ndarray, cap: int):
     """``(lo, hi)`` bounds of consecutive runs of keys whose cost stays
-    within ``_CHUNK``; a key over the cap is a run of its own."""
+    within ``cap``; a key over the cap is a run of its own."""
     lo, total = 0, 0
     for k, c in enumerate(cost.tolist()):
-        if total and total + c > _CHUNK:
+        if total and total + c > cap:
             yield lo, k
             lo, total = k, 0
         total += c
@@ -442,6 +455,20 @@ def _error(check, *args) -> GeometryError | SchemaError | None:
     return None
 
 
+def _plain(rings: list) -> bool:
+    """Whether every ring is a tuple or list of plain ints and floats, and
+    the sum of all their coordinates is finite, which :func:`_rings` asks
+    of a raw ring that it takes as it is."""
+    try:
+        return (
+            _FLAT_RINGS.issuperset(map(type, rings))
+            and _PLAIN_NUMBERS.issuperset(map(type, chain.from_iterable(rings)))
+            and math.isfinite(sum(chain.from_iterable(rings), 0.0))
+        )
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _read_shapes(shapes: list, sizes: list, ranked: np.ndarray, grid_faults: list):
     """One pass over shapes, in rank order: the flat rings of the polygon
     shapes (as :func:`_rings` takes them), each ring's length and shape, the
@@ -450,27 +477,37 @@ def _read_shapes(shapes: list, sizes: list, ranked: np.ndarray, grid_faults: lis
     and ``grid_faults`` holds the error of each grid, ``None`` for one that
     :func:`_check_grid` accepts.
 
+    A ``Polygons`` is taken as it is, and so are the raw shapes (sequences
+    of rings) if all the rings pass :func:`_plain` together; otherwise
+    every raw shape goes through :func:`_rings`. Ring lengths are then
+    checked in one pass.
+
     A shape's own error comes first, as :func:`mask_of` raises it: an RLE's,
     as :func:`_check_rle` names it, or a polygon shape's, as :func:`_rings`
     names it; past it, its grid's. A shape with an error adds no rings and
     is not among the RLEs.
     """
-    rings: list = []
-    n_rings: list[int] = []
+    read: list = []
     rle: list[int] = []
+    raw: list[int] = []
     for r, shape in enumerate(shapes):
         if type(shape) is Polygons:
-            own = shape.rings
+            read.append(shape.rings)
         elif isinstance(shape, RleMask):
-            own = ()
+            read.append(())
             rle.append(r)
         else:
+            read.append(shape)
+            raw.append(r)
+    rings = list(chain.from_iterable(read))
+    if raw and not _plain(rings):
+        for r in raw:
             try:
-                own = _rings(shape)
+                read[r] = _rings(shapes[r])
             except GeometryError:  # no rings: a fault, named below
-                own = ()
-        rings += own
-        n_rings.append(len(own))
+                read[r] = ()
+        rings = list(chain.from_iterable(read))
+    n_rings = list(map(len, read))
     ring_len = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
     ring_rank = np.repeat(np.arange(len(shapes)), n_rings)
     # the RLEs, the polygon shapes that _rings rejects, and the shapes on
@@ -648,7 +685,7 @@ def count_overlaps(a, b, sizes) -> Overlaps:
     area = np.zeros(ranked.size, dtype=np.int64)
     codes, inter = [np.empty(0, np.int64)], [np.empty(0)]
     # gather the vertices of a run of keys, then scan and join sub-runs
-    for k0, k1 in _chunks(np.bincount(ranked[ring_rank], weights=ring_len, minlength=n_keys)):
+    for k0, k1 in _chunks(np.bincount(ranked[ring_rank], weights=ring_len, minlength=n_keys), _CHUNK):
         r0, r1 = np.searchsorted(ranked, [k0, k1])
         i0, i1 = np.searchsorted(ring_rank, [r0, r1])
         v = _ring_vertices(rings[i0:i1], ring_rank[i0:i1])
@@ -663,7 +700,7 @@ def count_overlaps(a, b, sizes) -> Overlaps:
             weights=np.concatenate([np.abs(dy, out=dy) + 1, rle_cost[q0:q1]]),
             minlength=k1 - k0,
         )
-        for j0, j1 in _chunks(cost):
+        for j0, j1 in _chunks(cost, _CHUNK):
             lo, hi = np.searchsorted(vertex_key, [j0, j1])
             toggles = _crossings(v, width, height, slice(lo, hi))
             lo, hi = q0 + np.searchsorted(rle_key, [j0, j1])

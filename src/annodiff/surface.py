@@ -12,11 +12,12 @@ Imaging, 2015). Distances are exact: integer squared pixel distances with the
 square root taken only at read-out.
 
 Matched pairs are measured in chunks (:func:`ring_pairs_metrics`). The
-rings of a group of pairs are checked in one pass, and a group that fails a
-check goes pair by pair, which raises the first fault. A pair's window is
-taken once, from its rings' vertex extents: exact rows, and the columns with
-a spare one on each side for a crossing that rounds past them
-(:func:`_windows`). The rings of a chunk are scan-converted in one pass,
+rings of a group of pairs are read as the overlap count reads its shapes
+(:func:`~annodiff.raster._read_shapes`), each ring a shape of its own, and
+the first fault by pair order that is not a degenerate ring is raised. A
+pair's window is taken once, from its rings' vertex extents: exact rows,
+and the columns with a spare one on each side for a crossing that rounds
+past them (:func:`_windows`). The rings of a chunk are scan-converted in one pass,
 and every layer (one per ring) is filled into one flat boolean buffer by
 the running parity of its toggles, the fill
 :func:`~annodiff.raster.rasterize` uses too. All layers share one row
@@ -43,8 +44,7 @@ rows takes one step per window row; that is the worst case.
 
 from __future__ import annotations
 
-import math
-from itertools import chain, compress
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -53,18 +53,15 @@ from .dataset import AnnotationDataset
 from .errors import DegenerateShape, GeometryError
 from .matching import MatchPair
 from .raster import (
-    _FLAT_RINGS,
     _FOOTPRINTS,
-    _MAX_SIDE,
-    _PLAIN_NUMBERS,
     _Vertices,
-    _bad_ring,
     _check_grid,
     _crossings,
+    _error,
     _next_center,
     _parity_fill,
+    _read_shapes,
     _ring_vertices,
-    _rings,
 )
 from .shapes import Polygons
 
@@ -284,8 +281,8 @@ def _windows(v: _Vertices, first: np.ndarray, grid: np.ndarray) -> np.ndarray:
     0.5))`` (:func:`~annodiff.raster._crossings`), so the rows are exact. A
     computed crossing differs from the exact one, which lies within the
     edge's x extent, by less than 13 units of roundoff (2**-53) times ``M``,
-    the largest magnitude of a coordinate of the pair, as long as the
-    edge's slope does not overflow. So it lands at most
+    the largest magnitude of a coordinate of the pair, and by less than 11
+    where it is interpolated because the slope overflows. So it lands at most
     ``floor(M * 2**-49) + 1`` columns past the columns of the pair's x
     extent (one column below ``M = 2**49``), and the window takes that many
     spare columns on each side, clipped to the grid.
@@ -300,82 +297,36 @@ def _windows(v: _Vertices, first: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.stack((r0, r1 - r0, c0, np.minimum(c1 + spare, width) - c0 + 1))
 
 
-def _check_group(group) -> tuple | None:
-    """What :func:`_check_pairs` gives for ``group``, from one pass over
-    the whole group, or ``None`` where a check fails, which leaves the
-    group to :func:`_check_pairs` to name the first fault.
-
-    Every ring must be a tuple or list of plain ints and floats, with an
-    even count of coordinates where it has 3 vertices or more; the sum of
-    all the group's coordinates must be finite, and every grid must have
-    its sides in ``[1, 2**52]``. A pair is degenerate where ring a, or else
-    ring b, has fewer than 3 vertices.
-    """
-    try:
-        rings = [ring for ring_a, ring_b, _, _ in group for ring in (ring_a, ring_b)]
-        sizes = [(width, height) for _, _, width, height in group]
-        widths, heights = zip(*sizes)
-        if not (
-            _FLAT_RINGS.issuperset(map(type, rings))
-            and _PLAIN_NUMBERS.issuperset(map(type, chain.from_iterable(rings)))
-            and math.isfinite(sum(chain.from_iterable(rings), 0.0))
-            and min(widths) >= 1
-            and min(heights) >= 1
-            and max(widths) <= _MAX_SIDE
-            and max(heights) <= _MAX_SIDE
-        ):
-            return None
-    except (TypeError, ValueError, OverflowError):
-        return None
-    n = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
-    if (_bad_ring(n) & (n >= 6)).any():
-        return None
-    short = n < 6
-    degenerate = short.reshape(-1, 2).any(axis=1)
-    if not degenerate.any():
-        return list(range(len(group))), rings, sizes, {}
-    faults: dict = {}
-    for i in np.flatnonzero(short).tolist():  # ring a before ring b
-        faults.setdefault(i // 2, DegenerateShape(f"degenerate ring with {len(rings[i]) // 2} vertices"))
-    kept = np.flatnonzero(~degenerate).tolist()
-    return kept, list(compress(rings, np.repeat(~degenerate, 2).tolist())), [sizes[k] for k in kept], faults
-
-
-def _check_pairs(group) -> tuple:
-    """``(kept, rings, sizes, faults)`` of a group of pairs, pair by pair:
-    the positions of the pairs that are measured, their rings, two per
-    pair, and their grids, and the ``DegenerateShape`` of each other pair
-    by position. Raises the first fault of the group by pair order."""
-    kept, rings, sizes, faults = [], [], [], {}
-    for k, (ring_a, ring_b, width, height) in enumerate(group):
-        try:
-            own = _rings((ring_a,)) + _rings((ring_b,))
-        except DegenerateShape as exc:
-            faults[k] = exc
-            continue
-        _check_grid(width, height)
-        rings += own
-        kept.append(k)
-        sizes.append((width, height))
-    return kept, rings, sizes, faults
-
-
 def _measure_pairs(pairs, footprint: str) -> list:
     """Per pair, ``(d_avg, d_max, |cx|, |cy|)``, or the ``DegenerateShape``
-    that excludes it."""
+    that excludes it.
+
+    Each ring of a group is read as a shape of its own, keyed by its pair
+    (:func:`~annodiff.raster._read_shapes`). A pair's fault is ring a's,
+    else ring b's, else its grid's; the first fault of a group that is not
+    a ``DegenerateShape``, by pair order, is raised.
+    """
     if footprint not in _FOOTPRINTS:
         raise ValueError(f"footprint must be one of {_FOOTPRINTS}")
     out: list = [None] * len(pairs)
     for lo in range(0, len(pairs), _GROUP):
         group = pairs[lo : lo + _GROUP]
-        kept, rings, sizes, faults = _check_group(group) or _check_pairs(group)
-        for k, exc in faults.items():
-            out[lo + k] = exc
-        if not kept:
+        sizes = [(width, height) for _, _, width, height in group]
+        shapes = [(ring,) for ring_a, ring_b, _, _ in group for ring in (ring_a, ring_b)]
+        rings, _, ring_rank, _, own = _read_shapes(shapes, sizes, np.arange(len(shapes)) // 2, [None] * len(group))
+        for j, size in enumerate(sizes):
+            fault = own.get(2 * j) or own.get(2 * j + 1) or _error(_check_grid, *size)
+            if fault and not isinstance(fault, DegenerateShape):
+                raise fault
+            out[lo + j] = fault
+        measured = np.array([fault is None for fault in out[lo : lo + len(group)]])
+        if not measured.any():
             continue
+        kept = np.flatnonzero(measured).tolist()
+        rings = list(compress(rings, measured[ring_rank // 2].tolist()))
         v = _ring_vertices(rings, list(range(len(rings))))
         start = np.searchsorted(v.owner, np.arange(len(rings) + 1))
-        grid = np.array(sizes, dtype=np.int64).T
+        grid = np.array([sizes[j] for j in kept], dtype=np.int64).T
         window = _windows(v, start[:-1:2], grid)
         _, rows, _, cols = window
         for sel in _chunks(cols, 2 * (rows + 1)):

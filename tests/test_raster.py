@@ -255,6 +255,83 @@ class TestNonFiniteCoordinates:
         assert raster._rings(Polygons(((1.0, 1.0, math.nan, 1.0, 8.0, 8.0),))) == [(1.0, 1.0, math.nan, 1.0, 8.0, 8.0)]
 
 
+@pytest.mark.filterwarnings("error")
+class TestSteepEdges:
+    """An edge whose slope, or whose extent in y, overflows float64 is
+    crossed at the interpolated point instead."""
+
+    # the first edge of each rises 2**-29, 2**-40 or 1.5 * 2**-30 px over
+    # 1e300 or 2e300 px; it crosses the center line of row 0 at x = 0, at
+    # x = 0, and at x = 1e300 / 3, past the grid
+    RINGS = [
+        ([-1e300, 0.5 - 2**-30, 1e300, 0.5 + 2**-30, 1e300, 5.0, -1e300, 5.0], 40),
+        ([0.0, 0.5, 1e300, 0.5 + 2**-40, 1e300, 5.0, 0.0, 5.0], 40),
+        ([-1e300, 0.5 - 2**-30, 1e300, 0.5 + 2**-31, 1e300, 5.0, -1e300, 5.0], 50),
+    ]
+
+    @pytest.mark.parametrize("ring, area", RINGS)
+    def test_equals_the_oracle(self, ring, area):
+        want = rasterize_oracle([ring], 10, 10)
+        assert want.sum() == area and want[1:5].all()
+        assert np.array_equal(rasterize([ring], 10, 10), want)
+        got = count_overlaps([(poly(ring), 0), ([ring], 0)], [], [(10, 10)])
+        assert got.area_a.tolist() == [area, area] and not got.faults
+
+    def test_a_y_extent_beyond_the_float_range(self):
+        # y2 - y1 overflows: the slanted edge crosses every center line near
+        # x = 5e307, and the vertical one at x = 0, so every pixel is inside
+        ring = [0.0, -1.7e308, 1e308, 1.7e308, 0.0, 1.7e308]
+        assert rasterize([ring], 10, 10).all()
+
+
+class TestRawShapesInOneCount:
+    SQUARE = rect_ring(2, 2, 5, 5)
+    TRI = [1, 1, 9, 2, 4, 8]
+    # tuples and lists of plain numbers, taken as they are, with the faults
+    # that their lengths show
+    PLAIN = [[SQUARE], (tuple(SQUARE),), [SQUARE, TRI], [TRI, rect_ring(3, 3, 2, 2)], [SQUARE + [1.0]], [[0, 0, 4, 4]], [[]], []]
+    # plain containers whose sum is not finite
+    NOT_FINITE = [[[1, 1, math.nan, 1, 8, 8]], [(1.0, 1.0, math.inf, 1.0, 8.0, 8.0)], [TRI, [1, 1, 10**400, 1, 8, 8]]]
+    # other containers
+    OTHER = [
+        [np.array(TRI, dtype=float)],
+        [np.array(TRI, dtype=object)],
+        [np.reshape(TRI, (-1, 2)).tolist()],
+        [np.array(SQUARE[:4])],
+        [np.arange(7.0)],
+    ]
+
+    @pytest.mark.parametrize(
+        "shapes, plain",
+        [(PLAIN, True), (PLAIN + NOT_FINITE, False), (OTHER + PLAIN, False), (NOT_FINITE[::-1] + OTHER + [poly(TRI)], False)],
+    )
+    def test_areas_and_faults_equal_mask_of_shape_by_shape(self, shapes, plain):
+        # each raw shape fails the screen or not with the others, and every
+        # area and fault is the one mask_of gives for that shape alone
+        assert raster._plain([ring for shape in shapes if type(shape) is not Polygons for ring in shape]) == plain
+        got = count_overlaps([(shape, 0) for shape in shapes], [], [(10, 10)])
+        for at, shape in enumerate(shapes):
+            try:
+                area = int(mask_of(shape, 10, 10).sum())
+            except GeometryError as exc:
+                fault = got.faults.get(at)
+                assert (type(fault), str(fault)) == (type(exc), str(exc))
+                assert got.area_a[at] == 0
+            else:
+                assert at not in got.faults and got.area_a[at] == area
+
+    @pytest.mark.parametrize("other", range(len(OTHER) - 2))
+    def test_the_rings_read_are_those_of_rings(self, other):
+        # a ring of plain numbers in another container goes through _rings,
+        # which reads it as floats, and so do the rings read beside it
+        shapes = [[self.SQUARE], [self.TRI, tuple(self.SQUARE)], self.OTHER[other]]
+        rings = raster._read_shapes(shapes, [(10, 10)], np.zeros(len(shapes), dtype=np.intp), [None])[0]
+        want = [ring for shape in shapes for ring in raster._rings(shape)]
+        assert [(type(r), np.asarray(r).dtype, list(r)) for r in rings] == [
+            (type(r), np.asarray(r).dtype, list(r)) for r in want
+        ]
+
+
 def grids_from_runs(shapes, width, height):
     """``(len(shapes), height, width)`` whole-grid masks painted run by run
     from :func:`raster._runs` (the sorted pixel toggles paired into runs) of

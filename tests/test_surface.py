@@ -547,6 +547,15 @@ class TestWindowFromVertexExtents:
         for pair in ((far, rect_ring(5, 32, 8, 8), w, h), (rect_ring(2, 50, 5, 5), far, w, h)):
             assert ring_pairs_metrics([pair]) == [full_grid_reference(*pair)]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("footprint", ["cross", "square"])
+    def test_an_edge_whose_slope_overflows_equals_the_whole_grid(self, footprint):
+        # the first edge rises 2**-40 px over 1e300 px; its slope overflows,
+        # and at row 0 it crosses at x = 0
+        steep = [0.0, 0.5, 1e300, 0.5 + 2**-40, 1e300, 5.0, 0.0, 5.0]
+        for pair in ((steep, rect_ring(1, 1, 6, 3), 10, 10), (rect_ring(2, 0, 5, 6), steep, 10, 10)):
+            assert ring_pairs_metrics([pair], footprint=footprint) == [full_grid_reference(*pair, footprint)]
+
 
 def fault_pair(rng, kind):
     """One ``(ring a, ring b, width, height)`` item of the given kind: a
@@ -606,7 +615,7 @@ class TestGroupCheck:
     def test_mixed_groups_equal_pair_by_pair(self, seed):
         # groups mixing degenerate pairs, faults on either side and rings in
         # other containers give the values, or the first error, that the
-        # pairs give one by one, and that the pair-by-pair check gives
+        # pairs give one by one, and that every ring read by _rings gives
         rng = np.random.default_rng(seed)
         footprint = ["cross", "square"][seed % 2]
         kinds = rng.choice(FAULT_KINDS, size=int(rng.integers(1, 14))).tolist()
@@ -619,7 +628,7 @@ class TestGroupCheck:
                 lambda: [m for i in range(0, len(pairs), 5) for m in ring_pairs_metrics(pairs[i : i + 5], footprint=footprint)]
             )
         assert outcome(lambda: ring_pairs_metrics(pairs, footprint=footprint)) == want
-        with mock.patch.object(surface, "_check_group", return_value=None):
+        with mock.patch.object(raster, "_plain", return_value=False):
             assert outcome(lambda: ring_pairs_metrics(pairs, footprint=footprint)) == want
 
     def test_a_short_ring_a_comes_before_a_fault_of_ring_b(self):
