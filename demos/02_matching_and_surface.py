@@ -8,7 +8,7 @@ from pathlib import Path
 
 from annodiff.dataset import load_dataset
 from annodiff.matching import MatchConfig, match_datasets
-from annodiff.surface import pair_metrics
+from annodiff.report import compute_surface_results
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 SRC = FIXTURES / "tiny_pair_a.json"
@@ -25,13 +25,17 @@ def main():
     print(f"unmatched: {len(ms.unmatched_source)} source, {len(ms.unmatched_target)} target")
     print(f"ineligible (crowds / multi-ring shapes): {ms.ineligible_source} source side\n")
 
+    # One call measures every pair; a pair it cannot measure is listed as
+    # degenerate, not dropped.
+    results, degenerate = compute_surface_results(ms, source, target)
     print(f"{'src':>4} {'tgt':>4} {'IoU':>8} {'d_avg':>8} {'d_max':>8}")
-    for pair in ms.pairs:
-        res = pair_metrics(pair, source, target)
+    for res in results:
+        pair = res.pair
         print(
             f"{pair.source_instance_id:>4} {pair.target_instance_id:>4} "
             f"{pair.iou:8.4f} {res.d_avg:8.4f} {res.d_max:8.4f}"
         )
+    print(f"{len(degenerate)} degenerate pairs")
 
     # d_avg weights disagreement by contour length; d_max is the worst
     # single-pixel excursion. A one-pixel edge shift gives d_max == 1 while

@@ -746,24 +746,19 @@ def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> Eva
             span = slice(bounds[k], bounds[k + 1])
             precision[:, :, k, a] = _sampled_precision(tp[:, span], fp[:, span], n_positive[a, k], rec_thrs)
 
-    def stratum(t, a) -> float | None:  # a: all, small, medium, large
-        block = precision[t, :, :, a]
+    def mean(block) -> float | None:  # over the defined strata
         vals = block[block > -1]
         return float(vals.mean()) if vals.size else None
 
-    per_category = {}
-    for k, cat in enumerate(cat_ids):
-        block = precision[:, :, k, 0]
-        vals = block[block > -1]
-        per_category[cat] = float(vals.mean()) if vals.size else None
+    # the last axis is the area range: all, small, medium, large
     return EvalResult(
         task=params.task,
-        map=stratum(slice(None), 0),
-        map_50=stratum(0, 0),  # IOU_THRESHOLDS[0] is 0.5
-        map_small=stratum(slice(None), 1),
-        map_medium=stratum(slice(None), 2),
-        map_large=stratum(slice(None), 3),
-        per_category=per_category,
+        map=mean(precision[..., 0]),
+        map_50=mean(precision[0, ..., 0]),  # IOU_THRESHOLDS[0] is 0.5
+        map_small=mean(precision[..., 1]),
+        map_medium=mean(precision[..., 2]),
+        map_large=mean(precision[..., 3]),
+        per_category={cat: mean(precision[:, :, k, 0]) for k, cat in enumerate(cat_ids)},
     )
 
 

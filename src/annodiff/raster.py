@@ -436,14 +436,16 @@ _CHUNK = 2**14
 
 def _chunks(cost: np.ndarray, cap: int):
     """``(lo, hi)`` bounds of consecutive runs of keys whose cost stays
-    within ``cap``; a key over the cap is a run of its own."""
-    lo, total = 0, 0
-    for k, c in enumerate(cost.tolist()):
-        if total and total + c > cap:
-            yield lo, k
-            lo, total = k, 0
-        total += c
-    yield lo, cost.size
+    within ``cap``, each run as long as that allows; a key over the cap is
+    a run of its own, and no key gives the one run ``(0, 0)``."""
+    ends = np.cumsum(cost)
+    lo = 0
+    while True:
+        hi = max(lo + 1, int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + cap, "right")))
+        yield lo, min(hi, ends.size)
+        if hi >= ends.size:
+            return
+        lo = hi
 
 
 def _error(check, *args) -> GeometryError | SchemaError | None:
@@ -610,11 +612,9 @@ def _join(part, side_a, key, rows, c0, c1, offset: int, size: int):
     g = np.cumsum(change)[ia] - 1
     lo = start[g] + np.bincount(g, minlength=start.size)[g]
     n = np.append(start[1:], key.size)[g] - lo
-    ends = np.cumsum(n)
     codes, inter = [np.empty(0, np.int64)], [np.empty(0)]
-    s = pending = 0
-    while s < ia.size:  # slices of at most _CHUNK run pairs, one a-run at least
-        t = max(s + 1, int(np.searchsorted(ends, (ends[s - 1] if s else 0) + _CHUNK, "right")))
+    pending = 0
+    for s, t in _chunks(n, _CHUNK):  # slices of at most _CHUNK run pairs, one a-run at least
         m = n[s:t]
         ra = np.repeat(ia[s:t], m)
         rb = np.arange(ra.size) + np.repeat(lo[s:t] - (np.cumsum(m) - m), m)
@@ -629,7 +629,6 @@ def _join(part, side_a, key, rows, c0, c1, offset: int, size: int):
         if pending > _CHUNK:
             code, total = _reduce(codes, inter, size)
             codes, inter, pending = [code], [total], 0
-        s = t
     return _reduce(codes, inter, size)
 
 

@@ -23,11 +23,12 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 from .dataset import AnnotationDataset
 from .deteval import EvalParams, cross_table
-from .errors import DegenerateShape, StatsError
+from .errors import StatsError
 from .matching import MatchConfig, MatchSet, match_datasets
 from .stats import DatasetDelta, DatasetSummary, SizeBucket, compare, distance_histogram, summarize
 from .surface import _GROUP, SurfaceDistanceResult, pair_rings, ring_pairs_metrics
@@ -71,11 +72,6 @@ class AuditConfig:
 # parallel surface-metric computation
 
 
-def _surface_task(args):
-    pairs, footprint = args
-    return ring_pairs_metrics(pairs, footprint=footprint)
-
-
 def compute_surface_results(
     match_set: MatchSet,
     source: AnnotationDataset,
@@ -86,40 +82,32 @@ def compute_surface_results(
 ) -> tuple[list[SurfaceDistanceResult], list]:
     """Surface metrics for every matched pair, in canonical pair order.
 
-    Returns ``(results, degenerate_pairs)``. A pair is degenerate when either
-    instance is not a single polygon ring, or when its rings cannot be
-    measured. The pairs are measured in chunks (:func:`ring_pairs_metrics`),
-    whose values do not depend on which pairs share a chunk, so the worker
-    pool size never changes the output. The pool holds at most one worker
-    per pair and per CPU, each taking one group of the kernel
+    Returns ``(results, degenerate_pairs)``. Each pair's rings come from
+    :func:`~annodiff.surface.pair_rings` and are measured in chunks
+    (:func:`ring_pairs_metrics`); a pair it gives ``None`` for is
+    degenerate: an instance that is not a single polygon ring, a ring of
+    fewer than three vertices, or one that fills no pixel center. The
+    values do not depend on which pairs share a chunk, so the worker pool
+    size never changes the output. The pool holds at most one worker per
+    pair and per CPU, each taking one group of the kernel
     (``surface._GROUP`` pairs) at a time, and with room for only one the
     pairs are measured in this process.
     """
-    pairs, ringed = [], []
-    for pair in match_set.pairs:
-        try:
-            pairs.append(pair_rings(pair, source, target))
-        except DegenerateShape:
-            ringed.append(False)
-        else:
-            ringed.append(True)
+    pairs = [pair_rings(p, source, target) for p in match_set.pairs]
     # the executor starts every worker at its first map
     jobs = min(jobs, len(pairs), os.cpu_count() or 1)
     if jobs > 1:
         # imported here, so that a command without a pool loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # one task per group of the kernel
-        tasks = [(pairs[i : i + _GROUP], footprint) for i in range(0, len(pairs), _GROUP)]
+        groups = [pairs[i : i + _GROUP] for i in range(0, len(pairs), _GROUP)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = [m for part in pool.map(_surface_task, tasks) for m in part]
+            rows = [m for part in pool.map(partial(ring_pairs_metrics, footprint=footprint), groups) for m in part]
     else:
         rows = ring_pairs_metrics(pairs, footprint=footprint)
-    measured = iter(rows)
     results: list[SurfaceDistanceResult] = []
     degenerate = []
-    for pair, ok in zip(match_set.pairs, ringed):
-        metrics = next(measured) if ok else None
+    for pair, metrics in zip(match_set.pairs, rows):
         if metrics is None:
             degenerate.append(pair)
         else:

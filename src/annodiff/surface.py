@@ -354,9 +354,10 @@ def ring_pairs_metrics(pairs, *, footprint: str = "cross") -> list:
 
 
 def _single_ring(segmentation) -> tuple[float, ...]:
-    if not isinstance(segmentation, Polygons) or segmentation.ring_count != 1:
-        raise DegenerateShape("instance is not a single polygon ring")
-    return segmentation.rings[0]
+    """The ring of a single-ring ``Polygons``; ``()`` for any other shape."""
+    if isinstance(segmentation, Polygons) and segmentation.ring_count == 1:
+        return segmentation.rings[0]
+    return ()
 
 
 def ring_pair_metrics(
@@ -400,22 +401,11 @@ def pair_rings(
 ) -> tuple[tuple[float, ...], tuple[float, ...], int, int]:
     """``(source ring, target ring, width, height)`` of one matched pair, on its source image's grid.
 
-    Raises:
-        DegenerateShape: either instance is not a single polygon ring.
+    An instance that is not a single polygon ring gives the empty ring
+    ``()``, which the ring reader names a degenerate ring, so
+    :func:`ring_pairs_metrics` gives ``None`` for the pair.
     """
     inst = source.instance(pair.source_instance_id)
     image = source.image(inst.image_id)
     ring = _single_ring(inst.segmentation)
     return ring, _single_ring(target.instance(pair.target_instance_id).segmentation), image.width, image.height
-
-
-def pair_metrics(
-    pair: MatchPair,
-    source: AnnotationDataset,
-    target: AnnotationDataset,
-    *,
-    footprint: str = "cross",
-) -> SurfaceDistanceResult:
-    """Surface metrics for one matched pair, resolved from its datasets."""
-    d_avg, d_max, nx, ny = ring_pair_metrics(*pair_rings(pair, source, target), footprint=footprint)
-    return SurfaceDistanceResult(pair, d_avg, d_max, nx, ny)

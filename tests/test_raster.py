@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -744,6 +745,41 @@ class TestCountOverlaps:
         assert got.area_b.tolist() == [w] * 60
         assert got.inter.tolist() == [10] * 60
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+class TestChunks:
+    """``raster._chunks`` cuts keys into runs for the overlap count, the
+    run join and the box candidates."""
+
+    @pytest.mark.parametrize(
+        "cost, cap",
+        [
+            ([], 5),
+            ([0, 0, 0], 5),
+            ([0, 0, 7, 0, 3, 0, 0], 5),
+            ([9, 1, 9], 5),
+            ([2, 3, 0, 6, 0, 0, 1, 5, 5, 0, 12], 5),
+            ([1] * 10, 1),
+            ([0.0, 3.0, 2.0, 9.0, 0.0], 5),
+            *[(np.random.default_rng(seed).integers(0, 12, size=40) * (seed % 3 > 0), 10) for seed in range(6)],
+        ],
+    )
+    def test_runs_cover_the_keys_within_the_cap_and_cannot_grow(self, cost, cap):
+        cost = np.asarray(cost)
+        # a cut that never advances would yield forever: take at most one
+        # run per key, and one more
+        runs = list(itertools.islice(raster._chunks(cost, cap), cost.size + 1))
+        if not cost.size:
+            assert runs == [(0, 0)]
+            return
+        assert runs[0][0] == 0 and runs[-1][1] == cost.size
+        for (lo, hi), (nxt, _) in zip(runs, runs[1:]):
+            assert hi == nxt
+        for k, (lo, hi) in enumerate(runs):
+            assert lo < hi
+            assert cost[lo:hi].sum() <= cap or hi - lo == 1
+            if k < len(runs) - 1:
+                assert cost[lo : hi + 1].sum() > cap
 
 
 def diff_toggles(rle: RleMask) -> list:

@@ -26,7 +26,7 @@ from annodiff.report import (
     write_report_csv,
 )
 from annodiff.raster import box_iou, mask_iou, mask_of
-from annodiff.surface import pair_metrics, ring_pair_metrics
+from annodiff.surface import pair_rings, ring_pair_metrics
 
 from conftest import FIXTURES, make_ann, make_coco, make_images, rect_ring
 
@@ -164,8 +164,8 @@ class TestRunAudit:
 
 
 # Pairs the matcher never emits, built by hand: source instance 4 of the tiny
-# pair has two rings and source instance 5 is a crowd RLE. Either makes its
-# pair degenerate, in the pipeline and in the one-pair API alike.
+# pair has two rings and source instance 5 is a crowd RLE. Either gives its
+# pair an empty source ring, which the ring reader names degenerate.
 @pytest.mark.parametrize("source_id", [4, 5], ids=["two_ring", "crowd_rle"])
 class TestPairResolver:
     @staticmethod
@@ -188,13 +188,16 @@ class TestPairResolver:
         first, *rest = match_datasets(tiny_a, tiny_b).pairs
         _, _, odd = self.match_set(source_id, tiny_a, tiny_b)
         results, degenerate = compute_surface_results(MatchSet(pairs=[first, odd, *rest]), tiny_a, tiny_b, jobs=jobs)
-        assert rest and results == [pair_metrics(p, tiny_a, tiny_b) for p in (first, *rest)]
+        alone = [compute_surface_results(MatchSet(pairs=[p]), tiny_a, tiny_b) for p in (first, *rest)]
+        assert rest and results == [res for (res,), _ in alone]
         assert degenerate == [odd]
 
-    def test_pair_metrics_raises(self, source_id, tiny_a, tiny_b):
+    def test_pair_rings_gives_no_ring(self, source_id, tiny_a, tiny_b):
         _, _, odd = self.match_set(source_id, tiny_a, tiny_b)
-        with pytest.raises(DegenerateShape):
-            pair_metrics(odd, tiny_a, tiny_b)
+        rings = pair_rings(odd, tiny_a, tiny_b)
+        assert rings[:2] == ((), tiny_b.instance(odd.target_instance_id).segmentation.rings[0])
+        with pytest.raises(DegenerateShape, match="with 0 vertices"):
+            ring_pair_metrics(*rings)
 
     def test_audit_stays_consistent(self, source_id, tiny_a, tiny_b, monkeypatch):
         ms, _, _ = self.match_set(source_id, tiny_a, tiny_b)

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from annodiff import raster, surface
 from annodiff.errors import DegenerateShape, GeometryError
-from annodiff.matching import MatchConfig, MatchPair, match_datasets
+from annodiff.matching import MatchConfig, MatchPair, MatchSet, match_datasets
 from annodiff.report import compute_surface_results
 from annodiff.raster import bbox_of_mask, contour, edt_squared, rasterize
 from annodiff.shapes import Polygons
 from annodiff.surface import (
     SurfaceDistanceResult,
-    pair_metrics,
     pair_rings,
     ring_pair_metrics,
     ring_pairs_metrics,
@@ -645,7 +644,7 @@ class TestPairMetrics:
     def test_resolves_instances_and_image(self, tiny_a, tiny_b):
         ms = match_datasets(tiny_a, tiny_b)
         pair = next(p for p in ms.pairs if p.source_instance_id == 1)
-        res = pair_metrics(pair, tiny_a, tiny_b)
+        (res,), _ = compute_surface_results(MatchSet(pairs=[pair]), tiny_a, tiny_b)
         assert res.pair is pair
         # target box is one pixel taller: every bottom-contour pixel moved by
         # one, all others match, so 0 < d_avg < 1 and d_max == 1
@@ -663,14 +662,16 @@ class TestPairMetrics:
 
     def test_crop_matches_full_on_fixture(self, tiny_a, tiny_b):
         ms = match_datasets(tiny_a, tiny_b)
-        for pair in ms.pairs:
-            res = pair_metrics(pair, tiny_a, tiny_b)
-            full = full_grid_reference(*pair_rings(pair, tiny_a, tiny_b))
+        results, degenerate = compute_surface_results(ms, tiny_a, tiny_b)
+        assert [res.pair for res in results] == list(ms.pairs) and not degenerate
+        for res in results:
+            full = full_grid_reference(*pair_rings(res.pair, tiny_a, tiny_b))
             assert (res.d_avg, res.d_max, res.contour_len_source, res.contour_len_target) == full
 
     def test_crowd_pair_is_degenerate(self, tiny_a, tiny_b):
         ms = match_datasets(tiny_a, tiny_b, MatchConfig(same_category_required=False))
         crowd_inst = tiny_a.instance(5)
         fake = ms.pairs[0].__class__(5, 101, 1, crowd_inst.category_id, 1.0)
+        assert compute_surface_results(MatchSet(pairs=[fake]), tiny_a, tiny_b) == ([], [fake])
         with pytest.raises(DegenerateShape):
-            pair_metrics(fake, tiny_a, tiny_b)
+            ring_pair_metrics(*pair_rings(fake, tiny_a, tiny_b))
