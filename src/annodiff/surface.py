@@ -11,35 +11,45 @@ Hanbury, "Metrics for evaluating 3D medical image segmentation" (BMC Medical
 Imaging, 2015). Distances are exact: integer squared pixel distances with the
 square root taken only at read-out.
 
-Matched pairs are measured in chunks (:func:`ring_pairs_metrics`). The
-rings of a group of pairs are read as the overlap count reads its shapes
+Matched pairs are measured in chunks (:func:`ring_pairs_metrics`). The rings
+of a group of pairs are read as the overlap count reads its shapes
 (:func:`~annodiff.raster._read_shapes`), each ring a shape of its own, and
 the first fault by pair order that is not a degenerate ring is raised. A
-pair's window is taken once, from its rings' vertex extents: exact rows,
-and the columns with a spare one on each side for a crossing that rounds
-past them (:func:`_windows`). The rings of a chunk are scan-converted in one pass,
-and every layer (one per ring) is filled into one flat boolean buffer by
-the running parity of its toggles, the fill
+pair's window is taken once, from its rings' vertex extents: exact rows, and
+the columns with a spare one on each side for a crossing that rounds past
+them (:func:`_windows`). The rings of a chunk are scan-converted in one
+pass, and every layer (one per ring) is filled into one flat boolean buffer
+by the running parity of its toggles, the fill
 :func:`~annodiff.raster.rasterize` uses too. All layers share one row
-stride, and each has a blank row above it and a blank column left of
-it, so one parity pass fills them all and one erosion by shifted ANDs (±1 and
-± the stride, plus the diagonals for ``square``) gives the same contour
-pixels as the whole image grid. A chunk closes at
-``_CHUNK_PX`` buffer pixels, unless one pair's window alone exceeds that, so
-memory stays bounded however many pairs there are; sorting a group of pairs
-by window width keeps the shared stride close to each window's own.
+stride. Each window has two blank rows above and below it, and every row a
+blank first column; a window's last column, a closing toggle's, is blank
+too. The buffer has one more blank row at each end, so that no lookup below
+indexes outside it. So one parity pass fills them all, and one erosion by
+shifted ANDs (±1 and ± the stride, plus the diagonals for ``square``) gives
+the same contour pixels as the whole image grid. The contour is written back
+into the fill buffer, which is then the chunk's contour bitmap. A chunk
+closes at ``_CHUNK_PX`` buffer pixels, unless one pair's window alone
+exceeds that, so memory stays bounded however many pairs there are; sorting
+a group of pairs by window width keeps the shared stride close to each
+window's own.
 
-The contour points of a chunk are its buffer's flat indices, sorted, so each
-layer's points are already in row-major order, which fixes the summation
-order of the average. The nearest point of the other contour is searched in
-an expanding band of rows: for each row offset, the point's column is looked
-up among the other contour's points of that row (``np.searchsorted``). A
-distance is final once it is at most ``(k + 1)**2`` after rows ``|dr| <= k``,
-since every point farther out is at least that far, or once the band has
-reached both edges of the pair's window. The band grows one row on each side
-per step while any point is open, so a pair whose contours lie far apart in
-rows takes one step per window row; that is the worst case.
-:func:`surface_distances` runs the same search on a two-layer buffer.
+The contour points of a chunk are its bitmap's flat indices, sorted, so
+each layer's points are already in row-major order, which fixes the
+summation order of the average. A point's partner position is its pixel in
+the other layer of its pair. The 5 x 5 block around it reads only that
+layer's window and blank pixels, so gathers from the bitmap at its 25
+offsets, in order of squared distance (0, 1, 2, 4, 5, 8), settle every
+point within √8 px of the other contour. The points left lie at least 3 px
+from it, and are searched in an expanding band of rows: for each row
+offset, the flat index in the target row is looked up among the sorted
+points (``np.searchsorted``), and its neighbours count only if they lie
+between that row's start and end. A distance is final once it is at most
+``(k + 1)**2`` after rows ``|dr| <= k``, since every point farther out is at
+least that far, or once the band has reached both edges of the pair's
+window. The band grows one row on each side per step while any point is
+open, so a pair whose contours lie far apart in rows takes one step per
+window row; that is the worst case. :func:`surface_distances` lays its two
+masks out as the two layers of a pair and runs the same search.
 """
 
 from __future__ import annotations
@@ -87,76 +97,111 @@ _GROUP = 128
 _CHUNK_PX = 1 << 18
 
 
-def _row_gaps(ends: np.ndarray, t: np.ndarray, far: int) -> np.ndarray:
-    """Squared column distance from each key of ``t`` to the nearest sorted
-    key of ``ends[1:-1]``, clipped to ``far``. ``ends`` holds a sentinel key
-    at each end, at least ``far`` beyond every target, so both neighbours of
-    a target always exist; a neighbour in another row lies ``far`` or more
-    away, so a gap of ``far`` means the row holds no point."""
-    at = np.searchsorted(ends[1:-1], t)
-    after = ends[1:].take(at)
-    after -= t
-    before = ends[:-1].take(at)
-    np.subtract(t, before, out=before)
+# The 25 offsets ``(dr, dc)`` of a 5 x 5 block, by squared distance: a point
+# whose partner position holds a contour pixel at one of them is settled by
+# the first such distance, 0, 1, 2, 4, 5 or 8.
+_BLOCK = [
+    (d2, [(dr, dc) for dr in range(-2, 3) for dc in range(-2, 3) if dr * dr + dc * dc == d2])
+    for d2 in (0, 1, 2, 4, 5, 8)
+]
+
+
+def _row_search(points: np.ndarray, q: np.ndarray, col: np.ndarray, stride: int, far: int) -> np.ndarray:
+    """Column distance from each flat index of ``q`` to the nearest of the
+    sorted ``points`` in its buffer row, or ``far`` where the row holds
+    none. ``q`` has one row per row offset, each holding the flat indices
+    of the same open points moved by that offset, and ``col`` holds their
+    columns.
+
+    The nearest points on either side of a flat index are its neighbours in
+    ``points``; each counts only if it lies between the row's start
+    ``q - col`` and its end ``q - col + stride``."""
+    at = np.searchsorted(points, q)
+    # clipped, a missing neighbour is a point on the wrong side of q
+    after = points.take(at, mode="clip")
+    after -= q
+    after[(after < 0) | (after >= stride - col)] = far
+    before = points.take(at - 1, mode="clip")
+    np.subtract(q, before, out=before)
+    before[(before <= 0) | (before > col)] = far
     np.minimum(after, before, out=after)
-    np.minimum(after, far, out=after)
-    after *= after
     return after
 
 
-def _nearest(points: np.ndarray, stride: int, top: np.ndarray, height: np.ndarray):
+def _nearest(bitmap: np.ndarray, points: np.ndarray, stride: int, first: np.ndarray, height: np.ndarray):
     """Squared distance from each contour point to the nearest point of its
     partner layer, and the bounds of each layer's points.
 
-    ``points`` are the sorted flat indices of every layer's contour points in
-    a buffer of row ``stride``. Layer ``l`` starts with the blank buffer row
-    ``top[l]``, and ``top[-1]`` is the blank row after the last layer. Layers
-    ``2j`` and ``2j + 1`` are the two contours of pair ``j``, both on its
-    window of ``height[j]`` rows (after the blank row) and the same buffer
-    columns, so a point and its partner row share one column.
+    ``bitmap`` is a flat buffer of row ``stride`` whose set pixels are the
+    contour points, and ``points`` their sorted flat indices. Layer ``l``
+    holds its window's rows from buffer row ``first[l]``, and ``first[-1]``
+    is where a next layer would start. Layers ``2j`` and ``2j + 1`` are the
+    two contours of pair ``j``, both on its window of ``height[j]`` rows and
+    the same buffer columns, so a point and its partner position share one
+    column. Every window has two blank rows above and below it, the buffer
+    one more at each end, and the first and the last column of every row
+    are blank, so the 5 x 5 block around any partner position reads only its
+    partner layer's window and blank pixels.
+
+    A point is settled by the first squared distance of :data:`_BLOCK` at
+    which the bitmap holds a partner pixel. The others lie at least 3 px
+    from every partner point; they are searched in a band of rows that
+    grows by one row on each side per step (:func:`_row_search`), and a
+    distance is final once it is at most ``(k + 1)**2`` after rows
+    ``|dr| <= k``, since every point farther out is at least that far, or
+    once the band has reached both edges of the window.
     Returns ``(best, bounds)``: the points of layer ``l`` are
     ``points[bounds[l]:bounds[l + 1]]``. A point whose partner layer is
     empty gets no distance (its value is meaningless).
     """
-    layers = top.size - 1
-    bounds = np.searchsorted(points, top * stride)
-    lay = np.repeat(np.arange(layers), np.diff(bounds))
-    # Search keys: ``step`` keys per buffer row, and ``pad`` more blank rows
-    # after each layer, one more than the tallest window has, so that no row
-    # searched from a layer's window reaches into a neighbouring layer.
-    # ``far`` exceeds every column distance within a row and every distance
-    # within a window.
-    pad = int(height.max()) + 1
-    far = stride + pad + 1
-    step = far + stride
-    rows, cols = np.divmod(points, stride)
-    rows += lay * pad
-    keys = rows * step
-    keys += cols
-    start = top + np.arange(layers + 1) * pad  # first key row of each layer
-    ends = np.concatenate(([-(pad + 2) * step], keys, [(int(start[-1]) + pad + 2) * step]))
-    shift = (start[np.arange(layers) ^ 1] - start[:-1]) * step
-    target = keys + shift[lay]
-    best = _row_gaps(ends, target, far)
-    open_ = np.flatnonzero(best > 1)
-    # rows to the window's far edge: once searched, a distance is final; a
-    # point whose partner layer is empty has no rows to search
-    at = lay[open_]
-    window_row = rows[open_] - start[at]
-    reach = np.maximum(window_row - 1, np.repeat(height, 2)[at] - window_row)
-    reach[np.diff(bounds)[at ^ 1] == 0] = 0
-    open_, reach = open_[reach > 0], reach[reach > 0]
-    k = 0
-    while open_.size:
-        k += 1
-        gap = _row_gaps(ends, np.add.outer((k * step, -k * step), target[open_]).ravel(), far)
-        d = gap.reshape(2, -1).min(axis=0)
-        d += k * k
-        np.minimum(d, best[open_], out=d)
+    layers = first.size - 1
+    bounds = np.searchsorted(points, first * stride)
+    count = np.diff(bounds)
+    partner = np.arange(layers) ^ 1
+    shift = (first[partner] - first[:-1]) * stride
+    # partner positions less ``base``, so that every block offset is a
+    # non-negative start of a view of the bitmap
+    base = 2 * stride + 2
+    at = np.repeat(shift - base, count)
+    at += points
+    best = np.zeros(points.size, dtype=np.int64)
+    hit = bitmap[base:].take(at)
+    open_ = np.flatnonzero(~hit)
+    at = at[open_]
+    for d2, offsets in _BLOCK[1:]:
+        views = [bitmap[base + dr * stride + dc :] for dr, dc in offsets]
+        hit = views[0].take(at)
+        for view in views[1:]:
+            hit |= view.take(at)
+        best[open_[hit]] = d2
+        np.logical_not(hit, out=hit)
+        open_, at = open_[hit], at[hit]
+    # the band search, for the points left that have a partner point
+    lay = np.searchsorted(bounds, open_, side="right") - 1
+    kept = count[partner[lay]] > 0
+    open_, at, lay = open_[kept], at[kept] + base, lay[kept]
+    if not open_.size:
+        return best, bounds
+    row, col = np.divmod(at, stride)
+    row -= first[partner[lay]]  # row in the window
+    below = height[lay >> 1] - 1 - row  # rows below it in the window
+    reach = np.maximum(row, below)
+    far = stride + int(height.max())  # beyond every distance in a window
+    d = np.full(open_.size, far * far)
+    dr, k = np.zeros(1, dtype=np.int64), 0
+    while True:
+        gap = _row_search(points, np.add.outer(dr * stride, at), col, stride, far)
+        gap[np.less.outer(dr, -row) | np.greater.outer(dr, below)] = far  # rows outside the window
+        gap *= gap
+        gap += (dr * dr)[:, None]
+        np.minimum(d, gap.min(axis=0), out=d)
         best[open_] = d
         still = (d > (k + 1) ** 2) & (reach > k)
-        open_, reach = open_[still], reach[still]
-    return best, bounds
+        open_, at, col, row, below, reach, d = (a[still] for a in (open_, at, col, row, below, reach, d))
+        if not open_.size:
+            return best, bounds
+        k += 1
+        dr = np.array([-k, k])
 
 
 def _read_out(best: np.ndarray, bounds: np.ndarray) -> list:
@@ -164,17 +209,22 @@ def _read_out(best: np.ndarray, bounds: np.ndarray) -> list:
     where a layer has no point. Each contour's distances are summed as one
     contiguous float64 array in row-major order, and the maximum is taken on
     the integer squares."""
+    count = np.diff(bounds)
+    full = count > 0
+    largest = np.zeros(count.size, dtype=np.int64)
+    largest[full] = np.maximum.reduceat(best, bounds[:-1][full])
+    d_max = np.sqrt(np.maximum(largest[0::2], largest[1::2]), dtype=np.float64).tolist()
+    measured = (full[0::2] & full[1::2]).tolist()
     dist = np.sqrt(best, dtype=np.float64)
-    largest = np.maximum.reduceat(np.append(best, 0), bounds[:-1]).tolist()
-    b = bounds.tolist()
+    b, n = bounds.tolist(), count.tolist()
     out = []
-    for j in range(0, len(b) - 1, 2):
-        a, m, e = b[j : j + 3]
-        if a == m or m == e:
+    for j, ok in enumerate(measured):
+        if not ok:
             out.append(None)
             continue
+        a, m, e = b[2 * j : 2 * j + 3]
         d_avg = float((np.add.reduce(dist[a:m]) + np.add.reduce(dist[m:e])) / (e - a))
-        out.append((d_avg, float(np.sqrt(max(largest[j], largest[j + 1]))), m - a, e - m))
+        out.append((d_avg, d_max[j], n[2 * j], n[2 * j + 1]))
     return out
 
 
@@ -182,8 +232,10 @@ def surface_distances(cx: np.ndarray, cy: np.ndarray) -> tuple[float, float, int
     """Both surface metrics for two same-grid contour masks.
 
     Returns ``(d_avg, d_max, |cx|, |cy|)``. The two masks are laid out as
-    the two layers of a buffer, as a matched pair is, and searched the same
-    way; distances are exact.
+    the two layers of a buffer, as a matched pair is: each after a blank
+    column and before another, with two blank rows above and below, and
+    one more at each end of the buffer. They are searched the same way;
+    distances are exact.
 
     Raises:
         GeometryError: either contour is empty, the grids differ, or they
@@ -196,22 +248,24 @@ def surface_distances(cx: np.ndarray, cy: np.ndarray) -> tuple[float, float, int
     if cx.ndim != 2:
         raise GeometryError(f"surface distance of {cx.ndim}-D contours")
     h, w = cx.shape
-    buffer = np.zeros((2 * h + 3, w + 1), dtype=bool)
-    buffer[1 : h + 1, 1:] = cx
-    buffer[h + 2 : 2 * h + 2, 1:] = cy
-    points = np.flatnonzero(buffer)
-    top = np.array([0, h + 1, 2 * h + 2])
-    if not (points.size and points[0] < top[1] * (w + 1) <= points[-1]):
+    first = np.array([3, h + 5, 2 * h + 7])
+    buffer = np.zeros((first[-1] + 1, w + 2), dtype=bool)
+    buffer[3 : h + 3, 1:-1] = cx
+    buffer[h + 5 : 2 * h + 5, 1:-1] = cy
+    bitmap = buffer.ravel()
+    points = np.flatnonzero(bitmap)
+    if not (points.size and points[0] < first[1] * (w + 2) <= points[-1]):
         raise GeometryError("surface distance of an empty contour")
-    best, bounds = _nearest(points, w + 1, top, np.array([h]))
+    best, bounds = _nearest(bitmap, points, w + 2, first, np.array([h]))
     return _read_out(best, bounds)[0]
 
 
-def _contour_points(toggles: np.ndarray, size: int, stride: int, footprint: str) -> np.ndarray:
-    """Sorted flat indices of the contour pixels of a buffer of ``size``
-    pixels and row ``stride``, filled from the flat indices of its pixel
-    toggles. The first and last buffer rows are blank, and so is the first
-    column of every row."""
+def _contour_points(toggles: np.ndarray, size: int, stride: int, footprint: str) -> tuple[np.ndarray, np.ndarray]:
+    """The contour bitmap of a buffer of ``size`` pixels and row ``stride``,
+    filled from the flat indices of its pixel toggles, and the sorted flat
+    indices of its set pixels. The first and last buffer rows are blank,
+    and so is the first column of every row. The contour is written into
+    the fill buffer, which is returned as the bitmap."""
     mask = _parity_fill(toggles, size)
     # erosion of the pixels [lo, hi), which hold every foreground pixel
     lo, hi = stride + 1, size - stride - 1
@@ -221,10 +275,8 @@ def _contour_points(toggles: np.ndarray, size: int, stride: int, footprint: str)
     if footprint == "square":
         for offset in (-stride - 1, -stride + 1, stride - 1, stride + 1):
             eroded &= mask[lo + offset : hi + offset]
-    np.greater(mask[lo:hi], eroded, out=eroded)  # foreground and not eroded
-    points = np.flatnonzero(eroded)
-    points += lo
-    return points
+    np.greater(mask[lo:hi], eroded, out=mask[lo:hi])  # foreground and not eroded
+    return mask, np.flatnonzero(mask)
 
 
 def _chunks(width: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
@@ -256,19 +308,21 @@ def _measure_chunk(v: _Vertices, start: np.ndarray, sel: np.ndarray, grid, windo
     chunk = _Vertices(v.x[idx], v.y[idx], succ, np.repeat(np.arange(lay.size), n))
     width, height = grid[:, sel].repeat(2, axis=1)
     owner, rows, cols = _crossings(chunk, width, height)
-    # a pair's window in each of its two layers, after a blank row, and
-    # after a blank column; its last column, a closing toggle's, is blank too
+    # a pair's window in each of its two layers, with two blank rows above
+    # and below it and one more at each end of the buffer, after a blank
+    # column; its last column, a closing toggle's, is blank too
     r0, h, c0, w = window[:, sel]
     stride = int(w.max()) + 1
-    top = np.zeros(lay.size + 1, dtype=np.int64)
-    np.cumsum(np.repeat(h + 1, 2), out=top[1:])
-    row_off = top[:-1] + 1 - np.repeat(r0, 2)
+    first = np.zeros(lay.size + 1, dtype=np.int64)
+    np.cumsum(np.repeat(h + 2, 2), out=first[1:])
+    first += 3
+    row_off = first[:-1] - np.repeat(r0, 2)
     col_off = 1 - np.repeat(c0, 2)
     toggles = (rows + row_off[owner]) * stride + cols + col_off[owner]
-    points = _contour_points(toggles, (int(top[-1]) + 1) * stride, stride, footprint)
+    bitmap, points = _contour_points(toggles, (int(first[-1]) + 1) * stride, stride, footprint)
     if not points.size:
         return [None] * sel.size
-    best, bounds = _nearest(points, stride, top, h)
+    best, bounds = _nearest(bitmap, points, stride, first, h)
     return _read_out(best, bounds)
 
 

@@ -315,19 +315,19 @@ class TestRingPipeline:
         ra, rb = rect_ring(2, 3, 4, 4), rect_ring(side - 2, side - 1, 4, 4)
         union = rasterize([ra], 200, 200) | rasterize([rb], 200, 200)
         assert bbox_of_mask(union)[2:] == (side, side)
-        with mock.patch.object(surface, "_row_gaps", wraps=surface._row_gaps) as row_gaps:
+        with mock.patch.object(surface, "_row_search", wraps=surface._row_search) as row_search:
             got = ring_pair_metrics(ra, rb, 200, 200)
         ca, cb = (contour(rasterize([ring], 200, 200)) for ring in (ra, rb))
         assert got == full_grid_reference(ra, rb, 200, 200) == edt_reference(ca, cb)
-        assert row_gaps.call_count <= side + 1
+        assert row_search.call_count <= side + 1
 
     def test_a_pair_with_an_empty_layer_takes_no_band_step(self):
         # the sliver fills no pixel center, so the tall ring's points have
-        # no partner to search for
+        # no partner to search for, and no row is searched
         sliver = [10.1, 10.1, 10.4, 10.1, 10.4, 10.4]
-        with mock.patch.object(surface, "_row_gaps", wraps=surface._row_gaps) as row_gaps:
+        with mock.patch.object(surface, "_row_search", wraps=surface._row_search) as row_search:
             assert ring_pairs_metrics([(sliver, rect_ring(2, 2, 20, 300), 400, 400)]) == [None]
-        assert row_gaps.call_count == 1
+        assert row_search.call_count == 0
 
     def test_ring_containers_give_identical_values(self):
         # a stored ring is a tuple of floats and takes the flat path; lists of
@@ -511,6 +511,67 @@ class TestRingPairsMetrics:
         assert not isinstance(info.value, DegenerateShape)
         with pytest.raises(ValueError, match="footprint"):
             ring_pairs_metrics([(good, good, 10, 10)], footprint="disk")
+
+
+def dot(r, c):
+    """A ring around the center of pixel ``(r, c)`` alone."""
+    return rect_ring(c + 0.25, r + 0.25, 0.5, 0.5)
+
+
+# Pairs on a 40 x 30 grid, each pair's contours at a known distance.
+BLOCK_W, BLOCK_H = 40, 30
+BLOCK_PAIRS = {
+    # the largest nearest distance is exactly sqrt 8, the last the bitmap
+    # settles
+    "sqrt8": [(dot(5, 5), dot(7, 7)), (dot(9, 9), dot(7, 11)), (rect_ring(4, 4, 4, 4), rect_ring(6, 6, 4, 4))],
+    # the smallest is exactly 3, the first the band must find: in the
+    # point's own row, and three rows away
+    "three": [(dot(5, 5), dot(5, 8)), (dot(5, 5), dot(8, 5)), (rect_ring(2, 2, 6, 6), rect_ring(10, 2, 5, 6))],
+    # full-width bars: their points lie in the first and the last column of
+    # the widest window, 2, 3 and 4 rows apart; the last pair's band points
+    # reach the last row of the grid
+    "bars": [
+        (rect_ring(0, 0, BLOCK_W, 2), rect_ring(0, 3, BLOCK_W, 2)),
+        (rect_ring(0, 20, BLOCK_W, 3), rect_ring(0, 24, BLOCK_W, 1)),
+        (rect_ring(0, BLOCK_H - 1, BLOCK_W, 1), rect_ring(0, BLOCK_H - 5, BLOCK_W, 1)),
+    ],
+    # columns 0 and 39: a lookup left of column 0 wraps to the blank column
+    # after the other bar's, one row up
+    "sides": [
+        (rect_ring(0, 5, 1, 8), rect_ring(BLOCK_W - 1, 4, 1, 8)),
+        (rect_ring(0, 0, 2, BLOCK_H), rect_ring(BLOCK_W - 2, 0, 2, BLOCK_H)),
+    ],
+}
+
+
+class TestBlockLookup:
+    """The contour bitmap's 5 x 5 lookup and the band search behind it,
+    against the whole-grid reference and the brute-force oracle: on chunks of
+    one pair, where every window is the first and the last layer, and on one
+    chunk of them all, which the bars close as its widest windows."""
+
+    @pytest.mark.parametrize("footprint", ["cross", "square"])
+    @pytest.mark.parametrize("chunk_px, group", [(1, 1), (1 << 18, 2), (1 << 18, 128)])
+    def test_pairs_at_the_block_edge_equal_the_full_grid_reference(self, footprint, chunk_px, group):
+        pairs = [(*p, BLOCK_W, BLOCK_H) for kind in BLOCK_PAIRS.values() for p in kind]
+        pairs += [(rb, ra, w, h) for ra, rb, w, h in pairs]
+        want = [full_grid_reference(*p, footprint) for p in pairs]
+        assert want == [whole_grid_oracle(*p, footprint) for p in pairs]
+        with mock.patch.object(surface, "_CHUNK_PX", chunk_px), mock.patch.object(surface, "_GROUP", group):
+            assert ring_pairs_metrics(pairs, footprint=footprint) == want
+
+    @pytest.mark.parametrize("footprint", ["cross", "square"])
+    def test_the_block_settles_up_to_sqrt8_and_the_band_finds_3(self, footprint):
+        # only points farther than sqrt 8 from the other contour reach the band
+        for kind, searched in (("sqrt8", False), ("three", True)):
+            for ra, rb in BLOCK_PAIRS[kind]:
+                with mock.patch.object(surface, "_row_search", wraps=surface._row_search) as row_search:
+                    got = ring_pair_metrics(ra, rb, BLOCK_W, BLOCK_H, footprint=footprint)
+                assert got == full_grid_reference(ra, rb, BLOCK_W, BLOCK_H, footprint)
+                assert (got[1] >= 3.0) if searched else (got[1] == math.sqrt(8))
+                assert (row_search.call_count > 0) == searched
+        for ra, rb in BLOCK_PAIRS["three"][:2]:
+            assert ring_pair_metrics(ra, rb, BLOCK_W, BLOCK_H, footprint=footprint)[:2] == (3.0, 3.0)
 
 
 # Edges whose computed crossing rounds one column past their ring's vertex
