@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .dataset import load_dataset
 from .errors import AnnodiffError
-from .deteval import EvalParams
+from .deteval import MAX_DETECTIONS
 from .matching import MatchConfig, match_datasets, pairs_to_ndjson
 from .report import (
     AuditConfig,
@@ -90,7 +90,7 @@ def cmd_eval(args) -> int:
     source = load_dataset(args.source)
     target = load_dataset(args.target)
     tasks = _eval_tasks(args.task)
-    payload = eval_json(source, target, tasks, EvalParams(max_detections=args.max_dets))
+    payload = eval_json(source, target, tasks, args.max_dets)
     data = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
     _emit(data, args.out)
     return EXIT_OK
@@ -159,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--task", choices=("bbox", "segm", "both"), default="bbox")
-    p.add_argument("--max-dets", type=int, default=100,
+    p.add_argument("--max-dets", type=int, default=MAX_DETECTIONS,
                    help="detection cap per image and category")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_eval)

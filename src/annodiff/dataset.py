@@ -4,7 +4,8 @@ Parsing is structural and strict: required fields, types, id uniqueness and
 reference integrity are enforced (``SchemaError`` / ``IntegrityError``),
 while geometric defects (degenerate polygons, out-of-bounds boxes, stale
 areas) are reported by :func:`validate` as data, not failures. Unknown JSON
-fields are preserved on every record and at the top level so files round-trip.
+fields are kept, for callers to read: a record's in its ``extra``, the top
+level's in the dataset's ``extra``. Nothing writes a dataset back out.
 
 Every record type is a ``NamedTuple``: immutable, and cheap to build once
 per object. A record built without ``extra`` gets an empty read-only mapping.
@@ -117,9 +118,6 @@ class AnnotationDataset:
 
     def image(self, image_id: int) -> ImageRecord:
         return self._images_by_id[image_id]
-
-    def category(self, category_id: int) -> CategoryRecord:
-        return self._categories_by_id[category_id]
 
     def instance(self, instance_id: int) -> InstanceRecord:
         return self._instances_by_id[instance_id]
@@ -403,54 +401,6 @@ def load_dataset(path) -> AnnotationDataset:
     """Read and parse a COCO JSON file."""
     with open(path, "rb") as f:
         return parse_dataset(f)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def to_coco(ds: AnnotationDataset) -> dict:
-    """Rebuild the COCO-format dict, unknown fields included."""
-
-    def seg_json(seg: ShapeSpec):
-        if isinstance(seg, RleMask):
-            return {"counts": list(seg.counts), "size": [seg.height, seg.width]}
-        return [list(r) for r in seg.rings]
-
-    return {
-        **ds.extra,
-        "images": [
-            {"id": r.id, "width": r.width, "height": r.height, "file_name": r.file_name, **r.extra}
-            for r in ds.images
-        ],
-        "annotations": [
-            {
-                "id": r.id,
-                "image_id": r.image_id,
-                "category_id": r.category_id,
-                "segmentation": seg_json(r.segmentation),
-                "area": r.area,
-                "bbox": list(r.bbox),
-                "iscrowd": int(r.iscrowd),
-                **r.extra,
-            }
-            for r in ds.instances
-        ],
-        "categories": [
-            {
-                "id": r.id,
-                "name": r.name,
-                **({"supercategory": r.supercategory} if r.supercategory is not None else {}),
-                **r.extra,
-            }
-            for r in ds.categories
-        ],
-    }
-
-
-def serialize(ds: AnnotationDataset) -> bytes:
-    """Canonical JSON bytes; ``parse_dataset(serialize(ds)) == ds``."""
-    return json.dumps(to_coco(ds), sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

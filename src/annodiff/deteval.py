@@ -5,14 +5,15 @@ thresholds 0.50:0.05:0.95 (``IOU_THRESHOLDS``), 101 recall sample points
 (``RECALL_POINTS``) and the area strata all, small, medium and large
 (``AREA_RANGES``), in which a ground truth is placed by its stored ``area``.
 Only the task and the number of detections kept per image and category
-(100 by default) are parameters (``EvalParams``). Matching semantics follow the
-reference evaluator: per image and category, detections in descending score
-order greedily take the not-yet-matched ground truth of highest IoU at or
-above the threshold; crowd ground truths act as ignore regions (their overlap
-is intersection over detection area, they can absorb any number of
-detections, and matching one neither scores nor penalizes); ground truths
-outside the area range under evaluation are likewise ignored, as are
-unmatched detections whose own area falls outside it. Precision is made
+(``MAX_DETECTIONS`` by default) are parameters: :func:`evaluate` takes both in
+``EvalParams``, and :func:`cross_table` takes its tasks and the cap. Matching
+semantics follow the reference evaluator: per image and category, detections
+in descending score order greedily take the not-yet-matched ground truth of
+highest IoU at or above the threshold; crowd ground truths act as ignore
+regions (their overlap is intersection over detection area, they can absorb
+any number of detections, and matching one neither scores nor penalizes);
+ground truths outside the area range under evaluation are likewise ignored, as
+are unmatched detections whose own area falls outside it. Precision is made
 monotonically non-increasing from the right and sampled at the recall points.
 
 One deliberate difference from the reference implementation: precision is
@@ -83,7 +84,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 from operator import is_
 from typing import NamedTuple
@@ -113,6 +114,7 @@ AREA_RANGES: tuple[tuple[str, float, float], ...] = (
     ("medium", 32.0**2, 96.0**2),
     ("large", 96.0**2, math.inf),
 )
+MAX_DETECTIONS = 100  # the default cap of detections per image and category
 
 
 class Detection(NamedTuple):
@@ -129,7 +131,7 @@ class Detection(NamedTuple):
 @dataclass(frozen=True)
 class EvalParams:
     task: str = "bbox"
-    max_detections: int = 100
+    max_detections: int = MAX_DETECTIONS
 
     def __post_init__(self) -> None:
         if self.task not in ("bbox", "segm"):
@@ -766,25 +768,26 @@ def cross_table(
     a: AnnotationDataset,
     b: AnnotationDataset,
     tasks: tuple[str, ...] = ("bbox",),
-    params: EvalParams | None = None,
+    max_detections: int = MAX_DETECTIONS,
 ) -> dict[str, dict[str, EvalResult]]:
     """Score each dataset against the other, per task.
 
     Returns ``{task: {"a_vs_b": ..., "b_vs_a": ...}}`` where ``a_vs_b`` treats
     a's annotations as the predictions and b as ground truth, as
-    ``evaluate(annotations_as_detections(a), b)`` would. On the segm task
-    one overlap count of a's shapes against b's serves both directions.
+    ``evaluate(annotations_as_detections(a), b, EvalParams(task, max_detections))``
+    would. On the segm task one overlap count of a's shapes against b's
+    serves both directions.
     """
-    params = params or EvalParams()
+    EvalParams(max_detections=max_detections)  # checks the cap before any cell is cut
     index = _index(a, b)
     rows_a, rows_b = _instance_rows(a, index), _instance_rows(b, index)
     # the cells of each direction serve every task; crowds are never detections
-    cells = params.max_detections, "segm" in tasks
+    cells = max_detections, "segm" in tasks
     ab = _cells(rows_a, np.flatnonzero(~rows_a.crowd), rows_b, b, index, *cells)
     ba = _cells(rows_b, np.flatnonzero(~rows_b.crowd), rows_a, a, index, *cells)
     out: dict[str, dict[str, EvalResult]] = {}
     for task in tasks:
-        p = replace(params, task=task)
+        p = EvalParams(task, max_detections)
         pixels = _pixel_counts(ab, ba) if task == "segm" else (None, None)
         out[task] = {"a_vs_b": _score(ab, p, pixels[0]), "b_vs_a": _score(ba, p, pixels[1])}
     return out

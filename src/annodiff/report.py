@@ -27,7 +27,7 @@ from functools import partial
 from pathlib import Path
 
 from .dataset import AnnotationDataset
-from .deteval import EvalParams, cross_table
+from .deteval import MAX_DETECTIONS, cross_table
 from .errors import StatsError
 from .matching import MatchConfig, MatchSet, match_datasets
 from .stats import DatasetDelta, DatasetSummary, SizeBucket, compare, distance_histogram, summarize
@@ -143,11 +143,11 @@ def delta_json(d: DatasetDelta) -> dict:
 
 
 def eval_json(
-    a: AnnotationDataset, b: AnnotationDataset, tasks: tuple[str, ...], params: EvalParams | None = None
+    a: AnnotationDataset, b: AnnotationDataset, tasks: tuple[str, ...], max_detections: int = MAX_DETECTIONS
 ) -> dict:
     """``{task: {"a_vs_b": ..., "b_vs_a": ...}}`` of :func:`cross_table`, each
     result as its JSON form."""
-    tables = cross_table(a, b, tasks=tasks, params=params)
+    tables = cross_table(a, b, tasks, max_detections)
     return {task: {side: res.to_json() for side, res in sides.items()} for task, sides in tables.items()}
 
 
@@ -252,7 +252,7 @@ def run_audit(
             # results, so reports must not vary with it
             "eval_tasks": list(config.eval_tasks),
             # diff scores with the default cap, which the v1 schema requires
-            "max_detections": EvalParams().max_detections,
+            "max_detections": MAX_DETECTIONS,
             "source_path": config.source_path,
             "target_path": config.target_path,
         },

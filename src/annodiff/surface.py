@@ -135,13 +135,14 @@ def _nearest(bitmap: np.ndarray, points: np.ndarray, stride: int, first: np.ndar
     ``bitmap`` is a flat buffer of row ``stride`` whose set pixels are the
     contour points, and ``points`` their sorted flat indices. Layer ``l``
     holds its window's rows from buffer row ``first[l]``, and ``first[-1]``
-    is where a next layer would start. Layers ``2j`` and ``2j + 1`` are the
-    two contours of pair ``j``, both on its window of ``height[j]`` rows and
-    the same buffer columns, so a point and its partner position share one
-    column. Every window has two blank rows above and below it, the buffer
-    one more at each end, and the first and the last column of every row
-    are blank, so the 5 x 5 block around any partner position reads only its
-    partner layer's window and blank pixels.
+    is where a next layer would start (:func:`_layer_rows`). Layers ``2j``
+    and ``2j + 1`` are the two contours of pair ``j``, both on its window
+    of ``height[j]`` rows and the same buffer columns, so a point and its
+    partner position share one column. Every window has two blank rows
+    above and below it, the buffer one more at each end, and the first and
+    the last column of every row are blank, so the 5 x 5 block around any
+    partner position reads only its partner layer's window and blank
+    pixels.
 
     A point is settled by the first squared distance of :data:`_BLOCK` at
     which the bitmap holds a partner pixel. The others lie at least 3 px
@@ -248,16 +249,23 @@ def surface_distances(cx: np.ndarray, cy: np.ndarray) -> tuple[float, float, int
     if cx.ndim != 2:
         raise GeometryError(f"surface distance of {cx.ndim}-D contours")
     h, w = cx.shape
-    first = np.array([3, h + 5, 2 * h + 7])
+    first = _layer_rows(np.array([h, h]))
     buffer = np.zeros((first[-1] + 1, w + 2), dtype=bool)
-    buffer[3 : h + 3, 1:-1] = cx
-    buffer[h + 5 : 2 * h + 5, 1:-1] = cy
+    buffer[first[0] : first[0] + h, 1:-1] = cx
+    buffer[first[1] : first[1] + h, 1:-1] = cy
     bitmap = buffer.ravel()
     points = np.flatnonzero(bitmap)
     if not (points.size and points[0] < first[1] * (w + 2) <= points[-1]):
         raise GeometryError("surface distance of an empty contour")
     best, bounds = _nearest(bitmap, points, w + 2, first, np.array([h]))
     return _read_out(best, bounds)[0]
+
+
+def _layer_rows(heights: np.ndarray) -> np.ndarray:
+    """The first buffer row of each layer of ``heights`` rows, then the
+    buffer's last row: two blank rows above and below every layer, and one
+    more at each end, which :func:`_nearest`'s unchecked lookups need."""
+    return np.concatenate(([3], 3 + np.cumsum(heights + 2, dtype=np.int64)))
 
 
 def _contour_points(toggles: np.ndarray, size: int, stride: int, footprint: str) -> tuple[np.ndarray, np.ndarray]:
@@ -308,14 +316,11 @@ def _measure_chunk(v: _Vertices, start: np.ndarray, sel: np.ndarray, grid, windo
     chunk = _Vertices(v.x[idx], v.y[idx], succ, np.repeat(np.arange(lay.size), n))
     width, height = grid[:, sel].repeat(2, axis=1)
     owner, rows, cols = _crossings(chunk, width, height)
-    # a pair's window in each of its two layers, with two blank rows above
-    # and below it and one more at each end of the buffer, after a blank
-    # column; its last column, a closing toggle's, is blank too
+    # a pair's window in each of its two layers, after a blank column; its
+    # last column, a closing toggle's, is blank too
     r0, h, c0, w = window[:, sel]
     stride = int(w.max()) + 1
-    first = np.zeros(lay.size + 1, dtype=np.int64)
-    np.cumsum(np.repeat(h + 2, 2), out=first[1:])
-    first += 3
+    first = _layer_rows(np.repeat(h, 2))
     row_off = first[:-1] - np.repeat(r0, 2)
     col_off = 1 - np.repeat(c0, 2)
     toggles = (rows + row_off[owner]) * stride + cols + col_off[owner]

@@ -15,6 +15,7 @@ import annodiff.cli
 import annodiff.report
 from annodiff.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, cmd_stats, main
 from annodiff.dataset import parse_dataset
+from annodiff.deteval import cross_table
 from annodiff.errors import DegenerateShape
 from annodiff.matching import MatchPair, MatchSet, match_datasets, pairs_to_ndjson
 from annodiff.report import (
@@ -544,6 +545,17 @@ class TestCliEvalMatch:
         doc = json.loads(capsys.readouterr().out)
         assert doc["bbox"]["a_vs_b"]["mAP"] == 1.0
         assert doc["bbox"]["b_vs_a"]["mAP"] == 1.0
+
+    def test_a_detection_cap_below_one_fails_before_any_cell_is_cut(self, tiny_a, tiny_b, capsys, monkeypatch):
+        def no_cells(*args):
+            raise AssertionError("a cell was cut")
+
+        monkeypatch.setattr("annodiff.deteval._cells", no_cells)
+        for tasks in ((), ("bbox", "segm")):
+            with pytest.raises(ValueError, match="^max_detections must be >= 1$"):
+                cross_table(tiny_a, tiny_b, tasks, max_detections=0)
+        assert main(["eval", TINY_A, TINY_B, "--max-dets", "0"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: max_detections must be >= 1\n"
 
     def test_eval_integer_beyond_float_range_is_input_error(self, tmp_path, capsys):
         doc = json.loads(Path(TINY_A).read_text())

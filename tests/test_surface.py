@@ -573,6 +573,17 @@ class TestBlockLookup:
         for ra, rb in BLOCK_PAIRS["three"][:2]:
             assert ring_pair_metrics(ra, rb, BLOCK_W, BLOCK_H, footprint=footprint)[:2] == (3.0, 3.0)
 
+    def test_the_layout_has_two_blank_rows_around_each_window_and_one_more_at_each_end(self):
+        # the lookup reads up to two rows and two columns past a window, so
+        # from a window's first pixel it reaches back into the row three above
+        heights = np.array([4, 1, 7])
+        first = surface._layer_rows(heights)
+        ends = first[:-1] + heights  # one past each window's last row
+        assert first[0] == 3  # buffer rows 0 to 2 are blank
+        assert (first[1:] - ends).tolist() == [2, 2, 2]
+        # surface_distances and the chunks take first[-1] + 1 buffer rows,
+        # so the last window has three blank rows below it as well
+
 
 # Edges whose computed crossing rounds one column past their ring's vertex
 # extent, and the column it lands in: row center 15.5 is crossed at
