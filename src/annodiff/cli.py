@@ -1,8 +1,9 @@
 """Command-line front door: ``stats``, ``diff``, ``eval`` and ``match``.
 
 Exit codes form a small contract scripts can rely on: 0 for success, 2 for
-any input or usage problem, 3 when the run was fine but produced zero matched
-pairs (so "nothing to analyze" is distinguishable from failure).
+any input or usage problem (an allocation that fails for a size a flag asked
+for included), 3 when the run was fine but produced zero matched pairs (so
+"nothing to analyze" is distinguishable from failure).
 
 Every setting comes from a flag; the environment configures nothing.
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 import time
 from pathlib import Path
@@ -56,8 +56,7 @@ def _eval_tasks(choice: str) -> tuple[str, ...]:
 def cmd_stats(args) -> int:
     ds = load_dataset(args.dataset)
     s = summarize(ds, buckets=args.buckets)
-    data = (json.dumps(summary_json(s), sort_keys=True, indent=2) + "\n").encode("utf-8")
-    _emit(data, args.out)
+    _emit(report_bytes(summary_json(s)), args.out)
     return EXIT_OK
 
 
@@ -90,9 +89,7 @@ def cmd_eval(args) -> int:
     source = load_dataset(args.source)
     target = load_dataset(args.target)
     tasks = _eval_tasks(args.task)
-    payload = eval_json(source, target, tasks, args.max_dets)
-    data = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
-    _emit(data, args.out)
+    _emit(report_bytes(eval_json(source, target, tasks, args.max_dets)), args.out)
     return EXIT_OK
 
 
@@ -183,7 +180,7 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (AnnodiffError, OSError, ValueError) as e:
+    except (AnnodiffError, OSError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     finally:

@@ -91,20 +91,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import (
-    AnnotationDataset, _finite, _finite_tuple, _integer, _load_json, _parse_segmentation, _rle_grid_fault,
-)
-from .errors import DegenerateShape, EvalError, GeometryError, SchemaError
-from .raster import (
-    Overlaps,
-    bbox_of_mask,
-    bbox_of_polygon,
-    box_overlaps,
-    count_overlaps,
-    decode_rle,
-    iou,
-)
-from .shapes import Polygons, RleMask, ShapeSpec
+from .dataset import AnnotationDataset, _rle_grid_fault
+from .errors import DegenerateShape, EvalError, GeometryError
+from .raster import Overlaps, box_overlaps, count_overlaps, iou
+from .shapes import RleMask, ShapeSpec
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(np.linspace(0.5, 0.95, 10).tolist())
 RECALL_POINTS: tuple[float, ...] = tuple(np.linspace(0.0, 1.0, 101).tolist())
@@ -177,71 +167,6 @@ def annotations_as_detections(ds: AnnotationDataset) -> tuple[Detection, ...]:
         for inst in ds.instances
         if not inst.iscrowd
     )
-
-
-def _derived_bbox(seg: ShapeSpec, what: str) -> tuple[float, float, float, float]:
-    """The bounds of the shape of entry ``what``, which has no ``bbox``."""
-    try:
-        if isinstance(seg, Polygons):
-            return tuple(bbox_of_polygon(seg))
-        return tuple(float(v) for v in bbox_of_mask(decode_rle(seg)))
-    except GeometryError:
-        raise SchemaError(f"{what} has no bbox and an empty segmentation") from None
-
-
-def detections_from_results(raw) -> tuple[Detection, ...]:
-    """Parse the standard results-format JSON array.
-
-    Entries are ``{image_id, category_id, bbox, score, segmentation?}``;
-    ``bbox`` may be omitted when a segmentation is present (it is then derived
-    from the shape). Detection ids are assigned by file position, starting
-    at 1, which also fixes the score-tie order.
-
-    Raises:
-        ParseError: bytes that are not UTF-8, or text that is not JSON, as
-            ``parse_dataset`` raises it.
-        SchemaError: the array or an entry is malformed.
-    """
-    if isinstance(raw, (bytes, str)):
-        raw = _load_json(raw)
-    if not isinstance(raw, list):
-        raise SchemaError("results file must be a JSON array of detections")
-    dets = []
-    for pos, entry in enumerate(raw):
-        what = f"detection #{pos}"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{what} is not an object")
-        for name in ("image_id", "category_id", "score"):
-            if name not in entry:
-                raise SchemaError(f"{what} missing required field '{name}'")
-        image_id = _integer(entry["image_id"], what, "image_id")
-        category_id = _integer(entry["category_id"], what, "category_id")
-        score = _finite(entry["score"], what, "score")
-        if not 0.0 <= score <= 1.0:
-            raise SchemaError(f"{what} score {score} outside [0, 1]")
-        seg = entry.get("segmentation")
-        if seg is not None:
-            seg = _parse_segmentation(seg, what)
-        bbox = entry.get("bbox")
-        if bbox is None:
-            if seg is None:
-                raise SchemaError(f"{what} needs a bbox or a segmentation")
-            bbox = _derived_bbox(seg, what)
-        else:
-            if not isinstance(bbox, list) or len(bbox) != 4:
-                raise SchemaError(f"{what} field 'bbox' must be [x, y, w, h]")
-            bbox = _finite_tuple(bbox, what, "bbox")
-        dets.append(
-            Detection(
-                id=pos + 1,
-                image_id=image_id,
-                category_id=category_id,
-                score=score,
-                bbox=bbox,
-                segmentation=seg,
-            )
-        )
-    return tuple(dets)
 
 
 # ---------------------------------------------------------------------------

@@ -292,14 +292,13 @@ def _tool_version() -> str:
 
 
 def report_bytes(report: dict) -> bytes:
-    """Full report, stable key order, human-readable."""
+    """Every command's JSON: stable key order, indented, UTF-8, one final newline."""
     return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 def canonical_report_bytes(report: dict) -> bytes:
     """Deterministic bytes: the report minus its wall-clock timings."""
-    stripped = {k: v for k, v in report.items() if k != "timings"}
-    return (json.dumps(stripped, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return report_bytes({k: v for k, v in report.items() if k != "timings"})
 
 
 # ---------------------------------------------------------------------------

@@ -64,12 +64,17 @@ class TestParse:
             parse_dataset("[" * 100_000)
         assert e.value.byte_offset is None
 
-    def test_multibyte_text_keeps_byte_offsets(self):
-        # 4 ASCII bytes + 6 bytes of CJK before the bad token
-        bad = '{"你好": [}'.encode("utf-8")
-        with pytest.raises(ParseError) as e:
-            parse_dataset(bad)
+    @pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+    def test_multibyte_text_keeps_byte_offsets(self, encode):
+        # 6 ASCII bytes + 6 bytes of CJK before the bad token, in text or bytes
+        with pytest.raises(ParseError, match="^malformed JSON at byte 12: ") as e:
+            parse_dataset(encode('{"你好": [}'))
         assert e.value.byte_offset == len('{"你好": ['.encode("utf-8"))
+
+    def test_bytes_not_utf8_are_a_parse_error(self):
+        with pytest.raises(ParseError, match="^not UTF-8 at byte 2$") as e:
+            parse_dataset(b'{"\xff": 1}')
+        assert e.value.byte_offset == 2
 
     def test_missing_field_names_offender(self):
         bad = {"images": [{"id": 1, "width": 4, "file_name": "x"}], "annotations": [], "categories": []}

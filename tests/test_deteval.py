@@ -15,10 +15,9 @@ from annodiff.deteval import (
     EvalParams,
     annotations_as_detections,
     cross_table,
-    detections_from_results,
     evaluate,
 )
-from annodiff.errors import EvalError, GeometryError, ParseError, SchemaError
+from annodiff.errors import EvalError, GeometryError
 from annodiff.raster import count_overlaps, encode_rle, iou, mask_of
 from annodiff.shapes import Polygons
 
@@ -917,102 +916,6 @@ class TestCrossTable:
             for cap in (1, 7, raster._CHUNK):
                 monkeypatch.setattr(raster, "_CHUNK", cap)
                 assert cross_table(a, b, ("segm",), max_detections=p.max_detections)["segm"] == want, f"trial {trial}"
-
-
-class TestResultsFormat:
-    def test_parse_assigns_positional_ids(self):
-        raw = json.dumps(
-            [
-                {"image_id": 1, "category_id": 1, "score": 0.5, "bbox": [0, 0, 5, 5]},
-                {"image_id": 1, "category_id": 1, "score": 0.9, "bbox": [1, 1, 5, 5]},
-            ]
-        )
-        ds = detections_from_results(raw)
-        assert [d.id for d in ds] == [1, 2]
-        assert ds[0].score == 0.5
-
-    def test_bbox_derived_from_segmentation(self):
-        raw = json.dumps(
-            [{"image_id": 1, "category_id": 1, "score": 0.7,
-              "segmentation": [[2, 3, 12, 3, 12, 9, 2, 9]]}]
-        )
-        d = detections_from_results(raw)[0]
-        assert d.bbox == (2.0, 3.0, 10.0, 6.0)
-
-    def test_invalid_json_is_parse_error(self):
-        with pytest.raises(ParseError):
-            detections_from_results("[{")
-
-    def test_deeply_nested_json_is_parse_error(self):
-        with pytest.raises(ParseError, match="nested too deeply") as e:
-            detections_from_results("[" * 100_000)
-        assert e.value.byte_offset is None
-
-    @pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
-    def test_invalid_json_reports_the_byte_offset(self, encode):
-        with pytest.raises(ParseError, match="^malformed JSON at byte 11: ") as e:
-            detections_from_results(encode('["你好", }'))
-        assert e.value.byte_offset == len('["你好", '.encode("utf-8"))
-
-    def test_bytes_not_utf8_is_parse_error(self):
-        with pytest.raises(ParseError, match="^not UTF-8 at byte 2$") as e:
-            detections_from_results(b'["\xff"]')
-        assert e.value.byte_offset == 2
-
-    @pytest.mark.parametrize(
-        "entry,msg",
-        [
-            ({"image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1]}, "score"),
-            ({"image_id": 1, "category_id": 1, "score": 1.5, "bbox": [0, 0, 1, 1]}, "outside"),
-            ({"image_id": 1, "category_id": 1, "score": 0.5}, "bbox or a segmentation"),
-            ({"image_id": "a", "category_id": 1, "score": 0.5, "bbox": [0, 0, 1, 1]}, "image_id"),
-        ],
-    )
-    def test_schema_errors(self, entry, msg):
-        with pytest.raises(SchemaError, match=msg):
-            detections_from_results(json.dumps([entry]))
-
-    @pytest.mark.parametrize(
-        "segmentation",
-        [[], [[]], {"counts": [4], "size": [2, 2]}, {"counts": [], "size": [0, 3]}],
-        ids=["no-rings", "empty-ring", "background-rle", "empty-grid-rle"],
-    )
-    def test_empty_shape_without_a_bbox_is_named(self, segmentation):
-        good = {"image_id": 1, "category_id": 1, "score": 0.5, "bbox": [0, 0, 1, 1]}
-        entry = {"image_id": 1, "category_id": 1, "score": 0.5, "segmentation": segmentation}
-        with pytest.raises(SchemaError) as info:
-            detections_from_results([good, entry])
-        assert str(info.value) == "detection #1 has no bbox and an empty segmentation"
-
-    @pytest.mark.parametrize("field", ["score", "bbox", "segmentation"])
-    def test_integer_beyond_float_range_is_schema_error(self, field):
-        entry = {"image_id": 1, "category_id": 1, "score": 0.5, "bbox": [0, 0, 5, 5],
-                 "segmentation": [[0, 0, 5, 0, 5, 5, 0, 5]]}
-        huge = 10**400  # a valid JSON integer that no float can hold
-        if field == "score":
-            entry["score"] = huge
-        elif field == "bbox":
-            entry["bbox"][3] = huge
-        else:
-            entry["segmentation"][0][6] = huge
-        with pytest.raises(SchemaError, match=f"detection #0 field '{field}' must be finite"):
-            detections_from_results(json.dumps([entry]))
-
-    def test_bbox_values_must_be_numbers(self):
-        for bad in (True, "1", None):
-            entry = {"image_id": 1, "category_id": 1, "score": 0.5, "bbox": [0, 0, bad, 5]}
-            with pytest.raises(SchemaError, match="field 'bbox' must be a number"):
-                detections_from_results([entry])
-
-    def test_numeric_subclasses_are_accepted(self):
-        entry = {"image_id": 1, "category_id": 1, "score": np.float64(0.5),
-                 "bbox": [np.float64(1.5), 0, 5, 5]}
-        d = detections_from_results([entry])[0]
-        assert d.bbox == (1.5, 0.0, 5.0, 5.0) and d.score == 0.5
-
-    def test_top_level_must_be_array(self):
-        with pytest.raises(SchemaError, match="array"):
-            detections_from_results("{}")
 
 
 class TestEvalErrors:

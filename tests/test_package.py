@@ -1,7 +1,11 @@
 """The package's public surface: what ``from annodiff import *`` yields."""
 
+import ast
 import inspect
+import json
+import re
 import sys
+from pathlib import Path
 
 import annodiff
 from annodiff.cli import main
@@ -40,11 +44,48 @@ KEPT_WITHOUT_A_COMMAND = {
     "encode_rle": "generator",
     "bbox_of_polygon": "generator",
     "validate": "ROADMAP: validate on the audit path, or out of the library",
-    "detections_from_results": "ROADMAP: score one model's detections against both sets",
     # stats.summarize names a negative area or extent through these
     "size_bucket": "error naming on bad input",
     "size_bucket_of_dims": "error naming on bad input",
 }
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _names(path: Path, name: str) -> bool:
+    return re.search(rf"\b{name}\b", path.read_text(encoding="utf-8")) is not None
+
+
+def _called_outside_its_def(path: Path, name: str) -> bool:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    own = {id(node) for d in ast.walk(tree) if isinstance(d, ast.FunctionDef) and d.name == name
+           for node in ast.walk(d)}
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+               and id(node) not in own for node in ast.walk(tree))
+
+
+def _reason_holds(name: str, reason: str) -> bool:
+    """Whether ``name`` is found where ``reason`` says it is used."""
+    if reason == "benchmark output check":
+        return _names(ROOT / "perfbench" / "run.py", name)
+    if reason == "benchmark layer":
+        layers = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+        return any(layer["name"].split(".")[1] == name for layer in layers)
+    if reason == "generator":
+        return _names(ROOT / "tools" / "make_synthetic_pair.py", name)
+    if reason.startswith("ROADMAP: "):
+        return _names(ROOT / "ROADMAP.md", name)
+    if reason == "error naming on bad input":
+        return _called_outside_its_def(ROOT / "src" / "annodiff" / "stats.py", name)
+    if reason == "test reference":
+        return any(_names(path, name) for path in (ROOT / "tests").glob("test_*.py") if path.name != "test_package.py")
+    raise AssertionError(f"{name}: unknown reason {reason!r}")
+
+
+def test_each_kept_function_is_found_where_its_reason_points():
+    stale = {name: reason for name, reason in KEPT_WITHOUT_A_COMMAND.items() if not _reason_holds(name, reason)}
+    assert stale == {}
 
 
 def test_every_public_function_off_the_commands_is_kept_for_a_named_reason(tmp_path):

@@ -462,6 +462,18 @@ class TestCliDiff:
         assert main(["diff", TINY_A, TINY_B, "--iou-threshold", "1.5"]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    def test_an_allocation_that_fails_is_an_input_error(self, capsys, monkeypatch):
+        # what a huge --bins does on a machine that cannot hold its counts;
+        # stood in for, since a machine that overcommits could really allocate
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(annodiff.report, "distance_histogram", refuse)
+        assert main(["diff", TINY_A, TINY_B]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 7.28 TiB for an array\n"
+        assert "Traceback" not in err
+
     def test_out_pairs_and_csv(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         pairs = tmp_path / "pairs.ndjson"
