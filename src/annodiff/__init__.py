@@ -12,12 +12,9 @@ from .dataset import (
     CategoryRecord,
     ImageRecord,
     InstanceRecord,
-    Issue,
-    IssueCode,
     load_dataset,
     parse_dataset,
     single_polygon_view,
-    validate,
 )
 from .deteval import (
     Detection,
@@ -108,8 +105,6 @@ __all__ = [
     "ImageRecord",
     "InstanceRecord",
     "IntegrityError",
-    "Issue",
-    "IssueCode",
     "MatchConfig",
     "MatchPair",
     "MatchSet",
@@ -153,6 +148,5 @@ __all__ = [
     "size_bucket_of_dims",
     "summarize",
     "surface_distances",
-    "validate",
     "write_report_csv",
 ]

@@ -23,6 +23,7 @@ from .dataset import load_dataset
 from .errors import AnnodiffError
 from .deteval import MAX_DETECTIONS
 from .matching import MatchConfig, match_datasets, pairs_to_ndjson
+from .raster import _FOOTPRINTS
 from .report import (
     AuditConfig,
     eval_json,
@@ -140,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("target")
     _add_match_flags(p)
-    p.add_argument("--footprint", choices=("cross", "square"), default="cross",
+    p.add_argument("--footprint", choices=_FOOTPRINTS, default="cross",
                    help="erosion neighborhood used to trace contours")
     p.add_argument("--bins", type=int, default=50, help="histogram bin count")
     p.add_argument("--jobs", type=int, default=1,

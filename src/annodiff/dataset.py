@@ -1,11 +1,12 @@
-"""COCO-format annotation corpus: strict parsing, indexing, validation, views.
+"""COCO-format annotation corpus: strict parsing, indexing, views.
 
 Parsing is structural and strict: required fields, types, id uniqueness and
-reference integrity are enforced (``SchemaError`` / ``IntegrityError``),
-while geometric defects (degenerate polygons, out-of-bounds boxes, stale
-areas) are reported by :func:`validate` as data, not failures. Unknown JSON
-fields are kept, for callers to read: a record's in its ``extra``, the top
-level's in the dataset's ``extra``. Nothing writes a dataset back out.
+reference integrity are enforced (``SchemaError`` / ``IntegrityError``).
+Geometry is not checked: a degenerate ring, an out-of-bounds box or a stale
+area parses, and each command that rasterizes a shape says what it does
+with one it cannot rasterize. Unknown JSON fields are kept, for callers to
+read: a record's in its ``extra``, the top level's in the dataset's
+``extra``. Nothing writes a dataset back out.
 
 Every record type is a ``NamedTuple``: immutable, and cheap to build once
 per object. A record built without ``extra`` gets an empty read-only mapping.
@@ -31,13 +32,12 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import chain, count
 from operator import attrgetter
 from typing import Any, BinaryIO, NamedTuple
 
 from .errors import IntegrityError, ParseError, SchemaError
-from .raster import _PLAIN_NUMBERS, count_overlaps
+from .raster import _PLAIN_NUMBERS
 from .shapes import Polygons, RleMask, ShapeSpec
 
 _IMAGE_FIELDS = {"id", "width", "height", "file_name"}
@@ -415,95 +415,4 @@ def single_polygon_view(ds: AnnotationDataset) -> list[InstanceRecord]:
         if not inst.iscrowd
         and isinstance(inst.segmentation, Polygons)
         and inst.segmentation.ring_count == 1
-    ]
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-class IssueCode(Enum):
-    DEGENERATE_POLYGON = "degenerate_polygon"
-    BBOX_OUT_OF_BOUNDS = "bbox_out_of_bounds"
-    ZERO_EXTENT_BBOX = "zero_extent_bbox"
-    AREA_MISMATCH = "area_mismatch"
-    NEGATIVE_AREA = "negative_area"
-    BAD_COORDINATE = "bad_coordinate"
-    ENCODING_MISMATCH = "encoding_mismatch"
-    RLE_GRID_MISMATCH = "rle_grid_mismatch"
-
-
-@dataclass(frozen=True)
-class Issue:
-    code: IssueCode
-    message: str
-    instance_id: int
-
-
-def _pixel_areas(ds: AnnotationDataset, instances) -> dict[int, int]:
-    """Rasterized pixel area, by id, of each of ``instances``, from one
-    overlap count keyed by image; a shape the count reports (a degenerate
-    ring, no ring, an RLE of another grid, an image side beyond 2**52 px)
-    gets no area.
-    """
-    key = {img.id: k for k, img in enumerate(ds.images)}
-    items = [(inst.segmentation, key[inst.image_id]) for inst in instances]
-    ov = count_overlaps(items, [], [(img.width, img.height) for img in ds.images])
-    return {inst.id: area for k, (inst, area) in enumerate(zip(instances, ov.area_a.tolist())) if k not in ov.faults}
-
-
-def _rle_grid_fault(ann_id: int, rle: RleMask, width: int, height: int) -> str | None:
-    """What is wrong with RLE ``rle`` of annotation ``ann_id`` on an image of
-    ``width`` x ``height`` px: the message if its grid is another, else ``None``."""
-    if (rle.height, rle.width) != (height, width):
-        return f"annotation {ann_id} RLE grid {rle.height}x{rle.width} != image {height}x{width}"
-    return None
-
-
-def _issues(inst: InstanceRecord, image: ImageRecord, pixels: int | None, area_tolerance: float | None):
-    """``(code, message)`` of each defect of one instance, in report order;
-    ``pixels`` is its rasterized area, ``None`` where it is not counted."""
-    seg = inst.segmentation
-    if isinstance(seg, Polygons):
-        if inst.iscrowd:
-            yield IssueCode.ENCODING_MISMATCH, f"crowd annotation {inst.id} uses polygons"
-        if seg.ring_count == 0:
-            yield IssueCode.DEGENERATE_POLYGON, f"annotation {inst.id} has no rings"
-        for n in (len(ring) // 2 for ring in seg.rings if len(ring) < 6):
-            yield IssueCode.DEGENERATE_POLYGON, f"annotation {inst.id} has a ring with {n} vertices"
-        if any(v < 0 for ring in seg.rings for v in ring):
-            yield IssueCode.BAD_COORDINATE, f"annotation {inst.id} has negative coordinates"
-    else:
-        if not inst.iscrowd:
-            yield IssueCode.ENCODING_MISMATCH, f"non-crowd annotation {inst.id} uses RLE"
-        fault = _rle_grid_fault(inst.id, seg, image.width, image.height)
-        if fault:
-            yield IssueCode.RLE_GRID_MISMATCH, fault
-
-    x, y, w, h = inst.bbox
-    if w < 0 or h < 0 or x < 0 or y < 0 or x + w > image.width or y + h > image.height:
-        yield (
-            IssueCode.BBOX_OUT_OF_BOUNDS,
-            f"annotation {inst.id} bbox {inst.bbox} outside {image.width}x{image.height}",
-        )
-    elif w == 0 or h == 0:
-        yield IssueCode.ZERO_EXTENT_BBOX, f"annotation {inst.id} bbox has zero extent"
-
-    if inst.area < 0:
-        yield IssueCode.NEGATIVE_AREA, f"annotation {inst.id} area {inst.area} < 0"
-    elif pixels is not None and abs(inst.area - pixels) > area_tolerance * max(pixels, 1):
-        yield IssueCode.AREA_MISMATCH, f"annotation {inst.id} stored area {inst.area} vs rasterized {pixels}"
-
-
-def validate(ds: AnnotationDataset, *, area_tolerance: float | None = 0.1) -> list[Issue]:
-    """Report geometric and consistency defects without mutating the dataset.
-
-    ``area_tolerance`` compares the stored area against the rasterized pixel
-    count (relative to the latter); pass ``None`` to skip rasterization.
-    """
-    areas = {} if area_tolerance is None else _pixel_areas(ds, ds.instances)
-    return [
-        Issue(code, message, inst.id)
-        for inst in ds.instances
-        for code, message in _issues(inst, ds.image(inst.image_id), areas.get(inst.id), area_tolerance)
     ]

@@ -91,7 +91,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import AnnotationDataset, _rle_grid_fault
+from .dataset import AnnotationDataset
 from .errors import DegenerateShape, EvalError, GeometryError
 from .raster import Overlaps, box_overlaps, count_overlaps, iou
 from .shapes import RleMask, ShapeSpec
@@ -525,8 +525,10 @@ def _named_fault(ov: Overlaps, sides, grids: list):
     (seg, key), ann = items[at], table.records[rows[at]].id
     if isinstance(exc, DegenerateShape):
         return DegenerateShape(f"annotation {ann} has " + (f"a {exc}" if seg.rings else "no rings"))
-    fault = isinstance(seg, RleMask) and _rle_grid_fault(ann, seg, *grids[key])
-    return GeometryError(fault) if fault else exc
+    width, height = grids[key]
+    if isinstance(seg, RleMask) and (seg.height, seg.width) != (height, width):
+        return GeometryError(f"annotation {ann} RLE grid {seg.height}x{seg.width} != image {height}x{width}")
+    return exc
 
 
 def _grid_keys(directions: list[_Cells]) -> tuple[np.ndarray, list[np.ndarray]]:

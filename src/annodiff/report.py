@@ -30,6 +30,7 @@ from .dataset import AnnotationDataset
 from .deteval import MAX_DETECTIONS, cross_table
 from .errors import StatsError
 from .matching import MatchConfig, MatchSet, match_datasets
+from .raster import _FOOTPRINTS
 from .stats import DatasetDelta, DatasetSummary, SizeBucket, compare, distance_histogram, summarize
 from .surface import _GROUP, SurfaceDistanceResult, pair_rings, ring_pairs_metrics
 
@@ -50,7 +51,7 @@ class AuditConfig:
     target_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.footprint not in ("cross", "square"):
+        if self.footprint not in _FOOTPRINTS:
             raise ValueError(f"footprint must be 'cross' or 'square', got {self.footprint!r}")
         if self.bins < 1:
             raise ValueError("bins must be >= 1")

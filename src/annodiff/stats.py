@@ -16,8 +16,9 @@ from operator import attrgetter
 
 import numpy as np
 
-from .dataset import AnnotationDataset, _pixel_areas
+from .dataset import AnnotationDataset
 from .errors import StatsError
+from .raster import count_overlaps
 from .shapes import Polygons
 from .surface import SurfaceDistanceResult
 
@@ -66,15 +67,27 @@ class DatasetSummary:
     )
 
 
+def _pixel_areas(ds: AnnotationDataset, instances) -> dict[int, int]:
+    """Rasterized pixel area, by id, of each of ``instances``, for the
+    ``"recomputed"`` rule of :func:`summarize`, from one overlap count keyed
+    by image; a shape the count reports (a degenerate ring, no ring, an RLE
+    of another grid, an image side beyond 2**52 px) gets no area.
+    """
+    key = {img.id: k for k, img in enumerate(ds.images)}
+    items = [(inst.segmentation, key[inst.image_id]) for inst in instances]
+    ov = count_overlaps(items, [], [(img.width, img.height) for img in ds.images])
+    return {inst.id: area for k, (inst, area) in enumerate(zip(instances, ov.area_a.tolist())) if k not in ov.faults}
+
+
 def summarize(ds: AnnotationDataset, *, buckets: str = "stored") -> DatasetSummary:
     """Exact corpus counts: categories, crowds, vertices, size strata.
 
     The size histogram excludes crowd instances. ``buckets`` picks what
     sets an instance's stratum: ``"stored"``, its stored area field;
     ``"recomputed"``, its rasterized pixel count wherever
-    ``dataset._pixel_areas`` counts one, as ``validate`` does, while any
-    other shape (a degenerate ring, no ring, an RLE of another grid) keeps
-    its stored area; ``"dims"``, its bounding-box dimensions.
+    :func:`_pixel_areas` counts one, while any other shape (a degenerate
+    ring, no ring, an RLE of another grid) keeps its stored area;
+    ``"dims"``, its bounding-box dimensions.
 
     Raises:
         StatsError: a bucketed instance has a negative area or box extent;

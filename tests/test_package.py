@@ -43,7 +43,6 @@ KEPT_WITHOUT_A_COMMAND = {
     # tools/make_synthetic_pair.py
     "encode_rle": "generator",
     "bbox_of_polygon": "generator",
-    "validate": "ROADMAP: validate on the audit path, or out of the library",
     # stats.summarize names a negative area or extent through these
     "size_bucket": "error naming on bad input",
     "size_bucket_of_dims": "error naming on bad input",
@@ -74,8 +73,6 @@ def _reason_holds(name: str, reason: str) -> bool:
         return any(layer["name"].split(".")[1] == name for layer in layers)
     if reason == "generator":
         return _names(ROOT / "tools" / "make_synthetic_pair.py", name)
-    if reason.startswith("ROADMAP: "):
-        return _names(ROOT / "ROADMAP.md", name)
     if reason == "error naming on bad input":
         return _called_outside_its_def(ROOT / "src" / "annodiff" / "stats.py", name)
     if reason == "test reference":

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annodiff.dataset import AnnotationDataset, _pixel_areas
+from annodiff.dataset import AnnotationDataset, CategoryRecord, ImageRecord, InstanceRecord
 from annodiff.errors import StatsError
 from annodiff.matching import MatchPair
 from annodiff.raster import mask_of
 from annodiff.shapes import Polygons
 from annodiff.stats import (
+    _pixel_areas,
     DatasetSummary,
     SizeBucket,
     compare,
@@ -22,6 +23,7 @@ from annodiff.stats import (
 )
 from annodiff.surface import SurfaceDistanceResult
 
+from conftest import rect_ring
 from oracles import histogram_oracle
 
 
@@ -99,6 +101,27 @@ class TestSummarize:
                 image = synthetic_a.image(inst.image_id)
                 want[size_bucket(float(mask_of(inst.segmentation, image.width, image.height).sum()))] += 1
         assert summarize(synthetic_a, buckets="recomputed").size_buckets == want
+
+    def test_recomputed_areas_keep_the_stored_area_of_shapes_built_past_the_parser(self):
+        # an odd coordinate count, and a grid of zero width: rasterization
+        # rejects both, so both keep their stored area; the good square is
+        # recounted
+        odd = Polygons(((0.0, 0.0, 9.0, 0.0, 9.0, 9.0, 0.0),))
+        square = Polygons((tuple(map(float, rect_ring(0, 0, 4, 4))),))
+        instances = (
+            InstanceRecord(1, 1, 1, odd, (0.0, 0.0, 9.0, 9.0), 999.0, False),
+            InstanceRecord(2, 2, 1, square, (0.0, 0.0, 0.0, 4.0), 999.0, False),
+            InstanceRecord(3, 1, 1, square, (0.0, 0.0, 4.0, 4.0), 999.0, False),
+        )
+        images = (ImageRecord(1, 20, 20, "a.png"), ImageRecord(2, 0, 20, "b.png"))
+        ds = AnnotationDataset(images, (CategoryRecord(1, "c"),), instances)
+        assert _pixel_areas(ds, instances) == {3: 16}
+        assert summarize(ds, buckets="recomputed").size_buckets == {
+            SizeBucket.VERY_SMALL: 1,
+            SizeBucket.SMALL: 2,
+            SizeBucket.MEDIUM: 0,
+            SizeBucket.LARGE: 0,
+        }
 
     def test_dims_buckets_use_bbox_extents(self, tiny_a):
         s = summarize(tiny_a, buckets="dims")
