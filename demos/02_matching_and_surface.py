@@ -25,17 +25,17 @@ def main():
     print(f"unmatched: {len(ms.unmatched_source)} source, {len(ms.unmatched_target)} target")
     print(f"ineligible (crowds / multi-ring shapes): {ms.ineligible_source} source side\n")
 
-    # One call measures every pair; a pair it cannot measure is listed as
-    # degenerate, not dropped.
-    results, degenerate = compute_surface_results(ms, source, target)
+    # One call measures every pair into a table, one row per pair; a pair it
+    # cannot measure keeps its row, marked not measured, and is not dropped.
+    table = compute_surface_results(ms, source, target)
     print(f"{'src':>4} {'tgt':>4} {'IoU':>8} {'d_avg':>8} {'d_max':>8}")
-    for res in results:
-        pair = res.pair
-        print(
-            f"{pair.source_instance_id:>4} {pair.target_instance_id:>4} "
-            f"{pair.iou:8.4f} {res.d_avg:8.4f} {res.d_max:8.4f}"
-        )
-    print(f"{len(degenerate)} degenerate pairs")
+    for pair, measured, d_avg, d_max in zip(table.pairs, table.measured, table.d_avg, table.d_max):
+        if measured:
+            print(
+                f"{pair.source_instance_id:>4} {pair.target_instance_id:>4} "
+                f"{pair.iou:8.4f} {d_avg:8.4f} {d_max:8.4f}"
+            )
+    print(f"{(~table.measured).sum()} degenerate pairs")
 
     # d_avg weights disagreement by contour length; d_max is the worst
     # single-pixel excursion. A one-pixel edge shift gives d_max == 1 while

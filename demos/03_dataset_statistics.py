@@ -38,12 +38,12 @@ def main():
           f"{delta.categories_where_target_greater} categories grew")
 
     ms = match_datasets(source, target)
-    results, degenerate = compute_surface_results(ms, source, target, footprint="cross", jobs=1)
-    print(f"\n{len(ms.pairs)} matched pairs, {len(results)} measured")
+    table = compute_surface_results(ms, source, target, footprint="cross", jobs=1)
+    print(f"\n{len(ms.pairs)} matched pairs, {table.measured.sum()} measured")
 
     # The histogram covers only disagreements beyond one pixel; the noise
     # floor below that is reported as a count, not binned.
-    hist = distance_histogram(results, metric="d_avg", bins=12)
+    hist = distance_histogram(table, metric="d_avg", bins=12)
     print(f"\nd_avg > 1 px: {hist.included} pairs "
           f"(mean {hist.mean:.3f}, clip at mean+3*std = {hist.clip:.3f})")
     print(f"at or below the 1 px floor: {hist.excluded_below}; beyond clip: {hist.overflow}")

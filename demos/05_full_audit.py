@@ -8,6 +8,8 @@ analysis.
 import json
 from pathlib import Path
 
+import numpy as np
+
 from annodiff.dataset import load_dataset
 from annodiff.report import AuditConfig, canonical_report_bytes, run_audit
 
@@ -41,13 +43,16 @@ def main():
     same = canonical_report_bytes(r) == canonical_report_bytes(again.report)
     print(f"\ncanonical bytes reproducible across runs: {same}")
 
-    # The worst-disagreeing pairs, straight from the intermediate results.
-    worst = sorted(outcome.surface_results, key=lambda s: -s.d_avg)[:5]
+    # The worst-disagreeing pairs, straight from the pair table: its measured
+    # rows by d_avg, largest first, ties in pair order.
+    table = outcome.table
+    rows = np.flatnonzero(table.measured)
+    worst = rows[np.argsort(-table.d_avg[rows], kind="stable")[:5]]
     print("\nworst pairs by d_avg:")
-    for res in worst:
-        p = res.pair
+    for k in worst:
+        p = table.pairs[k]
         print(f"  image {p.image_id}: {p.source_instance_id} -> {p.target_instance_id} "
-              f"iou {p.iou:.3f}, d_avg {res.d_avg:.2f}, d_max {res.d_max:.2f}")
+              f"iou {p.iou:.3f}, d_avg {table.d_avg[k]:.2f}, d_max {table.d_max[k]:.2f}")
 
 
 if __name__ == "__main__":

@@ -77,12 +77,7 @@ from .stats import (
     size_bucket_of_dims,
     summarize,
 )
-from .surface import (
-    SurfaceDistanceResult,
-    ring_pair_metrics,
-    ring_pairs_metrics,
-    surface_distances,
-)
+from .surface import PairTable, ring_pair_metrics, ring_pairs_metrics, surface_distances
 
 __version__ = "0.1.0"
 
@@ -108,6 +103,7 @@ __all__ = [
     "MatchConfig",
     "MatchPair",
     "MatchSet",
+    "PairTable",
     "ParseError",
     "Polygons",
     "RleMask",
@@ -115,7 +111,6 @@ __all__ = [
     "ShapeSpec",
     "SizeBucket",
     "StatsError",
-    "SurfaceDistanceResult",
     "annotations_as_detections",
     "bbox_of_mask",
     "bbox_of_polygon",

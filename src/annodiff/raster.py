@@ -738,6 +738,11 @@ def count_overlaps(a, b, sizes) -> Overlaps:
 _FOOTPRINTS = ("cross", "square")
 
 
+def _check_footprint(footprint: str) -> None:
+    if footprint not in _FOOTPRINTS:
+        raise ValueError(f"footprint must be one of {_FOOTPRINTS}, got {footprint!r}")
+
+
 def contour(mask: np.ndarray, footprint: str = "cross") -> np.ndarray:
     """Boundary pixels of a 2-D mask: the foreground removed by one binary
     erosion, in which pixels outside the grid count as background.
@@ -749,8 +754,7 @@ def contour(mask: np.ndarray, footprint: str = "cross") -> np.ndarray:
     Raises:
         GeometryError: the mask is not 2-D.
     """
-    if footprint not in _FOOTPRINTS:
-        raise ValueError(f"footprint must be one of {_FOOTPRINTS}")
+    _check_footprint(footprint)
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise GeometryError(f"contour of a {mask.ndim}-D array")

@@ -8,12 +8,14 @@ byte-level determinism can be checked (and parallelism shown harmless) by
 comparing canonical bytes.
 
 Surface metrics are computed for every matched pair, chunk by chunk
-(:func:`~annodiff.surface.ring_pairs_metrics`); pairs that cannot be
-measured (an instance that is not a single polygon ring, a ring of fewer than
-three vertices, or one rasterizing to nothing) are tallied as degenerate
-rather than dropped silently. The report carries an explicit
-consistency block proving that matched pairs = histogrammed values +
-below-one-pixel exclusions + degenerate exclusions.
+(:func:`~annodiff.surface.ring_pairs_metrics`), into one
+:class:`~annodiff.surface.PairTable`, whose columns the histograms read. A
+pair that cannot be measured (an instance that is not a single polygon
+ring, a ring of fewer than three vertices, or one rasterizing to nothing)
+keeps its row, not ``measured``, and is tallied as degenerate rather than
+dropped silently. The report carries an explicit consistency block proving
+that matched pairs = histogrammed values + below-one-pixel exclusions +
+degenerate exclusions.
 """
 
 from __future__ import annotations
@@ -26,13 +28,15 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from .dataset import AnnotationDataset
 from .deteval import MAX_DETECTIONS, cross_table
 from .errors import StatsError
 from .matching import MatchConfig, MatchSet, match_datasets
-from .raster import _FOOTPRINTS
+from .raster import _check_footprint
 from .stats import DatasetDelta, DatasetSummary, SizeBucket, compare, distance_histogram, summarize
-from .surface import _GROUP, SurfaceDistanceResult, pair_rings, ring_pairs_metrics
+from .surface import _GROUP, PairTable, pair_rings, ring_pairs_metrics
 
 SCHEMA_NAME = "annodiff-audit-report"
 SCHEMA_VERSION = 1
@@ -51,8 +55,7 @@ class AuditConfig:
     target_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.footprint not in _FOOTPRINTS:
-            raise ValueError(f"footprint must be 'cross' or 'square', got {self.footprint!r}")
+        _check_footprint(self.footprint)
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
         if self.jobs < 1:
@@ -80,19 +83,19 @@ def compute_surface_results(
     *,
     footprint: str = "cross",
     jobs: int = 1,
-) -> tuple[list[SurfaceDistanceResult], list]:
-    """Surface metrics for every matched pair, in canonical pair order.
+) -> PairTable:
+    """Surface metrics of the match set's pairs, in canonical order, as one
+    :class:`PairTable`.
 
-    Returns ``(results, degenerate_pairs)``. Each pair's rings come from
-    :func:`~annodiff.surface.pair_rings` and are measured in chunks
-    (:func:`ring_pairs_metrics`); a pair it gives ``None`` for is
-    degenerate: an instance that is not a single polygon ring, a ring of
-    fewer than three vertices, or one that fills no pixel center. The
-    values do not depend on which pairs share a chunk, so the worker pool
-    size never changes the output. The pool holds at most one worker per
-    pair and per CPU, each taking one group of the kernel
-    (``surface._GROUP`` pairs) at a time, and with room for only one the
-    pairs are measured in this process.
+    Each pair's rings come from :func:`~annodiff.surface.pair_rings` and are
+    measured in chunks (:func:`ring_pairs_metrics`); a pair it gives
+    ``None`` for is degenerate, not ``measured``, and its values read 0: an
+    instance that is not a single polygon ring, a ring of fewer than three
+    vertices, or one that fills no pixel center. The values do not depend
+    on which pairs share a chunk, so the worker pool size never changes the
+    output. The pool holds at most one worker per pair and per CPU, each
+    taking one group of the kernel (``surface._GROUP`` pairs) at a time,
+    and with room for only one the pairs are measured in this process.
     """
     pairs = [pair_rings(p, source, target) for p in match_set.pairs]
     # the executor starts every worker at its first map
@@ -106,14 +109,15 @@ def compute_surface_results(
             rows = [m for part in pool.map(partial(ring_pairs_metrics, footprint=footprint), groups) for m in part]
     else:
         rows = ring_pairs_metrics(pairs, footprint=footprint)
-    results: list[SurfaceDistanceResult] = []
-    degenerate = []
-    for pair, metrics in zip(match_set.pairs, rows):
-        if metrics is None:
-            degenerate.append(pair)
-        else:
-            results.append(SurfaceDistanceResult(pair, *metrics))
-    return results, degenerate
+    d_avg, d_max, len_s, len_t = zip(*(m or (0.0, 0.0, 0, 0) for m in rows)) if rows else ((),) * 4
+    return PairTable(
+        match_set.pairs,
+        np.array(d_avg, dtype=np.float64),
+        np.array(d_max, dtype=np.float64),
+        np.array(len_s, dtype=np.int64),
+        np.array(len_t, dtype=np.int64),
+        np.array([m is not None for m in rows], dtype=bool),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +156,9 @@ def eval_json(
     return {task: {side: res.to_json() for side, res in sides.items()} for task, sides in tables.items()}
 
 
-def _histogram_json(results: list[SurfaceDistanceResult], metric: str, bins: int) -> dict:
+def _histogram_json(table: PairTable, metric: str, bins: int) -> dict:
     try:
-        h = distance_histogram(results, metric, bins)
+        h = distance_histogram(table, metric, bins)
     except StatsError:
         # nothing exceeded one pixel: an empty section, not an error
         return {
@@ -166,9 +170,9 @@ def _histogram_json(results: list[SurfaceDistanceResult], metric: str, bins: int
             "std": None,
             "clip": None,
             "included": 0,
-            "excluded_below": len(results),
+            "excluded_below": int(table.measured.sum()),
             "overflow": 0,
-            "total": len(results),
+            "total": int(table.measured.sum()),
         }
     return {**asdict(h), "empty": False}
 
@@ -177,7 +181,7 @@ def _histogram_json(results: list[SurfaceDistanceResult], metric: str, bins: int
 class AuditOutcome:
     report: dict
     match_set: MatchSet
-    surface_results: list[SurfaceDistanceResult]
+    table: PairTable
 
 
 def run_audit(
@@ -200,21 +204,15 @@ def run_audit(
     match_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    results, degenerate = compute_surface_results(
-        match_set,
-        source,
-        target,
-        footprint=config.footprint,
-        jobs=config.jobs,
-    )
+    table = compute_surface_results(match_set, source, target, footprint=config.footprint, jobs=config.jobs)
     surface_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     summary_a = summarize(source)
     summary_b = summarize(target)
     delta = compare(summary_a, summary_b)
-    hist_avg = _histogram_json(results, "d_avg", config.bins)
-    hist_max = _histogram_json(results, "d_max", config.bins)
+    hist_avg = _histogram_json(table, "d_avg", config.bins)
+    hist_max = _histogram_json(table, "d_max", config.bins)
     stats_s = time.perf_counter() - t0
 
     eval_section = None
@@ -225,13 +223,14 @@ def run_audit(
         eval_s = time.perf_counter() - t0
 
     pair_count = len(match_set.pairs)
-    measured = len(results)
+    measured = int(table.measured.sum())
+    degenerate = len(table.pairs) - measured
     consistency = {
         "pair_count": pair_count,
         "measured_pairs": measured,
-        "degenerate_excluded": len(degenerate),
+        "degenerate_excluded": degenerate,
         "ok": (
-            pair_count == measured + len(degenerate)
+            pair_count == measured + degenerate
             and hist_avg["total"] == measured
             and hist_max["total"] == measured
             and hist_avg["included"] + hist_avg["excluded_below"] + hist_avg["overflow"] == hist_avg["total"]
@@ -268,7 +267,7 @@ def run_audit(
         },
         "surface": {
             "measured_pairs": measured,
-            "degenerate_excluded": len(degenerate),
+            "degenerate_excluded": degenerate,
             "d_avg": hist_avg,
             "d_max": hist_max,
         },
@@ -283,7 +282,7 @@ def run_audit(
             "total_s": (parse_seconds or 0.0) + time.perf_counter() - started,
         },
     }
-    return AuditOutcome(report=report, match_set=match_set, surface_results=results)
+    return AuditOutcome(report=report, match_set=match_set, table=table)
 
 
 def _tool_version() -> str:

@@ -20,7 +20,7 @@ from .dataset import AnnotationDataset
 from .errors import StatsError
 from .raster import count_overlaps
 from .shapes import Polygons
-from .surface import SurfaceDistanceResult
+from .surface import PairTable
 
 
 class SizeBucket(Enum):
@@ -182,12 +182,8 @@ class DistanceHistogram:
     total: int
 
 
-def distance_histogram(
-    results: list[SurfaceDistanceResult],
-    metric: str = "d_avg",
-    bins: int = 50,
-) -> DistanceHistogram:
-    """Histogram one metric of a result population; see DistanceHistogram.
+def distance_histogram(table: PairTable, metric: str = "d_avg", bins: int = 50) -> DistanceHistogram:
+    """Histogram one metric over a table's measured pairs; see DistanceHistogram.
 
     Raises:
         StatsError: no values exceed the one-pixel floor.
@@ -196,7 +192,7 @@ def distance_histogram(
         raise ValueError(f"metric must be 'd_avg' or 'd_max', got {metric!r}")
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    values = np.array([getattr(r, metric) for r in results], dtype=np.float64)
+    values = getattr(table, metric)[table.measured]
     total = values.size
     kept = values[values > 1.0]
     excluded_below = int(total - kept.size)

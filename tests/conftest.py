@@ -41,6 +41,27 @@ def rect_ring(x, y, w, h):
     return [x, y, x + w, y, x + w, y + h, x, y + h]
 
 
+def pair_table(d_avg, d_max=None, measured=None):
+    """A ``PairTable`` of one placeholder pair per value, with ``d_max``
+    equal to ``d_avg`` unless given, and every pair measured unless
+    ``measured`` says otherwise."""
+    from annodiff.matching import MatchPair
+    from annodiff.surface import PairTable
+
+    d_avg = np.asarray(d_avg, dtype=np.float64)
+    d_max = d_avg if d_max is None else np.asarray(d_max, dtype=np.float64)
+    n = d_avg.size
+    measured = np.ones(n, dtype=bool) if measured is None else np.asarray(measured, dtype=bool)
+    lengths = np.full(n, 10, dtype=np.int64)
+    return PairTable([MatchPair(1, 1, 1, 1, 1.0)] * n, d_avg, d_max, lengths, lengths, measured)
+
+
+def tables_equal(a, b) -> bool:
+    """Whether two ``PairTable``s hold the same pairs and equal columns of
+    the same dtypes; a table of arrays has no usable ``==``."""
+    return a.pairs == b.pairs and all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a[1:], b[1:]))
+
+
 def make_coco(images, annotations, categories=None) -> str:
     if categories is None:
         cat_ids = sorted({a["category_id"] for a in annotations} | {1})

@@ -18,9 +18,9 @@ from annodiff.dataset import load_dataset
 from annodiff.deteval import EvalParams, annotations_as_detections, evaluate
 from annodiff.raster import rasterize
 from annodiff.stats import distance_histogram
-from annodiff.surface import SurfaceDistanceResult, ring_pair_metrics, ring_pairs_metrics
+from annodiff.surface import ring_pair_metrics, ring_pairs_metrics
 
-from conftest import FIXTURES, rect_ring
+from conftest import FIXTURES, pair_table, rect_ring
 
 A, B = FIXTURES / "synthetic_a.json", FIXTURES / "synthetic_b.json"
 # the benchmark driver's workloads, read from its file without running it
@@ -95,7 +95,8 @@ def test_one_pixel_dmax_error_in_the_report_binding_reaches_the_report(tmp_path,
         image = sa.image(r["image_id"])
         measured.append(ring_pair_metrics(ring_a, ring_b, image.width, image.height))
     bins = clean["config"]["bins"]
-    values = [SurfaceDistanceResult(None, *m) for m in measured]
+    d_avg, d_max, _, _ = map(np.array, zip(*measured))
+    values = pair_table(d_avg, d_max)
     for metric in ("d_avg", "d_max"):
         assert clean["surface"][metric] == {**asdict(distance_histogram(values, metric, bins)), "empty": False}
 
@@ -109,7 +110,9 @@ def test_one_pixel_dmax_error_in_the_report_binding_reaches_the_report(tmp_path,
     assert broken_rows == rows
     assert broken["surface"]["d_avg"] == clean["surface"]["d_avg"]
     assert broken["surface"]["d_max"] != clean["surface"]["d_max"]
-    off = [SurfaceDistanceResult(None, v.d_avg, v.d_max + (1.0 if i == 0 else 0.0), 0, 0) for i, v in enumerate(values)]
+    d_max_off = d_max.copy()
+    d_max_off[0] += 1.0
+    off = pair_table(d_avg, d_max_off)
     assert broken["surface"]["d_max"] == {**asdict(distance_histogram(off, "d_max", bins)), "empty": False}
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
@@ -29,7 +30,7 @@ from annodiff.report import (
 from annodiff.raster import box_iou, mask_iou, mask_of
 from annodiff.surface import pair_rings, ring_pair_metrics
 
-from conftest import FIXTURES, make_ann, make_coco, make_images, rect_ring
+from conftest import FIXTURES, make_ann, make_coco, make_images, rect_ring, tables_equal
 
 TINY_A = str(FIXTURES / "tiny_pair_a.json")
 TINY_B = str(FIXTURES / "tiny_pair_b.json")
@@ -179,19 +180,22 @@ class TestPairResolver:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_surface_results_count_it_degenerate(self, source_id, jobs, tiny_a, tiny_b):
         ms, good, odd = self.match_set(source_id, tiny_a, tiny_b)
-        results, degenerate = compute_surface_results(ms, tiny_a, tiny_b, jobs=jobs)
-        assert [r.pair for r in results] == [good]
-        assert degenerate == [odd]
+        table = compute_surface_results(ms, tiny_a, tiny_b, jobs=jobs)
+        assert table.pairs == [good, odd]
+        assert table.measured.tolist() == [True, False]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_result_keeps_its_own_metrics(self, source_id, jobs, tiny_a, tiny_b):
         # the degenerate pair sits between measured ones
         first, *rest = match_datasets(tiny_a, tiny_b).pairs
         _, _, odd = self.match_set(source_id, tiny_a, tiny_b)
-        results, degenerate = compute_surface_results(MatchSet(pairs=[first, odd, *rest]), tiny_a, tiny_b, jobs=jobs)
-        alone = [compute_surface_results(MatchSet(pairs=[p]), tiny_a, tiny_b) for p in (first, *rest)]
-        assert rest and results == [res for (res,), _ in alone]
-        assert degenerate == [odd]
+        table = compute_surface_results(MatchSet(pairs=[first, odd, *rest]), tiny_a, tiny_b, jobs=jobs)
+        alone = [compute_surface_results(MatchSet(pairs=[p]), tiny_a, tiny_b) for p in (first, odd, *rest)]
+        assert rest and table.measured.tolist() == [True, False] + [True] * len(rest)
+        # the degenerate pair's row reads 0, as it does alone
+        assert alone[1].measured.tolist() == [False] and [col[0] for col in alone[1][1:5]] == [0, 0, 0, 0]
+        for k in range(1, len(table)):
+            assert np.array_equal(table[k], np.concatenate([t[k] for t in alone]))
 
     def test_pair_rings_gives_no_ring(self, source_id, tiny_a, tiny_b):
         _, _, odd = self.match_set(source_id, tiny_a, tiny_b)
@@ -229,11 +233,11 @@ class TestSharedImageOfTwoSizes:
         )
         out = run_audit(source, target, AuditConfig(iou_mode=mode, iou_threshold=0.5))
         (pair,) = out.match_set.pairs
-        (result,) = out.surface_results
+        assert out.table.pairs == [pair] and out.table.measured.tolist() == [True]
         shapes = source.instance(1).segmentation, target.instance(2).segmentation
         rings = [shape.rings[0] for shape in shapes]
         grid, other = self.GRIDS[source_side], self.GRIDS[target_side]
-        measured = (result.d_avg, result.d_max, result.contour_len_source, result.contour_len_target)
+        measured = tuple(col[0] for col in out.table[1:5])
         assert measured == ring_pair_metrics(*rings, *grid) != ring_pair_metrics(*rings, *other)
         if mode == "mask":
             on = {g: mask_iou(*(mask_of(shape, *g) for shape in shapes)) for g in (grid, other)}
@@ -273,7 +277,7 @@ class TestSurfacePool:
         monkeypatch.setattr(FakePool, "sizes", [])
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(annodiff.report.os, "cpu_count", lambda: cpus)
-        assert compute_surface_results(ms, tiny_a, tiny_b, jobs=jobs) == want
+        assert tables_equal(compute_surface_results(ms, tiny_a, tiny_b, jobs=jobs), want)
         assert FakePool.sizes == pools
 
 

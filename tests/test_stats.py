@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from annodiff.dataset import AnnotationDataset, CategoryRecord, ImageRecord, InstanceRecord
 from annodiff.errors import StatsError
-from annodiff.matching import MatchPair
 from annodiff.raster import mask_of
 from annodiff.shapes import Polygons
 from annodiff.stats import (
@@ -21,20 +20,9 @@ from annodiff.stats import (
     size_bucket_of_dims,
     summarize,
 )
-from annodiff.surface import SurfaceDistanceResult
 
-from conftest import rect_ring
+from conftest import pair_table, rect_ring
 from oracles import histogram_oracle
-
-
-def results_of(values, metric="d_avg"):
-    dummy = MatchPair(1, 1, 1, 1, 1.0)
-    out = []
-    for v in values:
-        kw = {"d_avg": float(v), "d_max": float(v)}
-        kw[metric] = float(v)
-        out.append(SurfaceDistanceResult(dummy, kw["d_avg"], kw["d_max"], 10, 10))
-    return out
 
 
 class TestBuckets:
@@ -233,12 +221,12 @@ class TestCompare:
 class TestHistogram:
     def test_no_values_above_floor_raises(self):
         with pytest.raises(StatsError, match="one pixel"):
-            distance_histogram(results_of([0.2, 0.9, 1.0]))
+            distance_histogram(pair_table([0.2, 0.9, 1.0]))
 
     def test_conservation_and_shape(self):
         rng = np.random.default_rng(5)
         values = rng.uniform(0.0, 8.0, size=400)
-        h = distance_histogram(results_of(values), bins=50)
+        h = distance_histogram(pair_table(values), bins=50)
         assert h.included + h.excluded_below + h.overflow == h.total == 400
         assert sum(h.counts) == h.included
         assert len(h.edges) == 51 and len(h.counts) == 50
@@ -253,7 +241,7 @@ class TestHistogram:
             values = rng.uniform(0.5, 6.0, size=n)
             if not (values > 1.0).any():
                 continue
-            h = distance_histogram(results_of(values), bins=bins)
+            h = distance_histogram(pair_table(values), bins=bins)
             want = histogram_oracle(values.tolist(), bins)
             assert h.mean == pytest.approx(want["mean"], rel=1e-12)
             assert h.std == pytest.approx(want["std"], rel=1e-12)
@@ -263,26 +251,35 @@ class TestHistogram:
             assert h.excluded_below == want["excluded_below"]
 
     def test_identical_values_land_in_last_bin(self):
-        h = distance_histogram(results_of([2.5] * 7), bins=10)
+        h = distance_histogram(pair_table([2.5] * 7), bins=10)
         assert h.std == 0.0 and h.clip == h.mean == 2.5
         assert h.counts == [0] * 9 + [7]
         assert h.overflow == 0
 
     def test_population_std_not_sample(self):
-        h = distance_histogram(results_of([2.0, 4.0]))
+        h = distance_histogram(pair_table([2.0, 4.0]))
         assert h.mean == 3.0
         assert h.std == 1.0  # ddof=0; sample std would be sqrt(2)
 
     def test_metric_selects_field(self):
-        dummy = MatchPair(1, 1, 1, 1, 1.0)
-        rs = [SurfaceDistanceResult(dummy, 0.5, 3.0, 4, 4)] * 5
+        table = pair_table([0.5] * 5, d_max=[3.0] * 5)
         with pytest.raises(StatsError):
-            distance_histogram(rs, metric="d_avg")
-        h = distance_histogram(rs, metric="d_max")
+            distance_histogram(table, metric="d_avg")
+        h = distance_histogram(table, metric="d_max")
         assert h.included == 5
 
+    def test_only_measured_rows_count(self):
+        # a degenerate pair's row reads 0, or anything else: it is no value
+        values = [2.0, 7.5, 4.0, 0.0, 1.5]
+        measured = [True, False, True, False, True]
+        h = distance_histogram(pair_table(values, measured=measured), bins=4)
+        want = distance_histogram(pair_table([2.0, 4.0, 1.5]), bins=4)
+        assert h == want and h.total == 3
+        with pytest.raises(StatsError, match="one pixel"):
+            distance_histogram(pair_table([2.0, 0.5], measured=[False, True]))
+
     def test_bad_metric_and_bins_rejected(self):
-        rs = results_of([2.0])
+        rs = pair_table([2.0])
         with pytest.raises(ValueError):
             distance_histogram(rs, metric="d_median")
         with pytest.raises(ValueError):
@@ -296,9 +293,9 @@ class TestHistogram:
     def test_conservation_property(self, values, bins):
         if not any(v > 1.0 for v in values):
             with pytest.raises(StatsError):
-                distance_histogram(results_of(values), bins=bins)
+                distance_histogram(pair_table(values), bins=bins)
             return
-        h = distance_histogram(results_of(values), bins=bins)
+        h = distance_histogram(pair_table(values), bins=bins)
         assert h.included + h.excluded_below + h.overflow == h.total == len(values)
         assert sum(h.counts) == h.included
         assert h.edges[0] == 1.0
@@ -310,6 +307,6 @@ class TestHistogram:
         rng = np.random.default_rng(3)
         a = rng.uniform(1.2, 4.0, 64)
         b = rng.uniform(1.2, 4.0, 64)
-        whole = distance_histogram(results_of(np.concatenate([a, b])), bins=12)
+        whole = distance_histogram(pair_table(np.concatenate([a, b])), bins=12)
         assert whole.total == 128
         assert whole.excluded_below == 0

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from annodiff import raster, surface
 from annodiff.errors import DegenerateShape, GeometryError
-from annodiff.matching import MatchConfig, MatchPair, MatchSet, match_datasets
+from annodiff.matching import MatchConfig, MatchSet, match_datasets
 from annodiff.report import compute_surface_results
 from annodiff.raster import bbox_of_mask, contour, edt_squared, rasterize
 from annodiff.shapes import Polygons
 from annodiff.surface import (
-    SurfaceDistanceResult,
     pair_rings,
     ring_pair_metrics,
     ring_pairs_metrics,
@@ -502,7 +501,9 @@ class TestRingPairsMetrics:
     def test_zero_match_diff(self, jobs, tiny_a, tiny_b):
         ms = match_datasets(tiny_a, tiny_b, MatchConfig(iou_threshold=0.999))
         assert ms.pairs == []
-        assert compute_surface_results(ms, tiny_a, tiny_b, jobs=jobs) == ([], [])
+        table = compute_surface_results(ms, tiny_a, tiny_b, jobs=jobs)
+        assert table.pairs == [] and [col.size for col in table[1:]] == [0] * 5
+        assert [col.dtype for col in table[1:]] == [np.float64, np.float64, np.int64, np.int64, bool]
 
     def test_malformed_ring_raises_and_bad_footprint_is_rejected(self):
         good = rect_ring(2, 2, 5, 5)
@@ -716,34 +717,29 @@ class TestPairMetrics:
     def test_resolves_instances_and_image(self, tiny_a, tiny_b):
         ms = match_datasets(tiny_a, tiny_b)
         pair = next(p for p in ms.pairs if p.source_instance_id == 1)
-        (res,), _ = compute_surface_results(MatchSet(pairs=[pair]), tiny_a, tiny_b)
-        assert res.pair is pair
+        table = compute_surface_results(MatchSet(pairs=[pair]), tiny_a, tiny_b)
+        (row,) = table.pairs
+        assert row is pair and table.measured.tolist() == [True]
         # target box is one pixel taller: every bottom-contour pixel moved by
         # one, all others match, so 0 < d_avg < 1 and d_max == 1
-        assert 0.0 < res.d_avg < 1.0
-        assert res.d_max == 1.0
-        assert res.contour_len_source > 0 and res.contour_len_target > 0
-
-    def test_a_result_is_the_plain_tuple_of_its_fields(self):
-        pair = MatchPair(1, 2, 3, 4, 0.95)
-        res = SurfaceDistanceResult(pair, 1.5, 2.0, 10, 12)
-        assert res._fields == ("pair", "d_avg", "d_max", "contour_len_source", "contour_len_target")
-        assert res == (pair, 1.5, 2.0, 10, 12)
-        with pytest.raises(AttributeError):
-            res.d_avg = 0.0
+        assert 0.0 < table.d_avg[0] < 1.0
+        assert table.d_max[0] == 1.0
+        assert table.contour_len_source[0] > 0 and table.contour_len_target[0] > 0
 
     def test_crop_matches_full_on_fixture(self, tiny_a, tiny_b):
         ms = match_datasets(tiny_a, tiny_b)
-        results, degenerate = compute_surface_results(ms, tiny_a, tiny_b)
-        assert [res.pair for res in results] == list(ms.pairs) and not degenerate
-        for res in results:
-            full = full_grid_reference(*pair_rings(res.pair, tiny_a, tiny_b))
-            assert (res.d_avg, res.d_max, res.contour_len_source, res.contour_len_target) == full
+        table = compute_surface_results(ms, tiny_a, tiny_b)
+        assert table.pairs == ms.pairs and table.measured.all()
+        for k, pair in enumerate(table.pairs):
+            full = full_grid_reference(*pair_rings(pair, tiny_a, tiny_b))
+            assert tuple(col[k] for col in table[1:5]) == full
 
     def test_crowd_pair_is_degenerate(self, tiny_a, tiny_b):
         ms = match_datasets(tiny_a, tiny_b, MatchConfig(same_category_required=False))
         crowd_inst = tiny_a.instance(5)
         fake = ms.pairs[0].__class__(5, 101, 1, crowd_inst.category_id, 1.0)
-        assert compute_surface_results(MatchSet(pairs=[fake]), tiny_a, tiny_b) == ([], [fake])
+        table = compute_surface_results(MatchSet(pairs=[fake]), tiny_a, tiny_b)
+        assert table.pairs == [fake] and table.measured.tolist() == [False]
+        assert [col.tolist() for col in table[1:5]] == [[0.0], [0.0], [0], [0]]
         with pytest.raises(DegenerateShape):
             ring_pair_metrics(*pair_rings(fake, tiny_a, tiny_b))
