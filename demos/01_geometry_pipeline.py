@@ -5,7 +5,7 @@
 
 import numpy as np
 
-from annodiff.raster import contour, edt, rasterize
+from annodiff.raster import contour, edt_squared, rasterize
 
 
 def show(mask, title, charset=".#"):
@@ -27,7 +27,7 @@ def main():
     # The exact Euclidean distance map to the contour. Squared distances are
     # integers inside; the square root happens only at read-out, so values
     # like sqrt(5) are exact to the last bit.
-    dist = edt(edge)
+    dist = np.sqrt(edt_squared(edge))
     print("\ndistance-to-contour map (rounded to 1 decimal):")
     for row in dist:
         print("  " + " ".join(f"{v:4.1f}" for v in row))

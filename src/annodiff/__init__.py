@@ -7,6 +7,9 @@ standard COCO mAP protocol. Everything is accessible as a library; the
 ``annodiff`` console command wraps the same calls.
 """
 
+# set before the submodules load, so that ``report`` can import it
+__version__ = "0.1.0"
+
 from .dataset import (
     AnnotationDataset,
     CategoryRecord,
@@ -45,11 +48,9 @@ from .raster import (
     Box,
     bbox_of_mask,
     bbox_of_polygon,
-    box_iou,
     box_iou_matrix,
     contour,
     decode_rle,
-    edt,
     edt_squared,
     encode_rle,
     mask_iou,
@@ -78,8 +79,6 @@ from .stats import (
     summarize,
 )
 from .surface import PairTable, ring_pair_metrics, ring_pairs_metrics, surface_distances
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AnnodiffError",
@@ -114,7 +113,6 @@ __all__ = [
     "annotations_as_detections",
     "bbox_of_mask",
     "bbox_of_polygon",
-    "box_iou",
     "box_iou_matrix",
     "canonical_report_bytes",
     "compare",
@@ -123,7 +121,6 @@ __all__ = [
     "cross_table",
     "decode_rle",
     "distance_histogram",
-    "edt",
     "edt_squared",
     "encode_rle",
     "evaluate",

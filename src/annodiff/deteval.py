@@ -118,14 +118,18 @@ class Detection(NamedTuple):
     segmentation: ShapeSpec | None = None
 
 
+def _check_task(task: str) -> None:
+    if task not in ("bbox", "segm"):
+        raise ValueError(f"task must be 'bbox' or 'segm', got {task!r}")
+
+
 @dataclass(frozen=True)
 class EvalParams:
     task: str = "bbox"
     max_detections: int = MAX_DETECTIONS
 
     def __post_init__(self) -> None:
-        if self.task not in ("bbox", "segm"):
-            raise ValueError(f"task must be 'bbox' or 'segm', got {self.task!r}")
+        _check_task(self.task)
         if self.max_detections < 1:
             raise ValueError("max_detections must be >= 1")
 
@@ -705,7 +709,10 @@ def cross_table(
     would. On the segm task one overlap count of a's shapes against b's
     serves both directions.
     """
-    EvalParams(max_detections=max_detections)  # checks the cap before any cell is cut
+    # the cap and every task are checked before any cell is cut
+    EvalParams(max_detections=max_detections)
+    for task in tasks:
+        _check_task(task)
     index = _index(a, b)
     rows_a, rows_b = _instance_rows(a, index), _instance_rows(b, index)
     # the cells of each direction serve every task; crowds are never detections

@@ -876,18 +876,8 @@ def edt_squared(source: np.ndarray) -> np.ndarray:
     return _lower_envelope(g * g)
 
 
-def edt(source: np.ndarray) -> np.ndarray:
-    """Exact Euclidean distance transform, in pixels (float64)."""
-    return np.sqrt(edt_squared(source).astype(np.float64))
-
-
 # ---------------------------------------------------------------------------
 # overlap measures and bounds
-
-
-def box_iou(a, b) -> float:
-    """Intersection over union of two (x, y, w, h) boxes; 0 when the union is empty."""
-    return float(iou(*box_overlaps([a], [b]))[0, 0])
 
 
 def box_overlaps(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,9 +13,11 @@ Surface metrics are computed for every matched pair, chunk by chunk
 pair that cannot be measured (an instance that is not a single polygon
 ring, a ring of fewer than three vertices, or one rasterizing to nothing)
 keeps its row, not ``measured``, and is tallied as degenerate rather than
-dropped silently. The report carries an explicit consistency block proving
-that matched pairs = histogrammed values + below-one-pixel exclusions +
-degenerate exclusions.
+dropped silently. The report's ``consistency.ok`` checks that each side's
+instances are exactly its pairs, its unmatched and its ineligible
+(``matching.pair_count + unmatched_source + ineligible_source ==
+summaries.source.instance_count``, and the same for the target), which a
+reader can recompute from the report alone.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .dataset import AnnotationDataset
-from .deteval import MAX_DETECTIONS, cross_table
+from .deteval import MAX_DETECTIONS, _check_task, cross_table
 from .errors import StatsError
 from .matching import MatchConfig, MatchSet, match_datasets
 from .raster import _check_footprint
-from .stats import DatasetDelta, DatasetSummary, SizeBucket, compare, distance_histogram, summarize
+from .stats import DatasetDelta, DatasetSummary, DistanceHistogram, SizeBucket, compare, distance_histogram, summarize
 from .surface import _GROUP, PairTable, pair_rings, ring_pairs_metrics
 
 SCHEMA_NAME = "annodiff-audit-report"
@@ -61,8 +64,7 @@ class AuditConfig:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         for task in self.eval_tasks:
-            if task not in ("bbox", "segm"):
-                raise ValueError(f"unknown eval task {task!r}")
+            _check_task(task)
 
     def match_config(self) -> MatchConfig:
         return MatchConfig(
@@ -161,19 +163,8 @@ def _histogram_json(table: PairTable, metric: str, bins: int) -> dict:
         h = distance_histogram(table, metric, bins)
     except StatsError:
         # nothing exceeded one pixel: an empty section, not an error
-        return {
-            "metric": metric,
-            "empty": True,
-            "edges": [],
-            "counts": [],
-            "mean": None,
-            "std": None,
-            "clip": None,
-            "included": 0,
-            "excluded_below": int(table.measured.sum()),
-            "overflow": 0,
-            "total": int(table.measured.sum()),
-        }
+        n = int(table.measured.sum())
+        return {**asdict(DistanceHistogram(metric, [], [], None, None, None, 0, n, 0, n)), "empty": True}
     return {**asdict(h), "empty": False}
 
 
@@ -224,24 +215,23 @@ def run_audit(
 
     pair_count = len(match_set.pairs)
     measured = int(table.measured.sum())
-    degenerate = len(table.pairs) - measured
+    degenerate = pair_count - measured
+    # each side's instances are exactly its pairs, its unmatched and its ineligible
+    sides = (
+        (summary_a, match_set.unmatched_source, match_set.ineligible_source),
+        (summary_b, match_set.unmatched_target, match_set.ineligible_target),
+    )
     consistency = {
         "pair_count": pair_count,
         "measured_pairs": measured,
         "degenerate_excluded": degenerate,
-        "ok": (
-            pair_count == measured + degenerate
-            and hist_avg["total"] == measured
-            and hist_max["total"] == measured
-            and hist_avg["included"] + hist_avg["excluded_below"] + hist_avg["overflow"] == hist_avg["total"]
-            and hist_max["included"] + hist_max["excluded_below"] + hist_max["overflow"] == hist_max["total"]
-        ),
+        "ok": all(pair_count + len(un) + len(inel) == s.instance_count for s, un, inel in sides),
     }
 
     report = {
         "schema": SCHEMA_NAME,
         "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "annodiff", "version": _tool_version()},
+        "tool": {"name": "annodiff", "version": __version__},
         "config": {
             "iou_threshold": config.iou_threshold,
             "iou_mode": config.iou_mode,
@@ -285,12 +275,6 @@ def run_audit(
     return AuditOutcome(report=report, match_set=match_set, table=table)
 
 
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__
-
-
 def report_bytes(report: dict) -> bytes:
     """Every command's JSON: stable key order, indented, UTF-8, one final newline."""
     return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
@@ -305,55 +289,44 @@ def canonical_report_bytes(report: dict) -> bytes:
 # CSV mirrors: one row per record of each report array
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _delta_rows(keys, a: dict, b: dict):
+    """``(key, a's count, b's count, b - a)`` per key; a side without the key counts 0."""
+    for k in keys:
+        x, y = a.get(str(k), 0), b.get(str(k), 0)
+        yield k, x, y, y - x
+
+
 def write_report_csv(report: dict, directory) -> list[str]:
     """Write the tabular report sections as CSV files; returns filenames."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    src_cat = report["summaries"]["source"]["per_category"]
-    tgt_cat = report["summaries"]["target"]["per_category"]
-    cats = sorted({int(k) for k in src_cat} | {int(k) for k in tgt_cat})
-    path = directory / "categories.csv"
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["category_id", "source_count", "target_count", "delta"])
-        for c in cats:
-            a = src_cat.get(str(c), 0)
-            b = tgt_cat.get(str(c), 0)
-            w.writerow([c, a, b, b - a])
-    written.append(path.name)
-
-    path = directory / "size_buckets.csv"
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bucket", "source_count", "target_count", "delta"])
-        for b in SizeBucket:
-            a = report["summaries"]["source"]["size_buckets"][b.value]
-            t = report["summaries"]["target"]["size_buckets"][b.value]
-            w.writerow([b.value, a, t, t - a])
-    written.append(path.name)
-
+    src, tgt = report["summaries"]["source"], report["summaries"]["target"]
+    cats = sorted({int(k) for k in src["per_category"]} | {int(k) for k in tgt["per_category"]})
+    buckets = [b.value for b in SizeBucket]
+    counts = ["source_count", "target_count", "delta"]
+    tables = {
+        "categories.csv": (["category_id", *counts], _delta_rows(cats, src["per_category"], tgt["per_category"])),
+        "size_buckets.csv": (["bucket", *counts], _delta_rows(buckets, src["size_buckets"], tgt["size_buckets"])),
+    }
     for metric in ("d_avg", "d_max"):
         hist = report["surface"][metric]
-        path = directory / f"histogram_{metric}.csv"
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["bin_low", "bin_high", "count"])
-            for i, count in enumerate(hist["counts"]):
-                w.writerow([hist["edges"][i], hist["edges"][i + 1], count])
-        written.append(path.name)
-
-    if report.get("eval"):
-        path = directory / "eval_per_category.csv"
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["task", "direction", "category_id", "ap"])
-            for task in sorted(report["eval"]):
-                for direction in sorted(report["eval"][task]):
-                    table = report["eval"][task][direction]["per_category"]
-                    for cat in sorted(table, key=int):
-                        ap = table[cat]
-                        w.writerow([task, direction, cat, "" if ap is None else ap])
-        written.append(path.name)
-    return written
+        rows = zip(hist["edges"], hist["edges"][1:], hist["counts"])
+        tables[f"histogram_{metric}.csv"] = (["bin_low", "bin_high", "count"], rows)
+    if ev := report.get("eval"):
+        rows = (
+            (task, direction, cat, "" if ap is None else ap)
+            for task in sorted(ev)
+            for direction in sorted(ev[task])
+            for cat, ap in sorted(ev[task][direction]["per_category"].items(), key=lambda kv: int(kv[0]))
+        )
+        tables["eval_per_category.csv"] = (["task", "direction", "category_id", "ap"], rows)
+    for name, (header, rows) in tables.items():
+        _write_csv(directory / name, header, rows)
+    return list(tables)

@@ -81,6 +81,22 @@ def surface_metrics_oracle(cx: np.ndarray, cy: np.ndarray) -> tuple[float, float
 
 
 # ---------------------------------------------------------------------------
+# overlap
+
+
+def box_iou_oracle(d, g, crowd: bool = False) -> float:
+    """IoU of two (x, y, w, h) boxes from their corners; over ``d``'s own area
+    for a crowd ``g``; 0 when the denominator is not positive."""
+    dx, dy, dw, dh = d
+    gx, gy, gw, gh = g
+    iw = max(0.0, min(dx + dw, gx + gw) - max(dx, gx))
+    ih = max(0.0, min(dy + dh, gy + gh) - max(dy, gy))
+    inter = iw * ih
+    union = dw * dh if crowd else dw * dh + gw * gh - inter
+    return inter / union if union > 0 else 0.0
+
+
+# ---------------------------------------------------------------------------
 # assignment
 
 

@@ -26,7 +26,7 @@ from annodiff.deteval import (
     evaluate,
 )
 from annodiff.matching import MatchConfig, match_datasets
-from annodiff.raster import box_iou, contour, edt_squared, rasterize
+from annodiff.raster import contour, edt_squared, rasterize
 from annodiff.stats import SizeBucket, size_bucket
 from annodiff.surface import surface_distances
 
@@ -43,6 +43,7 @@ from conftest import (
 from oracles import (
     ap_oracle,
     best_assignment,
+    box_iou_oracle,
     edt_squared_oracle,
     match_labels_oracle,
     rasterize_oracle,
@@ -134,7 +135,7 @@ def test_matching_soundness():
         # strict threshold: IoU exactly 0.90 must not match at the default
         a = parse_dataset(make_coco(make_images(1), [make_ann(1, 1, rect_ring(0, 0, 10, 10))]))
         b = parse_dataset(make_coco(make_images(1), [make_ann(1, 1, rect_ring(0, 0, 10, 9))]))
-        assert box_iou(a.instance(1).bbox, b.instance(1).bbox) == 0.9
+        assert box_iou_oracle(a.instance(1).bbox, b.instance(1).bbox) == 0.9
         assert match_datasets(a, b).pairs == []
 
         for trial in range(60):
@@ -173,22 +174,12 @@ def test_matching_soundness():
             # instance overlaps at most its own twin, so greedy must attain
             # the optimal assignment (count, then total IoU)
             iou = np.array(
-                [[box_iou(s.bbox, t.bbox) for t in ds_b.instances] for s in ds_a.instances]
+                [[box_iou_oracle(s.bbox, t.bbox) for t in ds_b.instances] for s in ds_a.instances]
             )
             count, total = best_assignment(iou, thr)
             assert len(ms.pairs) == count, "greedy count != optimal"
             assert abs(sum(p.iou for p in ms.pairs) - total) < 1e-12, "greedy total != optimal"
         c["detail"] = "60 randomized scenes, matrices up to 8x8"
-
-
-def _box_iou_crowd(d, g, crowd):
-    dx, dy, dw, dh = d
-    gx, gy, gw, gh = g
-    iw = max(0.0, min(dx + dw, gx + gw) - max(dx, gx))
-    ih = max(0.0, min(dy + dh, gy + gh) - max(dy, gy))
-    inter = iw * ih
-    union = dw * dh if crowd else dw * dh + gw * gh - inter
-    return inter / union if union > 0 else 0.0
 
 
 def _oracle_map(dets, gts, crowd_flags):
@@ -197,7 +188,7 @@ def _oracle_map(dets, gts, crowd_flags):
     boxes = {d.id: d.bbox for d in dets}
 
     def iou_fn(det_id, g):
-        return _box_iou_crowd(boxes[det_id], tuple(gts[g]["bbox"]), crowd_flags[g])
+        return box_iou_oracle(boxes[det_id], tuple(gts[g]["bbox"]), crowd_flags[g])
 
     n_pos = sum(1 for cf in crowd_flags if not cf)
     aps = [

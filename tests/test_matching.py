@@ -12,10 +12,10 @@ import annodiff.matching as matching
 from annodiff.dataset import AnnotationDataset, parse_dataset, single_polygon_view
 from annodiff.errors import GeometryError
 from annodiff.matching import MatchConfig, MatchPair, MatchSet, match_datasets, pairs_to_ndjson
-from annodiff.raster import box_iou, box_iou_matrix, mask_iou, mask_of, rasterize
+from annodiff.raster import box_iou_matrix, mask_iou, mask_of, rasterize
 
 from conftest import make_ann, make_coco, make_images, rect_ring
-from oracles import best_assignment
+from oracles import best_assignment, box_iou_oracle
 
 
 def inst(ds, ann_id):
@@ -110,7 +110,7 @@ class TestThreshold:
         src = [make_ann(1, 1, rect_ring(0, 0, 10, 10))]
         tgt = [make_ann(1, 1, rect_ring(0, 0, 10, 8))]
         a, b = scene(src, tgt)
-        assert box_iou(a.instance(1).bbox, b.instance(1).bbox) == 0.8
+        assert box_iou_oracle(a.instance(1).bbox, b.instance(1).bbox) == 0.8
         strict = match_datasets(a, b, MatchConfig(iou_threshold=0.8))
         assert strict.pairs == []
         below = match_datasets(a, b, MatchConfig(iou_threshold=0.79))
@@ -184,7 +184,7 @@ class TestGreedy:
             thr = 0.9
             ms = match_datasets(a, b, MatchConfig(iou_threshold=thr))
             iou = np.array(
-                [[box_iou(s.bbox, t.bbox) for t in b.instances] for s in a.instances]
+                [[box_iou_oracle(s.bbox, t.bbox) for t in b.instances] for s in a.instances]
             )
             count, total = best_assignment(iou, thr)
             assert len(ms.pairs) == count

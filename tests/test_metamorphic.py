@@ -89,3 +89,46 @@ def test_shuffling_every_record_list_changes_no_output(pair, mode):
         shuffled.append(doc)
     assert shuffled[0]["annotations"] != pair[0]["annotations"]
     assert audit(*shuffled, mode) == audit(*pair, mode)
+
+
+def renumber(x: int) -> int:
+    """An order-preserving id map."""
+    return 3 * x + 7
+
+
+def test_renumbering_every_id_in_order_maps_only_the_ids(pair, mode):
+    docs = [copy.deepcopy(doc) for doc in pair]  # the sides may share records
+    for doc in docs:
+        for record in doc["images"] + doc["categories"]:
+            record["id"] = renumber(record["id"])
+        for ann in doc["annotations"]:
+            for key in ("id", "image_id", "category_id"):
+                ann[key] = renumber(ann[key])
+    report, ndjson = audit(*pair, mode)
+    moved, moved_ndjson = audit(*docs, mode)
+    # every per_category section is keyed by category id
+    r = json.loads(report)
+    sections = [r["summaries"]["source"], r["summaries"]["target"], r["delta"]]
+    sections += [res for sides in r["eval"].values() for res in sides.values()]
+    for section in sections:
+        section["per_category"] = {str(renumber(int(k))): v for k, v in section["per_category"].items()}
+    assert json.loads(moved) == r
+    rows = [json.loads(line) for line in ndjson.splitlines()]
+    for row in rows:
+        for key in ("image_id", "source_id", "target_id", "category_id"):
+            row[key] = renumber(row[key])
+    assert [json.loads(line) for line in moved_ndjson.splitlines()] == rows
+
+
+def test_an_image_without_annotations_adds_only_to_the_image_counts(pair, mode):
+    docs = [copy.deepcopy(doc) for doc in pair]  # the sides may share records
+    new_id = 1 + max(img["id"] for doc in docs for img in doc["images"])
+    for doc in docs:
+        doc["images"].append({**doc["images"][0], "id": new_id, "file_name": "empty.png"})
+    report, ndjson = audit(*pair, mode)
+    grown, grown_ndjson = audit(*docs, mode)
+    r = json.loads(report)
+    for side in ("source", "target"):
+        r["summaries"][side]["image_count"] += 1
+    assert json.loads(grown) == r
+    assert grown_ndjson == ndjson

@@ -36,8 +36,6 @@ KEPT_WITHOUT_A_COMMAND = {
     "contour": "benchmark layer",
     "box_iou_matrix": "benchmark layer",
     "surface_distances": "benchmark layer",
-    "edt": "test reference",
-    "box_iou": "test reference",
     "bbox_of_mask": "test reference",
     "canonical_report_bytes": "test reference",
     # tools/make_synthetic_pair.py

@@ -16,7 +16,7 @@ import annodiff.cli
 import annodiff.report
 from annodiff.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, cmd_stats, main
 from annodiff.dataset import parse_dataset
-from annodiff.deteval import cross_table
+from annodiff.deteval import EvalParams, cross_table
 from annodiff.errors import DegenerateShape
 from annodiff.matching import MatchPair, MatchSet, match_datasets, pairs_to_ndjson
 from annodiff.report import (
@@ -27,7 +27,7 @@ from annodiff.report import (
     run_audit,
     write_report_csv,
 )
-from annodiff.raster import box_iou, mask_iou, mask_of
+from annodiff.raster import box_iou_matrix, mask_iou, mask_of
 from annodiff.surface import pair_rings, ring_pair_metrics
 
 from conftest import FIXTURES, make_ann, make_coco, make_images, rect_ring, tables_equal
@@ -172,10 +172,20 @@ class TestRunAudit:
 class TestPairResolver:
     @staticmethod
     def match_set(source_id, tiny_a, tiny_b):
-        good = match_datasets(tiny_a, tiny_b).pairs[0]
+        """The first matched pair and an odd one, still a partition of each
+        side: the odd pair takes the second pair's target, and every other
+        instance is listed unmatched or ineligible."""
+        real = match_datasets(tiny_a, tiny_b)
+        good, second, third = real.pairs
         inst = tiny_a.instance(source_id)
-        odd = MatchPair(source_id, good.target_instance_id, inst.image_id, inst.category_id, 1.0)
-        return MatchSet(pairs=[good, odd]), good, odd
+        odd = MatchPair(source_id, second.target_instance_id, inst.image_id, inst.category_id, 1.0)
+        ms = MatchSet(
+            [good, odd],
+            unmatched_source=[second.source_instance_id, third.source_instance_id],
+            unmatched_target=[third.target_instance_id],
+            ineligible_source=[i for i in real.ineligible_source if i != source_id],
+        )
+        return ms, good, odd
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_surface_results_count_it_degenerate(self, source_id, jobs, tiny_a, tiny_b):
@@ -214,6 +224,22 @@ class TestPairResolver:
         assert r["consistency"]["ok"] is True
         validate_report(r)
 
+    @pytest.mark.parametrize("fault", ["reused_target", "dropped_unmatched"])
+    def test_a_broken_partition_reads_not_ok(self, source_id, fault, tiny_a, tiny_b, monkeypatch, tmp_path):
+        ms, good, odd = self.match_set(source_id, tiny_a, tiny_b)
+        if fault == "reused_target":
+            # the odd pair takes the good pair's target, and its own is left over
+            ms.pairs[1] = odd._replace(target_instance_id=good.target_instance_id)
+            ms.unmatched_target.append(odd.target_instance_id)
+        else:
+            ms.unmatched_source.pop()
+        monkeypatch.setattr(annodiff.report, "match_datasets", lambda *args: ms)
+        out = tmp_path / "report.json"
+        assert main(["diff", TINY_A, TINY_B, "--out", str(out)]) == EXIT_OK
+        r = json.loads(out.read_text())
+        assert r["consistency"]["ok"] is False
+        validate_report(r)
+
 
 class TestSharedImageOfTwoSizes:
     """Image 1 is 40x30 px on one side and 20x15 px on the other, and only
@@ -243,7 +269,7 @@ class TestSharedImageOfTwoSizes:
             on = {g: mask_iou(*(mask_of(shape, *g) for shape in shapes)) for g in (grid, other)}
             assert pair.iou == on[grid] != on[other]
         else:
-            assert pair.iou == box_iou(source.instance(1).bbox, target.instance(2).bbox)
+            assert pair.iou == box_iou_matrix(source.instance(1).bbox, target.instance(2).bbox)[0, 0]
 
 
 class FakePool:
@@ -572,6 +598,20 @@ class TestCliEvalMatch:
                 cross_table(tiny_a, tiny_b, tasks, max_detections=0)
         assert main(["eval", TINY_A, TINY_B, "--max-dets", "0"]) == EXIT_INPUT
         assert capsys.readouterr().err == "error: max_detections must be >= 1\n"
+
+    def test_an_unknown_task_fails_with_one_text_before_any_cell_is_cut(self, tiny_a, tiny_b, monkeypatch):
+        def no_cells(*args):
+            raise AssertionError("a cell was cut")
+
+        monkeypatch.setattr("annodiff.deteval._cells", no_cells)
+        calls = (
+            lambda: EvalParams(task="x"),
+            lambda: AuditConfig(eval_tasks=("x",)),
+            lambda: cross_table(tiny_a, tiny_b, ("segm", "x")),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="^task must be 'bbox' or 'segm', got 'x'$"):
+                call()
 
     def test_eval_integer_beyond_float_range_is_input_error(self, tmp_path, capsys):
         doc = json.loads(Path(TINY_A).read_text())

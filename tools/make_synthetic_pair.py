@@ -99,14 +99,13 @@ def two_ring_annotation(rng, ann_id, image) -> dict:
         y = float(rng.uniform(1.0, h - side - 1.0))
         rings.append([round(v, 2) for v in (x, y, x + side, y, x + side, y + side, x, y + side)])
     area = sum(pixel_area(r, w, h) for r in rings)
-    xs = [v for r in rings for v in r[0::2]]
-    ys = [v for r in rings for v in r[1::2]]
+    bbox = bbox_of_polygon(Polygons(tuple(map(tuple, rings))))
     return {
         "id": ann_id,
         "image_id": image["id"],
         "category_id": int(rng.integers(1, len(CATEGORIES) + 1)),
         "segmentation": [list(r) for r in rings],
-        "bbox": [min(xs), min(ys), max(xs) - min(xs), max(ys) - min(ys)],
+        "bbox": [bbox.x, bbox.y, bbox.w, bbox.h],
         "area": float(area),
         "iscrowd": 0,
     }
