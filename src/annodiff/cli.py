@@ -5,7 +5,9 @@ any input or usage problem (an allocation that fails for a size a flag asked
 for included), 3 when the run was fine but produced zero matched pairs (so
 "nothing to analyze" is distinguishable from failure).
 
-Every setting comes from a flag; the environment configures nothing.
+Every setting comes from a flag; the environment configures nothing. Each
+command builds its config from its flags, which checks them, before it reads
+any input.
 
 A command runs with the cyclic garbage collector paused, because the records
 and arrays it builds hold no reference cycles; library calls are unaffected.
@@ -21,7 +23,7 @@ from pathlib import Path
 
 from .dataset import load_dataset
 from .errors import AnnodiffError
-from .deteval import MAX_DETECTIONS
+from .deteval import MAX_DETECTIONS, EvalParams
 from .matching import MatchConfig, match_datasets, pairs_to_ndjson
 from .raster import _FOOTPRINTS
 from .report import (
@@ -62,10 +64,6 @@ def cmd_stats(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    t0 = time.perf_counter()
-    source = load_dataset(args.source)
-    target = load_dataset(args.target)
-    parse_s = time.perf_counter() - t0
     config = AuditConfig(
         iou_threshold=args.iou_threshold,
         iou_mode=args.iou_mode,
@@ -77,6 +75,10 @@ def cmd_diff(args) -> int:
         source_path=str(args.source),
         target_path=str(args.target),
     )
+    t0 = time.perf_counter()
+    source = load_dataset(args.source)
+    target = load_dataset(args.target)
+    parse_s = time.perf_counter() - t0
     outcome = run_audit(source, target, config, parse_seconds=parse_s)
     _emit(report_bytes(outcome.report), args.out)
     if args.pairs_out:
@@ -87,21 +89,22 @@ def cmd_diff(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    tasks = _eval_tasks(args.task)
+    EvalParams(max_detections=args.max_dets)  # the cap's check
     source = load_dataset(args.source)
     target = load_dataset(args.target)
-    tasks = _eval_tasks(args.task)
     _emit(report_bytes(eval_json(source, target, tasks, args.max_dets)), args.out)
     return EXIT_OK
 
 
 def cmd_match(args) -> int:
-    source = load_dataset(args.source)
-    target = load_dataset(args.target)
     cfg = MatchConfig(
         iou_threshold=args.iou_threshold,
         iou_mode=args.iou_mode,
         same_category_required=args.same_category,
     )
+    source = load_dataset(args.source)
+    target = load_dataset(args.target)
     match_set = match_datasets(source, target, cfg)
     _emit(pairs_to_ndjson(match_set).encode("utf-8"), args.out)
     return EXIT_OK if match_set.pairs else EXIT_EMPTY

@@ -10,6 +10,10 @@ read: a record's in its ``extra``, the top level's in the dataset's
 
 Every record type is a ``NamedTuple``: immutable, and cheap to build once
 per object. A record built without ``extra`` gets an empty read-only mapping.
+So are the configs and results (``AnnotationDataset`` here, ``EvalParams``,
+``MatchConfig``, ``AuditConfig`` and the rest), so that importing the package
+generates no code. One that checks its values, or builds an index, does so
+in ``_check``, on every instance it builds (:class:`_Checked`).
 
 The ``annotations`` array is parsed as one batch. One pass picks out the
 *plain* polygon annotations: objects with the seven required fields,
@@ -26,12 +30,9 @@ place that names a fault: on any input, both give the same records or the
 same ``SchemaError``. An image or a category always goes field by field.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from itertools import chain, count
 from operator import attrgetter
 from typing import Any, BinaryIO, NamedTuple
@@ -92,8 +93,42 @@ class InstanceRecord(NamedTuple):
     extra: Mapping[str, Any] = _NO_EXTRA
 
 
-@dataclass
-class AnnotationDataset:
+class _Checked:
+    """Base of a subclass of a ``NamedTuple`` that checks its instances.
+
+    Each instance the subclass builds (by a call, ``_make``, ``_replace``,
+    a copy or an unpickling) goes through ``_check``, which raises for a bad
+    value. First, a ``list`` or ``dict`` field left at its default gets a
+    copy of its own, so that no two instances share one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        defaults = cls._field_defaults
+        fresh = {k: type(v)(v) for k, v in defaults.items() if type(v) in (list, dict) and getattr(self, k) is v}
+        if fresh:
+            self = tuple.__new__(cls, [fresh.get(k, v) for k, v in zip(cls._fields, self)])
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _check(self) -> None:
+        pass
+
+
+class _AnnotationDataset(NamedTuple):
+    images: tuple[ImageRecord, ...]
+    categories: tuple[CategoryRecord, ...]
+    instances: tuple[InstanceRecord, ...]
+    extra: dict = {}
+
+
+class AnnotationDataset(_Checked, _AnnotationDataset):
     """Parsed corpus: its records, plus a map from id to record for each of
     images, categories and instances.
 
@@ -101,12 +136,7 @@ class AnnotationDataset:
     violations raise ``IntegrityError`` at construction time.
     """
 
-    images: tuple[ImageRecord, ...]
-    categories: tuple[CategoryRecord, ...]
-    instances: tuple[InstanceRecord, ...]
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
+    def _check(self):
         self._images_by_id = _unique_by_id(self.images, "image")
         self._categories_by_id = _unique_by_id(self.categories, "category")
         self._instances_by_id = _unique_by_id(self.instances, "annotation")

@@ -80,18 +80,15 @@ the other, on the same grid, is counted once. The first shape that the count
 reports (:func:`_named_fault`) fails the evaluation.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 from operator import is_
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import AnnotationDataset
+from .dataset import AnnotationDataset, _Checked
 from .errors import DegenerateShape, EvalError, GeometryError
 from .raster import Overlaps, box_overlaps, count_overlaps, iou
 from .shapes import RleMask, ShapeSpec
@@ -123,29 +120,35 @@ def _check_task(task: str) -> None:
         raise ValueError(f"task must be 'bbox' or 'segm', got {task!r}")
 
 
-@dataclass(frozen=True)
-class EvalParams:
+class _EvalParams(NamedTuple):
     task: str = "bbox"
     max_detections: int = MAX_DETECTIONS
 
-    def __post_init__(self) -> None:
+
+class EvalParams(_Checked, _EvalParams):
+    __slots__ = ()
+
+    def _check(self) -> None:
         _check_task(self.task)
         if self.max_detections < 1:
             raise ValueError("max_detections must be >= 1")
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """Average-precision table; a ``None`` entry means the stratum had no
-    ground truth and is excluded from every mean, never counted as zero."""
-
+class _EvalResult(NamedTuple):
     task: str
     map: float | None
     map_50: float | None
     map_small: float | None
     map_medium: float | None
     map_large: float | None
-    per_category: dict[int, float | None] = field(default_factory=dict)
+    per_category: dict[int, float | None] = {}
+
+
+class EvalResult(_Checked, _EvalResult):
+    """Average-precision table; a ``None`` entry means the stratum had no
+    ground truth and is excluded from every mean, never counted as zero."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -10,16 +10,13 @@ image's greedy order. Each instance therefore appears in at most one pair,
 and the result is invariant to the order instances arrive in.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from itertools import chain, compress, count
 from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import AnnotationDataset, single_polygon_view
+from .dataset import AnnotationDataset, _Checked, single_polygon_view
 from .errors import DegenerateShape
 from .raster import _chunks, box_overlaps, count_overlaps, iou
 
@@ -27,8 +24,13 @@ _IOU_MODES = ("box", "mask")
 _BY_ID, _IMAGE_ID, _BBOX = attrgetter("id"), attrgetter("image_id"), attrgetter("bbox")
 
 
-@dataclass(frozen=True)
-class MatchConfig:
+class _MatchConfig(NamedTuple):
+    iou_threshold: float = 0.90
+    iou_mode: str = "box"
+    same_category_required: bool = True
+
+
+class MatchConfig(_Checked, _MatchConfig):
     """Knobs for the correspondence search.
 
     ``iou_threshold`` is strict (a pair needs IoU > threshold). ``iou_mode``
@@ -37,11 +39,9 @@ class MatchConfig:
     one category.
     """
 
-    iou_threshold: float = 0.90
-    iou_mode: str = "box"
-    same_category_required: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 < self.iou_threshold <= 1.0:
             raise ValueError(f"iou_threshold {self.iou_threshold} outside (0, 1]")
         if self.iou_mode not in _IOU_MODES:
@@ -56,8 +56,15 @@ class MatchPair(NamedTuple):
     iou: float
 
 
-@dataclass
-class MatchSet:
+class _MatchSet(NamedTuple):
+    pairs: list[MatchPair] = []
+    unmatched_source: list[int] = []
+    unmatched_target: list[int] = []
+    ineligible_source: list[int] = []
+    ineligible_target: list[int] = []
+
+
+class MatchSet(_Checked, _MatchSet):
     """Pairs plus the leftovers, split by why they are left over.
 
     ``unmatched_*`` hold eligible instances that found no partner;
@@ -65,11 +72,7 @@ class MatchSet:
     or ringless segmentations).
     """
 
-    pairs: list[MatchPair] = field(default_factory=list)
-    unmatched_source: list[int] = field(default_factory=list)
-    unmatched_target: list[int] = field(default_factory=list)
-    ineligible_source: list[int] = field(default_factory=list)
-    ineligible_target: list[int] = field(default_factory=list)
+    __slots__ = ()
 
 
 # Same-image pairs whose boxes one ``box_overlaps`` call takes at most, about

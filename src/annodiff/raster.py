@@ -57,8 +57,6 @@ the runs, so this gives exactly the pixels of the runs. Every IoU, of boxes
 or of pixel counts, is :func:`iou` of an intersection and two areas.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import chain, compress
 from typing import NamedTuple

@@ -20,20 +20,17 @@ summaries.source.instance_count``, and the same for the target), which a
 reader can recompute from the report alone.
 """
 
-from __future__ import annotations
-
-import csv
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .dataset import AnnotationDataset
+from .dataset import AnnotationDataset, _Checked
 from .deteval import MAX_DETECTIONS, _check_task, cross_table
 from .errors import StatsError
 from .matching import MatchConfig, MatchSet, match_datasets
@@ -45,8 +42,7 @@ SCHEMA_NAME = "annodiff-audit-report"
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class AuditConfig:
+class _AuditConfig(NamedTuple):
     iou_threshold: float = 0.90
     iou_mode: str = "box"
     same_category: bool = True
@@ -57,7 +53,15 @@ class AuditConfig:
     source_path: str | None = None
     target_path: str | None = None
 
-    def __post_init__(self) -> None:
+
+class AuditConfig(_Checked, _AuditConfig):
+    """Every setting of :func:`run_audit`; a bad value raises here, with the
+    text of the layer that would reject it, before any input is read."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
+        self.match_config()
         _check_footprint(self.footprint)
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
@@ -164,12 +168,11 @@ def _histogram_json(table: PairTable, metric: str, bins: int) -> dict:
     except StatsError:
         # nothing exceeded one pixel: an empty section, not an error
         n = int(table.measured.sum())
-        return {**asdict(DistanceHistogram(metric, [], [], None, None, None, 0, n, 0, n)), "empty": True}
-    return {**asdict(h), "empty": False}
+        return {**DistanceHistogram(metric, [], [], None, None, None, 0, n, 0, n)._asdict(), "empty": True}
+    return {**h._asdict(), "empty": False}
 
 
-@dataclass
-class AuditOutcome:
+class AuditOutcome(NamedTuple):
     report: dict
     match_set: MatchSet
     table: PairTable
@@ -289,13 +292,6 @@ def canonical_report_bytes(report: dict) -> bytes:
 # CSV mirrors: one row per record of each report array
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _delta_rows(keys, a: dict, b: dict):
     """``(key, a's count, b's count, b - a)`` per key; a side without the key counts 0."""
     for k in keys:
@@ -327,6 +323,11 @@ def write_report_csv(report: dict, directory) -> list[str]:
             for cat, ap in sorted(ev[task][direction]["per_category"].items(), key=lambda kv: int(kv[0]))
         )
         tables["eval_per_category.csv"] = (["task", "direction", "category_id", "ap"], rows)
+    import csv  # here, so that a run without ``--csv-dir`` never loads it
+
     for name, (header, rows) in tables.items():
-        _write_csv(directory / name, header, rows)
+        with (directory / name).open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
     return list(tables)

@@ -7,8 +7,6 @@ are ``NamedTuple`` records: immutable, and cheap to build once per
 annotation.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 

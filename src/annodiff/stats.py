@@ -7,16 +7,14 @@ clip the domain at three standard deviations above the mean of the kept
 population; everything is tallied so nothing silently disappears.
 """
 
-from __future__ import annotations
-
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import AnnotationDataset
+from .dataset import AnnotationDataset, _Checked
 from .errors import StatsError
 from .raster import count_overlaps
 from .shapes import Polygons
@@ -55,16 +53,17 @@ def size_bucket_of_dims(w: float, h: float) -> SizeBucket:
     return SizeBucket.LARGE
 
 
-@dataclass
-class DatasetSummary:
+class _DatasetSummary(NamedTuple):
     image_count: int = 0
     instance_count: int = 0
     crowd_count: int = 0
     vertex_count: int = 0
-    per_category: dict[int, int] = field(default_factory=dict)
-    size_buckets: dict[SizeBucket, int] = field(
-        default_factory=lambda: {b: 0 for b in SizeBucket}
-    )
+    per_category: dict[int, int] = {}
+    size_buckets: dict[SizeBucket, int] = {b: 0 for b in SizeBucket}
+
+
+class DatasetSummary(_Checked, _DatasetSummary):
+    __slots__ = ()
 
 
 def _pixel_areas(ds: AnnotationDataset, instances) -> dict[int, int]:
@@ -129,8 +128,7 @@ def summarize(ds: AnnotationDataset, *, buckets: str = "stored") -> DatasetSumma
     )
 
 
-@dataclass
-class DatasetDelta:
+class DatasetDelta(NamedTuple):
     """Signed differences, target minus source, over the category union."""
 
     per_category: dict[int, int]
@@ -160,8 +158,7 @@ def compare(a: DatasetSummary, b: DatasetSummary) -> DatasetDelta:
     )
 
 
-@dataclass
-class DistanceHistogram:
+class DistanceHistogram(NamedTuple):
     """Distribution of one surface metric over a matched-pair population.
 
     Values must exceed one pixel to be included; the binned domain is

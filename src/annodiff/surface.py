@@ -52,8 +52,6 @@ window row; that is the worst case. :func:`surface_distances` lays its two
 masks out as the two layers of a pair and runs the same search.
 """
 
-from __future__ import annotations
-
 from itertools import compress
 from typing import NamedTuple
 

@@ -6,7 +6,6 @@ import importlib
 import inspect
 import json
 import runpy
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +97,7 @@ def test_one_pixel_dmax_error_in_the_report_binding_reaches_the_report(tmp_path,
     d_avg, d_max, _, _ = map(np.array, zip(*measured))
     values = pair_table(d_avg, d_max)
     for metric in ("d_avg", "d_max"):
-        assert clean["surface"][metric] == {**asdict(distance_histogram(values, metric, bins)), "empty": False}
+        assert clean["surface"][metric] == {**distance_histogram(values, metric, bins)._asdict(), "empty": False}
 
     def one_pair_off(pairs, **kwargs):
         out = ring_pairs_metrics(pairs, **kwargs)
@@ -113,7 +112,7 @@ def test_one_pixel_dmax_error_in_the_report_binding_reaches_the_report(tmp_path,
     d_max_off = d_max.copy()
     d_max_off[0] += 1.0
     off = pair_table(d_avg, d_max_off)
-    assert broken["surface"]["d_max"] == {**asdict(distance_histogram(off, "d_max", bins)), "empty": False}
+    assert broken["surface"]["d_max"] == {**distance_histogram(off, "d_max", bins)._asdict(), "empty": False}
 
 
 def test_ring_pair_metrics_takes_mode_crop():

@@ -20,9 +20,12 @@ from annodiff.dataset import (
     parse_dataset,
     single_polygon_view,
 )
-from annodiff.deteval import Detection
+from annodiff.deteval import Detection, EvalParams, EvalResult
 from annodiff.errors import IntegrityError, ParseError, SchemaError
+from annodiff.matching import MatchSet
+from annodiff.report import AuditConfig
 from annodiff.shapes import Polygons, RleMask
+from annodiff.stats import DatasetSummary
 
 from conftest import FIXTURES, make_ann, make_coco, make_images, rect_ring
 
@@ -598,6 +601,31 @@ class TestRecords:
             first.extra["note"] = 1
         assert first.extra == second.extra == {} and not first.extra and repr(first).endswith("extra={})")
         assert pickle.loads(pickle.dumps(first)) == copy.deepcopy(first) == first
+
+    @pytest.mark.parametrize("make", [
+        lambda: AnnotationDataset((), (), ()),
+        lambda: EvalResult("bbox", None, None, None, None, None),
+        MatchSet,
+        DatasetSummary,
+    ], ids=["AnnotationDataset", "EvalResult", "MatchSet", "DatasetSummary"])
+    def test_checked_records_built_with_defaults_own_their_containers(self, make):
+        first, second = make(), make()
+        mutable = {k: v for k, v in type(first)._field_defaults.items() if isinstance(v, (list, dict))}
+        assert mutable
+        for name, default in mutable.items():
+            assert getattr(first, name) == default and getattr(first, name) is not getattr(second, name)
+        assert pickle.loads(pickle.dumps(first)) == copy.deepcopy(first) == first
+
+    def test_checked_records_check_every_instance_they_build(self, tiny_a):
+        dangling = tiny_a.instances[0]._replace(image_id=99)
+        with pytest.raises(IntegrityError, match="image 99"):
+            tiny_a._replace(instances=(dangling,))
+        with pytest.raises(ValueError, match="^bins must be >= 1$"):
+            AuditConfig()._replace(bins=0)
+        with pytest.raises(ValueError, match="^max_detections must be >= 1$"):
+            EvalParams._make(("bbox", 0))
+        again = pickle.loads(pickle.dumps(tiny_a))
+        assert again == tiny_a and again.instance(5) == tiny_a.instance(5)
 
     def test_parsed_records_keep_their_own_extra(self):
         ds = ds_of([make_ann(i, 1, rect_ring(i, i, 5, 5)) for i in (1, 2)])

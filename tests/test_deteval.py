@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tracemalloc
 
@@ -80,7 +79,7 @@ class TestParams:
         assert p.task == "bbox" and p.max_detections == 100
 
     def test_the_protocol_constants_are_not_parameters(self):
-        assert [f.name for f in dataclasses.fields(EvalParams)] == ["task", "max_detections"]
+        assert list(EvalParams._fields) == ["task", "max_detections"]
 
     @pytest.mark.parametrize("kw", [{"task": "keypoints"}, {"max_detections": 0}])
     def test_validation(self, kw):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from collections import Counter
@@ -35,7 +34,7 @@ def match_per_image(source, target, cfg: MatchConfig) -> MatchSet:
     masks), then a greedy pass over the candidates ranked by (-IoU, source
     id, target id)."""
     eligible = [{i.id for i in single_polygon_view(ds)} for ds in (source, target)]
-    result = MatchSet()
+    pairs, unmatched_source, unmatched_target = [], [], []
     for image_id in sorted({i.id for i in source.images} | {i.id for i in target.images}):
         src, tgt = (
             sorted((i for i in ds.instances if i.image_id == image_id and i.id in ids), key=lambda i: i.id)
@@ -55,21 +54,19 @@ def match_per_image(source, target, cfg: MatchConfig) -> MatchSet:
             for j, t in enumerate(tgt)
             if iou[i, j] > cfg.iou_threshold and (s.category_id == t.category_id or not cfg.same_category_required)
         )
-        used_s, used_t, pairs = set(), set(), []
+        used_s, used_t, image_pairs = set(), set(), []
         for neg, sid, tid, i, j in candidates:
             if i not in used_s and j not in used_t:
                 used_s.add(i)
                 used_t.add(j)
-                pairs.append(MatchPair(sid, tid, image_id, src[i].category_id, float(-neg)))
-        result.pairs += sorted(pairs, key=lambda p: p.source_instance_id)
-        result.unmatched_source += [s.id for i, s in enumerate(src) if i not in used_s]
-        result.unmatched_target += [t.id for j, t in enumerate(tgt) if j not in used_t]
-    result.unmatched_source.sort()
-    result.unmatched_target.sort()
-    result.ineligible_source, result.ineligible_target = (
-        sorted(i.id for i in ds.instances if i.id not in ids) for ds, ids in zip((source, target), eligible)
-    )
-    return result
+                image_pairs.append(MatchPair(sid, tid, image_id, src[i].category_id, float(-neg)))
+        pairs += sorted(image_pairs, key=lambda p: p.source_instance_id)
+        unmatched_source += [s.id for i, s in enumerate(src) if i not in used_s]
+        unmatched_target += [t.id for j, t in enumerate(tgt) if j not in used_t]
+    unmatched_source.sort()
+    unmatched_target.sort()
+    ineligible = (sorted(i.id for i in ds.instances if i.id not in ids) for ds, ids in zip((source, target), eligible))
+    return MatchSet(pairs, unmatched_source, unmatched_target, *ineligible)
 
 
 def random_scene(rng: random.Random, big_ids: bool):
@@ -485,6 +482,6 @@ class TestNdjson:
         assert pairs_to_ndjson(MatchSet()) == ""
 
     def test_match_set_fields_are_pinned(self):
-        assert [f.name for f in dataclasses.fields(MatchSet)] == [
+        assert list(MatchSet._fields) == [
             "pairs", "unmatched_source", "unmatched_target", "ineligible_source", "ineligible_target",
         ]

@@ -97,7 +97,7 @@ def renumber(x: int) -> int:
 
 
 def test_renumbering_every_id_in_order_maps_only_the_ids(pair, mode):
-    docs = [copy.deepcopy(doc) for doc in pair]  # the sides may share records
+    docs = [copy.deepcopy(doc) for doc in pair]  # the fixture's pair serves every case
     for doc in docs:
         for record in doc["images"] + doc["categories"]:
             record["id"] = renumber(record["id"])
@@ -121,7 +121,7 @@ def test_renumbering_every_id_in_order_maps_only_the_ids(pair, mode):
 
 
 def test_an_image_without_annotations_adds_only_to_the_image_counts(pair, mode):
-    docs = [copy.deepcopy(doc) for doc in pair]  # the sides may share records
+    docs = [copy.deepcopy(doc) for doc in pair]  # the fixture's pair serves every case
     new_id = 1 + max(img["id"] for doc in docs for img in doc["images"])
     for doc in docs:
         doc["images"].append({**doc["images"][0], "id": new_id, "file_name": "empty.png"})

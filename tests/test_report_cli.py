@@ -1,9 +1,9 @@
 import csv
-import dataclasses
 import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +18,7 @@ from annodiff.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, cmd_stats, main
 from annodiff.dataset import parse_dataset
 from annodiff.deteval import EvalParams, cross_table
 from annodiff.errors import DegenerateShape
-from annodiff.matching import MatchPair, MatchSet, match_datasets, pairs_to_ndjson
+from annodiff.matching import MatchConfig, MatchPair, MatchSet, match_datasets, pairs_to_ndjson
 from annodiff.report import (
     AuditConfig,
     canonical_report_bytes,
@@ -94,7 +94,7 @@ class TestRunAudit:
         validate_report(r)
 
     def test_config_fields_are_pinned(self):
-        assert [f.name for f in dataclasses.fields(AuditConfig)] == [
+        assert list(AuditConfig._fields) == [
             "iou_threshold", "iou_mode", "same_category", "footprint", "bins", "jobs", "eval_tasks",
             "source_path", "target_path",
         ]
@@ -307,13 +307,24 @@ class TestSurfacePool:
         assert FakePool.sizes == pools
 
 
-def test_importing_the_cli_loads_no_process_pool():
+def _loaded_by_importing_the_cli(modules: tuple[str, ...]) -> str:
+    """Which of ``modules`` a fresh interpreter holds after ``import annodiff.cli``."""
     src = Path(annodiff.cli.__file__).resolve().parents[1]
-    code = "import sys, annodiff.cli; print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    code = f"import sys, annodiff.cli; print(sorted(m for m in {modules!r} if m in sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    assert _loaded_by_importing_the_cli(("multiprocessing", "concurrent.futures")) == "[]"
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_csv():
+    """Records and configs are ``NamedTuple``s, which need no code generated
+    at import, and only ``--csv-dir`` loads ``csv``."""
+    assert _loaded_by_importing_the_cli(("dataclasses", "csv")) == "[]"
 
 
 def test_eval_and_diff_never_import_numpy_ma(tmp_path):
@@ -568,6 +579,37 @@ class TestCliEnv:
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["iou_threshold"] == 0.9
         assert doc["matching"]["pair_count"] == 3
+
+
+class TestCliFlags:
+    """Each command checks its flags before it reads any input."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["diff", "--bins", "0"], "bins must be >= 1"),
+            (["diff", "--jobs", "0"], "jobs must be >= 1"),
+            (["diff", "--iou-threshold", "1.5"], "iou_threshold 1.5 outside (0, 1]"),
+            (["match", "--iou-threshold", "0"], "iou_threshold 0.0 outside (0, 1]"),
+            (["eval", "--max-dets", "0"], "max_detections must be >= 1"),
+        ],
+        ids=["diff-bins", "diff-jobs", "diff-iou-threshold", "match-iou-threshold", "eval-max-dets"],
+    )
+    def test_a_bad_flag_fails_before_any_input_is_read(self, argv, message, monkeypatch, capsys):
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(annodiff.cli, "load_dataset", unread)
+        command, *flags = argv
+        assert main([command, TINY_A, TINY_B, *flags]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kw", [{"iou_threshold": 0.0}, {"iou_threshold": 1.5}, {"iou_mode": "x"}])
+    def test_the_audit_config_checks_matching_as_match_config_does(self, kw):
+        with pytest.raises(ValueError) as want:
+            MatchConfig(**kw)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            AuditConfig(**kw)
 
 
 class TestCliEvalMatch:

@@ -205,8 +205,7 @@ class TestCompare:
 
     def test_disjoint_categories_union(self, tiny_a, tiny_b):
         a = summarize(tiny_a)
-        b = summarize(tiny_b)
-        b.per_category = {3: 4}
+        b = summarize(tiny_b)._replace(per_category={3: 4})
         delta = compare(a, b)
         assert delta.per_category == {1: -3, 2: -2, 3: 4}
         assert delta.categories_where_target_greater == 1

@@ -15,6 +15,7 @@ The committed fixtures were produced with the defaults:
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 from pathlib import Path
@@ -187,13 +188,13 @@ def build_pair(seed: int, n_images: int) -> tuple[dict, dict]:
     for ann in anns_a:
         if ann["iscrowd"]:
             if rng.uniform() < 0.5:
-                kept = dict(ann)
+                kept = copy.deepcopy(ann)
                 kept["id"] = next_id
                 anns_b.append(kept)
                 next_id += 1
             continue
         if len(ann["segmentation"]) > 1:
-            kept = dict(ann)
+            kept = copy.deepcopy(ann)
             kept["id"] = next_id
             anns_b.append(kept)
             next_id += 1
@@ -210,15 +211,16 @@ def build_pair(seed: int, n_images: int) -> tuple[dict, dict]:
             anns_b.append(polygon_annotation(next_id, image, ring, area, cat))
             next_id += 1
 
-    def dataset(anns):
+    # each side owns every list and dict of its document
+    def dataset(images, anns):
         return {
             "info": {"description": f"synthetic pair, seed {seed}"},
             "images": images,
             "annotations": anns,
-            "categories": CATEGORIES,
+            "categories": [dict(c) for c in CATEGORIES],
         }
 
-    return dataset(anns_a), dataset(anns_b)
+    return dataset(images, anns_a), dataset([dict(img) for img in images], anns_b)
 
 
 def main() -> int:
