@@ -4,16 +4,15 @@ Parsing is structural and strict: required fields, types, id uniqueness and
 reference integrity are enforced (``SchemaError`` / ``IntegrityError``).
 Geometry is not checked: a degenerate ring, an out-of-bounds box or a stale
 area parses, and each command that rasterizes a shape says what it does
-with one it cannot rasterize. Unknown JSON fields are kept, for callers to
-read: a record's in its ``extra``, the top level's in the dataset's
-``extra``. Nothing writes a dataset back out.
+with one it cannot rasterize. Unknown JSON fields, at the top level or on
+any record, are accepted and ignored. Nothing writes a dataset back out.
 
 Every record type is a ``NamedTuple``: immutable, and cheap to build once
-per object. A record built without ``extra`` gets an empty read-only mapping.
-So are the configs and results (``AnnotationDataset`` here, ``EvalParams``,
-``MatchConfig``, ``AuditConfig`` and the rest), so that importing the package
-generates no code. One that checks its values, or builds an index, does so
-in ``_check``, on every instance it builds (:class:`_Checked`).
+per object. So are the configs and results (``AnnotationDataset`` here,
+``EvalParams``, ``MatchConfig``, ``AuditConfig`` and the rest), so that
+importing the package generates no code. One that checks its values, or
+builds an index, does so in ``_check``, on every instance it builds
+(:class:`_Checked`).
 
 The ``annotations`` array is parsed as one batch. One pass picks out the
 *plain* polygon annotations: objects with the seven required fields,
@@ -32,54 +31,25 @@ same ``SchemaError``. An image or a category always goes field by field.
 
 import json
 import math
-from collections.abc import Mapping
 from itertools import chain, count
 from operator import attrgetter
-from typing import Any, BinaryIO, NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import IntegrityError, ParseError, SchemaError
 from .raster import _PLAIN_NUMBERS
 from .shapes import Polygons, RleMask, ShapeSpec
-
-_IMAGE_FIELDS = {"id", "width", "height", "file_name"}
-_CATEGORY_FIELDS = {"id", "name", "supercategory"}
-_ANNOTATION_FIELDS = {"id", "image_id", "category_id", "segmentation", "area", "bbox", "iscrowd"}
-
-
-class _NoExtra(Mapping):
-    """The ``extra`` of a record built without one: empty and read-only, so
-    no two records share a mutable default; unlike a ``MappingProxyType``,
-    it pickles and deep-copies."""
-
-    def __getitem__(self, key):
-        raise KeyError(key)
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-    def __repr__(self) -> str:
-        return "{}"
-
-
-_NO_EXTRA = _NoExtra()
-
 
 class ImageRecord(NamedTuple):
     id: int
     width: int
     height: int
     file_name: str
-    extra: Mapping[str, Any] = _NO_EXTRA
 
 
 class CategoryRecord(NamedTuple):
     id: int
     name: str
     supercategory: str | None = None
-    extra: Mapping[str, Any] = _NO_EXTRA
 
 
 class InstanceRecord(NamedTuple):
@@ -90,7 +60,6 @@ class InstanceRecord(NamedTuple):
     bbox: tuple[float, float, float, float]
     area: float
     iscrowd: bool
-    extra: Mapping[str, Any] = _NO_EXTRA
 
 
 class _Checked:
@@ -125,7 +94,6 @@ class _AnnotationDataset(NamedTuple):
     images: tuple[ImageRecord, ...]
     categories: tuple[CategoryRecord, ...]
     instances: tuple[InstanceRecord, ...]
-    extra: dict = {}
 
 
 class AnnotationDataset(_Checked, _AnnotationDataset):
@@ -192,14 +160,7 @@ def _floats(values: list) -> tuple[float, ...]:
 
 
 def _finite_tuple(values: list, what: str, name: str) -> tuple[float, ...]:
-    """Every value through :func:`_finite`. Plain ints and floats are taken in
-    one pass; anything else, or any fault, goes value by value, which names it."""
-    try:
-        out = _floats(values) if _PLAIN_NUMBERS.issuperset(map(type, values)) else None
-    except OverflowError:
-        out = None
-    if out is not None and all(map(math.isfinite, out)):
-        return out
+    """Every value through :func:`_finite`."""
     return tuple(_finite(v, what, name) for v in values)
 
 
@@ -227,8 +188,7 @@ def _parse_image(obj, pos: int) -> ImageRecord:
     file_name = _required(obj, "file_name", what)
     if not isinstance(file_name, str):
         raise SchemaError(f"{what} field 'file_name' must be a string")
-    extra = {k: v for k, v in obj.items() if k not in _IMAGE_FIELDS}
-    return ImageRecord(rec_id, width, height, file_name, extra)
+    return ImageRecord(rec_id, width, height, file_name)
 
 
 def _parse_category(obj, pos: int) -> CategoryRecord:
@@ -242,8 +202,7 @@ def _parse_category(obj, pos: int) -> CategoryRecord:
     supercategory = obj.get("supercategory")
     if supercategory is not None and not isinstance(supercategory, str):
         raise SchemaError(f"{what} field 'supercategory' must be a string")
-    extra = {k: v for k, v in obj.items() if k not in _CATEGORY_FIELDS}
-    return CategoryRecord(rec_id, name, supercategory, extra)
+    return CategoryRecord(rec_id, name, supercategory)
 
 
 def _parse_segmentation(seg, what: str) -> ShapeSpec:
@@ -300,10 +259,7 @@ def _annotation_by_field(obj, pos: int) -> InstanceRecord:
     if iscrowd not in _CROWD_FLAGS:
         raise SchemaError(f"{what} field 'iscrowd' must be 0 or 1")
     segmentation = _parse_segmentation(_required(obj, "segmentation", what), what)
-    extra = {k: v for k, v in obj.items() if k not in _ANNOTATION_FIELDS}
-    return InstanceRecord(
-        rec_id, image_id, category_id, segmentation, bbox, area, bool(iscrowd), extra
-    )
+    return InstanceRecord(rec_id, image_id, category_id, segmentation, bbox, area, bool(iscrowd))
 
 
 def _parse_annotations(objs: list) -> list[InstanceRecord]:
@@ -343,7 +299,7 @@ def _parse_annotations(objs: list) -> list[InstanceRecord]:
                         if type(ring) is not list or len(ring) % 2:
                             break
                     else:
-                        plain.append((pos, obj, rec_id, image_id, category_id, seg, bbox, area, iscrowd))
+                        plain.append((pos, rec_id, image_id, category_id, seg, bbox, area, iscrowd))
                         numbers.append(bbox)
                         numbers += seg
                         areas.append(area)
@@ -357,12 +313,11 @@ def _parse_annotations(objs: list) -> list[InstanceRecord]:
         # range that another cancels overflows in float() instead
         valid = types <= _PLAIN_NUMBERS and math.isfinite(sum(chain.from_iterable(numbers), sum(areas)))
         if valid:
-            for pos, obj, rec_id, image_id, category_id, seg, bbox, area, iscrowd in plain:
-                extra = {} if len(obj) == 7 else {k: v for k, v in obj.items() if k not in _ANNOTATION_FIELDS}
+            for pos, rec_id, image_id, category_id, seg, bbox, area, iscrowd in plain:
                 shape = _new(Polygons, (tuple(map(floats, seg)),))
                 records[pos] = _new(
                     InstanceRecord,
-                    (rec_id, image_id, category_id, shape, floats(bbox), float(area), bool(iscrowd), extra),
+                    (rec_id, image_id, category_id, shape, floats(bbox), float(area), bool(iscrowd)),
                 )
     except OverflowError:
         valid = False
@@ -373,16 +328,16 @@ def _parse_annotations(objs: list) -> list[InstanceRecord]:
     return records
 
 
-def _load_json(raw: bytes | bytearray | str) -> Any:
+def _load_json(raw: bytes | str) -> Any:
     """Decode UTF-8 JSON bytes or text.
 
     Raises:
         ParseError: not UTF-8 or not JSON, with the offset in the UTF-8
             bytes, or ``None`` where the JSON nests too deeply to decode.
     """
-    if isinstance(raw, (bytes, bytearray)):
+    if isinstance(raw, bytes):
         try:
-            text = bytes(raw).decode("utf-8")
+            text = raw.decode("utf-8")
         except UnicodeDecodeError as e:
             raise ParseError(f"not UTF-8 at byte {e.start}", e.start) from None
     else:
@@ -396,8 +351,8 @@ def _load_json(raw: bytes | bytearray | str) -> Any:
         raise ParseError("malformed JSON: nested too deeply", None) from None
 
 
-def parse_dataset(raw: bytes | str | BinaryIO) -> AnnotationDataset:
-    """Parse COCO-format JSON bytes into an indexed, immutable dataset.
+def parse_dataset(raw: bytes | str) -> AnnotationDataset:
+    """Parse COCO-format JSON bytes or text into an indexed, immutable dataset.
 
     The parse is order-independent: records are canonicalized by id, so any
     permutation of the same records yields an equal dataset.
@@ -408,8 +363,6 @@ def parse_dataset(raw: bytes | str | BinaryIO) -> AnnotationDataset:
         SchemaError: a record is missing a field or has a malformed one.
         IntegrityError: duplicate ids or dangling image/category references.
     """
-    if hasattr(raw, "read"):
-        raw = raw.read()
     doc = _load_json(raw)
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
@@ -423,14 +376,13 @@ def parse_dataset(raw: bytes | str | BinaryIO) -> AnnotationDataset:
     images = tuple(sorted(map(_parse_image, doc["images"], count()), key=_BY_ID))
     categories = tuple(sorted(map(_parse_category, doc["categories"], count()), key=_BY_ID))
     instances = tuple(sorted(_parse_annotations(doc["annotations"]), key=_BY_ID))
-    extra = {k: v for k, v in doc.items() if k not in ("images", "annotations", "categories")}
-    return AnnotationDataset(images, categories, instances, extra)
+    return AnnotationDataset(images, categories, instances)
 
 
 def load_dataset(path) -> AnnotationDataset:
     """Read and parse a COCO JSON file."""
     with open(path, "rb") as f:
-        return parse_dataset(f)
+        return parse_dataset(f.read())
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ import numpy as np
 
 from .dataset import AnnotationDataset, _Checked
 from .errors import DegenerateShape, EvalError, GeometryError
-from .raster import Overlaps, box_overlaps, count_overlaps, iou
+from .raster import Overlaps, box_areas, box_overlaps, count_overlaps, iou
 from .shapes import RleMask, ShapeSpec
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(np.linspace(0.5, 0.95, 10).tolist())
@@ -377,7 +377,7 @@ class _Rows(NamedTuple):
 
 
 def _instance_rows(ds: AnnotationDataset, index: tuple[dict, dict]) -> _Rows:
-    ids, images, cats, shapes, boxes, areas, crowds, _ = tuple(zip(*ds.instances)) or ((),) * 8
+    ids, images, cats, shapes, boxes, areas, crowds = tuple(zip(*ds.instances)) or ((),) * 7
     place = _places(index[0], images), _places(index[1], cats)
     return _Rows(
         ds.instances, _ints(ids), *place, np.ones(len(ids)),
@@ -428,7 +428,7 @@ def _cells(
             set; the first such detection by position is named.
     """
     n_img = len(index[0])
-    image_ids, widths, heights = (tuple(zip(*truth.images)) or ((),) * 5)[:3]
+    image_ids, widths, heights = (tuple(zip(*truth.images)) or ((),) * 4)[:3]
     at = _places(index[0], image_ids)
     # one spare place past the end, which -1 (an id the index lacks) reads
     has_image = np.zeros(n_img + 1, dtype=bool)
@@ -630,7 +630,7 @@ def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> Eva
     dt_box = c.dt.bbox[c.dts]
     blocks = list(_blocks(n_dt, n_gt, A * T))
     if pixels is None:
-        dt_area = dt_box[:, 2] * dt_box[:, 3]
+        dt_area = box_areas(dt_box)
     else:
         dt_area = pixels.area_a.astype(np.float64)
         # each intersection's cell and that cell's slot in its block; the

@@ -878,31 +878,41 @@ def edt_squared(source: np.ndarray) -> np.ndarray:
 # overlap measures and bounds
 
 
+def box_areas(boxes: np.ndarray) -> np.ndarray:
+    """``w * h`` of each (..., 4) box row (x, y, w, h); inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return boxes[..., 2] * boxes[..., 3]
+
+
 def box_overlaps(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairwise intersections of (..., n, 4) boxes ``a`` with (..., m, 4)
     boxes ``b``, rows (x, y, w, h), broadcast over leading dimensions.
 
     Returns ``(inter, area_a, area_b)``: ``inter`` is (..., n, m), ``area_a``
-    (..., n, 1) and ``area_b`` (..., 1, m), ready for :func:`iou`.
+    (..., n, 1) and ``area_b`` (..., 1, m), ready for :func:`iou`. Nothing
+    that overflows float64 warns: it reads inf, or NaN for 0 * inf.
     """
     a = np.asarray(a, dtype=np.float64)[..., :, None, :]
     b = np.asarray(b, dtype=np.float64)[..., None, :, :]
-    iw = np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    return inter, a[..., 2] * a[..., 3], b[..., 2] * b[..., 3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        iw = np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+        ih = np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+        inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    return inter, box_areas(a), box_areas(b)
 
 
 def iou(inter, area_a, area_b, crowd=None) -> np.ndarray:
     """Intersection over union from an intersection and the two areas, all
     broadcast together: ``inter / (area_a + area_b - inter)``, and
     ``inter / area_a`` where ``crowd`` is set (the crowd rule, which divides
-    by the detection's own area). 0 where the denominator is not positive."""
-    denom = area_a + area_b - inter
-    if crowd is not None:
-        denom = np.where(crowd, area_a, denom)
-    out = np.zeros(np.shape(denom))
-    np.divide(inter, denom, out=out, where=denom > 0)
+    by the detection's own area). 0 where the denominator is not positive
+    or is NaN, as inf - inf makes it, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = area_a + area_b - inter
+        if crowd is not None:
+            denom = np.where(crowd, area_a, denom)
+        out = np.zeros(np.shape(denom))
+        np.divide(inter, denom, out=out, where=denom > 0)
     return out
 
 

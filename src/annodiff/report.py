@@ -292,24 +292,22 @@ def canonical_report_bytes(report: dict) -> bytes:
 # CSV mirrors: one row per record of each report array
 
 
-def _delta_rows(keys, a: dict, b: dict):
-    """``(key, a's count, b's count, b - a)`` per key; a side without the key counts 0."""
-    for k in keys:
-        x, y = a.get(str(k), 0), b.get(str(k), 0)
-        yield k, x, y, y - x
+def _count_rows(src: dict, tgt: dict, delta: dict, section: str):
+    """``(key, source count, target count, delta)`` per key of the report's
+    ``delta[section]``, in its order; a side without the key counts 0."""
+    for k, d in delta[section].items():
+        yield k, src[section].get(k, 0), tgt[section].get(k, 0), d
 
 
 def write_report_csv(report: dict, directory) -> list[str]:
     """Write the tabular report sections as CSV files; returns filenames."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    src, tgt = report["summaries"]["source"], report["summaries"]["target"]
-    cats = sorted({int(k) for k in src["per_category"]} | {int(k) for k in tgt["per_category"]})
-    buckets = [b.value for b in SizeBucket]
+    src, tgt, delta = report["summaries"]["source"], report["summaries"]["target"], report["delta"]
     counts = ["source_count", "target_count", "delta"]
     tables = {
-        "categories.csv": (["category_id", *counts], _delta_rows(cats, src["per_category"], tgt["per_category"])),
-        "size_buckets.csv": (["bucket", *counts], _delta_rows(buckets, src["size_buckets"], tgt["size_buckets"])),
+        "categories.csv": (["category_id", *counts], _count_rows(src, tgt, delta, "per_category")),
+        "size_buckets.csv": (["bucket", *counts], _count_rows(src, tgt, delta, "size_buckets")),
     }
     for metric in ("d_avg", "d_max"):
         hist = report["surface"][metric]

@@ -122,7 +122,7 @@ def summarize(ds: AnnotationDataset, *, buckets: str = "stored") -> DatasetSumma
         image_count=len(ds.images),
         instance_count=len(ds.instances),
         crowd_count=len(instances) - len(plain),
-        vertex_count=sum(len(ring) // 2 for shape in shapes if isinstance(shape, Polygons) for ring in shape.rings),
+        vertex_count=sum(shape.vertex_count for shape in shapes if isinstance(shape, Polygons)),
         per_category=dict(Counter(map(attrgetter("category_id"), instances))),
         size_buckets=dict(zip(SizeBucket, counts)),
     )

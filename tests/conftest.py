@@ -69,6 +69,20 @@ def make_coco(images, annotations, categories=None) -> str:
     return json.dumps({"images": images, "annotations": annotations, "categories": categories})
 
 
+def tiny_docs() -> list[dict]:
+    """Both sides of the tiny fixture pair, as ``json.loads`` gives them."""
+    return [json.loads((FIXTURES / f"tiny_pair_{side}.json").read_text()) for side in "ab"]
+
+
+def write_pair(docs: list[dict], directory: Path) -> list[str]:
+    """Write the two documents ``docs`` to ``a.json`` and ``b.json`` in
+    ``directory``; returns their paths."""
+    paths = [directory / "a.json", directory / "b.json"]
+    for doc, path in zip(docs, paths):
+        path.write_text(json.dumps(doc))
+    return list(map(str, paths))
+
+
 def make_images(n, width=100, height=100):
     return [
         {"id": i + 1, "width": width, "height": height, "file_name": f"img_{i + 1}.png"}

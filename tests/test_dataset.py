@@ -2,17 +2,19 @@ import copy
 import json
 import math
 import pickle
+import tempfile
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import annodiff.dataset
+from annodiff.cli import main
 from annodiff.dataset import (
     _annotation_by_field,
     _parse_annotations,
     _parse_image,
-    AnnotationDataset,
     CategoryRecord,
     ImageRecord,
     InstanceRecord,
@@ -23,15 +25,40 @@ from annodiff.dataset import (
 from annodiff.deteval import Detection, EvalParams, EvalResult
 from annodiff.errors import IntegrityError, ParseError, SchemaError
 from annodiff.matching import MatchSet
-from annodiff.report import AuditConfig
+from annodiff.report import AuditConfig, canonical_report_bytes
 from annodiff.shapes import Polygons, RleMask
 from annodiff.stats import DatasetSummary
 
-from conftest import FIXTURES, make_ann, make_coco, make_images, rect_ring
+from conftest import FIXTURES, make_ann, make_coco, make_images, rect_ring, tiny_docs, write_pair
 
 
 def ds_of(annotations, n_images=2, **kw):
     return parse_dataset(make_coco(make_images(n_images), annotations, **kw))
+
+
+def _command_outputs(source: dict, target: dict, directory: Path) -> tuple[dict, dict]:
+    """What every command gives on the pair ``source``, ``target``: each
+    exit code, and the bytes of each file written, the diff reports without
+    their timings. The pair is written to ``a.json`` and ``b.json`` in
+    ``directory``, so that the reports of calls with the same directory
+    echo the same paths."""
+    a, b = write_pair([source, target], directory)
+    out = Path(tempfile.mkdtemp(dir=directory))
+    runs = {"eval": ["eval", a, b, "--task", "both"]}
+    for mode in ("box", "mask"):
+        runs[f"diff-{mode}"] = [
+            "diff", a, b, "--iou-mode", mode, "--eval", "both",
+            "--pairs-out", out / f"pairs-{mode}.ndjson", "--csv-dir", out / f"csv-{mode}",
+        ]
+        runs[f"match-{mode}"] = ["match", a, b, "--iou-mode", mode]
+    for side, path in (("a", a), ("b", b)):
+        for flags in ((), ("--recompute-areas",), ("--dims-buckets",)):
+            runs[" ".join(["stats", side, *flags])] = ["stats", path, *flags]
+    codes = {name: main([*map(str, argv), "--out", str(out / name)]) for name, argv in runs.items()}
+    files = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    for mode in ("box", "mask"):
+        files[f"diff-{mode}"] = canonical_report_bytes(json.loads(files[f"diff-{mode}"]))
+    return codes, files
 
 
 class TestParse:
@@ -39,18 +66,31 @@ class TestParse:
         anns = [make_ann(i, 1, rect_ring(i, i, 5, 5)) for i in (3, 1, 2)]
         forward = ds_of(anns)
         backward = ds_of(list(reversed(anns)))
-        assert forward == backward  # every record, and the top-level extras
+        assert forward == backward
         assert [a.id for a in forward.instances] == [1, 2, 3]
 
-    def test_unknown_fields_survive_round_trip(self):
-        raw = json.loads(make_coco(make_images(1), [make_ann(1, 1, rect_ring(0, 0, 4, 4))]))
-        raw["info"] = {"year": 2024}
-        raw["licenses"] = [{"id": 1}]
-        raw["annotations"][0]["confidence"] = 0.75
-        ds = parse_dataset(json.dumps(raw))
-        assert ds.extra == {"info": {"year": 2024}, "licenses": [{"id": 1}]}
-        assert ds.instance(1).extra == {"confidence": 0.75}
-        assert ds.image(1).extra == {} and ds.categories[0].extra == {}
+    @pytest.mark.parametrize("overflow", [False, True], ids=["batch", "field-by-field"])
+    def test_unknown_fields_are_ignored(self, overflow, tmp_path, monkeypatch):
+        known = [{key: doc[key] for key in ("images", "categories", "annotations")} for doc in tiny_docs()]
+        if overflow:  # finite coordinates whose sum is not: the batch check fails
+            ring = [1e308, 0.0, 1e308, 10.0, 9e307, 10.0]
+            known[0]["annotations"].append(make_ann(6, 3, ring, bbox=[9e307, 0.0, 1e307, 10.0], area=1.0))
+        noisy = copy.deepcopy(known)
+        for doc in noisy:
+            doc.update(info={"year": 2024}, licenses=[{"id": 1, "name": "x"}])
+            for key in ("images", "categories", "annotations"):
+                for obj in doc[key]:
+                    obj.update(note=None, attributes={"occluded": True}, id_=[1.5, "x"])
+        calls = _count_by_field_calls(monkeypatch)
+        for side, doc in enumerate(known):
+            calls.clear()
+            assert parse_dataset(json.dumps(noisy[side])) == parse_dataset(json.dumps(doc))
+            # each annotation takes the same path with and without the fields
+            every = overflow and side == 0
+            by_field = [pos for pos, obj in enumerate(doc["annotations"]) if every or obj["iscrowd"]]
+            assert calls == by_field * 2
+        codes, files = _command_outputs(*known, tmp_path)
+        assert set(codes.values()) == {0} and (codes, files) == _command_outputs(*noisy, tmp_path)
 
     def test_malformed_json_reports_byte_offset(self):
         with pytest.raises(ParseError) as e:
@@ -208,7 +248,7 @@ def _rle(draw):
 @st.composite
 def _annotation(draw):
     """A valid annotation object, as ``json.loads`` gives it: polygons of int
-    and float coordinates or an RLE, sometimes with extra keys, with a
+    and float coordinates or an RLE, sometimes with unknown keys, with a
     sum of values that may overflow."""
     coordinates = _numbers | st.just(1.7e308) if draw(st.booleans()) else _numbers
     rings = st.lists(st.tuples(coordinates, coordinates), max_size=5).map(lambda ps: [v for p in ps for v in p])
@@ -221,8 +261,8 @@ def _annotation(draw):
         "bbox": draw(st.lists(coordinates, min_size=4, max_size=4)),
         "iscrowd": draw(st.sampled_from([0, 1, True, False, 0.0, 1.0])),
     }
-    extra = st.sampled_from(["score", "attributes", "id_"])
-    obj.update(draw(st.dictionaries(extra, _numbers | st.text(max_size=3), max_size=2)))
+    unknown = st.sampled_from(["score", "attributes", "id_"])
+    obj.update(draw(st.dictionaries(unknown, _numbers | st.text(max_size=3), max_size=2)))
     return obj
 
 
@@ -404,7 +444,6 @@ class TestBatch:
         calls = _count_by_field_calls(monkeypatch)
         recs = _parse_annotations(objs)
         assert calls == [1] and repr(recs) == expected[1]
-        assert [type(rec.extra) for rec in recs] == [dict] * 4 and recs[2].extra == {"extra": [1]}
 
     @pytest.mark.parametrize("pos", [0, 1, 2])
     @pytest.mark.parametrize("place", [("segmentation", 0, 0), ("segmentation", 0, 5), ("bbox", 3)])
@@ -473,15 +512,15 @@ _IMAGE_REQUIRED = ("id", "width", "height", "file_name")
 
 @st.composite
 def _image(draw):
-    """A valid image object, as ``json.loads`` gives it, sometimes with extra keys."""
+    """A valid image object, as ``json.loads`` gives it, sometimes with unknown keys."""
     obj = {
         "id": draw(st.integers(-5, 10**12)),
         "width": draw(st.integers(1, 2**64)),
         "height": draw(st.integers(1, 5000)),
         "file_name": draw(st.text(max_size=5)),
     }
-    extra = st.sampled_from(["license", "coco_url", "id_"])
-    obj.update(draw(st.dictionaries(extra, _numbers | st.text(max_size=3), max_size=2)))
+    unknown = st.sampled_from(["license", "coco_url", "id_"])
+    obj.update(draw(st.dictionaries(unknown, _numbers | st.text(max_size=3), max_size=2)))
     return obj
 
 
@@ -560,8 +599,7 @@ class TestParseImage:
         if faults:
             assert outcome[0] == "SchemaError"
         else:
-            extra = {k: v for k, v in obj.items() if k not in _IMAGE_REQUIRED}
-            assert outcome[0] == ImageRecord(obj["id"], obj["width"], obj["height"], obj["file_name"], extra)
+            assert outcome[0] == ImageRecord(obj["id"], obj["width"], obj["height"], obj["file_name"])
 
     @pytest.mark.parametrize("obj", [None, [1], "image", 7])
     def test_a_non_object_is_named_by_position(self, obj):
@@ -591,23 +629,10 @@ class TestRecords:
         assert isinstance(rec, tuple)
 
     @pytest.mark.parametrize("make", [
-        lambda: ImageRecord(1, 4, 4, "a.png"),
-        lambda: CategoryRecord(1, "blob"),
-        lambda: _RECORDS[2]._replace(id=2),
-    ])
-    def test_records_built_without_extra_share_no_mutable_default(self, make):
-        first, second = make(), make()
-        with pytest.raises(TypeError):
-            first.extra["note"] = 1
-        assert first.extra == second.extra == {} and not first.extra and repr(first).endswith("extra={})")
-        assert pickle.loads(pickle.dumps(first)) == copy.deepcopy(first) == first
-
-    @pytest.mark.parametrize("make", [
-        lambda: AnnotationDataset((), (), ()),
         lambda: EvalResult("bbox", None, None, None, None, None),
         MatchSet,
         DatasetSummary,
-    ], ids=["AnnotationDataset", "EvalResult", "MatchSet", "DatasetSummary"])
+    ], ids=["EvalResult", "MatchSet", "DatasetSummary"])
     def test_checked_records_built_with_defaults_own_their_containers(self, make):
         first, second = make(), make()
         mutable = {k: v for k, v in type(first)._field_defaults.items() if isinstance(v, (list, dict))}
@@ -626,11 +651,6 @@ class TestRecords:
             EvalParams._make(("bbox", 0))
         again = pickle.loads(pickle.dumps(tiny_a))
         assert again == tiny_a and again.instance(5) == tiny_a.instance(5)
-
-    def test_parsed_records_keep_their_own_extra(self):
-        ds = ds_of([make_ann(i, 1, rect_ring(i, i, 5, 5)) for i in (1, 2)])
-        first, second = ds.instances
-        assert first.extra == second.extra == {} and first.extra is not second.extra
 
 
 class TestAccessors:

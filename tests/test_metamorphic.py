@@ -16,7 +16,9 @@ import pytest
 
 from annodiff.dataset import parse_dataset
 from annodiff.matching import pairs_to_ndjson
+from annodiff.raster import decode_rle, encode_rle
 from annodiff.report import AuditConfig, canonical_report_bytes, run_audit
+from annodiff.shapes import RleMask
 
 from conftest import FIXTURES
 
@@ -132,3 +134,33 @@ def test_an_image_without_annotations_adds_only_to_the_image_counts(pair, mode):
         r["summaries"][side]["image_count"] += 1
     assert json.loads(grown) == r
     assert grown_ndjson == ndjson
+
+
+def shifted(doc: dict, dx: int, dy: int) -> dict:
+    """``doc`` with every polygon and box moved by (dx, dy) px, each image
+    grown by the shift, and each RLE crowd re-encoded on its grown grid."""
+    doc = copy.deepcopy(doc)
+    for img in doc["images"]:
+        img["width"] += dx
+        img["height"] += dy
+    for ann in doc["annotations"]:
+        x, y, w, h = ann["bbox"]
+        ann["bbox"] = [x + dx, y + dy, w, h]
+        seg = ann["segmentation"]
+        if isinstance(seg, dict):
+            height, width = seg["size"]
+            grid = np.zeros((height + dy, width + dx), dtype=bool)
+            grid[dy:, dx:] = decode_rle(RleMask(tuple(seg["counts"]), height, width))
+            rle = encode_rle(grid)
+            ann["segmentation"] = {"counts": list(rle.counts), "size": [rle.height, rle.width]}
+        else:
+            ann["segmentation"] = [[v + (dy if i % 2 else dx) for i, v in enumerate(ring)] for ring in seg]
+    return doc
+
+
+@pytest.mark.parametrize("dx, dy", [(7, 5), (1, 0), (0, 3)])
+def test_a_whole_pixel_shift_of_both_sides_changes_no_measure(pair, mode, dx, dy):
+    r = json.loads(audit(*pair, mode)[0])
+    moved = json.loads(audit(*(shifted(doc, dx, dy) for doc in pair), mode)[0])
+    for section in ("surface", "matching", "eval", "summaries", "delta", "consistency"):
+        assert moved[section] == r[section], section

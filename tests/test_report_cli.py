@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from annodiff.report import (
 from annodiff.raster import box_iou_matrix, mask_iou, mask_of
 from annodiff.surface import pair_rings, ring_pair_metrics
 
-from conftest import FIXTURES, make_ann, make_coco, make_images, rect_ring, tables_equal
+from conftest import FIXTURES, make_ann, make_coco, make_images, rect_ring, tables_equal, tiny_docs, write_pair
 
 TINY_A = str(FIXTURES / "tiny_pair_a.json")
 TINY_B = str(FIXTURES / "tiny_pair_b.json")
@@ -569,6 +570,56 @@ class TestCliDiff:
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["iou_mode"] == "mask"
         assert doc["matching"]["pair_count"] == 3
+
+
+class TestCliOverflowingBoxes:
+    """A box whose ``w * h`` or ``x + w`` overflows float64 scores IoU 0, and
+    no command warns of it."""
+
+    @pytest.mark.parametrize("width", [1e308, -1e308])
+    def test_no_command_warns(self, width, tmp_path, capsys):
+        docs = tiny_docs()
+        docs[0]["annotations"][0]["bbox"][2] = width
+        # one on each side of image 1: both areas and their intersection are
+        # inf, so the IoU's denominator is inf - inf
+        for doc, ann_id in zip(docs, (6, 104)):
+            doc["annotations"].append(make_ann(ann_id, 1, rect_ring(0, 0, 5, 5), bbox=[1e308] * 4, area=25.0))
+        a, b = write_pair(docs, tmp_path)
+        for argv in (
+            ["diff", a, b, "--eval", "both"],
+            ["diff", a, b, "--eval", "bbox"],
+            ["eval", a, b, "--task", "both"],
+            ["match", a, b],
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == EXIT_OK
+            assert capsys.readouterr().err == ""
+        assert main(["match", a, b, "--iou-threshold", "1e-300"]) == EXIT_OK
+        assert [json.loads(line)["source_id"] for line in capsys.readouterr().out.splitlines()] == [2, 3]
+
+
+class TestCliAnnotationTheOtherSideCannotPlace:
+    """An annotation on an image or in a category that the other side does
+    not define: the evaluator refuses it, and matching leaves it unmatched."""
+
+    @pytest.mark.parametrize("place, message", [
+        ({"image_id": 9}, "error: detection 99 has unknown image 9\n"),
+        ({"category_id": 7}, "error: detection 99 has unknown category 7\n"),
+    ], ids=["image", "category"])
+    def test_eval_refuses_it_and_diff_leaves_it_unmatched(self, place, message, tmp_path, capsys):
+        docs = tiny_docs()
+        docs[0]["images"].append({"id": 9, "width": 100, "height": 100, "file_name": "x.png"})
+        docs[0]["categories"].append({"id": 7, "name": "thing"})
+        docs[0]["annotations"].append({**make_ann(99, 1, rect_ring(10, 10, 30, 40)), **place})
+        a, b = write_pair(docs, tmp_path)
+        for argv in (
+            ["eval", a, b], ["eval", b, a], ["diff", a, b, "--eval", "bbox"], ["diff", b, a, "--eval", "segm"]
+        ):
+            assert main(argv) == EXIT_INPUT
+            assert capsys.readouterr().err == message
+        assert main(["diff", a, b]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["matching"]["unmatched_source"] == 1
 
 
 class TestCliEnv:

@@ -171,7 +171,7 @@ class TestSummarizeAgainstTheLoop:
             if seed % 3 and rng.random() < 0.02:
                 area, w, h = -float(rng.integers(1, 9)), -0.5, float(rng.choice([-2.0, 3.0]))
             instances.append(inst._replace(area=area, bbox=(*inst.bbox[:2], w, h), iscrowd=inst.iscrowd or rng.random() < 0.05))
-        ds = AnnotationDataset(synthetic_a.images, synthetic_a.categories, tuple(instances), synthetic_a.extra)
+        ds = AnnotationDataset(synthetic_a.images, synthetic_a.categories, tuple(instances))
 
         def outcome(fn):
             try:
@@ -187,7 +187,7 @@ class TestSummarizeAgainstTheLoop:
     def test_negative_values_are_named_as_the_scalar_rules_name_them(self, tiny_a):
         first = tiny_a.instances[0]
         ds = AnnotationDataset(
-            tiny_a.images, tiny_a.categories, (first._replace(area=-5.0, bbox=(*first.bbox[:2], -1.5, 2.0)),), tiny_a.extra
+            tiny_a.images, tiny_a.categories, (first._replace(area=-5.0, bbox=(*first.bbox[:2], -1.5, 2.0)),)
         )
         with pytest.raises(StatsError, match=f"^annotation {first.id} has negative area -5.0$"):
             summarize(ds)
