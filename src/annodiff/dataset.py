@@ -67,18 +67,13 @@ class _Checked:
 
     Each instance the subclass builds (by a call, ``_make``, ``_replace``,
     a copy or an unpickling) goes through ``_check``, which raises for a bad
-    value. First, a ``list`` or ``dict`` field left at its default gets a
-    copy of its own, so that no two instances share one.
+    value.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        defaults = cls._field_defaults
-        fresh = {k: type(v)(v) for k, v in defaults.items() if type(v) in (list, dict) and getattr(self, k) is v}
-        if fresh:
-            self = tuple.__new__(cls, [fresh.get(k, v) for k, v in zip(cls._fields, self)])
         self._check()
         return self
 

@@ -134,21 +134,17 @@ class EvalParams(_Checked, _EvalParams):
             raise ValueError("max_detections must be >= 1")
 
 
-class _EvalResult(NamedTuple):
+class EvalResult(NamedTuple):
+    """Average-precision table; a ``None`` entry means the stratum had no
+    ground truth and is excluded from every mean, never counted as zero."""
+
     task: str
     map: float | None
     map_50: float | None
     map_small: float | None
     map_medium: float | None
     map_large: float | None
-    per_category: dict[int, float | None] = {}
-
-
-class EvalResult(_Checked, _EvalResult):
-    """Average-precision table; a ``None`` entry means the stratum had no
-    ground truth and is excluded from every mean, never counted as zero."""
-
-    __slots__ = ()
+    per_category: dict[int, float | None]
 
     def to_json(self) -> dict:
         return {
@@ -604,12 +600,13 @@ def evaluate(
     index = _index(gt)
     dt = _detection_rows(dets, index)
     c = _cells(dt, np.arange(len(dt.shape)), _instance_rows(gt, index), gt, index, params.max_detections, segm)
-    return _score(c, params, *(_pixel_counts(c) if segm else ()))
+    return _score(c, params.task, *(_pixel_counts(c) if segm else ()))
 
 
-def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> EvalResult:
-    """The evaluation of one direction's cells: box IoUs, or mask IoUs from
-    the pixel counts ``pixels`` (side a its detections) on the segm task."""
+def _score(c: _Cells, task: str, pixels: Overlaps | None = None) -> EvalResult:
+    """The evaluation of one direction's cells on ``task``: box IoUs, or
+    mask IoUs from the pixel counts ``pixels`` (side a its detections) on
+    the segm task."""
     cat_ids, n_gt, n_dt = c.cat_ids, c.n_gt, c.n_dt
     gt_start, dt_start = np.cumsum(n_gt) - n_gt, np.cumsum(n_dt) - n_dt
 
@@ -688,7 +685,7 @@ def _score(c: _Cells, params: EvalParams, pixels: Overlaps | None = None) -> Eva
 
     # the last axis is the area range: all, small, medium, large
     return EvalResult(
-        task=params.task,
+        task=task,
         map=mean(precision[..., 0]),
         map_50=mean(precision[0, ..., 0]),  # IOU_THRESHOLDS[0] is 0.5
         map_small=mean(precision[..., 1]),
@@ -724,7 +721,6 @@ def cross_table(
     ba = _cells(rows_b, np.flatnonzero(~rows_b.crowd), rows_a, a, index, *cells)
     out: dict[str, dict[str, EvalResult]] = {}
     for task in tasks:
-        p = EvalParams(task, max_detections)
         pixels = _pixel_counts(ab, ba) if task == "segm" else (None, None)
-        out[task] = {"a_vs_b": _score(ab, p, pixels[0]), "b_vs_a": _score(ba, p, pixels[1])}
+        out[task] = {"a_vs_b": _score(ab, task, pixels[0]), "b_vs_a": _score(ba, task, pixels[1])}
     return out

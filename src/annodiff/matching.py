@@ -10,6 +10,7 @@ image's greedy order. Each instance therefore appears in at most one pair,
 and the result is invariant to the order instances arrive in.
 """
 
+from collections.abc import Sequence
 from itertools import chain, compress, count
 from operator import attrgetter
 from typing import NamedTuple
@@ -18,7 +19,7 @@ import numpy as np
 
 from .dataset import AnnotationDataset, _Checked, single_polygon_view
 from .errors import DegenerateShape
-from .raster import _chunks, box_overlaps, count_overlaps, iou
+from .raster import _CHUNK, _chunks, box_overlaps, count_overlaps, iou
 
 _IOU_MODES = ("box", "mask")
 _BY_ID, _IMAGE_ID, _BBOX = attrgetter("id"), attrgetter("image_id"), attrgetter("bbox")
@@ -56,29 +57,20 @@ class MatchPair(NamedTuple):
     iou: float
 
 
-class _MatchSet(NamedTuple):
-    pairs: list[MatchPair] = []
-    unmatched_source: list[int] = []
-    unmatched_target: list[int] = []
-    ineligible_source: list[int] = []
-    ineligible_target: list[int] = []
-
-
-class MatchSet(_Checked, _MatchSet):
+class MatchSet(NamedTuple):
     """Pairs plus the leftovers, split by why they are left over.
 
     ``unmatched_*`` hold eligible instances that found no partner;
     ``ineligible_*`` hold instances excluded up front (crowds, multi-ring
-    or ringless segmentations).
+    or ringless segmentations). :func:`match_datasets` gives lists; each
+    field left out is the empty tuple.
     """
 
-    __slots__ = ()
-
-
-# Same-image pairs whose boxes one ``box_overlaps`` call takes at most, about
-# 100 bytes each. Set by measurement on seed 4242: from 2**12 to 2**17, box
-# mode matched 1,000 and 10,000 images as fast as with one call for all.
-_RUN = 2**14
+    pairs: Sequence[MatchPair] = ()
+    unmatched_source: Sequence[int] = ()
+    unmatched_target: Sequence[int] = ()
+    ineligible_source: Sequence[int] = ()
+    ineligible_target: Sequence[int] = ()
 
 
 def _box_candidates(src: list, tgt: list, sel_s, sel_t, per_s, per_t, threshold: float):
@@ -86,8 +78,10 @@ def _box_candidates(src: list, tgt: list, sel_s, sel_t, per_s, per_t, threshold:
     ``threshold``, and that IoU. ``sel_*`` index the instances of the shared
     images in ``src`` and ``tgt``, by (image, id), and ``per_*`` give each
     image's count of them. One box overlap per run of images of at most
-    ``_RUN`` pairs (or of one image) bounds memory. Pairs come in (image,
-    source, target) order."""
+    ``_CHUNK`` pairs (or of one image) bounds memory: from 2**12 to 2**17
+    pairs a run, box mode matched 1,000 and 10,000 images of seed 4242 as
+    fast as with one call for all. Pairs come in (image, source, target)
+    order."""
     boxes_s, boxes_t = (
         np.fromiter(chain.from_iterable(map(_BBOX, side)), dtype=np.float64, count=4 * len(side)).reshape(-1, 1, 4)
         for side in (src, tgt)
@@ -98,7 +92,7 @@ def _box_candidates(src: list, tgt: list, sel_s, sel_t, per_s, per_t, threshold:
     # cut[k]: the source rows, or the pairs, of the shared images before image k
     cut_s, cut = (np.concatenate(([0], np.cumsum(n))) for n in (per_s, per_s * per_t))
     out = []
-    for i0, i1 in _chunks(per_s * per_t, _RUN):
+    for i0, i1 in _chunks(per_s * per_t, _CHUNK):
         rows = slice(cut_s[i0], cut_s[i1])
         a = np.repeat(sel_s[rows], rep[rows])
         b = sel_t[np.arange(cut[i0], cut[i1]) - np.repeat(shift[rows], rep[rows])]

@@ -4,6 +4,11 @@ Masks are boolean numpy arrays of shape ``(height, width)``, row-major. Pixel
 ``(r, c)`` covers the unit square whose center is ``(x, y) = (c + 0.5, r + 0.5)``;
 all distances are Euclidean between pixel centers, in pixel units.
 
+A polygon shape is a :class:`~annodiff.shapes.Polygons` or raw rings in the
+one form COCO's JSON parses to: a list or tuple of rings, each a flat
+``[x1, y1, x2, y2, ...]`` list or tuple of ``int`` and ``float``
+coordinates. Any other raw shape is a ``GeometryError`` (:func:`_rings`).
+
 Fill convention
 ---------------
 A pixel is foreground iff its center lies inside the polygon under the
@@ -84,18 +89,6 @@ class Box(NamedTuple):
 # polygon rasterization
 
 
-def _ring_points(ring) -> np.ndarray:
-    """Normalize a ring (flat list or (k, 2) array) to a float (k, 2) array."""
-    pts = np.asarray(ring, dtype=np.float64)
-    if pts.ndim == 1:
-        if pts.size % 2 != 0:
-            raise GeometryError(f"ring has odd coordinate count {pts.size}")
-        pts = pts.reshape(-1, 2)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise GeometryError(f"ring has invalid shape {pts.shape}")
-    return pts
-
-
 class _Vertices(NamedTuple):
     """Every vertex of every ring of a list of polygon shapes: its
     coordinates, the index of its successor on its ring, and its shape."""
@@ -106,8 +99,9 @@ class _Vertices(NamedTuple):
     owner: np.ndarray
 
 
-# Containers that a ring of plain ``int`` and ``float`` coordinates may come
-# in and still be read as flat ``(x1, y1, x2, y2, ...)`` coordinates as it is.
+# The one form of a raw ring: a flat ``(x1, y1, x2, y2, ...)`` tuple or list
+# of plain ``int`` and ``float`` coordinates, the form JSON parses to. Types
+# are matched exactly, so a ``bool`` or a NumPy scalar is not a coordinate.
 _FLAT_RINGS = frozenset((tuple, list))
 _PLAIN_NUMBERS = frozenset((int, float))
 
@@ -119,21 +113,15 @@ def _bad_ring(size):
     return (size < 6) | (size % 2 == 1)
 
 
-def _float_ring(ring) -> np.ndarray:
-    """A raw ring as a float64 array of its shape. One holding an int beyond
-    the float range is all ``inf``, which :func:`_rings` rejects once the
-    vertex-count rule has passed it."""
-    try:
-        return np.asarray(ring, dtype=np.float64)
-    except OverflowError:
-        return np.full(np.shape(np.asarray(ring, dtype=object)), np.inf)
+def _flat(rings) -> bool:
+    """Whether every ring is in the raw ring form: a tuple or list of plain
+    ints and floats."""
+    return _FLAT_RINGS.issuperset(map(type, rings)) and _PLAIN_NUMBERS.issuperset(map(type, chain.from_iterable(rings)))
 
 
 def _finite(ring) -> bool:
-    """Whether every coordinate of a flat ring is a finite float64; an int
+    """Whether every coordinate of a raw ring is a finite float64; an int
     beyond the float range is not."""
-    if type(ring) is np.ndarray:
-        return bool(np.isfinite(ring).all())
     try:
         # the sum is finite if every value is, unless it overflows; only
         # then is each value tested
@@ -144,37 +132,29 @@ def _finite(ring) -> bool:
 
 def _rings(shape) -> list:
     """The rings of a polygon shape as flat ``(x1, y1, x2, y2, ...)``
-    coordinates. ``DegenerateShape`` if there is no ring or a ring has fewer
-    than 6 coordinates (3 vertices); past that rule, ``GeometryError`` if a
-    ring's coordinates do not pair up into vertices (:func:`_bad_ring`), if
-    a raw ring holds a coordinate that is not a finite float, or for an
-    ``RleMask``, which has no rings.
+    coordinates.
 
-    The rings of ``Polygons`` are stored flat, and so is a raw ring that is a
-    tuple or list of plain ints and floats; these are taken as they are. Any
-    other raw ring (an array, a list of pairs) goes through NumPy. The
-    coordinates of ``Polygons`` are trusted to be finite, as parsing leaves
-    them."""
+    A raw shape is a tuple or list of rings, and a raw ring a flat tuple or
+    list of plain ``int`` and ``float`` coordinates (:func:`_flat`); any
+    other shape, an ``RleMask`` among them, is a ``GeometryError``. Then
+    ``DegenerateShape`` if there is no ring or a ring has fewer than 6
+    coordinates (3 vertices); past that rule, ``GeometryError`` if a ring's
+    coordinates do not pair up into vertices (:func:`_bad_ring`), or if a
+    raw ring holds a coordinate that is not a finite float. The coordinates
+    of ``Polygons`` are trusted to be finite, as parsing leaves them."""
     if isinstance(shape, RleMask):
         raise GeometryError("an RLE mask has no rings; mask_of decodes it")
     raw = not isinstance(shape, Polygons)
-    if raw:
-        own = [
-            ring if type(ring) in _FLAT_RINGS and _PLAIN_NUMBERS.issuperset(map(type, ring)) else _float_ring(ring)
-            for ring in shape
-        ]
-    else:
-        own = list(shape.rings)
-    for ring in own:
-        array = type(ring) is np.ndarray
-        size = ring.size if array else len(ring)
-        if size < 6:
-            raise DegenerateShape(f"degenerate ring with {size // 2} vertices")
-        if not array and _bad_ring(size):
-            raise GeometryError(f"ring has odd coordinate count {size}")
-    if not own:
+    if raw and not (type(shape) in _FLAT_RINGS and _flat(shape)):
+        raise GeometryError("polygon is not a list or tuple of flat rings of int and float coordinates")
+    rings = list(shape) if raw else list(shape.rings)
+    for ring in rings:
+        if len(ring) < 6:
+            raise DegenerateShape(f"degenerate ring with {len(ring) // 2} vertices")
+        if _bad_ring(len(ring)):
+            raise GeometryError(f"ring has odd coordinate count {len(ring)}")
+    if not rings:
         raise DegenerateShape("polygon has no rings")
-    rings = [_ring_points(ring).reshape(-1) if type(ring) is np.ndarray else ring for ring in own]
     if raw and not all(map(_finite, rings)):
         raise GeometryError("ring has a coordinate that is not a finite float")
     return rings
@@ -334,14 +314,15 @@ def rasterize(poly, width: int, height: int) -> np.ndarray:
     column, which is dropped.
 
     Args:
-        poly: ``Polygons`` or a sequence of rings (flat lists or (k, 2) arrays).
+        poly: ``Polygons``, or a list or tuple of rings, each a flat list or tuple of
+            ``int`` and ``float`` coordinates ``(x1, y1, x2, y2, ...)``.
         width, height: grid dimensions in pixels.
 
     Raises:
         DegenerateShape: a ring has fewer than 3 vertices, or there is none.
-        GeometryError: ``poly`` is an ``RleMask`` (:func:`mask_of` takes it), or else a
-            ring's coordinates do not pair up into vertices, a raw ring's coordinate is not a
-            finite float, or a side is below 1 or beyond 2**52 px.
+        GeometryError: ``poly`` is an ``RleMask`` (:func:`mask_of` takes it) or is not in
+            that form, or else a ring's coordinates do not pair up into vertices, a raw ring's
+            coordinate is not a finite float, or a side is below 1 or beyond 2**52 px.
     """
     rings = _rings(poly)
     _check_grid(width, height)
@@ -424,11 +405,11 @@ class Overlaps(NamedTuple):
         return Overlaps(self.area_b, self.area_a, self.b, self.a, self.inter, faults)
 
 
-# Elements per chunk of the overlap count: polygon coordinates gathered at
-# once; then (edge, row) crossings, and an RLE's toggles and segment ends,
-# scanned at once; and run pairs joined at once. Set by measurement on the
-# segm counts of 200 and 1,000 image pairs: 2**14 ran 6 and 15 % faster than
-# 2**13, and the count's peak memory grows with it, about 100 bytes each.
+# Elements per chunk of the overlap count (polygon coordinates gathered at
+# once; (edge, row) crossings and an RLE's toggles and segment ends scanned
+# at once; run pairs joined at once), and box pairs per run of matching.
+# Measured on the segm counts of 200 and 1,000 image pairs: 2**14 ran 6 and
+# 15 % faster than 2**13; peak memory grows with it, about 100 bytes each.
 _CHUNK = 2**14
 
 
@@ -456,15 +437,11 @@ def _error(check, *args) -> GeometryError | SchemaError | None:
 
 
 def _plain(rings: list) -> bool:
-    """Whether every ring is a tuple or list of plain ints and floats, and
-    the sum of all their coordinates is finite, which :func:`_rings` asks
-    of a raw ring that it takes as it is."""
+    """Whether every ring is in the raw ring form (:func:`_flat`) and the
+    sum of all their coordinates is finite, which :func:`_rings` asks of a
+    raw ring."""
     try:
-        return (
-            _FLAT_RINGS.issuperset(map(type, rings))
-            and _PLAIN_NUMBERS.issuperset(map(type, chain.from_iterable(rings)))
-            and math.isfinite(sum(chain.from_iterable(rings), 0.0))
-        )
+        return _flat(rings) and math.isfinite(sum(chain.from_iterable(rings), 0.0))
     except OverflowError:  # an int beyond the float range
         return False
 
@@ -477,10 +454,10 @@ def _read_shapes(shapes: list, sizes: list, ranked: np.ndarray, grid_faults: lis
     and ``grid_faults`` holds the error of each grid, ``None`` for one that
     :func:`_check_grid` accepts.
 
-    A ``Polygons`` is taken as it is, and so are the raw shapes (sequences
-    of rings) if all the rings pass :func:`_plain` together; otherwise
-    every raw shape goes through :func:`_rings`. Ring lengths are then
-    checked in one pass.
+    A ``Polygons`` is taken as it is, and so are the raw shapes if all
+    their rings pass :func:`_plain` together; otherwise every raw shape
+    goes through :func:`_rings`. A raw shape that is not a tuple or list
+    adds no rings. Ring lengths are then checked in one pass.
 
     A shape's own error comes first, as :func:`mask_of` raises it: an RLE's,
     as :func:`_check_rle` names it, or a polygon shape's, as :func:`_rings`
@@ -497,7 +474,7 @@ def _read_shapes(shapes: list, sizes: list, ranked: np.ndarray, grid_faults: lis
             read.append(())
             rle.append(r)
         else:
-            read.append(shape)
+            read.append(shape if type(shape) in _FLAT_RINGS else ())
             raw.append(r)
     rings = list(chain.from_iterable(read))
     if raw and not _plain(rings):
@@ -946,11 +923,9 @@ def bbox_of_mask(mask: np.ndarray) -> Box:
 
 def bbox_of_polygon(poly) -> Box:
     """Tight axis-aligned bounds of polygon vertices, in continuous units;
-    ``poly`` is a :class:`Polygons` or a list of raw rings."""
-    parts = [_ring_points(r) for r in (poly.rings if isinstance(poly, Polygons) else poly)]
-    pts = np.concatenate(parts) if parts else np.empty((0, 2))
-    if pts.size == 0:
-        raise GeometryError("bounding box of an empty polygon")
-    x0, y0 = pts.min(axis=0)
-    x1, y1 = pts.max(axis=0)
+    ``poly`` is a :class:`Polygons` or raw rings, read as :func:`rasterize`
+    reads them (:func:`_rings`), and raises what it raises for them."""
+    rings = _rings(poly)
+    v = _ring_vertices(rings, [0] * len(rings))
+    x0, y0, x1, y1 = v.x.min(), v.y.min(), v.x.max(), v.y.max()
     return Box(float(x0), float(y0), float(x1 - x0), float(y1 - y0))

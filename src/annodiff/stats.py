@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import AnnotationDataset, _Checked
+from .dataset import AnnotationDataset
 from .errors import StatsError
 from .raster import count_overlaps
 from .shapes import Polygons
@@ -53,17 +53,13 @@ def size_bucket_of_dims(w: float, h: float) -> SizeBucket:
     return SizeBucket.LARGE
 
 
-class _DatasetSummary(NamedTuple):
-    image_count: int = 0
-    instance_count: int = 0
-    crowd_count: int = 0
-    vertex_count: int = 0
-    per_category: dict[int, int] = {}
-    size_buckets: dict[SizeBucket, int] = {b: 0 for b in SizeBucket}
-
-
-class DatasetSummary(_Checked, _DatasetSummary):
-    __slots__ = ()
+class DatasetSummary(NamedTuple):
+    image_count: int
+    instance_count: int
+    crowd_count: int
+    vertex_count: int
+    per_category: dict[int, int]
+    size_buckets: dict[SizeBucket, int]
 
 
 def _pixel_areas(ds: AnnotationDataset, instances) -> dict[int, int]:

@@ -408,9 +408,11 @@ def ring_pairs_metrics(pairs, *, footprint: str = "cross") -> list:
     gives for that pair alone, to the bit, whatever the other pairs.
 
     Raises:
-        GeometryError: a ring's coordinates do not pair up into vertices or
-            one is not a finite float, or a grid is invalid (each only where
-            the pair is not already degenerate by its vertex count).
+        GeometryError: a pair's first fault (ring a's, then ring b's, then
+            its grid's) where that is not a degenerate ring: a ring is not a
+            flat list or tuple of ``int`` and ``float`` coordinates, its
+            coordinates do not pair up into vertices or one is not a finite
+            float, or the grid is invalid.
         ValueError: an unknown footprint.
     """
     return [None if isinstance(m, DegenerateShape) else m for m in _measure_pairs(pairs, footprint)]
@@ -446,7 +448,8 @@ def ring_pair_metrics(
     Raises:
         DegenerateShape: a ring has fewer than 3 vertices or rasterizes to
             an empty mask.
-        GeometryError: otherwise, a ring's coordinates do not pair up into
+        GeometryError: a ring is not a flat list or tuple of ``int`` and
+            ``float`` coordinates, its coordinates do not pair up into
             vertices or one is not a finite float, or the grid is invalid.
     """
     if mode not in ("full", "crop"):

@@ -127,9 +127,10 @@ def random_simple_rings(rng, n_rings=1, max_vertices=12, width=64, height=64):
         angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=k))
         radii = rng.uniform(0.3 * r_hi, r_hi, size=k)
         ring = []
+        # plain floats, the raw ring form the rasterizer takes
         for a, r in zip(angles, radii):
-            ring.append(round(cx + r * math.cos(a), 2))
-            ring.append(round(cy + r * math.sin(a), 2))
+            ring.append(float(round(cx + r * math.cos(a), 2)))
+            ring.append(float(round(cy + r * math.sin(a), 2)))
         rings.append(ring)
     return rings
 

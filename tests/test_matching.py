@@ -390,7 +390,7 @@ class TestAgainstPerImageReference:
         want.append(total)
         calls = []
         overlaps = matching.box_overlaps
-        monkeypatch.setattr(matching, "_RUN", run)
+        monkeypatch.setattr(matching, "_CHUNK", run)
         monkeypatch.setattr(matching, "box_overlaps", lambda a, b: calls.append(len(a)) or overlaps(a, b))
         got = match_datasets(synthetic_a, synthetic_b, cfg)
         assert calls == want and len(calls) > 1

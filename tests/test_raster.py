@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -31,6 +32,10 @@ from annodiff.surface import ring_pair_metrics, ring_pairs_metrics
 
 from conftest import random_mask, random_simple_rings, rect_ring
 from oracles import box_iou_oracle, edt_squared_oracle, rasterize_oracle, surface_metrics_oracle
+
+# the one GeometryError for a raw shape that is not a list or tuple of flat
+# rings of plain int and float coordinates
+FORMAT = "^polygon is not a list or tuple of flat rings of int and float coordinates$"
 
 
 def poly(*rings):
@@ -190,12 +195,13 @@ class TestRasterizeWindow:
     def test_count_overlaps_reports_the_shapes_that_mask_of_rejects(self):
         shapes = [
             poly(rect_ring(0, 0, 2, 2)),
-            [np.array([[0, 0], [4, 0], [0, 4]])],
+            [np.array([[0, 0], [4, 0], [0, 4]])],  # not the raw ring form
             poly([0, 0, 4, 4]),
             Polygons(((0.0, 0.0, 4.0, 0.0, 0.0, 4.0, 1.0),)),
             Polygons(()),
             encode_rle(np.ones((8, 8), bool)),
             encode_rle(np.ones((4, 8), bool)),
+            [[0, 0, 4, 0, 0, 4]],
         ]
         grids = [(8, 8), (8, 4), (0, 8), (8, 0)]
         items = [(shape, key) for shape in shapes for key in range(len(grids))]
@@ -210,19 +216,30 @@ class TestRasterizeWindow:
                 assert areas[at] == 0
             else:
                 assert at not in got.faults and areas[at] == mask.sum()
-        assert list(count_overlaps([(s, 0) for s in shapes], [], [(8, 8)]).faults) == [2, 3, 4, 6]
+        faults = count_overlaps([(s, 0) for s in shapes], [], [(8, 8)]).faults
+        assert list(faults) == [1, 2, 3, 4, 6]
+        assert type(faults[1]) is GeometryError and re.match(FORMAT, str(faults[1]))
 
 
 class TestNonFiniteCoordinates:
     """A raw ring with a coordinate that is not a finite float is a
-    ``GeometryError`` past the vertex-count rule, in every container."""
+    ``GeometryError`` past the vertex-count rule, in a list or a tuple; in
+    an object array or as a list of pairs, it is not in the raw ring form,
+    which is the one ``GeometryError`` that comes first."""
 
-    FORMS = [list, tuple, lambda r: np.array(r, dtype=object), lambda r: [r[i : i + 2] for i in range(0, len(r), 2)]]
+    # each container, and the error its ring gives
+    FORMS = [
+        (list, "not a finite float"),
+        (tuple, "not a finite float"),
+        (lambda r: np.array(r, dtype=object), FORMAT),
+        (lambda r: [r[i : i + 2] for i in range(0, len(r), 2)], FORMAT),
+    ]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, -(10**400)])
     @pytest.mark.parametrize("form", range(len(FORMS)))
     def test_raises_a_geometry_error(self, bad, form):
-        ring = self.FORMS[form]([1, 1, bad, 1, 8, 8, 1, 8])
+        container, error = self.FORMS[form]
+        ring = container([1, 1, bad, 1, 8, 8, 1, 8])
         square = rect_ring(2, 2, 5, 5)
         for call in (
             lambda: rasterize([ring], 10, 10),
@@ -231,18 +248,21 @@ class TestNonFiniteCoordinates:
             lambda: ring_pair_metrics(square, ring, 10, 10),
             lambda: ring_pairs_metrics([(square, square, 10, 10), (square, ring, 10, 10)]),
         ):
-            with pytest.raises(GeometryError, match="not a finite float") as info:
+            with pytest.raises(GeometryError, match=error) as info:
                 call()
             assert not isinstance(info.value, DegenerateShape)
         fault = count_overlaps([([ring], 0), ([square], 0)], [], [(10, 10)]).faults
-        assert list(fault) == [0] and "not a finite float" in str(fault[0])
+        assert list(fault) == [0] and re.search(error, str(fault[0]))
 
     @pytest.mark.parametrize("bad", [math.nan, 10**400])
     def test_the_vertex_rule_comes_first(self, bad):
-        with pytest.raises(DegenerateShape, match="2 vertices"):
-            rasterize([[1, 1, bad, 1]], 10, 10)
-        with pytest.raises(DegenerateShape, match="2 vertices"):
+        for ring in ([1, 1, bad, 1], (1, 1, bad, 1)):
+            with pytest.raises(DegenerateShape, match="2 vertices"):
+                rasterize([ring], 10, 10)
+        # the form rule comes before both
+        with pytest.raises(GeometryError, match=FORMAT) as info:
             rasterize([np.array([[1, 1], [bad, 1]], dtype=object)], 10, 10)
+        assert not isinstance(info.value, DegenerateShape)
 
     def test_finite_values_whose_sum_overflows_are_kept(self):
         ring = [1e308, 1.0, 1e308, 2.0, 1e308, 3.0]
@@ -283,6 +303,83 @@ class TestSteepEdges:
         assert rasterize([ring], 10, 10).all()
 
 
+def _outcome(call):
+    """What ``call()`` gives: its value, or the ``GeometryError`` it raises.
+    Any other error fails the test that calls it."""
+    try:
+        return call()
+    except GeometryError as exc:
+        return exc
+
+
+class TestMalformedRawShapes:
+    """A malformed raw shape never escapes as an error from outside the
+    library: every call that takes it returns a value or raises a
+    ``GeometryError``, and the overlap count reports, without raising, the
+    error that ``mask_of`` raises for the shape alone."""
+
+    SQUARE = rect_ring(2, 2, 5, 5)
+
+    @staticmethod
+    def malformed_rings(rng) -> dict:
+        """Rings around a random ring of plain floats, each malformed, by
+        the error it gives."""
+        ring = random_simple_rings(rng, width=20, height=20)[0]
+        at = int(rng.integers(len(ring)))
+
+        def put(bad):
+            return ring[:at] + [bad] + ring[at + 1 :]
+
+        return {
+            "array": (np.array(ring), FORMAT),
+            "pairs": ([ring[i : i + 2] for i in range(0, len(ring), 2)], FORMAT),
+            "string": (" ".join(map(str, ring)), FORMAT),
+            "None": (None, FORMAT),
+            "number": (ring[0], FORMAT),
+            "bool coordinate": (put(True), FORMAT),
+            "string coordinate": (put(str(ring[at])), FORMAT),
+            "nan coordinate": (put(math.nan), "^ring has a coordinate that is not a finite float$"),
+            "huge coordinate": (put(10**400), "^ring has a coordinate that is not a finite float$"),
+            "2 coordinates": (ring[:2], "^degenerate ring with 1 vertices$"),
+            "7 coordinates": ((ring + ring)[:7], "^ring has odd coordinate count 7$"),
+        }
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_returns_or_raises_a_geometry_error(self, seed):
+        square = self.SQUARE
+        rings = self.malformed_rings(np.random.default_rng(seed))
+        for ring, error in rings.values():
+            for call in (
+                lambda: ring_pair_metrics(ring, square, 20, 20),
+                lambda: ring_pair_metrics(square, ring, 20, 20),
+            ):
+                assert re.match(error, str(_outcome(call)))
+            got = _outcome(lambda: ring_pairs_metrics([(square, square, 20, 20), (square, ring, 20, 20)]))
+            if isinstance(got, list):  # a degenerate pair
+                assert got[1] is None and error.startswith("^degenerate")
+            else:
+                assert re.match(error, str(got))
+        # each ring alone and after a good one, and shapes that are not a
+        # list or tuple of rings, some not iterable
+        shapes = [(shape, error) for ring, error in rings.values() for shape in ([ring], (tuple(square), ring))]
+        shapes += [(None, FORMAT), (5, FORMAT), ("abc", FORMAT), (np.array([square]), FORMAT)]
+        errors = []
+        for shape, error in shapes:
+            got = [_outcome(lambda: rasterize(shape, 20, 20)), _outcome(lambda: mask_of(shape, 20, 20))]
+            got.append(_outcome(lambda: bbox_of_polygon(shape)))
+            assert all(isinstance(exc, GeometryError) and re.match(error, str(exc)) for exc in got)
+            exc = got[1]  # mask_of's
+            errors.append(exc)
+            (fault,) = count_overlaps([(shape, 0)], [], [(20, 20)]).faults.values()
+            assert (type(fault), str(fault)) == (type(exc), str(exc))
+        # counted together, beside a good shape, each is reported as alone
+        together = count_overlaps([([square], 0)] + [(shape, 0) for shape, _ in shapes], [], [(20, 20)])
+        assert together.area_a[0] == 25 and not together.area_a[1:].any()
+        assert [(at, type(f), str(f)) for at, f in together.faults.items()] == [
+            (at, type(exc), str(exc)) for at, exc in enumerate(errors, 1)
+        ]
+
+
 class TestRawShapesInOneCount:
     SQUARE = rect_ring(2, 2, 5, 5)
     TRI = [1, 1, 9, 2, 4, 8]
@@ -291,7 +388,7 @@ class TestRawShapesInOneCount:
     PLAIN = [[SQUARE], (tuple(SQUARE),), [SQUARE, TRI], [TRI, rect_ring(3, 3, 2, 2)], [SQUARE + [1.0]], [[0, 0, 4, 4]], [[]], []]
     # plain containers whose sum is not finite
     NOT_FINITE = [[[1, 1, math.nan, 1, 8, 8]], [(1.0, 1.0, math.inf, 1.0, 8.0, 8.0)], [TRI, [1, 1, 10**400, 1, 8, 8]]]
-    # other containers
+    # rings in other containers, not in the raw ring form
     OTHER = [
         [np.array(TRI, dtype=float)],
         [np.array(TRI, dtype=object)],
@@ -321,14 +418,16 @@ class TestRawShapesInOneCount:
 
     @pytest.mark.parametrize("other", range(len(OTHER) - 2))
     def test_the_rings_read_are_those_of_rings(self, other):
-        # a ring of plain numbers in another container goes through _rings,
-        # which reads it as floats, and so do the rings read beside it
+        # a ring of plain numbers in another container is the one form
+        # fault, and adds no ring; the rings read beside it are those of
+        # _rings, as they are
         shapes = [[self.SQUARE], [self.TRI, tuple(self.SQUARE)], self.OTHER[other]]
-        rings = raster._read_shapes(shapes, [(10, 10)], np.zeros(len(shapes), dtype=np.intp), [None])[0]
-        want = [ring for shape in shapes for ring in raster._rings(shape)]
-        assert [(type(r), np.asarray(r).dtype, list(r)) for r in rings] == [
-            (type(r), np.asarray(r).dtype, list(r)) for r in want
+        rings, _, _, _, faults = raster._read_shapes(shapes, [(10, 10)], np.zeros(len(shapes), dtype=np.intp), [None])
+        want = [ring for shape in shapes[:2] for ring in raster._rings(shape)]
+        assert [(type(r), list(map(type, r)), list(r)) for r in rings] == [
+            (type(r), list(map(type, r)), list(r)) for r in want
         ]
+        assert list(faults) == [2] and type(faults[2]) is GeometryError and re.match(FORMAT, str(faults[2]))
 
 
 def grids_from_runs(shapes, width, height):

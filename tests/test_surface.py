@@ -329,8 +329,9 @@ class TestRingPipeline:
         assert row_search.call_count == 0
 
     def test_ring_containers_give_identical_values(self):
-        # a stored ring is a tuple of floats and takes the flat path; lists of
-        # plain numbers take it too, arrays are converted: all give one value
+        # a stored ring is a tuple of floats; lists and tuples of plain ints
+        # and floats are read the same way and give one value, and an array
+        # or a list of pairs is not a raw ring: the one form error
         rng = np.random.default_rng(11)
         measured = 0
         for _ in range(30):
@@ -339,6 +340,8 @@ class TestRingPipeline:
                 (tuple(ra), tuple(rb)),
                 (list(ra), list(rb)),
                 ([int(v) if v == int(v) else v for v in ra], rb),
+            ]
+            others = [
                 (np.array(ra), np.array(rb)),
                 (np.reshape(ra, (-1, 2)), np.reshape(rb, (-1, 2))),
                 (np.reshape(ra, (-1, 2)).tolist(), tuple(rb)),
@@ -351,6 +354,11 @@ class TestRingPipeline:
             masks = [rasterize(Polygons((tuple(ring),)), 64, 48) for ring in (ra, rb)]
             for form in forms:
                 assert all(np.array_equal(rasterize([ring], 64, 48), mask) for ring, mask in zip(form, masks))
+            for a, b in others:
+                for call in (lambda: ring_pair_metrics(a, b, 64, 48), lambda: rasterize([a], 64, 48)):
+                    with pytest.raises(GeometryError, match="^polygon is not a list or tuple of flat rings") as info:
+                        call()
+                    assert not isinstance(info.value, DegenerateShape)
             measured += 1
         assert measured > 20
 

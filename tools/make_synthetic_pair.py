@@ -44,9 +44,10 @@ def star_ring(rng, width, height) -> tuple[list[float], int]:
         angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=k))
         radii = rng.uniform(0.35 * r_hi, r_hi, size=k)
         ring = []
+        # plain floats, as JSON parses them
         for a, r in zip(angles, radii):
-            ring.append(round(cx + r * math.cos(a), 2))
-            ring.append(round(cy + r * math.sin(a), 2))
+            ring.append(float(round(cx + r * math.cos(a), 2)))
+            ring.append(float(round(cy + r * math.sin(a), 2)))
         area = pixel_area(ring, width, height)
         if area >= 8:
             return ring, area
@@ -141,7 +142,8 @@ def jittered(rng, ann, image) -> dict | None:
     for i, v in enumerate(ring):
         center, shift, bound = (gx, dx, w) if i % 2 == 0 else (gy, dy, h)
         v = center + (v - center) * grow + shift + float(rng.uniform(-noise, noise))
-        moved.append(round(min(max(v, 0.0), float(bound)), 2))
+        # NumPy's rounding, which made the committed fixtures, to a plain float
+        moved.append(float(np.round(min(max(v, 0.0), float(bound)), 2)))
     area = pixel_area(moved, w, h)
     if area < 4:
         return None
