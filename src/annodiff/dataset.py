@@ -36,7 +36,7 @@ from operator import attrgetter
 from typing import Any, NamedTuple
 
 from .errors import IntegrityError, ParseError, SchemaError
-from .raster import _PLAIN_NUMBERS
+from .raster import _PLAIN_NUMBERS, _integer, _rle_rule
 from .shapes import Polygons, RleMask, ShapeSpec
 
 class ImageRecord(NamedTuple):
@@ -142,7 +142,6 @@ def _finite(value, what: str, name: str) -> float:
 
 
 _FLOATS = frozenset((float,))
-_PLAIN_INTS = frozenset((int,))
 _CROWD_FLAGS = (0, 1, True, False)
 _BY_ID = attrgetter("id")
 _new = tuple.__new__  # builds a NamedTuple record without its generated __new__
@@ -157,12 +156,6 @@ def _floats(values: list) -> tuple[float, ...]:
 def _finite_tuple(values: list, what: str, name: str) -> tuple[float, ...]:
     """Every value through :func:`_finite`."""
     return tuple(_finite(v, what, name) for v in values)
-
-
-def _integer(value, what: str, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{what} field '{name}' must be an integer")
-    return value
 
 
 def _required(obj: dict, name: str, what: str):
@@ -205,25 +198,9 @@ def _parse_segmentation(seg, what: str) -> ShapeSpec:
         counts = _required(seg, "counts", what)
         size = _required(seg, "size", what)
         if not isinstance(counts, list):
-            raise SchemaError(
-                f"{what} has non-list RLE counts (compressed RLE is not supported)"
-            )
-        # plain ints are taken in one pass; anything else goes value by
-        # value, which names the fault (a bool is not an integer here)
-        if not _PLAIN_INTS.issuperset(map(type, counts)):
-            counts = [_integer(c, what, "counts") for c in counts]
-        counts = tuple(counts)
-        if counts and min(counts) < 0:
-            raise SchemaError(f"{what} has negative RLE counts")
-        if not isinstance(size, list) or len(size) != 2:
-            raise SchemaError(f"{what} field 'size' must be [height, width]")
-        h = _integer(size[0], what, "size")
-        w = _integer(size[1], what, "size")
-        if h < 0 or w < 0:
-            raise SchemaError(f"{what} has negative RLE size {h}x{w}")
-        if sum(counts) != h * w:
-            raise SchemaError(f"{what} RLE counts sum {sum(counts)} != {h}x{w} grid")
-        return RleMask(counts, h, w)
+            raise SchemaError(f"{what} has non-list RLE counts (compressed RLE is not supported)")
+        _rle_rule(counts, size, what)
+        return RleMask(tuple(counts), *size)
     if isinstance(seg, list):
         rings = []
         for ring in seg:

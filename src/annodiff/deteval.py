@@ -89,8 +89,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import AnnotationDataset, _Checked
-from .errors import DegenerateShape, EvalError, GeometryError
-from .raster import Overlaps, box_areas, box_overlaps, count_overlaps, iou
+from .errors import DegenerateShape, EvalError
+from .raster import Overlaps, _check_rle, _error, box_areas, box_overlaps, count_overlaps, iou
 from .shapes import RleMask, ShapeSpec
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(np.linspace(0.5, 0.95, 10).tolist())
@@ -516,8 +516,8 @@ def _direction(ov: Overlaps, d_pos: np.ndarray, g_pos: np.ndarray, c: _Cells) ->
 
 def _named_fault(ov: Overlaps, sides, grids: list):
     """The error of the first shape that ``ov`` reports, naming its
-    annotation where the shape is at fault: a degenerate ring or none, or
-    an RLE of another grid than its image's. Each side is ``(items, rows,
+    annotation where the shape is at fault: a degenerate ring or none, or an
+    RLE that ``raster._check_rle`` rejects. Each side is ``(items, rows,
     table)``: the items and rows of :func:`_shapes`, and the columns the
     rows are of; ``grids`` holds the (width, height) of each key."""
     at, exc = next(iter(ov.faults.items()))
@@ -528,9 +528,8 @@ def _named_fault(ov: Overlaps, sides, grids: list):
     (seg, key), ann = items[at], table.records[rows[at]].id
     if isinstance(exc, DegenerateShape):
         return DegenerateShape(f"annotation {ann} has " + (f"a {exc}" if seg.rings else "no rings"))
-    width, height = grids[key]
-    if isinstance(seg, RleMask) and (seg.height, seg.width) != (height, width):
-        return GeometryError(f"annotation {ann} RLE grid {seg.height}x{seg.width} != image {height}x{width}")
+    if isinstance(seg, RleMask):
+        return _error(_check_rle, seg, *grids[key], f"annotation {ann}") or exc
     return exc
 
 
@@ -563,9 +562,8 @@ def _pixel_counts(ab: _Cells, ba: _Cells | None = None) -> list[Overlaps]:
     ``ba``'s ground truths (one dataset's shapes) against the other's.
 
     Raises:
-        GeometryError: a shape in a cell with detections has a degenerate
-            ring or none, an RLE does not fit its image, or the image has a
-            side beyond 2**52 px; the first such shape in the count is named.
+        SchemaError, GeometryError: a shape in a cell with detections that ``mask_of``
+            rejects on its image; the first such shape in the count is named.
     """
     directions = [ab] if ba is None else [ab, ba]
     sizes, keys = _grid_keys(directions)
@@ -592,8 +590,8 @@ def evaluate(
         EvalError: a detection references a category or image the ground
             truth does not define, or lacks a segmentation on the segm task;
             the first such detection by position is named.
-        GeometryError: on the segm task, a shape in a cell with detections
-            has a degenerate ring or none, or an RLE does not fit its image.
+        SchemaError, GeometryError: on the segm task, a shape in a cell with
+            detections that ``mask_of`` rejects on its image, named.
     """
     params = params or EvalParams()
     segm = params.task == "segm"

@@ -9,6 +9,14 @@ one form COCO's JSON parses to: a list or tuple of rings, each a flat
 ``[x1, y1, x2, y2, ...]`` list or tuple of ``int`` and ``float``
 coordinates. Any other raw shape is a ``GeometryError`` (:func:`_rings`).
 
+An RLE mask (:class:`~annodiff.shapes.RleMask`) keeps the RLE rule, which the
+parser shares (:func:`_rle_rule`): int counts (not ``bool``), none negative, a
+size of two ints, neither negative, and counts that sum to height x width; a
+mask that breaks it is a ``SchemaError``. A grid keeps the grid rule
+(:func:`_check_grid`): two integer sides (a Python ``int`` or a NumPy integer,
+not a ``bool``) in ``[1, 2**52]``. A grid that breaks it, or an RLE mask of
+another grid than the call's, is a ``GeometryError``.
+
 Fill convention
 ---------------
 A pixel is foreground iff its center lies inside the polygon under the
@@ -283,6 +291,9 @@ _MAX_SIDE = 2**52
 
 
 def _check_grid(width: int, height: int) -> None:
+    """The grid rule (module docstring): the type of the sides, then their range."""
+    if not all(isinstance(side, (int, np.integer)) and not isinstance(side, bool) for side in (width, height)):
+        raise GeometryError(f"grid {width!r}x{height!r} has a side that is not an integer")
     if width < 1 or height < 1:
         raise GeometryError(f"invalid grid {width}x{height}")
     if width > _MAX_SIDE or height > _MAX_SIDE:
@@ -313,16 +324,10 @@ def rasterize(poly, width: int, height: int) -> np.ndarray:
     right border closes with a toggle at column ``width``, in the spare
     column, which is dropped.
 
-    Args:
-        poly: ``Polygons``, or a list or tuple of rings, each a flat list or tuple of
-            ``int`` and ``float`` coordinates ``(x1, y1, x2, y2, ...)``.
-        width, height: grid dimensions in pixels.
-
     Raises:
         DegenerateShape: a ring has fewer than 3 vertices, or there is none.
-        GeometryError: ``poly`` is an ``RleMask`` (:func:`mask_of` takes it) or is not in
-            that form, or else a ring's coordinates do not pair up into vertices, a raw ring's
-            coordinate is not a finite float, or a side is below 1 or beyond 2**52 px.
+        GeometryError: :func:`_rings` rejects ``poly`` (an ``RleMask`` among them), or
+            then the grid breaks the grid rule.
     """
     rings = _rings(poly)
     _check_grid(width, height)
@@ -336,26 +341,45 @@ def rasterize(poly, width: int, height: int) -> np.ndarray:
 # run-length codec (column-major, first run background)
 
 
-def _check_rle(rle: RleMask, width: int | None = None, height: int | None = None) -> None:
-    """Raise what is wrong with an RLE: ``SchemaError`` for a negative count
-    or counts that do not sum to its grid, then ``GeometryError`` if that
-    grid is not ``width`` x ``height`` (when given)."""
-    if len(rle.counts) and min(rle.counts) < 0:
-        raise SchemaError("RLE counts must be non-negative")
-    total = sum(rle.counts)
-    if total != rle.height * rle.width:
-        raise SchemaError(f"RLE counts sum {total} != {rle.height}x{rle.width} grid")
-    if width is not None and (rle.height, rle.width) != (height, width):
-        raise GeometryError(f"RLE grid {(rle.height, rle.width)} does not match image {height}x{width}")
+_PLAIN_INTS = frozenset((int,))
+
+
+def _integer(value, what: str, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} field '{name}' must be an integer")
+    return value
+
+
+def _rle_rule(counts, size, what: str) -> None:
+    """The RLE rule (module docstring) on counts and a ``[height, width]``
+    list as given, in the parser's order; each text starts with ``what``."""
+    if not _PLAIN_INTS.issuperset(map(type, counts)):
+        for c in counts:
+            _integer(c, what, "counts")
+    if counts and min(counts) < 0:
+        raise SchemaError(f"{what} has negative RLE counts")
+    if not isinstance(size, list) or len(size) != 2:
+        raise SchemaError(f"{what} field 'size' must be [height, width]")
+    h, w = (_integer(side, what, "size") for side in size)
+    if h < 0 or w < 0:
+        raise SchemaError(f"{what} has negative RLE size {h}x{w}")
+    total = sum(counts)
+    if total != h * w:
+        raise SchemaError(f"{what} RLE counts sum {total} != {h}x{w} grid")
+
+
+def _check_rle(rle: RleMask, width: int, height: int, what: str = "RLE mask") -> None:
+    """Raise the RLE rule's ``SchemaError``, then ``GeometryError`` if the
+    mask is not of the ``width`` x ``height`` grid."""
+    _rle_rule(rle.counts, [rle.height, rle.width], what)
+    if (rle.height, rle.width) != (height, width):
+        raise GeometryError(f"{what} RLE grid {rle.height}x{rle.width} != image {height}x{width}")
 
 
 def decode_rle(rle: RleMask) -> np.ndarray:
-    """Decode a column-major RLE into a boolean ``(height, width)`` mask."""
-    _check_rle(rle)
-    counts = np.asarray(rle.counts, dtype=np.int64)
-    values = np.arange(counts.size, dtype=np.int64) % 2 == 1
-    flat = np.repeat(values, counts)
-    return flat.reshape((rle.width, rle.height)).T
+    """Decode a column-major RLE into a boolean ``(height, width)`` mask, under the RLE rule."""
+    _check_rle(rle, rle.width, rle.height)
+    return np.repeat(np.arange(len(rle.counts)) % 2 == 1, rle.counts).reshape(rle.width, rle.height).T
 
 
 def encode_rle(mask: np.ndarray) -> RleMask:
@@ -374,9 +398,12 @@ def encode_rle(mask: np.ndarray) -> RleMask:
 
 
 def mask_of(shape, width: int, height: int) -> np.ndarray:
-    """Rasterize either shape encoding onto a ``width`` x ``height`` grid."""
+    """Rasterize either shape encoding onto a ``width`` x ``height`` grid. An ``RleMask``
+    raises the RLE rule's ``SchemaError``, then ``GeometryError`` for another grid or
+    one that breaks the grid rule; any other shape raises what :func:`rasterize` raises."""
     if isinstance(shape, RleMask):
         _check_rle(shape, width, height)
+        _check_grid(width, height)
         return decode_rle(shape)
     return rasterize(shape, width, height)
 
@@ -619,8 +646,8 @@ def count_overlaps(a, b, sizes) -> Overlaps:
     pair's intersection is the sum of the overlaps of its runs on shared
     rows. Work goes in runs of keys, cut at ``_CHUNK`` elements.
 
-    Raises for no shape: a shape that :func:`mask_of` rejects on its grid,
-    or one on a grid with a side below 1 or beyond 2**52 px, counts as
+    Raises for no shape: a shape that :func:`mask_of` rejects on its grid
+    (which includes one that breaks the RLE rule or the grid rule) counts as
     empty, and ``faults`` holds its position in ``[*a, *b]`` and the error
     that says why (:func:`_read_shapes`).
     """

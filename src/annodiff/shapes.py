@@ -25,7 +25,7 @@ class Polygons(NamedTuple):
 
 
 class RleMask(NamedTuple):
-    """Column-major run-length encoded binary mask; first run is background."""
+    """Column-major run-length encoded binary mask, first run background, read under ``raster``'s RLE rule."""
 
     counts: tuple[int, ...]
     height: int

@@ -409,10 +409,8 @@ def ring_pairs_metrics(pairs, *, footprint: str = "cross") -> list:
 
     Raises:
         GeometryError: a pair's first fault (ring a's, then ring b's, then
-            its grid's) where that is not a degenerate ring: a ring is not a
-            flat list or tuple of ``int`` and ``float`` coordinates, its
-            coordinates do not pair up into vertices or one is not a finite
-            float, or the grid is invalid.
+            its grid's) where that is not a degenerate ring: what
+            :func:`~annodiff.raster.rasterize` raises for the ring or the grid.
         ValueError: an unknown footprint.
     """
     return [None if isinstance(m, DegenerateShape) else m for m in _measure_pairs(pairs, footprint)]
@@ -448,9 +446,8 @@ def ring_pair_metrics(
     Raises:
         DegenerateShape: a ring has fewer than 3 vertices or rasterizes to
             an empty mask.
-        GeometryError: a ring is not a flat list or tuple of ``int`` and
-            ``float`` coordinates, its coordinates do not pair up into
-            vertices or one is not a finite float, or the grid is invalid.
+        GeometryError: what :func:`~annodiff.raster.rasterize` raises for
+            a ring or the grid, other than a ``DegenerateShape``.
     """
     if mode not in ("full", "crop"):
         raise ValueError(f"mode must be 'full' or 'crop', got {mode!r}")

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from annodiff.deteval import cross_table
+from annodiff.dataset import parse_dataset
+from annodiff.deteval import Detection, EvalParams, cross_table, evaluate
 from annodiff.errors import DegenerateShape, GeometryError, SchemaError
 import annodiff.raster as raster
 from annodiff.raster import (
@@ -30,7 +31,7 @@ from annodiff.raster import (
 from annodiff.shapes import Polygons, RleMask
 from annodiff.surface import ring_pair_metrics, ring_pairs_metrics
 
-from conftest import random_mask, random_simple_rings, rect_ring
+from conftest import make_ann, make_coco, make_images, random_mask, random_simple_rings, rect_ring
 from oracles import box_iou_oracle, edt_squared_oracle, rasterize_oracle, surface_metrics_oracle
 
 # the one GeometryError for a raw shape that is not a list or tuple of flat
@@ -380,6 +381,94 @@ class TestMalformedRawShapes:
         ]
 
 
+def _library_outcome(call):
+    """What ``call()`` gives: its value, or the ``SchemaError`` or
+    ``GeometryError`` it raises. Any other error fails the test that calls it."""
+    try:
+        return call()
+    except (SchemaError, GeometryError) as exc:
+        return exc
+
+
+class TestMalformedRleMasksAndGrids:
+    """A malformed RLE mask or grid never escapes as an error from outside
+    the library: every call that takes it returns a value or raises a
+    ``SchemaError`` or ``GeometryError``, the overlap count reports for a
+    shape the error ``mask_of`` raises for it alone, and an RLE mask breaks
+    the parser's rule with the parser's words."""
+
+    @staticmethod
+    def malformed_masks(rng) -> list[RleMask]:
+        """RLE masks around a random one, each breaking the RLE rule once."""
+        h, w = (int(v) for v in rng.integers(3, 12, size=2))
+        counts = list(encode_rle(random_mask(rng, h, w, p=0.3)).counts)
+        at = int(rng.integers(len(counts)))
+
+        def put(*bad):
+            return tuple(counts[:at] + list(bad) + counts[at + 1 :])
+
+        return [
+            RleMask(put(str(counts[at])), h, w),
+            RleMask(put(float(counts[at])), h, w),
+            RleMask(put(True, counts[at] - 1), h, w),
+            RleMask(put(-1, counts[at] + 1), h, w),  # the sum still holds
+            RleMask(tuple(counts), -h, -w),  # and here too
+            RleMask((), -h, 0),
+            RleMask(tuple(counts), float(h), w),
+            RleMask(tuple(counts), h, str(w)),
+            RleMask(tuple(counts), True, w),
+            RleMask(tuple(counts) + (1,), h, w),
+            RleMask(tuple(counts), h + 1, w),
+        ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_masks_raise_the_rle_rule_of_the_parser(self, seed):
+        rng = np.random.default_rng(seed)
+        for rle in self.malformed_masks(rng):
+            width, height = rng.integers(3, 12, size=2).tolist()
+            grid = rle.width, rle.height
+            decoded = _library_outcome(lambda: decode_rle(rle))
+            own = _library_outcome(lambda: mask_of(rle, *grid))
+            other = _library_outcome(lambda: mask_of(rle, width, height))
+            assert type(decoded) is type(own) is type(other) is SchemaError
+            assert str(decoded) == str(own) == str(other) and str(own).startswith("RLE mask ")
+            for size in (grid, (width, height)):
+                (fault,) = count_overlaps([(rle, 0)], [], [size]).faults.values()
+                assert (type(fault), str(fault)) == (SchemaError, str(own))
+            # as JSON, the parser gives the same words for the annotation,
+            # and evaluate names the detection with them
+            seg = {"counts": list(rle.counts), "size": [rle.height, rle.width]}
+            ann = make_ann(7, 1, seg, iscrowd=1, bbox=[0, 0, 1, 1])
+            named = str(own).replace("RLE mask", "annotation 7", 1)
+            with pytest.raises(SchemaError) as parsed:
+                parse_dataset(make_coco(make_images(1, width, height), [ann]))
+            assert str(parsed.value) == named
+            gt = parse_dataset(make_coco(make_images(1, width, height), [make_ann(1, 1, rect_ring(0, 0, 2, 2))]))
+            found = Detection(7, 1, 1, 0.5, (0.0, 0.0, 1.0, 1.0), rle)
+            got = _library_outcome(lambda: evaluate([found], gt, EvalParams(task="segm")))
+            assert (type(got), str(got)) == (SchemaError, named)
+
+    @pytest.mark.parametrize("bad", [10.5, 10.0, True, "10", np.float64(10)])
+    def test_grids_break_one_grid_rule(self, bad):
+        ring = rect_ring(2, 2, 5, 5)
+        for grid in ((bad, 10), (10, bad)):
+            text = f"grid {grid[0]!r}x{grid[1]!r} has a side that is not an integer"
+            shapes = [[ring], poly(ring), encode_rle(np.ones((10, 10), bool)), RleMask((0,), 0, 0)]
+            for shape in shapes:
+                exc = _library_outcome(lambda: mask_of(shape, *grid))
+                assert isinstance(exc, (SchemaError, GeometryError))
+                (fault,) = count_overlaps([(shape, 0)], [], [grid]).faults.values()
+                assert (type(fault), str(fault)) == (type(exc), str(exc))
+            for call in (
+                lambda: rasterize([ring], *grid),
+                lambda: mask_of([ring], *grid),
+                lambda: ring_pairs_metrics([(ring, ring, 10, 10), (ring, ring, *grid)]),
+                lambda: ring_pair_metrics(ring, ring, *grid),
+            ):
+                exc = _library_outcome(call)
+                assert (type(exc), str(exc)) == (GeometryError, text)
+
+
 class TestRawShapesInOneCount:
     SQUARE = rect_ring(2, 2, 5, 5)
     TRI = [1, 1, 9, 2, 4, 8]
@@ -717,10 +806,10 @@ class TestCountOverlaps:
     def test_rle_faults_are_those_of_decode_rle_and_mask_of(self):
         square = poly(rect_ring(2, 2, 10, 10))
         faults = [
-            (RleMask((3, -1, 14), 4, 4), SchemaError, "RLE counts must be non-negative"),
-            (RleMask((3, 4), 4, 4), SchemaError, "RLE counts sum 7 != 4x4 grid"),
-            (RleMask((3, 4), 2, 2), SchemaError, "RLE counts sum 7 != 2x2 grid"),  # and the grid
-            (RleMask((16,), 4, 4), GeometryError, "RLE grid (4, 4) does not match image 16x16"),
+            (RleMask((3, -1, 14), 4, 4), SchemaError, "RLE mask has negative RLE counts"),
+            (RleMask((3, 4), 4, 4), SchemaError, "RLE mask RLE counts sum 7 != 4x4 grid"),
+            (RleMask((3, 4), 2, 2), SchemaError, "RLE mask RLE counts sum 7 != 2x2 grid"),  # and the grid
+            (RleMask((16,), 4, 4), GeometryError, "RLE mask RLE grid 4x4 != image 16x16"),
         ]
         for rle, kind, message in faults:
             with pytest.raises(kind) as seen:
@@ -736,7 +825,7 @@ class TestCountOverlaps:
         for keys in ((1, 0), (0, 1)):
             got = count_overlaps([(bad_grid, keys[0])], [(degenerate, keys[1])], [(16, 16)] * 2)
             assert [(at, str(exc)) for at, exc in got.faults.items()] == [
-                (0, "RLE grid (4, 4) does not match image 16x16"),
+                (0, "RLE mask RLE grid 4x4 != image 16x16"),
                 (1, "degenerate ring with 2 vertices"),
             ]
             assert isinstance(got.faults[1], DegenerateShape)
@@ -752,7 +841,7 @@ class TestCountOverlaps:
             assert list(got.transposed().faults) == [0]
         # the grid-size check of mask_of
         got = count_overlaps([(RleMask((0, 4), 2, 2), 0)], [], [(3, 3)])
-        assert str(got.faults[0]) == "RLE grid (2, 2) does not match image 3x3"
+        assert str(got.faults[0]) == "RLE mask RLE grid 2x2 != image 3x3"
 
     @pytest.mark.parametrize("x, y", [(2**40, 2**40), (2**41 - 20, 2**40 + 12345)])
     def test_exact_on_a_grid_with_a_2_41_px_side(self, x, y):
